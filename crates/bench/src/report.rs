@@ -17,7 +17,7 @@
 //!   tolerance, and every `"overhead_pct"` field at or below the
 //!   overhead budget.
 
-use bcc_metrics::json::{parse, JsonValue};
+use bcc_metrics::json::{parse, push_quoted, JsonValue};
 use bcc_metrics::MetricsDump;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -407,7 +407,11 @@ pub fn render_json(inputs: &Inputs, failures: &[String]) -> String {
             dump.units()
         );
         for (i, (name, value)) in dump.counters().iter().enumerate() {
-            let _ = write!(out, "{}\"{name}\":{value}", if i > 0 { "," } else { "" });
+            if i > 0 {
+                out.push(',');
+            }
+            push_quoted(&mut out, name);
+            let _ = write!(out, ":{value}");
         }
         out.push_str("}},");
     }
@@ -430,24 +434,23 @@ pub fn render_json(inputs: &Inputs, failures: &[String]) -> String {
     if let Some(postmortems) = &inputs.postmortems {
         let _ = write!(out, "\"postmortems\":{},", postmortems.len());
     }
-    let names: Vec<String> = inputs
-        .benches
-        .iter()
-        .map(|b| format!("\"{}\"", b.name))
-        .collect();
-    let _ = write!(out, "\"benches\":[{}],", names.join(","));
-    let fails: Vec<String> = failures
-        .iter()
-        .map(|f| format!("\"{}\"", f.replace('\\', "\\\\").replace('"', "\\\"")))
-        .collect();
-    let _ = write!(
-        out,
-        "\"passed\":{},\"failures\":[{}]}}",
-        failures.is_empty(),
-        fails.join(",")
-    );
-    out.push('\n');
+    out.push_str("\"benches\":");
+    push_string_array(&mut out, inputs.benches.iter().map(|b| b.name.as_str()));
+    let _ = write!(out, ",\"passed\":{},\"failures\":", failures.is_empty());
+    push_string_array(&mut out, failures.iter().map(String::as_str));
+    out.push_str("}\n");
     out
+}
+
+fn push_string_array<'a>(out: &mut String, items: impl Iterator<Item = &'a str>) {
+    out.push('[');
+    for (i, item) in items.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_quoted(out, item);
+    }
+    out.push(']');
 }
 
 /// Flattens every numeric/boolean/string leaf into `(path, rendered)`
@@ -476,7 +479,9 @@ fn render_leaf(v: &JsonValue) -> String {
     match v {
         JsonValue::Null => "null".to_string(),
         JsonValue::Bool(b) => b.to_string(),
-        JsonValue::Num(n) => {
+        JsonValue::UInt(n) => n.to_string(),
+        JsonValue::Int(n) => n.to_string(),
+        JsonValue::Float(n) => {
             if n.fract() == 0.0 && n.abs() < 9e15 {
                 format!("{}", *n as i64)
             } else {
@@ -609,6 +614,38 @@ mod tests {
             ..Default::default()
         };
         assert!(!render_markdown(&plain, &[]).contains("## Service"));
+    }
+
+    #[test]
+    fn json_report_escapes_control_characters() {
+        let inputs = Inputs {
+            metrics: Some(dump_with(&[("a\"b", 1)])),
+            benches: vec![BenchFile {
+                name: "odd\\name\n.json".to_string(),
+                root: JsonValue::Null,
+            }],
+            ..Default::default()
+        };
+        let failure = "line one\nline two \u{1} \"quoted\"".to_string();
+        let text = render_json(&inputs, std::slice::from_ref(&failure));
+        assert_eq!(text.lines().count(), 1, "not one JSONL line: {text}");
+        let v = parse(&text).unwrap();
+        let failures = v.arr_field("failures").unwrap();
+        assert_eq!(failures[0].as_str(), Some(failure.as_str()));
+        let benches = v.arr_field("benches").unwrap();
+        assert_eq!(benches[0].as_str(), Some("odd\\name\n.json"));
+        let counters = v.get("metrics").and_then(|m| m.get("counters")).unwrap();
+        assert_eq!(counters.u64_field("a\"b"), Ok(1));
+    }
+
+    #[test]
+    fn leaves_render_integral_numbers_without_a_point() {
+        let v = parse(r#"{"f":2.0,"u":7,"i":-3,"x":0.25,"big":18446744073709551615}"#).unwrap();
+        let leaves: Vec<String> = ["f", "u", "i", "x", "big"]
+            .iter()
+            .map(|k| render_leaf(v.get(k).unwrap()))
+            .collect();
+        assert_eq!(leaves, ["2", "7", "-3", "0.25", "18446744073709551615"]);
     }
 
     #[test]

@@ -1,0 +1,254 @@
+//! Seed-driven decoder fuzzing: valid lines of every JSONL artifact
+//! the workspace reads back — trace events, metrics dumps, profiles,
+//! postmortems, and wire commands/replies — are mutated with byte
+//! flips, truncations and splices, and every decoder must answer with
+//! `Ok` or a typed `Err`, never a panic. All decoders sit on the one
+//! shared codec (`bcc_metrics::json`), so this also fuzzes its parser.
+
+use bcc_metrics::{MetricsDump, MetricsHub, MetricsLevel};
+use bcc_model::postmortem::{self, Postmortem, WireEvent, WorkerHealth};
+use bcc_model::Message;
+use bcc_prof::{parse_profile_jsonl, profile_to_jsonl, CounterTotal, Frame, Profile, SpanStat};
+use bcc_trace::json::{event_to_json, parse_event};
+use bcc_trace::{field, Event, EventKind};
+use bcc_transport::wire::{
+    decode_message, parse_command, parse_reply, render_command, render_reply, Command, Reply,
+    SessionSpan, WorkerTelemetry,
+};
+use proptest::prelude::*;
+
+type Decoder = fn(&str) -> Result<(), String>;
+
+fn trace_event(text: &str) -> Result<(), String> {
+    parse_event(text).map(drop).map_err(|e| e.to_string())
+}
+
+fn metrics_dump(text: &str) -> Result<(), String> {
+    MetricsDump::parse_jsonl(text).map(drop)
+}
+
+fn profile(text: &str) -> Result<(), String> {
+    parse_profile_jsonl(text).map(drop)
+}
+
+fn postmortems(text: &str) -> Result<(), String> {
+    postmortem::parse_jsonl(text).map(drop)
+}
+
+fn wire_command(text: &str) -> Result<(), String> {
+    parse_command(text).map(drop)
+}
+
+fn wire_reply(text: &str) -> Result<(), String> {
+    parse_reply(text).map(drop)
+}
+
+fn msg(s: &str) -> Message {
+    decode_message(s).unwrap()
+}
+
+/// One valid rendering per artifact shape, paired with its decoder.
+fn corpus() -> Vec<(String, Decoder)> {
+    let event = Event {
+        unit: "e5/n=12 \"q\"".into(),
+        seq: 41,
+        path: "round=3/node=7".into(),
+        kind: EventKind::Point,
+        name: "broadcast".into(),
+        fields: vec![
+            field("bit", true),
+            field("n", u64::MAX),
+            field("delta", i64::MIN),
+            field("err", 0.25),
+            field("label", "a\nb\u{1}⊥"),
+        ],
+    };
+
+    let hub = MetricsHub::new(MetricsLevel::Full);
+    let mut buf = hub.buf("job");
+    buf.counter("sim.bits", (1 << 53) + 1);
+    buf.gauge("engine.occupancy", 7);
+    buf.observe("comm.message_bits", 12);
+    buf.observe("comm.message_bits", 900);
+    hub.absorb(buf);
+
+    let prof = Profile {
+        spans: vec![SpanStat {
+            path: "e2/job".into(),
+            count: 2,
+        }],
+        frames: vec![Frame {
+            path: "e2/job".into(),
+            counter: "sim.bits_broadcast".into(),
+            inclusive: u64::MAX,
+            exclusive: 3,
+        }],
+        totals: vec![CounterTotal {
+            counter: "sim.bits_broadcast".into(),
+            total: u64::MAX,
+            attributed: u64::MAX,
+            unattributed: 0,
+            source: bcc_prof::TotalSource::Dump,
+        }],
+    };
+
+    let incident = Postmortem {
+        backend: "sockets:2".into(),
+        error: "worker 0 died:\n\"reset\"".into(),
+        workers: vec![WorkerHealth {
+            rank: 0,
+            alive: false,
+            respawns: 1,
+            sessions: 2,
+            ring: vec![WireEvent {
+                dir: "send".into(),
+                kind: "round".into(),
+                session: 3,
+                round: 1,
+                bytes: 118,
+            }],
+        }],
+    };
+
+    let commands = [
+        Command::Open {
+            session: 9,
+            n: 4,
+            lo: 0,
+            hi: 2,
+            routes: vec![vec![(1, 2), ((1 << 53) + 1, 3)], vec![]],
+        },
+        Command::Round {
+            session: 9,
+            round: 2,
+            outbox: vec![msg("01_"), msg("")],
+        },
+        Command::Close { session: 9 },
+        Command::Shutdown,
+    ];
+    let replies = [
+        Reply::Hello { rank: 1 },
+        Reply::View {
+            session: 9,
+            round: 2,
+            inboxes: vec![vec![(1, msg("0")), (4, msg("_1"))], vec![]],
+        },
+        Reply::Closed {
+            session: 9,
+            telemetry: WorkerTelemetry {
+                counters: vec![("frames".into(), 12)],
+                span: Some(SessionSpan {
+                    n: 4,
+                    nodes: 2,
+                    rounds: 3,
+                    frames: 12,
+                    symbols: 24,
+                }),
+            },
+        },
+        Reply::Telemetry {
+            rank: 0,
+            counters: vec![("sessions".into(), 4)],
+        },
+        Reply::Error {
+            detail: "bad \"stuff\"\n".into(),
+        },
+    ];
+
+    let mut corpus: Vec<(String, Decoder)> = vec![
+        (event_to_json(&event), trace_event),
+        (hub.finish().to_jsonl_string(), metrics_dump),
+        (profile_to_jsonl(&prof), profile),
+        (postmortem::postmortems_to_jsonl(&[incident]), postmortems),
+    ];
+    corpus.extend(
+        commands
+            .iter()
+            .map(|c| (render_command(c), wire_command as Decoder)),
+    );
+    corpus.extend(
+        replies
+            .iter()
+            .map(|r| (render_reply(r), wire_reply as Decoder)),
+    );
+    corpus
+}
+
+/// Bytes that steer mutations toward the grammar's decision points.
+const INTERESTING: &[u8] = b"\"\\{}[],:-.eE+0189 \nntf\x00\x7f\xc3\xff";
+
+/// Applies one mutation to `bytes`; `donor` supplies splice tails.
+fn mutate(bytes: &mut Vec<u8>, op: u8, a: u64, b: u64, donor: &[u8]) {
+    let len = bytes.len();
+    match op % 3 {
+        0 if len > 0 => {
+            let at = (a % len as u64) as usize;
+            bytes[at] = if b.is_multiple_of(2) {
+                INTERESTING[(b >> 1) as usize % INTERESTING.len()]
+            } else {
+                bytes[at] ^ ((b >> 1) as u8 | 1)
+            };
+        }
+        1 => bytes.truncate((a % (len as u64 + 1)) as usize),
+        _ => {
+            let cut = (a % (len as u64 + 1)) as usize;
+            let from = (b % (donor.len() as u64 + 1)) as usize;
+            bytes.truncate(cut);
+            bytes.extend_from_slice(&donor[from..]);
+        }
+    }
+}
+
+/// Runs `decode` and checks that a rejection carries a message.
+fn check(decode: Decoder, bytes: &[u8]) -> Result<(), String> {
+    let text = String::from_utf8_lossy(bytes);
+    match decode(&text) {
+        Err(e) if e.is_empty() => Err(format!("empty error for {text:?}")),
+        _ => Ok(()),
+    }
+}
+
+#[test]
+fn corpus_is_valid() {
+    for (text, decode) in corpus() {
+        assert_eq!(decode(&text), Ok(()), "seed line rejected: {text}");
+    }
+}
+
+#[test]
+fn every_truncation_is_handled() {
+    for (text, decode) in corpus() {
+        let bytes = text.as_bytes();
+        for cut in 0..bytes.len() {
+            check(decode, &bytes[..cut]).unwrap();
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..Default::default() })]
+
+    #[test]
+    fn mutated_artifacts_never_panic(
+        ops in proptest::collection::vec(
+            (
+                proptest::strategy::any::<u8>(),
+                proptest::strategy::any::<u64>(),
+                proptest::strategy::any::<u64>(),
+                proptest::strategy::any::<usize>(),
+            ),
+            1..5,
+        ),
+    ) {
+        let corpus = corpus();
+        for (text, decode) in &corpus {
+            let mut bytes = text.clone().into_bytes();
+            for &(op, a, b, donor) in &ops {
+                let donor = corpus[donor % corpus.len()].0.as_bytes();
+                mutate(&mut bytes, op, a, b, donor);
+            }
+            let verdict = check(*decode, &bytes);
+            prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+        }
+    }
+}

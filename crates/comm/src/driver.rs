@@ -72,9 +72,8 @@ impl<Out> ProtocolRun<Out> {
 }
 
 /// Options for one protocol run — the single configuration surface
-/// that folds what used to be a quartet of entry points
-/// (`run_protocol` / `run_protocol_traced` / `run_with_bit_budget` /
-/// `run_with_bit_budget_traced`) into [`run_protocol`].
+/// of [`run_protocol`]: message limit, optional bit budget, tracing
+/// and metrics.
 #[derive(Debug, Clone)]
 pub struct DriverOpts {
     max_messages: usize,
@@ -189,48 +188,8 @@ pub fn run_protocol<Out: Clone>(
     run
 }
 
-/// Legacy traced entry point.
-#[deprecated(note = "use `run_protocol` with `DriverOpts::trace`")]
-pub fn run_protocol_traced<Out: Clone>(
-    alice: &mut dyn Party<Out>,
-    bob: &mut dyn Party<Out>,
-    max_messages: usize,
-    trace: &mut TraceBuf,
-) -> ProtocolRun<Out> {
-    run_core(alice, bob, None, max_messages, trace)
-}
-
-/// Legacy bit-budget entry point.
-#[deprecated(note = "use `run_protocol` with `DriverOpts::bit_budget`")]
-pub fn run_with_bit_budget<Out: Clone>(
-    alice: &mut dyn Party<Out>,
-    bob: &mut dyn Party<Out>,
-    budget: usize,
-    max_messages: usize,
-) -> ProtocolRun<Out> {
-    run_core(
-        alice,
-        bob,
-        Some(budget),
-        max_messages,
-        &mut TraceBuf::disabled(),
-    )
-}
-
-/// Legacy traced bit-budget entry point.
-#[deprecated(note = "use `run_protocol` with `DriverOpts::bit_budget` and `DriverOpts::trace`")]
-pub fn run_with_bit_budget_traced<Out: Clone>(
-    alice: &mut dyn Party<Out>,
-    bob: &mut dyn Party<Out>,
-    budget: usize,
-    max_messages: usize,
-    trace: &mut TraceBuf,
-) -> ProtocolRun<Out> {
-    run_core(alice, bob, Some(budget), max_messages, trace)
-}
-
-/// The single alternating-message loop behind both public entry
-/// points (`budget: None` = unbounded).
+/// The alternating-message loop behind [`run_protocol`]
+/// (`budget: None` = unbounded).
 fn run_core<Out: Clone>(
     alice: &mut dyn Party<Out>,
     bob: &mut dyn Party<Out>,
@@ -533,31 +492,6 @@ mod tests {
         let msg = events.iter().find(|e| e.name == "message").unwrap();
         assert_eq!(msg.field("truncated"), Some(&FieldValue::Bool(true)));
         assert_eq!(msg.field("bits"), Some(&FieldValue::UInt(4)));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_opts_path() {
-        let build = || SumAlice {
-            bits: vec![true; 10],
-            sent: 0,
-            result: None,
-        };
-        let bob = || SumBob {
-            own: 0,
-            received: Vec::new(),
-            expected: 10,
-        };
-        let legacy = run_with_bit_budget(&mut build(), &mut bob(), 4, 10);
-        let modern = run_protocol(&mut build(), &mut bob(), &DriverOpts::new(10).bit_budget(4));
-        assert_eq!(legacy, modern);
-        let mut buf = TraceBuf::new(bcc_trace::TraceLevel::Events, "u");
-        let traced = run_protocol_traced(&mut build(), &mut bob(), 10, &mut buf);
-        assert_eq!(
-            traced,
-            run_protocol(&mut build(), &mut bob(), &DriverOpts::new(10))
-        );
-        assert!(!buf.into_events().is_empty());
     }
 
     #[test]

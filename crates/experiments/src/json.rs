@@ -1,27 +1,9 @@
-//! Hand-rolled JSON serialization (no external deps) for job records,
-//! reduced reports, and run metrics — the JSONL sink behind `--json`.
+//! Hand-rolled JSON serialization for job records, reduced reports,
+//! and run metrics — the JSONL sink behind `--json`.
 
 use crate::job::{JobOutput, Report, Value};
+use bcc_metrics::json::escape;
 use bcc_runner::{JobResult, JobStatus, MetricsSnapshot};
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn float_json(x: f64) -> String {
     if x.is_finite() {
@@ -134,12 +116,6 @@ pub fn metrics_record(m: &MetricsSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escapes_control_and_quote_chars() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn value_literals() {

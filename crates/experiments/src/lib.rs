@@ -119,20 +119,6 @@ pub fn reduce_for(id: &str, outputs: Vec<JobOutput>) -> Result<Report, UnknownEx
     experiment(id).map(|e| e.reduce(outputs))
 }
 
-/// Runs one experiment by id serially, returning its report text.
-///
-/// `quick` trims instance sizes so the whole suite stays test-friendly.
-/// Unknown ids return [`UnknownExperiment`] instead of panicking.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RunRequest::new(id, quick, seed).run() and read .report.text"
-)]
-pub fn run(id: &str, quick: bool) -> Result<String, UnknownExperiment> {
-    RunRequest::new(id, quick, DEFAULT_SEED)
-        .run()
-        .map(|run| run.report.text)
-}
-
 /// Options for a parallel suite run.
 #[derive(Debug, Clone)]
 pub struct SuiteOptions {
@@ -221,9 +207,8 @@ fn degrade_partial(mut report: Report, completed: usize, scheduled: usize) -> Re
     report
 }
 
-/// One registry-dispatched run request — the single entry point that
-/// replaced the historical `run` / `run_on_pool` / `*_observed`
-/// free-function sprawl. The request is fully described by logical
+/// One registry-dispatched run request — the single entry point for
+/// running an experiment. The request is fully described by logical
 /// parameters, so the reduced report is a pure function of
 /// `(id, quick, seed)`; everything else (threads, cache, observers,
 /// transport) only changes *how* it is computed.
@@ -395,7 +380,7 @@ impl RunRequest {
     }
 }
 
-/// The outcome of [`run_on_pool`]: the reduced (possibly degraded)
+/// The outcome of [`RunRequest::run_on_pool`]: the reduced (possibly degraded)
 /// report plus the shard accounting a scheduler needs for its own
 /// bookkeeping.
 #[derive(Debug)]
@@ -408,27 +393,6 @@ pub struct PoolRun {
     pub completed: usize,
     /// Shards reported cancelled (drain, token, or deadline path).
     pub cancelled: usize,
-}
-
-/// Runs one experiment by id on a caller-owned pool.
-///
-/// # Errors
-///
-/// Returns [`UnknownExperiment`] for an id outside the registry.
-#[deprecated(
-    since = "0.1.0",
-    note = "build the request with RunRequest::observed(..) and call RunRequest::run_on_pool"
-)]
-pub fn run_on_pool(
-    req: &RunRequest,
-    pool: &bcc_runner::Pool,
-    token: &bcc_runner::CancellationToken,
-    collector: &Collector,
-    hub: &MetricsHub,
-) -> Result<PoolRun, UnknownExperiment> {
-    req.clone()
-        .observed(collector.clone(), hub.clone())
-        .run_on_pool(pool, token)
 }
 
 /// Runs a set of experiments through one shared pool.
@@ -576,26 +540,5 @@ mod tests {
         assert_eq!(serial.report.text, parallel.report.text);
         assert_eq!(serial.scheduled, parallel.scheduled);
         assert_eq!(serial.completed, parallel.completed);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_free_functions_delegate_to_the_builder() {
-        use bcc_metrics::{MetricsHub, MetricsLevel};
-        use bcc_trace::{Collector, TraceLevel};
-        let via_builder = super::RunRequest::new("f1", true, super::DEFAULT_SEED)
-            .run()
-            .expect("known id");
-        assert_eq!(super::run("f1", true).unwrap(), via_builder.report.text);
-        let pool = bcc_runner::Pool::new(1);
-        let pooled = super::run_on_pool(
-            &super::RunRequest::new("f1", true, super::DEFAULT_SEED),
-            &pool,
-            &bcc_runner::CancellationToken::new(),
-            &Collector::new(TraceLevel::Off),
-            &MetricsHub::new(MetricsLevel::Off),
-        )
-        .expect("known id");
-        assert_eq!(pooled.report.text, via_builder.report.text);
     }
 }

@@ -98,7 +98,10 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_ref()) || name.starts_with('.') {
+            if SKIP_DIRS.contains(&name.as_ref())
+                || name.starts_with('.')
+                || is_nested_workspace(&path)
+            {
                 continue;
             }
             walk(&path, out)?;
@@ -107,6 +110,14 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// A directory whose manifest declares a `[workspace]` of its own is a
+/// separate project (the `perfbench/` benchmark builds against the
+/// workspace's crates by path), not part of the workspace under lint.
+fn is_nested_workspace(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
 }
 
 /// Renders one finding as a JSONL record.

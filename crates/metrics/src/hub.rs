@@ -2,7 +2,7 @@
 
 use crate::buf::{GaugeStat, MetricsBuf};
 use crate::hist::HistogramSnapshot;
-use crate::json::{self, JsonValue};
+use crate::json;
 use crate::level::MetricsLevel;
 use crate::sink::{render_lines, MetricsJsonlSink, MetricsSummarySink};
 use std::collections::BTreeMap;
@@ -216,78 +216,62 @@ impl MetricsDump {
             if line.trim().is_empty() {
                 continue;
             }
-            let v = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            let kind = v
-                .get("type")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("line {}: missing \"type\"", lineno + 1))?;
-            let field = |key: &str| -> Result<u64, String> {
-                v.get(key)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("line {}: missing \"{key}\"", lineno + 1))
-            };
-            let name = || -> Result<String, String> {
-                v.get("name")
-                    .and_then(JsonValue::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("line {}: missing \"name\"", lineno + 1))
-            };
-            match kind {
-                "meta" => {
-                    let level_name = v
-                        .get("level")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| format!("line {}: missing \"level\"", lineno + 1))?;
-                    dump.level = MetricsLevel::from_name(level_name)
-                        .ok_or_else(|| format!("line {}: bad level '{level_name}'", lineno + 1))?;
-                    dump.units = field("units")?;
-                    saw_meta = true;
-                }
-                "counter" => {
-                    dump.counters.insert(name()?, field("value")?);
-                }
-                "gauge" => {
-                    dump.gauges.insert(
-                        name()?,
-                        GaugeStat {
-                            count: field("count")?,
-                            min: field("min")?,
-                            max: field("max")?,
-                            sum: field("sum")?,
-                        },
-                    );
-                }
-                "hist" => {
-                    let mut h = HistogramSnapshot::empty();
-                    h.count = field("count")?;
-                    h.sum = field("sum")?;
-                    h.max = field("max")?;
-                    let buckets = v
-                        .get("buckets")
-                        .and_then(JsonValue::as_arr)
-                        .ok_or_else(|| format!("line {}: missing \"buckets\"", lineno + 1))?;
-                    for pair in buckets {
-                        let p = pair
-                            .as_arr()
-                            .filter(|p| p.len() == 2)
-                            .ok_or_else(|| format!("line {}: bad bucket pair", lineno + 1))?;
-                        let (i, c) = (p[0].as_u64(), p[1].as_u64());
-                        match (i, c) {
-                            (Some(i), Some(c)) if (i as usize) < h.buckets.len() => {
-                                h.buckets[i as usize] = c;
-                            }
-                            _ => return Err(format!("line {}: bad bucket pair", lineno + 1)),
-                        }
-                    }
-                    dump.hists.insert(name()?, h);
-                }
-                other => return Err(format!("line {}: unknown type '{other}'", lineno + 1)),
-            }
+            saw_meta |= dump
+                .parse_line(line)
+                .map_err(|e| format!("line {}: {e}", lineno + 1))?;
         }
         if !saw_meta {
             return Err("dump has no meta line".to_string());
         }
         Ok(dump)
+    }
+
+    /// Folds one dump line into `self`; true when it was the meta line.
+    fn parse_line(&mut self, line: &str) -> Result<bool, String> {
+        let v = json::parse(line)?;
+        match v.str_field("type")? {
+            "meta" => {
+                let level_name = v.str_field("level")?;
+                self.level = MetricsLevel::from_name(level_name)
+                    .ok_or_else(|| format!("bad level '{level_name}'"))?;
+                self.units = v.u64_field("units")?;
+                return Ok(true);
+            }
+            "counter" => {
+                self.counters
+                    .insert(v.str_field("name")?.to_string(), v.u64_field("value")?);
+            }
+            "gauge" => {
+                let stat = GaugeStat {
+                    count: v.u64_field("count")?,
+                    min: v.u64_field("min")?,
+                    max: v.u64_field("max")?,
+                    sum: v.u64_field("sum")?,
+                };
+                self.gauges.insert(v.str_field("name")?.to_string(), stat);
+            }
+            "hist" => {
+                let mut h = HistogramSnapshot::empty();
+                h.count = v.u64_field("count")?;
+                h.sum = v.u64_field("sum")?;
+                h.max = v.u64_field("max")?;
+                for pair in v.arr_field("buckets")? {
+                    let bucket = match pair.as_arr() {
+                        Some([i, c]) => i.as_u64().zip(c.as_u64()),
+                        _ => None,
+                    };
+                    match bucket {
+                        Some((i, c)) if (i as usize) < h.buckets.len() => {
+                            h.buckets[i as usize] = c;
+                        }
+                        _ => return Err("bad bucket pair".to_string()),
+                    }
+                }
+                self.hists.insert(v.str_field("name")?.to_string(), h);
+            }
+            other => return Err(format!("unknown type '{other}'")),
+        }
+        Ok(false)
     }
 }
 
@@ -400,6 +384,21 @@ mod tests {
             "{\"type\":\"meta\",\"schema\":1,\"level\":\"core\",\"units\":1,\"counters\":1,\"gauges\":0,\"hists\":0}\n\
              {\"type\":\"counter\",\"name\":\"cache.lookups\",\"value\":7}\n"
         );
+    }
+
+    #[test]
+    fn jsonl_round_trips_past_2_pow_53() {
+        let big = (1u64 << 53) + 1;
+        let hub = MetricsHub::new(MetricsLevel::Core);
+        let mut b = hub.buf("u");
+        b.counter("sim.bits", big);
+        b.gauge("engine.occupancy", big);
+        hub.absorb(b);
+        let dump = hub.finish();
+        let parsed = MetricsDump::parse_jsonl(&dump.to_jsonl_string()).unwrap();
+        assert_eq!(parsed.counter("sim.bits"), Some(big));
+        assert_eq!(parsed.gauges()["engine.occupancy"].sum, big);
+        assert_eq!(parsed, dump);
     }
 
     #[test]

@@ -9,26 +9,8 @@
 //! and the same stable line format.
 
 use crate::hub::MetricsDump;
+use crate::json::escape;
 use std::io::Write;
-
-/// Escapes a metric name for embedding in a JSON string literal.
-/// Names are dotted ASCII identifiers by convention; escaping anyway
-/// keeps a stray quote from corrupting a dump.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Renders every line of a dump, in the fixed order the codec pins:
 /// one meta line, then counters, gauges, and histograms, each sorted
@@ -146,17 +128,5 @@ impl MetricsSummarySink {
             ));
         }
         out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a.b"), "a.b");
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 }

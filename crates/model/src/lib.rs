@@ -75,8 +75,6 @@ pub use error::ModelError;
 pub use instance::Instance;
 pub use network::{KnowledgeMode, Network};
 pub use program::{Algorithm, Decision, Inbox, InitialKnowledge, NodeProgram};
-#[allow(deprecated)]
-pub use simulator::Simulator;
 pub use simulator::{
     runs_indistinguishable, try_runs_indistinguishable, NodeView, RunOutcome, RunStats, SimConfig,
     Transcript,

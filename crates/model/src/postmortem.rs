@@ -14,7 +14,7 @@
 //! shape: per-worker health without the rings, cheap enough for
 //! `bcc-serve` to embed in every `observe` snapshot.
 
-use bcc_metrics::json::{self, JsonValue};
+use bcc_metrics::json::{self, escape, JsonValue};
 use std::fmt::Write as _;
 
 /// Schema version of the postmortem JSONL artifact.
@@ -86,24 +86,6 @@ pub struct Postmortem {
     pub workers: Vec<WorkerHealth>,
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a list of incidents as the JSONL postmortem artifact: a
 /// header line, then per incident one `incident` line, one `worker`
 /// line per worker, and one `wire` line per retained ring event. Key
@@ -151,26 +133,6 @@ pub fn postmortems_to_jsonl(incidents: &[Postmortem]) -> String {
     out
 }
 
-fn field_u64(obj: &JsonValue, key: &str, ctx: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("{ctx}: missing or non-integer '{key}'"))
-}
-
-fn field_str(obj: &JsonValue, key: &str, ctx: &str) -> Result<String, String> {
-    obj.get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("{ctx}: missing or non-string '{key}'"))
-}
-
-fn field_bool(obj: &JsonValue, key: &str, ctx: &str) -> Result<bool, String> {
-    match obj.get(key) {
-        Some(JsonValue::Bool(b)) => Ok(*b),
-        _ => Err(format!("{ctx}: missing or non-bool '{key}'")),
-    }
-}
-
 /// Parses a postmortem artifact previously rendered by
 /// [`postmortems_to_jsonl`].
 ///
@@ -188,67 +150,19 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Postmortem>, String> {
         Some("bcc_postmortem") => {}
         _ => return Err("line 1: not a bcc_postmortem header".to_string()),
     }
-    let schema = field_u64(&header, "schema", "line 1")?;
+    let header_u64 = |key| header.u64_field(key).map_err(|e| format!("line 1: {e}"));
+    let schema = header_u64("schema")?;
     if schema != POSTMORTEM_SCHEMA_VERSION {
         return Err(format!("line 1: unsupported schema {schema}"));
     }
-    let expected = field_u64(&header, "incidents", "line 1")? as usize;
+    let expected = header_u64("incidents")? as usize;
 
     let mut incidents: Vec<Postmortem> = Vec::new();
     for (idx, line) in lines {
-        let lineno = idx + 1;
         if line.trim().is_empty() {
             continue;
         }
-        let obj = json::parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
-        let ctx = format!("line {lineno}");
-        match obj.get("type").and_then(JsonValue::as_str) {
-            Some("incident") => {
-                let index = field_u64(&obj, "index", &ctx)? as usize;
-                if index != incidents.len() {
-                    return Err(format!("{ctx}: incident index {index} out of order"));
-                }
-                incidents.push(Postmortem {
-                    backend: field_str(&obj, "backend", &ctx)?,
-                    error: field_str(&obj, "error", &ctx)?,
-                    workers: Vec::new(),
-                });
-            }
-            Some("worker") => {
-                let incident = field_u64(&obj, "incident", &ctx)? as usize;
-                let pm = incidents
-                    .get_mut(incident)
-                    .ok_or_else(|| format!("{ctx}: worker for unknown incident {incident}"))?;
-                pm.workers.push(WorkerHealth {
-                    rank: field_u64(&obj, "rank", &ctx)? as usize,
-                    alive: field_bool(&obj, "alive", &ctx)?,
-                    respawns: field_u64(&obj, "respawns", &ctx)?,
-                    sessions: field_u64(&obj, "sessions", &ctx)?,
-                    ring: Vec::new(),
-                });
-            }
-            Some("wire") => {
-                let incident = field_u64(&obj, "incident", &ctx)? as usize;
-                let rank = field_u64(&obj, "rank", &ctx)? as usize;
-                let pm = incidents
-                    .get_mut(incident)
-                    .ok_or_else(|| format!("{ctx}: wire for unknown incident {incident}"))?;
-                let worker = pm
-                    .workers
-                    .iter_mut()
-                    .find(|w| w.rank == rank)
-                    .ok_or_else(|| format!("{ctx}: wire for unknown rank {rank}"))?;
-                worker.ring.push(WireEvent {
-                    dir: field_str(&obj, "dir", &ctx)?,
-                    kind: field_str(&obj, "kind", &ctx)?,
-                    session: field_u64(&obj, "session", &ctx)?,
-                    round: field_u64(&obj, "round", &ctx)?,
-                    bytes: field_u64(&obj, "bytes", &ctx)?,
-                });
-            }
-            Some(other) => return Err(format!("{ctx}: unknown type '{other}'")),
-            None => return Err(format!("{ctx}: missing 'type'")),
-        }
+        parse_line(&mut incidents, line).map_err(|e| format!("line {}: {e}", idx + 1))?;
     }
     if incidents.len() != expected {
         return Err(format!(
@@ -257,6 +171,58 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Postmortem>, String> {
         ));
     }
     Ok(incidents)
+}
+
+/// Folds one body line into `incidents`.
+fn parse_line(incidents: &mut Vec<Postmortem>, line: &str) -> Result<(), String> {
+    let obj = json::parse(line)?;
+    match obj.str_field("type")? {
+        "incident" => {
+            let index = obj.u64_field("index")? as usize;
+            if index != incidents.len() {
+                return Err(format!("incident index {index} out of order"));
+            }
+            incidents.push(Postmortem {
+                backend: obj.str_field("backend")?.to_string(),
+                error: obj.str_field("error")?.to_string(),
+                workers: Vec::new(),
+            });
+        }
+        "worker" => {
+            let incident = obj.u64_field("incident")? as usize;
+            let pm = incidents
+                .get_mut(incident)
+                .ok_or_else(|| format!("worker for unknown incident {incident}"))?;
+            pm.workers.push(WorkerHealth {
+                rank: obj.u64_field("rank")? as usize,
+                alive: obj.bool_field("alive")?,
+                respawns: obj.u64_field("respawns")?,
+                sessions: obj.u64_field("sessions")?,
+                ring: Vec::new(),
+            });
+        }
+        "wire" => {
+            let incident = obj.u64_field("incident")? as usize;
+            let rank = obj.u64_field("rank")? as usize;
+            let pm = incidents
+                .get_mut(incident)
+                .ok_or_else(|| format!("wire for unknown incident {incident}"))?;
+            let worker = pm
+                .workers
+                .iter_mut()
+                .find(|w| w.rank == rank)
+                .ok_or_else(|| format!("wire for unknown rank {rank}"))?;
+            worker.ring.push(WireEvent {
+                dir: obj.str_field("dir")?.to_string(),
+                kind: obj.str_field("kind")?.to_string(),
+                session: obj.u64_field("session")?,
+                round: obj.u64_field("round")?,
+                bytes: obj.u64_field("bytes")?,
+            });
+        }
+        other => return Err(format!("unknown type '{other}'")),
+    }
+    Ok(())
 }
 
 #[cfg(test)]

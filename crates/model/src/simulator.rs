@@ -588,34 +588,9 @@ impl SimConfig {
     }
 }
 
-/// Legacy trace-buffer entry point behind the deprecated
-/// [`Simulator::run_traced`]: same kernel, degraded error handling.
-fn run_impl(
-    cfg: &SimConfig,
-    instance: &Instance,
-    algorithm: &dyn Algorithm,
-    coin_seed: u64,
-    trace: &mut TraceBuf,
-) -> RunOutcome {
-    let mut transport = cfg.transport_factory().create();
-    let result = try_run_impl(
-        cfg,
-        transport.as_mut(),
-        instance,
-        algorithm,
-        coin_seed,
-        trace,
-    );
-    transport.teardown();
-    match result {
-        Ok(outcome) => outcome,
-        Err(err) => RunOutcome::transport_failed(instance.num_vertices(), err),
-    }
-}
-
 /// The one scalar execution path every entry point funnels into —
-/// [`SimConfig::run`], the deprecated [`Simulator`] wrappers, and the
-/// lockstep kernel in `bcc-engine` pin themselves against it. Round
+/// [`SimConfig::run`] reaches it, and the lockstep kernel in
+/// `bcc-engine` pins itself against it. Round
 /// delivery goes through `transport`; everything observable (spans,
 /// events, `sim.*` metrics, transcripts) is recorded here on the
 /// driver side, so conforming transports cannot perturb it.
@@ -749,90 +724,6 @@ fn try_run_impl(
         recorded: cfg.record,
         transport_failure: None,
     })
-}
-
-/// The legacy constructor-sprawl face of the executor, kept so
-/// downstream code migrates on its own schedule. Every method is a
-/// thin wrapper over [`SimConfig`]; new code should build a
-/// `SimConfig` directly.
-#[derive(Debug, Clone, Copy)]
-pub struct Simulator {
-    max_rounds: usize,
-    bandwidth: usize,
-    record: bool,
-}
-
-impl Simulator {
-    /// A `BCC(1)` simulator with the given round limit.
-    #[deprecated(note = "use `SimConfig::bcc1(max_rounds)`")]
-    pub fn new(max_rounds: usize) -> Self {
-        Simulator {
-            max_rounds,
-            bandwidth: 1,
-            record: true,
-        }
-    }
-
-    /// A `BCC(b)` simulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bandwidth` is zero.
-    #[deprecated(note = "use `SimConfig::bcc1(max_rounds).bandwidth(b)`")]
-    pub fn with_bandwidth(max_rounds: usize, bandwidth: usize) -> Self {
-        assert!(bandwidth >= 1, "bandwidth must be at least 1");
-        Simulator {
-            max_rounds,
-            bandwidth,
-            record: true,
-        }
-    }
-
-    /// Disables transcript/view recording.
-    #[deprecated(note = "use `SimConfig::transcripts(false)`")]
-    pub fn without_transcripts(mut self) -> Self {
-        self.record = false;
-        self
-    }
-
-    /// The bandwidth `b`.
-    pub fn bandwidth(&self) -> usize {
-        self.bandwidth
-    }
-
-    /// The round limit.
-    pub fn max_rounds(&self) -> usize {
-        self.max_rounds
-    }
-
-    fn config(&self) -> SimConfig {
-        SimConfig::bcc1(self.max_rounds)
-            .bandwidth(self.bandwidth)
-            .transcripts(self.record)
-    }
-
-    /// Runs `algorithm` on `instance` with the given public-coin seed.
-    #[deprecated(note = "use `SimConfig::run`")]
-    pub fn run(
-        &self,
-        instance: &Instance,
-        algorithm: &dyn Algorithm,
-        coin_seed: u64,
-    ) -> RunOutcome {
-        self.config().run(instance, algorithm, coin_seed)
-    }
-
-    /// Runs `algorithm` on `instance`, recording into `trace`.
-    #[deprecated(note = "use `SimConfig::trace(scope).run(...)`")]
-    pub fn run_traced(
-        &self,
-        instance: &Instance,
-        algorithm: &dyn Algorithm,
-        coin_seed: u64,
-        trace: &mut TraceBuf,
-    ) -> RunOutcome {
-        run_impl(&self.config(), instance, algorithm, coin_seed, trace)
-    }
 }
 
 /// Checks whether two runs are *indistinguishable*: every vertex has
@@ -1161,22 +1052,5 @@ mod tests {
             .count();
         assert_eq!(starts, ends);
         assert!(events.iter().any(|e| e.name == "transport.error"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_simulator_wrappers_match_sim_config() {
-        let i = Instance::new_kt0(generators::cycle(5), 2).unwrap();
-        let legacy = Simulator::new(4).run(&i, &EchoBit, 7);
-        let modern = SimConfig::bcc1(4).run(&i, &EchoBit, 7);
-        assert_eq!(legacy.decisions(), modern.decisions());
-        assert_eq!(legacy.stats(), modern.stats());
-        assert!(runs_indistinguishable(&legacy, &modern));
-        let legacy_bare = Simulator::new(4).without_transcripts().run(&i, &EchoBit, 7);
-        assert!(!legacy_bare.recorded());
-        let mut buf = TraceBuf::new(TraceLevel::Events, "u");
-        let traced = Simulator::with_bandwidth(4, 1).run_traced(&i, &EchoBit, 7, &mut buf);
-        assert_eq!(traced.stats(), modern.stats());
-        assert!(!buf.into_events().is_empty());
     }
 }

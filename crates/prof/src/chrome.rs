@@ -9,28 +9,15 @@
 //! point events become `i` instants. The output is a pure function
 //! of the merged event stream — byte-identical across `--jobs` and
 //! same-seed re-runs, like every other deterministic artifact.
+//!
+//! Counter values are written as exact integers, but the trace viewer
+//! reads every number as a double, so it displays values past 2^53
+//! rounded; this is the only artifact with that limit.
 
+use bcc_metrics::json;
 use bcc_trace::{Event, EventKind, FieldValue};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 fn push_fields(out: &mut String, fields: &[(String, FieldValue)]) {
     out.push('{');
@@ -38,7 +25,7 @@ fn push_fields(out: &mut String, fields: &[(String, FieldValue)]) {
         if i > 0 {
             out.push(',');
         }
-        push_escaped(out, k);
+        json::push_quoted(out, k);
         out.push(':');
         out.push_str(&v.to_json());
     }
@@ -47,7 +34,7 @@ fn push_fields(out: &mut String, fields: &[(String, FieldValue)]) {
 
 fn push_common(out: &mut String, name: &str, ph: char, tid: usize, ts: u64) {
     out.push_str("{\"name\":");
-    push_escaped(out, name);
+    json::push_quoted(out, name);
     let _ = write!(out, ",\"ph\":\"{ph}\",\"pid\":1,\"tid\":{tid},\"ts\":{ts}");
 }
 
@@ -76,7 +63,7 @@ pub fn render_chrome(events: &[Event]) -> String {
                 tids.insert(&e.unit, next_tid);
                 let mut meta = String::from("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1");
                 let _ = write!(meta, ",\"tid\":{next_tid},\"args\":{{\"name\":");
-                push_escaped(&mut meta, &e.unit);
+                json::push_quoted(&mut meta, &e.unit);
                 meta.push_str("}}");
                 emit(meta, &mut first);
                 next_tid
@@ -105,13 +92,13 @@ pub fn render_chrome(events: &[Event]) -> String {
                 let value = *slot;
                 push_common(&mut line, &e.name, 'C', tid, e.seq);
                 line.push_str(",\"args\":{");
-                push_escaped(&mut line, &e.name);
+                json::push_quoted(&mut line, &e.name);
                 let _ = write!(line, ":{value}}}}}");
             }
             EventKind::Gauge => {
                 push_common(&mut line, &e.name, 'C', tid, e.seq);
                 line.push_str(",\"args\":{");
-                push_escaped(&mut line, &e.name);
+                json::push_quoted(&mut line, &e.name);
                 line.push(':');
                 let value = e
                     .field("value")

@@ -18,10 +18,9 @@
 //! different schema key (`bcc_prof_wall`) so neither artifact can be
 //! mistaken for the other.
 //!
-//! Quantities are exact up to 2^53 — the JSON interop limit shared by
-//! every double-based consumer of these files (Chrome's trace viewer
-//! included). Logical costs in this workspace are bit counts orders
-//! of magnitude below that bound.
+//! Quantities are exact `u64`s: the shared codec
+//! ([`bcc_metrics::json`]) parses integer literals as integers, so
+//! every count round-trips through `u64::MAX`.
 
 use crate::profile::{CounterTotal, Frame, Profile, SpanStat, TotalSource};
 use bcc_metrics::json::{self, JsonValue};
@@ -29,24 +28,6 @@ use std::fmt::Write as _;
 
 /// Schema version emitted in the header line.
 pub const PROFILE_SCHEMA_VERSION: u64 = 1;
-
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 /// Renders a profile into its canonical JSONL bytes.
 pub fn profile_to_jsonl(profile: &Profile) -> String {
@@ -60,14 +41,14 @@ pub fn profile_to_jsonl(profile: &Profile) -> String {
     );
     for s in &profile.spans {
         out.push_str("{\"kind\":\"span\",\"path\":");
-        push_escaped(&mut out, &s.path);
+        json::push_quoted(&mut out, &s.path);
         let _ = writeln!(out, ",\"count\":{}}}", s.count);
     }
     for f in &profile.frames {
         out.push_str("{\"kind\":\"frame\",\"path\":");
-        push_escaped(&mut out, &f.path);
+        json::push_quoted(&mut out, &f.path);
         out.push_str(",\"counter\":");
-        push_escaped(&mut out, &f.counter);
+        json::push_quoted(&mut out, &f.counter);
         let _ = writeln!(
             out,
             ",\"inclusive\":{},\"exclusive\":{}}}",
@@ -76,7 +57,7 @@ pub fn profile_to_jsonl(profile: &Profile) -> String {
     }
     for t in &profile.totals {
         out.push_str("{\"kind\":\"total\",\"counter\":");
-        push_escaped(&mut out, &t.counter);
+        json::push_quoted(&mut out, &t.counter);
         let _ = writeln!(
             out,
             ",\"total\":{},\"attributed\":{},\"unattributed\":{},\"source\":\"{}\"}}",
@@ -98,19 +79,6 @@ pub fn write_profile_jsonl(profile: &Profile, w: &mut dyn std::io::Write) -> std
     w.write_all(profile_to_jsonl(profile).as_bytes())
 }
 
-fn need_str(obj: &JsonValue, key: &str, line_no: usize) -> Result<String, String> {
-    obj.get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("profile line {line_no}: missing string {key:?}"))
-}
-
-fn need_u64(obj: &JsonValue, key: &str, line_no: usize) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("profile line {line_no}: missing integer {key:?}"))
-}
-
 /// Parses bytes produced by [`profile_to_jsonl`].
 ///
 /// # Errors
@@ -130,39 +98,17 @@ pub fn parse_profile_jsonl(text: &str) -> Result<Profile, String> {
             "unsupported profile schema version {version} (expected {PROFILE_SCHEMA_VERSION})"
         ));
     }
-    let want_spans = need_u64(&header, "spans", 1)?;
-    let want_frames = need_u64(&header, "frames", 1)?;
-    let want_totals = need_u64(&header, "totals", 1)?;
+    let count = |key| {
+        header
+            .u64_field(key)
+            .map_err(|e| format!("profile header: {e}"))
+    };
+    let (want_spans, want_frames, want_totals) =
+        (count("spans")?, count("frames")?, count("totals")?);
 
     let mut profile = Profile::default();
     for (i, line) in lines.enumerate() {
-        let line_no = i + 2;
-        let obj = json::parse(line).map_err(|e| format!("profile line {line_no}: {e}"))?;
-        match need_str(&obj, "kind", line_no)?.as_str() {
-            "span" => profile.spans.push(SpanStat {
-                path: need_str(&obj, "path", line_no)?,
-                count: need_u64(&obj, "count", line_no)?,
-            }),
-            "frame" => profile.frames.push(Frame {
-                path: need_str(&obj, "path", line_no)?,
-                counter: need_str(&obj, "counter", line_no)?,
-                inclusive: need_u64(&obj, "inclusive", line_no)?,
-                exclusive: need_u64(&obj, "exclusive", line_no)?,
-            }),
-            "total" => {
-                let source_tag = need_str(&obj, "source", line_no)?;
-                profile.totals.push(CounterTotal {
-                    counter: need_str(&obj, "counter", line_no)?,
-                    total: need_u64(&obj, "total", line_no)?,
-                    attributed: need_u64(&obj, "attributed", line_no)?,
-                    unattributed: need_u64(&obj, "unattributed", line_no)?,
-                    source: TotalSource::from_tag(&source_tag).ok_or_else(|| {
-                        format!("profile line {line_no}: unknown source {source_tag:?}")
-                    })?,
-                });
-            }
-            other => return Err(format!("profile line {line_no}: unknown kind {other:?}")),
-        }
+        parse_line(&mut profile, line).map_err(|e| format!("profile line {}: {e}", i + 2))?;
     }
     if (
         profile.spans.len() as u64,
@@ -178,6 +124,36 @@ pub fn parse_profile_jsonl(text: &str) -> Result<Profile, String> {
         ));
     }
     Ok(profile)
+}
+
+/// Appends one body line's record to `profile`.
+fn parse_line(profile: &mut Profile, line: &str) -> Result<(), String> {
+    let obj = json::parse(line)?;
+    match obj.str_field("kind")? {
+        "span" => profile.spans.push(SpanStat {
+            path: obj.str_field("path")?.to_string(),
+            count: obj.u64_field("count")?,
+        }),
+        "frame" => profile.frames.push(Frame {
+            path: obj.str_field("path")?.to_string(),
+            counter: obj.str_field("counter")?.to_string(),
+            inclusive: obj.u64_field("inclusive")?,
+            exclusive: obj.u64_field("exclusive")?,
+        }),
+        "total" => {
+            let source_tag = obj.str_field("source")?;
+            profile.totals.push(CounterTotal {
+                counter: obj.str_field("counter")?.to_string(),
+                total: obj.u64_field("total")?,
+                attributed: obj.u64_field("attributed")?,
+                unattributed: obj.u64_field("unattributed")?,
+                source: TotalSource::from_tag(source_tag)
+                    .ok_or_else(|| format!("unknown source {source_tag:?}"))?,
+            });
+        }
+        other => return Err(format!("unknown kind {other:?}")),
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -218,6 +194,19 @@ mod tests {
         let text = profile_to_jsonl(&p);
         assert_eq!(parse_profile_jsonl(&text).unwrap(), p);
         // And the re-encoding is byte-identical.
+        assert_eq!(profile_to_jsonl(&parse_profile_jsonl(&text).unwrap()), text);
+    }
+
+    #[test]
+    fn u64_max_quantities_round_trip() {
+        let mut p = sample();
+        p.spans[0].count = u64::MAX;
+        p.frames[0].inclusive = u64::MAX;
+        p.frames[0].exclusive = u64::MAX - 1;
+        p.totals[0].total = u64::MAX;
+        p.totals[0].attributed = (1 << 53) + 1;
+        let text = profile_to_jsonl(&p);
+        assert_eq!(parse_profile_jsonl(&text).unwrap(), p);
         assert_eq!(profile_to_jsonl(&parse_profile_jsonl(&text).unwrap()), text);
     }
 

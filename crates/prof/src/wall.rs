@@ -12,6 +12,7 @@
 //! make the file diffable-in-the-large: two healthy runs usually
 //! land in the same bands even though their raw latencies differ.
 
+use bcc_metrics::json;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -55,7 +56,7 @@ pub fn wall_sidecar_to_jsonl(entries: &[(String, Duration)]) -> String {
     for (unit, d) in sorted {
         let b = band(*d);
         out.push_str("{\"unit\":");
-        push_escaped(&mut out, unit);
+        json::push_quoted(&mut out, unit);
         let _ = writeln!(
             out,
             ",\"band\":{b},\"label\":\"{}\",\"micros\":{}}}",
@@ -76,24 +77,6 @@ pub fn write_wall_sidecar(
     w: &mut dyn std::io::Write,
 ) -> std::io::Result<()> {
     w.write_all(wall_sidecar_to_jsonl(entries).as_bytes())
-}
-
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -20,12 +20,6 @@ fn word(bits: u64, len: usize) -> String {
         .collect()
 }
 
-/// Quantities are exact through the codec up to the JSON interop
-/// limit of 2^53 (the parser stores numbers as f64).
-fn qty(raw: u64) -> u64 {
-    raw & ((1u64 << 53) - 1)
-}
-
 fn profile_from(
     spans_raw: Vec<(u64, u64)>,
     frames_raw: Vec<(u64, u64, u64, u64)>,
@@ -39,7 +33,7 @@ fn profile_from(
             // repeats a word; the codec itself never dedups.
             .map(|(i, (path_bits, count))| SpanStat {
                 path: format!("{}#{i}", word(path_bits, 6)),
-                count: qty(count),
+                count,
             })
             .collect(),
         frames: frames_raw
@@ -49,8 +43,8 @@ fn profile_from(
                 |(i, (path_bits, counter_bits, inclusive, exclusive))| Frame {
                     path: format!("{}#{i}", word(path_bits, 6)),
                     counter: word(counter_bits, 5),
-                    inclusive: qty(inclusive),
-                    exclusive: qty(exclusive),
+                    inclusive,
+                    exclusive,
                 },
             )
             .collect(),
@@ -60,9 +54,9 @@ fn profile_from(
             .map(
                 |(i, (counter_bits, total, attributed, unattributed, dump))| CounterTotal {
                     counter: format!("{}#{i}", word(counter_bits, 5)),
-                    total: qty(total),
-                    attributed: qty(attributed),
-                    unattributed: qty(unattributed),
+                    total,
+                    attributed,
+                    unattributed,
                     source: if dump {
                         TotalSource::Dump
                     } else {

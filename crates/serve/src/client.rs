@@ -28,9 +28,8 @@
 //! optional `"tick"` must be nondecreasing and defaults to the step
 //! index.
 
-use crate::proto::SubmitReq;
-use bcc_experiments::json::escape;
-use bcc_metrics::json::{self, JsonValue};
+use crate::proto::{field_str, field_u64, parse_submit, require, ProtoError, SubmitReq};
+use bcc_metrics::json::{self, escape, JsonValue};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
@@ -95,33 +94,43 @@ pub struct Script {
     pub steps: Vec<Step>,
 }
 
-fn get_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, String> {
-    match v.get(key) {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(x) => x
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("field {key:?} must be a u64")),
-    }
-}
-
-fn parse_submit_spec(v: &JsonValue) -> Result<SubmitReq, String> {
-    let experiment = v
-        .get("experiment")
-        .and_then(JsonValue::as_str)
-        .ok_or("submit needs a string \"experiment\"")?
-        .to_string();
-    let quick = match v.get("quick") {
-        None | Some(JsonValue::Null) => true,
-        Some(JsonValue::Bool(b)) => *b,
-        Some(_) => return Err("field \"quick\" must be a bool".to_string()),
-    };
-    Ok(SubmitReq {
-        experiment,
-        quick,
-        seed: get_u64(v, "seed")?,
-        priority: get_u64(v, "priority")?.unwrap_or(0),
-        timeout_secs: get_u64(v, "timeout_secs")?,
+/// Parses one script line's operation.
+fn parse_op(v: &JsonValue) -> Result<Op, ProtoError> {
+    Ok(match require(field_str(v, "op")?, "op")?.as_str() {
+        "hello" => Op::Hello {
+            client: field_str(v, "client")?.unwrap_or_else(|| "bcc-client".to_string()),
+        },
+        "submit" => Op::Submit(parse_submit(v)?),
+        "batch" => Op::Batch {
+            submits: v
+                .arr_field("submits")
+                .map_err(ProtoError::bad_request)?
+                .iter()
+                .map(parse_submit)
+                .collect::<Result<_, _>>()?,
+        },
+        "await" => Op::Await {
+            submit: require(field_u64(v, "submit")?, "submit")?,
+        },
+        "cancel" => Op::Cancel {
+            submit: require(field_u64(v, "submit")?, "submit")?,
+        },
+        "stats" => Op::Stats,
+        "observe" => {
+            let every = field_u64(v, "every")?.unwrap_or(1);
+            let count = field_u64(v, "count")?.unwrap_or(1);
+            if every == 0 || count == 0 {
+                return Err(ProtoError::bad_request(
+                    "observe \"every\" and \"count\" must be >= 1",
+                ));
+            }
+            Op::Observe { every, count }
+        }
+        "ping" => Op::Ping {
+            nonce: field_u64(v, "nonce")?.unwrap_or(0),
+        },
+        "shutdown" => Op::Shutdown,
+        other => return Err(ProtoError::bad_request(format!("unknown op {other:?}"))),
     })
 }
 
@@ -139,85 +148,14 @@ pub fn parse_script(text: &str) -> Result<Script, String> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let v = json::parse(line).map_err(|e| format!("script line {}: {e}", lineno + 1))?;
-        let op_name = v
-            .get("op")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("script line {}: missing \"op\"", lineno + 1))?;
-        let op = match op_name {
-            "hello" => Op::Hello {
-                client: v
-                    .get("client")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("bcc-client")
-                    .to_string(),
-            },
-            "submit" => Op::Submit(
-                parse_submit_spec(&v).map_err(|e| format!("script line {}: {e}", lineno + 1))?,
-            ),
-            "batch" => {
-                let items = v
-                    .get("submits")
-                    .and_then(JsonValue::as_arr)
-                    .ok_or_else(|| {
-                        format!(
-                            "script line {}: batch needs a \"submits\" array",
-                            lineno + 1
-                        )
-                    })?;
-                let mut submits = Vec::with_capacity(items.len());
-                for item in items {
-                    submits.push(
-                        parse_submit_spec(item)
-                            .map_err(|e| format!("script line {}: {e}", lineno + 1))?,
-                    );
-                }
-                Op::Batch { submits }
-            }
-            "await" => Op::Await {
-                submit: get_u64(&v, "submit")
-                    .map_err(|e| format!("script line {}: {e}", lineno + 1))?
-                    .ok_or_else(|| format!("script line {}: await needs \"submit\"", lineno + 1))?,
-            },
-            "cancel" => Op::Cancel {
-                submit: get_u64(&v, "submit")
-                    .map_err(|e| format!("script line {}: {e}", lineno + 1))?
-                    .ok_or_else(|| {
-                        format!("script line {}: cancel needs \"submit\"", lineno + 1)
-                    })?,
-            },
-            "stats" => Op::Stats,
-            "observe" => {
-                let every = get_u64(&v, "every")
-                    .map_err(|e| format!("script line {}: {e}", lineno + 1))?
-                    .unwrap_or(1);
-                let count = get_u64(&v, "count")
-                    .map_err(|e| format!("script line {}: {e}", lineno + 1))?
-                    .unwrap_or(1);
-                if every == 0 || count == 0 {
-                    return Err(format!(
-                        "script line {}: observe \"every\" and \"count\" must be >= 1",
-                        lineno + 1
-                    ));
-                }
-                Op::Observe { every, count }
-            }
-            "ping" => Op::Ping {
-                nonce: get_u64(&v, "nonce")
-                    .map_err(|e| format!("script line {}: {e}", lineno + 1))?
-                    .unwrap_or(0),
-            },
-            "shutdown" => Op::Shutdown,
-            other => return Err(format!("script line {}: unknown op {other:?}", lineno + 1)),
-        };
-        let tick = get_u64(&v, "tick")
-            .map_err(|e| format!("script line {}: {e}", lineno + 1))?
+        let at = |e: String| format!("script line {}: {e}", lineno + 1);
+        let v = json::parse(line).map_err(at)?;
+        let op = parse_op(&v).map_err(|e| at(e.message))?;
+        let tick = field_u64(&v, "tick")
+            .map_err(|e| at(e.message))?
             .unwrap_or(steps.len() as u64);
         if tick < last_tick {
-            return Err(format!(
-                "script line {}: tick {tick} decreases (previous {last_tick})",
-                lineno + 1
-            ));
+            return Err(at(format!("tick {tick} decreases (previous {last_tick})")));
         }
         last_tick = tick;
         steps.push(Step { tick, op });

@@ -1,10 +1,8 @@
 //! The JSONL wire protocol: one JSON object per line in each
-//! direction, parsed with the workspace's own recursive-descent
-//! parser ([`bcc_metrics::json`]) and rendered with the same
-//! hand-rolled conventions as every other codec in the repo
-//! ([`bcc_experiments::json::escape`], fixed key order) so a reply is
-//! a pure function of the request stream and transcripts can be
-//! pinned byte-for-byte.
+//! direction, read and written through the workspace's single JSON
+//! codec ([`bcc_metrics::json`]: its parser, and its `escape` with a
+//! fixed key order on the write side) so a reply is a pure function
+//! of the request stream and transcripts can be pinned byte-for-byte.
 //!
 //! Responses never contain wall-clock quantities: latencies live in
 //! the runner's profiling layer (lint rule D2), and everything a
@@ -12,8 +10,7 @@
 //! report — is a deterministic function of `(experiment, quick,
 //! seed)` plus admission order.
 
-use bcc_experiments::json::escape;
-use bcc_metrics::json::{self, JsonValue};
+use bcc_metrics::json::{self, escape, JsonValue};
 
 /// Protocol version announced in `welcome`.
 pub const PROTO_VERSION: u64 = 1;
@@ -109,7 +106,7 @@ impl ProtoError {
     }
 }
 
-fn field_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, ProtoError> {
+pub(crate) fn field_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, ProtoError> {
     match v.get(key) {
         None | Some(JsonValue::Null) => Ok(None),
         Some(x) => x
@@ -119,7 +116,7 @@ fn field_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, ProtoError> {
     }
 }
 
-fn field_bool(v: &JsonValue, key: &str) -> Result<Option<bool>, ProtoError> {
+pub(crate) fn field_bool(v: &JsonValue, key: &str) -> Result<Option<bool>, ProtoError> {
     match v.get(key) {
         None | Some(JsonValue::Null) => Ok(None),
         Some(JsonValue::Bool(b)) => Ok(Some(*b)),
@@ -129,7 +126,7 @@ fn field_bool(v: &JsonValue, key: &str) -> Result<Option<bool>, ProtoError> {
     }
 }
 
-fn field_str(v: &JsonValue, key: &str) -> Result<Option<String>, ProtoError> {
+pub(crate) fn field_str(v: &JsonValue, key: &str) -> Result<Option<String>, ProtoError> {
     match v.get(key) {
         None | Some(JsonValue::Null) => Ok(None),
         Some(x) => x
@@ -139,7 +136,7 @@ fn field_str(v: &JsonValue, key: &str) -> Result<Option<String>, ProtoError> {
     }
 }
 
-fn require<T>(value: Option<T>, key: &str) -> Result<T, ProtoError> {
+pub(crate) fn require<T>(value: Option<T>, key: &str) -> Result<T, ProtoError> {
     value.ok_or_else(|| ProtoError::bad_request(format!("missing field {key:?}")))
 }
 

@@ -1,33 +1,11 @@
-//! The JSONL codec for trace events: a hand-rolled writer (no
-//! external deps) and a parser for the exact dialect the writer
-//! emits, so traces round-trip — the property the determinism
-//! proptests and the CI trace validator check.
+//! The JSONL codec for trace events: a fixed-key-order writer and a
+//! typed schema over the workspace's shared JSON codec
+//! ([`bcc_metrics::json`]), so traces round-trip — the property the
+//! determinism proptests and the CI trace validator check.
 
 use crate::event::{Event, EventKind, FieldValue};
+use bcc_metrics::json::{self, push_quoted, JsonValue};
 use std::fmt::Write as _;
-
-/// Escapes a string for a JSON string literal.
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn string_literal(out: &mut String, s: &str) {
-    out.push('"');
-    escape_into(out, s);
-    out.push('"');
-}
 
 impl FieldValue {
     /// This value as a JSON literal. Unsigned and signed integers get
@@ -44,7 +22,7 @@ impl FieldValue {
             FieldValue::Bool(v) => v.to_string(),
             FieldValue::Str(v) => {
                 let mut out = String::with_capacity(v.len() + 2);
-                string_literal(&mut out, v);
+                push_quoted(&mut out, v);
                 out
             }
         }
@@ -56,20 +34,20 @@ impl FieldValue {
 pub fn event_to_json(e: &Event) -> String {
     let mut out = String::with_capacity(96);
     out.push_str("{\"unit\":");
-    string_literal(&mut out, &e.unit);
+    push_quoted(&mut out, &e.unit);
     let _ = write!(out, ",\"seq\":{}", e.seq);
     out.push_str(",\"path\":");
-    string_literal(&mut out, &e.path);
+    push_quoted(&mut out, &e.path);
     out.push_str(",\"kind\":");
-    string_literal(&mut out, e.kind.tag());
+    push_quoted(&mut out, e.kind.tag());
     out.push_str(",\"name\":");
-    string_literal(&mut out, &e.name);
+    push_quoted(&mut out, &e.name);
     out.push_str(",\"fields\":{");
     for (i, (k, v)) in e.fields.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        string_literal(&mut out, k);
+        push_quoted(&mut out, k);
         out.push(':');
         out.push_str(&v.to_json());
     }
@@ -77,26 +55,26 @@ pub fn event_to_json(e: &Event) -> String {
     out
 }
 
-/// A JSONL parse failure: what went wrong and where.
+/// A JSONL parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
-    /// Byte offset in the line.
-    pub at: usize,
-    /// Human-readable description.
+    /// Human-readable description; syntax errors name the byte offset.
     pub message: String,
 }
 
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "trace JSONL parse error at byte {}: {}",
-            self.at, self.message
-        )
+        write!(f, "trace JSONL parse error: {}", self.message)
     }
 }
 
 impl std::error::Error for ParseError {}
+
+impl From<String> for ParseError {
+    fn from(message: String) -> Self {
+        ParseError { message }
+    }
+}
 
 /// Parses one line produced by [`event_to_json`].
 ///
@@ -106,51 +84,40 @@ impl std::error::Error for ParseError {}
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] on any structural deviation from the
-/// writer's dialect.
+/// Returns a [`ParseError`] for malformed JSON, a missing or unknown
+/// key, or a value of the wrong kind (`null`, arrays and objects are
+/// never field values).
 pub fn parse_event(line: &str) -> Result<Event, ParseError> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
+    let JsonValue::Obj(members) = json::parse(line)? else {
+        return Err(ParseError::from("event is not an object".to_string()));
     };
-    p.expect_byte(b'{')?;
-    let mut unit = None;
-    let mut seq = None;
-    let mut path = None;
-    let mut kind = None;
-    let mut name = None;
-    let mut fields = None;
-    loop {
-        let key = p.parse_string()?;
-        p.expect_byte(b':')?;
-        match key.as_str() {
-            "unit" => unit = Some(p.parse_string()?),
-            "seq" => match p.parse_value()? {
-                FieldValue::UInt(v) => seq = Some(v),
-                other => return p.fail(format!("seq must be an unsigned integer, got {other:?}")),
-            },
-            "path" => path = Some(p.parse_string()?),
-            "kind" => {
-                let tag = p.parse_string()?;
-                kind = Some(
-                    EventKind::from_tag(&tag)
-                        .ok_or_else(|| p.error(format!("unknown event kind {tag:?}")))?,
+    let (mut unit, mut seq, mut path, mut kind, mut name, mut fields) =
+        (None, None, None, None, None, None);
+    for (key, value) in members {
+        match (key.as_str(), value) {
+            ("unit", JsonValue::Str(s)) => unit = Some(s),
+            ("seq", JsonValue::UInt(n)) => seq = Some(n),
+            ("path", JsonValue::Str(s)) => path = Some(s),
+            ("kind", JsonValue::Str(tag)) => {
+                kind =
+                    Some(EventKind::from_tag(&tag).ok_or(format!("unknown event kind {tag:?}"))?);
+            }
+            ("name", JsonValue::Str(s)) => name = Some(s),
+            ("fields", JsonValue::Obj(members)) => {
+                fields = Some(
+                    members
+                        .into_iter()
+                        .map(|(k, v)| Ok((k, field_value(v)?)))
+                        .collect::<Result<_, String>>()?,
                 );
             }
-            "name" => name = Some(p.parse_string()?),
-            "fields" => fields = Some(p.parse_fields()?),
-            other => return p.fail(format!("unexpected key {other:?}")),
-        }
-        if !p.eat(b',') {
-            break;
+            ("unit" | "seq" | "path" | "kind" | "name" | "fields", other) => {
+                return Err(format!("key {key:?} has the wrong type: {other:?}").into())
+            }
+            _ => return Err(format!("unexpected key {key:?}").into()),
         }
     }
-    p.expect_byte(b'}')?;
-    p.end()?;
-    let missing = |what: &str| ParseError {
-        at: line.len(),
-        message: format!("missing key {what:?}"),
-    };
+    let missing = |what: &str| ParseError::from(format!("missing key {what:?}"));
     Ok(Event {
         unit: unit.ok_or_else(|| missing("unit"))?,
         seq: seq.ok_or_else(|| missing("seq"))?,
@@ -161,184 +128,15 @@ pub fn parse_event(line: &str) -> Result<Event, ParseError> {
     })
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn error(&self, message: String) -> ParseError {
-        ParseError {
-            at: self.pos,
-            message,
-        }
-    }
-
-    fn fail<T>(&self, message: String) -> Result<T, ParseError> {
-        Err(self.error(message))
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect_byte(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.fail(format!(
-                "expected {:?}, found {:?}",
-                b as char,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn end(&self) -> Result<(), ParseError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            self.fail("trailing bytes after event object".to_string())
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, ParseError> {
-        self.expect_byte(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return self.fail("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.error("truncated \\u escape".to_string()))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error(format!("bad \\u escape {hex:?}")))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.error("invalid codepoint".to_string()))?,
-                            );
-                            self.pos += 3; // 4 hex digits minus the +1 below
-                        }
-                        other => {
-                            return self.fail(format!("bad escape {:?}", other.map(|c| c as char)))
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Advance one whole UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8".to_string()))?;
-                    let c = s
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.error("unterminated string".to_string()))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<FieldValue, ParseError> {
-        match self.peek() {
-            Some(b'"') => Ok(FieldValue::Str(self.parse_string()?)),
-            Some(b't') => self.keyword("true", FieldValue::Bool(true)),
-            Some(b'f') => self.keyword("false", FieldValue::Bool(false)),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            other => self.fail(format!(
-                "expected a value, found {:?}",
-                other.map(|c| c as char)
-            )),
-        }
-    }
-
-    fn keyword(&mut self, word: &str, value: FieldValue) -> Result<FieldValue, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            self.fail(format!("expected {word:?}"))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<FieldValue, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid number bytes".to_string()))?;
-        if is_float {
-            let v: f64 = text
-                .parse()
-                .map_err(|_| self.error(format!("bad float literal {text:?}")))?;
-            Ok(FieldValue::Float(v))
-        } else if let Ok(v) = text.parse::<u64>() {
-            Ok(FieldValue::UInt(v))
-        } else if let Ok(v) = text.parse::<i64>() {
-            Ok(FieldValue::Int(v))
-        } else {
-            self.fail(format!("integer out of range: {text:?}"))
-        }
-    }
-
-    fn parse_fields(&mut self) -> Result<Vec<(String, FieldValue)>, ParseError> {
-        self.expect_byte(b'{')?;
-        let mut fields = Vec::new();
-        if self.eat(b'}') {
-            return Ok(fields);
-        }
-        loop {
-            let key = self.parse_string()?;
-            self.expect_byte(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            if !self.eat(b',') {
-                break;
-            }
-        }
-        self.expect_byte(b'}')?;
-        Ok(fields)
-    }
+fn field_value(v: JsonValue) -> Result<FieldValue, String> {
+    Ok(match v {
+        JsonValue::UInt(u) => FieldValue::UInt(u),
+        JsonValue::Int(i) => FieldValue::Int(i),
+        JsonValue::Float(x) => FieldValue::Float(x),
+        JsonValue::Bool(b) => FieldValue::Bool(b),
+        JsonValue::Str(s) => FieldValue::Str(s),
+        other => return Err(format!("field values are scalars, got {other:?}")),
+    })
 }
 
 #[cfg(test)]
@@ -394,6 +192,21 @@ mod tests {
         assert!(parse_event("not json").is_err());
         assert!(parse_event("{\"unit\":\"u\"}").is_err(), "missing keys");
         assert!(parse_event(&(event_to_json(&sample()) + "x")).is_err());
+        assert!(parse_event("[]").is_err(), "not an object");
+        let line = event_to_json(&sample());
+        for (from, to) in [
+            ("\"seq\":12", "\"seq\":null"),
+            ("\"seq\":12", "\"seq\":-12"),
+            ("\"bit\":true", "\"bit\":null"),
+            ("\"bit\":true", "\"bit\":[true]"),
+            ("\"bit\":true", "\"bit\":{}"),
+            ("\"unit\":", "\"extra\":1,\"unit\":"),
+            ("\"kind\":\"point\"", "\"kind\":\"warp\""),
+        ] {
+            let bad = line.replacen(from, to, 1);
+            assert_ne!(bad, line, "pattern {from} not in {line}");
+            assert!(parse_event(&bad).is_err(), "accepted {bad}");
+        }
     }
 
     #[test]

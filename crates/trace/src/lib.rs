@@ -25,7 +25,8 @@
 //!   interleaving can never reorder a trace.
 //! - [`Trace`]: the merged, immutable result; renders through the
 //!   sinks in [`sink`] (JSONL writer, compact text summary, null).
-//! - [`json`]: the JSONL codec, including a parser so traces
+//! - [`json`]: the JSONL event codec, a typed schema over the
+//!   workspace's shared JSON codec (`bcc_metrics::json`), so traces
 //!   round-trip (used by the determinism proptests and the trace
 //!   validator in CI).
 //! - [`tree`]: span-tree reconstruction — rebuilds each unit's span

@@ -8,26 +8,11 @@
 //! and postmortem readers reject it), so nondeterministic quantities
 //! can never leak into a byte-compared dump.
 
+use bcc_metrics::json::escape;
 use std::io::{self, Write};
 
 /// Schema version stamped into the sidecar header.
 pub const TRANSPORT_WALL_SCHEMA_VERSION: u64 = 1;
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Writes the sidecar: a header line
 /// `{"bcc_transport_wall":1,"entries":N}` followed by one

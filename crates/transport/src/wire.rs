@@ -7,14 +7,12 @@
 //!
 //! Messages are the `{0, 1, ⊥}` alphabet rendered as the ASCII
 //! string `'0' | '1' | '_'` per symbol. Port labels ride as JSON
-//! numbers; the parser is `f64`-backed, so labels are faithful up to
-//! `2^53` — far beyond the `0..n` IDs every experiment instance uses.
+//! integers and round-trip exactly through `u64::MAX`.
 //!
 //! [`SocketTransport`]: crate::socket::SocketTransport
 
-use bcc_metrics::json::{self, JsonValue};
+use bcc_metrics::json::{self, escape, JsonValue};
 use bcc_model::{Message, Symbol};
-use std::fmt::Write as _;
 
 /// Coordinator → worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,28 +171,6 @@ pub fn decode_message(s: &str) -> Result<Message, String> {
     Ok(Message::from_symbols(symbols))
 }
 
-/// Escapes a string for a JSON literal. Mirrors
-/// `bcc_experiments::json::escape`; duplicated here because depending
-/// on `bcc-experiments` would close a dependency cycle
-/// (`experiments → transport → experiments`).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn render_routes(routes: &[Vec<(u64, usize)>]) -> String {
     let nodes: Vec<String> = routes
         .iter()
@@ -308,7 +284,7 @@ fn render_counters(counters: &[(String, u64)]) -> String {
 }
 
 fn parse_counters(v: &JsonValue, key: &str) -> Result<Vec<(String, u64)>, String> {
-    field_arr(v, key)?
+    v.arr_field(key)?
         .iter()
         .map(|entry| {
             let pair = entry.as_arr().ok_or("counter entry is not an array")?;
@@ -324,30 +300,8 @@ fn parse_counters(v: &JsonValue, key: &str) -> Result<Vec<(String, u64)>, String
         .collect()
 }
 
-fn field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
-    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn field_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field {key:?} is not a non-negative integer"))
-}
-
 fn field_usize(v: &JsonValue, key: &str) -> Result<usize, String> {
-    usize::try_from(field_u64(v, key)?).map_err(|_| format!("field {key:?} out of range"))
-}
-
-fn field_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
-    field(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("field {key:?} is not a string"))
-}
-
-fn field_arr<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], String> {
-    field(v, key)?
-        .as_arr()
-        .ok_or_else(|| format!("field {key:?} is not an array"))
+    usize::try_from(v.u64_field(key)?).map_err(|_| format!("field {key:?} out of range"))
 }
 
 fn parse_label_pair(v: &JsonValue) -> Result<(u64, &JsonValue), String> {
@@ -368,9 +322,10 @@ fn parse_label_pair(v: &JsonValue) -> Result<(u64, &JsonValue), String> {
 /// Returns a description of the first syntactic or shape problem.
 pub fn parse_command(line: &str) -> Result<Command, String> {
     let v = json::parse(line)?;
-    match field_str(&v, "type")? {
+    match v.str_field("type")? {
         "open" => {
-            let routes = field_arr(&v, "routes")?
+            let routes = v
+                .arr_field("routes")?
                 .iter()
                 .map(|node| {
                     node.as_arr()
@@ -388,7 +343,7 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                 })
                 .collect::<Result<Vec<_>, String>>()?;
             Ok(Command::Open {
-                session: field_u64(&v, "session")?,
+                session: v.u64_field("session")?,
                 n: field_usize(&v, "n")?,
                 lo: field_usize(&v, "lo")?,
                 hi: field_usize(&v, "hi")?,
@@ -396,18 +351,19 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
             })
         }
         "round" => {
-            let outbox = field_arr(&v, "outbox")?
+            let outbox = v
+                .arr_field("outbox")?
                 .iter()
                 .map(|m| decode_message(m.as_str().ok_or("outbox entry is not a string")?))
                 .collect::<Result<Vec<_>, String>>()?;
             Ok(Command::Round {
-                session: field_u64(&v, "session")?,
+                session: v.u64_field("session")?,
                 round: field_usize(&v, "round")?,
                 outbox,
             })
         }
         "close" => Ok(Command::Close {
-            session: field_u64(&v, "session")?,
+            session: v.u64_field("session")?,
         }),
         "shutdown" => Ok(Command::Shutdown),
         other => Err(format!("unknown command type {other:?}")),
@@ -421,15 +377,16 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
 /// Returns a description of the first syntactic or shape problem.
 pub fn parse_reply(line: &str) -> Result<Reply, String> {
     let v = json::parse(line)?;
-    match field_str(&v, "type")? {
+    match v.str_field("type")? {
         "hello" => Ok(Reply::Hello {
             rank: field_usize(&v, "rank")?,
         }),
         "ok" => Ok(Reply::Ok {
-            session: field_u64(&v, "session")?,
+            session: v.u64_field("session")?,
         }),
         "view" => {
-            let inboxes = field_arr(&v, "inboxes")?
+            let inboxes = v
+                .arr_field("inboxes")?
                 .iter()
                 .map(|node| {
                     node.as_arr()
@@ -446,7 +403,7 @@ pub fn parse_reply(line: &str) -> Result<Reply, String> {
                 })
                 .collect::<Result<Vec<_>, String>>()?;
             Ok(Reply::View {
-                session: field_u64(&v, "session")?,
+                session: v.u64_field("session")?,
                 round: field_usize(&v, "round")?,
                 inboxes,
             })
@@ -479,7 +436,7 @@ pub fn parse_reply(line: &str) -> Result<Reply, String> {
                 Vec::new()
             };
             Ok(Reply::Closed {
-                session: field_u64(&v, "session")?,
+                session: v.u64_field("session")?,
                 telemetry: WorkerTelemetry { counters, span },
             })
         }
@@ -489,7 +446,7 @@ pub fn parse_reply(line: &str) -> Result<Reply, String> {
         }),
         "bye" => Ok(Reply::Bye),
         "error" => Ok(Reply::Error {
-            detail: field_str(&v, "detail")?.to_string(),
+            detail: v.str_field("detail")?.to_string(),
         }),
         other => Err(format!("unknown reply type {other:?}")),
     }
@@ -576,6 +533,20 @@ mod tests {
             assert!(!line.contains('\n'), "line breaks break JSONL: {line}");
             assert_eq!(parse_reply(&line), Ok(reply), "line: {line}");
         }
+    }
+
+    #[test]
+    fn labels_round_trip_past_2_pow_53() {
+        let label = (1u64 << 53) + 1;
+        let cmd = Command::Open {
+            session: u64::MAX,
+            n: 2,
+            lo: 0,
+            hi: 2,
+            routes: vec![vec![(label, 1)], vec![(u64::MAX, 0)]],
+        };
+        let line = render_command(&cmd);
+        assert_eq!(parse_command(&line), Ok(cmd), "line: {line}");
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod prelude {
     pub use bcc_core::crossing::{cross_instance, indistinguishable_after, DirectedEdge};
     pub use bcc_core::indist::IndistGraph;
     pub use bcc_graphs::{generators, Graph, UnionFind};
-    pub use bcc_model::{Algorithm, Decision, Instance, KnowledgeMode, SimConfig, Simulator};
+    pub use bcc_model::{Algorithm, Decision, Instance, KnowledgeMode, SimConfig};
     pub use bcc_partitions::SetPartition;
 }
 
