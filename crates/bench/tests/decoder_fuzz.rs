@@ -4,16 +4,19 @@
 //! flips, truncations and splices, and every decoder must answer with
 //! `Ok` or a typed `Err`, never a panic. All decoders sit on the one
 //! shared codec (`bcc_metrics::json`), so this also fuzzes its parser.
+//! A reply that still parses as a `view` is also cut into labelled
+//! entries by `split_view`, against the plan the seed line answers.
 
 use bcc_metrics::{MetricsDump, MetricsHub, MetricsLevel};
 use bcc_model::postmortem::{self, Postmortem, WireEvent, WorkerHealth};
+use bcc_model::transport::Routes;
 use bcc_model::Message;
 use bcc_prof::{parse_profile_jsonl, profile_to_jsonl, CounterTotal, Frame, Profile, SpanStat};
 use bcc_trace::json::{event_to_json, parse_event};
 use bcc_trace::{field, Event, EventKind};
 use bcc_transport::wire::{
-    decode_message, parse_command, parse_reply, render_command, render_reply, Command, Reply,
-    SessionSpan, WorkerTelemetry,
+    decode_message, parse_command, parse_reply, render_command, render_reply, split_view, Command,
+    Reply, SessionSpan, WorkerTelemetry,
 };
 use proptest::prelude::*;
 
@@ -40,11 +43,26 @@ fn wire_command(text: &str) -> Result<(), String> {
 }
 
 fn wire_reply(text: &str) -> Result<(), String> {
-    parse_reply(text).map(drop)
+    match parse_reply(text)? {
+        Reply::View { inboxes, .. } => {
+            let (routes, outbox) = view_plan();
+            split_view(&routes, 0..routes.num_nodes(), &outbox, &inboxes).map(drop)
+        }
+        _ => Ok(()),
+    }
 }
 
 fn msg(s: &str) -> Message {
     decode_message(s).unwrap()
+}
+
+/// The routes and outbox the corpus `view` line answers: node 0
+/// hears a 3-symbol and a 2-symbol message, node 1 a 1-symbol and an
+/// empty one.
+fn view_plan() -> (Routes, Vec<Message>) {
+    let routes = Routes::from_ports(vec![vec![(1, 2), ((1 << 53) + 1, 3)], vec![(4, 0), (5, 1)]]);
+    let outbox = vec![msg("1"), msg(""), msg("01_"), msg("_1")];
+    (routes, outbox)
 }
 
 /// One valid rendering per artifact shape, paired with its decoder.
@@ -131,7 +149,7 @@ fn corpus() -> Vec<(String, Decoder)> {
         Reply::View {
             session: 9,
             round: 2,
-            inboxes: vec![vec![(1, msg("0")), (4, msg("_1"))], vec![]],
+            inboxes: vec!["01__1".into(), "1".into()],
         },
         Reply::Closed {
             session: 9,

@@ -403,6 +403,15 @@ fn synthetic_event(kind: EventKind, name: &str, fields: Vec<(String, FieldValue)
     }
 }
 
+/// Renders a command as one wire line with its newline, ready for a
+/// single write: a line and its newline written separately leave as
+/// two segments on a no-delay socket.
+fn framed(cmd: &Command) -> String {
+    let mut line = wire::render_command(cmd);
+    line.push('\n');
+    line
+}
+
 fn attach_postmortem(err: TransportError, pm: &Postmortem) -> TransportError {
     match err {
         TransportError::WorkerDead { rank, detail, .. } => TransportError::WorkerDead {
@@ -504,7 +513,7 @@ impl GroupInner {
             let mut recovered = 0u64;
             for &session in &sessions {
                 let cmd = Command::Close { session };
-                let line = wire::render_command(&cmd);
+                let line = framed(&cmd);
                 if self
                     .send_raw(rank, &line, &WireMeta::of_command(&cmd))
                     .is_err()
@@ -592,15 +601,17 @@ impl GroupInner {
         }
     }
 
+    /// Writes one newline-terminated line (see [`framed`]) in a
+    /// single `write_all`; the flight recorder counts its bytes
+    /// without the newline.
     fn send_raw(&mut self, rank: usize, line: &str, meta: &WireMeta) -> Result<(), RawError> {
         let link = self
             .links
             .get_mut(rank)
             .ok_or_else(|| RawError::Protocol(format!("no link for worker rank {rank}")))?;
-        link.record_wire("send", meta, line.len());
+        link.record_wire("send", meta, line.strip_suffix('\n').unwrap_or(line).len());
         link.writer
             .write_all(line.as_bytes())
-            .and_then(|()| link.writer.write_all(b"\n"))
             .and_then(|()| link.writer.flush())
             .map_err(|e| RawError::Dead(format!("write failed: {e}")))
     }
@@ -675,12 +686,11 @@ impl Drop for GroupInner {
         // read its lifetime-totals goodbye (into the wall-stats
         // sidecar — shutdown timing is not deterministic), then reap
         // unconditionally.
-        let line = wire::render_command(&Command::Shutdown);
+        let line = framed(&Command::Shutdown);
         for link in &mut self.links {
             let _ = link
                 .writer
                 .write_all(line.as_bytes())
-                .and_then(|()| link.writer.write_all(b"\n"))
                 .and_then(|()| link.writer.flush());
             let _ = link
                 .reader
@@ -924,7 +934,7 @@ impl WorkerGroup {
                 hi,
                 routes: (lo..hi).map(|v| routes.ports(v).to_vec()).collect(),
             };
-            let line = wire::render_command(&cmd);
+            let line = framed(&cmd);
             inner.send_line(rank, &line, &WireMeta::of_command(&cmd))?;
         }
         for rank in 0..self.workers {
@@ -948,9 +958,13 @@ impl WorkerGroup {
         Ok(session)
     }
 
+    /// Sends one round and merges the replies. Each `view` carries
+    /// only symbols; the entries' labels come back from `routes`, the
+    /// plan this session was opened with.
     fn exchange(
         &self,
         session: u64,
+        routes: &Routes,
         round: usize,
         outbox: &[Message],
     ) -> Result<RoundView, TransportError> {
@@ -961,7 +975,7 @@ impl WorkerGroup {
             round,
             outbox: outbox.to_vec(),
         };
-        let line = wire::render_command(&cmd);
+        let line = framed(&cmd);
         let meta = WireMeta::of_command(&cmd);
         for rank in 0..self.workers {
             inner.send_line(rank, &line, &meta)?;
@@ -969,14 +983,26 @@ impl WorkerGroup {
         // Rank-order reads make the merge deterministic: slices are
         // contiguous ascending node ranges, so concatenation in rank
         // order is node order.
-        let mut inboxes: Vec<Vec<(u64, Message)>> = Vec::with_capacity(outbox.len());
+        let n = routes.num_nodes();
+        let mut inboxes: Vec<Vec<(u64, Message)>> = Vec::with_capacity(n);
         for rank in 0..self.workers {
             match inner.read_reply(rank)? {
                 Reply::View {
                     session: s,
                     round: r,
                     inboxes: part,
-                } if s == session && r == round => inboxes.extend(part),
+                } if s == session && r == round => {
+                    let (lo, hi) = node_range(n, self.workers, rank);
+                    match wire::split_view(routes, lo..hi, outbox, &part) {
+                        Ok(entries) => inboxes.extend(entries),
+                        Err(detail) => {
+                            return Err(inner.fail(TransportError::Protocol {
+                                detail: format!("bad view from worker {rank}: {detail}"),
+                                postmortem: None,
+                            }))
+                        }
+                    }
+                }
                 Reply::Error { detail } => {
                     return Err(inner.fail(TransportError::Protocol {
                         detail,
@@ -998,7 +1024,7 @@ impl WorkerGroup {
         let mut inner = self.locked();
         Self::check_live(&inner)?;
         let cmd = Command::Close { session };
-        let line = wire::render_command(&cmd);
+        let line = framed(&cmd);
         let meta = WireMeta::of_command(&cmd);
         for rank in 0..self.workers {
             inner.send_line(rank, &line, &meta)?;
@@ -1050,10 +1076,12 @@ impl Transport for FailedTransport {
 }
 
 /// One run's view of the shared [`WorkerGroup`]: a session that is
-/// opened with the run's routes and closed at the barrier.
+/// opened with the run's routes and closed at the barrier. The routes
+/// stay here for the session's lifetime, because `view` replies
+/// carry symbols only and every exchange labels them from the routes.
 pub struct SocketTransport {
     group: Arc<WorkerGroup>,
-    session: Option<u64>,
+    session: Option<(u64, Routes)>,
 }
 
 impl Transport for SocketTransport {
@@ -1064,27 +1092,31 @@ impl Transport for SocketTransport {
                 postmortem: None,
             });
         }
-        self.session = Some(self.group.open_session(routes)?);
+        let session = self.group.open_session(routes)?;
+        self.session = Some((session, routes.clone()));
         Ok(())
     }
 
     fn exchange(&mut self, round: usize, outbox: &[Message]) -> Result<RoundView, TransportError> {
-        let session = self.session.ok_or_else(|| TransportError::Protocol {
-            detail: "exchange before open".to_string(),
-            postmortem: None,
-        })?;
-        self.group.exchange(session, round, outbox)
+        let (session, routes) = self
+            .session
+            .as_ref()
+            .ok_or_else(|| TransportError::Protocol {
+                detail: "exchange before open".to_string(),
+                postmortem: None,
+            })?;
+        self.group.exchange(*session, routes, round, outbox)
     }
 
     fn barrier(&mut self) -> Result<(), TransportError> {
         match self.session.take() {
-            Some(session) => self.group.close_session(session),
+            Some((session, _)) => self.group.close_session(session),
             None => Ok(()),
         }
     }
 
     fn teardown(&mut self) {
-        if let Some(session) = self.session.take() {
+        if let Some((session, _)) = self.session.take() {
             let _ = self.group.close_session(session);
         }
     }

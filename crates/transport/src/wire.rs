@@ -9,10 +9,22 @@
 //! string `'0' | '1' | '_'` per symbol. Port labels ride as JSON
 //! integers and round-trip exactly through `u64::MAX`.
 //!
+//! Labels travel downstream only, in the `open` routes. A `view`
+//! reply carries one symbol string per owned node: the messages the
+//! node received, concatenated in port order. The coordinator already
+//! holds the routes it sent and the outbox it broadcast, so
+//! [`split_view`] restores every `(port_label, message)` entry by
+//! cutting each string at `outbox[peer].len()`. On a 24-vertex 1-bit
+//! round, a 12-node slice's `view` line is about 360 B, where shipping
+//! a `[label,"m"]` pair per entry took 2448 B.
+//!
 //! [`SocketTransport`]: crate::socket::SocketTransport
 
-use bcc_metrics::json::{self, escape, JsonValue};
+use bcc_metrics::json::{self, escape, push_quoted, JsonValue};
+use bcc_model::transport::Routes;
 use bcc_model::{Message, Symbol};
+use std::fmt::Write as _;
+use std::ops::Range;
 
 /// Coordinator → worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,9 +121,11 @@ pub enum Reply {
         session: u64,
         /// Round echoed.
         round: usize,
-        /// `(port_label, message)` entries per owned node, in node
-        /// order `lo..hi`.
-        inboxes: Vec<Vec<(u64, Message)>>,
+        /// One string per owned node, in node order `lo..hi`: the
+        /// node's received messages in the wire alphabet,
+        /// concatenated in port order. [`split_view`] turns it back
+        /// into `(port_label, message)` entries.
+        inboxes: Vec<String>,
     },
     /// `Close` acknowledged, carrying the session's telemetry. This
     /// is the close-path counterpart of [`Reply::Ok`]: the session is
@@ -141,16 +155,27 @@ pub enum Reply {
     },
 }
 
-/// Renders a [`Message`] as its wire alphabet (`0`, `1`, `_`).
-pub fn encode_message(m: &Message) -> String {
-    m.symbols()
-        .iter()
-        .map(|s| match s {
-            Symbol::Zero => '0',
-            Symbol::One => '1',
-            Symbol::Silent => '_',
-        })
-        .collect()
+/// Appends a [`Message`] in its wire alphabet (`0`, `1`, `_`).
+pub fn push_message(out: &mut String, m: &Message) {
+    out.extend(m.symbols().iter().map(|s| match s {
+        Symbol::Zero => '0',
+        Symbol::One => '1',
+        Symbol::Silent => '_',
+    }));
+}
+
+fn decode_symbols(bytes: &[u8]) -> Result<Message, String> {
+    let mut symbols = Vec::with_capacity(bytes.len());
+    for &b in bytes {
+        symbols.push(match b {
+            b'0' => Symbol::Zero,
+            b'1' => Symbol::One,
+            b'_' => Symbol::Silent,
+            b if b.is_ascii() => return Err(format!("bad message character {:?}", char::from(b))),
+            b => return Err(format!("bad message byte {b:#04x}")),
+        });
+    }
+    Ok(Message::from_symbols(symbols))
 }
 
 /// Parses the wire alphabet back into a [`Message`].
@@ -159,16 +184,62 @@ pub fn encode_message(m: &Message) -> String {
 ///
 /// Returns an error naming the first character outside `0`/`1`/`_`.
 pub fn decode_message(s: &str) -> Result<Message, String> {
-    let symbols: Vec<Symbol> = s
-        .chars()
-        .map(|c| match c {
-            '0' => Ok(Symbol::Zero),
-            '1' => Ok(Symbol::One),
-            '_' => Ok(Symbol::Silent),
-            other => Err(format!("bad message character {other:?}")),
-        })
-        .collect::<Result<_, String>>()?;
-    Ok(Message::from_symbols(symbols))
+    decode_symbols(s.as_bytes())
+}
+
+/// Restores the `(port_label, message)` entries of one `view` reply
+/// covering `nodes`: each node's string is cut, in port order, at
+/// `outbox[peer].len()` symbols per port, and each piece is labelled
+/// with the port's label from `routes`.
+///
+/// # Errors
+///
+/// Returns an error when the reply has the wrong number of strings,
+/// a string is shorter or longer than its node's ports require, a
+/// string holds a character outside `0`/`1`/`_`, or a route names a
+/// peer outside `outbox`.
+pub fn split_view(
+    routes: &Routes,
+    nodes: Range<usize>,
+    outbox: &[Message],
+    inboxes: &[String],
+) -> Result<Vec<Vec<(u64, Message)>>, String> {
+    if inboxes.len() != nodes.len() {
+        return Err(format!(
+            "view has {} inboxes for node range {}..{}",
+            inboxes.len(),
+            nodes.start,
+            nodes.end
+        ));
+    }
+    let mut restored = Vec::with_capacity(inboxes.len());
+    for (v, text) in nodes.zip(inboxes) {
+        let ports = routes.ports(v);
+        let mut expected = 0;
+        for &(_, peer) in ports {
+            expected += outbox
+                .get(peer)
+                .ok_or_else(|| format!("route peer {peer} of node {v} is outside the outbox"))?
+                .len();
+        }
+        if text.len() != expected {
+            return Err(format!(
+                "inbox of node {v} has {} symbols, expected {expected}",
+                text.len()
+            ));
+        }
+        // The length check above makes every cut below in bounds.
+        let mut rest = text.as_bytes();
+        let mut entries = Vec::with_capacity(ports.len());
+        for &(label, peer) in ports {
+            let (head, tail) = rest.split_at(outbox[peer].len());
+            rest = tail;
+            let m = decode_symbols(head).map_err(|e| format!("inbox of node {v}: {e}"))?;
+            entries.push((label, m));
+        }
+        restored.push(entries);
+    }
+    Ok(restored)
 }
 
 fn render_routes(routes: &[Vec<(u64, usize)>]) -> String {
@@ -203,14 +274,22 @@ pub fn render_command(cmd: &Command) -> String {
             round,
             outbox,
         } => {
-            let msgs: Vec<String> = outbox
-                .iter()
-                .map(|m| format!("\"{}\"", encode_message(m)))
-                .collect();
-            format!(
-                "{{\"type\":\"round\",\"session\":{session},\"round\":{round},\"outbox\":[{}]}}",
-                msgs.join(",")
-            )
+            let symbols: usize = outbox.iter().map(Message::len).sum();
+            let mut line = String::with_capacity(64 + symbols + 3 * outbox.len());
+            let _ = write!(
+                line,
+                "{{\"type\":\"round\",\"session\":{session},\"round\":{round},\"outbox\":["
+            );
+            for (i, m) in outbox.iter().enumerate() {
+                if i > 0 {
+                    line.push(',');
+                }
+                line.push('"');
+                push_message(&mut line, m);
+                line.push('"');
+            }
+            line.push_str("]}");
+            line
         }
         Command::Close { session } => {
             format!("{{\"type\":\"close\",\"session\":{session}}}")
@@ -229,20 +308,20 @@ pub fn render_reply(reply: &Reply) -> String {
             round,
             inboxes,
         } => {
-            let nodes: Vec<String> = inboxes
-                .iter()
-                .map(|entries| {
-                    let items: Vec<String> = entries
-                        .iter()
-                        .map(|(label, m)| format!("[{label},\"{}\"]", encode_message(m)))
-                        .collect();
-                    format!("[{}]", items.join(","))
-                })
-                .collect();
-            format!(
-                "{{\"type\":\"view\",\"session\":{session},\"round\":{round},\"inboxes\":[{}]}}",
-                nodes.join(",")
-            )
+            let symbols: usize = inboxes.iter().map(String::len).sum();
+            let mut line = String::with_capacity(64 + symbols + 3 * inboxes.len());
+            let _ = write!(
+                line,
+                "{{\"type\":\"view\",\"session\":{session},\"round\":{round},\"inboxes\":["
+            );
+            for (i, text) in inboxes.iter().enumerate() {
+                if i > 0 {
+                    line.push(',');
+                }
+                push_quoted(&mut line, text);
+            }
+            line.push_str("]}");
+            line
         }
         Reply::Closed { session, telemetry } => {
             // The span is a fixed-position array, not a keyed object:
@@ -305,7 +384,7 @@ fn field_usize(v: &JsonValue, key: &str) -> Result<usize, String> {
 }
 
 fn parse_label_pair(v: &JsonValue) -> Result<(u64, &JsonValue), String> {
-    let pair = v.as_arr().ok_or("route/inbox entry is not an array")?;
+    let pair = v.as_arr().ok_or("route entry is not an array")?;
     if pair.len() != 2 {
         return Err(format!("entry has {} elements, expected 2", pair.len()));
     }
@@ -389,17 +468,9 @@ pub fn parse_reply(line: &str) -> Result<Reply, String> {
                 .arr_field("inboxes")?
                 .iter()
                 .map(|node| {
-                    node.as_arr()
-                        .ok_or_else(|| "inbox row is not an array".to_string())?
-                        .iter()
-                        .map(|entry| {
-                            let (label, msg) = parse_label_pair(entry)?;
-                            let msg = decode_message(
-                                msg.as_str().ok_or("inbox message is not a string")?,
-                            )?;
-                            Ok((label, msg))
-                        })
-                        .collect::<Result<Vec<_>, String>>()
+                    node.as_str()
+                        .map(str::to_string)
+                        .ok_or_else(|| "inbox is not a string".to_string())
                 })
                 .collect::<Result<Vec<_>, String>>()?;
             Ok(Reply::View {
@@ -463,7 +534,9 @@ mod tests {
     #[test]
     fn message_codec_round_trips() {
         for text in ["", "0", "1", "_", "01_10", "___"] {
-            assert_eq!(encode_message(&m(text)), text);
+            let mut out = String::new();
+            push_message(&mut out, &m(text));
+            assert_eq!(out, text);
         }
         assert!(decode_message("01x").is_err());
     }
@@ -500,7 +573,7 @@ mod tests {
             Reply::View {
                 session: 9,
                 round: 0,
-                inboxes: vec![vec![(1, m("0")), (4, m("_"))], vec![]],
+                inboxes: vec!["0_".to_string(), String::new()],
             },
             Reply::Closed {
                 session: 9,
@@ -554,9 +627,78 @@ mod tests {
         assert!(parse_command("not json").is_err());
         assert!(parse_command("{\"type\":\"warp\"}").is_err());
         assert!(parse_command("{\"type\":\"round\",\"session\":1}").is_err());
-        assert!(
-            parse_reply("{\"type\":\"view\",\"session\":1,\"round\":0,\"inboxes\":[[[1,2]]]}")
-                .is_err()
+        assert!(parse_reply(
+            "{\"type\":\"view\",\"session\":1,\"round\":0,\"inboxes\":[[1,\"0\"]]}"
+        )
+        .is_err());
+    }
+
+    /// A 4-vertex plan whose outbox mixes 0-, 1- and 2-symbol
+    /// messages, so a split at one fixed width would go wrong.
+    fn split_fixture() -> (Routes, Vec<Message>) {
+        let routes = Routes::from_ports(vec![
+            vec![(1, 1), (2, 2), (3, 3)],
+            vec![(10, 3), (20, 0), (30, 2)],
+            vec![(u64::MAX, 0)],
+            vec![],
+        ]);
+        let outbox = vec![m("1"), m("0_"), m(""), m("__")];
+        (routes, outbox)
+    }
+
+    fn texts(parts: &[&str]) -> Vec<String> {
+        parts.iter().map(|p| p.to_string()).collect()
+    }
+
+    #[test]
+    fn split_view_restores_labels_in_port_order() {
+        let (routes, outbox) = split_fixture();
+        let entries = split_view(&routes, 0..3, &outbox, &texts(&["0___", "__1", "1"])).unwrap();
+        assert_eq!(
+            entries,
+            vec![
+                vec![(1, m("0_")), (2, m("")), (3, m("__"))],
+                vec![(10, m("__")), (20, m("1")), (30, m(""))],
+                vec![(u64::MAX, m("1"))],
+            ]
         );
+        let tail = split_view(&routes, 2..4, &outbox, &texts(&["1", ""])).unwrap();
+        assert_eq!(tail, vec![vec![(u64::MAX, m("1"))], vec![]]);
+    }
+
+    #[test]
+    fn split_view_rejects_every_malformed_slice() {
+        let (routes, outbox) = split_fixture();
+        let bad: [(&[&str], &str); 7] = [
+            (&["0___", "__1"], "inbox count"),
+            (&["0___", "__1", "1", ""], "inbox count"),
+            (&["0__", "__1", "1"], "one symbol short"),
+            (&["0___", "__1", "10"], "one symbol long"),
+            (&["0___", "_x1", "1"], "bad character"),
+            (&["0___", "_\u{e9}", "1"], "non-ASCII byte"),
+            (&["0___", "__1", ""], "empty string for a ported node"),
+        ];
+        for (parts, what) in bad {
+            let verdict = split_view(&routes, 0..3, &outbox, &texts(parts));
+            assert!(verdict.is_err(), "{what}: {parts:?} was accepted");
+        }
+        let short = split_view(&routes, 0..3, &outbox[..3], &texts(&["0___", "__1", "1"]));
+        assert!(short.is_err(), "a peer outside the outbox must be rejected");
+    }
+
+    #[test]
+    fn split_view_handles_empty_ranges_and_one_node() {
+        let (routes, outbox) = split_fixture();
+        assert_eq!(split_view(&routes, 1..1, &outbox, &[]), Ok(Vec::new()));
+        assert!(split_view(&routes, 1..1, &outbox, &texts(&[""])).is_err());
+
+        let single = Routes::from_ports(vec![vec![]]);
+        let one = [m("1")];
+        assert_eq!(
+            split_view(&single, 0..1, &one, &texts(&[""])),
+            Ok(vec![vec![]])
+        );
+        assert!(split_view(&single, 0..1, &one, &texts(&["1"])).is_err());
+        assert!(split_view(&single, 0..1, &one, &[]).is_err());
     }
 }

@@ -2,14 +2,15 @@
 //! read loop over one TCP connection to the coordinator.
 //!
 //! A worker is pure routing — it holds each open session's node range
-//! and routes, and answers every `round` command by assembling
-//! `(port_label, message)` inboxes for its nodes from the full outbox
-//! it was sent. It never looks at a clock and never touches the
-//! simulation state; the only records it keeps are *logical*
-//! telemetry (frames routed, symbols forwarded, rounds served per
-//! session) — pure functions of the commands served — which ride
-//! home inside the `closed` acknowledgement and are absorbed by the
-//! driver in rank order (DESIGN.md §15). Determinism of the merged
+//! and routes, and answers every `round` command with one symbol
+//! string per owned node: the messages of the node's peers, taken
+//! from the full outbox it was sent and concatenated in port order.
+//! It never looks at a clock and never touches the simulation state;
+//! the only records it keeps are *logical* telemetry (frames routed,
+//! symbols forwarded, rounds served per session) — pure functions of
+//! the commands served — which ride home inside the `closed`
+//! acknowledgement and are absorbed by the driver in rank order
+//! (DESIGN.md §15). Determinism of the merged
 //! run stays the coordinator's job; the worker has no state that
 //! could perturb it.
 //!
@@ -254,11 +255,13 @@ fn close_telemetry(t: SessionTelemetry) -> WorkerTelemetry {
     }
 }
 
+/// Writes one reply line and its newline in a single `write_all`, so
+/// the line leaves as one segment on the no-delay socket.
 fn send(writer: &mut TcpStream, reply: &Reply) -> Result<(), String> {
-    let line = wire::render_reply(reply);
+    let mut line = wire::render_reply(reply);
+    line.push('\n');
     writer
         .write_all(line.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
         .and_then(|()| writer.flush())
         .map_err(|e| format!("write failed: {e}"))
 }
@@ -306,30 +309,24 @@ fn handle_round(
             s.n
         ));
     }
-    let inboxes = s
+    // Peers were range-checked at open and the outbox length just
+    // now, so indexing cannot fail. Only symbols are shipped: the
+    // coordinator restores labels from the routes it sent.
+    let width = outbox.first().map_or(0, Message::len);
+    let inboxes: Vec<String> = s
         .routes
         .iter()
         .map(|ports| {
-            ports
-                .iter()
-                .map(|&(label, peer)| {
-                    // Peers were range-checked at open.
-                    let msg = outbox
-                        .get(peer)
-                        .cloned()
-                        .ok_or_else(|| format!("route peer {peer} out of range"))?;
-                    Ok((label, msg))
-                })
-                .collect::<Result<Vec<_>, String>>()
+            let mut text = String::with_capacity(ports.len() * width);
+            for &(_, peer) in ports {
+                wire::push_message(&mut text, &outbox[peer]);
+            }
+            text
         })
-        .collect::<Result<Vec<_>, String>>()?;
+        .collect();
     if let Some(t) = s.telemetry.as_mut() {
-        let frames: u64 = inboxes.iter().map(|e| e.len() as u64).sum();
-        let symbols: u64 = inboxes
-            .iter()
-            .flatten()
-            .map(|(_, m)| m.symbols().len() as u64)
-            .sum();
+        let frames: u64 = s.routes.iter().map(|ports| ports.len() as u64).sum();
+        let symbols: u64 = inboxes.iter().map(|text| text.len() as u64).sum();
         t.rounds = t.rounds.saturating_add(1);
         t.frames += frames;
         t.symbols += symbols;
@@ -356,5 +353,45 @@ mod tests {
         assert_eq!(exit_after_for("1@0", 1), None);
         assert_eq!(exit_after_for("garbage", 0), None);
         assert_eq!(exit_after_for("2@x", 0), None);
+    }
+
+    #[test]
+    fn view_line_of_a_half_slice_stays_compact() {
+        // A 24-vertex 1-bit round on two workers: rank 0 owns nodes
+        // 0..12, each hearing 23 peers on KT-0 ports labelled p + 1.
+        // Shipping a `[label,"m"]` pair per entry made this line
+        // 2448 B; one symbol string per node keeps it under 400 B.
+        let n = 24;
+        let routes: Vec<Vec<(u64, usize)>> = (0..12)
+            .map(|v| {
+                (0..n)
+                    .filter(|&peer| peer != v)
+                    .enumerate()
+                    .map(|(p, peer)| (p as u64 + 1, peer))
+                    .collect()
+            })
+            .collect();
+        let mut sessions = BTreeMap::new();
+        let telemetry = Some(SessionTelemetry {
+            n: n as u64,
+            nodes: 12,
+            rounds: 0,
+            frames: 0,
+            symbols: 0,
+        });
+        sessions.insert(
+            1000,
+            Session {
+                n,
+                routes,
+                telemetry,
+            },
+        );
+        let outbox: Vec<Message> = (0..n as u64).map(|v| Message::from_bits(v, 1)).collect();
+        let mut lifetime = Lifetime::default();
+        let reply = handle_round(&mut sessions, 1000, 10, &outbox, &mut lifetime).unwrap();
+        let line = wire::render_reply(&reply);
+        assert!(line.len() <= 400, "{} B view line: {line}", line.len());
+        assert_eq!((lifetime.frames, lifetime.symbols), (12 * 23, 12 * 23));
     }
 }
