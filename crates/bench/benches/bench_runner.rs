@@ -5,10 +5,26 @@
 //! fast path vs scheduling overhead); on multi-core hosts the N-thread
 //! rows show the speedup the CLI's `--jobs` flag buys.
 
-use bcc_experiments::job::run_jobs_serial;
+use bcc_experiments::job::ExpJob;
 use bcc_experiments::{exp_e2_indist, exp_e3_rank};
-use bcc_runner::Pool;
+use bcc_metrics::MetricsHub;
+use bcc_runner::{CancellationToken, Pool};
+use bcc_trace::Collector;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+
+/// Runs experiment shards on a fresh `threads`-wide pool, unobserved;
+/// returns the result count so the work is observably used.
+fn execute(threads: usize, jobs: Vec<ExpJob>) -> usize {
+    let jobs = jobs.into_iter().map(|j| j.into_runner_job(None)).collect();
+    Pool::new(threads)
+        .execute(
+            jobs,
+            &CancellationToken::new(),
+            &Collector::disabled(),
+            &MetricsHub::disabled(),
+        )
+        .len()
+}
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("runner");
@@ -28,15 +44,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("e2_structure_jobs", threads),
             &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let jobs = exp_e2_indist::jobs(true, 2024)
-                        .into_iter()
-                        .map(|j| j.into_runner_job(None))
-                        .collect();
-                    Pool::new(threads).execute(jobs).len()
-                })
-            },
+            |b, &threads| b.iter(|| execute(threads, exp_e2_indist::jobs(true, 2024))),
         );
     }
 
@@ -45,22 +53,20 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("e3_rank_jobs", threads),
             &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let jobs = exp_e3_rank::jobs(true, 2024)
-                        .into_iter()
-                        .map(|j| j.into_runner_job(None))
-                        .collect();
-                    Pool::new(threads).execute(jobs).len()
-                })
-            },
+            |b, &threads| b.iter(|| execute(threads, exp_e3_rank::jobs(true, 2024))),
         );
     }
 
-    // Baseline: the same E3 shards run inline, without any pool
-    // machinery (what `report()` does).
+    // Baseline: the same E3 shards run inline on the calling thread,
+    // without any pool machinery.
     group.bench_function("e3_rank_jobs_inline", |b| {
-        b.iter(|| run_jobs_serial(&exp_e3_rank::jobs(true, 2024)).len())
+        b.iter(|| {
+            exp_e3_rank::jobs(true, 2024)
+                .into_iter()
+                .map(|j| j.into_runner_job(None).run_inline())
+                .collect::<Vec<_>>()
+                .len()
+        })
     });
 
     group.finish();

@@ -19,9 +19,11 @@
 //! cargo run --release -p bcc-bench --bin bench_pr10 [-- OUTPUT.json]
 //! ```
 
-use bcc_experiments::{run_suite, SuiteOptions, SuiteRun};
-use bcc_metrics::MetricsLevel;
+use bcc_experiments::job::DEFAULT_SEED;
+use bcc_experiments::{RunRequest, SuiteRun};
+use bcc_metrics::{MetricsHub, MetricsLevel};
 use bcc_model::TransportSpec;
+use bcc_trace::Collector;
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -40,13 +42,12 @@ const INNER: usize = 5;
 /// factory (and live workers) the previous install left behind, which
 /// keeps fork/exec out of the timed region.
 fn e2_suite(metrics: MetricsLevel, install_transport: bool) -> SuiteRun {
-    let opts = SuiteOptions {
-        quick: true,
-        metrics_level: metrics,
-        transport: install_transport.then_some(TransportSpec::Sockets(WORKERS)),
-        ..SuiteOptions::default()
-    };
-    match run_suite(&["e2"], &opts) {
+    let mut request = RunRequest::new(["e2"], true, DEFAULT_SEED)
+        .observed(Collector::disabled(), MetricsHub::new(metrics));
+    if install_transport {
+        request = request.transport(TransportSpec::Sockets(WORKERS));
+    }
+    match request.run() {
         Ok(run) => run,
         // "e2" is a registry id; the only failure mode here is the
         // transport, which the recorder cannot meaningfully time.
@@ -148,7 +149,7 @@ fn main() -> ExitCode {
     let json = format!(
         "{{\n  \"bench\": \"cross-process telemetry overhead (PR10)\",\n  \
          \"e2_suite_transport_telemetry\": {{\n    \
-         \"workload\": \"{INNER}x run_suite([\\\"e2\\\"]) quick mode, sockets:{WORKERS}, live workers, warm cache\",\n    \
+         \"workload\": \"{INNER}x RunRequest::new([\\\"e2\\\"]) quick mode, sockets:{WORKERS}, live workers, warm cache\",\n    \
          \"reps\": {REPS},\n    \"telemetry_off_ns\": {off_ns},\n    \
          \"telemetry_on_ns\": {on_ns},\n    \"overhead_pct\": {overhead_pct:.2}\n  }},\n  \
          \"transport_counters\": {{\n    \"sessions\": {sessions},\n    \

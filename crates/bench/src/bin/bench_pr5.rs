@@ -1,7 +1,7 @@
 //! Records the metrics-layer overhead baseline as `BENCH_PR5.json`.
 //!
 //! Times the PR4 headline workload — the full-mode E2 suite
-//! (`run_suite(["e2"])`, warm artifact cache, one worker) — with the
+//! (`RunRequest::new(["e2"])`, warm artifact cache, one worker) — with the
 //! workload-metrics layer off, at `core`, and at `full`, and records
 //!
 //! * `overhead_pct`: the relative cost of `--metrics-level core`
@@ -18,8 +18,10 @@
 //! cargo run --release -p bcc-bench --bin bench_pr5 [-- OUTPUT.json]
 //! ```
 
-use bcc_experiments::{cache, run_suite, SuiteOptions};
-use bcc_metrics::{MetricScope, MetricsLevel};
+use bcc_experiments::job::DEFAULT_SEED;
+use bcc_experiments::{cache, RunRequest, SuiteRun};
+use bcc_metrics::{MetricScope, MetricsHub, MetricsLevel};
+use bcc_trace::Collector;
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -41,12 +43,15 @@ fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> u128 {
 /// One full-mode E2 suite run at the given metrics level; returns the
 /// number of reports so the result is observably used.
 fn e2_suite(level: MetricsLevel) -> usize {
-    let opts = SuiteOptions {
-        metrics_level: level,
-        ..SuiteOptions::default()
-    };
-    match run_suite(&["e2"], &opts) {
-        Ok(run) => run.reports.len(),
+    e2_run(level).reports.len()
+}
+
+/// One full-mode E2 run metered at `level`.
+fn e2_run(level: MetricsLevel) -> SuiteRun {
+    let request = RunRequest::new(["e2"], false, DEFAULT_SEED)
+        .observed(Collector::disabled(), MetricsHub::new(level));
+    match request.run() {
+        Ok(run) => run,
         // "e2" is a registry id; the only failure mode is a broken
         // registry, which the recorder cannot meaningfully time.
         Err(e) => {
@@ -92,14 +97,7 @@ fn main() -> ExitCode {
     // deterministic lookup counter from its dump.
     let store = cache::store();
     let (h0, m0) = (store.hits(), store.misses());
-    let opts = SuiteOptions {
-        metrics_level: MetricsLevel::Core,
-        ..SuiteOptions::default()
-    };
-    let Ok(run) = run_suite(&["e2"], &opts) else {
-        eprintln!("error: e2 suite failed");
-        return ExitCode::FAILURE;
-    };
+    let run = e2_run(MetricsLevel::Core);
     let (hits, misses) = (store.hits() - h0, store.misses() - m0);
     let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
     let lookups = run.workload.counter("cache.lookups").unwrap_or(0);
@@ -109,7 +107,7 @@ fn main() -> ExitCode {
     let json = format!(
         "{{\n  \"bench\": \"metrics-layer overhead (PR5)\",\n  \
          \"e2_suite_metrics\": {{\n    \
-         \"workload\": \"run_suite([\\\"e2\\\"]) full mode, warm cache, 1 worker\",\n    \
+         \"workload\": \"RunRequest::new([\\\"e2\\\"]) full mode, warm cache, 1 worker\",\n    \
          \"reps\": {REPS},\n    \"off_ns\": {off_ns},\n    \"core_ns\": {core_ns},\n    \
          \"full_ns\": {full_ns},\n    \"overhead_pct\": {overhead_pct:.2},\n    \
          \"full_overhead_pct\": {full_overhead_pct:.2}\n  }},\n  \

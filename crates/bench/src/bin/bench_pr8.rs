@@ -1,7 +1,7 @@
 //! Records the profiler-overhead baseline as `BENCH_PR8.json`.
 //!
 //! Times the PR5 headline workload — the full-mode E2 suite
-//! (`run_suite(["e2"])`, warm artifact cache, one worker) — with
+//! (`RunRequest::new(["e2"])`, warm artifact cache, one worker) — with
 //! profiling off and with profiling on (`--trace-level costs` plus
 //! `--metrics-level core`, the exact levels `--profile` implies), and
 //! records
@@ -20,9 +20,10 @@
 //! cargo run --release -p bcc-bench --bin bench_pr8 [-- OUTPUT.json]
 //! ```
 
-use bcc_experiments::{run_suite, SuiteOptions, SuiteRun};
-use bcc_metrics::MetricsLevel;
-use bcc_trace::TraceLevel;
+use bcc_experiments::job::DEFAULT_SEED;
+use bcc_experiments::{RunRequest, SuiteRun};
+use bcc_metrics::{MetricsHub, MetricsLevel};
+use bcc_trace::{Collector, TraceLevel};
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -42,12 +43,9 @@ fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> u128 {
 
 /// One full-mode E2 suite run at the given observability levels.
 fn e2_suite(trace: TraceLevel, metrics: MetricsLevel) -> SuiteRun {
-    let opts = SuiteOptions {
-        trace_level: trace,
-        metrics_level: metrics,
-        ..SuiteOptions::default()
-    };
-    match run_suite(&["e2"], &opts) {
+    let request = RunRequest::new(["e2"], false, DEFAULT_SEED)
+        .observed(Collector::new(trace), MetricsHub::new(metrics));
+    match request.run() {
         Ok(run) => run,
         // "e2" is a registry id; the only failure mode is a broken
         // registry, which the recorder cannot meaningfully time.
@@ -98,7 +96,7 @@ fn main() -> ExitCode {
     let json = format!(
         "{{\n  \"bench\": \"profiler overhead (PR8)\",\n  \
          \"e2_suite_profiling\": {{\n    \
-         \"workload\": \"run_suite([\\\"e2\\\"]) full mode, warm cache, 1 worker\",\n    \
+         \"workload\": \"RunRequest::new([\\\"e2\\\"]) full mode, warm cache, 1 worker\",\n    \
          \"reps\": {REPS},\n    \"off_ns\": {off_ns},\n    \"costs_core_ns\": {prof_ns},\n    \
          \"overhead_pct\": {overhead_pct:.2}\n  }},\n  \
          \"profile\": {{\n    \"span_paths\": {spans},\n    \"frames\": {frames},\n    \

@@ -1,12 +1,18 @@
 //! Seed-driven decoder fuzzing: valid lines of every JSONL artifact
 //! the workspace reads back — trace events, metrics dumps, profiles,
-//! postmortems, and wire commands/replies — are mutated with byte
-//! flips, truncations and splices, and every decoder must answer with
-//! `Ok` or a typed `Err`, never a panic. All decoders sit on the one
-//! shared codec (`bcc_metrics::json`), so this also fuzzes its parser.
-//! A reply that still parses as a `view` is also cut into labelled
-//! entries by `split_view`, against the plan the seed line answers.
+//! postmortems, wire commands/replies, and `bcc-serve` request lines —
+//! are mutated with byte flips, truncations and splices, and every
+//! decoder must answer with `Ok` or a typed `Err`, never a panic. All
+//! decoders sit on the one shared codec (`bcc_metrics::json`), so this
+//! also fuzzes its parser. A reply that still parses as a `view` is
+//! also cut into labelled entries by `split_view`, against the plan
+//! the seed line answers.
+//!
+//! The same mutations hit artifact-cache disk entries: a fresh store
+//! reading a mutated entry must return the value a recomputation
+//! gives, never a plausible wrong one and never a panic.
 
+use bcc_engine::{artifacts, ArtifactKey, ArtifactStore};
 use bcc_metrics::{MetricsDump, MetricsHub, MetricsLevel};
 use bcc_model::postmortem::{self, Postmortem, WireEvent, WorkerHealth};
 use bcc_model::transport::Routes;
@@ -19,6 +25,8 @@ use bcc_transport::wire::{
     Reply, SessionSpan, WorkerTelemetry,
 };
 use proptest::prelude::*;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 type Decoder = fn(&str) -> Result<(), String>;
 
@@ -40,6 +48,12 @@ fn postmortems(text: &str) -> Result<(), String> {
 
 fn wire_command(text: &str) -> Result<(), String> {
     parse_command(text).map(drop)
+}
+
+fn serve_request(text: &str) -> Result<(), String> {
+    bcc_serve::Request::parse(text)
+        .map(drop)
+        .map_err(|e| format!("{}: {}", e.code, e.message))
 }
 
 fn wire_reply(text: &str) -> Result<(), String> {
@@ -189,7 +203,59 @@ fn corpus() -> Vec<(String, Decoder)> {
             .iter()
             .map(|r| (render_reply(r), wire_reply as Decoder)),
     );
+    corpus.extend(
+        [
+            r#"{"type":"hello","client":"smo\"ke ⊥"}"#,
+            r#"{"type":"submit","experiment":"e2","quick":false,"seed":18446744073709551615,"priority":3,"timeout_secs":null}"#,
+            r#"{"type":"batch","n":4}"#,
+            r#"{"type":"await","req":9007199254740993}"#,
+            r#"{"type":"cancel","req":0}"#,
+            r#"{"type":"stats"}"#,
+            r#"{"type":"observe","every":2,"count":5}"#,
+            r#"{"type":"ping","nonce":7}"#,
+            r#"{"type":"shutdown"}"#,
+        ]
+        .map(|line| (line.to_string(), serve_request as Decoder)),
+    );
     corpus
+}
+
+/// One cached artifact: its front (reading through the given store)
+/// and the disk path of its entry under `dir`.
+struct Entry {
+    front: fn(&ArtifactStore) -> Vec<u128>,
+    key: ArtifactKey,
+}
+
+impl Entry {
+    fn path(&self, dir: &std::path::Path) -> PathBuf {
+        dir.join(format!("{:016x}.jsonl", self.key.digest()))
+    }
+}
+
+fn cache_entries() -> [Entry; 2] {
+    [
+        Entry {
+            front: |store| vec![artifacts::join_matrix_rank(store, 4) as u128],
+            key: ArtifactKey::new("join-matrix-rank", "n=4", 1),
+        },
+        Entry {
+            front: |store| artifacts::bell_table(store, 9),
+            key: ArtifactKey::new("bell-table", "n=9", 1),
+        },
+    ]
+}
+
+/// A fresh, empty scratch directory for one fuzz case.
+fn case_dir() -> PathBuf {
+    static CASE: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "bcc-store-fuzz-{}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 /// Bytes that steer mutations toward the grammar's decision points.
@@ -268,5 +334,48 @@ proptest! {
             let verdict = check(*decode, &bytes);
             prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
         }
+    }
+
+    #[test]
+    fn mutated_cache_entries_recompute(
+        ops in proptest::collection::vec(
+            (
+                proptest::strategy::any::<u8>(),
+                proptest::strategy::any::<u64>(),
+                proptest::strategy::any::<u64>(),
+            ),
+            1..4,
+        ),
+    ) {
+        let dir = case_dir();
+        let entries = cache_entries();
+        let expected: Vec<Vec<u128>> = entries
+            .iter()
+            .map(|e| (e.front)(&ArtifactStore::in_memory()))
+            .collect();
+        let writer = ArtifactStore::at_dir(&dir);
+        for e in &entries {
+            (e.front)(&writer);
+        }
+        let files: Vec<Vec<u8>> = entries
+            .iter()
+            .map(|e| std::fs::read(e.path(&dir)).expect("entry written"))
+            .collect();
+        for (i, e) in entries.iter().enumerate() {
+            let mut bytes = files[i].clone();
+            for &(op, a, b) in &ops {
+                mutate(&mut bytes, op, a, b, &files[1 - i]);
+            }
+            std::fs::write(e.path(&dir), &bytes).expect("scratch write");
+            let reader = ArtifactStore::at_dir(&dir);
+            prop_assert_eq!(
+                (e.front)(&reader),
+                expected[i].clone(),
+                "{} read a wrong value from {:?}",
+                e.key.kind(),
+                String::from_utf8_lossy(&bytes)
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -41,4 +41,4 @@ pub use measure::{
     distributional_error_batched, distributional_error_batched_observed, randomized_error_batched,
     simulate_two_party_batched, simulate_two_party_batched_observed, EngineError,
 };
-pub use store::{ArtifactKey, ArtifactStore};
+pub use store::{thread_lookups, ArtifactKey, ArtifactStore};

@@ -22,8 +22,14 @@
 //! 4. **Writes are atomic.** Values land in `<digest>.tmp` and are
 //!    renamed into place, so a crashed writer leaves no half-entry a
 //!    later reader could trust (and the header check catches the rest).
+//! 5. **Entries carry a payload digest.** The header records an FNV-64
+//!    digest of the payload lines, so a disk entry whose bytes changed
+//!    after it was written — a flipped digit that still decodes, a
+//!    truncated or spliced tail — reads as a miss, never as a
+//!    plausible wrong value.
 
 use crate::hash::Fnv64;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write as _;
@@ -85,19 +91,40 @@ impl ArtifactKey {
         h.finish()
     }
 
-    /// The header line every disk entry must start with. Echoing the
-    /// full key (not just its digest) makes digest collisions and
-    /// foreign files harmless: a mismatched header reads as a miss.
-    pub fn header_line(&self) -> String {
+    /// The header line a disk entry holding `payload` starts with.
+    /// Echoing the full key (not just its digest) makes digest
+    /// collisions and foreign files harmless, and the payload digest
+    /// catches changed payload bytes: a mismatched header reads as a
+    /// miss.
+    fn header_line(&self, payload: &[String]) -> String {
+        let mut sum = Fnv64::new();
+        for line in payload {
+            sum.write_str(line);
+        }
         format!(
-            "#bcc-artifact kind={} v={} params={}",
-            self.kind, self.codec_version, self.params
+            "#bcc-artifact kind={} v={} sum={:016x} params={}",
+            self.kind,
+            self.codec_version,
+            sum.finish(),
+            self.params
         )
     }
 
     fn memo_key(&self) -> (String, String, u32) {
         (self.kind.clone(), self.params.clone(), self.codec_version)
     }
+}
+
+thread_local! {
+    static THREAD_LOOKUPS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Lookups (hits + misses) made on the calling thread so far, across
+/// every store. A job reads it before and after its work: the
+/// difference counts exactly that job's lookups, however many other
+/// runs share the process-wide store at the same time.
+pub fn thread_lookups() -> u64 {
+    THREAD_LOOKUPS.with(Cell::get)
 }
 
 /// A memoizing, optionally disk-backed artifact cache.
@@ -153,7 +180,8 @@ impl ArtifactStore {
     /// Total lookups so far (hits + misses). Unlike the hit/miss
     /// split — which depends on what earlier runs left in a shared
     /// store — the lookup count is a pure function of the work
-    /// performed, so it is the quantity deterministic metrics record.
+    /// performed. Deterministic metrics record it per job through
+    /// [`thread_lookups`], never as a delta of this process-wide sum.
     pub fn lookups(&self) -> u64 {
         self.hits
             .load(Ordering::Relaxed)
@@ -174,6 +202,7 @@ impl ArtifactStore {
         key: &ArtifactKey,
         compute: impl FnOnce() -> Vec<String>,
     ) -> Vec<String> {
+        THREAD_LOOKUPS.with(|n| n.set(n.get().saturating_add(1)));
         if let Some(lines) = self.lookup(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return lines;
@@ -212,12 +241,13 @@ impl ArtifactStore {
         let path = self.entry_path(key)?;
         let text = fs::read_to_string(path).ok()?;
         let mut lines = text.lines();
+        let header = lines.next()?;
+        let payload: Vec<String> = lines.map(str::to_string).collect();
         // Corruption, truncation, digest collision, codec drift: all
         // surface as a header mismatch and read as a miss.
-        if lines.next() != Some(key.header_line().as_str()) {
+        if header != key.header_line(&payload) {
             return None;
         }
-        let payload: Vec<String> = lines.map(str::to_string).collect();
         self.lock_memo().insert(key.memo_key(), payload.clone());
         Some(payload)
     }
@@ -238,7 +268,7 @@ impl ArtifactStore {
         let tmp = path.with_extension("tmp");
         let write = || -> std::io::Result<()> {
             let mut f = fs::File::create(&tmp)?;
-            writeln!(f, "{}", key.header_line())?;
+            writeln!(f, "{}", key.header_line(lines))?;
             for line in lines {
                 writeln!(f, "{line}")?;
             }
@@ -272,6 +302,21 @@ mod tests {
         assert_eq!((store.hits(), store.misses()), (1, 1));
         assert_eq!(store.lookups(), 2);
         assert_eq!(store.entries(), 1);
+    }
+
+    #[test]
+    fn thread_lookups_count_only_the_calling_thread() {
+        let store = ArtifactStore::in_memory();
+        let key = ArtifactKey::new("k", "thread", 1);
+        let before = thread_lookups();
+        std::thread::scope(|s| {
+            s.spawn(|| store.get_or_compute(&key, || vec!["x".into()]));
+        });
+        assert_eq!(thread_lookups(), before);
+        store.get_or_compute(&key, || unreachable!("must hit"));
+        store.get_or_compute(&ArtifactKey::new("k", "other", 1), Vec::new);
+        assert_eq!(thread_lookups() - before, 2);
+        assert_eq!(store.lookups(), 3);
     }
 
     #[test]
@@ -313,6 +358,25 @@ mod tests {
         }
         let path = dir.join(format!("{:016x}.jsonl", key.digest()));
         fs::write(&path, "garbage, not a header\n?!\n").unwrap();
+        let store = ArtifactStore::at_dir(&dir);
+        let v = store.get_or_compute(&key, || vec!["recomputed".into()]);
+        assert_eq!(v, vec!["recomputed".to_string()]);
+        assert_eq!((store.hits(), store.misses()), (0, 1));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn changed_payload_bytes_read_as_a_miss() {
+        let dir = scratch_dir("payload");
+        let key = ArtifactKey::new("k", "p", 1);
+        {
+            let store = ArtifactStore::at_dir(&dir);
+            store.get_or_compute(&key, || vec!["15".into()]);
+        }
+        let path = dir.join(format!("{:016x}.jsonl", key.digest()));
+        let text = fs::read_to_string(&path).unwrap();
+        // Still a well-formed number, but not the one written.
+        fs::write(&path, text.replace("\n15\n", "\n16\n")).unwrap();
         let store = ArtifactStore::at_dir(&dir);
         let v = store.get_or_compute(&key, || vec!["recomputed".into()]);
         assert_eq!(v, vec!["recomputed".to_string()]);

@@ -1,9 +1,7 @@
 //! E10 — Theorem 2.3, structurally: the Dowling–Wilson factorization
 //! `M_n = Z·diag(μ(R,1̂))·Zᵀ` on the partition lattice.
 
-use crate::job::{
-    job_seed, run_jobs_serial, sort_by_shard, ExpJob, JobOutput, Report, DEFAULT_SEED,
-};
+use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
 use bcc_partitions::lattice::{verify_dowling_wilson, PartitionLattice};
 use bcc_partitions::SetPartition;
 use std::fmt::Write as _;
@@ -124,11 +122,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.finalize()
 }
 
-/// The E10 report text (serial path).
-pub fn report(quick: bool) -> String {
-    reduce(run_jobs_serial(&jobs(quick, DEFAULT_SEED))).text
-}
-
 /// Registry handle: this module's entry in [`crate::REGISTRY`].
 pub struct E10;
 
@@ -150,15 +143,14 @@ impl crate::Experiment for E10 {
 mod tests {
     #[test]
     fn report_verifies_everything() {
-        let r = super::report(true);
+        let r = crate::test_report("e10", true).text;
         assert!(!r.contains("false"));
         assert!(r.contains("closed-form mu(R, top) == recursive Mobius at n=4: true"));
     }
 
     #[test]
     fn reduced_report_passes() {
-        use crate::job::{run_jobs_serial, DEFAULT_SEED};
-        let rep = super::reduce(run_jobs_serial(&super::jobs(true, DEFAULT_SEED)));
+        let rep = crate::test_report("e10", true);
         assert!(rep.passed, "failed checks: {:?}", rep.checks);
     }
 }

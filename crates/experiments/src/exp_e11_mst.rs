@@ -1,9 +1,7 @@
 //! E11 — MST in `BCC(1)`: the distributed Borůvka forest against the
 //! Kruskal oracle, with the polylog round profile.
 
-use crate::job::{
-    job_seed, run_jobs_serial, sort_by_shard, ExpJob, JobOutput, Report, DEFAULT_SEED,
-};
+use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
 use bcc_algorithms::BoruvkaMst;
 use bcc_graphs::weighted::WeightedGraph;
 use bcc_graphs::{generators, Graph};
@@ -26,20 +24,10 @@ pub struct MstRow {
     pub matches: bool,
 }
 
-/// Runs one instance.
-pub fn run_one(g: Graph, weight_seed: u64) -> MstRow {
-    run_one_observed(
-        g,
-        weight_seed,
-        bcc_trace::TraceScope::disabled(),
-        bcc_metrics::MetricScope::disabled(),
-    )
-}
-
-/// [`run_one`] with both observers attached: the simulated run
-/// records its `sim` span tree and `sim.*` cost counters into the
-/// given scopes. Observers never change a row field.
-pub fn run_one_observed(
+/// Runs one instance. The simulated run records its `sim` span tree
+/// and `sim.*` cost counters into the given scopes (pass disabled
+/// scopes to observe nothing); observers never change a row field.
+pub fn run_one(
     g: Graph,
     weight_seed: u64,
     trace: bcc_trace::TraceScope,
@@ -99,8 +87,7 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
                 move |ctx| {
                     let mut rng = rand::rngs::StdRng::seed_from_u64(ctx.seed);
                     let g = generators::gnm(n, 2 * n, &mut rng);
-                    let row =
-                        run_one_observed(g, n as u64, ctx.trace().clone(), ctx.metrics().clone());
+                    let row = run_one(g, n as u64, ctx.trace().clone(), ctx.metrics().clone());
                     let log2 = (n as f64).log2();
                     let text = format!(
                         "{:>5} {:>6} {:>8} {:>9} {:>16.2}\n",
@@ -168,11 +155,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.finalize()
 }
 
-/// The E11 report text (serial path).
-pub fn report(quick: bool) -> String {
-    reduce(run_jobs_serial(&jobs(quick, DEFAULT_SEED))).text
-}
-
 /// Registry handle: this module's entry in [`crate::REGISTRY`].
 pub struct E11;
 
@@ -194,13 +176,18 @@ impl crate::Experiment for E11 {
 mod tests {
     #[test]
     fn mst_rows_match_oracle() {
-        let r = super::report(true);
+        let r = crate::test_report("e11", true).text;
         assert!(r.contains("every vertex: true"));
     }
 
     #[test]
     fn single_run_matches() {
-        let row = super::run_one(bcc_graphs::generators::complete(9), 4);
+        let row = super::run_one(
+            bcc_graphs::generators::complete(9),
+            4,
+            bcc_trace::TraceScope::disabled(),
+            bcc_metrics::MetricScope::disabled(),
+        );
         assert!(row.matches);
         assert_eq!(row.m, 36);
     }

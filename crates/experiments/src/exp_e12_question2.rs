@@ -5,9 +5,7 @@
 //! charts where a natural randomized protocol family lands relative to
 //! the deterministic Θ(n log n) cost.
 
-use crate::job::{
-    job_seed, run_jobs_serial, sort_by_shard, ExpJob, JobOutput, Report, DEFAULT_SEED,
-};
+use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
 use bcc_comm::protocols::trivial_message_bits;
 use bcc_comm::randomized::measure_error;
 use bcc_partitions::random::uniform_partition;
@@ -169,11 +167,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.finalize()
 }
 
-/// The E12 report text (serial path).
-pub fn report(quick: bool) -> String {
-    reduce(run_jobs_serial(&jobs(quick, DEFAULT_SEED))).text
-}
-
 /// Registry handle: this module's entry in [`crate::REGISTRY`].
 pub struct E12;
 
@@ -202,8 +195,7 @@ mod tests {
 
     #[test]
     fn reduced_report_passes() {
-        use crate::job::{run_jobs_serial, DEFAULT_SEED};
-        let rep = super::reduce(run_jobs_serial(&super::jobs(true, DEFAULT_SEED)));
+        let rep = crate::test_report("e12", true);
         assert!(rep.passed, "failed checks: {:?}", rep.checks);
     }
 }

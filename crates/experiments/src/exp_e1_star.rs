@@ -1,9 +1,7 @@
 //! E1 — Theorem 3.5: the warm-up star distribution. Error of
 //! `t`-round algorithms vs the pigeonhole floor `Ω(3^{−4t})`.
 
-use crate::job::{
-    job_seed, run_jobs_serial, sort_by_shard, ExpJob, JobOutput, Report, Value, DEFAULT_SEED,
-};
+use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report, Value};
 use bcc_algorithms::{
     HashVoteDecider, Kt0Upgrade, NeighborIdBroadcast, ParityDecider, Problem, Truncated,
 };
@@ -282,11 +280,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.finalize()
 }
 
-/// The E1 report text (serial path).
-pub fn report(quick: bool) -> String {
-    reduce(run_jobs_serial(&jobs(quick, DEFAULT_SEED))).text
-}
-
 /// Registry handle: this module's entry in [`crate::REGISTRY`].
 pub struct E1;
 
@@ -308,7 +301,7 @@ impl crate::Experiment for E1 {
 mod tests {
     #[test]
     fn quick_report_shape_holds() {
-        let r = super::report(true);
+        let r = crate::test_report("e1", true).text;
         assert!(r.contains("all measured errors >= min(floor, 1/2): true"));
     }
 

@@ -2,9 +2,7 @@
 //! graph, its degree census, expansion, k-matchings, and measured
 //! distributional error.
 
-use crate::job::{
-    job_seed, run_jobs_serial, sort_by_shard, ExpJob, JobOutput, Report, DEFAULT_SEED,
-};
+use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
 use bcc_algorithms::{
     HashVoteDecider, Kt0Upgrade, NeighborIdBroadcast, ParityDecider, Problem, Truncated,
 };
@@ -296,11 +294,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.finalize()
 }
 
-/// The E2 report text (serial path).
-pub fn report(quick: bool) -> String {
-    reduce(run_jobs_serial(&jobs(quick, DEFAULT_SEED))).text
-}
-
 /// Registry handle: this module's entry in [`crate::REGISTRY`].
 pub struct E2;
 
@@ -339,8 +332,7 @@ mod tests {
 
     #[test]
     fn reduced_report_passes() {
-        use crate::job::{run_jobs_serial, DEFAULT_SEED};
-        let rep = super::reduce(run_jobs_serial(&super::jobs(true, DEFAULT_SEED)));
+        let rep = crate::test_report("e2", true);
         assert!(rep.passed, "failed checks: {:?}", rep.checks);
         assert!(rep.text.contains("harmonic"));
     }

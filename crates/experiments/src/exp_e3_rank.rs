@@ -1,8 +1,6 @@
 //! E3 — Theorem 2.3 and Lemma 4.1: exact ranks of `M_n` and `E_n`.
 
-use crate::job::{
-    job_seed, run_jobs_serial, sort_by_shard, ExpJob, JobOutput, Report, DEFAULT_SEED,
-};
+use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
 use bcc_comm::bounds::certify_rank;
 use bcc_engine::artifacts::{bell_table, join_matrix_rank, two_partition_rank};
 use bcc_partitions::matrices::{partition_join_matrix, two_partition_matrix};
@@ -179,11 +177,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.finalize()
 }
 
-/// The E3 report text (serial path).
-pub fn report(quick: bool) -> String {
-    reduce(run_jobs_serial(&jobs(quick, DEFAULT_SEED))).text
-}
-
 /// Registry handle: this module's entry in [`crate::REGISTRY`].
 pub struct E3;
 
@@ -205,7 +198,7 @@ impl crate::Experiment for E3 {
 mod tests {
     #[test]
     fn quick_series_full_rank() {
-        let r = super::report(true);
+        let r = crate::test_report("e3", true).text;
         assert!(r.contains("all matrices full rank over GF(2^61-1): true"));
     }
 

@@ -1,9 +1,7 @@
 //! E4 — Corollaries 2.4 / 4.2: the trivial protocol's measured cost vs
 //! the log-rank lower bound.
 
-use crate::job::{
-    job_seed, run_jobs_serial, sort_by_shard, ExpJob, JobOutput, Report, DEFAULT_SEED,
-};
+use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
 use bcc_comm::bounds::{certify_rank, exact_deterministic_cc};
 use bcc_comm::driver::{run_protocol, DriverOpts};
 use bcc_comm::protocols::{TrivialJoinAlice, TrivialJoinBob};
@@ -253,11 +251,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.finalize()
 }
 
-/// The E4 report text (serial path).
-pub fn report(quick: bool) -> String {
-    reduce(run_jobs_serial(&jobs(quick, DEFAULT_SEED))).text
-}
-
 /// Registry handle: this module's entry in [`crate::REGISTRY`].
 pub struct E4;
 
@@ -288,7 +281,7 @@ mod tests {
 
     #[test]
     fn quick_report_correctness() {
-        let r = super::report(true);
+        let r = crate::test_report("e4", true).text;
         assert!(r.contains("correctness at n=4: 225/225"));
     }
 }

@@ -1,9 +1,7 @@
 //! E5 — Section 4.3 / Theorem 4.4: the Alice/Bob simulation of KT-1
 //! algorithms, its measured cost, and the implied round lower bound.
 
-use crate::job::{
-    job_seed, run_jobs_serial, sort_by_shard, ExpJob, JobOutput, Report, DEFAULT_SEED,
-};
+use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
 use bcc_algorithms::{NeighborIdBroadcast, Problem};
 use bcc_comm::reduction::Gadget;
 use bcc_core::kt1::{simulation_bits_per_round, theorem_4_4_certificate};
@@ -34,22 +32,11 @@ pub struct SimRow {
     pub correct: bool,
 }
 
-/// Measures one ground-set size with the given sampling RNG.
-pub fn sim_row(n: usize, samples: usize, rng: &mut rand::rngs::StdRng) -> SimRow {
-    sim_row_observed(
-        n,
-        samples,
-        rng,
-        bcc_trace::TraceScope::disabled(),
-        bcc_metrics::MetricScope::disabled(),
-    )
-}
-
-/// [`sim_row`] with observability attached: the lockstep kernel
-/// records its round spans and `engine.*` cost counters into the
-/// given scopes. Observers never change a row field — the unobserved
-/// form delegates here with both scopes disabled.
-pub fn sim_row_observed(
+/// Measures one ground-set size with the given sampling RNG. The
+/// lockstep kernel records its round spans and `engine.*` cost
+/// counters into the given scopes (pass disabled scopes to observe
+/// nothing); observers never change a row field.
+pub fn sim_row(
     n: usize,
     samples: usize,
     rng: &mut rand::rngs::StdRng,
@@ -108,12 +95,6 @@ pub fn sim_row_observed(
     }
 }
 
-/// Runs the sweep over ground sizes (even `n`; serial entry point).
-pub fn series(ns: &[usize], samples: usize) -> Vec<SimRow> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-    ns.iter().map(|&n| sim_row(n, samples, &mut rng)).collect()
-}
-
 /// `log₂ (n−1)!!` for even `n` (the exact log of rank(E_n)).
 pub fn log2_double_factorial(n: usize) -> f64 {
     (1..n).step_by(2).map(|k| (k as f64).log2()).sum()
@@ -141,7 +122,7 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
             job_seed(suite_seed, "e5", shard),
             move |ctx| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(ctx.seed);
-                let r = sim_row_observed(
+                let r = sim_row(
                     n,
                     samples,
                     &mut rng,
@@ -278,11 +259,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.finalize()
 }
 
-/// The E5 report text (serial path).
-pub fn report(quick: bool) -> String {
-    reduce(run_jobs_serial(&jobs(quick, DEFAULT_SEED))).text
-}
-
 /// Registry handle: this module's entry in [`crate::REGISTRY`].
 pub struct E5;
 
@@ -302,9 +278,27 @@ impl crate::Experiment for E5 {
 
 #[cfg(test)]
 mod tests {
+    use rand::SeedableRng;
+
+    /// Runs the sweep over ground sizes (even `n`), unobserved.
+    fn series(ns: &[usize], samples: usize) -> Vec<super::SimRow> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        ns.iter()
+            .map(|&n| {
+                super::sim_row(
+                    n,
+                    samples,
+                    &mut rng,
+                    bcc_trace::TraceScope::disabled(),
+                    bcc_metrics::MetricScope::disabled(),
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn simulation_correct_and_costed() {
-        let rows = super::series(&[4, 6], 3);
+        let rows = series(&[4, 6], 3);
         for r in &rows {
             assert!(r.correct, "n={}", r.n);
             assert_eq!(r.bits % r.bits_per_round, 0);
@@ -315,7 +309,7 @@ mod tests {
     fn implied_bound_grows_like_log() {
         // implied_rounds(4n)/implied_rounds(n) should be modest (log shape),
         // and the bound must increase.
-        let rows = super::series(&[8, 32], 1);
+        let rows = series(&[8, 32], 1);
         assert!(rows[1].implied_rounds > rows[0].implied_rounds);
         assert!(rows[1].implied_rounds < 4.0 * rows[0].implied_rounds);
     }

@@ -1,9 +1,7 @@
 //! E6 — Theorem 4.5: exact information accounting for
 //! `PartitionComp` under the hard distribution.
 
-use crate::job::{
-    job_seed, run_jobs_serial, sort_by_shard, ExpJob, JobOutput, Report, DEFAULT_SEED,
-};
+use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
 use bcc_comm::protocols::trivial_message_bits;
 use bcc_core::infobound::{implied_round_lower_bound, partition_comp_information};
 use std::fmt::Write as _;
@@ -145,11 +143,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.finalize()
 }
 
-/// The E6 report text (serial path).
-pub fn report(quick: bool) -> String {
-    reduce(run_jobs_serial(&jobs(quick, DEFAULT_SEED))).text
-}
-
 /// Registry handle: this module's entry in [`crate::REGISTRY`].
 pub struct E6;
 
@@ -171,15 +164,14 @@ impl crate::Experiment for E6 {
 mod tests {
     #[test]
     fn report_runs_and_chain_holds() {
-        let r = super::report(true);
+        let r = crate::test_report("e6", true).text;
         assert!(r.contains("all rows satisfy"));
         assert!(!r.contains("false"));
     }
 
     #[test]
     fn reduced_report_passes() {
-        use crate::job::{run_jobs_serial, DEFAULT_SEED};
-        let rep = super::reduce(run_jobs_serial(&super::jobs(true, DEFAULT_SEED)));
+        let rep = crate::test_report("e6", true);
         assert!(rep.passed, "failed checks: {:?}", rep.checks);
     }
 }

@@ -1,9 +1,7 @@
 //! E7 — the tightness side: measured round counts of the upper-bound
 //! algorithms on the paper's instance families.
 
-use crate::job::{
-    job_seed, run_jobs_serial, sort_by_shard, ExpJob, JobOutput, Report, DEFAULT_SEED,
-};
+use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
 use bcc_algorithms::{
     BoruvkaMinLabel, FullGraphBroadcast, Kt0Upgrade, NeighborIdBroadcast, Problem,
 };
@@ -31,25 +29,10 @@ pub struct UpperRow {
 
 /// Measures every algorithm on the single cycle `C_n` (a YES
 /// instance; each one is verified to answer correctly as it goes).
-pub fn upper_row(n: usize) -> UpperRow {
-    upper_row_observed(
-        n,
-        bcc_trace::TraceScope::disabled(),
-        bcc_metrics::MetricScope::disabled(),
-    )
-}
-
-/// [`upper_row`] with the simulator's `sim.*` workload counters routed
-/// into `metrics` (the suite passes each job's scope; the row is
-/// identical whether the scope records or not).
-pub fn upper_row_metered(n: usize, metrics: bcc_metrics::MetricScope) -> UpperRow {
-    upper_row_observed(n, bcc_trace::TraceScope::disabled(), metrics)
-}
-
-/// [`upper_row`] with both observers attached: each simulated run
-/// records its `sim` span tree and `sim.*` cost counters into the
-/// given scopes. Observers never change a row field.
-pub fn upper_row_observed(
+/// Each simulated run records its `sim` span tree and `sim.*` cost
+/// counters into the given scopes (pass disabled scopes to observe
+/// nothing); observers never change a row field.
+pub fn upper_row(
     n: usize,
     trace: bcc_trace::TraceScope,
     metrics: bcc_metrics::MetricScope,
@@ -93,11 +76,6 @@ pub fn upper_row_observed(
     }
 }
 
-/// Runs the sweep (serial entry point).
-pub fn series(ns: &[usize]) -> Vec<UpperRow> {
-    ns.iter().map(|&n| upper_row(n)).collect()
-}
-
 fn sizes(quick: bool) -> &'static [usize] {
     if quick {
         &[8, 16, 32, 64]
@@ -120,7 +98,7 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
                 format!("n={n}"),
                 job_seed(suite_seed, "e7", shard),
                 move |ctx| {
-                    let r = upper_row_observed(n, ctx.trace().clone(), ctx.metrics().clone());
+                    let r = upper_row(n, ctx.trace().clone(), ctx.metrics().clone());
                     let w = bcc_model::codec::bits_needed(n);
                     let ratio = r.neighbor_kt1 as f64 / (n as f64).log2();
                     let text = format!(
@@ -207,11 +185,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.finalize()
 }
 
-/// The E7 report text (serial path).
-pub fn report(quick: bool) -> String {
-    reduce(run_jobs_serial(&jobs(quick, DEFAULT_SEED))).text
-}
-
 /// Registry handle: this module's entry in [`crate::REGISTRY`].
 pub struct E7;
 
@@ -235,7 +208,16 @@ mod tests {
 
     #[test]
     fn logarithmic_shape() {
-        let rows = series(&[16, 64]);
+        let rows: Vec<UpperRow> = [16, 64]
+            .into_iter()
+            .map(|n| {
+                upper_row(
+                    n,
+                    bcc_trace::TraceScope::disabled(),
+                    bcc_metrics::MetricScope::disabled(),
+                )
+            })
+            .collect();
         for r in &rows {
             let w = bcc_model::codec::bits_needed(r.n);
             assert_eq!(r.neighbor_kt1, 3 * w, "n={}", r.n);

@@ -2,9 +2,7 @@
 //! `b`, reproducing the `BCC(1)` vs `BCC(polylog)` gap the paper's
 //! introduction draws.
 
-use crate::job::{
-    job_seed, run_jobs_serial, sort_by_shard, ExpJob, JobOutput, Report, DEFAULT_SEED,
-};
+use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
 use bcc_algorithms::{Problem, SketchConnectivity};
 use bcc_graphs::generators;
 use bcc_model::{Decision, Instance, SimConfig};
@@ -44,21 +42,11 @@ pub fn instance_set(n: usize, trials: usize, seed: u64) -> Vec<(bcc_graphs::Grap
         .collect()
 }
 
-/// Measures one bandwidth on a pre-generated instance set.
-pub fn sketch_row(n: usize, b: usize, graphs: &[(bcc_graphs::Graph, bool)]) -> SketchRow {
-    sketch_row_observed(
-        n,
-        b,
-        graphs,
-        bcc_trace::TraceScope::disabled(),
-        bcc_metrics::MetricScope::disabled(),
-    )
-}
-
-/// [`sketch_row`] with both observers attached: each simulated run
-/// records its `sim` span tree and `sim.*` cost counters into the
-/// given scopes. Observers never change a row field.
-pub fn sketch_row_observed(
+/// Measures one bandwidth on a pre-generated instance set. Each
+/// simulated run records its `sim` span tree and `sim.*` cost counters
+/// into the given scopes (pass disabled scopes to observe nothing);
+/// observers never change a row field.
+pub fn sketch_row(
     n: usize,
     b: usize,
     graphs: &[(bcc_graphs::Graph, bool)],
@@ -90,16 +78,6 @@ pub fn sketch_row_observed(
     }
 }
 
-/// Sweeps bandwidths on random sparse graphs (serial entry point with
-/// the historical seed).
-pub fn series(n: usize, bandwidths: &[usize], trials: usize) -> Vec<SketchRow> {
-    let graphs = instance_set(n, trials, 77);
-    bandwidths
-        .iter()
-        .map(|&b| sketch_row(n, b, &graphs))
-        .collect()
-}
-
 fn grid(quick: bool) -> (usize, &'static [usize], usize) {
     if quick {
         (12, &[16, 256, 4096], 6)
@@ -127,13 +105,7 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
                 job_seed(suite_seed, "e8", shard),
                 move |ctx| {
                     let graphs = instance_set(n, trials, input_seed);
-                    let r = sketch_row_observed(
-                        n,
-                        b,
-                        &graphs,
-                        ctx.trace().clone(),
-                        ctx.metrics().clone(),
-                    );
+                    let r = sketch_row(n, b, &graphs, ctx.trace().clone(), ctx.metrics().clone());
                     let text = format!(
                         "{:>4} {:>7} {:>12.1} {:>9.2} {:>12}\n",
                         r.n, r.b, r.mean_rounds, r.accuracy, r.sketch_bits
@@ -200,11 +172,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.finalize()
 }
 
-/// The E8 report text (serial path).
-pub fn report(quick: bool) -> String {
-    reduce(run_jobs_serial(&jobs(quick, DEFAULT_SEED))).text
-}
-
 /// Registry handle: this module's entry in [`crate::REGISTRY`].
 pub struct E8;
 
@@ -226,7 +193,19 @@ impl crate::Experiment for E8 {
 mod tests {
     #[test]
     fn bandwidth_scaling() {
-        let rows = super::series(10, &[64, 1024], 4);
+        let graphs = super::instance_set(10, 4, 77);
+        let rows: Vec<super::SketchRow> = [64, 1024]
+            .into_iter()
+            .map(|b| {
+                super::sketch_row(
+                    10,
+                    b,
+                    &graphs,
+                    bcc_trace::TraceScope::disabled(),
+                    bcc_metrics::MetricScope::disabled(),
+                )
+            })
+            .collect();
         assert!(rows[0].mean_rounds > rows[1].mean_rounds);
         for r in &rows {
             assert!(

@@ -2,9 +2,7 @@
 //! solved in one round with range 3 but needing `n/2` broadcast
 //! rounds, inside the same simulator.
 
-use crate::job::{
-    job_seed, run_jobs_serial, sort_by_shard, ExpJob, JobOutput, Report, DEFAULT_SEED,
-};
+use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
 use bcc_algorithms::{common_neighbor_truth, CommonNeighborBroadcast, CommonNeighborUnicast};
 use bcc_graphs::generators;
 use bcc_model::range::RangeSimulator;
@@ -129,11 +127,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.finalize()
 }
 
-/// The E9 report text (serial path).
-pub fn report(quick: bool) -> String {
-    reduce(run_jobs_serial(&jobs(quick, DEFAULT_SEED))).text
-}
-
 /// Registry handle: this module's entry in [`crate::REGISTRY`].
 pub struct E9;
 
@@ -165,8 +158,7 @@ mod tests {
 
     #[test]
     fn reduced_report_passes() {
-        use crate::job::{run_jobs_serial, DEFAULT_SEED};
-        let rep = super::reduce(run_jobs_serial(&super::jobs(true, DEFAULT_SEED)));
+        let rep = crate::test_report("e9", true);
         assert!(rep.passed, "failed checks: {:?}", rep.checks);
     }
 }

@@ -1,9 +1,7 @@
 //! F1 — Figure 1: a port-preserving crossing, rendered as data, with
 //! Lemma 3.4 executed live.
 
-use crate::job::{
-    job_seed, run_jobs_serial, sort_by_shard, ExpJob, JobOutput, Report, DEFAULT_SEED,
-};
+use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
 use bcc_core::crossing::{cross_instance, indistinguishable_after, DirectedEdge};
 use bcc_graphs::generators;
 use bcc_model::testing::{EchoBit, IdBroadcast};
@@ -133,11 +131,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.finalize()
 }
 
-/// The F1 report text (serial path).
-pub fn report() -> String {
-    reduce(run_jobs_serial(&jobs(false, DEFAULT_SEED))).text
-}
-
 /// Registry handle: this module's entry in [`crate::REGISTRY`].
 pub struct F1;
 
@@ -161,7 +154,7 @@ mod tests {
 
     #[test]
     fn figure_checks_pass() {
-        let r = report();
+        let r = crate::test_report("f1", false).text;
         assert!(r.contains("preserved at every vertex: true"));
         assert!(r.contains("EchoBit, t=6): indistinguishable = true"));
         assert!(r.contains("IdBroadcast, t=3):    indistinguishable = false"));
@@ -169,7 +162,7 @@ mod tests {
 
     #[test]
     fn reduced_report_passes() {
-        let rep = reduce(run_jobs_serial(&jobs(true, DEFAULT_SEED)));
+        let rep = crate::test_report("f1", true);
         assert!(rep.passed);
         assert_eq!(rep.values.len(), 3);
     }

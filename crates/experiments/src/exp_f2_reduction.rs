@@ -1,9 +1,7 @@
 //! F2 — Figure 2: the reduction gadgets on the paper's own example
 //! partitions, plus an exhaustive Theorem 4.3 sweep.
 
-use crate::job::{
-    job_seed, run_jobs_serial, sort_by_shard, ExpJob, JobOutput, Report, DEFAULT_SEED,
-};
+use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
 use bcc_comm::reduction::{gadget_graph, induced_partition_on_l, verify_theorem_4_3, Gadget};
 use bcc_graphs::connectivity::connected_components;
 use bcc_graphs::cycles::cycle_structure;
@@ -183,11 +181,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.finalize()
 }
 
-/// The F2 report text (serial path).
-pub fn report() -> String {
-    reduce(run_jobs_serial(&jobs(false, DEFAULT_SEED))).text
-}
-
 /// Registry handle: this module's entry in [`crate::REGISTRY`].
 pub struct F2;
 
@@ -211,7 +204,7 @@ mod tests {
 
     #[test]
     fn all_sweeps_pass() {
-        let r = report();
+        let r = crate::test_report("f2", false).text;
         assert!(r.contains("Theorem 4.3 holds: true"));
         assert!(r.contains("general gadget, n=4: 225/225"));
         assert!(r.contains("2-regular gadget, n=6: 225/225"));
@@ -219,7 +212,14 @@ mod tests {
 
     #[test]
     fn reduce_is_order_insensitive() {
-        let mut outs = run_jobs_serial(&jobs(true, DEFAULT_SEED));
+        let run = crate::RunRequest::new(["f2"], true, crate::job::DEFAULT_SEED)
+            .run()
+            .expect("registered id");
+        let mut outs: Vec<JobOutput> = run
+            .job_results
+            .into_iter()
+            .filter_map(|r| r.status.into_output())
+            .collect();
         let forward = reduce(outs.clone());
         outs.reverse();
         let backward = reduce(outs);

@@ -8,17 +8,16 @@
 //!   seed, the experiment id, and the shard index;
 //! * `reduce(Vec<JobOutput>) -> Report` — order-insensitive assembly
 //!   (outputs are sorted by shard first), producing a typed [`Report`]
-//!   whose `text` is the human-readable rendering;
-//! * `report(quick) -> String` — the serial path: run the jobs inline
-//!   with [`DEFAULT_SEED`] and reduce. Parallel execution through
-//!   `bcc_runner::Pool` produces byte-identical reports because every
-//!   job's output is a pure function of its seed.
+//!   whose `text` is the human-readable rendering.
+//!
+//! Jobs run only through `crate::RunRequest`, on a `bcc_runner::Pool`
+//! of any width; reports are byte-identical at every thread count
+//! because every job's output is a pure function of its seed.
 
 use bcc_runner::{Job, JobCtx, JobSpec};
 use std::time::Duration;
 
-/// Suite seed used by the serial `report()` entry points and the CLI
-/// default; `--seed` overrides it.
+/// The CLI's default suite seed; `--seed` overrides it.
 pub const DEFAULT_SEED: u64 = 2024;
 
 /// Derives the deterministic seed of one job from the suite seed, the
@@ -128,6 +127,11 @@ pub struct JobOutput {
     pub checks: Vec<(String, bool)>,
     /// Text fragment (report lines produced by this shard).
     pub text: String,
+    /// Artifact-cache lookups (hits + misses) made inside this job's
+    /// work, set by the runner job [`ExpJob::into_runner_job`] builds.
+    /// A pure function of the work, so it feeds deterministic metrics;
+    /// it is not part of the rendered output.
+    pub cache_lookups: u64,
 }
 
 impl JobOutput {
@@ -140,6 +144,7 @@ impl JobOutput {
             values: Vec::new(),
             checks: Vec::new(),
             text: String::new(),
+            cache_lookups: 0,
         }
     }
 
@@ -229,19 +234,22 @@ impl ExpJob {
         format!("{}/{}", self.experiment, self.label)
     }
 
-    /// Runs the shard inline on the calling thread.
-    pub fn run_serial(&self) -> JobOutput {
-        (self.work)(&JobCtx::detached(self.seed))
-    }
-
-    /// Converts into a `bcc_runner` job for pool execution.
+    /// Converts into a `bcc_runner` job for pool execution. The job
+    /// counts the artifact-cache lookups its work makes on its own
+    /// thread into [`JobOutput::cache_lookups`], so concurrent runs in
+    /// one process never see each other's lookups.
     pub fn into_runner_job(self, timeout: Option<Duration>) -> Job<JobOutput> {
         let mut spec = JobSpec::new(self.id(), self.seed);
         if let Some(t) = timeout {
             spec = spec.with_timeout(t);
         }
         let work = self.work;
-        Job::new(spec, move |ctx| Ok(work(ctx)))
+        Job::new(spec, move |ctx| {
+            let before = bcc_engine::thread_lookups();
+            let mut out = work(ctx);
+            out.cache_lookups = bcc_engine::thread_lookups() - before;
+            Ok(out)
+        })
     }
 }
 
@@ -254,12 +262,6 @@ impl std::fmt::Debug for ExpJob {
             .field("seed", &self.seed)
             .finish()
     }
-}
-
-/// Runs a job list inline, in order — the serial execution path
-/// shared by `report()` and the `--jobs 1` fast path in tests.
-pub fn run_jobs_serial(jobs: &[ExpJob]) -> Vec<JobOutput> {
-    jobs.iter().map(ExpJob::run_serial).collect()
 }
 
 /// Sorts outputs into shard order; reduce functions call this first so
@@ -373,16 +375,17 @@ mod tests {
     }
 
     #[test]
-    fn exp_job_serial_and_runner_paths_agree() {
-        let mk = || {
-            ExpJob::new("ex", 0, "s", 42, |ctx| {
-                JobOutput::new("ex", 0, "s").value("seed", ctx.seed)
-            })
-        };
-        let serial = mk().run_serial();
-        let pooled = mk().into_runner_job(None).run_inline();
-        assert_eq!(pooled.status.into_output(), Some(serial.clone()));
-        assert_eq!(serial.int("seed"), Some(42));
+    fn runner_job_counts_its_own_cache_lookups() {
+        let job = ExpJob::new("ex", 0, "s", 42, |ctx| {
+            let store = bcc_engine::ArtifactStore::in_memory();
+            bcc_engine::artifacts::join_matrix_rank(&store, 3);
+            bcc_engine::artifacts::join_matrix_rank(&store, 3);
+            JobOutput::new("ex", 0, "s").value("seed", ctx.seed)
+        });
+        let out = job.into_runner_job(None).run_inline().status.into_output();
+        let out = out.expect("completed");
+        assert_eq!(out.int("seed"), Some(42));
+        assert_eq!(out.cache_lookups, 2);
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! shards with deterministic per-job seeds) and `reduce(outputs)`
 //! (order-insensitive assembly into a typed [`job::Report`]), and
 //! registers itself in [`REGISTRY`] through the [`Experiment`] trait.
-//! The `bcc-experiments` binary dispatches on an experiment id (`f1`,
-//! `f2`, `e1`…`e12`, or `all`) and can fan shards out over a
-//! `bcc_runner::Pool` — reports are byte-identical at any thread
-//! count because every shard's output is a pure function of its seed.
+//! Every run — the `bcc-experiments` binary (ids `f1`, `f2`,
+//! `e1`…`e12`, or `all`), the `bcc-serve` daemon, and the tests — goes
+//! through one [`RunRequest`], which fans shards out over a
+//! `bcc_runner::Pool`; reports are byte-identical at any thread count
+//! because every shard's output is a pure function of its seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,8 +34,8 @@ pub mod job;
 pub mod json;
 
 use bcc_metrics::{MetricsDump, MetricsHub, MetricsLevel};
-use bcc_trace::{Collector, Trace, TraceLevel};
-use job::{ExpJob, JobOutput, Report, DEFAULT_SEED};
+use bcc_trace::{Collector, Trace};
+use job::{ExpJob, JobOutput, Report};
 use std::time::Duration;
 
 /// All experiment ids, in presentation order.
@@ -81,8 +82,7 @@ pub trait Experiment: Sync {
 }
 
 /// Every experiment, in presentation order — the single dispatch
-/// table behind [`jobs_for`], [`reduce_for`], [`run`], and
-/// [`run_suite`].
+/// table behind [`experiment`] and [`RunRequest`].
 pub static REGISTRY: [&dyn Experiment; 14] = [
     &exp_f1_crossing::F1,
     &exp_f2_reduction::F2,
@@ -109,81 +109,31 @@ pub fn experiment(id: &str) -> Result<&'static dyn Experiment, UnknownExperiment
         .ok_or_else(|| UnknownExperiment { id: id.into() })
 }
 
-/// The job list for one experiment.
-pub fn jobs_for(id: &str, quick: bool, suite_seed: u64) -> Result<Vec<ExpJob>, UnknownExperiment> {
-    experiment(id).map(|e| e.jobs(quick, suite_seed))
-}
-
-/// Reduces one experiment's job outputs into its typed report.
-pub fn reduce_for(id: &str, outputs: Vec<JobOutput>) -> Result<Report, UnknownExperiment> {
-    experiment(id).map(|e| e.reduce(outputs))
-}
-
-/// Options for a parallel suite run.
-#[derive(Debug, Clone)]
-pub struct SuiteOptions {
-    /// Trim instance sizes (`--quick`).
-    pub quick: bool,
-    /// Worker threads (`--jobs`); 1 selects the serial fast path.
-    pub threads: usize,
-    /// Suite seed every per-job seed is derived from (`--seed`).
-    pub seed: u64,
-    /// Optional per-job wall-clock deadline (`--timeout-secs`).
-    pub timeout: Option<Duration>,
-    /// Trace recording level (`--trace-level`); `Off` disables
-    /// collection entirely and costs nothing per job.
-    pub trace_level: TraceLevel,
-    /// Workload-metrics recording level (`--metrics-level`); `Off`
-    /// disables collection entirely and costs nothing per job. Only
-    /// logical quantities are counted (bits, rounds, lookups — never
-    /// clock readings), so the merged dump is byte-identical at any
-    /// thread count.
-    pub metrics_level: MetricsLevel,
-    /// Optional on-disk artifact cache directory (`--cache`); `None`
-    /// keeps the process-wide store in memory. Cached or not, reports
-    /// are byte-identical — the store only trades recomputation for
-    /// lookups (see [`cache`]).
-    pub cache_dir: Option<std::path::PathBuf>,
-    /// Transport backend to install process-wide before running
-    /// (`--transport`); `None` leaves whatever is installed (the
-    /// in-process `local` backend by default). Reports, traces, and
-    /// metrics dumps are byte-identical across backends — that is the
-    /// transport determinism contract (DESIGN.md §14).
-    pub transport: Option<bcc_model::TransportSpec>,
-}
-
-impl Default for SuiteOptions {
-    fn default() -> Self {
-        SuiteOptions {
-            quick: false,
-            threads: 1,
-            seed: DEFAULT_SEED,
-            timeout: None,
-            trace_level: TraceLevel::Off,
-            metrics_level: MetricsLevel::Off,
-            cache_dir: None,
-            transport: None,
-        }
-    }
-}
-
-/// The result of a suite run: per-experiment reports in request
-/// order, the raw per-job results (submission order), and the pool's
-/// metrics snapshot.
+/// The result of a run: per-experiment reports in request order, the
+/// raw per-job results (submission order), and the pool's metrics
+/// snapshot.
 #[derive(Debug)]
 pub struct SuiteRun {
-    /// One reduced report per requested experiment, in request order.
+    /// One reduced (possibly degraded) report per requested
+    /// experiment, in request order.
     pub reports: Vec<Report>,
     /// Every job's structured result, in submission order.
     pub job_results: Vec<bcc_runner::JobResult<JobOutput>>,
-    /// Scheduler counters and latency histogram for the whole run.
+    /// Scheduler counters and latency histogram of the pool.
     pub metrics: bcc_runner::MetricsSnapshot,
-    /// The merged trace — empty unless `trace_level > Off`. Merged by
-    /// `(unit, seq)`, so it is byte-identical at any thread count, and
-    /// collecting it never changes a report byte.
+    /// Artifact-cache lookups (hits + misses) made inside the
+    /// completed jobs' work. Counted per job, so it is a pure function
+    /// of the request even while other runs share the process-wide
+    /// store; reduce-time lookups are not counted.
+    pub cache_lookups: u64,
+    /// The merged trace — filled by [`RunRequest::run`] from the
+    /// request's collector (empty when unobserved), left empty by
+    /// [`RunRequest::run_on_pool`], whose sinks outlive the request.
+    /// Merged by `(unit, seq)`, so it is byte-identical at any thread
+    /// count, and collecting it never changes a report byte.
     pub trace: Trace,
-    /// The merged deterministic workload-metrics dump — empty unless
-    /// `metrics_level > Off`. Counters and histograms merge
+    /// The merged deterministic workload-metrics dump — filled like
+    /// [`trace`](Self::trace). Counters and histograms merge
     /// commutatively across per-job buffers, so the dump is
     /// byte-identical at any thread count, and collecting it never
     /// changes a report byte.
@@ -207,27 +157,28 @@ fn degrade_partial(mut report: Report, completed: usize, scheduled: usize) -> Re
     report
 }
 
-/// One registry-dispatched run request — the single entry point for
-/// running an experiment. The request is fully described by logical
-/// parameters, so the reduced report is a pure function of
+/// A registry-dispatched run request — the single entry point for
+/// running experiments. The request is fully described by logical
+/// parameters, so each reduced report is a pure function of
 /// `(id, quick, seed)`; everything else (threads, cache, observers,
 /// transport) only changes *how* it is computed.
 ///
 /// ```no_run
 /// use bcc_experiments::RunRequest;
 /// use bcc_model::TransportSpec;
-/// let run = RunRequest::new("e2", true, 42)
+/// let run = RunRequest::new(["e2"], true, 42)
 ///     .jobs(4)
 ///     .cache("/tmp/bcc-cache")
 ///     .transport(TransportSpec::Sockets(2))
 ///     .run()
 ///     .expect("known id");
-/// println!("{}", run.report.text);
+/// println!("{}", run.reports[0].text);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RunRequest {
-    /// Experiment id (`"e2"`, …).
-    pub id: String,
+    /// Experiment ids (`"e2"`, …), in report order. A repeated id
+    /// runs and reports once, at its first position.
+    pub ids: Vec<String>,
     /// Trim instance sizes.
     pub quick: bool,
     /// Suite seed every per-job seed derives from.
@@ -242,11 +193,15 @@ pub struct RunRequest {
 }
 
 impl RunRequest {
-    /// A request with the given id, profile, and seed; single-threaded,
+    /// A request for the given ids, profile, and seed; single-threaded,
     /// uncached, unobserved, on the process-default transport.
-    pub fn new(id: impl Into<String>, quick: bool, seed: u64) -> Self {
+    pub fn new<I, S>(ids: I, quick: bool, seed: u64) -> Self
+    where
+        I: IntoIterator<Item = S>,
+        S: Into<String>,
+    {
         RunRequest {
-            id: id.into(),
+            ids: ids.into_iter().map(Into::into).collect(),
             quick,
             seed,
             timeout: None,
@@ -268,7 +223,9 @@ impl RunRequest {
     }
 
     /// Backs the process-wide artifact cache with this directory
-    /// before running (see [`cache::configure_disk`]).
+    /// before running (see [`cache::configure_disk`]). Cached or not,
+    /// reports are byte-identical — the store only trades
+    /// recomputation for lookups.
     #[must_use]
     pub fn cache(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
@@ -283,7 +240,9 @@ impl RunRequest {
     }
 
     /// Streams traces and workload metrics into caller-owned sinks
-    /// (both are `Arc`-backed handles; the caller finishes them).
+    /// (both are `Arc`-backed handles). Only logical quantities are
+    /// recorded (bits, rounds, lookups — never clock readings), so the
+    /// merged streams are byte-identical at any thread count.
     /// Unobserved requests pay nothing for either.
     #[must_use]
     pub fn observed(mut self, collector: Collector, hub: MetricsHub) -> Self {
@@ -296,195 +255,163 @@ impl RunRequest {
     /// running. Left unset, the request runs on whatever is already
     /// installed (the in-process `local` backend unless a host
     /// installed something else) — so a daemon-level `--transport`
-    /// is not stomped by per-request submissions.
+    /// is not stomped by per-request submissions. Reports, traces, and
+    /// metrics dumps are byte-identical across backends (DESIGN.md
+    /// §14).
     #[must_use]
     pub fn transport(mut self, spec: bcc_model::TransportSpec) -> Self {
         self.transport = Some(spec);
         self
     }
 
-    /// Runs on a freshly created pool with
-    /// [`jobs`](Self::jobs)-many threads.
+    /// The request's sinks, or disabled ones (which cost nothing) when
+    /// it is unobserved.
+    fn sinks(&self) -> (Collector, MetricsHub) {
+        (
+            self.collector.clone().unwrap_or_else(Collector::disabled),
+            self.hub.clone().unwrap_or_else(MetricsHub::disabled),
+        )
+    }
+
+    /// Runs on a freshly created pool with [`jobs`](Self::jobs)-many
+    /// threads — the CLI host's path. On top of
+    /// [`run_on_pool`](Self::run_on_pool) it books the `suite`
+    /// accounting unit, drains worker-shipped transport telemetry into
+    /// the sinks, and returns them finished in
+    /// [`SuiteRun::trace`]/[`SuiteRun::workload`].
     ///
     /// # Errors
     ///
     /// Returns [`UnknownExperiment`] for an id outside the registry.
-    pub fn run(&self) -> Result<PoolRun, UnknownExperiment> {
+    pub fn run(&self) -> Result<SuiteRun, UnknownExperiment> {
         let pool = bcc_runner::Pool::new(self.threads);
-        self.run_on_pool(&pool, &bcc_runner::CancellationToken::new())
+        let mut run = self.run_on_pool(&pool, &bcc_runner::CancellationToken::new())?;
+        let (collector, hub) = self.sinks();
+        if hub.enabled() {
+            // Suite-level unit: workload shape plus the cache *lookup*
+            // count. Lookups (hits + misses) are a pure function of the
+            // job list, unlike the hit/miss split, which depends on
+            // interleaving and on what earlier runs left in the shared
+            // store — so only the deterministic quantity goes in the dump.
+            let mut buf = hub.buf("suite");
+            buf.counter("suite.experiments", run.reports.len() as u64);
+            buf.counter("suite.jobs", run.job_results.len() as u64);
+            buf.counter("cache.lookups", run.cache_lookups);
+            hub.absorb(buf);
+        }
+        if collector.enabled() {
+            // Mirror the suite-scope costs into the trace under the same
+            // canonical names, so the profiler can attribute them (they
+            // land at the suite unit's floor, outside any span).
+            let mut tbuf = collector.buf("suite");
+            tbuf.counter("suite.experiments", run.reports.len() as u64);
+            tbuf.counter("suite.jobs", run.job_results.len() as u64);
+            tbuf.counter("cache.lookups", run.cache_lookups);
+            collector.absorb(tbuf);
+        }
+        // Drain worker-shipped transport telemetry into the same sinks
+        // before they finish — a no-op on the local backend, which never
+        // accumulates any (DESIGN.md §15). Sessions are rank-ordered and
+        // canonically sorted on the way in, so the flushed units are
+        // byte-identical at any thread count.
+        bcc_model::transport::default_factory().flush_telemetry(&collector, &hub);
+        run.trace = collector.finish();
+        run.workload = hub.finish();
+        Ok(run)
     }
 
-    /// Runs on a caller-owned pool — the registry-driven submission
-    /// path a long-lived service schedules through. The pool and
-    /// cancellation token outlive the request, so repeat submissions
-    /// share one warm process-wide [`cache`] store and (via
-    /// [`observed`](Self::observed)) one merged observability stream.
+    /// Runs on a caller-owned pool — the one pipeline every run goes
+    /// through, and the submission path a long-lived service schedules
+    /// on. The pool and cancellation token outlive the request, so
+    /// repeat submissions share one warm process-wide [`cache`] store
+    /// and (via [`observed`](Self::observed)) one merged observability
+    /// stream.
+    ///
+    /// All shards of all requested experiments are flattened into a
+    /// single job list so the pool can balance across experiments; the
+    /// completed outputs are regrouped by experiment id and reduced in
+    /// request order. Shards that failed, timed out, or were cancelled
+    /// contribute no output, and their report is degraded to a failing
+    /// partial one.
     ///
     /// # Errors
     ///
-    /// Returns [`UnknownExperiment`] for an id outside the registry;
-    /// admission layers should reject such requests without
-    /// scheduling.
+    /// Returns [`UnknownExperiment`] for an id outside the registry,
+    /// before any job runs; admission layers should reject such
+    /// requests without scheduling.
     pub fn run_on_pool(
         &self,
         pool: &bcc_runner::Pool,
         token: &bcc_runner::CancellationToken,
-    ) -> Result<PoolRun, UnknownExperiment> {
+    ) -> Result<SuiteRun, UnknownExperiment> {
         if let Some(spec) = self.transport {
             bcc_transport::install(spec);
         }
         if let Some(dir) = &self.cache_dir {
             cache::configure_disk(dir.clone());
         }
-        let jobs = jobs_for(&self.id, self.quick, self.seed)?;
-        let runner_jobs: Vec<bcc_runner::Job<JobOutput>> = jobs
-            .into_iter()
+        let mut experiments: Vec<&'static dyn Experiment> = Vec::new();
+        for id in &self.ids {
+            let exp = experiment(id)?;
+            if !experiments.iter().any(|e| e.id() == exp.id()) {
+                experiments.push(exp);
+            }
+        }
+        let runner_jobs: Vec<bcc_runner::Job<JobOutput>> = experiments
+            .iter()
+            .flat_map(|e| e.jobs(self.quick, self.seed))
             .map(|j| j.into_runner_job(self.timeout))
             .collect();
-        // Disabled sinks cost nothing; using them for unobserved
-        // requests keeps one submission path instead of two.
-        let off_collector;
-        let collector = match &self.collector {
-            Some(c) => c,
-            None => {
-                off_collector = Collector::new(TraceLevel::Off);
-                &off_collector
-            }
-        };
-        let off_hub;
-        let hub = match &self.hub {
-            Some(h) => h,
-            None => {
-                off_hub = MetricsHub::new(MetricsLevel::Off);
-                &off_hub
-            }
-        };
-        let results = pool.execute_observed(runner_jobs, token, collector, hub);
-        let scheduled = results.len();
-        let cancelled = results
+        let (collector, hub) = self.sinks();
+        let job_results = pool.execute(runner_jobs, token, &collector, &hub);
+        let cache_lookups = job_results
             .iter()
-            .filter(|r| matches!(r.status, bcc_runner::JobStatus::Cancelled))
-            .count();
-        let outputs: Vec<JobOutput> = results
-            .into_iter()
-            .filter_map(|r| r.status.into_output())
+            .filter_map(|r| r.status.output())
+            .map(|o| o.cache_lookups)
+            .sum();
+        let reports = experiments
+            .iter()
+            .map(|e| {
+                let outputs: Vec<JobOutput> = job_results
+                    .iter()
+                    .filter_map(|r| r.status.output())
+                    .filter(|o| o.experiment == e.id())
+                    .cloned()
+                    .collect();
+                let prefix = format!("{}/", e.id());
+                let scheduled = job_results
+                    .iter()
+                    .filter(|r| r.id.starts_with(&prefix))
+                    .count();
+                let completed = outputs.len();
+                degrade_partial(e.reduce(outputs), completed, scheduled)
+            })
             .collect();
-        let completed = outputs.len();
-        let report = degrade_partial(reduce_for(&self.id, outputs)?, completed, scheduled);
-        Ok(PoolRun {
-            report,
-            scheduled,
-            completed,
-            cancelled,
+        Ok(SuiteRun {
+            reports,
+            job_results,
+            metrics: pool.metrics().snapshot(),
+            cache_lookups,
+            trace: Collector::disabled().finish(),
+            workload: MetricsDump::empty(MetricsLevel::Off),
         })
     }
 }
 
-/// The outcome of [`RunRequest::run_on_pool`]: the reduced (possibly degraded)
-/// report plus the shard accounting a scheduler needs for its own
-/// bookkeeping.
-#[derive(Debug)]
-pub struct PoolRun {
-    /// The reduced report (partial-shard loss already surfaced).
-    pub report: Report,
-    /// Shards scheduled for this request.
-    pub scheduled: usize,
-    /// Shards that completed with an output.
-    pub completed: usize,
-    /// Shards reported cancelled (drain, token, or deadline path).
-    pub cancelled: usize,
-}
-
-/// Runs a set of experiments through one shared pool.
-///
-/// All shards of all requested experiments are flattened into a
-/// single job list so the pool can balance across experiments; the
-/// completed outputs are regrouped by experiment id and reduced in
-/// request order. Shards that failed or timed out simply contribute
-/// no output (the report's checks will reflect the gap).
-pub fn run_suite(ids: &[&str], opts: &SuiteOptions) -> Result<SuiteRun, UnknownExperiment> {
-    if let Some(spec) = opts.transport {
-        bcc_transport::install(spec);
-    }
-    if let Some(dir) = &opts.cache_dir {
-        cache::configure_disk(dir.clone());
-    }
-    let mut flat: Vec<ExpJob> = Vec::new();
-    for id in ids {
-        flat.extend(jobs_for(id, opts.quick, opts.seed)?);
-    }
-    let runner_jobs: Vec<bcc_runner::Job<JobOutput>> = flat
-        .into_iter()
-        .map(|j| j.into_runner_job(opts.timeout))
-        .collect();
-    let pool = bcc_runner::Pool::new(opts.threads);
-    let collector = Collector::new(opts.trace_level);
-    let hub = MetricsHub::new(opts.metrics_level);
-    let store = cache::store();
-    let lookups_before = store.lookups();
-    let job_results = pool.execute_observed(
-        runner_jobs,
-        &bcc_runner::CancellationToken::new(),
-        &collector,
-        &hub,
-    );
-    let suite_lookups = store.lookups() - lookups_before;
-    if hub.enabled() {
-        // Suite-level unit: workload shape plus the cache *lookup*
-        // count. Lookups (hits + misses) are a pure function of the
-        // job list, unlike the hit/miss split, which depends on
-        // interleaving and on what earlier runs left in the shared
-        // store — so only the deterministic quantity goes in the dump.
-        let mut buf = hub.buf("suite");
-        buf.counter("suite.experiments", ids.len() as u64);
-        buf.counter("suite.jobs", job_results.len() as u64);
-        buf.counter("cache.lookups", suite_lookups);
-        hub.absorb(buf);
-    }
-    if collector.enabled() {
-        // Mirror the suite-scope costs into the trace under the same
-        // canonical names, so the profiler can attribute them (they
-        // land at the suite unit's floor, outside any span).
-        let mut tbuf = collector.buf("suite");
-        tbuf.counter("suite.experiments", ids.len() as u64);
-        tbuf.counter("suite.jobs", job_results.len() as u64);
-        tbuf.counter("cache.lookups", suite_lookups);
-        collector.absorb(tbuf);
-    }
-    // Drain worker-shipped transport telemetry into the same sinks
-    // before they finish — a no-op on the local backend, which never
-    // accumulates any (DESIGN.md §15). Sessions are rank-ordered and
-    // canonically sorted on the way in, so the flushed units are
-    // byte-identical at any thread count.
-    bcc_model::transport::default_factory().flush_telemetry(&collector, &hub);
-
-    let mut reports = Vec::with_capacity(ids.len());
-    for id in ids {
-        let outputs: Vec<JobOutput> = job_results
-            .iter()
-            .filter_map(|r| r.status.output())
-            .filter(|o| o.experiment == *id)
-            .cloned()
-            .collect();
-        let scheduled = job_results
-            .iter()
-            .filter(|r| r.id.starts_with(&format!("{id}/")))
-            .count();
-        let completed = outputs.len();
-        let report = degrade_partial(reduce_for(id, outputs)?, completed, scheduled);
-        reports.push(report);
-    }
-    Ok(SuiteRun {
-        reports,
-        job_results,
-        metrics: pool.metrics().snapshot(),
-        trace: collector.finish(),
-        workload: hub.finish(),
-    })
+/// Runs one experiment with the default seed on one thread,
+/// unobserved — the shape the per-module tests check.
+#[cfg(test)]
+pub(crate) fn test_report(id: &str, quick: bool) -> Report {
+    let mut run = RunRequest::new([id], quick, job::DEFAULT_SEED)
+        .run()
+        .expect("registered id");
+    run.reports.remove(0)
 }
 
 #[cfg(test)]
 mod tests {
+    use super::{job::DEFAULT_SEED, RunRequest};
+
     #[test]
     fn registry_ids_match_all_experiments_in_order() {
         let ids: Vec<&str> = super::REGISTRY.iter().map(|e| e.id()).collect();
@@ -501,44 +428,57 @@ mod tests {
 
     #[test]
     fn unknown_id_is_an_error() {
-        let err = super::RunRequest::new("zzz", true, 0).run().unwrap_err();
+        let err = RunRequest::new(["zzz"], true, 0).run().unwrap_err();
         assert_eq!(err.id, "zzz");
         assert!(err.to_string().contains("unknown experiment"));
     }
 
     #[test]
-    fn suite_rejects_unknown_ids_before_running() {
-        let err = super::run_suite(&["f1", "nope"], &super::SuiteOptions::default()).unwrap_err();
+    fn unknown_ids_are_rejected_before_running() {
+        let err = RunRequest::new(["f1", "nope"], true, 0).run().unwrap_err();
         assert_eq!(err.id, "nope");
     }
 
     #[test]
-    fn suite_run_matches_serial_report() {
-        let opts = super::SuiteOptions {
-            quick: true,
-            threads: 2,
-            ..Default::default()
-        };
-        let suite = super::run_suite(&["f1"], &opts).expect("known id");
-        assert_eq!(suite.reports.len(), 1);
-        let serial = super::RunRequest::new("f1", true, super::DEFAULT_SEED)
+    fn multi_id_run_matches_single_id_runs() {
+        let both = RunRequest::new(["f1", "e1"], true, DEFAULT_SEED)
+            .jobs(2)
             .run()
-            .expect("known id");
-        assert_eq!(suite.reports[0].text, serial.report.text);
-        assert_eq!(suite.metrics.completed, suite.job_results.len() as u64);
+            .expect("known ids");
+        assert_eq!(both.reports.len(), 2);
+        for (report, id) in both.reports.iter().zip(["f1", "e1"]) {
+            let solo = RunRequest::new([id], true, DEFAULT_SEED)
+                .run()
+                .expect("known id");
+            assert_eq!(report.text, solo.reports[0].text);
+        }
+        assert_eq!(both.metrics.completed, both.job_results.len() as u64);
+    }
+
+    #[test]
+    fn repeated_ids_run_once_at_first_position() {
+        let once = RunRequest::new(["e1", "f1"], true, DEFAULT_SEED)
+            .run()
+            .expect("known ids");
+        let repeated = RunRequest::new(["e1", "f1", "e1", "f1", "f1"], true, DEFAULT_SEED)
+            .run()
+            .expect("known ids");
+        assert_eq!(repeated.reports, once.reports);
+        assert_eq!(repeated.job_results.len(), once.job_results.len());
+        assert_eq!(repeated.cache_lookups, once.cache_lookups);
     }
 
     #[test]
     fn request_builder_is_thread_count_invariant() {
-        let serial = super::RunRequest::new("f1", true, super::DEFAULT_SEED)
+        let serial = RunRequest::new(["f1"], true, DEFAULT_SEED)
             .run()
             .expect("known id");
-        let parallel = super::RunRequest::new("f1", true, super::DEFAULT_SEED)
+        let parallel = RunRequest::new(["f1"], true, DEFAULT_SEED)
             .jobs(4)
             .run()
             .expect("known id");
-        assert_eq!(serial.report.text, parallel.report.text);
-        assert_eq!(serial.scheduled, parallel.scheduled);
-        assert_eq!(serial.completed, parallel.completed);
+        assert_eq!(serial.reports, parallel.reports);
+        assert_eq!(serial.job_results.len(), parallel.job_results.len());
+        assert_eq!(serial.cache_lookups, parallel.cache_lookups);
     }
 }

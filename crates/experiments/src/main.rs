@@ -49,9 +49,10 @@
 //!                       written when the run saw no incident
 //! ```
 
-use bcc_experiments::{json, SuiteOptions, ALL_EXPERIMENTS};
-use bcc_metrics::MetricsLevel;
-use bcc_trace::TraceLevel;
+use bcc_experiments::job::DEFAULT_SEED;
+use bcc_experiments::{json, RunRequest, ALL_EXPERIMENTS};
+use bcc_metrics::{MetricsHub, MetricsLevel};
+use bcc_trace::{Collector, TraceLevel};
 use std::io::Write as _;
 use std::process::ExitCode;
 
@@ -63,7 +64,8 @@ const USAGE: &str = "usage: bcc-experiments [--quick] [--jobs N] [--seed S] \
 id ∈ {f1, f2, e1..e12, all}";
 
 struct Cli {
-    opts: SuiteOptions,
+    request: RunRequest,
+    threads: usize,
     json_path: Option<String>,
     trace_path: Option<String>,
     metrics_path: Option<String>,
@@ -71,11 +73,11 @@ struct Cli {
     prof_wall_path: Option<String>,
     transport_wall_path: Option<String>,
     postmortem_path: Option<String>,
-    ids: Vec<String>,
 }
 
 fn parse_args(args: Vec<String>) -> Result<Cli, String> {
-    let mut opts = SuiteOptions::default();
+    let mut request = RunRequest::new(Vec::<String>::new(), false, DEFAULT_SEED);
+    let mut threads = 1;
     let mut json_path = None;
     let mut trace_path: Option<String> = None;
     let mut trace_level: Option<TraceLevel> = None;
@@ -85,21 +87,20 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
     let mut prof_wall_path: Option<String> = None;
     let mut transport_wall_path: Option<String> = None;
     let mut postmortem_path: Option<String> = None;
-    let mut ids = Vec::new();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--quick" => opts.quick = true,
+            "--quick" => request.quick = true,
             "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a value")?;
-                opts.threads = v
+                threads = v
                     .parse::<usize>()
                     .map_err(|_| format!("--jobs: not a thread count: {v:?}"))?
                     .max(1);
             }
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;
-                opts.seed = v
+                request.seed = v
                     .parse::<u64>()
                     .map_err(|_| format!("--seed: not a u64: {v:?}"))?;
             }
@@ -108,7 +109,7 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
                 let secs = v
                     .parse::<u64>()
                     .map_err(|_| format!("--timeout-secs: not a number of seconds: {v:?}"))?;
-                opts.timeout = Some(std::time::Duration::from_secs(secs));
+                request = request.timeout(std::time::Duration::from_secs(secs));
             }
             "--json" => {
                 json_path = Some(it.next().ok_or("--json needs a path")?);
@@ -118,11 +119,11 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
             }
             "--cache" => {
                 let v = it.next().ok_or("--cache needs a path")?;
-                opts.cache_dir = Some(std::path::PathBuf::from(v));
+                request = request.cache(v);
             }
             "--transport" => {
                 let v = it.next().ok_or("--transport needs a value")?;
-                opts.transport = Some(
+                request = request.transport(
                     bcc_model::TransportSpec::parse(&v).map_err(|e| format!("--transport: {e}"))?,
                 );
             }
@@ -164,16 +165,16 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
             other if other.starts_with("--") => {
                 return Err(format!("unknown flag {other:?}"));
             }
-            id => ids.push(id.to_string()),
+            id => request.ids.push(id.to_string()),
         }
     }
-    if ids.is_empty() || ids.iter().any(|i| i == "all") {
-        ids = ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
+    if request.ids.is_empty() || request.ids.iter().any(|i| i == "all") {
+        request.ids = ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
     }
     // --trace without an explicit level records everything; --profile
     // alone needs only the cost stream; an explicit --trace-level
     // (even off) always wins.
-    opts.trace_level = match (trace_level, &trace_path, &profile_path) {
+    let trace_level = match (trace_level, &trace_path, &profile_path) {
         (Some(level), _, _) => level,
         (None, Some(_), _) => TraceLevel::Events,
         (None, None, Some(_)) => TraceLevel::Costs,
@@ -182,16 +183,19 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
     // Same rule for metrics: --metrics (or --profile, which joins the
     // dump for authoritative totals) records core counters; an
     // explicit --metrics-level (even off) always wins.
-    opts.metrics_level = match (metrics_level, &metrics_path, &profile_path) {
+    let metrics_level = match (metrics_level, &metrics_path, &profile_path) {
         (Some(level), _, _) => level,
         (None, Some(_), _) | (None, None, Some(_)) => MetricsLevel::Core,
         (None, None, None) => MetricsLevel::Off,
     };
-    if profile_path.is_some() && opts.trace_level == TraceLevel::Off {
+    if profile_path.is_some() && trace_level == TraceLevel::Off {
         return Err("--profile needs a trace; drop --trace-level off or raise it".to_string());
     }
     Ok(Cli {
-        opts,
+        request: request
+            .jobs(threads)
+            .observed(Collector::new(trace_level), MetricsHub::new(metrics_level)),
+        threads,
         json_path,
         trace_path,
         metrics_path,
@@ -199,7 +203,6 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
         prof_wall_path,
         transport_wall_path,
         postmortem_path,
-        ids,
     })
 }
 
@@ -214,13 +217,11 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let ids: Vec<&str> = cli.ids.iter().map(String::as_str).collect();
-
     // Wall-clock here times the whole suite for the stderr summary —
     // it never reaches report bytes.
     // bcc-lint: allow(D2, N1): suite timing feeds stderr only
     let started = std::time::Instant::now();
-    let suite = match bcc_experiments::run_suite(&ids, &cli.opts) {
+    let suite = match cli.request.run() {
         Ok(suite) => suite,
         Err(err) => {
             eprintln!("error: {err}\n{USAGE}");
@@ -359,7 +360,7 @@ fn main() -> ExitCode {
         "suite: {} experiments, {} jobs, {} threads, {:.1?}",
         suite.reports.len(),
         suite.job_results.len(),
-        cli.opts.threads,
+        cli.threads,
         elapsed
     );
     eprint!("{}", suite.metrics.summary_table());

@@ -12,7 +12,8 @@ use bcc_comm::reduction::Gadget;
 use bcc_comm::simulate::simulate_two_party;
 use bcc_core::hard::{distributional_error, randomized_error, star_distribution};
 use bcc_core::indist::IndistGraph;
-use bcc_experiments::{run_suite, SuiteOptions};
+use bcc_experiments::job::DEFAULT_SEED;
+use bcc_experiments::RunRequest;
 use bcc_model::testing::ConstantDecision;
 use bcc_partitions::random::uniform_matching_partition;
 use rand::SeedableRng;
@@ -86,7 +87,13 @@ fn e2_structure_row_matches_direct_graph() {
 fn e5_sim_row_matches_scalar_simulation_loop() {
     let (n, samples, seed) = (6usize, 4usize, 1234u64);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let row = bcc_experiments::exp_e5_simulation::sim_row(n, samples, &mut rng);
+    let row = bcc_experiments::exp_e5_simulation::sim_row(
+        n,
+        samples,
+        &mut rng,
+        bcc_trace::TraceScope::disabled(),
+        bcc_metrics::MetricScope::disabled(),
+    );
 
     let algo = NeighborIdBroadcast::new(Problem::MultiCycle);
     let mut rng_ref = rand::rngs::StdRng::seed_from_u64(seed);
@@ -112,25 +119,9 @@ fn e5_sim_row_matches_scalar_simulation_loop() {
 /// engine port).
 #[test]
 fn ported_experiments_deterministic_across_thread_counts() {
-    let ids = ["e1", "e2", "e3", "e5"];
-    let serial = run_suite(
-        &ids,
-        &SuiteOptions {
-            quick: true,
-            threads: 1,
-            ..Default::default()
-        },
-    )
-    .expect("known ids");
-    let parallel = run_suite(
-        &ids,
-        &SuiteOptions {
-            quick: true,
-            threads: 8,
-            ..Default::default()
-        },
-    )
-    .expect("known ids");
+    let request = RunRequest::new(["e1", "e2", "e3", "e5"], true, DEFAULT_SEED);
+    let serial = request.clone().jobs(1).run().expect("known ids");
+    let parallel = request.jobs(8).run().expect("known ids");
     for (s, p) in serial.reports.iter().zip(&parallel.reports) {
         assert_eq!(
             s.text, p.text,
@@ -152,16 +143,12 @@ fn ported_experiments_deterministic_across_thread_counts() {
 #[test]
 fn cache_cold_and_warm_reports_are_byte_identical() {
     let dir = std::env::temp_dir().join("bcc-engine-equivalence-cache");
-    let opts = SuiteOptions {
-        quick: true,
-        threads: 2,
-        cache_dir: Some(dir),
-        ..Default::default()
-    };
-    let ids = ["e2", "e3"];
-    let cold = run_suite(&ids, &opts).expect("known ids");
-    let warm = run_suite(&ids, &opts).expect("known ids");
-    let warm_again = run_suite(&ids, &opts).expect("known ids");
+    let request = RunRequest::new(["e2", "e3"], true, DEFAULT_SEED)
+        .jobs(2)
+        .cache(dir);
+    let cold = request.run().expect("known ids");
+    let warm = request.run().expect("known ids");
+    let warm_again = request.run().expect("known ids");
     for ((c, w), wa) in cold
         .reports
         .iter()

@@ -12,24 +12,26 @@
 //! 4. every dump round-trips through the JSONL codec, and the level
 //!    ladder behaves (`off` ⊂ `core` ⊂ `full`).
 
-use bcc_experiments::{run_suite, SuiteOptions};
-use bcc_metrics::{MetricsDump, MetricsLevel};
+use bcc_experiments::job::DEFAULT_SEED;
+use bcc_experiments::{RunRequest, SuiteRun};
+use bcc_metrics::{MetricsDump, MetricsHub, MetricsLevel};
+use bcc_trace::Collector;
 
-fn opts(threads: usize, level: MetricsLevel) -> SuiteOptions {
-    SuiteOptions {
-        quick: true,
-        threads,
-        metrics_level: level,
-        ..Default::default()
-    }
+/// A quick run of `ids` on `threads` workers, metered at `level`.
+fn run(ids: &[&str], threads: usize, level: MetricsLevel) -> SuiteRun {
+    RunRequest::new(ids.iter().copied(), true, DEFAULT_SEED)
+        .jobs(threads)
+        .observed(Collector::disabled(), MetricsHub::new(level))
+        .run()
+        .expect("known ids")
 }
 
 const IDS: [&str; 5] = ["f1", "e1", "e2", "e4", "e5"];
 
 #[test]
 fn metering_never_changes_report_bytes() {
-    let off = run_suite(&IDS, &opts(2, MetricsLevel::Off)).expect("known ids");
-    let on = run_suite(&IDS, &opts(2, MetricsLevel::Core)).expect("known ids");
+    let off = run(&IDS, 2, MetricsLevel::Off);
+    let on = run(&IDS, 2, MetricsLevel::Core);
     assert!(off.workload.is_empty());
     assert!(!on.workload.is_empty());
     assert_eq!(off.reports.len(), on.reports.len());
@@ -45,8 +47,8 @@ fn metering_never_changes_report_bytes() {
 
 #[test]
 fn merged_dump_is_identical_across_thread_counts() {
-    let serial = run_suite(&IDS, &opts(1, MetricsLevel::Full)).expect("known ids");
-    let parallel = run_suite(&IDS, &opts(8, MetricsLevel::Full)).expect("known ids");
+    let serial = run(&IDS, 1, MetricsLevel::Full);
+    let parallel = run(&IDS, 8, MetricsLevel::Full);
     assert_eq!(
         serial.workload.to_jsonl_string(),
         parallel.workload.to_jsonl_string(),
@@ -56,14 +58,14 @@ fn merged_dump_is_identical_across_thread_counts() {
 
 #[test]
 fn same_seed_reruns_reproduce_the_dump() {
-    let a = run_suite(&IDS, &opts(4, MetricsLevel::Core)).expect("known ids");
-    let b = run_suite(&IDS, &opts(4, MetricsLevel::Core)).expect("known ids");
+    let a = run(&IDS, 4, MetricsLevel::Core);
+    let b = run(&IDS, 4, MetricsLevel::Core);
     assert_eq!(a.workload.to_jsonl_string(), b.workload.to_jsonl_string());
 }
 
 #[test]
 fn dump_round_trips_through_jsonl() {
-    let run = run_suite(&IDS, &opts(2, MetricsLevel::Full)).expect("known ids");
+    let run = run(&IDS, 2, MetricsLevel::Full);
     let text = run.workload.to_jsonl_string();
     let parsed = MetricsDump::parse_jsonl(&text).expect("own dump parses");
     assert_eq!(parsed.to_jsonl_string(), text, "codec round trip");
@@ -73,9 +75,9 @@ fn dump_round_trips_through_jsonl() {
 
 #[test]
 fn level_ladder_off_core_full() {
-    let off = run_suite(&IDS, &opts(2, MetricsLevel::Off)).expect("known ids");
-    let core = run_suite(&IDS, &opts(2, MetricsLevel::Core)).expect("known ids");
-    let full = run_suite(&IDS, &opts(2, MetricsLevel::Full)).expect("known ids");
+    let off = run(&IDS, 2, MetricsLevel::Off);
+    let core = run(&IDS, 2, MetricsLevel::Core);
+    let full = run(&IDS, 2, MetricsLevel::Full);
 
     assert!(off.workload.is_empty());
     assert_eq!(off.workload.level(), MetricsLevel::Off);

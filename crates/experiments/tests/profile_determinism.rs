@@ -5,22 +5,26 @@
 //! logical costs. Any wall-clock influence would show up here as a
 //! byte diff.
 
-use bcc_experiments::{run_suite, SuiteOptions, SuiteRun};
-use bcc_metrics::MetricsLevel;
+use bcc_experiments::job::DEFAULT_SEED;
+use bcc_experiments::{RunRequest, SuiteRun};
+use bcc_metrics::{MetricsHub, MetricsLevel};
 use bcc_prof::{profile_to_jsonl, Profile};
-use bcc_trace::TraceLevel;
-
-fn opts(threads: usize) -> SuiteOptions {
-    SuiteOptions {
-        quick: true,
-        threads,
-        trace_level: TraceLevel::Costs,
-        metrics_level: MetricsLevel::Core,
-        ..Default::default()
-    }
-}
+use bcc_trace::{Collector, TraceLevel};
 
 const IDS: [&str; 5] = ["f1", "e1", "e2", "e5", "e7"];
+
+/// A quick run of [`IDS`] on `threads` workers, observed at the levels
+/// `--profile` implies.
+fn run(threads: usize) -> SuiteRun {
+    RunRequest::new(IDS, true, DEFAULT_SEED)
+        .jobs(threads)
+        .observed(
+            Collector::new(TraceLevel::Costs),
+            MetricsHub::new(MetricsLevel::Core),
+        )
+        .run()
+        .expect("known ids")
+}
 
 fn profile_bytes(suite: &SuiteRun) -> String {
     let profile = Profile::build(suite.trace.events(), Some(&suite.workload));
@@ -29,8 +33,8 @@ fn profile_bytes(suite: &SuiteRun) -> String {
 
 #[test]
 fn profile_bytes_identical_across_thread_counts() {
-    let serial = run_suite(&IDS, &opts(1)).expect("known ids");
-    let parallel = run_suite(&IDS, &opts(8)).expect("known ids");
+    let serial = run(1);
+    let parallel = run(8);
     assert_eq!(
         profile_bytes(&serial),
         profile_bytes(&parallel),
@@ -44,8 +48,8 @@ fn profile_bytes_identical_cold_vs_warm_cache() {
     // populates it, the second hits it warm. Only `cache.lookups` is
     // a cost counter — hits trade recomputation for lookups without
     // touching any counted quantity — so the profiles must agree.
-    let cold = run_suite(&IDS, &opts(4)).expect("known ids");
-    let warm = run_suite(&IDS, &opts(4)).expect("known ids");
+    let cold = run(4);
+    let warm = run(4);
     assert_eq!(
         profile_bytes(&cold),
         profile_bytes(&warm),
@@ -59,7 +63,7 @@ fn profile_attributes_cost_counters_to_named_span_paths() {
     // run, at least 95% of `sim.bits_broadcast` and
     // `engine.round_bits` must land on named span paths, with the
     // remainder explicit in the unattributed column.
-    let suite = run_suite(&IDS, &opts(2)).expect("known ids");
+    let suite = run(2);
     let profile = Profile::build(suite.trace.events(), Some(&suite.workload));
     for counter in ["sim.bits_broadcast", "engine.round_bits"] {
         let total = profile

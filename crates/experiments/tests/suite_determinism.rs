@@ -1,21 +1,14 @@
 //! The determinism contract of the suite: reports are a pure function
 //! of the suite seed, independent of the worker-thread count.
 
-use bcc_experiments::{run_suite, SuiteOptions, ALL_EXPERIMENTS};
+use bcc_experiments::job::DEFAULT_SEED;
+use bcc_experiments::{RunRequest, ALL_EXPERIMENTS};
 
 #[test]
 fn quick_suite_reports_identical_across_thread_counts() {
-    let serial_opts = SuiteOptions {
-        quick: true,
-        threads: 1,
-        ..Default::default()
-    };
-    let parallel_opts = SuiteOptions {
-        threads: 8,
-        ..serial_opts.clone()
-    };
-    let serial = run_suite(&ALL_EXPERIMENTS, &serial_opts).expect("known ids");
-    let parallel = run_suite(&ALL_EXPERIMENTS, &parallel_opts).expect("known ids");
+    let request = RunRequest::new(ALL_EXPERIMENTS, true, DEFAULT_SEED);
+    let serial = request.clone().jobs(1).run().expect("known ids");
+    let parallel = request.jobs(8).run().expect("known ids");
     assert_eq!(serial.reports.len(), parallel.reports.len());
     for (s, p) in serial.reports.iter().zip(&parallel.reports) {
         assert_eq!(
@@ -40,22 +33,13 @@ fn quick_suite_reports_identical_across_thread_counts() {
 
 #[test]
 fn changing_the_seed_changes_randomized_series_only_deterministically() {
-    let opts_a = SuiteOptions {
-        quick: true,
-        threads: 4,
-        seed: 7,
-        ..Default::default()
-    };
-    let opts_b = SuiteOptions {
-        seed: 8,
-        ..opts_a.clone()
-    };
+    let run = |seed| RunRequest::new(["f2"], true, seed).jobs(4).run();
     // Same seed twice: identical. (f2 is pure combinatorics but still
     // goes through the full pool path.)
-    let a1 = run_suite(&["f2"], &opts_a).expect("known id");
-    let a2 = run_suite(&["f2"], &opts_a).expect("known id");
+    let a1 = run(7).expect("known id");
+    let a2 = run(7).expect("known id");
     assert_eq!(a1.reports, a2.reports);
     // Different seed: still a valid, passing report.
-    let b = run_suite(&["f2"], &opts_b).expect("known id");
+    let b = run(8).expect("known id");
     assert!(b.reports[0].passed);
 }

@@ -7,25 +7,27 @@
 //! 3. every emitted trace line round-trips through the JSONL codec
 //!    (the same property the CI trace validator checks on real runs).
 
-use bcc_experiments::{run_suite, SuiteOptions};
+use bcc_experiments::job::DEFAULT_SEED;
+use bcc_experiments::{RunRequest, SuiteRun};
+use bcc_metrics::MetricsHub;
 use bcc_trace::json::parse_event;
-use bcc_trace::TraceLevel;
+use bcc_trace::{Collector, TraceLevel};
 
-fn opts(threads: usize, level: TraceLevel) -> SuiteOptions {
-    SuiteOptions {
-        quick: true,
-        threads,
-        trace_level: level,
-        ..Default::default()
-    }
+/// A quick run of `ids` on `threads` workers, traced at `level`.
+fn run(ids: &[&str], threads: usize, level: TraceLevel) -> SuiteRun {
+    RunRequest::new(ids.iter().copied(), true, DEFAULT_SEED)
+        .jobs(threads)
+        .observed(Collector::new(level), MetricsHub::disabled())
+        .run()
+        .expect("known ids")
 }
 
 const IDS: [&str; 4] = ["f1", "e1", "e2", "e5"];
 
 #[test]
 fn tracing_never_changes_report_bytes() {
-    let off = run_suite(&IDS, &opts(2, TraceLevel::Off)).expect("known ids");
-    let on = run_suite(&IDS, &opts(2, TraceLevel::Events)).expect("known ids");
+    let off = run(&IDS, 2, TraceLevel::Off);
+    let on = run(&IDS, 2, TraceLevel::Events);
     assert!(off.trace.is_empty());
     assert!(!on.trace.is_empty());
     assert_eq!(off.reports.len(), on.reports.len());
@@ -41,8 +43,8 @@ fn tracing_never_changes_report_bytes() {
 
 #[test]
 fn merged_trace_is_identical_across_thread_counts() {
-    let serial = run_suite(&IDS, &opts(1, TraceLevel::Events)).expect("known ids");
-    let parallel = run_suite(&IDS, &opts(8, TraceLevel::Events)).expect("known ids");
+    let serial = run(&IDS, 1, TraceLevel::Events);
+    let parallel = run(&IDS, 8, TraceLevel::Events);
     assert_eq!(
         serial.trace.events(),
         parallel.trace.events(),
@@ -59,14 +61,14 @@ fn merged_trace_is_identical_across_thread_counts() {
 
 #[test]
 fn same_seed_reruns_produce_identical_traces() {
-    let a = run_suite(&IDS, &opts(4, TraceLevel::Events)).expect("known ids");
-    let b = run_suite(&IDS, &opts(4, TraceLevel::Events)).expect("known ids");
+    let a = run(&IDS, 4, TraceLevel::Events);
+    let b = run(&IDS, 4, TraceLevel::Events);
     assert_eq!(a.trace.events(), b.trace.events());
 }
 
 #[test]
 fn every_trace_line_round_trips_through_the_codec() {
-    let suite = run_suite(&IDS, &opts(4, TraceLevel::Events)).expect("known ids");
+    let suite = run(&IDS, 4, TraceLevel::Events);
     let mut buf = Vec::new();
     suite.trace.write_jsonl(&mut buf).expect("in-memory write");
     let text = String::from_utf8(buf).expect("traces are UTF-8");
@@ -87,8 +89,8 @@ fn every_trace_line_round_trips_through_the_codec() {
 
 #[test]
 fn spans_level_drops_domain_events_but_keeps_job_lifecycles() {
-    let spans = run_suite(&["f1"], &opts(2, TraceLevel::Spans)).expect("known id");
-    let events = run_suite(&["f1"], &opts(2, TraceLevel::Events)).expect("known id");
+    let spans = run(&["f1"], 2, TraceLevel::Spans);
+    let events = run(&["f1"], 2, TraceLevel::Events);
     assert!(spans.trace.events().len() < events.trace.events().len());
     assert!(
         spans.trace.events().iter().all(|e| e.name == "job"),

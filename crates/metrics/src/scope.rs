@@ -33,8 +33,8 @@ impl MetricScope {
         }
     }
 
-    /// A scope that records nothing (detached contexts, unmeasured
-    /// runs). This is the `Default`.
+    /// A scope that records nothing (unmeasured runs). This is the
+    /// `Default`.
     pub fn disabled() -> Self {
         MetricScope::new(MetricsBuf::disabled())
     }

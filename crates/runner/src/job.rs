@@ -118,19 +118,6 @@ pub struct JobCtx {
 }
 
 impl JobCtx {
-    /// A detached context for running jobs without a pool (serial
-    /// mode, tests).
-    pub fn detached(seed: u64) -> Self {
-        JobCtx {
-            seed,
-            attempt: 1,
-            token: CancellationToken::new(),
-            deadline: None,
-            trace: TraceScope::disabled(),
-            metrics: MetricScope::disabled(),
-        }
-    }
-
     /// The job's trace scope. Disabled (every call a cheap no-op)
     /// unless the run went through a traced pool entry point.
     pub fn trace(&self) -> &TraceScope {
@@ -301,26 +288,26 @@ mod tests {
         assert!(t.is_cancelled());
     }
 
-    #[test]
-    fn detached_ctx_never_cancelled() {
-        let ctx = JobCtx::detached(5);
-        assert_eq!(ctx.seed, 5);
-        assert!(!ctx.is_cancelled());
-        assert!(ctx.remaining().is_none());
+    /// `(lanes(4), lanes(64))` as seen by a job with `seed`.
+    fn lane_seeds_of(seed: u64) -> (Vec<u64>, Vec<u64>) {
+        let job = Job::new(JobSpec::new("lanes", seed), |ctx| {
+            assert!(!ctx.is_cancelled());
+            assert!(ctx.remaining().is_none());
+            Ok((ctx.lane_seeds(4), ctx.lane_seeds(64)))
+        });
+        job.run_inline().status.into_output().expect("completed")
     }
 
     #[test]
     fn lane_seeds_are_distinct_and_prefix_stable() {
-        let ctx = JobCtx::detached(2024);
-        let four = ctx.lane_seeds(4);
-        let sixty_four = ctx.lane_seeds(64);
+        let (four, sixty_four) = lane_seeds_of(2024);
         assert_eq!(four, sixty_four[..4]);
         let mut uniq = four.clone();
         uniq.sort_unstable();
         uniq.dedup();
         assert_eq!(uniq.len(), 4);
         // Different job seeds give different lanes.
-        assert_ne!(four, JobCtx::detached(2025).lane_seeds(4));
+        assert_ne!(four, lane_seeds_of(2025).0);
     }
 
     #[test]

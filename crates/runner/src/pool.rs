@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 type Shard<T> = Mutex<VecDeque<(usize, Job<T>)>>;
 
 /// Shared drain state of a pool and all its [`Pool::share`] handles:
-/// a latch that, once set, makes every later `execute*` call refuse
+/// a latch that, once set, makes every later `execute` call refuse
 /// its batch (all jobs come back [`JobStatus::Cancelled`]), plus an
 /// in-flight batch count so a drainer can wait for running work to
 /// finish. This is the hook long-lived owners (the `bcc-serve`
@@ -120,7 +120,7 @@ impl Pool {
 
     /// Flips the pool (and every [`share`](Self::share) handle) into
     /// drain mode: batches already executing run to completion, but
-    /// every later `execute*` call refuses its jobs, reporting each as
+    /// every later `execute` call refuses its jobs, reporting each as
     /// [`JobStatus::Cancelled`]. Idempotent.
     pub fn begin_drain(&self) {
         self.gate
@@ -136,7 +136,7 @@ impl Pool {
             .load(std::sync::atomic::Ordering::Acquire)
     }
 
-    /// Number of `execute*` batches currently running across all
+    /// Number of `execute` batches currently running across all
     /// handles.
     pub fn in_flight(&self) -> usize {
         *self
@@ -188,56 +188,29 @@ impl Pool {
     /// Executes all jobs and returns their results **in submission
     /// order**, regardless of which worker ran what when — callers
     /// can rely on positional correspondence with the input vector.
-    pub fn execute<T: Send>(&self, jobs: Vec<Job<T>>) -> Vec<JobResult<T>> {
-        self.execute_cancellable(jobs, &CancellationToken::new())
-    }
-
-    /// Like [`execute`](Self::execute), but jobs not yet started when
-    /// `token` is cancelled are reported as [`JobStatus::Cancelled`],
-    /// and running cooperative jobs observe the cancellation through
-    /// their [`JobCtx`].
-    pub fn execute_cancellable<T: Send>(
-        &self,
-        jobs: Vec<Job<T>>,
-        token: &CancellationToken,
-    ) -> Vec<JobResult<T>> {
-        self.execute_traced(jobs, token, &Collector::disabled())
-    }
-
-    /// Like [`execute_cancellable`](Self::execute_cancellable), with
-    /// per-job tracing: every job gets a buffer (unit = job id) whose
-    /// lifecycle span wraps whatever the work closure records through
-    /// [`JobCtx::trace`], and finished buffers are absorbed into
-    /// `collector`.
     ///
-    /// Span fields are logical only — id, seed, terminal status tag,
-    /// attempt count — never latency or any other clock reading, so
-    /// the merged trace is byte-identical across `--jobs 1` and
-    /// `--jobs 8` runs of the same suite (the collector sorts by
-    /// `(unit, seq)`, both pure functions of the schedule-independent
-    /// recording order inside each job).
-    pub fn execute_traced<T: Send>(
-        &self,
-        jobs: Vec<Job<T>>,
-        token: &CancellationToken,
-        collector: &Collector,
-    ) -> Vec<JobResult<T>> {
-        self.execute_observed(jobs, token, collector, &MetricsHub::disabled())
-    }
-
-    /// Like [`execute_traced`](Self::execute_traced), with per-job
-    /// workload metrics: every job gets a metrics buffer (unit = job
-    /// id) that collects whatever the work closure records through
-    /// [`JobCtx::metrics`] plus the runner's own logical outcome
-    /// counters (`runner.jobs`, `runner.completed`, `runner.retries`,
-    /// …), and finished buffers are absorbed into `hub`.
+    /// Jobs not yet started when `token` is cancelled are reported as
+    /// [`JobStatus::Cancelled`], and running cooperative jobs observe
+    /// the cancellation through their [`JobCtx`].
     ///
-    /// Everything recorded into the hub is logical — outcome counts
-    /// and attempt counts, never latencies and never the (schedule-
-    /// dependent) steal count, so the merged dump is byte-identical
-    /// across `--jobs 1` and `--jobs 8`. Wall-clock profiling stays
-    /// on the pool's own [`Metrics`].
-    pub fn execute_observed<T: Send>(
+    /// Every job gets a trace buffer and a metrics buffer (unit = job
+    /// id). The trace buffer's lifecycle `job` span wraps whatever the
+    /// work closure records through [`JobCtx::trace`]; the metrics
+    /// buffer collects what it records through [`JobCtx::metrics`]
+    /// plus the runner's own logical outcome counters (`runner.jobs`,
+    /// `runner.completed`, `runner.retries`, …). Finished buffers are
+    /// absorbed into `collector` and `hub`; pass
+    /// [`Collector::disabled`] and [`MetricsHub::disabled`] to observe
+    /// nothing, at no per-job cost.
+    ///
+    /// Everything recorded is logical — id, seed, terminal status tag,
+    /// outcome and attempt counts — never latency, any other clock
+    /// reading, or the (schedule-dependent) steal count. The collector
+    /// and hub merge by `(unit, seq)` and commutatively, so traces and
+    /// dumps are byte-identical across `--jobs 1` and `--jobs 8` runs
+    /// of the same suite. Wall-clock profiling stays on the pool's own
+    /// [`Metrics`].
+    pub fn execute<T: Send>(
         &self,
         jobs: Vec<Job<T>>,
         token: &CancellationToken,

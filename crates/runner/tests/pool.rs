@@ -1,10 +1,22 @@
 //! End-to-end behavior of the work-stealing pool: ordering, retry,
 //! panic isolation, deadlines, cancellation, metrics accounting.
 
-use bcc_runner::{CancellationToken, Job, JobError, JobSpec, JobStatus, Pool};
+use bcc_metrics::MetricsHub;
+use bcc_runner::{CancellationToken, Job, JobError, JobResult, JobSpec, JobStatus, Pool};
+use bcc_trace::Collector;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Runs one batch on `pool` with a fresh token and no observers.
+fn execute<T: Send>(pool: &Pool, jobs: Vec<Job<T>>) -> Vec<JobResult<T>> {
+    pool.execute(
+        jobs,
+        &CancellationToken::new(),
+        &Collector::disabled(),
+        &MetricsHub::disabled(),
+    )
+}
 
 fn ok_job(id: &str, seed: u64) -> Job<u64> {
     Job::new(JobSpec::new(id, seed), |ctx| Ok(ctx.seed * 10))
@@ -14,7 +26,7 @@ fn ok_job(id: &str, seed: u64) -> Job<u64> {
 fn results_come_back_in_submission_order() {
     let pool = Pool::new(8);
     let jobs: Vec<Job<u64>> = (0..50).map(|i| ok_job(&format!("j{i}"), i)).collect();
-    let results = pool.execute(jobs);
+    let results = execute(&pool, jobs);
     assert_eq!(results.len(), 50);
     for (i, r) in results.iter().enumerate() {
         assert_eq!(r.id, format!("j{i}"));
@@ -35,13 +47,11 @@ fn parallel_and_serial_agree() {
             .map(|i| Job::new(JobSpec::new(format!("d{i}"), i), |ctx| Ok(ctx.seed.pow(2))))
             .collect()
     };
-    let serial: Vec<_> = Pool::new(1)
-        .execute(build())
+    let serial: Vec<_> = execute(&Pool::new(1), build())
         .into_iter()
         .map(|r| r.status.into_output())
         .collect();
-    let parallel: Vec<_> = Pool::new(8)
-        .execute(build())
+    let parallel: Vec<_> = execute(&Pool::new(8), build())
         .into_iter()
         .map(|r| r.status.into_output())
         .collect();
@@ -61,7 +71,7 @@ fn transient_failures_are_retried_within_budget() {
             Ok(ctx.attempt)
         }
     });
-    let results = pool.execute(vec![flaky]);
+    let results = execute(&pool, vec![flaky]);
     assert_eq!(results[0].status, JobStatus::Completed(3));
     assert_eq!(results[0].attempts, 3);
     assert_eq!(calls.load(Ordering::SeqCst), 3);
@@ -76,7 +86,7 @@ fn retry_budget_is_bounded() {
     let always = Job::new(JobSpec::new("always", 0).with_retries(2), |_ctx| {
         Err(JobError::Transient("still broken".into())) as Result<(), _>
     });
-    let results = pool.execute(vec![always]);
+    let results = execute(&pool, vec![always]);
     assert_eq!(results[0].attempts, 3, "initial attempt + 2 retries");
     assert!(matches!(
         results[0].status,
@@ -97,7 +107,7 @@ fn panics_are_isolated_to_their_job() {
             panic!("shard exploded");
         }),
     );
-    let results = pool.execute(jobs);
+    let results = execute(&pool, jobs);
     assert_eq!(results.len(), 11);
     match &results[5].status {
         JobStatus::Failed(JobError::Panicked(msg)) => assert!(msg.contains("shard exploded")),
@@ -120,7 +130,7 @@ fn fatal_errors_are_not_retried() {
     let job = Job::new(JobSpec::new("fatal", 0).with_retries(4), |_ctx| {
         Err(JobError::Fatal("bad input".into())) as Result<(), _>
     });
-    let results = pool.execute(vec![job]);
+    let results = execute(&pool, vec![job]);
     assert_eq!(results[0].attempts, 1);
     assert!(matches!(
         results[0].status,
@@ -143,7 +153,7 @@ fn overdue_jobs_are_reported_timed_out() {
         JobSpec::new("fast", 0).with_timeout(Duration::from_secs(60)),
         |_ctx| Ok(2u64),
     );
-    let results = pool.execute(vec![slow, fast]);
+    let results = execute(&pool, vec![slow, fast]);
     assert_eq!(results[0].status, JobStatus::TimedOut);
     assert_eq!(results[1].status, JobStatus::Completed(2));
     let m = pool.metrics().snapshot();
@@ -167,7 +177,7 @@ fn cooperative_jobs_can_observe_their_deadline() {
             Ok(0u64)
         },
     );
-    let results = pool.execute(vec![cooperative]);
+    let results = execute(&pool, vec![cooperative]);
     // Either way the job must terminate promptly as TimedOut, not run
     // the full 1000ms loop.
     assert!(results[0].latency < Duration::from_millis(500));
@@ -180,7 +190,12 @@ fn cancelled_token_skips_unstarted_jobs() {
     let token = CancellationToken::new();
     token.cancel();
     let jobs: Vec<Job<u64>> = (0..6).map(|i| ok_job(&format!("c{i}"), i)).collect();
-    let results = pool.execute_cancellable(jobs, &token);
+    let results = pool.execute(
+        jobs,
+        &token,
+        &Collector::disabled(),
+        &MetricsHub::disabled(),
+    );
     assert!(results.iter().all(|r| r.status == JobStatus::Cancelled));
     let m = pool.metrics().snapshot();
     assert_eq!(m.cancelled, 6);
@@ -190,7 +205,7 @@ fn cancelled_token_skips_unstarted_jobs() {
 #[test]
 fn empty_job_list_is_fine() {
     let pool = Pool::new(4);
-    let results: Vec<bcc_runner::JobResult<u64>> = pool.execute(Vec::new());
+    let results: Vec<JobResult<u64>> = execute(&pool, Vec::new());
     assert!(results.is_empty());
     assert_eq!(pool.metrics().snapshot().scheduled, 0);
 }
@@ -210,7 +225,7 @@ fn work_stealing_engages_on_imbalanced_loads() {
             })
         })
         .collect();
-    let results = pool.execute(jobs);
+    let results = execute(&pool, jobs);
     assert!(results
         .iter()
         .all(|r| matches!(r.status, JobStatus::Completed(_))));
@@ -236,8 +251,13 @@ fn run_inline_matches_pool_semantics() {
 }
 
 mod tracing {
-    use bcc_runner::{CancellationToken, Job, JobSpec, Pool};
+    use bcc_metrics::MetricsHub;
+    use bcc_runner::{CancellationToken, Job, JobResult, JobSpec, Pool};
     use bcc_trace::{Collector, EventKind, FieldValue, TraceLevel};
+
+    fn run_traced(pool: &Pool, jobs: Vec<Job<u64>>, c: &Collector) -> Vec<JobResult<u64>> {
+        pool.execute(jobs, &CancellationToken::new(), c, &MetricsHub::disabled())
+    }
 
     fn traced_jobs(n: u64) -> Vec<Job<u64>> {
         (0..n)
@@ -255,8 +275,7 @@ mod tracing {
     #[test]
     fn job_spans_wrap_work_events() {
         let collector = Collector::new(TraceLevel::Events);
-        let results =
-            Pool::new(1).execute_traced(traced_jobs(2), &CancellationToken::new(), &collector);
+        let results = run_traced(&Pool::new(1), traced_jobs(2), &collector);
         assert_eq!(results.len(), 2);
         let trace = collector.finish();
         let unit0: Vec<_> = trace.events().iter().filter(|e| e.unit == "t00").collect();
@@ -281,11 +300,7 @@ mod tracing {
     fn serial_and_parallel_traces_are_identical() {
         let run = |threads: usize| {
             let collector = Collector::new(TraceLevel::Events);
-            Pool::new(threads).execute_traced(
-                traced_jobs(24),
-                &CancellationToken::new(),
-                &collector,
-            );
+            run_traced(&Pool::new(threads), traced_jobs(24), &collector);
             collector.finish()
         };
         let (serial, parallel) = (run(1), run(8));
@@ -296,8 +311,7 @@ mod tracing {
     #[test]
     fn disabled_collector_adds_no_records_and_no_failures() {
         let collector = Collector::disabled();
-        let results =
-            Pool::new(4).execute_traced(traced_jobs(8), &CancellationToken::new(), &collector);
+        let results = run_traced(&Pool::new(4), traced_jobs(8), &collector);
         assert!(results.iter().all(|r| r.status.output().is_some()));
         assert!(collector.finish().is_empty());
     }
@@ -305,7 +319,7 @@ mod tracing {
     #[test]
     fn spans_level_keeps_lifecycles_only() {
         let collector = Collector::new(TraceLevel::Spans);
-        Pool::new(2).execute_traced(traced_jobs(3), &CancellationToken::new(), &collector);
+        run_traced(&Pool::new(2), traced_jobs(3), &collector);
         let trace = collector.finish();
         assert_eq!(trace.events().len(), 6); // 3 jobs x (start + end)
         assert!(trace
@@ -333,7 +347,7 @@ mod drain {
     fn draining_pool_refuses_new_batches_as_cancelled() {
         let pool = Pool::new(4);
         pool.begin_drain();
-        let results = pool.execute((0..5).map(|i| ok_job(&format!("j{i}"), i)).collect());
+        let results = execute(&pool, (0..5).map(|i| ok_job(&format!("j{i}"), i)).collect());
         assert_eq!(results.len(), 5);
         assert!(results.iter().all(|r| r.status == JobStatus::Cancelled));
         let m = pool.metrics().snapshot();
@@ -357,7 +371,7 @@ mod drain {
                         })
                     })
                     .collect();
-                pool.execute(jobs)
+                execute(&pool, jobs)
             })
         };
         // The batch takes ≥30ms; an unbounded wait from a drain
@@ -369,7 +383,7 @@ mod drain {
         let results = worker.join().expect("worker joins");
         assert!(results.iter().all(|r| r.status.output().is_some()));
         // After the drain, fresh batches are refused.
-        let refused = pool.execute(vec![ok_job("late", 1)]);
+        let refused = execute(&pool, vec![ok_job("late", 1)]);
         assert_eq!(refused[0].status, JobStatus::Cancelled);
     }
 }

@@ -18,7 +18,7 @@ use crate::admission::{Admission, CancelOutcome, Popped, Ticket};
 use crate::proto::{Reject, ResultMsg, ResultStatus, StatsMsg, SubmitReq};
 use bcc_experiments::{cache, RunRequest};
 use bcc_metrics::{MetricsHub, MetricsLevel};
-use bcc_runner::{CancellationToken, Pool};
+use bcc_runner::{CancellationToken, JobStatus, Pool};
 use bcc_trace::{field, Collector, TraceLevel};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -446,7 +446,9 @@ impl Server {
 
     /// Runs one admitted request to its terminal state. Sequential by
     /// construction: the next pop happens only after this returns, so
-    /// cache-lookup deltas and queue-depth samples are deterministic.
+    /// queue-depth samples are deterministic. Cache lookups are counted
+    /// per job by the run itself, so they stay exact whatever else
+    /// shares the process-wide store.
     fn run_one(&self, ticket: Ticket) {
         self.running
             .lock()
@@ -456,12 +458,14 @@ impl Server {
         // Observers are the daemon's own collector/hub; the transport
         // is deliberately left unset so requests run on whatever the
         // daemon installed at startup (`--transport`).
-        let mut request = RunRequest::new(&ticket.submit.experiment, ticket.submit.quick, seed)
-            .observed(self.collector.clone(), self.hub.clone());
+        let mut request = RunRequest::new(
+            [ticket.submit.experiment.as_str()],
+            ticket.submit.quick,
+            seed,
+        )
+        .observed(self.collector.clone(), self.hub.clone());
         request.timeout = ticket.submit.timeout_secs.map(Duration::from_secs);
 
-        let store = cache::store();
-        let lookups_before = store.lookups();
         let mut tbuf = self.collector.buf(format!("serve/req={:06}", ticket.req));
         tbuf.span_start(
             "serve.request",
@@ -475,29 +479,40 @@ impl Server {
             ],
         );
         let outcome = request.run_on_pool(&self.pool, &ticket.token);
-        let cache_lookups = store.lookups().saturating_sub(lookups_before);
 
         let msg = match outcome {
             Ok(run) => {
+                let scheduled = run.job_results.len();
+                let completed = run
+                    .job_results
+                    .iter()
+                    .filter(|r| r.status.output().is_some())
+                    .count();
+                let cancelled = run
+                    .job_results
+                    .iter()
+                    .filter(|r| matches!(r.status, JobStatus::Cancelled))
+                    .count();
+                let report = &run.reports[0];
                 tbuf.span_end(
                     "serve.request",
                     vec![
-                        field("scheduled", run.scheduled),
-                        field("completed", run.completed),
-                        field("cancelled", run.cancelled),
-                        field("passed", run.report.passed),
+                        field("scheduled", scheduled),
+                        field("completed", completed),
+                        field("cancelled", cancelled),
+                        field("passed", report.passed),
                     ],
                 );
                 ResultMsg {
                     req: ticket.req,
                     experiment: ticket.submit.experiment.clone(),
                     status: ResultStatus::Done,
-                    passed: Some(run.report.passed),
-                    scheduled: run.scheduled as u64,
-                    completed: run.completed as u64,
-                    cancelled: run.cancelled as u64,
-                    cache_lookups,
-                    report_json: Some(run.report.to_json()),
+                    passed: Some(report.passed),
+                    scheduled: scheduled as u64,
+                    completed: completed as u64,
+                    cancelled: cancelled as u64,
+                    cache_lookups: run.cache_lookups,
+                    report_json: Some(report.to_json()),
                 }
             }
             // Unreachable in practice: ids are validated at admission.
@@ -511,7 +526,7 @@ impl Server {
                     scheduled: 0,
                     completed: 0,
                     cancelled: 0,
-                    cache_lookups,
+                    cache_lookups: 0,
                     report_json: None,
                 }
             }
@@ -519,7 +534,7 @@ impl Server {
         self.collector.absorb(tbuf);
         let mut mbuf = self.hub.buf("serve/sched");
         mbuf.counter("serve.completed", 1);
-        mbuf.counter("cache.lookups", cache_lookups);
+        mbuf.counter("cache.lookups", msg.cache_lookups);
         self.hub.absorb(mbuf);
         self.stats.completed.fetch_add(1, Ordering::Relaxed);
 

@@ -35,8 +35,8 @@ impl TraceScope {
         }
     }
 
-    /// A scope that records nothing (detached contexts, untraced
-    /// runs). This is the `Default`.
+    /// A scope that records nothing (untraced runs). This is the
+    /// `Default`.
     pub fn disabled() -> Self {
         TraceScope::new(TraceBuf::disabled())
     }
