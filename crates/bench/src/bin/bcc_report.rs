@@ -1,15 +1,7 @@
 //! `bcc-report`: merge a deterministic metrics dump, an optional
-//! trace, and committed `BENCH_*.json` recordings into one offline
-//! Markdown/JSON report, optionally failing on regressions.
-//!
-//! ```text
-//! bcc-report [--metrics PATH] [--baseline PATH] [--trace PATH]
-//!            [--profile PATH] [--postmortem PATH] [--bench PATH]...
-//!            [--format md|json] [--out PATH] [--check]
-//!            [--tolerance PCT] [--max-overhead PCT]
-//! bcc-report --diff A.profile B.profile [--diff-tolerance PCT]
-//!            [--out PATH]
-//! ```
+//! trace, and the committed `BENCH.json` ratios (written by
+//! `bcc_bench`) into one offline Markdown/JSON report, optionally
+//! failing on regressions.
 //!
 //! Exit-code contract (stable for CI):
 //!
@@ -17,28 +9,26 @@
 //! * **1** — a regression: `--check` found a failing check, or
 //!   `--diff` found a delta outside the tolerance. Also used for
 //!   output-write failures (the run itself was valid).
-//! * **2** — a usage error: bad flags, or an unreadable/malformed
-//!   input file. CI can tell "the gate tripped" (1) apart from "the
-//!   gate was miswired" (2).
+//! * **2** — a usage error: bad flags (including a percentage that is
+//!   negative or not finite), or an unreadable/malformed input file,
+//!   such as a `--bench` file that is not a `BENCH.json`. CI can tell
+//!   "the gate tripped" (1) apart from "the gate was miswired" (2).
 //!
-//! Check semantics (see `bcc_bench::report`):
-//!
-//! * with both `--metrics` and `--baseline`, the two dumps' counters
-//!   must match **exactly** — workload dumps are deterministic, so any
-//!   drift is a real workload change;
-//! * every `"speedup"` field in a `--bench` file must be at least
-//!   `1.0 − tolerance/100`;
-//! * every `"overhead_pct"` field must be at most `--max-overhead`.
+//! The checks `--check` gates on (an exact counter match against a
+//! baseline dump, and the `BENCH.json` medians against their bounds)
+//! are documented in `bcc_bench::report`.
 
+use bcc_bench::ratios;
 use bcc_bench::report::{
-    load_bench, render_diff_markdown, render_json, render_markdown, run_checks, trace_stats,
-    CheckOptions, Inputs,
+    render_diff_markdown, render_json, render_markdown, run_checks, trace_stats, CheckOptions,
+    Inputs,
 };
 use bcc_metrics::MetricsDump;
+use std::fmt::Display;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: bcc-report [--metrics PATH] [--baseline PATH] [--trace PATH]
-                  [--profile PATH] [--postmortem PATH] [--bench PATH]...
+                  [--profile PATH] [--postmortem PATH] [--bench PATH]
                   [--format md|json] [--out PATH] [--check] [--tolerance PCT]
                   [--max-overhead PCT]
        bcc-report --diff A.profile B.profile [--diff-tolerance PCT] [--out PATH]
@@ -49,12 +39,12 @@ const USAGE: &str = "usage: bcc-report [--metrics PATH] [--baseline PATH] [--tra
   --profile PATH       bcc-prof profile JSONL; reported as the hot-path table
   --postmortem PATH    worker postmortem artifact (bcc_postmortem JSONL);
                        reported as the incident + flight-ring section
-  --bench PATH         committed BENCH_*.json recording (repeatable)
+  --bench PATH         committed BENCH.json ratios (written by bcc_bench)
   --format md|json     output format (default md)
   --out PATH           write the report here instead of stdout
   --check              exit 1 if any regression check fails
-  --tolerance PCT      how far below 1.0 a speedup may sit (default 5)
-  --max-overhead PCT   ceiling for overhead_pct fields (default 2)
+  --tolerance PCT      how far below 1.0 a speedup median may sit (default 5)
+  --max-overhead PCT   ceiling for an overhead median, in percent (default 2)
   --diff A B           compare two profile artifacts; exit 1 on any delta
                        outside --diff-tolerance
   --diff-tolerance PCT relative drift allowed per quantity (default 0)
@@ -62,36 +52,24 @@ const USAGE: &str = "usage: bcc-report [--metrics PATH] [--baseline PATH] [--tra
 exit codes: 0 success · 1 regression (--check/--diff) or write failure
             2 usage error or unreadable/malformed input";
 
+#[derive(Default)]
 struct Cli {
     metrics: Option<String>,
     baseline: Option<String>,
     trace: Option<String>,
     profile: Option<String>,
     postmortem: Option<String>,
-    benches: Vec<String>,
+    bench: Option<String>,
     diff: Option<(String, String)>,
     diff_tolerance_pct: f64,
-    format: String,
+    json: bool,
     out: Option<String>,
     check: bool,
     opts: CheckOptions,
 }
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
-    let mut cli = Cli {
-        metrics: None,
-        baseline: None,
-        trace: None,
-        profile: None,
-        postmortem: None,
-        benches: Vec::new(),
-        diff: None,
-        diff_tolerance_pct: 0.0,
-        format: "md".to_string(),
-        out: None,
-        check: false,
-        opts: CheckOptions::default(),
-    };
+    let mut cli = Cli::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| {
@@ -105,7 +83,8 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--trace" => cli.trace = Some(value("--trace")?),
             "--profile" => cli.profile = Some(value("--profile")?),
             "--postmortem" => cli.postmortem = Some(value("--postmortem")?),
-            "--bench" => cli.benches.push(value("--bench")?),
+            "--bench" if cli.bench.is_some() => return Err("--bench takes one file".to_string()),
+            "--bench" => cli.bench = Some(value("--bench")?),
             "--diff" => {
                 let a = value("--diff")?;
                 let b = it
@@ -114,104 +93,101 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     .ok_or_else(|| "--diff needs two profile paths".to_string())?;
                 cli.diff = Some((a, b));
             }
-            "--diff-tolerance" => {
-                cli.diff_tolerance_pct = value("--diff-tolerance")?
-                    .parse()
-                    .map_err(|_| "--diff-tolerance needs a number".to_string())?;
-            }
-            "--format" => {
-                let f = value("--format")?;
-                if f != "md" && f != "json" {
-                    return Err(format!("unknown format `{f}` (md|json)"));
-                }
-                cli.format = f;
-            }
+            "--diff-tolerance" => cli.diff_tolerance_pct = percent(arg, value(arg)?)?,
+            "--format" => match value("--format")?.as_str() {
+                "md" => cli.json = false,
+                "json" => cli.json = true,
+                f => return Err(format!("unknown format `{f}` (md|json)")),
+            },
             "--out" => cli.out = Some(value("--out")?),
             "--check" => cli.check = true,
-            "--tolerance" => {
-                cli.opts.tolerance_pct = value("--tolerance")?
-                    .parse()
-                    .map_err(|_| "--tolerance needs a number".to_string())?;
-            }
-            "--max-overhead" => {
-                cli.opts.max_overhead_pct = value("--max-overhead")?
-                    .parse()
-                    .map_err(|_| "--max-overhead needs a number".to_string())?;
-            }
+            "--tolerance" => cli.opts.tolerance_pct = percent(arg, value(arg)?)?,
+            "--max-overhead" => cli.opts.max_overhead_pct = percent(arg, value(arg)?)?,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    if cli.diff.is_some() {
-        if cli.metrics.is_some()
-            || cli.baseline.is_some()
-            || cli.trace.is_some()
-            || cli.profile.is_some()
-            || cli.postmortem.is_some()
-            || !cli.benches.is_empty()
-            || cli.check
-        {
-            return Err(
-                "--diff is its own mode; combine it only with --diff-tolerance and --out"
-                    .to_string(),
-            );
-        }
-    } else if cli.metrics.is_none()
-        && cli.trace.is_none()
-        && cli.profile.is_none()
-        && cli.postmortem.is_none()
-        && cli.benches.is_empty()
-    {
+    let reported = [
+        &cli.metrics,
+        &cli.trace,
+        &cli.profile,
+        &cli.postmortem,
+        &cli.bench,
+    ];
+    let reports = reported.iter().any(|path| path.is_some());
+    if cli.diff.is_some() && (reports || cli.baseline.is_some() || cli.check) {
         return Err(
-            "nothing to report: pass --metrics, --trace, --profile, --postmortem or --bench"
-                .to_string(),
+            "--diff is its own mode; combine it only with --diff-tolerance and --out".into(),
+        );
+    }
+    if cli.diff.is_none() && !reports {
+        return Err(
+            "nothing to report: pass --metrics, --trace, --profile, --postmortem or --bench".into(),
         );
     }
     Ok(cli)
 }
 
-fn read(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
+/// A threshold in percent. NaN would make every comparison false and
+/// switch the gate off, so only finite, non-negative values pass.
+fn percent(flag: &str, text: String) -> Result<f64, String> {
+    match text.parse::<f64>() {
+        Ok(pct) if pct.is_finite() && pct >= 0.0 => Ok(pct),
+        _ => Err(format!("{flag} needs a finite number ≥ 0, got `{text}`")),
+    }
+}
+
+/// Reads the file at `path` and decodes it; errors name the path.
+fn decode_file<T, E: Display>(
+    path: &str,
+    decode: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<T, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    decode(&text).map_err(|e| format!("{path}: {e}"))
+}
+
+/// [`decode_file`] for an optional input.
+fn load<T, E: Display>(
+    path: &Option<String>,
+    decode: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<Option<T>, String> {
+    path.as_deref().map(|p| decode_file(p, decode)).transpose()
 }
 
 fn load_inputs(cli: &Cli) -> Result<Inputs, String> {
-    let mut inputs = Inputs::default();
-    if let Some(path) = &cli.metrics {
-        inputs.metrics =
-            Some(MetricsDump::parse_jsonl(&read(path)?).map_err(|e| format!("{path}: {e}"))?);
+    Ok(Inputs {
+        metrics: load(&cli.metrics, MetricsDump::parse_jsonl)?,
+        baseline: load(&cli.baseline, MetricsDump::parse_jsonl)?,
+        trace: load(&cli.trace, trace_stats)?,
+        profile: load(&cli.profile, bcc_prof::parse_profile_jsonl)?,
+        postmortems: load(&cli.postmortem, bcc_model::postmortem::parse_jsonl)?,
+        bench: load(&cli.bench, ratios::parse)?,
+    })
+}
+
+/// Writes `rendered` to `--out` or stdout; false when the write failed.
+fn emit(cli: &Cli, rendered: &str) -> bool {
+    let Some(path) = &cli.out else {
+        print!("{rendered}");
+        return true;
+    };
+    if let Err(e) = std::fs::write(path, rendered) {
+        eprintln!("bcc-report: {path}: {e}");
+        return false;
     }
-    if let Some(path) = &cli.baseline {
-        inputs.baseline =
-            Some(MetricsDump::parse_jsonl(&read(path)?).map_err(|e| format!("{path}: {e}"))?);
-    }
-    if let Some(path) = &cli.trace {
-        inputs.trace = Some(trace_stats(&read(path)?).map_err(|e| format!("{path}: {e}"))?);
-    }
-    if let Some(path) = &cli.profile {
-        inputs.profile =
-            Some(bcc_prof::parse_profile_jsonl(&read(path)?).map_err(|e| format!("{path}: {e}"))?);
-    }
-    if let Some(path) = &cli.postmortem {
-        inputs.postmortems = Some(
-            bcc_model::postmortem::parse_jsonl(&read(path)?).map_err(|e| format!("{path}: {e}"))?,
-        );
-    }
-    for path in &cli.benches {
-        let name = path.rsplit('/').next().unwrap_or(path).to_string();
-        inputs.benches.push(load_bench(name, &read(path)?)?);
-    }
-    Ok(inputs)
+    eprintln!("bcc-report: wrote {path}");
+    true
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = match parse_args(&args) {
         Ok(cli) => cli,
+        Err(msg) if msg.is_empty() => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
-            if msg.is_empty() {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
             eprintln!("bcc-report: {msg}\n{USAGE}");
             return ExitCode::from(2);
         }
@@ -229,19 +205,13 @@ fn main() -> ExitCode {
         }
     };
     let failures = run_checks(&inputs, cli.opts);
-    let rendered = if cli.format == "json" {
-        render_json(&inputs, &failures)
+    let rendered = if cli.json {
+        render_json(&inputs, cli.opts, &failures)
     } else {
-        render_markdown(&inputs, &failures)
+        render_markdown(&inputs, cli.opts, &failures)
     };
-    if let Some(path) = &cli.out {
-        if let Err(e) = std::fs::write(path, &rendered) {
-            eprintln!("bcc-report: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("bcc-report: wrote {path}");
-    } else {
-        print!("{rendered}");
+    if !emit(&cli, &rendered) {
+        return ExitCode::FAILURE;
     }
     for f in &failures {
         eprintln!("bcc-report: FAIL {f}");
@@ -256,9 +226,7 @@ fn main() -> ExitCode {
 /// The `--diff` mode: load two profile artifacts, render the changed
 /// rows, exit 1 when any delta falls outside the tolerance.
 fn run_diff(cli: &Cli, a_path: &str, b_path: &str) -> ExitCode {
-    let load = |path: &str| -> Result<bcc_prof::Profile, String> {
-        bcc_prof::parse_profile_jsonl(&read(path)?).map_err(|e| format!("{path}: {e}"))
-    };
+    let load = |path| decode_file(path, bcc_prof::parse_profile_jsonl);
     let (a, b) = match (load(a_path), load(b_path)) {
         (Ok(a), Ok(b)) => (a, b),
         (Err(msg), _) | (_, Err(msg)) => {
@@ -273,15 +241,8 @@ fn run_diff(cli: &Cli, a_path: &str, b_path: &str) -> ExitCode {
             tolerance_pct: cli.diff_tolerance_pct,
         },
     );
-    let rendered = render_diff_markdown(a_path, b_path, &diff);
-    if let Some(path) = &cli.out {
-        if let Err(e) = std::fs::write(path, &rendered) {
-            eprintln!("bcc-report: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("bcc-report: wrote {path}");
-    } else {
-        print!("{rendered}");
+    if !emit(cli, &render_diff_markdown(a_path, b_path, &diff)) {
+        return ExitCode::FAILURE;
     }
     let breaches = diff.breaches();
     if breaches > 0 {

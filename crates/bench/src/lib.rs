@@ -1,4 +1,5 @@
-//! Shared helpers for the Criterion benchmark suite.
+//! Shared helpers for the Criterion benchmark suite, plus the logic of
+//! the `bcc_bench` ([`ratios`]) and `bcc-report` ([`report`]) binaries.
 //!
 //! Each bench target regenerates (and times) one experiment family
 //! from DESIGN.md §3; see EXPERIMENTS.md for the recorded series.
@@ -6,6 +7,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ratios;
 pub mod report;
 
 use bcc_graphs::generators;

@@ -1,7 +1,7 @@
 //! The logic behind the `bcc-report` binary: merge a deterministic
-//! workload-metrics dump, an optional trace, and committed
-//! `BENCH_*.json` recordings into one offline report, and check the
-//! inputs for regressions.
+//! workload-metrics dump, an optional trace, and the committed
+//! `BENCH.json` ratios into one offline report, and check the inputs
+//! for regressions.
 //!
 //! Everything here is pure string/value processing — the binary owns
 //! all I/O — so the rendering and check semantics are unit-testable
@@ -12,11 +12,12 @@
 //!   drift means the workload itself changed (a new experiment
 //!   version, a lost shard) and must be acknowledged by re-committing
 //!   the baseline.
-//! * **bench recordings** — every `"speedup"` field in a
-//!   `BENCH_*.json` must stay at or above break-even minus the
-//!   tolerance, and every `"overhead_pct"` field at or below the
-//!   overhead budget.
+//! * **bench ratios** — a `BENCH.json` pair whose `[q1, q3]`
+//!   interval straddles its [`CheckOptions::bound`] is reported
+//!   `unresolved`, not failed, whatever its median; otherwise its
+//!   median must be inside the bound.
 
+use crate::ratios::{Kind, Pair, Verdict};
 use bcc_metrics::json::{parse, push_quoted, JsonValue};
 use bcc_metrics::MetricsDump;
 use std::collections::BTreeMap;
@@ -56,22 +57,6 @@ pub fn trace_stats(text: &str) -> Result<TraceStats, String> {
     Ok(stats)
 }
 
-/// One committed benchmark recording (`BENCH_*.json`).
-#[derive(Debug, Clone)]
-pub struct BenchFile {
-    /// Display name (the file name).
-    pub name: String,
-    /// Parsed JSON root.
-    pub root: JsonValue,
-}
-
-/// Parses one `BENCH_*.json` recording.
-pub fn load_bench(name: impl Into<String>, text: &str) -> Result<BenchFile, String> {
-    let name = name.into();
-    let root = parse(text).map_err(|e| format!("{name}: {e}"))?;
-    Ok(BenchFile { name, root })
-}
-
 /// Everything `bcc-report` can merge into one report.
 #[derive(Debug, Default)]
 pub struct Inputs {
@@ -88,18 +73,27 @@ pub struct Inputs {
     /// frozen at transport-failure time, rendered as the incident
     /// section.
     pub postmortems: Option<Vec<bcc_model::postmortem::Postmortem>>,
-    /// Committed benchmark recordings (`--bench`, repeatable).
-    pub benches: Vec<BenchFile>,
+    /// The committed `BENCH.json` pairs (`--bench`).
+    pub bench: Option<Vec<Pair>>,
 }
 
 /// Thresholds for [`run_checks`].
 #[derive(Debug, Clone, Copy)]
 pub struct CheckOptions {
-    /// How far below break-even (1.0) a recorded `"speedup"` may sit,
-    /// in percent.
+    /// How far below break-even (1.0) a speedup median may sit, in %.
     pub tolerance_pct: f64,
-    /// Ceiling for recorded `"overhead_pct"` fields, in percent.
+    /// Ceiling for an overhead median, in percent.
     pub max_overhead_pct: f64,
+}
+
+impl CheckOptions {
+    /// The lowest speedup, or the highest overhead in %, that passes.
+    pub fn bound(&self, kind: Kind) -> f64 {
+        match kind {
+            Kind::Speedup => 1.0 - self.tolerance_pct / 100.0,
+            Kind::Overhead => self.max_overhead_pct,
+        }
+    }
 }
 
 impl Default for CheckOptions {
@@ -118,8 +112,15 @@ pub fn run_checks(inputs: &Inputs, opts: CheckOptions) -> Vec<String> {
     if let (Some(dump), Some(base)) = (&inputs.metrics, &inputs.baseline) {
         check_dump_against_baseline(dump, base, &mut failures);
     }
-    for bench in &inputs.benches {
-        walk_bench(&bench.name, &bench.root, opts, &mut failures);
+    for p in inputs.bench.iter().flatten() {
+        let bound = opts.bound(p.kind);
+        if p.verdict(bound) == Verdict::Fail {
+            let [median, bound] = [p.quartiles[1], bound].map(|x| p.kind.show(x));
+            let (kind, name) = (p.kind.name(), &p.name);
+            failures.push(format!(
+                "bench {kind} `{name}`: median {median} is past the bound {bound}"
+            ));
+        }
     }
     failures
 }
@@ -152,41 +153,8 @@ fn check_dump_against_baseline(dump: &MetricsDump, base: &MetricsDump, out: &mut
     }
 }
 
-/// Recursively checks `"speedup"` and `"overhead_pct"` fields in a
-/// bench recording.
-fn walk_bench(path: &str, v: &JsonValue, opts: CheckOptions, out: &mut Vec<String>) {
-    match v {
-        JsonValue::Obj(fields) => {
-            for (key, val) in fields {
-                let sub = format!("{path}.{key}");
-                if let Some(num) = val.as_f64() {
-                    if key == "speedup" && num < 1.0 - opts.tolerance_pct / 100.0 {
-                        out.push(format!(
-                            "{sub} = {num:.2} below break-even (tolerance {:.1}%)",
-                            opts.tolerance_pct
-                        ));
-                    }
-                    if key == "overhead_pct" && num > opts.max_overhead_pct {
-                        out.push(format!(
-                            "{sub} = {num:.2}% above the {:.1}% overhead budget",
-                            opts.max_overhead_pct
-                        ));
-                    }
-                }
-                walk_bench(&sub, val, opts, out);
-            }
-        }
-        JsonValue::Arr(items) => {
-            for (i, item) in items.iter().enumerate() {
-                walk_bench(&format!("{path}[{i}]"), item, opts, out);
-            }
-        }
-        _ => {}
-    }
-}
-
 /// Renders the merged report as Markdown.
-pub fn render_markdown(inputs: &Inputs, failures: &[String]) -> String {
+pub fn render_markdown(inputs: &Inputs, opts: CheckOptions, failures: &[String]) -> String {
     let mut md = String::from("# bcc report\n");
     if let Some(dump) = &inputs.metrics {
         let _ = writeln!(
@@ -261,13 +229,24 @@ pub fn render_markdown(inputs: &Inputs, failures: &[String]) -> String {
     if let Some(postmortems) = &inputs.postmortems {
         render_postmortem_section(postmortems, &mut md);
     }
-    for bench in &inputs.benches {
-        let _ = writeln!(md, "\n## Bench: {}\n", bench.name);
-        md.push_str("| metric | value |\n|---|---:|\n");
-        let mut rows = Vec::new();
-        flatten_numbers("", &bench.root, &mut rows);
-        for (path, value) in rows {
-            let _ = writeln!(md, "| `{path}` | {value} |");
+    if let Some(pairs) = &inputs.bench {
+        md.push_str(
+            "\n## Bench ratios\n\n\
+             | pair | base → variant | reps × runs | base ns | variant ns | median | [q1, q3] | bound | verdict |\n\
+             |---|---|---:|---:|---:|---:|---|---:|---|\n",
+        );
+        for p in pairs {
+            let bound = opts.bound(p.kind);
+            let verdict = match p.verdict(bound) {
+                Verdict::Pass => "pass",
+                Verdict::Unresolved => "unresolved",
+                Verdict::Fail => "**FAIL**",
+            };
+            let [q1, median, q3] = p.quartiles.map(|x| p.kind.show(x));
+            let (arms, bound) = (format!("{} → {}", p.base, p.variant), p.kind.show(bound));
+            let timing = format!("{} × {} | {} | {}", p.reps, p.runs, p.base_ns, p.variant_ns);
+            let row = format!("{median} | [{q1}, {q3}] | {bound} | {verdict}");
+            let _ = writeln!(md, "| `{}` | {arms} | {timing} | {row} |", p.name);
         }
     }
     md.push_str("\n## Checks\n\n");
@@ -278,7 +257,20 @@ pub fn render_markdown(inputs: &Inputs, failures: &[String]) -> String {
             let _ = writeln!(md, "- **FAIL** {f}");
         }
     }
+    let unresolved: Vec<_> = unresolved(inputs, opts)
+        .map(|p| format!("`{}`", p.name))
+        .collect();
+    if !unresolved.is_empty() {
+        let names = unresolved.join(", ");
+        let _ = writeln!(md, "\nunresolved, [q1, q3] straddles the bound: {names}");
+    }
     md
+}
+
+/// The bench pairs whose `[q1, q3]` straddles their bound.
+fn unresolved(inputs: &Inputs, opts: CheckOptions) -> impl Iterator<Item = &Pair> {
+    let straddles = move |p: &&Pair| p.verdict(opts.bound(p.kind)) == Verdict::Unresolved;
+    inputs.bench.iter().flatten().filter(straddles)
 }
 
 /// Renders the `## Service` section when the dump came from a
@@ -397,7 +389,7 @@ pub fn render_diff_markdown(a_name: &str, b_name: &str, diff: &bcc_prof::Profile
 }
 
 /// Renders the merged report as one JSON object.
-pub fn render_json(inputs: &Inputs, failures: &[String]) -> String {
+pub fn render_json(inputs: &Inputs, opts: CheckOptions, failures: &[String]) -> String {
     let mut out = String::from("{");
     if let Some(dump) = &inputs.metrics {
         let _ = write!(
@@ -434,8 +426,8 @@ pub fn render_json(inputs: &Inputs, failures: &[String]) -> String {
     if let Some(postmortems) = &inputs.postmortems {
         let _ = write!(out, "\"postmortems\":{},", postmortems.len());
     }
-    out.push_str("\"benches\":");
-    push_string_array(&mut out, inputs.benches.iter().map(|b| b.name.as_str()));
+    out.push_str("\"unresolved\":");
+    push_string_array(&mut out, unresolved(inputs, opts).map(|p| p.name.as_str()));
     let _ = write!(out, ",\"passed\":{},\"failures\":", failures.is_empty());
     push_string_array(&mut out, failures.iter().map(String::as_str));
     out.push_str("}\n");
@@ -451,46 +443,6 @@ fn push_string_array<'a>(out: &mut String, items: impl Iterator<Item = &'a str>)
         push_quoted(out, item);
     }
     out.push(']');
-}
-
-/// Flattens every numeric/boolean/string leaf into `(path, rendered)`
-/// rows for the Markdown table.
-fn flatten_numbers(path: &str, v: &JsonValue, out: &mut Vec<(String, String)>) {
-    match v {
-        JsonValue::Obj(fields) => {
-            for (key, val) in fields {
-                let sub = if path.is_empty() {
-                    key.clone()
-                } else {
-                    format!("{path}.{key}")
-                };
-                flatten_numbers(&sub, val, out);
-            }
-        }
-        JsonValue::Arr(items) => {
-            let rendered: Vec<String> = items.iter().map(render_leaf).collect();
-            out.push((path.to_string(), format!("[{}]", rendered.join(", "))));
-        }
-        leaf => out.push((path.to_string(), render_leaf(leaf))),
-    }
-}
-
-fn render_leaf(v: &JsonValue) -> String {
-    match v {
-        JsonValue::Null => "null".to_string(),
-        JsonValue::Bool(b) => b.to_string(),
-        JsonValue::UInt(n) => n.to_string(),
-        JsonValue::Int(n) => n.to_string(),
-        JsonValue::Float(n) => {
-            if n.fract() == 0.0 && n.abs() < 9e15 {
-                format!("{}", *n as i64)
-            } else {
-                format!("{n}")
-            }
-        }
-        JsonValue::Str(s) => s.clone(),
-        _ => String::new(),
-    }
 }
 
 #[cfg(test)]
@@ -532,22 +484,64 @@ mod tests {
         assert!(failures[1].contains("counter c"));
     }
 
+    fn pair(name: &str, kind: Kind, q1: f64, median: f64, q3: f64) -> Pair {
+        Pair {
+            name: name.to_string(),
+            kind,
+            base: "off".to_string(),
+            variant: "on".to_string(),
+            reps: 9,
+            runs: 1,
+            base_ns: 100,
+            variant_ns: 101,
+            quartiles: [q1, median, q3],
+        }
+    }
+
     #[test]
-    fn bench_check_flags_speedup_and_overhead() {
-        let bench = load_bench(
-            "B.json",
-            r#"{"x":{"speedup":0.85},"y":{"overhead_pct":3.5},"z":{"speedup":4.5,"overhead_pct":0.2}}"#,
-        )
-        .unwrap();
+    fn bench_check_fails_medians_past_their_bound() {
         let inputs = Inputs {
-            benches: vec![bench],
+            bench: Some(vec![
+                pair("slow", Kind::Speedup, 0.8, 0.9, 0.93),
+                pair("noisy", Kind::Overhead, -1.0, 0.5, 2.5),
+                pair("fine", Kind::Speedup, 4.0, 4.5, 5.0),
+                pair("costly", Kind::Overhead, 2.5, 3.5, 4.0),
+                pair("wide", Kind::Overhead, -2.5, 11.5, 41.0),
+            ]),
             ..Default::default()
         };
-        let failures = run_checks(&inputs, CheckOptions::default());
-        assert_eq!(failures.len(), 2, "{failures:?}");
-        assert!(failures[0].contains("B.json.x.speedup"));
-        assert!(failures[1].contains("B.json.y.overhead_pct"));
-        // A looser budget lets both through.
+        let opts = CheckOptions::default();
+        let failures = run_checks(&inputs, opts);
+        assert_eq!(
+            failures,
+            [
+                "bench speedup `slow`: median 0.90× is past the bound 0.95×",
+                "bench overhead `costly`: median +3.50% is past the bound +2.00%",
+            ]
+        );
+        let md = render_markdown(&inputs, opts, &failures);
+        let noisy =
+            "| `noisy` | off → on | 9 × 1 | 100 | 101 | +0.50% | [-1.00%, +2.50%] | +2.00% |";
+        assert!(md.contains(&format!("{noisy} unresolved |")), "{md}");
+        // A median past the bound inside a straddling interval is not
+        // a failure: the spread is too wide to tell.
+        assert!(md.contains("| +11.50% | [-2.50%, +41.00%] | +2.00% | unresolved |"));
+        assert!(md.contains("unresolved, [q1, q3] straddles the bound: `noisy`, `wide`"));
+        assert!(
+            md.contains(
+                "| `fine` | off → on | 9 × 1 | 100 | 101 | 4.50× | [4.00×, 5.00×] | 0.95× | pass |"
+            ),
+            "{md}"
+        );
+        assert!(
+            md.contains("| `slow` |") && md.contains("| 0.95× | **FAIL** |"),
+            "{md}"
+        );
+        let json = parse(&render_json(&inputs, opts, &failures)).unwrap();
+        let unresolved = json.arr_field("unresolved").unwrap();
+        let names = ["noisy", "wide"].map(|name| JsonValue::Str(name.to_string()));
+        assert_eq!(unresolved, names);
+        // A looser budget lets both medians through.
         let loose = CheckOptions {
             tolerance_pct: 20.0,
             max_overhead_pct: 4.0,
@@ -574,17 +568,17 @@ mod tests {
         let inputs = Inputs {
             metrics: Some(dump),
             trace: Some(trace_stats("{\"unit\":\"a\",\"kind\":\"point\"}\n").unwrap()),
-            benches: vec![load_bench("B.json", r#"{"a":{"speedup":2.0}}"#).unwrap()],
+            bench: Some(vec![pair("a", Kind::Speedup, 1.5, 2.0, 2.5)]),
             ..Default::default()
         };
-        let md = render_markdown(&inputs, &[]);
+        let md = render_markdown(&inputs, CheckOptions::default(), &[]);
         assert!(md.contains("## Workload metrics"));
         assert!(md.contains("| `sim.runs` | 7 |"));
         assert!(md.contains("## Trace"));
-        assert!(md.contains("## Bench: B.json"));
-        assert!(md.contains("| `a.speedup` | 2 |"));
+        assert!(md.contains("## Bench ratios"));
+        assert!(md.contains("| `a` | off → on |"));
         assert!(md.contains("all checks passed"));
-        let md_fail = render_markdown(&inputs, &["boom".to_string()]);
+        let md_fail = render_markdown(&inputs, CheckOptions::default(), &["boom".to_string()]);
         assert!(md_fail.contains("**FAIL** boom"));
     }
 
@@ -602,7 +596,7 @@ mod tests {
             metrics: Some(hub.finish()),
             ..Default::default()
         };
-        let md = render_markdown(&inputs, &[]);
+        let md = render_markdown(&inputs, CheckOptions::default(), &[]);
         assert!(md.contains("## Service"));
         assert!(md.contains("2 accepted · 1 rejected · 2 completed · 0 cancelled · 0 drained"));
         assert!(md.contains("| `serve.accepted` | 2 |"));
@@ -613,39 +607,30 @@ mod tests {
             metrics: Some(dump_with(&[("sim.runs", 7)])),
             ..Default::default()
         };
-        assert!(!render_markdown(&plain, &[]).contains("## Service"));
+        assert!(!render_markdown(&plain, CheckOptions::default(), &[]).contains("## Service"));
     }
 
     #[test]
     fn json_report_escapes_control_characters() {
         let inputs = Inputs {
             metrics: Some(dump_with(&[("a\"b", 1)])),
-            benches: vec![BenchFile {
-                name: "odd\\name\n.json".to_string(),
-                root: JsonValue::Null,
-            }],
+            bench: Some(vec![pair("odd\\name\n", Kind::Overhead, 1.0, 1.5, 2.5)]),
             ..Default::default()
         };
         let failure = "line one\nline two \u{1} \"quoted\"".to_string();
-        let text = render_json(&inputs, std::slice::from_ref(&failure));
+        let text = render_json(
+            &inputs,
+            CheckOptions::default(),
+            std::slice::from_ref(&failure),
+        );
         assert_eq!(text.lines().count(), 1, "not one JSONL line: {text}");
         let v = parse(&text).unwrap();
         let failures = v.arr_field("failures").unwrap();
         assert_eq!(failures[0].as_str(), Some(failure.as_str()));
-        let benches = v.arr_field("benches").unwrap();
-        assert_eq!(benches[0].as_str(), Some("odd\\name\n.json"));
+        let unresolved = v.arr_field("unresolved").unwrap();
+        assert_eq!(unresolved[0].as_str(), Some("odd\\name\n"));
         let counters = v.get("metrics").and_then(|m| m.get("counters")).unwrap();
         assert_eq!(counters.u64_field("a\"b"), Ok(1));
-    }
-
-    #[test]
-    fn leaves_render_integral_numbers_without_a_point() {
-        let v = parse(r#"{"f":2.0,"u":7,"i":-3,"x":0.25,"big":18446744073709551615}"#).unwrap();
-        let leaves: Vec<String> = ["f", "u", "i", "x", "big"]
-            .iter()
-            .map(|k| render_leaf(v.get(k).unwrap()))
-            .collect();
-        assert_eq!(leaves, ["2", "7", "-3", "0.25", "18446744073709551615"]);
     }
 
     #[test]
@@ -654,7 +639,11 @@ mod tests {
             metrics: Some(dump_with(&[("a", 1)])),
             ..Default::default()
         };
-        let text = render_json(&inputs, &["bad \"thing\"".to_string()]);
+        let text = render_json(
+            &inputs,
+            CheckOptions::default(),
+            &["bad \"thing\"".to_string()],
+        );
         let v = parse(&text).unwrap();
         assert_eq!(v.get("passed"), Some(&JsonValue::Bool(false)));
         assert_eq!(
@@ -688,7 +677,7 @@ mod tests {
             profile: Some(tiny_profile(12)),
             ..Default::default()
         };
-        let md = render_markdown(&inputs, &[]);
+        let md = render_markdown(&inputs, CheckOptions::default(), &[]);
         assert!(md.contains("## Profile"), "{md}");
         assert!(md.contains("span paths"), "{md}");
         assert!(md.contains("e2/job/sim"), "{md}");
@@ -696,7 +685,7 @@ mod tests {
 
         // No profile input, no section.
         let plain = Inputs::default();
-        assert!(!render_markdown(&plain, &[]).contains("## Profile"));
+        assert!(!render_markdown(&plain, CheckOptions::default(), &[]).contains("## Profile"));
     }
 
     #[test]
@@ -732,14 +721,14 @@ mod tests {
             postmortems: Some(vec![pm]),
             ..Default::default()
         };
-        let md = render_markdown(&inputs, &[]);
+        let md = render_markdown(&inputs, CheckOptions::default(), &[]);
         assert!(md.contains("## Postmortem"), "{md}");
         assert!(md.contains("1 incident(s)"), "{md}");
         assert!(md.contains("Incident 0: `sockets:2`"), "{md}");
         assert!(md.contains("**dead**"), "{md}");
         assert!(md.contains("worker 0 flight ring"), "{md}");
         assert!(md.contains("| send | `round` | 3 | 2 | 120 |"), "{md}");
-        let json = render_json(&inputs, &[]);
+        let json = render_json(&inputs, CheckOptions::default(), &[]);
         assert!(json.contains("\"postmortems\":1"), "{json}");
 
         // An empty artifact (no incidents) still renders a section —
@@ -748,11 +737,14 @@ mod tests {
             postmortems: Some(vec![]),
             ..Default::default()
         };
-        let md = render_markdown(&clean, &[]);
+        let md = render_markdown(&clean, CheckOptions::default(), &[]);
         assert!(md.contains("no transport incidents recorded"), "{md}");
 
         // No --postmortem input, no section.
-        assert!(!render_markdown(&Inputs::default(), &[]).contains("## Postmortem"));
+        assert!(
+            !render_markdown(&Inputs::default(), CheckOptions::default(), &[])
+                .contains("## Postmortem")
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Seed-driven decoder fuzzing: valid lines of every JSONL artifact
 //! the workspace reads back — trace events, metrics dumps, profiles,
-//! postmortems, wire commands/replies, and `bcc-serve` request lines —
+//! postmortems, wire commands/replies, `bcc-serve` request lines, and
+//! the `BENCH.json` ratio file —
 //! are mutated with byte flips, truncations and splices, and every
 //! decoder must answer with `Ok` or a typed `Err`, never a panic. All
 //! decoders sit on the one shared codec (`bcc_metrics::json`), so this
@@ -12,6 +13,7 @@
 //! reading a mutated entry must return the value a recomputation
 //! gives, never a plausible wrong one and never a panic.
 
+use bcc_bench::ratios::{self, Kind, Pair};
 use bcc_engine::{artifacts, ArtifactKey, ArtifactStore};
 use bcc_metrics::{MetricsDump, MetricsHub, MetricsLevel};
 use bcc_model::postmortem::{self, Postmortem, WireEvent, WorkerHealth};
@@ -44,6 +46,10 @@ fn profile(text: &str) -> Result<(), String> {
 
 fn postmortems(text: &str) -> Result<(), String> {
     postmortem::parse_jsonl(text).map(drop)
+}
+
+fn bench_file(text: &str) -> Result<(), String> {
+    ratios::parse(text).map(drop).map_err(|e| e.to_string())
 }
 
 fn wire_command(text: &str) -> Result<(), String> {
@@ -142,6 +148,18 @@ fn corpus() -> Vec<(String, Decoder)> {
         }],
     };
 
+    let bench_pair = Pair {
+        name: "telemetry \"q\"".into(),
+        kind: Kind::Overhead,
+        base: "off".into(),
+        variant: "on\n⊥".into(),
+        reps: 21,
+        runs: 5,
+        base_ns: u64::MAX,
+        variant_ns: 1,
+        quartiles: [-18.71, 0.5, 1e-7],
+    };
+
     let commands = [
         Command::Open {
             session: 9,
@@ -192,6 +210,7 @@ fn corpus() -> Vec<(String, Decoder)> {
         (hub.finish().to_jsonl_string(), metrics_dump),
         (profile_to_jsonl(&prof), profile),
         (postmortem::postmortems_to_jsonl(&[incident]), postmortems),
+        (ratios::write(&[bench_pair]), bench_file),
     ];
     corpus.extend(
         commands

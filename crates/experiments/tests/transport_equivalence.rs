@@ -179,6 +179,19 @@ fn sockets_artifacts_are_deterministic_across_reruns_and_jobs() {
         first.trace, wide.trace,
         "trace differs between --jobs 1 and --jobs 8"
     );
+    // Quick e2 ships a fixed amount of work through the workers: the
+    // totals the `telemetry` pair in BENCH.json prices.
+    let text = String::from_utf8(first.metrics).expect("utf-8 metrics dump");
+    let dump = bcc_metrics::MetricsDump::parse_jsonl(&text).expect("metrics dump parses");
+    for (name, total) in [
+        ("sessions", 1120),
+        ("rounds", 1260),
+        ("frames", 18900),
+        ("symbols", 18900),
+    ] {
+        let name = format!("transport.{name}");
+        assert_eq!(dump.counter(&name), Some(total), "{name}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -30,7 +30,7 @@
 //!   wall-clock profiling; the snapshot doubles as the in-buffer
 //!   histogram here.
 //! - [`json`]: a minimal JSON parser for reading dumps and the
-//!   committed `BENCH_*.json` series back (used by `bcc-report`).
+//!   committed `BENCH.json` ratios back (used by `bcc-report`).
 //!
 //! # The invariant
 //!

@@ -175,7 +175,8 @@ impl WireMeta {
 /// The routed-traffic sums are plain fields, not map entries:
 /// `record_closed` runs once per session close while the store's
 /// mutex is held, so the hot path must not allocate (string-keyed
-/// accumulation measurably showed up in `BENCH_PR10.json`).
+/// accumulation measurably showed up in `BENCH.json`'s `telemetry`
+/// pair).
 #[derive(Default)]
 struct RankTelemetry {
     /// Summed span-derived per-session counters.

@@ -67,9 +67,10 @@ pub enum Command {
 /// served) plus a compact numeric session summary from which the
 /// coordinator synthesizes the session's trace events at flush time.
 /// Shipping five integers instead of serialized event lines keeps
-/// the close path allocation-light — the ≤ 2% `BENCH_PR10.json`
-/// budget is won here. Everything on this surface is a pure function
-/// of the commands served; nothing wall-clock-shaped is allowed
+/// the close path allocation-light — the ≤ 2% budget of the
+/// `telemetry` pair in `BENCH.json` is won here. Everything on this
+/// surface is a pure function of the commands served; nothing
+/// wall-clock-shaped is allowed
 /// (those quantities stay driver-side, in the `--transport-wall`
 /// sidecar).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

@@ -33,8 +33,8 @@ pub const EXIT_AFTER_ENV: &str = "BCC_TRANSPORT_WORKER_EXIT_AFTER";
 
 /// Telemetry knob: set to `0` or `off` to disable worker-side
 /// trace/metrics recording entirely (the overhead-measurement
-/// baseline for `BENCH_PR10.json`). Any other value — including
-/// unset — leaves telemetry on.
+/// baseline of `BENCH.json`'s `telemetry` pair). Any other value —
+/// including unset — leaves telemetry on.
 pub const TELEMETRY_ENV: &str = "BCC_TRANSPORT_TELEMETRY";
 
 /// The unit-class prefix of worker-origin telemetry: a worker's
