@@ -49,7 +49,7 @@ pub fn slot_edge(n: usize, slot: usize) -> (usize, usize) {
 
 /// Randomized KT-1 connectivity via AGM sketches + Borůvka phases.
 ///
-/// Monte Carlo: with the default phase budget the failure probability
+/// Monte Carlo: with its fixed phase budget the failure probability
 /// is small but nonzero (a phase can fail to decode; the final answer
 /// can be wrong only if undecoded non-zero cuts persist through every
 /// phase). Works at any bandwidth `b ≥ 1`; per phase each vertex
@@ -57,25 +57,13 @@ pub fn slot_edge(n: usize, slot: usize) -> (usize, usize) {
 #[derive(Debug, Clone, Copy)]
 pub struct SketchConnectivity {
     problem: Problem,
-    max_phases: usize,
 }
 
 impl SketchConnectivity {
-    /// Creates the algorithm with the default phase budget
-    /// `2·⌈log₂ n⌉ + 4` (set at spawn time from `n`).
+    /// Creates the algorithm with the phase budget `2·⌈log₂ n⌉ + 4`
+    /// (set at spawn time from `n`).
     pub fn new(problem: Problem) -> Self {
-        SketchConnectivity {
-            problem,
-            max_phases: 0,
-        }
-    }
-
-    /// Overrides the phase budget (0 = default).
-    pub fn with_phase_budget(problem: Problem, max_phases: usize) -> Self {
-        SketchConnectivity {
-            problem,
-            max_phases,
-        }
+        SketchConnectivity { problem }
     }
 
     /// Bits per sketch for an `n`-vertex network.
@@ -100,11 +88,7 @@ impl Algorithm for SketchConnectivity {
         // fallbacks keep a malformed init deterministic instead of
         // panicking.
         let all_ids = init.all_ids.clone().unwrap_or_else(|| vec![init.id]);
-        let max_phases = if self.max_phases > 0 {
-            self.max_phases
-        } else {
-            2 * bcc_model::codec::bits_needed(n) + 4
-        };
+        let max_phases = 2 * bcc_model::codec::bits_needed(n) + 4;
         let me = all_ids.iter().position(|&id| id == init.id).unwrap_or(0);
         // Component labels: everyone starts in their own component,
         // indexed by position in sorted-ID order.

@@ -5,11 +5,14 @@
 //! once must each produce the trace, metrics dump and profile of a run
 //! made alone, byte for byte.
 
+mod common;
+
 use bcc_experiments::job::DEFAULT_SEED;
 use bcc_experiments::RunRequest;
 use bcc_metrics::{MetricsHub, MetricsLevel};
 use bcc_prof::{profile_to_jsonl, Profile};
 use bcc_trace::{Collector, TraceLevel};
+use common::assert_same_profile;
 
 const IDS: [&str; 4] = ["f1", "e1", "e2", "e5"];
 
@@ -46,9 +49,6 @@ fn concurrent_runs_match_a_solo_run_byte_for_byte() {
     for (name, run) in [("first", &a), ("second", &b)] {
         assert!(run.0 == solo.0, "{name} concurrent trace differs from solo");
         assert!(run.1 == solo.1, "{name} concurrent dump differs from solo");
-        assert!(
-            run.2 == solo.2,
-            "{name} concurrent profile differs from solo"
-        );
+        assert_same_profile(&solo.2, &run.2, &format!("{name} concurrent run vs solo"));
     }
 }

@@ -49,6 +49,15 @@ fn metering_never_changes_report_bytes() {
 fn merged_dump_is_identical_across_thread_counts() {
     let serial = run(&IDS, 1, MetricsLevel::Full);
     let parallel = run(&IDS, 8, MetricsLevel::Full);
+    let (a, b) = (serial.workload.counters(), parallel.workload.counters());
+    let differs = |name: &&String| a.get(*name) != b.get(*name);
+    if let Some(name) = a.keys().chain(b.keys()).filter(differs).min() {
+        panic!(
+            "dump differs between 1 and 8 threads; first differing counter {name}: {:?} vs {:?}",
+            a.get(name),
+            b.get(name)
+        );
+    }
     assert_eq!(
         serial.workload.to_jsonl_string(),
         parallel.workload.to_jsonl_string(),

@@ -3,13 +3,16 @@
 //! JSONL bytes it encodes to — must be identical across thread counts
 //! and across cold vs warm cache, because it is derived purely from
 //! logical costs. Any wall-clock influence would show up here as a
-//! byte diff.
+//! byte diff, named by the first breached frame.
+
+mod common;
 
 use bcc_experiments::job::DEFAULT_SEED;
 use bcc_experiments::{RunRequest, SuiteRun};
 use bcc_metrics::{MetricsHub, MetricsLevel};
 use bcc_prof::{profile_to_jsonl, Profile};
 use bcc_trace::{Collector, TraceLevel};
+use common::assert_same_profile;
 
 const IDS: [&str; 5] = ["f1", "e1", "e2", "e5", "e7"];
 
@@ -35,10 +38,10 @@ fn profile_bytes(suite: &SuiteRun) -> String {
 fn profile_bytes_identical_across_thread_counts() {
     let serial = run(1);
     let parallel = run(8);
-    assert_eq!(
-        profile_bytes(&serial),
-        profile_bytes(&parallel),
-        "profile differs between --jobs 1 and --jobs 8"
+    assert_same_profile(
+        &profile_bytes(&serial),
+        &profile_bytes(&parallel),
+        "--jobs 1 vs --jobs 8",
     );
 }
 
@@ -50,11 +53,28 @@ fn profile_bytes_identical_cold_vs_warm_cache() {
     // touching any counted quantity — so the profiles must agree.
     let cold = run(4);
     let warm = run(4);
-    assert_eq!(
-        profile_bytes(&cold),
-        profile_bytes(&warm),
-        "profile differs between cold and warm cache"
+    assert_same_profile(
+        &profile_bytes(&cold),
+        &profile_bytes(&warm),
+        "cold vs warm cache",
     );
+}
+
+#[test]
+#[should_panic(expected = "first breached frame sim.bits_broadcast @ e2/job: 7 vs 8")]
+fn profile_mismatch_names_the_breached_frame() {
+    // The changed frame also moves the counter total, which the diff
+    // lists first; the gate must still name the frame.
+    let profile = |bits: u64| {
+        format!(
+            "{{\"bcc_prof\":1,\"spans\":0,\"frames\":2,\"totals\":1}}\n\
+             {{\"kind\":\"frame\",\"path\":\"e1/job\",\"counter\":\"sim.bits_broadcast\",\"inclusive\":5,\"exclusive\":5}}\n\
+             {{\"kind\":\"frame\",\"path\":\"e2/job\",\"counter\":\"sim.bits_broadcast\",\"inclusive\":{bits},\"exclusive\":{bits}}}\n\
+             {{\"kind\":\"total\",\"counter\":\"sim.bits_broadcast\",\"total\":{t},\"attributed\":{t},\"unattributed\":0,\"source\":\"trace\"}}\n",
+            t = 5 + bits
+        )
+    };
+    assert_same_profile(&profile(7), &profile(8), "one changed frame");
 }
 
 #[test]

@@ -12,7 +12,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Directories never descended into. `vendor/` holds std-only
-/// stand-ins for third-party crates (rand/proptest/criterion) whose
+/// stand-ins for third-party crates (rand/proptest) whose
 /// panic/entropy surface mimics the real crates — linting them would
 /// only measure how faithful the shims are. `fixtures/` holds the
 /// lint's own seeded-violation test inputs.
