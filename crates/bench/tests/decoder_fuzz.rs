@@ -24,7 +24,7 @@ use bcc_trace::json::{event_to_json, parse_event};
 use bcc_trace::{field, Event, EventKind};
 use bcc_transport::wire::{
     decode_message, parse_command, parse_reply, render_command, render_reply, split_view, Command,
-    Reply, SessionSpan, WorkerTelemetry,
+    Reply, SessionSpan,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -185,20 +185,13 @@ fn corpus() -> Vec<(String, Decoder)> {
         },
         Reply::Closed {
             session: 9,
-            telemetry: WorkerTelemetry {
-                counters: vec![("frames".into(), 12)],
-                span: Some(SessionSpan {
-                    n: 4,
-                    nodes: 2,
-                    rounds: 3,
-                    frames: 12,
-                    symbols: 24,
-                }),
-            },
-        },
-        Reply::Telemetry {
-            rank: 0,
-            counters: vec![("sessions".into(), 4)],
+            span: Some(SessionSpan {
+                n: 4,
+                nodes: 2,
+                rounds: 3,
+                frames: 12,
+                symbols: 24,
+            }),
         },
         Reply::Error {
             detail: "bad \"stuff\"\n".into(),

@@ -198,24 +198,6 @@ impl BatchRun {
             .flat_map(|chunk| self.run(chunk, algorithm))
             .collect()
     }
-
-    /// Fallible [`run_chunked`](Self::run_chunked): stops at the
-    /// first chunk whose transport fails.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`TransportError`] any chunk reports.
-    pub fn try_run_chunked(
-        &self,
-        lanes: &[Lane<'_>],
-        algorithm: &dyn Algorithm,
-    ) -> Result<Vec<RunOutcome>, TransportError> {
-        let mut outcomes = Vec::with_capacity(lanes.len());
-        for chunk in lanes.chunks(MAX_LANES) {
-            outcomes.extend(self.try_run(chunk, algorithm)?);
-        }
-        Ok(outcomes)
-    }
 }
 
 /// Closes any open spans so a transport failure leaves the trace

@@ -24,11 +24,13 @@
 //!                       profile (bcc-prof JSONL) built from this
 //!                       run's trace and metrics dump; implies
 //!                       --trace-level costs and --metrics-level core
-//!                       when those are otherwise off
-//!   --prof-wall PATH    write the wall-clock sidecar (per-job
-//!                       latency bands; separate schema, never
-//!                       deterministic, never read back by any
-//!                       deterministic artifact)
+//!                       when those are otherwise off, and rejects an
+//!                       explicit --trace-level below costs
+//!   --wall PATH         write the wall-clock sidecar: per-job
+//!                       latency bands and transport stats (spawn
+//!                       counts, accept ticks) under its own bcc_wall
+//!                       schema; never deterministic, never read back
+//!                       by any deterministic artifact
 //!   --cache PATH        persist the artifact cache (ranks, Bell
 //!                       tables, indistinguishability graphs) in
 //!                       PATH; reports are byte-identical with or
@@ -38,11 +40,6 @@
 //!                       over loopback TCP). Reports, traces, and
 //!                       metrics dumps are byte-identical across
 //!                       backends (DESIGN.md §14)
-//!   --transport-wall P  write the transport wall sidecar (spawn
-//!                       counts, accept ticks, worker lifetime
-//!                       totals; separate bcc_transport_wall schema,
-//!                       never deterministic, never read back by any
-//!                       deterministic artifact)
 //!   --postmortem PATH   write worker postmortems (flight-recorder
 //!                       rings frozen at failure time) as a typed
 //!                       JSONL artifact; an empty artifact is still
@@ -53,13 +50,15 @@ use bcc_experiments::job::DEFAULT_SEED;
 use bcc_experiments::{json, RunRequest, ALL_EXPERIMENTS};
 use bcc_metrics::{MetricsHub, MetricsLevel};
 use bcc_trace::{Collector, TraceLevel};
-use std::io::Write as _;
+use std::io::Write;
 use std::process::ExitCode;
+
+mod wall;
 
 const USAGE: &str = "usage: bcc-experiments [--quick] [--jobs N] [--seed S] \
 [--timeout-secs T] [--json PATH] [--trace PATH] [--trace-level off|spans|costs|events] \
-[--metrics PATH] [--metrics-level off|core|full] [--profile PATH] [--prof-wall PATH] \
-[--cache PATH] [--transport local|sockets:N] [--transport-wall PATH] [--postmortem PATH] \
+[--metrics PATH] [--metrics-level off|core|full] [--profile PATH] [--wall PATH] \
+[--cache PATH] [--transport local|sockets:N] [--postmortem PATH] \
 <id>...\n       \
 id ∈ {f1, f2, e1..e12, all}";
 
@@ -70,8 +69,7 @@ struct Cli {
     trace_path: Option<String>,
     metrics_path: Option<String>,
     profile_path: Option<String>,
-    prof_wall_path: Option<String>,
-    transport_wall_path: Option<String>,
+    wall_path: Option<String>,
     postmortem_path: Option<String>,
 }
 
@@ -84,8 +82,7 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
     let mut metrics_path: Option<String> = None;
     let mut metrics_level: Option<MetricsLevel> = None;
     let mut profile_path: Option<String> = None;
-    let mut prof_wall_path: Option<String> = None;
-    let mut transport_wall_path: Option<String> = None;
+    let mut wall_path: Option<String> = None;
     let mut postmortem_path: Option<String> = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -144,11 +141,8 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
             "--profile" => {
                 profile_path = Some(it.next().ok_or("--profile needs a path")?);
             }
-            "--prof-wall" => {
-                prof_wall_path = Some(it.next().ok_or("--prof-wall needs a path")?);
-            }
-            "--transport-wall" => {
-                transport_wall_path = Some(it.next().ok_or("--transport-wall needs a path")?);
+            "--wall" => {
+                wall_path = Some(it.next().ok_or("--wall needs a path")?);
             }
             "--postmortem" => {
                 postmortem_path = Some(it.next().ok_or("--postmortem needs a path")?);
@@ -188,8 +182,10 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
         (None, Some(_), _) | (None, None, Some(_)) => MetricsLevel::Core,
         (None, None, None) => MetricsLevel::Off,
     };
-    if profile_path.is_some() && trace_level == TraceLevel::Off {
-        return Err("--profile needs a trace; drop --trace-level off or raise it".to_string());
+    // Below `costs` the trace holds no counter events, so a profile
+    // would attribute nothing.
+    if profile_path.is_some() && trace_level < TraceLevel::Costs {
+        return Err("--profile needs --trace-level costs or events".to_string());
     }
     Ok(Cli {
         request: request
@@ -200,8 +196,7 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
         trace_path,
         metrics_path,
         profile_path,
-        prof_wall_path,
-        transport_wall_path,
+        wall_path,
         postmortem_path,
     })
 }
@@ -210,24 +205,49 @@ fn main() -> ExitCode {
     // Must run before anything else: under `--transport sockets:N`
     // this binary re-execs itself as the delivery workers.
     bcc_transport::maybe_run_worker();
-    let cli = match parse_args(std::env::args().skip(1).collect()) {
-        Ok(cli) => cli,
-        Err(msg) => {
-            eprintln!("error: {msg}\n{USAGE}");
-            return ExitCode::from(2);
+    match run(std::env::args().skip(1).collect()) {
+        Ok(code) | Err(code) => code,
+    }
+}
+
+fn usage_error(msg: impl std::fmt::Display) -> ExitCode {
+    eprintln!("error: {msg}\n{USAGE}");
+    ExitCode::from(2)
+}
+
+/// Creates `path`, lets `write` fill it, and reports the summary
+/// `write` returns on stderr. Any I/O failure exits 1.
+fn emit(
+    path: &str,
+    write: impl FnOnce(&mut dyn Write) -> std::io::Result<String>,
+) -> Result<(), ExitCode> {
+    let written = std::fs::File::create(path).and_then(|file| {
+        let mut w = std::io::BufWriter::new(file);
+        let summary = write(&mut w)?;
+        w.flush()?;
+        Ok(summary)
+    });
+    match written {
+        Ok(summary) => {
+            eprintln!("wrote {summary} to {path}");
+            Ok(())
         }
-    };
+        Err(err) => {
+            eprintln!("error: writing {path}: {err}");
+            Err(ExitCode::FAILURE)
+        }
+    }
+}
+
+/// The whole CLI after worker dispatch; `Err` carries the exit code of
+/// a usage error or a failed write.
+fn run(args: Vec<String>) -> Result<ExitCode, ExitCode> {
+    let cli = parse_args(args).map_err(usage_error)?;
     // Wall-clock here times the whole suite for the stderr summary —
     // it never reaches report bytes.
     // bcc-lint: allow(D2, N1): suite timing feeds stderr only
     let started = std::time::Instant::now();
-    let suite = match cli.request.run() {
-        Ok(suite) => suite,
-        Err(err) => {
-            eprintln!("error: {err}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let suite = cli.request.run().map_err(usage_error)?;
     let elapsed = started.elapsed();
 
     for report in &suite.reports {
@@ -245,26 +265,24 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &cli.json_path {
-        match write_jsonl(path, &suite) {
-            Ok(records) => eprintln!("wrote {records} JSONL records to {path}"),
-            Err(err) => {
-                eprintln!("error: writing {path}: {err}");
-                return ExitCode::FAILURE;
+        emit(path, |w| {
+            for result in &suite.job_results {
+                writeln!(w, "{}", json::job_record(result))?;
             }
-        }
+            for report in &suite.reports {
+                writeln!(w, "{}", json::report_record(report))?;
+            }
+            writeln!(w, "{}", json::metrics_record(&suite.metrics))?;
+            let records = suite.job_results.len() + suite.reports.len() + 1;
+            Ok(format!("{records} JSONL records"))
+        })?;
     }
 
     if let Some(path) = &cli.trace_path {
-        match write_trace(path, &suite.trace) {
-            Ok(()) => eprintln!(
-                "wrote {} trace events to {path}",
-                suite.trace.events().len()
-            ),
-            Err(err) => {
-                eprintln!("error: writing {path}: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
+        emit(path, |w| {
+            suite.trace.write_jsonl(w)?;
+            Ok(format!("{} trace events", suite.trace.events().len()))
+        })?;
     }
     if !suite.trace.is_empty() {
         eprint!("{}", suite.trace.summary());
@@ -273,84 +291,57 @@ fn main() -> ExitCode {
     if let Some(path) = &cli.profile_path {
         let dump = (!suite.workload.is_empty()).then_some(&suite.workload);
         let profile = bcc_prof::Profile::build(suite.trace.events(), dump);
-        match write_profile(path, &profile) {
-            Ok(()) => eprintln!(
-                "wrote profile ({} frames, {} counters) to {path}",
+        emit(path, |w| {
+            bcc_prof::write_profile_jsonl(&profile, w)?;
+            Ok(format!(
+                "profile ({} frames, {} counters)",
                 profile.frames.len(),
                 profile.totals.len()
-            ),
-            Err(err) => {
-                eprintln!("error: writing {path}: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
+            ))
+        })?;
     }
 
-    if let Some(path) = &cli.prof_wall_path {
-        // Wall-clock sidecar: per-job latencies measured by the
-        // runner. Separate file, separate schema key — no
-        // deterministic artifact ever reads it.
-        let entries: Vec<(String, std::time::Duration)> = suite
+    if let Some(path) = &cli.wall_path {
+        // Per-job latencies measured by the runner plus the transport
+        // factory's spawn/accept stats. Separate file, separate schema
+        // key — no deterministic artifact ever reads it.
+        let jobs: Vec<(String, std::time::Duration)> = suite
             .job_results
             .iter()
             .map(|r| (r.id.clone(), r.latency))
             .collect();
-        match write_wall(path, &entries) {
-            Ok(()) => eprintln!("wrote wall sidecar ({} jobs) to {path}", entries.len()),
-            Err(err) => {
-                eprintln!("error: writing {path}: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if let Some(path) = &cli.transport_wall_path {
-        // Transport wall sidecar: spawn/accept/lifetime quantities
-        // measured by the socket factory. Separate file, separate
-        // schema key — no deterministic artifact ever reads it.
         let stats = bcc_model::transport::default_factory().wall_stats();
-        match write_transport_wall(path, &stats) {
-            Ok(()) => eprintln!(
-                "wrote transport wall sidecar ({} stats) to {path}",
+        emit(path, |w| {
+            w.write_all(wall::to_jsonl(&jobs, &stats).as_bytes())?;
+            Ok(format!(
+                "wall sidecar ({} jobs, {} stats)",
+                jobs.len(),
                 stats.len()
-            ),
-            Err(err) => {
-                eprintln!("error: writing {path}: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
+            ))
+        })?;
     }
 
     if let Some(path) = &cli.postmortem_path {
         let incidents = bcc_model::transport::default_factory().take_postmortems();
-        match std::fs::write(
-            path,
-            bcc_model::postmortem::postmortems_to_jsonl(&incidents),
-        ) {
-            Ok(()) => eprintln!(
-                "wrote postmortem artifact ({} incidents) to {path}",
+        emit(path, |w| {
+            w.write_all(bcc_model::postmortem::postmortems_to_jsonl(&incidents).as_bytes())?;
+            Ok(format!(
+                "postmortem artifact ({} incidents)",
                 incidents.len()
-            ),
-            Err(err) => {
-                eprintln!("error: writing {path}: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
+            ))
+        })?;
     }
 
     if let Some(path) = &cli.metrics_path {
-        match write_metrics(path, &suite.workload) {
-            Ok(()) => eprintln!(
-                "wrote {} metric series to {path}",
+        emit(path, |w| {
+            suite.workload.write_jsonl(w)?;
+            Ok(format!(
+                "{} metric series",
                 suite.workload.counters().len()
                     + suite.workload.gauges().len()
                     + suite.workload.hists().len()
-            ),
-            Err(err) => {
-                eprintln!("error: writing {path}: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
+            ))
+        })?;
     }
     if !suite.workload.is_empty() {
         eprint!("{}", suite.workload.summary());
@@ -365,62 +356,9 @@ fn main() -> ExitCode {
     );
     eprint!("{}", suite.metrics.summary_table());
 
-    if suite.reports.iter().all(|r| r.passed) {
+    Ok(if suite.reports.iter().all(|r| r.passed) {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
-}
-
-fn write_jsonl(path: &str, suite: &bcc_experiments::SuiteRun) -> std::io::Result<usize> {
-    let file = std::fs::File::create(path)?;
-    let mut w = std::io::BufWriter::new(file);
-    let mut records = 0usize;
-    for result in &suite.job_results {
-        writeln!(w, "{}", json::job_record(result))?;
-        records += 1;
-    }
-    for report in &suite.reports {
-        writeln!(w, "{}", json::report_record(report))?;
-        records += 1;
-    }
-    writeln!(w, "{}", json::metrics_record(&suite.metrics))?;
-    records += 1;
-    w.flush()?;
-    Ok(records)
-}
-
-fn write_trace(path: &str, trace: &bcc_trace::Trace) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut w = std::io::BufWriter::new(file);
-    trace.write_jsonl(&mut w)?;
-    w.flush()
-}
-
-fn write_metrics(path: &str, dump: &bcc_metrics::MetricsDump) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut w = std::io::BufWriter::new(file);
-    dump.write_jsonl(&mut w)?;
-    w.flush()
-}
-
-fn write_profile(path: &str, profile: &bcc_prof::Profile) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut w = std::io::BufWriter::new(file);
-    bcc_prof::write_profile_jsonl(profile, &mut w)?;
-    w.flush()
-}
-
-fn write_wall(path: &str, entries: &[(String, std::time::Duration)]) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut w = std::io::BufWriter::new(file);
-    bcc_prof::write_wall_sidecar(entries, &mut w)?;
-    w.flush()
-}
-
-fn write_transport_wall(path: &str, stats: &[(String, u64)]) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut w = std::io::BufWriter::new(file);
-    bcc_transport::wall::write_transport_wall(stats, &mut w)?;
-    w.flush()
+    })
 }

@@ -12,7 +12,7 @@ use bcc_experiments::RunRequest;
 use bcc_metrics::{MetricsHub, MetricsLevel};
 use bcc_prof::{profile_to_jsonl, Profile};
 use bcc_trace::{Collector, TraceLevel};
-use common::assert_same_profile;
+use common::{assert_same_dump, assert_same_profile, assert_same_trace, trace_jsonl};
 
 const IDS: [&str; 4] = ["f1", "e1", "e2", "e5"];
 
@@ -27,11 +27,9 @@ fn artifacts() -> (String, String, String) {
         )
         .run()
         .expect("known ids");
-    let mut trace = Vec::new();
-    run.trace.write_jsonl(&mut trace).expect("in-memory write");
     let profile = Profile::build(run.trace.events(), Some(&run.workload));
     (
-        String::from_utf8(trace).expect("traces are UTF-8"),
+        trace_jsonl(&run.trace),
         run.workload.to_jsonl_string(),
         profile_to_jsonl(&profile),
     )
@@ -47,8 +45,9 @@ fn concurrent_runs_match_a_solo_run_byte_for_byte() {
         (a.join().expect("run a"), b.join().expect("run b"))
     });
     for (name, run) in [("first", &a), ("second", &b)] {
-        assert!(run.0 == solo.0, "{name} concurrent trace differs from solo");
-        assert!(run.1 == solo.1, "{name} concurrent dump differs from solo");
-        assert_same_profile(&solo.2, &run.2, &format!("{name} concurrent run vs solo"));
+        let what = format!("{name} concurrent run vs solo");
+        assert_same_trace(&solo.0, &run.0, &what);
+        assert_same_dump(&solo.1, &run.1, &what);
+        assert_same_profile(&solo.2, &run.2, &what);
     }
 }

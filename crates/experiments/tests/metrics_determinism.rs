@@ -12,10 +12,13 @@
 //! 4. every dump round-trips through the JSONL codec, and the level
 //!    ladder behaves (`off` ⊂ `core` ⊂ `full`).
 
+mod common;
+
 use bcc_experiments::job::DEFAULT_SEED;
 use bcc_experiments::{RunRequest, SuiteRun};
 use bcc_metrics::{MetricsDump, MetricsHub, MetricsLevel};
 use bcc_trace::Collector;
+use common::assert_same_dump;
 
 /// A quick run of `ids` on `threads` workers, metered at `level`.
 fn run(ids: &[&str], threads: usize, level: MetricsLevel) -> SuiteRun {
@@ -49,19 +52,10 @@ fn metering_never_changes_report_bytes() {
 fn merged_dump_is_identical_across_thread_counts() {
     let serial = run(&IDS, 1, MetricsLevel::Full);
     let parallel = run(&IDS, 8, MetricsLevel::Full);
-    let (a, b) = (serial.workload.counters(), parallel.workload.counters());
-    let differs = |name: &&String| a.get(*name) != b.get(*name);
-    if let Some(name) = a.keys().chain(b.keys()).filter(differs).min() {
-        panic!(
-            "dump differs between 1 and 8 threads; first differing counter {name}: {:?} vs {:?}",
-            a.get(name),
-            b.get(name)
-        );
-    }
-    assert_eq!(
-        serial.workload.to_jsonl_string(),
-        parallel.workload.to_jsonl_string(),
-        "dump differs between 1 and 8 threads"
+    assert_same_dump(
+        &serial.workload.to_jsonl_string(),
+        &parallel.workload.to_jsonl_string(),
+        "1 vs 8 threads",
     );
 }
 

@@ -7,11 +7,14 @@
 //! 3. every emitted trace line round-trips through the JSONL codec
 //!    (the same property the CI trace validator checks on real runs).
 
+mod common;
+
 use bcc_experiments::job::DEFAULT_SEED;
 use bcc_experiments::{RunRequest, SuiteRun};
 use bcc_metrics::MetricsHub;
 use bcc_trace::json::parse_event;
 use bcc_trace::{Collector, TraceLevel};
+use common::{assert_same_trace, trace_jsonl};
 
 /// A quick run of `ids` on `threads` workers, traced at `level`.
 fn run(ids: &[&str], threads: usize, level: TraceLevel) -> SuiteRun {
@@ -45,33 +48,37 @@ fn tracing_never_changes_report_bytes() {
 fn merged_trace_is_identical_across_thread_counts() {
     let serial = run(&IDS, 1, TraceLevel::Events);
     let parallel = run(&IDS, 8, TraceLevel::Events);
-    assert_eq!(
-        serial.trace.events(),
-        parallel.trace.events(),
-        "trace differs between 1 and 8 threads"
+    assert_same_trace(
+        &trace_jsonl(&serial.trace),
+        &trace_jsonl(&parallel.trace),
+        "1 vs 8 threads",
     );
-    // And the rendered bytes agree too, not just the event structs.
-    let render = |t: &bcc_trace::Trace| {
-        let mut buf = Vec::new();
-        t.write_jsonl(&mut buf).expect("in-memory write");
-        buf
-    };
-    assert_eq!(render(&serial.trace), render(&parallel.trace));
 }
 
 #[test]
 fn same_seed_reruns_produce_identical_traces() {
     let a = run(&IDS, 4, TraceLevel::Events);
     let b = run(&IDS, 4, TraceLevel::Events);
-    assert_eq!(a.trace.events(), b.trace.events());
+    assert_same_trace(&trace_jsonl(&a.trace), &trace_jsonl(&b.trace), "re-run");
+}
+
+#[test]
+#[should_panic(expected = "first diverging event (e2/job, 1)")]
+fn trace_mismatch_names_the_diverging_event() {
+    let line = |unit: &str, seq: u64, bits: u64| {
+        format!(
+            "{{\"unit\":\"{unit}\",\"seq\":{seq},\"path\":\"\",\"kind\":\"counter\",\
+             \"name\":\"sim.bits_broadcast\",\"fields\":{{\"delta\":{bits}}}}}\n"
+        )
+    };
+    let trace = |bits| line("e1/job", 0, 5) + &line("e2/job", 0, 5) + &line("e2/job", 1, bits);
+    assert_same_trace(&trace(7), &trace(8), "one changed event");
 }
 
 #[test]
 fn every_trace_line_round_trips_through_the_codec() {
     let suite = run(&IDS, 4, TraceLevel::Events);
-    let mut buf = Vec::new();
-    suite.trace.write_jsonl(&mut buf).expect("in-memory write");
-    let text = String::from_utf8(buf).expect("traces are UTF-8");
+    let text = trace_jsonl(&suite.trace);
     let mut parsed = Vec::new();
     for line in text.lines() {
         parsed.push(parse_event(line).unwrap_or_else(|e| panic!("bad trace line {line:?}: {e}")));

@@ -13,8 +13,8 @@
 //!
 //! `--json` is deliberately not compared: its job records carry
 //! wall-clock latencies, which are not deterministic under any
-//! transport. Wall-clock transport quantities live in the
-//! `--transport-wall` sidecar, which is likewise never compared.
+//! transport. Wall-clock transport quantities live in the `--wall`
+//! sidecar, which is likewise never compared.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;

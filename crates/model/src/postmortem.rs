@@ -7,7 +7,7 @@
 //! the typed error detail, and every worker's health plus its ring.
 //! The artifact serializes as JSONL under its own `bcc_postmortem`
 //! schema key so no other parser in the workspace accepts its bytes
-//! (the same isolation trick the `bcc_prof_wall` sidecar uses), and
+//! (the same isolation trick the `bcc_wall` sidecar uses), and
 //! `bcc-report --postmortem` renders it for humans.
 //!
 //! [`TransportHealth`] is the live-observation subset of the same
@@ -290,7 +290,7 @@ mod tests {
     fn foreign_headers_are_rejected() {
         for foreign in [
             "{\"type\":\"meta\",\"schema\":1,\"level\":\"core\"}",
-            "{\"bcc_prof_wall\":1,\"entries\":0}",
+            "{\"bcc_wall\":1,\"jobs\":0,\"stats\":0}",
             "{\"bcc_prof\":1}",
         ] {
             assert!(parse_jsonl(foreign).is_err(), "accepted {foreign}");

@@ -248,9 +248,9 @@ pub trait TransportFactory: Send + Sync {
         Vec::new()
     }
 
-    /// Wall-clock-ish transport counters (accept retries, spawns,
-    /// respawns, …) for the `--transport-wall` sidecar. Never merged
-    /// into deterministic artifacts.
+    /// Wall-clock-ish transport counters (spawns, accept-loop ticks)
+    /// for the `--wall` sidecar. Never merged into deterministic
+    /// artifacts.
     fn wall_stats(&self) -> Vec<(String, u64)> {
         Vec::new()
     }

@@ -14,9 +14,9 @@
 //!  "attributed":a,"unattributed":u,"source":s}       ×T, by counter
 //! ```
 //!
-//! The wall-clock sidecar (see [`crate::wall`]) deliberately uses a
-//! different schema key (`bcc_prof_wall`) so neither artifact can be
-//! mistaken for the other.
+//! The `bcc-experiments --wall` sidecar deliberately uses a different
+//! schema key (`bcc_wall`) so neither artifact can be mistaken for the
+//! other.
 //!
 //! Quantities are exact `u64`s: the shared codec
 //! ([`bcc_metrics::json`]) parses integer literals as integers, so

@@ -15,9 +15,9 @@
 //! metrics dump — both of which are themselves byte-identical across
 //! `--jobs` and same-seed re-runs — so profile bytes are ratchetable
 //! artifacts like reports and dumps. Nothing in this crate reads a
-//! clock; the wall-clock sidecar in [`wall`] carries runner-measured
-//! latencies in a separate file with a separate schema key so it can
-//! never contaminate a deterministic artifact.
+//! clock; runner-measured latencies go to `bcc-experiments --wall`,
+//! a separate file under a separate schema key that no parser here
+//! accepts.
 //!
 //! # Pieces
 //!
@@ -34,7 +34,6 @@
 //! - [`diff`]: per-counter / per-span-path deltas between two
 //!   profiles with a relative tolerance, exit-coded for CI by the
 //!   `bcc-report --diff` front end.
-//! - [`wall`]: the wall-clock sidecar (timing bands per unit).
 //!
 //! # Example
 //!
@@ -68,11 +67,9 @@ pub mod codec;
 pub mod diff;
 pub mod profile;
 pub mod render;
-pub mod wall;
 
 pub use chrome::render_chrome;
 pub use codec::{parse_profile_jsonl, profile_to_jsonl, write_profile_jsonl};
 pub use diff::{diff_profiles, DiffKind, DiffOptions, DiffRow, ProfileDiff};
 pub use profile::{CounterTotal, Frame, Profile, SpanStat, TotalSource};
 pub use render::{default_counter, render_folded, render_hot_paths};
-pub use wall::{wall_sidecar_to_jsonl, write_wall_sidecar};

@@ -48,15 +48,14 @@
 //! driver calls [`TransportFactory::flush_telemetry`], yielding the
 //! deterministic `transport.*` counter family and
 //! `transport/worker:<rank>` trace units (DESIGN.md §15). Wall-ish
-//! quantities go to [`TransportFactory::wall_stats`] for the
-//! `--transport-wall` sidecar only. Each worker link also keeps a
+//! quantities (spawn counts, accept ticks) go to
+//! [`TransportFactory::wall_stats`] for the `--wall` sidecar only. Each worker link also keeps a
 //! flight-recorder ring of recent wire events; on a worker death the
 //! rings are frozen into a
 //! [`Postmortem`](bcc_model::postmortem::Postmortem) that travels on
 //! the error and via [`TransportFactory::take_postmortems`].
 
 pub mod socket;
-pub mod wall;
 pub mod wire;
 pub mod worker;
 

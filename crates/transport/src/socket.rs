@@ -17,10 +17,9 @@
 //! them — rank order, session spans canonically sorted — into the
 //! shared `Collector`/`MetricsHub` as the `transport.*` counter
 //! family under `worker:<rank>` units. Wall-clock-ish
-//! quantities (accept ticks, spawn counts, shutdown-time lifetime
-//! totals) never touch those sinks; they surface only through
-//! [`TransportFactory::wall_stats`] for the `--transport-wall`
-//! sidecar.
+//! quantities (accept ticks, spawn counts) never touch those sinks;
+//! they surface only through [`TransportFactory::wall_stats`] for the
+//! `--wall` sidecar.
 //!
 //! Any worker failure — spawn error, mid-run death, malformed reply —
 //! becomes a typed [`TransportError`], never a panic, and marks the
@@ -32,7 +31,7 @@
 //! rings (last [`FLIGHT_RING_CAPACITY`] wire events each) are frozen
 //! into a [`Postmortem`] that travels on the error itself.
 
-use crate::wire::{self, Command, Reply, SessionSpan, WorkerTelemetry};
+use crate::wire::{self, Command, Reply, SessionSpan};
 use bcc_model::postmortem::{
     Postmortem, TransportHealth, WireEvent, WorkerHealth, FLIGHT_RING_CAPACITY,
 };
@@ -151,11 +150,6 @@ impl WireMeta {
                 session: *session,
                 round: 0,
             },
-            Reply::Telemetry { .. } => WireMeta {
-                kind: "telemetry",
-                session: 0,
-                round: 0,
-            },
             Reply::Bye => WireMeta {
                 kind: "bye",
                 session: 0,
@@ -183,10 +177,6 @@ struct RankTelemetry {
     frames: u64,
     rounds: u64,
     symbols: u64,
-    /// Explicitly shipped counters (a closed block that carries its
-    /// own counter list overrides span derivation; nothing on the
-    /// current wire does, so this stays empty and unallocated).
-    extra: BTreeMap<String, u64>,
     /// Sessions closed with a telemetry block.
     sessions: u64,
     /// One numeric summary per closed session, in arrival order;
@@ -201,23 +191,17 @@ impl RankTelemetry {
     /// The rank's counter list in canonical (name-sorted) order,
     /// ready to absorb into a `MetricsHub`.
     fn counters(&self) -> Vec<(String, u64)> {
-        let mut counters = self.extra.clone();
-        for (name, value) in [
+        [
             ("frames", self.frames),
             ("rounds", self.rounds),
+            ("sessions", self.sessions),
             ("symbols", self.symbols),
-        ] {
-            if value > 0 {
-                *counters.entry(name.to_string()).or_insert(0) += value;
-            }
-        }
-        if self.sessions > 0 {
-            counters.insert("sessions".to_string(), self.sessions);
-        }
-        if self.truncated > 0 {
-            counters.insert("truncated".to_string(), self.truncated);
-        }
-        counters.into_iter().collect()
+            ("truncated", self.truncated),
+        ]
+        .into_iter()
+        .filter(|&(_, value)| value > 0)
+        .map(|(name, value)| (name.to_string(), value))
+        .collect()
     }
 }
 
@@ -225,7 +209,7 @@ impl RankTelemetry {
 struct TelemetryState {
     ranks: BTreeMap<usize, RankTelemetry>,
     incidents: Vec<Postmortem>,
-    /// Wall-clock-ish counters for the `--transport-wall` sidecar.
+    /// Wall-clock-ish counters for the `--wall` sidecar.
     wall: BTreeMap<String, u64>,
 }
 
@@ -258,36 +242,23 @@ impl TelemetryStore {
         self.state().wall.get(key).copied().unwrap_or(0)
     }
 
-    /// Records one closed session's telemetry block for `rank`.
-    /// Empty blocks (telemetry disabled worker-side) are dropped so a
+    /// Records one closed session's telemetry for `rank`. A session
+    /// without telemetry (disabled worker-side) is dropped so a
     /// disabled run's dumps stay indistinguishable from local runs.
-    fn record_closed(&self, rank: usize, telemetry: WorkerTelemetry) {
-        if telemetry.counters.is_empty() && telemetry.span.is_none() {
+    fn record_closed(&self, rank: usize, span: Option<SessionSpan>) {
+        let Some(span) = span else {
             return;
-        }
+        };
+        // The span doubles as the session's counters so the wire ships
+        // each number exactly once, and the accumulation is three
+        // integer adds — no allocation while the store lock is held.
         let mut state = self.state();
         let entry = state.ranks.entry(rank).or_default();
-        if telemetry.counters.is_empty() {
-            // Normal path: the span doubles as the session's counters
-            // so the wire ships each number exactly once, and the
-            // accumulation is three integer adds — no allocation
-            // while the store lock is held.
-            if let Some(span) = &telemetry.span {
-                entry.frames += span.frames;
-                entry.rounds = entry.rounds.saturating_add(span.rounds);
-                entry.symbols += span.symbols;
-            }
-        } else {
-            // Explicit counters take precedence over span-derived
-            // ones, so a block carrying both is never double-counted.
-            for (name, value) in telemetry.counters {
-                *entry.extra.entry(name).or_insert(0) += value;
-            }
-        }
+        entry.frames += span.frames;
+        entry.rounds = entry.rounds.saturating_add(span.rounds);
+        entry.symbols += span.symbols;
         entry.sessions += 1;
-        if let Some(span) = telemetry.span {
-            entry.spans.push(span);
-        }
+        entry.spans.push(span);
     }
 
     fn add_truncated(&self, rank: usize, count: u64) {
@@ -296,15 +267,6 @@ impl TelemetryStore {
         }
         let mut state = self.state();
         state.ranks.entry(rank).or_default().truncated += count;
-    }
-
-    fn record_lifetime(&self, rank: usize, counters: &[(String, u64)]) {
-        let mut state = self.state();
-        for (name, value) in counters {
-            let key = format!("worker:{rank}.lifetime.{name}");
-            let slot = state.wall.entry(key).or_insert(0);
-            *slot = (*slot).max(*value);
-        }
     }
 
     fn record_incident(&self, pm: Postmortem) {
@@ -526,8 +488,8 @@ impl GroupInner {
             if self.alive[rank] {
                 for &session in &sessions {
                     match self.salvage_read_closed(rank, session) {
-                        Some(telemetry) => {
-                            self.telemetry.record_closed(rank, telemetry);
+                        Some(span) => {
+                            self.telemetry.record_closed(rank, span);
                             recovered += 1;
                         }
                         None => {
@@ -546,15 +508,13 @@ impl GroupInner {
     /// Reads replies off `rank`'s link until the `closed`
     /// acknowledgement for `session` arrives, skipping whatever was
     /// already queued ahead of it (pending round views, error
-    /// replies). `None` when the link dies or the skip budget runs
-    /// out.
-    fn salvage_read_closed(&mut self, rank: usize, session: u64) -> Option<WorkerTelemetry> {
+    /// replies), and returns the session's span, itself `None` when
+    /// telemetry is off. `None` when the link dies or the skip budget
+    /// runs out.
+    fn salvage_read_closed(&mut self, rank: usize, session: u64) -> Option<Option<SessionSpan>> {
         for _ in 0..SALVAGE_SKIP_LIMIT {
             match self.read_raw(rank) {
-                Ok(Reply::Closed {
-                    session: s,
-                    telemetry,
-                }) if s == session => return Some(telemetry),
+                Ok(Reply::Closed { session: s, span }) if s == session => return Some(span),
                 Ok(_) => continue,
                 Err(_) => return None,
             }
@@ -684,9 +644,7 @@ impl GroupInner {
 impl Drop for GroupInner {
     fn drop(&mut self) {
         // Best-effort graceful shutdown: ask every worker to exit,
-        // read its lifetime-totals goodbye (into the wall-stats
-        // sidecar — shutdown timing is not deterministic), then reap
-        // unconditionally.
+        // wait briefly for its `bye`, then reap unconditionally.
         let line = framed(&Command::Shutdown);
         for link in &mut self.links {
             let _ = link
@@ -702,17 +660,7 @@ impl Drop for GroupInner {
             if !self.alive.get(rank).copied().unwrap_or(false) {
                 continue;
             }
-            // At most two goodbye lines: `telemetry`, then `bye`.
-            for _ in 0..2 {
-                match self.read_raw(rank) {
-                    Ok(Reply::Telemetry { rank: r, counters }) if r == rank => {
-                        self.telemetry.record_lifetime(rank, &counters);
-                    }
-                    Ok(Reply::Bye) => break,
-                    Ok(_) => continue,
-                    Err(_) => break,
-                }
-            }
+            let _ = self.read_raw(rank);
         }
         self.links.clear();
         for child in &mut self.children {
@@ -1032,11 +980,8 @@ impl WorkerGroup {
         }
         for rank in 0..self.workers {
             match inner.read_reply(rank)? {
-                Reply::Closed {
-                    session: s,
-                    telemetry,
-                } if s == session => {
-                    inner.telemetry.record_closed(rank, telemetry);
+                Reply::Closed { session: s, span } if s == session => {
+                    inner.telemetry.record_closed(rank, span);
                 }
                 Reply::Error { detail } => {
                     return Err(inner.fail(TransportError::Protocol {
@@ -1314,27 +1259,9 @@ mod tests {
         // Rank 1 recorded before rank 0; flush must still emit rank
         // order. Rank 0's two sessions arrive out of canonical order;
         // flush sorts the spans.
-        store.record_closed(
-            1,
-            WorkerTelemetry {
-                counters: Vec::new(),
-                span: Some(span(2, 7)),
-            },
-        );
-        store.record_closed(
-            0,
-            WorkerTelemetry {
-                counters: Vec::new(),
-                span: Some(span(9, 5)),
-            },
-        );
-        store.record_closed(
-            0,
-            WorkerTelemetry {
-                counters: Vec::new(),
-                span: Some(span(1, 3)),
-            },
-        );
+        store.record_closed(1, Some(span(2, 7)));
+        store.record_closed(0, Some(span(9, 5)));
+        store.record_closed(0, Some(span(1, 3)));
         store.add_truncated(1, 1);
         let collector = Collector::new(TraceLevel::Events);
         let hub = MetricsHub::new(MetricsLevel::Core);
@@ -1384,7 +1311,7 @@ mod tests {
     #[test]
     fn empty_worker_telemetry_is_not_recorded() {
         let store = TelemetryStore::new();
-        store.record_closed(0, WorkerTelemetry::default());
+        store.record_closed(0, None);
         use bcc_metrics::{MetricsHub, MetricsLevel};
         use bcc_trace::TraceLevel;
         let collector = Collector::new(TraceLevel::Events);

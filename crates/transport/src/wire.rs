@@ -62,33 +62,20 @@ pub enum Command {
     Shutdown,
 }
 
-/// The telemetry block a worker ships back with a [`Reply::Closed`]:
-/// logical counters (frames routed, symbols forwarded, rounds
-/// served) plus a compact numeric session summary from which the
-/// coordinator synthesizes the session's trace events at flush time.
-/// Shipping five integers instead of serialized event lines keeps
-/// the close path allocation-light — the ≤ 2% budget of the
-/// `telemetry` pair in `BENCH.json` is won here. Everything on this
-/// surface is a pure function of the commands served; nothing
-/// wall-clock-shaped is allowed
-/// (those quantities stay driver-side, in the `--transport-wall`
-/// sidecar).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WorkerTelemetry {
-    /// `(name, value)` counter pairs in the worker's canonical
-    /// (sorted) order.
-    pub counters: Vec<(String, u64)>,
-    /// The session's trace summary; `None` when telemetry is
-    /// disabled worker-side.
-    pub span: Option<SessionSpan>,
-}
-
-/// One closed session's numeric trace summary. The coordinator
-/// renders it as a `session` span (`n`/`nodes` fields on the start,
-/// `rounds` on the end) holding `frames` and `symbols` counter
-/// events, under the owning `transport/worker:<rank>` unit. Ordered
-/// field-by-field so a rank's sessions sort canonically,
-/// independent of close order.
+/// One closed session's telemetry, shipped home with a
+/// [`Reply::Closed`]: a compact numeric summary from which the
+/// coordinator derives the session's `frames`/`rounds`/`symbols`
+/// counters and synthesizes its trace events at flush time. It renders
+/// as a `session` span (`n`/`nodes` fields on the start, `rounds` on
+/// the end) holding `frames` and `symbols` counter events, under the
+/// owning `transport/worker:<rank>` unit. Shipping five integers
+/// instead of serialized event lines keeps the close path
+/// allocation-light — the ≤ 2% budget of the `telemetry` pair in
+/// `BENCH.json` is won here. Everything here is a pure function of the
+/// commands served; nothing wall-clock-shaped is allowed (those
+/// quantities stay driver-side, in the `--wall` sidecar). Ordered
+/// field-by-field so a rank's sessions sort canonically, independent
+/// of close order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct SessionSpan {
     /// Total vertex count of the instance.
@@ -135,17 +122,9 @@ pub enum Reply {
     Closed {
         /// The session closed.
         session: u64,
-        /// The session's telemetry block.
-        telemetry: WorkerTelemetry,
-    },
-    /// Lifetime counter totals, sent once right before [`Reply::Bye`]
-    /// when a shutdown is acknowledged — the coordinator's last
-    /// chance to account for sessions that were never closed.
-    Telemetry {
-        /// The sending worker's rank.
-        rank: usize,
-        /// `(name, value)` lifetime totals, canonical order.
-        counters: Vec<(String, u64)>,
+        /// The session's telemetry; `None` when telemetry is
+        /// disabled worker-side.
+        span: Option<SessionSpan>,
     },
     /// Shutdown acknowledged; the worker exits after sending this.
     Bye,
@@ -324,60 +303,23 @@ pub fn render_reply(reply: &Reply) -> String {
             line.push_str("]}");
             line
         }
-        Reply::Closed { session, telemetry } => {
+        Reply::Closed { session, span } => {
             // The span is a fixed-position array, not a keyed object:
             // the close path runs once per session, and five bare
             // numbers parse with no per-key string allocations.
-            let span = telemetry.span.as_ref().map_or_else(String::new, |s| {
+            let span = span.as_ref().map_or_else(String::new, |s| {
                 format!(
                     ",\"span\":[{},{},{},{},{}]",
                     s.n, s.nodes, s.rounds, s.frames, s.symbols
                 )
             });
-            // The counters key is omitted when empty (the common
-            // case: the span carries the numbers), keeping the
-            // close-path line short.
-            let counters = if telemetry.counters.is_empty() {
-                String::new()
-            } else {
-                format!(",\"counters\":{}", render_counters(&telemetry.counters))
-            };
-            format!("{{\"type\":\"closed\",\"session\":{session}{counters}{span}}}")
+            format!("{{\"type\":\"closed\",\"session\":{session}{span}}}")
         }
-        Reply::Telemetry { rank, counters } => format!(
-            "{{\"type\":\"telemetry\",\"rank\":{rank},\"counters\":{}}}",
-            render_counters(counters)
-        ),
         Reply::Bye => "{\"type\":\"bye\"}".to_string(),
         Reply::Error { detail } => {
             format!("{{\"type\":\"error\",\"detail\":\"{}\"}}", escape(detail))
         }
     }
-}
-
-fn render_counters(counters: &[(String, u64)]) -> String {
-    let entries: Vec<String> = counters
-        .iter()
-        .map(|(name, value)| format!("[\"{}\",{value}]", escape(name)))
-        .collect();
-    format!("[{}]", entries.join(","))
-}
-
-fn parse_counters(v: &JsonValue, key: &str) -> Result<Vec<(String, u64)>, String> {
-    v.arr_field(key)?
-        .iter()
-        .map(|entry| {
-            let pair = entry.as_arr().ok_or("counter entry is not an array")?;
-            if pair.len() != 2 {
-                return Err(format!("counter entry has {} elements", pair.len()));
-            }
-            let name = pair[0].as_str().ok_or("counter name is not a string")?;
-            let value = pair[1]
-                .as_u64()
-                .ok_or("counter value is not a non-negative integer")?;
-            Ok((name.to_string(), value))
-        })
-        .collect()
 }
 
 fn field_usize(v: &JsonValue, key: &str) -> Result<usize, String> {
@@ -502,20 +444,11 @@ pub fn parse_reply(line: &str) -> Result<Reply, String> {
                     })
                 }
             };
-            let counters = if v.get("counters").is_some() {
-                parse_counters(&v, "counters")?
-            } else {
-                Vec::new()
-            };
             Ok(Reply::Closed {
                 session: v.u64_field("session")?,
-                telemetry: WorkerTelemetry { counters, span },
+                span,
             })
         }
-        "telemetry" => Ok(Reply::Telemetry {
-            rank: field_usize(&v, "rank")?,
-            counters: parse_counters(&v, "counters")?,
-        }),
         "bye" => Ok(Reply::Bye),
         "error" => Ok(Reply::Error {
             detail: v.str_field("detail")?.to_string(),
@@ -578,24 +511,17 @@ mod tests {
             },
             Reply::Closed {
                 session: 9,
-                telemetry: WorkerTelemetry {
-                    counters: vec![("frames".to_string(), 12), ("rounds".to_string(), 3)],
-                    span: Some(SessionSpan {
-                        n: 5,
-                        nodes: 2,
-                        rounds: 3,
-                        frames: 12,
-                        symbols: 24,
-                    }),
-                },
+                span: Some(SessionSpan {
+                    n: 5,
+                    nodes: 2,
+                    rounds: 3,
+                    frames: 12,
+                    symbols: 24,
+                }),
             },
             Reply::Closed {
                 session: 2,
-                telemetry: WorkerTelemetry::default(),
-            },
-            Reply::Telemetry {
-                rank: 1,
-                counters: vec![("sessions".to_string(), 4)],
+                span: None,
             },
             Reply::Bye,
             Reply::Error {

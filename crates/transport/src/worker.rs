@@ -18,7 +18,7 @@
 //! dropped the group); every malformed or unserviceable command is
 //! answered with a wire-level `error` reply rather than a crash.
 
-use crate::wire::{self, Command, Reply, SessionSpan, WorkerTelemetry};
+use crate::wire::{self, Command, Reply, SessionSpan};
 use bcc_model::Message;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -60,27 +60,6 @@ struct Session {
     /// `routes[i]` = `(port_label, peer)` pairs of node `lo + i`.
     routes: Vec<Vec<(u64, usize)>>,
     telemetry: Option<SessionTelemetry>,
-}
-
-/// Lifetime totals across every session the worker ever served;
-/// shipped as a `telemetry` reply right before `bye`.
-#[derive(Default)]
-struct Lifetime {
-    frames: u64,
-    rounds: u64,
-    sessions: u64,
-    symbols: u64,
-}
-
-impl Lifetime {
-    fn counters(&self) -> Vec<(String, u64)> {
-        vec![
-            ("frames".to_string(), self.frames),
-            ("rounds".to_string(), self.rounds),
-            ("sessions".to_string(), self.sessions),
-            ("symbols".to_string(), self.symbols),
-        ]
-    }
 }
 
 /// Entry point for the worker process: `args` are the argv elements
@@ -145,7 +124,6 @@ fn serve(port: u16, rank: usize) -> Result<(), String> {
 
     let telemetry_on = telemetry_enabled();
     let mut sessions: BTreeMap<u64, Session> = BTreeMap::new();
-    let mut lifetime = Lifetime::default();
     let mut rounds_left: Option<u64> = std::env::var(EXIT_AFTER_ENV)
         .ok()
         .and_then(|v| exit_after_for(&v, rank));
@@ -178,7 +156,6 @@ fn serve(port: u16, rank: usize) -> Result<(), String> {
                         frames: 0,
                         symbols: 0,
                     });
-                    lifetime.sessions += 1;
                     sessions.insert(
                         session,
                         Session {
@@ -203,30 +180,21 @@ fn serve(port: u16, rank: usize) -> Result<(), String> {
                     }
                     *left -= 1;
                 }
-                match handle_round(&mut sessions, session, round, &outbox, &mut lifetime) {
+                match handle_round(&mut sessions, session, round, &outbox) {
                     Ok(reply) => reply,
                     Err(detail) => Reply::Error { detail },
                 }
             }
             Ok(Command::Close { session }) => {
-                let telemetry = sessions
+                let span = sessions
                     .remove(&session)
                     .and_then(|s| s.telemetry)
-                    .map_or_else(WorkerTelemetry::default, close_telemetry);
-                Reply::Closed { session, telemetry }
+                    .map(close_telemetry);
+                Reply::Closed { session, span }
             }
             Ok(Command::Shutdown) => {
-                // Best-effort goodbyes: the coordinator may already
-                // have dropped its end by the time these are written.
-                if telemetry_on {
-                    let _ = send(
-                        &mut writer,
-                        &Reply::Telemetry {
-                            rank,
-                            counters: lifetime.counters(),
-                        },
-                    );
-                }
+                // Best-effort goodbye: the coordinator may already
+                // have dropped its end by the time this is written.
                 let _ = send(&mut writer, &Reply::Bye);
                 return Ok(());
             }
@@ -236,22 +204,14 @@ fn serve(port: u16, rank: usize) -> Result<(), String> {
     }
 }
 
-/// Seals a session's telemetry: one compact numeric summary. The
-/// coordinator derives the session's `frames`/`rounds`/`symbols`
-/// counters from it and turns it into a `session` trace span at
-/// flush time, so nothing is shipped twice (the counters vec stays
-/// empty on this path; the wire still carries explicit counters for
-/// the lifetime `telemetry` reply).
-fn close_telemetry(t: SessionTelemetry) -> WorkerTelemetry {
-    WorkerTelemetry {
-        counters: Vec::new(),
-        span: Some(SessionSpan {
-            n: t.n,
-            nodes: t.nodes,
-            rounds: t.rounds,
-            frames: t.frames,
-            symbols: t.symbols,
-        }),
+/// Seals a session's telemetry into its compact numeric summary.
+fn close_telemetry(t: SessionTelemetry) -> SessionSpan {
+    SessionSpan {
+        n: t.n,
+        nodes: t.nodes,
+        rounds: t.rounds,
+        frames: t.frames,
+        symbols: t.symbols,
     }
 }
 
@@ -297,7 +257,6 @@ fn handle_round(
     session: u64,
     round: usize,
     outbox: &[Message],
-    lifetime: &mut Lifetime,
 ) -> Result<Reply, String> {
     let s = sessions
         .get_mut(&session)
@@ -330,9 +289,6 @@ fn handle_round(
         t.rounds = t.rounds.saturating_add(1);
         t.frames += frames;
         t.symbols += symbols;
-        lifetime.rounds = lifetime.rounds.saturating_add(1);
-        lifetime.frames += frames;
-        lifetime.symbols += symbols;
     }
     Ok(Reply::View {
         session,
@@ -388,10 +344,10 @@ mod tests {
             },
         );
         let outbox: Vec<Message> = (0..n as u64).map(|v| Message::from_bits(v, 1)).collect();
-        let mut lifetime = Lifetime::default();
-        let reply = handle_round(&mut sessions, 1000, 10, &outbox, &mut lifetime).unwrap();
+        let reply = handle_round(&mut sessions, 1000, 10, &outbox).unwrap();
         let line = wire::render_reply(&reply);
         assert!(line.len() <= 400, "{} B view line: {line}", line.len());
-        assert_eq!((lifetime.frames, lifetime.symbols), (12 * 23, 12 * 23));
+        let t = sessions[&1000].telemetry.as_ref().unwrap();
+        assert_eq!((t.frames, t.symbols), (12 * 23, 12 * 23));
     }
 }
