@@ -21,7 +21,7 @@ use bcc_experiments::job::DEFAULT_SEED;
 use bcc_experiments::RunRequest;
 use bcc_metrics::{MetricsHub, MetricsLevel};
 use bcc_model::testing::ConstantDecision;
-use bcc_model::{Algorithm, TransportSpec};
+use bcc_model::Algorithm;
 use bcc_trace::{Collector, TraceLevel};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -59,24 +59,18 @@ fn e2_workload(dist: &[WeightedInstance], store: Option<&ArtifactStore>) -> (usi
 /// A trace level and a metrics level to observe a suite run at.
 type Levels = (TraceLevel, MetricsLevel);
 
-/// An arm timing one e2 suite run observed at `levels`. With
-/// `telemetry` set, a block starts by setting the worker telemetry
-/// knob and warming a freshly installed `sockets:2` transport with one
-/// untimed run; otherwise a block's fastest run finds the cache warm.
-fn suite(name: &'static str, quick: bool, levels: Levels, telemetry: Option<bool>) -> Arm<'static> {
+/// An arm timing one full-mode e2 suite run observed at `levels`; a
+/// block's fastest run finds the cache warm.
+fn suite(name: &'static str, levels: Levels) -> Arm<'static> {
     let (trace, metrics) = levels;
-    let request = move || {
-        RunRequest::new(["e2"], quick, DEFAULT_SEED)
+    let run = move || {
+        RunRequest::new(["e2"], false, DEFAULT_SEED)
             .observed(Collector::new(trace), MetricsHub::new(metrics))
+            .run()
+            // "e2" is a registry id; only a broken registry fails.
+            .unwrap_or_else(|e| fail(format!("e2: {e:?}")))
     };
-    // "e2" is a registry id; only a broken registry or transport fails.
-    let run = |request: RunRequest| request.run().unwrap_or_else(|e| fail(format!("e2: {e:?}")));
-    let prepare = move || {
-        let knob = if telemetry? { "1" } else { "0" };
-        std::env::set_var(bcc_transport::TELEMETRY_ENV, knob);
-        Some(run(request().transport(TransportSpec::Sockets(2))))
-    };
-    Arm::new(name, prepare, move || run(request()))
+    Arm::new(name, || {}, run)
 }
 
 /// Warms `store` with E2's round-0 graphs: a block's untimed step.
@@ -101,10 +95,7 @@ const OFF: Levels = (TraceLevel::Off, MetricsLevel::Off);
 
 /// The full-mode e2 suite unobserved against observed at `levels`.
 fn observed(name: &'static str, levels: Levels) -> [Arm<'static>; 2] {
-    [
-        suite("off", false, OFF, None),
-        suite(name, false, levels, None),
-    ]
+    [suite("off", OFF), suite(name, levels)]
 }
 
 /// Builds a pair's (base, variant) arms over E2's distribution and a
@@ -112,9 +103,8 @@ fn observed(name: &'static str, levels: Levels) -> [Arm<'static>; 2] {
 type Arms = for<'a> fn(&'a [WeightedInstance], &'a ArtifactStore) -> [Arm<'a>; 2];
 
 /// The pairs, in run order: name, kind, reps, timed runs per block,
-/// arms. `telemetry` goes last because its arms leave `sockets:2`
-/// installed.
-const TABLE: [(&str, Kind, u64, u64, Arms); 7] = [
+/// arms.
+const TABLE: [(&str, Kind, u64, u64, Arms); 6] = [
     ("e2_workload", Kind::Speedup, 7, 1, |dist, store| {
         [
             Arm::new("scalar", || {}, move || e2_workload(dist, None)),
@@ -143,12 +133,6 @@ const TABLE: [(&str, Kind, u64, u64, Arms); 7] = [
     ("profiler", Kind::Overhead, 15, 2, |_, _| {
         observed("costs_core", (TraceLevel::Costs, MetricsLevel::Core))
     }),
-    ("telemetry", Kind::Overhead, 21, 5, |_, _| {
-        [
-            suite("off", true, OFF, Some(false)),
-            suite("on", true, OFF, Some(true)),
-        ]
-    }),
 ];
 
 /// Stops the recorder: a pair that cannot run cannot be timed.
@@ -158,8 +142,6 @@ fn fail(why: String) -> ! {
 }
 
 fn main() -> ExitCode {
-    // The `sockets:2` arms re-exec this binary as their workers.
-    bcc_transport::maybe_run_worker();
     let out_path = std::env::args().nth(1);
     let out_path = out_path.as_deref().unwrap_or("BENCH.json");
     let dist = uniform_two_cycle_distribution(7);

@@ -24,7 +24,7 @@ use bcc_trace::json::{event_to_json, parse_event};
 use bcc_trace::{field, Event, EventKind};
 use bcc_transport::wire::{
     decode_message, parse_command, parse_reply, render_command, render_reply, split_view, Command,
-    Reply, SessionSpan,
+    Reply,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -182,16 +182,6 @@ fn corpus() -> Vec<(String, Decoder)> {
             session: 9,
             round: 2,
             inboxes: vec!["01__1".into(), "1".into()],
-        },
-        Reply::Closed {
-            session: 9,
-            span: Some(SessionSpan {
-                n: 4,
-                nodes: 2,
-                rounds: 3,
-                frames: 12,
-                symbols: 24,
-            }),
         },
         Reply::Error {
             detail: "bad \"stuff\"\n".into(),

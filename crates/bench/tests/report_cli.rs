@@ -141,7 +141,7 @@ fn old_format_and_repeated_bench_files_are_usage_errors() {
 }
 
 #[test]
-fn committed_bench_file_names_the_seven_pairs() {
+fn committed_bench_file_names_the_six_pairs() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH.json");
     let text = std::fs::read_to_string(path).expect("BENCH.json is committed");
     let pairs = ratios::parse(&text).expect("BENCH.json parses");
@@ -154,8 +154,7 @@ fn committed_bench_file_names_the_seven_pairs() {
             "indist_cache",
             "metrics_core",
             "metrics_full",
-            "profiler",
-            "telemetry"
+            "profiler"
         ]
     );
 }

@@ -276,8 +276,8 @@ impl RunRequest {
     /// Runs on a freshly created pool with [`jobs`](Self::jobs)-many
     /// threads — the CLI host's path. On top of
     /// [`run_on_pool`](Self::run_on_pool) it books the `suite`
-    /// accounting unit, drains worker-shipped transport telemetry into
-    /// the sinks, and returns them finished in
+    /// accounting unit, drains the transport's telemetry into the
+    /// sinks, and returns them finished in
     /// [`SuiteRun::trace`]/[`SuiteRun::workload`].
     ///
     /// # Errors
@@ -309,7 +309,7 @@ impl RunRequest {
             tbuf.counter("cache.lookups", run.cache_lookups);
             collector.absorb(tbuf);
         }
-        // Drain worker-shipped transport telemetry into the same sinks
+        // Drain the transport's per-worker telemetry into the same sinks
         // before they finish — a no-op on the local backend, which never
         // accumulates any (DESIGN.md §15). Sessions are rank-ordered and
         // canonically sorted on the way in, so the flushed units are

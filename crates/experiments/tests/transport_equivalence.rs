@@ -179,8 +179,8 @@ fn sockets_artifacts_are_deterministic_across_reruns_and_jobs() {
         first.trace, wide.trace,
         "trace differs between --jobs 1 and --jobs 8"
     );
-    // Quick e2 ships a fixed amount of work through the workers: the
-    // totals the `telemetry` pair in BENCH.json prices.
+    // Quick e2 ships a fixed amount of work through the workers, and
+    // the coordinator's counts of it are pinned here.
     let text = String::from_utf8(first.metrics).expect("utf-8 metrics dump");
     let dump = bcc_metrics::MetricsDump::parse_jsonl(&text).expect("metrics dump parses");
     for (name, total) in [

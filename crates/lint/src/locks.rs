@@ -56,9 +56,9 @@ fn rank(class: &str) -> Option<u32> {
         "SocketFactory" => Some(5),
         "WorkerGroup" => Some(6),
         // The telemetry buffer is acquired under the group lock while
-        // a `closed` reply is recorded, and is always released before
-        // the flush absorbs into Collector/MetricsHub — so it sits
-        // innermost of all.
+        // an ended session's spans are recorded, and is always
+        // released before the flush absorbs into Collector/MetricsHub
+        // — so it sits innermost of all.
         "TelemetryStore" => Some(7),
         _ => None,
     }

@@ -227,8 +227,8 @@ pub trait TransportFactory: Send + Sync {
     /// A short human-readable tag (`"local"`, `"sockets:4"`).
     fn label(&self) -> String;
 
-    /// Drains any cross-process telemetry the factory has accumulated
-    /// (worker-origin trace spans and `transport.*` counters) into the
+    /// Drains any transport telemetry the factory has accumulated
+    /// (per-worker trace spans and `transport.*` counters) into the
     /// run's shared sinks, in rank order. Backends without workers
     /// have nothing to flush. Callers must flush at most once per
     /// collector lifetime — foreign events are re-sequenced per call,

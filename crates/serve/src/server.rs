@@ -415,7 +415,7 @@ impl Server {
     }
 
     fn flush_dumps(&self) -> std::io::Result<()> {
-        // Drain worker-shipped transport telemetry (a no-op on the
+        // Drain the transport's per-worker telemetry (a no-op on the
         // local backend) before the sinks finish, so daemon dumps
         // carry the same rank-ordered transport.* family as batch
         // runs (DESIGN.md §15).

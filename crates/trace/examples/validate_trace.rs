@@ -13,14 +13,14 @@
 //!    in one unit can never satisfy an open in another, so a
 //!    cross-unit mismatch shows up as one unit with surplus opens and
 //!    another with surplus closes rather than being absorbed silently;
-//! 5. worker-origin units (`transport/worker:<rank>`, replayed from
-//!    telemetry the workers shipped over the wire) start with their
+//! 5. worker units (`transport/worker:<rank>`, synthesized from the
+//!    coordinator's per-rank session counts) start with their
 //!    `worker:<rank>` wrapper `span_start` and end with its matching
 //!    `span_end` — so a truncated or mis-merged worker replay cannot
-//!    masquerade as a valid unit. Because only *closed* sessions ship
-//!    telemetry (a dead worker's open sessions are counted as
-//!    `truncated` instead), these checks must hold even for traces
-//!    collected on a run that lost a worker.
+//!    masquerade as a valid unit. Because a dead rank's open sessions
+//!    are counted as `truncated` rather than replayed, these checks
+//!    must hold even for traces collected on a run that lost a
+//!    worker.
 //!
 //! All violations in a file are reported, not just the first — a
 //! truncated or interleaved trace usually breaks several checks at

@@ -38,21 +38,20 @@
 //! — and the run degrades to an all-`Undecided` outcome exactly like
 //! any other transport failure.
 //!
-//! ## Cross-process telemetry
+//! ## Transport telemetry
 //!
-//! Workers additionally keep *logical* telemetry (frames routed,
-//! symbols forwarded, rounds served per session) and ship it home
-//! inside the `closed` acknowledgement. The factory accumulates these
-//! buffers per rank and replays them — rank-ordered, canonically
-//! sorted — into the run's shared `Collector`/`MetricsHub` when the
-//! driver calls [`TransportFactory::flush_telemetry`], yielding the
-//! deterministic `transport.*` counter family and
-//! `transport/worker:<rank>` trace units (DESIGN.md §15). Wall-ish
-//! quantities (spawn counts, accept ticks) go to
-//! [`TransportFactory::wall_stats`] for the `--wall` sidecar only. Each worker link also keeps a
-//! flight-recorder ring of recent wire events; on a worker death the
-//! rings are frozen into a
-//! [`Postmortem`](bcc_model::postmortem::Postmortem) that travels on
+//! The coordinator counts each rank's traffic (rounds, frames,
+//! symbols per session) from the views it restores; workers count and
+//! ship nothing. The factory accumulates the counts per rank and
+//! replays them — rank-ordered, canonically sorted — into the run's
+//! shared `Collector`/`MetricsHub` when the driver calls
+//! [`TransportFactory::flush_telemetry`], yielding the deterministic
+//! `transport.*` counter family and `transport/worker:<rank>` trace
+//! units (DESIGN.md §15). Wall-ish quantities (spawn counts, accept
+//! ticks) go to [`TransportFactory::wall_stats`] for the `--wall`
+//! sidecar only. Each worker link also keeps a flight-recorder ring
+//! of recent wire events; on a worker death the rings are frozen into
+//! a [`Postmortem`](bcc_model::postmortem::Postmortem) that travels on
 //! the error and via [`TransportFactory::take_postmortems`].
 
 pub mod socket;
@@ -63,8 +62,8 @@ pub use bcc_model::transport::{
     LocalFactory, LocalTransport, RoundView, Routes, Transport, TransportError, TransportFactory,
     TransportSpec,
 };
-pub use socket::{SocketFactory, SocketTransport, WorkerCmd, WorkerGroup};
-pub use worker::{worker_unit, EXIT_AFTER_ENV, TELEMETRY_ENV};
+pub use socket::{worker_unit, SocketFactory, SocketTransport, WorkerCmd, WorkerGroup};
+pub use worker::EXIT_AFTER_ENV;
 
 use std::sync::Arc;
 

@@ -9,36 +9,35 @@
 //! independent of which worker answered first. No wall-clock value
 //! ever crosses the wire; all accounting stays in the driver.
 //!
-//! Cross-process telemetry (DESIGN.md §15) rides the same wire:
-//! workers ship a compact numeric session summary home inside the
-//! `closed` acknowledgement, the factory accumulates the summaries
-//! per rank in a [`TelemetryStore`], and one `flush_telemetry` call
-//! per run set derives counters and synthesizes trace events from
-//! them — rank order, session spans canonically sorted — into the
-//! shared `Collector`/`MetricsHub` as the `transport.*` counter
-//! family under `worker:<rank>` units. Wall-clock-ish
-//! quantities (accept ticks, spawn counts) never touch those sinks;
-//! they surface only through [`TransportFactory::wall_stats`] for the
-//! `--wall` sidecar.
+//! That includes the transport's own accounting (DESIGN.md §15):
+//! each open session holds one [`SessionSpan`] per rank, and every
+//! view [`wire::split_view`] accepts adds its round, frames and
+//! symbols to its rank's span. A closed session's spans go to the
+//! factory's [`TelemetryStore`], and one `flush_telemetry` call per
+//! run set derives counters and synthesizes trace events from them —
+//! rank order, spans canonically sorted — into the shared
+//! `Collector`/`MetricsHub` as the `transport.*` counter family under
+//! `worker:<rank>` units. Wall-clock-ish quantities (accept ticks,
+//! spawn counts) never touch those sinks; they surface only through
+//! [`TransportFactory::wall_stats`] for the `--wall` sidecar.
 //!
 //! Any worker failure — spawn error, mid-run death, malformed reply —
 //! becomes a typed [`TransportError`], never a panic, and marks the
-//! whole group dead so later sessions fail fast. On the way down the
-//! coordinator salvages what it can: surviving workers are asked to
-//! close every open session so their telemetry is merged rather than
-//! dropped, the dead rank's missing contribution is marked with an
-//! explicit `truncated` counter, and the per-link flight-recorder
-//! rings (last [`FLIGHT_RING_CAPACITY`] wire events each) are frozen
-//! into a [`Postmortem`] that travels on the error itself.
+//! whole group dead so later sessions fail fast. Failing does no IO:
+//! each open session's spans are recorded on the ranks still alive
+//! and counted `truncated` on dead ones, and the per-link
+//! flight-recorder rings (last [`FLIGHT_RING_CAPACITY`] wire events
+//! each) are frozen into a [`Postmortem`] that travels on the error
+//! itself.
 
-use crate::wire::{self, Command, Reply, SessionSpan};
+use crate::wire::{self, Command, Reply};
 use bcc_model::postmortem::{
     Postmortem, TransportHealth, WireEvent, WorkerHealth, FLIGHT_RING_CAPACITY,
 };
 use bcc_model::transport::{RoundView, Routes, Transport, TransportError, TransportFactory};
 use bcc_model::Message;
 use bcc_trace::{field, Collector, Event, EventKind, FieldValue};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -61,11 +60,6 @@ const SHUTDOWN_READ_TIMEOUT: Duration = Duration::from_secs(1);
 const ACCEPT_TICK: Duration = Duration::from_millis(5);
 const ACCEPT_TICKS: u32 = 2000;
 
-/// How many stale replies the salvage path will skip per link while
-/// hunting the `closed` acknowledgement it asked for (pending round
-/// views queue ahead of it on a surviving worker's stream).
-const SALVAGE_SKIP_LIMIT: usize = 64;
-
 /// How a worker subprocess is launched.
 #[derive(Debug, Clone)]
 pub enum WorkerCmd {
@@ -83,6 +77,13 @@ pub enum WorkerCmd {
 
 fn spawn_err(detail: String) -> TransportError {
     TransportError::Spawn { detail }
+}
+
+/// The unit of rank `rank`'s transport telemetry. Filed under the
+/// `transport` unit class by the profiler, with the rank kept visible
+/// in the unit name.
+pub fn worker_unit(rank: usize) -> String {
+    format!("transport/worker:{rank}")
 }
 
 /// Computes rank `r`'s node range `lo..hi` out of `n` nodes split
@@ -145,11 +146,6 @@ impl WireMeta {
                 session: *session,
                 round: *round as u64,
             },
-            Reply::Closed { session, .. } => WireMeta {
-                kind: "closed",
-                session: *session,
-                round: 0,
-            },
             Reply::Bye => WireMeta {
                 kind: "bye",
                 session: 0,
@@ -164,26 +160,41 @@ impl WireMeta {
     }
 }
 
-/// Everything one rank has shipped home since the last flush.
-///
-/// The routed-traffic sums are plain fields, not map entries:
-/// `record_closed` runs once per session close while the store's
-/// mutex is held, so the hot path must not allocate (string-keyed
-/// accumulation measurably showed up in `BENCH.json`'s `telemetry`
-/// pair).
+/// One session's traffic through one rank, counted by the coordinator
+/// from the views it restores: a pure function of the routes and the
+/// outboxes. It renders as a `session` span (`n`/`nodes` on the start,
+/// `rounds` on the end) holding `frames` and `symbols` counter events.
+/// Ordered field-by-field so a rank's sessions sort canonically,
+/// independent of close order; it carries no session id, since ids
+/// depend on how runs interleave.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+struct SessionSpan {
+    /// Total vertex count of the instance.
+    n: u64,
+    /// Nodes the rank owns (`hi - lo`).
+    nodes: u64,
+    /// Views read from the rank.
+    rounds: u64,
+    /// Inbox entries restored from those views.
+    frames: u64,
+    /// Symbols inside those entries.
+    symbols: u64,
+}
+
+/// Everything counted for one rank since the last flush.
 #[derive(Default)]
 struct RankTelemetry {
-    /// Summed span-derived per-session counters.
+    /// Summed per-session counters.
     frames: u64,
     rounds: u64,
     symbols: u64,
-    /// Sessions closed with a telemetry block.
+    /// Sessions recorded whole.
     sessions: u64,
-    /// One numeric summary per closed session, in arrival order;
-    /// canonically sorted at flush so the merged trace is
-    /// independent of session interleaving.
+    /// One span per recorded session, in arrival order; canonically
+    /// sorted at flush so the merged trace is independent of session
+    /// interleaving.
     spans: Vec<SessionSpan>,
-    /// Open sessions whose telemetry was lost to a worker death.
+    /// Sessions the rank died holding.
     truncated: u64,
 }
 
@@ -213,9 +224,9 @@ struct TelemetryState {
     wall: BTreeMap<String, u64>,
 }
 
-/// The factory-owned accumulator for everything workers report:
-/// deterministic telemetry (drained by `flush_telemetry`), frozen
-/// postmortems (drained by `take_postmortems`), and wall-ish stats.
+/// The factory-owned accumulator of everything the coordinator
+/// observes: deterministic telemetry (drained by `flush_telemetry`),
+/// frozen postmortems (drained by `take_postmortems`), and wall-ish stats.
 /// Shared with every [`WorkerGroup`] the factory spawns, so
 /// accumulations survive a respawn.
 pub(crate) struct TelemetryStore {
@@ -242,31 +253,22 @@ impl TelemetryStore {
         self.state().wall.get(key).copied().unwrap_or(0)
     }
 
-    /// Records one closed session's telemetry for `rank`. A session
-    /// without telemetry (disabled worker-side) is dropped so a
-    /// disabled run's dumps stay indistinguishable from local runs.
-    fn record_closed(&self, rank: usize, span: Option<SessionSpan>) {
-        let Some(span) = span else {
-            return;
-        };
-        // The span doubles as the session's counters so the wire ships
-        // each number exactly once, and the accumulation is three
-        // integer adds — no allocation while the store lock is held.
+    /// Records one ended session: `spans[rank]` for every rank still
+    /// alive, a `truncated` count for every rank that died holding it.
+    fn record_closed(&self, spans: &[SessionSpan], alive: &[bool]) {
         let mut state = self.state();
-        let entry = state.ranks.entry(rank).or_default();
-        entry.frames += span.frames;
-        entry.rounds = entry.rounds.saturating_add(span.rounds);
-        entry.symbols += span.symbols;
-        entry.sessions += 1;
-        entry.spans.push(span);
-    }
-
-    fn add_truncated(&self, rank: usize, count: u64) {
-        if count == 0 {
-            return;
+        for (rank, (span, &alive)) in spans.iter().zip(alive).enumerate() {
+            let entry = state.ranks.entry(rank).or_default();
+            if alive {
+                entry.frames += span.frames;
+                entry.rounds = entry.rounds.saturating_add(span.rounds);
+                entry.symbols += span.symbols;
+                entry.sessions += 1;
+                entry.spans.push(*span);
+            } else {
+                entry.truncated += 1;
+            }
         }
-        let mut state = self.state();
-        state.ranks.entry(rank).or_default().truncated += count;
     }
 
     fn record_incident(&self, pm: Postmortem) {
@@ -312,7 +314,7 @@ impl TelemetryStore {
         hub.absorb_foreign("transport", "transport.", &totals);
         for (rank, t) in drained {
             let counters = t.counters();
-            let unit = format!("transport/worker:{rank}");
+            let unit = worker_unit(rank);
             hub.absorb_foreign(&unit, &format!("transport.worker:{rank}."), &counters);
             if !collector.enabled() {
                 continue;
@@ -353,7 +355,7 @@ impl TelemetryStore {
     }
 }
 
-/// An event synthesized from worker-shipped session summaries; unit,
+/// An event synthesized from a session span; unit,
 /// sequence, and path are rewritten by `absorb_foreign`.
 fn synthetic_event(kind: EventKind, name: &str, fields: Vec<(String, FieldValue)>) -> Event {
     Event {
@@ -423,8 +425,9 @@ struct GroupInner {
     links: Vec<Link>,
     children: Vec<Child>,
     next_session: u64,
-    /// Sessions opened and not yet closed — the salvage worklist.
-    open_sessions: BTreeSet<u64>,
+    /// Sessions opened and not yet closed, each with one span per
+    /// rank.
+    open_sessions: BTreeMap<u64, Vec<SessionSpan>>,
     /// Per-rank liveness as far as the coordinator knows.
     alive: Vec<bool>,
     /// Factory label (`sockets:N`), echoed into postmortems.
@@ -435,10 +438,10 @@ struct GroupInner {
 }
 
 impl GroupInner {
-    /// Poisons the group: salvages surviving workers' telemetry for
-    /// every open session, freezes the flight rings into a
-    /// [`Postmortem`], attaches it to the error, and records the
-    /// incident on the factory store.
+    /// Poisons the group without touching the wire: records every
+    /// open session (whole on live ranks, `truncated` on dead ones),
+    /// freezes the flight rings into a [`Postmortem`], attaches it to
+    /// the error, and records the incident on the factory store.
     fn fail(&mut self, err: TransportError) -> TransportError {
         if let Some(existing) = &self.dead {
             return existing.clone();
@@ -448,78 +451,15 @@ impl GroupInner {
                 *alive = false;
             }
         }
-        let open_before_salvage = self.open_sessions.len() as u64;
-        self.salvage();
-        let pm = self.build_postmortem(&err.to_string(), open_before_salvage);
+        let open = std::mem::take(&mut self.open_sessions);
+        for spans in open.values() {
+            self.telemetry.record_closed(spans, &self.alive);
+        }
+        let pm = self.build_postmortem(&err.to_string(), open.len() as u64);
         let err = attach_postmortem(err, &pm);
         self.telemetry.record_incident(pm);
         self.dead = Some(err.clone());
         err
-    }
-
-    /// Best-effort recovery after a failure: every rank still
-    /// believed alive is asked to close each open session, and the
-    /// telemetry blocks that come back are merged as usual. Ranks
-    /// that cannot deliver (the dead one, or peers that died with it)
-    /// get their open sessions counted as `truncated` instead of
-    /// silently dropped.
-    fn salvage(&mut self) {
-        let sessions: Vec<u64> = self.open_sessions.iter().copied().collect();
-        if sessions.is_empty() {
-            return;
-        }
-        for rank in 0..self.links.len() {
-            if !self.alive[rank] {
-                self.telemetry.add_truncated(rank, sessions.len() as u64);
-                continue;
-            }
-            let mut recovered = 0u64;
-            for &session in &sessions {
-                let cmd = Command::Close { session };
-                let line = framed(&cmd);
-                if self
-                    .send_raw(rank, &line, &WireMeta::of_command(&cmd))
-                    .is_err()
-                {
-                    self.alive[rank] = false;
-                    break;
-                }
-            }
-            if self.alive[rank] {
-                for &session in &sessions {
-                    match self.salvage_read_closed(rank, session) {
-                        Some(span) => {
-                            self.telemetry.record_closed(rank, span);
-                            recovered += 1;
-                        }
-                        None => {
-                            self.alive[rank] = false;
-                            break;
-                        }
-                    }
-                }
-            }
-            self.telemetry
-                .add_truncated(rank, sessions.len() as u64 - recovered);
-        }
-        self.open_sessions.clear();
-    }
-
-    /// Reads replies off `rank`'s link until the `closed`
-    /// acknowledgement for `session` arrives, skipping whatever was
-    /// already queued ahead of it (pending round views, error
-    /// replies), and returns the session's span, itself `None` when
-    /// telemetry is off. `None` when the link dies or the skip budget
-    /// runs out.
-    fn salvage_read_closed(&mut self, rank: usize, session: u64) -> Option<Option<SessionSpan>> {
-        for _ in 0..SALVAGE_SKIP_LIMIT {
-            match self.read_raw(rank) {
-                Ok(Reply::Closed { session: s, span }) if s == session => return Some(span),
-                Ok(_) => continue,
-                Err(_) => return None,
-            }
-        }
-        None
     }
 
     fn build_postmortem(&self, error: &str, open_sessions: u64) -> Postmortem {
@@ -844,7 +784,7 @@ impl WorkerGroup {
                 links,
                 children,
                 next_session: 1,
-                open_sessions: BTreeSet::new(),
+                open_sessions: BTreeMap::new(),
                 alive: vec![true; workers],
                 backend,
                 telemetry,
@@ -874,8 +814,14 @@ impl WorkerGroup {
         let session = inner.next_session;
         inner.next_session += 1;
         let n = routes.num_nodes();
+        let mut spans = Vec::with_capacity(self.workers);
         for rank in 0..self.workers {
             let (lo, hi) = node_range(n, self.workers, rank);
+            spans.push(SessionSpan {
+                n: n as u64,
+                nodes: (hi - lo) as u64,
+                ..SessionSpan::default()
+            });
             let cmd = Command::Open {
                 session,
                 n,
@@ -903,13 +849,15 @@ impl WorkerGroup {
                 }
             }
         }
-        inner.open_sessions.insert(session);
+        inner.open_sessions.insert(session, spans);
         Ok(session)
     }
 
     /// Sends one round and merges the replies. Each `view` carries
     /// only symbols; the entries' labels come back from `routes`, the
-    /// plan this session was opened with.
+    /// plan this session was opened with. Each accepted view is
+    /// counted on its rank's span at once, so a later rank's failure
+    /// leaves the earlier ranks' views counted.
     fn exchange(
         &self,
         session: u64,
@@ -943,7 +891,15 @@ impl WorkerGroup {
                 } if s == session && r == round => {
                     let (lo, hi) = node_range(n, self.workers, rank);
                     match wire::split_view(routes, lo..hi, outbox, &part) {
-                        Ok(entries) => inboxes.extend(entries),
+                        Ok(entries) => {
+                            let spans = inner.open_sessions.get_mut(&session);
+                            if let Some(span) = spans.and_then(|spans| spans.get_mut(rank)) {
+                                span.rounds = span.rounds.saturating_add(1);
+                                span.frames += entries.iter().map(Vec::len).sum::<usize>() as u64;
+                                span.symbols += part.iter().map(String::len).sum::<usize>() as u64;
+                            }
+                            inboxes.extend(entries);
+                        }
                         Err(detail) => {
                             return Err(inner.fail(TransportError::Protocol {
                                 detail: format!("bad view from worker {rank}: {detail}"),
@@ -969,6 +925,8 @@ impl WorkerGroup {
         Ok(RoundView::new(inboxes))
     }
 
+    /// Ends a session: a one-way `close` to every rank, then the
+    /// session's spans go to the store.
     fn close_session(&self, session: u64) -> Result<(), TransportError> {
         let mut inner = self.locked();
         Self::check_live(&inner)?;
@@ -978,26 +936,9 @@ impl WorkerGroup {
         for rank in 0..self.workers {
             inner.send_line(rank, &line, &meta)?;
         }
-        for rank in 0..self.workers {
-            match inner.read_reply(rank)? {
-                Reply::Closed { session: s, span } if s == session => {
-                    inner.telemetry.record_closed(rank, span);
-                }
-                Reply::Error { detail } => {
-                    return Err(inner.fail(TransportError::Protocol {
-                        detail,
-                        postmortem: None,
-                    }))
-                }
-                other => {
-                    return Err(inner.fail(TransportError::Protocol {
-                        detail: format!("unexpected reply to close from worker {rank}: {other:?}"),
-                        postmortem: None,
-                    }))
-                }
-            }
+        if let Some(spans) = inner.open_sessions.remove(&session) {
+            inner.telemetry.record_closed(&spans, &inner.alive);
         }
-        inner.open_sessions.remove(&session);
         Ok(())
     }
 }
@@ -1256,13 +1197,10 @@ mod tests {
             frames,
             symbols: frames,
         };
-        // Rank 1 recorded before rank 0; flush must still emit rank
-        // order. Rank 0's two sessions arrive out of canonical order;
-        // flush sorts the spans.
-        store.record_closed(1, Some(span(2, 7)));
-        store.record_closed(0, Some(span(9, 5)));
-        store.record_closed(0, Some(span(1, 3)));
-        store.add_truncated(1, 1);
+        // Rank 0's two sessions arrive out of canonical order; flush
+        // sorts the spans. Rank 1 dies holding the second session.
+        store.record_closed(&[span(9, 5), span(2, 7)], &[true, true]);
+        store.record_closed(&[span(1, 3), span(4, 4)], &[true, false]);
         let collector = Collector::new(TraceLevel::Events);
         let hub = MetricsHub::new(MetricsLevel::Core);
         store.drain_into(&collector, &hub);
@@ -1309,15 +1247,26 @@ mod tests {
     }
 
     #[test]
-    fn empty_worker_telemetry_is_not_recorded() {
-        let store = TelemetryStore::new();
-        store.record_closed(0, None);
+    fn dead_rank_counts_truncated_and_emits_no_trace_unit() {
         use bcc_metrics::{MetricsHub, MetricsLevel};
         use bcc_trace::TraceLevel;
+        let store = TelemetryStore::new();
+        let span = SessionSpan {
+            n: 4,
+            nodes: 2,
+            rounds: 1,
+            frames: 2,
+            symbols: 2,
+        };
+        store.record_closed(&[span, span], &[false, true]);
         let collector = Collector::new(TraceLevel::Events);
         let hub = MetricsHub::new(MetricsLevel::Core);
         store.drain_into(&collector, &hub);
-        assert!(hub.finish().is_empty());
-        assert!(collector.finish().is_empty());
+        let dump = hub.finish();
+        assert_eq!(dump.counter("transport.worker:0.truncated"), Some(1));
+        assert_eq!(dump.counter("transport.worker:0.sessions"), None);
+        assert_eq!(dump.counter("transport.worker:1.sessions"), Some(1));
+        let trace = collector.finish();
+        assert!(trace.events().iter().all(|e| e.unit == worker_unit(1)));
     }
 }

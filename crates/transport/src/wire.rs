@@ -18,6 +18,11 @@
 //! round, a 12-node slice's `view` line is about 360 B, where shipping
 //! a `[label,"m"]` pair per entry took 2448 B.
 //!
+//! Every command but `close` gets exactly one reply. A `close` is
+//! one-way: the worker drops the session and writes nothing back.
+//! Nothing but routed symbols travels upstream; the coordinator counts
+//! each session's traffic from the views it restores.
+//!
 //! [`SocketTransport`]: crate::socket::SocketTransport
 
 use bcc_metrics::json::{self, escape, push_quoted, JsonValue};
@@ -53,41 +58,13 @@ pub enum Command {
         /// `outbox[v]` = vertex `v`'s broadcast.
         outbox: Vec<Message>,
     },
-    /// Ends a session.
+    /// Ends a session. One-way: the worker sends no reply.
     Close {
         /// Session to drop.
         session: u64,
     },
     /// Asks the worker to exit cleanly.
     Shutdown,
-}
-
-/// One closed session's telemetry, shipped home with a
-/// [`Reply::Closed`]: a compact numeric summary from which the
-/// coordinator derives the session's `frames`/`rounds`/`symbols`
-/// counters and synthesizes its trace events at flush time. It renders
-/// as a `session` span (`n`/`nodes` fields on the start, `rounds` on
-/// the end) holding `frames` and `symbols` counter events, under the
-/// owning `transport/worker:<rank>` unit. Shipping five integers
-/// instead of serialized event lines keeps the close path
-/// allocation-light — the ≤ 2% budget of the `telemetry` pair in
-/// `BENCH.json` is won here. Everything here is a pure function of the
-/// commands served; nothing wall-clock-shaped is allowed (those
-/// quantities stay driver-side, in the `--wall` sidecar). Ordered
-/// field-by-field so a rank's sessions sort canonically, independent
-/// of close order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub struct SessionSpan {
-    /// Total vertex count of the instance.
-    pub n: u64,
-    /// Nodes owned by this worker (`hi - lo`).
-    pub nodes: u64,
-    /// Rounds served in the session.
-    pub rounds: u64,
-    /// Inbox entries assembled.
-    pub frames: u64,
-    /// Symbols forwarded inside those frames.
-    pub symbols: u64,
 }
 
 /// Worker → coordinator.
@@ -98,7 +75,7 @@ pub enum Reply {
         /// The worker's rank, `0..workers`.
         rank: usize,
     },
-    /// `Open`/`Close` acknowledged.
+    /// `Open` acknowledged.
     Ok {
         /// The session acknowledged.
         session: u64,
@@ -114,17 +91,6 @@ pub enum Reply {
         /// concatenated in port order. [`split_view`] turns it back
         /// into `(port_label, message)` entries.
         inboxes: Vec<String>,
-    },
-    /// `Close` acknowledged, carrying the session's telemetry. This
-    /// is the close-path counterpart of [`Reply::Ok`]: the session is
-    /// dropped worker-side and its trace/metrics buffers ride home in
-    /// the acknowledgement.
-    Closed {
-        /// The session closed.
-        session: u64,
-        /// The session's telemetry; `None` when telemetry is
-        /// disabled worker-side.
-        span: Option<SessionSpan>,
     },
     /// Shutdown acknowledged; the worker exits after sending this.
     Bye,
@@ -303,18 +269,6 @@ pub fn render_reply(reply: &Reply) -> String {
             line.push_str("]}");
             line
         }
-        Reply::Closed { session, span } => {
-            // The span is a fixed-position array, not a keyed object:
-            // the close path runs once per session, and five bare
-            // numbers parse with no per-key string allocations.
-            let span = span.as_ref().map_or_else(String::new, |s| {
-                format!(
-                    ",\"span\":[{},{},{},{},{}]",
-                    s.n, s.nodes, s.rounds, s.frames, s.symbols
-                )
-            });
-            format!("{{\"type\":\"closed\",\"session\":{session}{span}}}")
-        }
         Reply::Bye => "{\"type\":\"bye\"}".to_string(),
         Reply::Error { detail } => {
             format!("{{\"type\":\"error\",\"detail\":\"{}\"}}", escape(detail))
@@ -422,33 +376,6 @@ pub fn parse_reply(line: &str) -> Result<Reply, String> {
                 inboxes,
             })
         }
-        "closed" => {
-            let span = match v.get("span") {
-                None => None,
-                Some(s) => {
-                    let nums = s.as_arr().ok_or("span is not an array")?;
-                    let at = |i: usize| -> Result<u64, String> {
-                        nums.get(i)
-                            .and_then(JsonValue::as_u64)
-                            .ok_or_else(|| format!("span element {i} is not a u64"))
-                    };
-                    if nums.len() != 5 {
-                        return Err(format!("span has {} elements", nums.len()));
-                    }
-                    Some(SessionSpan {
-                        n: at(0)?,
-                        nodes: at(1)?,
-                        rounds: at(2)?,
-                        frames: at(3)?,
-                        symbols: at(4)?,
-                    })
-                }
-            };
-            Ok(Reply::Closed {
-                session: v.u64_field("session")?,
-                span,
-            })
-        }
         "bye" => Ok(Reply::Bye),
         "error" => Ok(Reply::Error {
             detail: v.str_field("detail")?.to_string(),
@@ -509,20 +436,6 @@ mod tests {
                 round: 0,
                 inboxes: vec!["0_".to_string(), String::new()],
             },
-            Reply::Closed {
-                session: 9,
-                span: Some(SessionSpan {
-                    n: 5,
-                    nodes: 2,
-                    rounds: 3,
-                    frames: 12,
-                    symbols: 24,
-                }),
-            },
-            Reply::Closed {
-                session: 2,
-                span: None,
-            },
             Reply::Bye,
             Reply::Error {
                 detail: "bad \"stuff\"\nhappened".to_string(),
@@ -558,6 +471,9 @@ mod tests {
             "{\"type\":\"view\",\"session\":1,\"round\":0,\"inboxes\":[[1,\"0\"]]}"
         )
         .is_err());
+        // The retired close acknowledgement is an unknown reply type.
+        let legacy = "{\"type\":\"closed\",\"session\":1,\"span\":[5,2,3,12,24]}";
+        assert!(parse_reply(legacy).is_err());
     }
 
     /// A 4-vertex plan whose outbox mixes 0-, 1- and 2-symbol

@@ -5,20 +5,16 @@
 //! and routes, and answers every `round` command with one symbol
 //! string per owned node: the messages of the node's peers, taken
 //! from the full outbox it was sent and concatenated in port order.
-//! It never looks at a clock and never touches the simulation state;
-//! the only records it keeps are *logical* telemetry (frames routed,
-//! symbols forwarded, rounds served per session) — pure functions of
-//! the commands served — which ride home inside the `closed`
-//! acknowledgement and are absorbed by the driver in rank order
-//! (DESIGN.md §15). Determinism of the merged
-//! run stays the coordinator's job; the worker has no state that
-//! could perturb it.
+//! It never looks at a clock, never touches the simulation state, and
+//! counts nothing: the coordinator tallies each rank's traffic from
+//! the views it reads (DESIGN.md §15). A `close` drops the session
+//! and is not answered.
 //!
 //! EOF on the command stream is a clean shutdown (the coordinator
 //! dropped the group); every malformed or unserviceable command is
 //! answered with a wire-level `error` reply rather than a crash.
 
-use crate::wire::{self, Command, Reply, SessionSpan};
+use crate::wire::{self, Command, Reply};
 use bcc_model::Message;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -27,39 +23,17 @@ use std::net::TcpStream;
 /// Test knob: when set to `N`, the worker serves `N` `round` commands
 /// and then exits abruptly (no reply, no goodbye) on the next one —
 /// simulating a mid-run crash for dead-worker tests. The form `N@R`
-/// restricts the crash to rank `R`, so surviving-worker paths (buffer
-/// salvage, truncation marking) are testable too.
+/// restricts the crash to rank `R`, so surviving-worker paths
+/// (truncation marking, postmortem rings) are testable too. Any other
+/// value makes the worker exit before it connects, so a mistyped
+/// fault injection surfaces as a spawn error instead of injecting
+/// nothing.
 pub const EXIT_AFTER_ENV: &str = "BCC_TRANSPORT_WORKER_EXIT_AFTER";
-
-/// Telemetry knob: set to `0` or `off` to disable worker-side
-/// trace/metrics recording entirely (the overhead-measurement
-/// baseline of `BENCH.json`'s `telemetry` pair). Any other value —
-/// including unset — leaves telemetry on.
-pub const TELEMETRY_ENV: &str = "BCC_TRANSPORT_TELEMETRY";
-
-/// The unit-class prefix of worker-origin telemetry: a worker's
-/// trace events land under `transport/worker:<rank>`, so the
-/// profiler files them under the `transport` unit class while the
-/// rank stays visible in the unit name.
-pub fn worker_unit(rank: usize) -> String {
-    format!("transport/worker:{rank}")
-}
-
-struct SessionTelemetry {
-    /// Instance size and owned-node count, captured at open for the
-    /// session's trace summary.
-    n: u64,
-    nodes: u64,
-    rounds: u64,
-    frames: u64,
-    symbols: u64,
-}
 
 struct Session {
     n: usize,
     /// `routes[i]` = `(port_label, peer)` pairs of node `lo + i`.
     routes: Vec<Vec<(u64, usize)>>,
-    telemetry: Option<SessionTelemetry>,
 }
 
 /// Entry point for the worker process: `args` are the argv elements
@@ -90,29 +64,30 @@ fn parse_and_serve(args: &[String]) -> Result<(), String> {
 }
 
 /// Parses the crash knob for this rank: `"N"` applies to every rank,
-/// `"N@R"` only to rank `R`.
-fn exit_after_for(value: &str, rank: usize) -> Option<u64> {
-    match value.split_once('@') {
-        None => value.parse().ok(),
-        Some((rounds, target)) => {
-            let target: usize = target.parse().ok()?;
-            if target == rank {
-                rounds.parse().ok()
-            } else {
-                None
-            }
-        }
+/// `"N@R"` only to rank `R`; `None` when another rank is targeted.
+///
+/// # Errors
+///
+/// Returns an error when either number is missing or not an integer.
+fn exit_after_for(value: &str, rank: usize) -> Result<Option<u64>, String> {
+    let (rounds, target) = match value.split_once('@') {
+        None => (value, None),
+        Some((rounds, target)) => (rounds, Some(target)),
+    };
+    let bad = || format!("{EXIT_AFTER_ENV}={value:?} is not N or N@RANK");
+    let rounds: u64 = rounds.parse().map_err(|_| bad())?;
+    match target.map(str::parse::<usize>) {
+        None => Ok(Some(rounds)),
+        Some(Ok(target)) => Ok((target == rank).then_some(rounds)),
+        Some(Err(_)) => Err(bad()),
     }
 }
 
-fn telemetry_enabled() -> bool {
-    !matches!(
-        std::env::var(TELEMETRY_ENV).ok().as_deref(),
-        Some("0") | Some("off")
-    )
-}
-
 fn serve(port: u16, rank: usize) -> Result<(), String> {
+    let mut rounds_left = match std::env::var(EXIT_AFTER_ENV) {
+        Ok(value) => exit_after_for(&value, rank)?,
+        Err(_) => None,
+    };
     let stream =
         TcpStream::connect(("127.0.0.1", port)).map_err(|e| format!("connect failed: {e}"))?;
     let _ = stream.set_nodelay(true);
@@ -122,11 +97,7 @@ fn serve(port: u16, rank: usize) -> Result<(), String> {
     let mut reader = BufReader::new(stream);
     send(&mut writer, &Reply::Hello { rank })?;
 
-    let telemetry_on = telemetry_enabled();
     let mut sessions: BTreeMap<u64, Session> = BTreeMap::new();
-    let mut rounds_left: Option<u64> = std::env::var(EXIT_AFTER_ENV)
-        .ok()
-        .and_then(|v| exit_after_for(&v, rank));
 
     loop {
         let mut line = String::new();
@@ -146,24 +117,7 @@ fn serve(port: u16, rank: usize) -> Result<(), String> {
                 routes,
             }) => match validate_open(n, lo, hi, &routes) {
                 Ok(()) => {
-                    // No session ids in the recorded content: ids
-                    // depend on how runs interleave on the driver,
-                    // which would break byte-identity under --jobs.
-                    let telemetry = telemetry_on.then(|| SessionTelemetry {
-                        n: n as u64,
-                        nodes: (hi - lo) as u64,
-                        rounds: 0,
-                        frames: 0,
-                        symbols: 0,
-                    });
-                    sessions.insert(
-                        session,
-                        Session {
-                            n,
-                            routes,
-                            telemetry,
-                        },
-                    );
+                    sessions.insert(session, Session { n, routes });
                     Reply::Ok { session }
                 }
                 Err(detail) => Reply::Error { detail },
@@ -180,17 +134,15 @@ fn serve(port: u16, rank: usize) -> Result<(), String> {
                     }
                     *left -= 1;
                 }
-                match handle_round(&mut sessions, session, round, &outbox) {
+                match handle_round(&sessions, session, round, &outbox) {
                     Ok(reply) => reply,
                     Err(detail) => Reply::Error { detail },
                 }
             }
             Ok(Command::Close { session }) => {
-                let span = sessions
-                    .remove(&session)
-                    .and_then(|s| s.telemetry)
-                    .map(close_telemetry);
-                Reply::Closed { session, span }
+                // One-way: a `close` gets no reply.
+                sessions.remove(&session);
+                continue;
             }
             Ok(Command::Shutdown) => {
                 // Best-effort goodbye: the coordinator may already
@@ -201,17 +153,6 @@ fn serve(port: u16, rank: usize) -> Result<(), String> {
             Err(detail) => Reply::Error { detail },
         };
         send(&mut writer, &reply)?;
-    }
-}
-
-/// Seals a session's telemetry into its compact numeric summary.
-fn close_telemetry(t: SessionTelemetry) -> SessionSpan {
-    SessionSpan {
-        n: t.n,
-        nodes: t.nodes,
-        rounds: t.rounds,
-        frames: t.frames,
-        symbols: t.symbols,
     }
 }
 
@@ -253,13 +194,13 @@ fn validate_open(
 }
 
 fn handle_round(
-    sessions: &mut BTreeMap<u64, Session>,
+    sessions: &BTreeMap<u64, Session>,
     session: u64,
     round: usize,
     outbox: &[Message],
 ) -> Result<Reply, String> {
     let s = sessions
-        .get_mut(&session)
+        .get(&session)
         .ok_or_else(|| format!("round for unknown session {session}"))?;
     if outbox.len() != s.n {
         return Err(format!(
@@ -283,13 +224,6 @@ fn handle_round(
             text
         })
         .collect();
-    if let Some(t) = s.telemetry.as_mut() {
-        let frames: u64 = s.routes.iter().map(|ports| ports.len() as u64).sum();
-        let symbols: u64 = inboxes.iter().map(|text| text.len() as u64).sum();
-        t.rounds = t.rounds.saturating_add(1);
-        t.frames += frames;
-        t.symbols += symbols;
-    }
     Ok(Reply::View {
         session,
         round,
@@ -303,12 +237,16 @@ mod tests {
 
     #[test]
     fn exit_after_knob_parses_global_and_per_rank_forms() {
-        assert_eq!(exit_after_for("3", 0), Some(3));
-        assert_eq!(exit_after_for("3", 7), Some(3));
-        assert_eq!(exit_after_for("1@0", 0), Some(1));
-        assert_eq!(exit_after_for("1@0", 1), None);
-        assert_eq!(exit_after_for("garbage", 0), None);
-        assert_eq!(exit_after_for("2@x", 0), None);
+        assert_eq!(exit_after_for("3", 0), Ok(Some(3)));
+        assert_eq!(exit_after_for("3", 7), Ok(Some(3)));
+        assert_eq!(exit_after_for("1@0", 0), Ok(Some(1)));
+        assert_eq!(exit_after_for("1@0", 1), Ok(None));
+        // Garbage is an error on every rank, never a silent no-op.
+        for bad in ["garbage", "2@x", "x", "1@", "1@y", "x@0", "", "-1", "@0"] {
+            for rank in [0, 1] {
+                assert!(exit_after_for(bad, rank).is_err(), "{bad:?} on rank {rank}");
+            }
+        }
     }
 
     #[test]
@@ -328,26 +266,10 @@ mod tests {
             })
             .collect();
         let mut sessions = BTreeMap::new();
-        let telemetry = Some(SessionTelemetry {
-            n: n as u64,
-            nodes: 12,
-            rounds: 0,
-            frames: 0,
-            symbols: 0,
-        });
-        sessions.insert(
-            1000,
-            Session {
-                n,
-                routes,
-                telemetry,
-            },
-        );
+        sessions.insert(1000, Session { n, routes });
         let outbox: Vec<Message> = (0..n as u64).map(|v| Message::from_bits(v, 1)).collect();
-        let reply = handle_round(&mut sessions, 1000, 10, &outbox).unwrap();
+        let reply = handle_round(&sessions, 1000, 10, &outbox).unwrap();
         let line = wire::render_reply(&reply);
         assert!(line.len() <= 400, "{} B view line: {line}", line.len());
-        let t = sessions[&1000].telemetry.as_ref().unwrap();
-        assert_eq!((t.frames, t.symbols), (12 * 23, 12 * 23));
     }
 }
