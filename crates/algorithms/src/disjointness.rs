@@ -112,7 +112,7 @@ impl RangeNodeProgram for UnicastNode {
             // neighbor, so just OR the witness bits.
             let any = inbox
                 .iter()
-                .any(|(_, m)| m.symbols().first() == Some(&Symbol::One));
+                .any(|(_, m)| m.symbols().next() == Some(Symbol::One));
             self.answer = Some(any);
         } else {
             self.answer = Some(true); // non-representatives output YES vacuously
@@ -196,7 +196,7 @@ impl RangeNodeProgram for BroadcastNode {
         if self.is_rep() && round == self.my_pair() {
             let any = inbox
                 .iter()
-                .any(|(_, m)| m.symbols().first() == Some(&Symbol::One));
+                .any(|(_, m)| m.symbols().next() == Some(Symbol::One));
             self.answer = Some(any);
         }
         self.round = round + 1;

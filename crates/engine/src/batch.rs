@@ -22,7 +22,7 @@
 //! locality of touching each round's machinery once for 64 runs
 //! instead of 64 times.
 
-use bcc_model::transport::{Routes, Transport, TransportError};
+use bcc_model::transport::{RoundView, Routes, Transport, TransportError};
 use bcc_model::{Algorithm, Inbox, Instance, Message, NodeProgram, RunOutcome, RunStats, Symbol};
 use bcc_model::{NodeView, SimConfig, Transcript};
 use bcc_trace::{field, TraceBuf, TraceLevel};
@@ -60,7 +60,7 @@ impl PackedRound {
     }
 
     fn pack(&mut self, lane: usize, v: usize, message: &Message) {
-        for (k, s) in message.symbols().iter().enumerate() {
+        for (k, s) in message.symbols().enumerate() {
             let (ones, silent) = &mut self.words[v * self.bandwidth + k];
             match s {
                 Symbol::One => *ones |= 1 << lane,
@@ -70,20 +70,28 @@ impl PackedRound {
         }
     }
 
+    /// Lane `lane`'s broadcast of node `v`: a gather of one bit per
+    /// position into a word pair, or a symbol vector past 64 positions.
     fn unpack(&self, lane: usize, v: usize) -> Message {
-        let symbols = (0..self.bandwidth)
-            .map(|k| {
-                let (ones, silent) = self.words[v * self.bandwidth + k];
-                if silent >> lane & 1 == 1 {
-                    Symbol::Silent
-                } else if ones >> lane & 1 == 1 {
-                    Symbol::One
-                } else {
-                    Symbol::Zero
-                }
-            })
-            .collect();
-        Message::from_symbols(symbols)
+        let words = &self.words[v * self.bandwidth..(v + 1) * self.bandwidth];
+        if self.bandwidth > 64 {
+            return words
+                .iter()
+                .map(|&(ones, silent)| {
+                    if silent >> lane & 1 == 1 {
+                        Symbol::Silent
+                    } else {
+                        Symbol::bit(ones >> lane & 1 == 1)
+                    }
+                })
+                .collect();
+        }
+        let (mut ones, mut silent) = (0u64, 0u64);
+        for (k, &(o, s)) in words.iter().enumerate() {
+            ones |= (o >> lane & 1) << k;
+            silent |= (s >> lane & 1) << k;
+        }
+        Message::from_words(ones, silent, self.bandwidth)
     }
 }
 
@@ -282,6 +290,10 @@ fn run_batch_impl(
     }
 
     let mut packed = PackedRound::new(n, b);
+    // One outbox and one view for the whole batch, refilled every
+    // lane-round.
+    let mut broadcasts: Vec<Message> = Vec::with_capacity(n);
+    let mut view = RoundView::default();
     for round in 0..cfg.max_rounds() {
         if active == 0 {
             break;
@@ -308,7 +320,8 @@ fn run_batch_impl(
             if active >> lane & 1 == 0 {
                 continue;
             }
-            let broadcasts: Vec<Message> = (0..n).map(|v| packed.unpack(lane, v)).collect();
+            broadcasts.clear();
+            broadcasts.extend((0..n).map(|v| packed.unpack(lane, v)));
             for (v, m) in broadcasts.iter().enumerate() {
                 let bits = m.bits_used();
                 stats[lane].bits_broadcast += bits;
@@ -317,10 +330,10 @@ fn run_batch_impl(
                     transcripts[lane][v].sent.push(m.clone());
                 }
             }
-            let view = match transports[lane].exchange(round, &broadcasts) {
-                Ok(view) => view.canonicalized(),
-                Err(err) => return Err(abort_batch(trace, Some(round), err)),
-            };
+            if let Err(err) = transports[lane].exchange_into(round, &broadcasts, &mut view) {
+                return Err(abort_batch(trace, Some(round), err));
+            }
+            view.canonicalize();
             if view.num_nodes() != n {
                 let err = TransportError::Protocol {
                     detail: format!(
@@ -331,7 +344,8 @@ fn run_batch_impl(
                 };
                 return Err(abort_batch(trace, Some(round), err));
             }
-            for (v, entries) in view.into_inboxes().into_iter().enumerate() {
+            for (v, slot) in view.inboxes_mut().iter_mut().enumerate() {
+                let entries = std::mem::take(slot);
                 if entries.len() != n - 1 {
                     let err = TransportError::Protocol {
                         detail: format!(
@@ -348,6 +362,7 @@ fn run_batch_impl(
                 }
                 let inbox = Inbox::new(entries);
                 programs[lane][v].receive(round, &inbox);
+                *slot = inbox.into_entries();
                 stats[lane].messages_delivered += n - 1;
             }
             stats[lane].rounds = round + 1;
@@ -454,7 +469,7 @@ fn run_batch_impl(
 mod tests {
     use super::*;
     use bcc_graphs::generators;
-    use bcc_model::testing::{ConstantDecision, EchoBit, IdBroadcast};
+    use bcc_model::testing::{ConstantDecision, EchoBit, IdBroadcast, SymbolMix};
     use bcc_model::{runs_indistinguishable, Decision};
 
     fn assert_outcomes_equal(batched: &RunOutcome, scalar: &RunOutcome) {
@@ -509,10 +524,16 @@ mod tests {
     #[test]
     fn wide_bandwidth_roundtrips_through_packing() {
         let i = Instance::new_kt0(generators::cycle(5), 2).unwrap();
-        let cfg = SimConfig::bcc1(4).bandwidth(3);
-        let batched = BatchRun::new(cfg.clone()).run(&[(&i, 1), (&i, 2)], &EchoBit);
-        for (lane, seed) in [(0usize, 1u64), (1, 2)] {
-            assert_outcomes_equal(&batched[lane], &cfg.run(&i, &EchoBit, seed));
+        // Narrow, the last inline width, and the first heap width.
+        for b in [3, 64, 65] {
+            let cfg = SimConfig::bcc1(4).bandwidth(b);
+            let algorithms: [&dyn Algorithm; 2] = [&EchoBit, &SymbolMix];
+            for algorithm in algorithms {
+                let batched = BatchRun::new(cfg.clone()).run(&[(&i, 1), (&i, 2)], algorithm);
+                for (lane, seed) in [(0usize, 1u64), (1, 2)] {
+                    assert_outcomes_equal(&batched[lane], &cfg.run(&i, algorithm, seed));
+                }
+            }
         }
     }
 

@@ -8,7 +8,7 @@
 use bcc_algorithms::{Kt0Upgrade, NeighborIdBroadcast, Problem};
 use bcc_engine::{BatchRun, Lane, MAX_LANES};
 use bcc_graphs::{generators, Graph};
-use bcc_model::testing::{EchoBit, IdBroadcast};
+use bcc_model::testing::{EchoBit, IdBroadcast, SymbolMix};
 use bcc_model::{runs_indistinguishable, Algorithm, Instance, RunOutcome, SimConfig};
 use proptest::prelude::*;
 
@@ -120,10 +120,12 @@ proptest! {
         check_batch_vs_scalar(&SimConfig::bcc1(40), &instances, &algo)?;
     }
 
-    /// BCC(b) bandwidths survive the (ones, silent) word packing.
+    /// BCC(b) bandwidths survive the (ones, silent) word packing:
+    /// narrow ones, the 64-symbol edge of the inline `Message`, and
+    /// wide ones past it, with every symbol position carrying traffic.
     #[test]
     fn wide_bandwidth_batched_equals_scalar(
-        b in 1usize..5,
+        b in prop_oneof![1usize..5, 63usize..67, 128usize..131],
         coins in proptest::collection::vec(any::<u64>(), 1..5),
     ) {
         let inst = Instance::new_kt0(generators::cycle(6), 17).expect("valid");
@@ -131,6 +133,7 @@ proptest! {
             coins.into_iter().map(|c| (inst.clone(), c)).collect();
         let cfg = SimConfig::bcc1(5).bandwidth(b);
         check_batch_vs_scalar(&cfg, &instances, &EchoBit)?;
+        check_batch_vs_scalar(&cfg, &instances, &SymbolMix)?;
     }
 }
 

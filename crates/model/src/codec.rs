@@ -53,10 +53,12 @@ pub fn bits_to_u64(bits: &[bool]) -> u64 {
 }
 
 /// A fixed bit payload scheduled one symbol per round — the basic
-/// transmission pattern of every bit-serial `BCC(1)` algorithm.
-#[derive(Debug, Clone)]
+/// transmission pattern of every bit-serial `BCC(1)` algorithm. A
+/// plain word and a width, so scheduling a value allocates nothing.
+#[derive(Debug, Clone, Copy)]
 pub struct BitSchedule {
-    bits: Vec<bool>,
+    value: u64,
+    width: usize,
 }
 
 impl BitSchedule {
@@ -66,32 +68,31 @@ impl BitSchedule {
     ///
     /// Panics if `value` does not fit.
     pub fn of_value(value: u64, width: usize) -> Self {
-        BitSchedule {
-            bits: u64_to_bits(value, width),
-        }
-    }
-
-    /// Schedules an explicit bit vector.
-    pub fn of_bits(bits: Vec<bool>) -> Self {
-        BitSchedule { bits }
+        assert!(
+            width >= 64 || value < (1u64 << width),
+            "value {value} does not fit in {width} bits"
+        );
+        BitSchedule { value, width }
     }
 
     /// Total rounds needed.
     pub fn len(&self) -> usize {
-        self.bits.len()
+        self.width
     }
 
     /// Returns `true` if there is nothing to send.
     pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
+        self.width == 0
     }
 
     /// The symbol to broadcast in round `round` (silent once the
     /// payload is exhausted).
     pub fn symbol_at(&self, round: usize) -> Symbol {
-        self.bits
-            .get(round)
-            .map_or(Symbol::Silent, |&b| Symbol::bit(b))
+        if round >= self.width {
+            Symbol::Silent
+        } else {
+            Symbol::bit(round < 64 && self.value >> round & 1 == 1)
+        }
     }
 }
 
@@ -100,7 +101,8 @@ impl BitSchedule {
 #[derive(Debug, Clone)]
 pub struct BitAccumulator {
     width: usize,
-    bits: Vec<bool>,
+    got: usize,
+    value: u64,
 }
 
 impl BitAccumulator {
@@ -108,7 +110,8 @@ impl BitAccumulator {
     pub fn new(width: usize) -> Self {
         BitAccumulator {
             width,
-            bits: Vec::with_capacity(width),
+            got: 0,
+            value: 0,
         }
     }
 
@@ -128,7 +131,10 @@ impl BitAccumulator {
         }
         match s.as_bit() {
             Some(b) => {
-                self.bits.push(b);
+                if b && self.got < 64 {
+                    self.value |= 1 << self.got;
+                }
+                self.got += 1;
                 Ok(())
             }
             None => Err(ModelError::CorruptPayload { width: self.width }),
@@ -137,12 +143,19 @@ impl BitAccumulator {
 
     /// Whether all `width` bits have arrived.
     pub fn is_complete(&self) -> bool {
-        self.bits.len() >= self.width
+        self.got >= self.width
     }
 
     /// The decoded value, once complete.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload is complete and wider than 64 bits.
     pub fn value(&self) -> Option<u64> {
-        self.is_complete().then(|| bits_to_u64(&self.bits))
+        self.is_complete().then(|| {
+            assert!(self.width <= 64, "at most 64 bits");
+            self.value
+        })
     }
 }
 
@@ -208,8 +221,64 @@ mod tests {
 
     #[test]
     fn schedule_empty() {
-        let s = BitSchedule::of_bits(vec![]);
+        let s = BitSchedule::of_value(0, 0);
         assert!(s.is_empty());
         assert_eq!(s.symbol_at(0), Symbol::Silent);
+    }
+
+    #[test]
+    fn every_width_roundtrips_through_schedule_and_accumulator() {
+        for width in 1..=64usize {
+            let top = if width == 64 {
+                u64::MAX
+            } else {
+                (1 << width) - 1
+            };
+            for value in [0, 1, top / 3, top] {
+                let s = BitSchedule::of_value(value, width);
+                assert_eq!(s.len(), width);
+                let mut a = BitAccumulator::new(width);
+                for round in 0..width {
+                    assert!(!a.is_complete());
+                    a.push(s.symbol_at(round)).unwrap();
+                }
+                assert_eq!(a.value(), Some(value), "width {width}");
+                assert_eq!(s.symbol_at(width), Symbol::Silent);
+                assert_eq!(s.symbol_at(width + 100), Symbol::Silent);
+            }
+        }
+    }
+
+    #[test]
+    fn silence_mid_payload_is_rejected_and_harmless() {
+        let mut a = BitAccumulator::new(4);
+        a.push(Symbol::One).unwrap();
+        a.push(Symbol::One).unwrap();
+        assert_eq!(
+            a.push(Symbol::Silent),
+            Err(ModelError::CorruptPayload { width: 4 })
+        );
+        assert!(!a.is_complete());
+        assert_eq!(a.value(), None);
+        a.push(Symbol::Zero).unwrap();
+        a.push(Symbol::One).unwrap();
+        assert_eq!(a.value(), Some(0b1011));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn schedule_rejects_overflowing_value() {
+        BitSchedule::of_value(8, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 bits")]
+    fn accumulator_past_64_bits_has_no_value() {
+        let mut a = BitAccumulator::new(65);
+        for _ in 0..65 {
+            a.push(Symbol::One).unwrap();
+        }
+        assert!(a.is_complete());
+        let _ = a.value();
     }
 }

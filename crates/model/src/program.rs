@@ -76,6 +76,12 @@ impl Inbox {
         Inbox { entries }
     }
 
+    /// Gives the entry vector back, so a driver can refill it next
+    /// round instead of allocating a fresh one.
+    pub fn into_entries(self) -> Vec<(u64, Message)> {
+        self.entries
+    }
+
     /// The `(label, message)` pairs in port-index order.
     pub fn entries(&self) -> &[(u64, Message)] {
         &self.entries

@@ -4,7 +4,9 @@ use crate::error::ModelError;
 use crate::instance::Instance;
 use crate::program::{Algorithm, Decision, Inbox};
 use crate::symbol::Message;
-use crate::transport::{default_factory, Routes, Transport, TransportError, TransportFactory};
+use crate::transport::{
+    default_factory, RoundView, Routes, Transport, TransportError, TransportFactory,
+};
 use bcc_metrics::MetricScope;
 use bcc_trace::{field, TraceBuf, TraceLevel, TraceScope};
 use std::fmt;
@@ -619,6 +621,9 @@ fn try_run_impl(
     let mut recorder = SimRecorder::new(trace, &cfg.metrics);
     recorder.run_start(n, cfg.bandwidth, cfg.max_rounds, coin_seed);
     let mut all_done = programs.iter().all(|p| p.is_done());
+    // One outbox and one view per run, refilled every round.
+    let mut broadcasts: Vec<Message> = Vec::with_capacity(n);
+    let mut view = RoundView::default();
 
     for round in 0..cfg.max_rounds {
         if all_done {
@@ -626,10 +631,12 @@ fn try_run_impl(
         }
         recorder.round_start(round);
         // Phase 1: everyone broadcasts.
-        let broadcasts: Vec<Message> = programs
-            .iter_mut()
-            .map(|p| p.broadcast(round).normalized(cfg.bandwidth))
-            .collect();
+        broadcasts.clear();
+        broadcasts.extend(
+            programs
+                .iter_mut()
+                .map(|p| p.broadcast(round).normalized(cfg.bandwidth)),
+        );
         for (v, m) in broadcasts.iter().enumerate() {
             recorder.broadcast(v, m);
             if cfg.record {
@@ -639,13 +646,11 @@ fn try_run_impl(
         // Phase 2: the transport delivers; the canonicalized view is
         // in port-label order, which for every constructible network
         // equals the port-index order the in-process loop produced.
-        let view = match transport.exchange(round, &broadcasts) {
-            Ok(view) => view.canonicalized(),
-            Err(err) => {
-                recorder.abort(Some(round), &err);
-                return Err(err);
-            }
-        };
+        if let Err(err) = transport.exchange_into(round, &broadcasts, &mut view) {
+            recorder.abort(Some(round), &err);
+            return Err(err);
+        }
+        view.canonicalize();
         if view.num_nodes() != n {
             let err = TransportError::Protocol {
                 detail: format!("round view covers {} of {n} nodes", view.num_nodes()),
@@ -654,7 +659,8 @@ fn try_run_impl(
             recorder.abort(Some(round), &err);
             return Err(err);
         }
-        for (v, entries) in view.into_inboxes().into_iter().enumerate() {
+        for (v, slot) in view.inboxes_mut().iter_mut().enumerate() {
+            let entries = std::mem::take(slot);
             if entries.len() != n.saturating_sub(1) {
                 let err = TransportError::Protocol {
                     detail: format!(
@@ -673,6 +679,7 @@ fn try_run_impl(
             }
             let inbox = Inbox::new(entries);
             programs[v].receive(round, &inbox);
+            *slot = inbox.into_entries();
             recorder.delivered(delivered);
         }
         recorder.round_end(round);

@@ -3,7 +3,7 @@
 
 use crate::codec::{bits_needed, BitAccumulator, BitSchedule};
 use crate::program::{Algorithm, Decision, Inbox, InitialKnowledge, NodeProgram};
-use crate::symbol::Message;
+use crate::symbol::{Message, Symbol};
 
 /// An algorithm where every vertex immediately outputs a fixed
 /// decision without communicating. The simplest possible strawman for
@@ -86,6 +86,62 @@ struct EchoNode;
 impl NodeProgram for EchoNode {
     fn broadcast(&mut self, _round: usize) -> Message {
         Message::from_bits(1, 1)
+    }
+
+    fn receive(&mut self, _round: usize, _inbox: &Inbox) {}
+
+    fn decide(&self) -> Decision {
+        Decision::Undecided
+    }
+
+    fn is_done(&self) -> bool {
+        false
+    }
+}
+
+/// Every vertex broadcasts, forever and undecided, a mix of `0`, `1`
+/// and `⊥` over the whole bandwidth, drawn from its ID and the round;
+/// every third round it sends one symbol short, so normalization pads.
+/// Exercises delivery at every symbol position, on both sides of the
+/// 64-symbol inline [`Message`] limit.
+#[derive(Debug, Clone, Copy)]
+pub struct SymbolMix;
+
+impl Algorithm for SymbolMix {
+    fn name(&self) -> &str {
+        "symbol-mix"
+    }
+
+    fn spawn(&self, init: InitialKnowledge) -> Box<dyn NodeProgram> {
+        Box::new(MixNode {
+            id: init.id,
+            bandwidth: init.bandwidth,
+        })
+    }
+}
+
+struct MixNode {
+    id: u64,
+    bandwidth: usize,
+}
+
+impl NodeProgram for MixNode {
+    fn broadcast(&mut self, round: usize) -> Message {
+        let len = if round % 3 == 2 {
+            self.bandwidth.saturating_sub(1)
+        } else {
+            self.bandwidth
+        };
+        // xorshift64 over a nonzero seed of (id, round).
+        let mut state = (self.id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ round as u64) | 1;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                [Symbol::Zero, Symbol::One, Symbol::Silent][(state % 3) as usize]
+            })
+            .collect()
     }
 
     fn receive(&mut self, _round: usize, _inbox: &Inbox) {}

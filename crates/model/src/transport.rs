@@ -17,10 +17,12 @@
 //! Determinism contract, in order of obligation:
 //!
 //! 1. `exchange` is a pure function of `(routes, outbox)` — same
-//!    inputs, same `RoundView`, across processes and runs.
+//!    inputs, same `RoundView`, across processes and runs — and
+//!    `exchange_into` fully overwrites the view it is lent with that
+//!    same result.
 //! 2. Message *multiset* per vertex is fixed by the routes; delivery
 //!    *order* inside a vertex's inbox is the transport's own. The
-//!    driver canonicalizes with [`RoundView::canonicalized`] (stable
+//!    driver canonicalizes with [`RoundView::canonicalize`] (stable
 //!    sort by port label) before programs see an `Inbox`, so a
 //!    transport that permutes entries is still conforming.
 //! 3. Failure is a typed [`TransportError`], never a panic: a dead
@@ -103,24 +105,38 @@ impl std::error::Error for TransportError {}
 /// transport receives — workers never reconstruct a [`Network`], so
 /// the wire format is a plain table and network construction stays
 /// private to this crate.
+///
+/// The table is stored row-compressed and shared: one flat slice of
+/// `(port_label, peer)` pairs and one slice of row offsets, both
+/// behind an `Arc`. Building a plan allocates twice, and cloning one
+/// (every [`LocalTransport::open`] does) allocates nothing. Rows may
+/// differ in length, so any raw table [`from_ports`](Self::from_ports)
+/// accepts stays representable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Routes {
-    /// `ports[v][p] = (port_label, peer)` in port-index order.
-    ports: Vec<Vec<(u64, usize)>>,
+    /// Every vertex's `(port_label, peer)` pairs, rows concatenated in
+    /// vertex order, each row in port-index order.
+    entries: Arc<[(u64, usize)]>,
+    /// Row `v` is `entries[offsets[v]..offsets[v + 1]]`; one more
+    /// offset than vertices.
+    offsets: Arc<[usize]>,
 }
 
 impl Routes {
     /// Extracts the delivery plan of a network.
     pub fn of(network: &Network) -> Routes {
         let n = network.num_vertices();
+        let ports = n.saturating_sub(1);
+        // Exact-length iterators, so each `Arc` slice is collected in
+        // one allocation with no intermediate `Vec`.
         Routes {
-            ports: (0..n)
-                .map(|v| {
-                    (0..n.saturating_sub(1))
-                        .map(|p| (network.port_label(v, p), network.peer_of(v, p)))
-                        .collect()
+            entries: (0..n * ports)
+                .map(|i| {
+                    let (v, p) = (i / ports, i % ports);
+                    (network.port_label(v, p), network.peer_of(v, p))
                 })
                 .collect(),
+            offsets: (0..=n).map(|v| v * ports).collect(),
         }
     }
 
@@ -128,25 +144,38 @@ impl Routes {
     /// (port_label, peer)`). Used by transports that reconstruct the
     /// plan from the wire; peers must index into `0..ports.len()`.
     pub fn from_ports(ports: Vec<Vec<(u64, usize)>>) -> Routes {
-        Routes { ports }
+        let offsets = std::iter::once(0)
+            .chain(ports.iter().scan(0, |end, row| {
+                *end += row.len();
+                Some(*end)
+            }))
+            .collect();
+        Routes {
+            entries: ports.into_iter().flatten().collect(),
+            offsets,
+        }
     }
 
     /// Number of vertices in the plan.
     pub fn num_nodes(&self) -> usize {
-        self.ports.len()
+        self.offsets.len() - 1
     }
 
     /// The `(port_label, peer)` pairs of vertex `v` in port-index
     /// order; empty when `v` is out of range.
     pub fn ports(&self, v: usize) -> &[(u64, usize)] {
-        self.ports.get(v).map_or(&[], Vec::as_slice)
+        match (self.offsets.get(v), self.offsets.get(v + 1)) {
+            (Some(&lo), Some(&hi)) => &self.entries[lo..hi],
+            _ => &[],
+        }
     }
 }
 
 /// One round's delivery result: for every vertex, its `(port label,
-/// message)` pairs. Produced by [`Transport::exchange`]; the driver
-/// canonicalizes it before building an `Inbox`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// message)` pairs. Produced by [`Transport::exchange`] or refilled in
+/// place by [`Transport::exchange_into`]; the driver canonicalizes it
+/// before building an `Inbox`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundView {
     inboxes: Vec<Vec<(u64, Message)>>,
 }
@@ -167,23 +196,36 @@ impl RoundView {
         self.inboxes.get(v).map_or(&[], Vec::as_slice)
     }
 
-    /// Consumes the view into its per-vertex entries.
-    pub fn into_inboxes(self) -> Vec<Vec<(u64, Message)>> {
-        self.inboxes
+    /// The per-vertex entry vectors, for a driver that lends each one
+    /// out and puts it back.
+    pub fn inboxes_mut(&mut self) -> &mut [Vec<(u64, Message)>] {
+        &mut self.inboxes
     }
 
-    /// The canonical form: every vertex's entries stable-sorted by
-    /// port label. For every constructible [`Network`] this equals
-    /// port-index order (KT-1 ports are sorted by increasing peer ID;
-    /// KT-0 labels are `p+1`), so canonicalization is a behavioral
-    /// no-op for conforming transports — and the normative step that
-    /// makes a permuting transport conforming too.
-    #[must_use]
-    pub fn canonicalized(mut self) -> RoundView {
+    /// Empties the view down to `n` empty inboxes, keeping what the
+    /// entry vectors have allocated, and returns them for refilling.
+    pub fn reset(&mut self, n: usize) -> &mut [Vec<(u64, Message)>] {
+        self.inboxes.resize_with(n, Vec::new);
         for inbox in &mut self.inboxes {
-            inbox.sort_by_key(|&(label, _)| label);
+            inbox.clear();
         }
-        self
+        &mut self.inboxes
+    }
+
+    /// Puts the view in canonical form in place: every vertex's
+    /// entries stable-sorted by port label. For every constructible
+    /// [`Network`] this equals port-index order (KT-1 ports are sorted
+    /// by increasing peer ID; KT-0 labels are `p+1`), so
+    /// canonicalization is a behavioral no-op for conforming
+    /// transports — and the normative step that makes a permuting
+    /// transport conforming too. An inbox already in order is left
+    /// untouched, so the common case neither moves nor allocates.
+    pub fn canonicalize(&mut self) {
+        for inbox in &mut self.inboxes {
+            if !inbox.is_sorted_by_key(|&(label, _)| label) {
+                inbox.sort_by_key(|&(label, _)| label);
+            }
+        }
     }
 }
 
@@ -202,6 +244,23 @@ pub trait Transport {
     /// already normalized to the configured bandwidth. Returns every
     /// vertex's `(port label, message)` entries.
     fn exchange(&mut self, round: usize, outbox: &[Message]) -> Result<RoundView, TransportError>;
+
+    /// Delivers round `round` into a view the caller lends, so a
+    /// driver can reuse one view's buffers across rounds. On success
+    /// a conforming implementation has fully overwritten `view`: it
+    /// holds exactly what [`exchange`](Self::exchange) would have
+    /// returned, and nothing of what it held before. On error the
+    /// view's contents are unspecified. The default body delegates to
+    /// `exchange`.
+    fn exchange_into(
+        &mut self,
+        round: usize,
+        outbox: &[Message],
+        view: &mut RoundView,
+    ) -> Result<(), TransportError> {
+        *view = self.exchange(round, outbox)?;
+        Ok(())
+    }
 
     /// Quiesces the transport after the final round: a conforming
     /// implementation returns only once every in-flight delivery of
@@ -278,7 +337,18 @@ impl Transport for LocalTransport {
         Ok(())
     }
 
-    fn exchange(&mut self, _round: usize, outbox: &[Message]) -> Result<RoundView, TransportError> {
+    fn exchange(&mut self, round: usize, outbox: &[Message]) -> Result<RoundView, TransportError> {
+        let mut view = RoundView::default();
+        self.exchange_into(round, outbox, &mut view)?;
+        Ok(view)
+    }
+
+    fn exchange_into(
+        &mut self,
+        _round: usize,
+        outbox: &[Message],
+        view: &mut RoundView,
+    ) -> Result<(), TransportError> {
         let routes = self
             .routes
             .as_ref()
@@ -293,17 +363,15 @@ impl Transport for LocalTransport {
                 postmortem: None,
             });
         }
-        Ok(RoundView::new(
-            (0..n)
-                .map(|v| {
-                    routes
-                        .ports(v)
-                        .iter()
-                        .map(|&(label, peer)| (label, outbox[peer].clone()))
-                        .collect()
-                })
-                .collect(),
-        ))
+        for (v, inbox) in view.reset(n).iter_mut().enumerate() {
+            inbox.extend(
+                routes
+                    .ports(v)
+                    .iter()
+                    .map(|&(label, peer)| (label, outbox[peer].clone())),
+            );
+        }
+        Ok(())
     }
 }
 
@@ -450,7 +518,8 @@ mod tests {
             vec![(3, msg(1)), (1, msg(0)), (2, msg(1))],
             vec![(5, msg(0)), (4, msg(0))],
         ]);
-        let canon = view.canonicalized();
+        let mut canon = view;
+        canon.canonicalize();
         assert_eq!(
             canon.inbox(0).iter().map(|e| e.0).collect::<Vec<_>>(),
             vec![1, 2, 3]
@@ -472,7 +541,9 @@ mod tests {
             t.open(&routes).unwrap();
             let outbox: Vec<Message> = (0..routes.num_nodes()).map(|_| msg(1)).collect();
             let view = t.exchange(0, &outbox).unwrap();
-            assert_eq!(view.clone().canonicalized(), view);
+            let mut canon = view.clone();
+            canon.canonicalize();
+            assert_eq!(canon, view);
         }
     }
 

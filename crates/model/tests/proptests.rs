@@ -47,16 +47,15 @@ mod permuted {
             round: usize,
             outbox: &[Message],
         ) -> Result<RoundView, TransportError> {
-            let view = self.inner.exchange(round, outbox)?;
-            let mut inboxes = view.into_inboxes();
-            for inbox in &mut inboxes {
+            let mut view = self.inner.exchange(round, outbox)?;
+            for inbox in view.inboxes_mut() {
                 // Fisher–Yates with the xorshift stream.
                 for i in (1..inbox.len()).rev() {
                     let j = (self.next() % (i as u64 + 1)) as usize;
                     inbox.swap(i, j);
                 }
             }
-            Ok(RoundView::new(inboxes))
+            Ok(view)
         }
     }
 
@@ -209,13 +208,154 @@ proptest! {
         prop_assert_eq!(bcc_model::codec::bits_to_u64(&bits), v);
     }
 
-    /// Message bit packing roundtrips.
+    /// Message bit packing roundtrips, up to the full 64-bit word.
     #[test]
-    fn message_roundtrip(value in any::<u64>(), width in 1usize..32) {
-        let v = value & ((1u64 << width) - 1);
+    fn message_roundtrip(value in any::<u64>(), width in 1usize..=64) {
+        let v = if width == 64 { value } else { value & ((1u64 << width) - 1) };
         let m = Message::from_bits(v, width);
         prop_assert_eq!(m.to_bits(), Some(v));
         prop_assert_eq!(m.len(), width);
-        prop_assert!(!m.symbols().contains(&Symbol::Silent));
+        prop_assert!(m.symbols().all(|s| s != Symbol::Silent));
+    }
+}
+
+/// Symbol strings of 0..=130 symbols, crossing the 64-symbol inline
+/// limit, with extra weight right at it. A third of them are mixed,
+/// a third bits only and a third silence only, so `to_bits`,
+/// `from_bits` and `silent` get matching inputs too.
+fn arb_symbols() -> impl Strategy<Value = Vec<Symbol>> {
+    const ALPHABET: [Symbol; 3] = [Symbol::Zero, Symbol::One, Symbol::Silent];
+    (prop_oneof![0usize..=130, 62usize..=66], 0usize..3).prop_flat_map(|(len, palette)| {
+        let range: std::ops::Range<usize> = [0..3, 0..2, 2..3][palette].clone();
+        proptest::collection::vec(range.prop_map(|i: usize| ALPHABET[i]), len)
+    })
+}
+
+mod reference {
+    /// The symbol-vector `Message` as it was, whose derived `Debug`
+    /// output the packed form must keep printing.
+    #[derive(Debug)]
+    #[allow(dead_code)] // The field is read only by the derived `Debug`.
+    pub struct Message(pub Vec<bcc_model::Symbol>);
+}
+
+/// What `Message::to_bits` means on a plain symbol vector.
+fn model_to_bits(symbols: &[Symbol]) -> Option<u64> {
+    let mut value = 0u64;
+    for (k, s) in symbols.iter().enumerate() {
+        match s {
+            Symbol::Silent => return None,
+            Symbol::One if k >= 64 => return None,
+            Symbol::One => value |= 1 << k,
+            Symbol::Zero => {}
+        }
+    }
+    Some(value)
+}
+
+fn hash_of(m: &Message) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    m.hash(&mut h);
+    h.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every `Message` method agrees with the same question asked of
+    /// the symbol vector it was built from, on both sides of the
+    /// 64-symbol inline limit.
+    #[test]
+    fn message_matches_symbol_vector_model(symbols in arb_symbols(), pad in 0usize..70) {
+        let m = Message::from_symbols(symbols.clone());
+        prop_assert_eq!(m.len(), symbols.len());
+        prop_assert_eq!(m.is_empty(), symbols.is_empty());
+        prop_assert_eq!(m.symbols().len(), symbols.len());
+        prop_assert_eq!(m.symbols().collect::<Vec<_>>(), symbols.clone());
+        for (k, &s) in symbols.iter().enumerate() {
+            prop_assert_eq!(m.symbol_at(k), s);
+        }
+        prop_assert_eq!(
+            m.bits_used(),
+            symbols.iter().filter(|&&s| s != Symbol::Silent).count()
+        );
+        prop_assert_eq!(m.is_silent(), symbols.iter().all(|&s| s == Symbol::Silent));
+        prop_assert_eq!(m.to_bits(), model_to_bits(&symbols));
+        let glyphs: String = symbols.iter().map(|s| s.glyph()).collect();
+        prop_assert_eq!(m.to_string(), glyphs);
+        let derived = reference::Message(symbols.clone());
+        prop_assert_eq!(format!("{m:?}"), format!("{derived:?}"));
+        prop_assert_eq!(format!("{m:#?}"), format!("{derived:#?}"));
+
+        // Normalizing pads with silence, also across the inline limit.
+        let b = symbols.len() + pad;
+        let mut padded = symbols.clone();
+        padded.resize(b, Symbol::Silent);
+        let normalized = m.clone().normalized(b);
+        prop_assert_eq!(normalized.symbols().collect::<Vec<_>>(), padded.clone());
+        prop_assert_eq!(&normalized, &Message::from_symbols(padded));
+
+        // The wire alphabet round-trips every length.
+        let mut line = String::new();
+        bcc_transport::wire::push_message(&mut line, &m);
+        prop_assert_eq!(line.len(), symbols.len());
+        prop_assert_eq!(bcc_transport::wire::decode_message(&line), Ok(m.clone()));
+    }
+
+    /// Ordering is the symbol vector's lexicographic order, including
+    /// pairs that share a long prefix and pairs straddling 64 symbols.
+    #[test]
+    fn message_order_matches_symbol_vector_order(
+        a in arb_symbols(),
+        tail in arb_symbols(),
+        cut in 0usize..=130,
+    ) {
+        let mut b = a[..cut.min(a.len())].to_vec();
+        b.extend(tail);
+        let (ma, mb) = (Message::from_symbols(a.clone()), Message::from_symbols(b.clone()));
+        prop_assert_eq!(ma.cmp(&mb), a.cmp(&b));
+        prop_assert_eq!(mb.cmp(&ma), b.cmp(&a));
+        prop_assert_eq!(ma.partial_cmp(&mb), a.partial_cmp(&b));
+        prop_assert_eq!(ma == mb, a == b);
+    }
+
+    /// Every constructor that can express a symbol string, collecting
+    /// included, yields the same value, hash included: the
+    /// representation is canonical.
+    #[test]
+    fn message_constructors_agree(symbols in arb_symbols(), junk in any::<u64>()) {
+        let m = Message::from_symbols(symbols.clone());
+        let mut same = vec![m.clone(), symbols.iter().copied().collect()];
+        let len = symbols.len();
+        if len <= 64 {
+            let (mut ones, mut silent) = (0u64, 0u64);
+            for (k, s) in symbols.iter().enumerate() {
+                match s {
+                    Symbol::One => ones |= 1 << k,
+                    Symbol::Silent => silent |= 1 << k,
+                    Symbol::Zero => {}
+                }
+            }
+            same.push(Message::from_words(ones, silent, len));
+            // Bits at and above `len`, and `ones` bits under silent
+            // positions, are not part of the message.
+            let above = if len == 64 { 0 } else { junk << len };
+            same.push(Message::from_words(ones | above | (junk & silent), silent | above, len));
+            if let Some(value) = model_to_bits(&symbols) {
+                same.push(Message::from_bits(value, len));
+            }
+        }
+        if symbols.iter().all(|&s| s == Symbol::Silent) {
+            same.push(Message::silent(len));
+        }
+        if len == 1 {
+            same.push(Message::single(symbols[0]));
+        }
+        for other in &same {
+            prop_assert_eq!(other, &m);
+            prop_assert_eq!(hash_of(other), hash_of(&m));
+            prop_assert_eq!(other.symbols().collect::<Vec<_>>(), symbols.clone());
+        }
     }
 }

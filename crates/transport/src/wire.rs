@@ -103,25 +103,27 @@ pub enum Reply {
 
 /// Appends a [`Message`] in its wire alphabet (`0`, `1`, `_`).
 pub fn push_message(out: &mut String, m: &Message) {
-    out.extend(m.symbols().iter().map(|s| match s {
+    out.extend(m.symbols().map(|s| match s {
         Symbol::Zero => '0',
         Symbol::One => '1',
         Symbol::Silent => '_',
     }));
 }
 
-fn decode_symbols(bytes: &[u8]) -> Result<Message, String> {
-    let mut symbols = Vec::with_capacity(bytes.len());
-    for &b in bytes {
-        symbols.push(match b {
-            b'0' => Symbol::Zero,
-            b'1' => Symbol::One,
-            b'_' => Symbol::Silent,
-            b if b.is_ascii() => return Err(format!("bad message character {:?}", char::from(b))),
-            b => return Err(format!("bad message byte {b:#04x}")),
-        });
+fn decode_symbol(b: u8) -> Result<Symbol, String> {
+    match b {
+        b'0' => Ok(Symbol::Zero),
+        b'1' => Ok(Symbol::One),
+        b'_' => Ok(Symbol::Silent),
+        b if b.is_ascii() => Err(format!("bad message character {:?}", char::from(b))),
+        b => Err(format!("bad message byte {b:#04x}")),
     }
-    Ok(Message::from_symbols(symbols))
+}
+
+/// Decodes straight into the message's word pair (no intermediate
+/// symbol vector up to 64 symbols).
+fn decode_symbols(bytes: &[u8]) -> Result<Message, String> {
+    bytes.iter().map(|&b| decode_symbol(b)).collect()
 }
 
 /// Parses the wire alphabet back into a [`Message`].

@@ -99,7 +99,7 @@ impl NodeProgram for CountdownNode {
     fn receive(&mut self, round: usize, inbox: &Inbox) {
         self.round = round + 1;
         for (label, m) in inbox.entries() {
-            let ones = m.symbols().iter().filter(|&&s| s == Symbol::One).count() as u64;
+            let ones = m.symbols().filter(|&s| s == Symbol::One).count() as u64;
             self.heard = self.heard.wrapping_add(label.wrapping_mul(ones));
         }
     }
