@@ -17,7 +17,7 @@ use bcc_bench::ratios::{self, Kind, Pair};
 use bcc_engine::{artifacts, ArtifactKey, ArtifactStore};
 use bcc_metrics::{MetricsDump, MetricsHub, MetricsLevel};
 use bcc_model::postmortem::{self, Postmortem, WireEvent, WorkerHealth};
-use bcc_model::transport::Routes;
+use bcc_model::transport::{RoundView, Routes};
 use bcc_model::Message;
 use bcc_prof::{parse_profile_jsonl, profile_to_jsonl, CounterTotal, Frame, Profile, SpanStat};
 use bcc_trace::json::{event_to_json, parse_event};
@@ -66,7 +66,9 @@ fn wire_reply(text: &str) -> Result<(), String> {
     match parse_reply(text)? {
         Reply::View { inboxes, .. } => {
             let (routes, outbox) = view_plan();
-            split_view(&routes, 0..routes.num_nodes(), &outbox, &inboxes).map(drop)
+            let mut view = RoundView::default();
+            let slots = view.reset(routes.num_nodes());
+            split_view(&routes, 0..routes.num_nodes(), &outbox, &inboxes, slots)
         }
         _ => Ok(()),
     }

@@ -155,8 +155,11 @@ impl BatchRun {
     /// [`Transport`] factory, one transport per lane (each lane has
     /// its own wiring, hence its own routes); the trace and all
     /// accounting stay driver-side, so outcomes do not depend on the
-    /// backend. A transport failure aborts the whole batch with the
-    /// typed error after closing any open spans.
+    /// backend. Each round [`post`](Transport::post)s every active
+    /// lane's outbox before it collects any lane's view, so a backend
+    /// with real latency overlaps the lanes' round trips. A transport
+    /// failure aborts the whole batch with the typed error after
+    /// closing any open spans.
     ///
     /// When the configuration carries a trace scope, the batch records
     /// a `batch` span wrapping one `round=r` span per executed round
@@ -290,9 +293,10 @@ fn run_batch_impl(
     }
 
     let mut packed = PackedRound::new(n, b);
-    // One outbox and one view for the whole batch, refilled every
-    // lane-round.
-    let mut broadcasts: Vec<Message> = Vec::with_capacity(n);
+    // One outbox for every lane's broadcasts and one view for the
+    // whole batch, refilled every round. The outbox holds the active
+    // lanes' broadcast vectors back to back, in lane order.
+    let mut outboxes: Vec<Message> = Vec::with_capacity(l * n);
     let mut view = RoundView::default();
     for round in 0..cfg.max_rounds() {
         if active == 0 {
@@ -313,16 +317,31 @@ fn run_batch_impl(
                 packed.pack(lane, v, &m);
             }
         }
-        // Phase 2: reconstruct each lane's broadcast vector from the
-        // words and deliver it through that lane's transport.
+        // Phase 2a: reconstruct each lane's broadcast vector from the
+        // words and post it to that lane's transport, so every lane's
+        // round is in flight before any is read.
+        outboxes.clear();
+        for (lane, transport) in transports.iter_mut().enumerate() {
+            if active >> lane & 1 == 0 {
+                continue;
+            }
+            let start = outboxes.len();
+            outboxes.extend((0..n).map(|v| packed.unpack(lane, v)));
+            if let Err(err) = transport.post(round, &outboxes[start..]) {
+                return Err(abort_batch(trace, Some(round), err));
+            }
+        }
+        // Phase 2b: account each lane's broadcasts, collect its view
+        // and let its programs receive.
         let mut round_bits = 0usize;
+        let mut posted = 0;
         for lane in 0..l {
             if active >> lane & 1 == 0 {
                 continue;
             }
-            broadcasts.clear();
-            broadcasts.extend((0..n).map(|v| packed.unpack(lane, v)));
-            for (v, m) in broadcasts.iter().enumerate() {
+            let outbox = &outboxes[posted * n..(posted + 1) * n];
+            posted += 1;
+            for (v, m) in outbox.iter().enumerate() {
                 let bits = m.bits_used();
                 stats[lane].bits_broadcast += bits;
                 round_bits += bits;
@@ -330,7 +349,7 @@ fn run_batch_impl(
                     transcripts[lane][v].sent.push(m.clone());
                 }
             }
-            if let Err(err) = transports[lane].exchange_into(round, &broadcasts, &mut view) {
+            if let Err(err) = transports[lane].collect_into(round, outbox, &mut view) {
                 return Err(abort_batch(trace, Some(round), err));
             }
             view.canonicalize();

@@ -18,8 +18,8 @@
 //!
 //! 1. `exchange` is a pure function of `(routes, outbox)` — same
 //!    inputs, same `RoundView`, across processes and runs — and
-//!    `exchange_into` fully overwrites the view it is lent with that
-//!    same result.
+//!    `exchange_into`, like a `post` followed by its `collect_into`,
+//!    fully overwrites the view it is lent with that same result.
 //! 2. Message *multiset* per vertex is fixed by the routes; delivery
 //!    *order* inside a vertex's inbox is the transport's own. The
 //!    driver canonicalizes with [`RoundView::canonicalize`] (stable
@@ -230,9 +230,11 @@ impl RoundView {
 }
 
 /// A round-delivery backend. Drivers call [`open`](Self::open) once
-/// per run with the instance's [`Routes`], then
-/// [`exchange`](Self::exchange) once per round, then
-/// [`barrier`](Self::barrier) after the last round and
+/// per run with the instance's [`Routes`], then deliver each round
+/// either in one call ([`exchange`](Self::exchange) or
+/// [`exchange_into`](Self::exchange_into)) or in two
+/// ([`post`](Self::post), later [`collect_into`](Self::collect_into)),
+/// then call [`barrier`](Self::barrier) after the last round and
 /// [`teardown`](Self::teardown) when the transport is dropped from
 /// service. See the module docs for the determinism contract.
 pub trait Transport {
@@ -260,6 +262,33 @@ pub trait Transport {
     ) -> Result<(), TransportError> {
         *view = self.exchange(round, outbox)?;
         Ok(())
+    }
+
+    /// The first half of a split delivery: hands round `round`'s
+    /// outbox to the backend without waiting for the result, so a
+    /// driver with many transports (the batched engine, one per lane)
+    /// can have every lane's round in flight before it reads any.
+    /// A driver that calls `post` must follow it with exactly one
+    /// [`collect_into`](Self::collect_into) for the same round and an
+    /// outbox equal to the posted one before it posts again: at most
+    /// one round per transport is in flight. The default does nothing,
+    /// and the default `collect_into` does the whole delivery.
+    fn post(&mut self, _round: usize, _outbox: &[Message]) -> Result<(), TransportError> {
+        Ok(())
+    }
+
+    /// The second half of a split delivery: fills `view` with the
+    /// round [`post`](Self::post) handed over, under the same
+    /// full-overwrite rule as [`exchange_into`](Self::exchange_into).
+    /// The default body is `exchange_into`, which is exactly right for
+    /// a backend whose `post` does nothing.
+    fn collect_into(
+        &mut self,
+        round: usize,
+        outbox: &[Message],
+        view: &mut RoundView,
+    ) -> Result<(), TransportError> {
+        self.exchange_into(round, outbox, view)
     }
 
     /// Quiesces the transport after the final round: a conforming
@@ -493,6 +522,20 @@ mod tests {
         }
         t.barrier().unwrap();
         t.teardown();
+    }
+
+    #[test]
+    fn default_post_and_collect_deliver_like_exchange() {
+        let i = Instance::new_kt0(generators::cycle(5), 3).unwrap();
+        let mut t = LocalTransport::new();
+        t.open(&Routes::of(i.network())).unwrap();
+        let outbox: Vec<Message> = (0..5).map(|v| msg((v % 2) as u8)).collect();
+        let want = t.exchange(0, &outbox).unwrap();
+        // A stale view of the wrong shape is fully overwritten.
+        let mut view = RoundView::new(vec![vec![(9, msg(1))]; 7]);
+        t.post(1, &outbox).unwrap();
+        t.collect_into(1, &outbox, &mut view).unwrap();
+        assert_eq!(view, want);
     }
 
     #[test]

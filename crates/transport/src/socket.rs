@@ -1,6 +1,7 @@
 //! The coordinator side of the multi-process backend: spawns worker
-//! subprocesses, hands each a contiguous node range, and drives one
-//! JSONL request/reply exchange per round over loopback TCP.
+//! subprocesses, hands each a contiguous node range, and delivers each
+//! round as one JSONL `round` line out and one `view` line back per
+//! worker over loopback TCP.
 //!
 //! Determinism obligations (DESIGN.md §14) are met by construction:
 //! the coordinator sends the round to every worker and then reads the
@@ -8,6 +9,14 @@
 //! rank-0 slice followed by rank-1's, etc. — exactly node order,
 //! independent of which worker answered first. No wall-clock value
 //! ever crosses the wire; all accounting stays in the driver.
+//!
+//! Delivery is split in two ([`Transport::post`] writes the `round`
+//! lines, [`Transport::collect_into`] reads the views), so a driver
+//! with many sessions on one group — the batched engine, one per
+//! lane — can have all of them in flight at once. A worker answers in
+//! command order, so a read for one session may meet another
+//! session's reply first; [`GroupInner::read_for`] sets such replies
+//! aside, keyed by `(session, rank)`, until their session collects.
 //!
 //! That includes the transport's own accounting (DESIGN.md §15):
 //! each open session holds one [`SessionSpan`] per rank, and every
@@ -401,6 +410,14 @@ struct Link {
 }
 
 impl Link {
+    fn new(reader: BufReader<TcpStream>, writer: TcpStream) -> Link {
+        Link {
+            reader,
+            writer,
+            ring: VecDeque::new(),
+        }
+    }
+
     fn record_wire(&mut self, dir: &str, meta: &WireMeta, bytes: usize) {
         if self.ring.len() == FLIGHT_RING_CAPACITY {
             self.ring.pop_front();
@@ -420,6 +437,15 @@ enum RawError {
     Protocol(String),
 }
 
+/// The session a reply answers; `None` for replies that name none
+/// (`hello`, `bye`, `error`).
+fn reply_session(reply: &Reply) -> Option<u64> {
+    match reply {
+        Reply::Ok { session } | Reply::View { session, .. } => Some(*session),
+        Reply::Hello { .. } | Reply::Bye | Reply::Error { .. } => None,
+    }
+}
+
 struct GroupInner {
     /// One link per worker, index = rank.
     links: Vec<Link>,
@@ -428,6 +454,9 @@ struct GroupInner {
     /// Sessions opened and not yet closed, each with one span per
     /// rank.
     open_sessions: BTreeMap<u64, Vec<SessionSpan>>,
+    /// Replies read while looking for another session's, kept until
+    /// their own session reads them.
+    set_aside: BTreeMap<(u64, usize), Reply>,
     /// Per-rank liveness as far as the coordinator knows.
     alive: Vec<bool>,
     /// Factory label (`sockets:N`), echoed into postmortems.
@@ -451,6 +480,7 @@ impl GroupInner {
                 *alive = false;
             }
         }
+        self.set_aside.clear();
         let open = std::mem::take(&mut self.open_sessions);
         for spans in open.values() {
             self.telemetry.record_closed(spans, &self.alive);
@@ -579,6 +609,43 @@ impl GroupInner {
             self.fail(err)
         })
     }
+
+    /// Reads rank `rank`'s next reply to `session`, or one that names
+    /// no session (an `error` is fatal whoever it answers). Replies to
+    /// other sessions met on the way are [set aside](Self::set_aside).
+    fn read_for(&mut self, rank: usize, session: u64) -> Result<Reply, TransportError> {
+        if let Some(reply) = self.set_aside.remove(&(session, rank)) {
+            return Ok(reply);
+        }
+        loop {
+            let reply = self.read_reply(rank)?;
+            match reply_session(&reply) {
+                Some(other) if other != session => self.set_aside(rank, other, reply),
+                _ => return Ok(reply),
+            }
+        }
+    }
+
+    /// Keeps a reply until its session reads it. A session that is no
+    /// longer open will never read it, so its reply is dropped.
+    fn set_aside(&mut self, rank: usize, session: u64, reply: Reply) {
+        if self.open_sessions.contains_key(&session) {
+            self.set_aside.insert((session, rank), reply);
+        }
+    }
+
+    /// Fails the group on a reply that is not the one expected: an
+    /// `error` carries its own detail, anything else is named.
+    fn reject(&mut self, rank: usize, reply: Reply, to: &str) -> TransportError {
+        let detail = match reply {
+            Reply::Error { detail } => detail,
+            other => format!("unexpected reply to {to} from worker {rank}: {other:?}"),
+        };
+        self.fail(TransportError::Protocol {
+            detail,
+            postmortem: None,
+        })
+    }
 }
 
 impl Drop for GroupInner {
@@ -626,6 +693,144 @@ fn kill_all(children: &mut Vec<Child>) {
     children.clear();
 }
 
+/// A nonblocking loopback listener for workers to connect to, and
+/// its port.
+fn listen() -> Result<(TcpListener, u16), TransportError> {
+    let listener =
+        TcpListener::bind(("127.0.0.1", 0)).map_err(|e| spawn_err(format!("bind failed: {e}")))?;
+    let port = listener
+        .local_addr()
+        .map_err(|e| spawn_err(format!("local_addr failed: {e}")))?
+        .port();
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| spawn_err(format!("set_nonblocking failed: {e}")))?;
+    Ok((listener, port))
+}
+
+/// Starts one worker process per rank, pointed at `port`. The caller
+/// reaps `children` on failure.
+fn launch(
+    workers: usize,
+    cmd: &WorkerCmd,
+    port: u16,
+    children: &mut Vec<Child>,
+) -> Result<(), TransportError> {
+    for rank in 0..workers {
+        let exe = match cmd {
+            WorkerCmd::SelfExec => std::env::current_exe()
+                .map_err(|e| spawn_err(format!("current_exe failed: {e}")))?,
+            WorkerCmd::Bin(path) => path.clone(),
+        };
+        let child = std::process::Command::new(&exe)
+            .arg(crate::WORKER_FLAG)
+            .arg(port.to_string())
+            .arg(rank.to_string())
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .spawn()
+            .map_err(|e| {
+                spawn_err(format!(
+                    "failed to exec worker {rank} ({}): {e}",
+                    exe.display()
+                ))
+            })?;
+        children.push(child);
+    }
+    Ok(())
+}
+
+/// Accepts `workers` connections and reads each one's `hello`,
+/// returning the links in rank order and the accept ticks spent.
+///
+/// The accept loop is nonblocking with a liveness check on
+/// `children`, so a worker that dies before connecting (wrong binary,
+/// crash on start) fails fast with a typed error instead of hanging.
+fn accept_links(
+    listener: &TcpListener,
+    workers: usize,
+    children: &mut [Child],
+) -> Result<(Vec<Link>, u32), TransportError> {
+    let mut pending: Vec<TcpStream> = Vec::with_capacity(workers);
+    let mut ticks = 0u32;
+    while pending.len() < workers {
+        match listener.accept() {
+            Ok((stream, _)) => pending.push(stream),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                for (rank, child) in children.iter_mut().enumerate() {
+                    if let Ok(Some(status)) = child.try_wait() {
+                        return Err(spawn_err(format!(
+                            "worker {rank} exited before connecting: {status}"
+                        )));
+                    }
+                }
+                if ticks >= ACCEPT_TICKS {
+                    return Err(spawn_err(
+                        "timed out waiting for workers to connect".to_string(),
+                    ));
+                }
+                ticks += 1;
+                std::thread::sleep(ACCEPT_TICK);
+            }
+            Err(e) => return Err(spawn_err(format!("accept failed: {e}"))),
+        }
+    }
+
+    // Handshake: each worker announces its rank; links are stored
+    // rank-indexed so reply order is always rank order.
+    let mut slots: Vec<Option<Link>> = (0..workers).map(|_| None).collect();
+    for stream in pending {
+        let (rank, link) = handshake(stream, workers).map_err(spawn_err)?;
+        if slots[rank].is_some() {
+            return Err(spawn_err(format!("duplicate hello for rank {rank}")));
+        }
+        slots[rank] = Some(link);
+    }
+    let mut links = Vec::with_capacity(workers);
+    for (rank, slot) in slots.into_iter().enumerate() {
+        links.push(slot.ok_or_else(|| spawn_err(format!("no hello from rank {rank}")))?);
+    }
+    Ok((links, ticks))
+}
+
+/// Reads one connection's `hello` and wraps it as that rank's link.
+fn handshake(stream: TcpStream, workers: usize) -> Result<(usize, Link), String> {
+    stream
+        .set_nonblocking(false)
+        .map_err(|e| format!("set_nonblocking failed: {e}"))?;
+    stream
+        .set_read_timeout(Some(READ_TIMEOUT))
+        .map_err(|e| format!("set_read_timeout failed: {e}"))?;
+    let _ = stream.set_nodelay(true);
+    let writer = stream
+        .try_clone()
+        .map_err(|e| format!("try_clone failed: {e}"))?;
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader
+        .read_line(&mut line)
+        .map_err(|e| format!("handshake read failed: {e}"))?;
+    let line = line.trim_end();
+    match wire::parse_reply(line) {
+        Ok(Reply::Hello { rank }) if rank < workers => {
+            let mut link = Link::new(reader, writer);
+            link.record_wire(
+                "recv",
+                &WireMeta {
+                    kind: "hello",
+                    session: 0,
+                    round: 0,
+                },
+                line.len(),
+            );
+            Ok((rank, link))
+        }
+        Ok(Reply::Hello { rank }) => Err(format!("hello with out-of-range rank {rank}")),
+        Ok(other) => Err(format!("expected hello, got {other:?}")),
+        Err(e) => Err(format!("bad hello: {e}")),
+    }
+}
+
 impl WorkerGroup {
     fn spawn(
         workers: usize,
@@ -633,164 +838,45 @@ impl WorkerGroup {
         backend: String,
         telemetry: Arc<TelemetryStore>,
     ) -> Result<Self, TransportError> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))
-            .map_err(|e| spawn_err(format!("bind failed: {e}")))?;
-        let port = listener
-            .local_addr()
-            .map_err(|e| spawn_err(format!("local_addr failed: {e}")))?
-            .port();
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| spawn_err(format!("set_nonblocking failed: {e}")))?;
-
+        let (listener, port) = listen()?;
         let mut children: Vec<Child> = Vec::with_capacity(workers);
-        for rank in 0..workers {
-            let exe = match cmd {
-                WorkerCmd::SelfExec => std::env::current_exe().map_err(|e| {
-                    kill_all(&mut children);
-                    spawn_err(format!("current_exe failed: {e}"))
-                })?,
-                WorkerCmd::Bin(path) => path.clone(),
-            };
-            match std::process::Command::new(&exe)
-                .arg(crate::WORKER_FLAG)
-                .arg(port.to_string())
-                .arg(rank.to_string())
-                .stdin(Stdio::null())
-                .stdout(Stdio::null())
-                .spawn()
-            {
-                Ok(child) => children.push(child),
-                Err(e) => {
-                    kill_all(&mut children);
-                    return Err(spawn_err(format!(
-                        "failed to exec worker {rank} ({}): {e}",
-                        exe.display()
-                    )));
-                }
+        let connected = launch(workers, cmd, port, &mut children)
+            .and_then(|()| accept_links(&listener, workers, &mut children));
+        match connected {
+            Ok((links, ticks)) => {
+                telemetry.wall_add("spawns", 1);
+                telemetry.wall_add("accept_ticks", u64::from(ticks));
+                Ok(WorkerGroup::assemble(links, children, backend, telemetry))
+            }
+            Err(err) => {
+                kill_all(&mut children);
+                Err(err)
             }
         }
+    }
 
-        // Nonblocking accept loop with a liveness check, so a worker
-        // that dies before connecting (wrong binary, crash on start)
-        // fails fast with a typed error instead of hanging.
-        let mut pending: Vec<TcpStream> = Vec::with_capacity(workers);
-        let mut ticks = 0u32;
-        while pending.len() < workers {
-            match listener.accept() {
-                Ok((stream, _)) => pending.push(stream),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    for (rank, child) in children.iter_mut().enumerate() {
-                        if let Ok(Some(status)) = child.try_wait() {
-                            kill_all(&mut children);
-                            return Err(spawn_err(format!(
-                                "worker {rank} exited before connecting: {status}"
-                            )));
-                        }
-                    }
-                    if ticks >= ACCEPT_TICKS {
-                        kill_all(&mut children);
-                        return Err(spawn_err(
-                            "timed out waiting for workers to connect".to_string(),
-                        ));
-                    }
-                    ticks += 1;
-                    std::thread::sleep(ACCEPT_TICK);
-                }
-                Err(e) => {
-                    kill_all(&mut children);
-                    return Err(spawn_err(format!("accept failed: {e}")));
-                }
-            }
-        }
-
-        // Handshake: each worker announces its rank; links are stored
-        // rank-indexed so reply order is always rank order.
-        let mut slots: Vec<Option<Link>> = (0..workers).map(|_| None).collect();
-        for stream in pending {
-            let link = (|| -> Result<(usize, Link), String> {
-                stream
-                    .set_nonblocking(false)
-                    .map_err(|e| format!("set_nonblocking failed: {e}"))?;
-                stream
-                    .set_read_timeout(Some(READ_TIMEOUT))
-                    .map_err(|e| format!("set_read_timeout failed: {e}"))?;
-                let _ = stream.set_nodelay(true);
-                let writer = stream
-                    .try_clone()
-                    .map_err(|e| format!("try_clone failed: {e}"))?;
-                let mut reader = BufReader::new(stream);
-                let mut line = String::new();
-                reader
-                    .read_line(&mut line)
-                    .map_err(|e| format!("handshake read failed: {e}"))?;
-                let line = line.trim_end();
-                match wire::parse_reply(line) {
-                    Ok(Reply::Hello { rank }) if rank < workers => {
-                        let mut link = Link {
-                            reader,
-                            writer,
-                            ring: VecDeque::new(),
-                        };
-                        link.record_wire(
-                            "recv",
-                            &WireMeta {
-                                kind: "hello",
-                                session: 0,
-                                round: 0,
-                            },
-                            line.len(),
-                        );
-                        Ok((rank, link))
-                    }
-                    Ok(Reply::Hello { rank }) => {
-                        Err(format!("hello with out-of-range rank {rank}"))
-                    }
-                    Ok(other) => Err(format!("expected hello, got {other:?}")),
-                    Err(e) => Err(format!("bad hello: {e}")),
-                }
-            })();
-            match link {
-                Ok((rank, link)) => {
-                    if slots[rank].is_some() {
-                        kill_all(&mut children);
-                        return Err(spawn_err(format!("duplicate hello for rank {rank}")));
-                    }
-                    slots[rank] = Some(link);
-                }
-                Err(detail) => {
-                    kill_all(&mut children);
-                    return Err(spawn_err(detail));
-                }
-            }
-        }
-        let mut links = Vec::with_capacity(workers);
-        for (rank, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(link) => links.push(link),
-                None => {
-                    kill_all(&mut children);
-                    return Err(spawn_err(format!("no hello from rank {rank}")));
-                }
-            }
-        }
-
-        telemetry.wall_add("spawns", 1);
-        telemetry.wall_add("accept_ticks", u64::from(ticks));
-
-        Ok(WorkerGroup {
+    /// A group over connected, handshaken links (index = rank).
+    fn assemble(
+        links: Vec<Link>,
+        children: Vec<Child>,
+        backend: String,
+        telemetry: Arc<TelemetryStore>,
+    ) -> WorkerGroup {
+        let workers = links.len();
+        WorkerGroup {
             workers,
             inner: Mutex::new(GroupInner {
                 links,
                 children,
                 next_session: 1,
                 open_sessions: BTreeMap::new(),
+                set_aside: BTreeMap::new(),
                 alive: vec![true; workers],
                 backend,
                 telemetry,
                 dead: None,
             }),
-        })
+        }
     }
 
     fn locked(&self) -> MutexGuard<'_, GroupInner> {
@@ -833,38 +919,28 @@ impl WorkerGroup {
             inner.send_line(rank, &line, &WireMeta::of_command(&cmd))?;
         }
         for rank in 0..self.workers {
-            match inner.read_reply(rank)? {
-                Reply::Ok { session: s } if s == session => {}
-                Reply::Error { detail } => {
-                    return Err(inner.fail(TransportError::Protocol {
-                        detail,
-                        postmortem: None,
-                    }))
-                }
-                other => {
-                    return Err(inner.fail(TransportError::Protocol {
-                        detail: format!("unexpected reply to open from worker {rank}: {other:?}"),
-                        postmortem: None,
-                    }))
-                }
+            match inner.read_for(rank, session)? {
+                Reply::Ok { .. } => {}
+                other => return Err(inner.reject(rank, other, "open")),
             }
         }
         inner.open_sessions.insert(session, spans);
         Ok(session)
     }
 
-    /// Sends one round and merges the replies. Each `view` carries
-    /// only symbols; the entries' labels come back from `routes`, the
-    /// plan this session was opened with. Each accepted view is
-    /// counted on its rank's span at once, so a later rank's failure
-    /// leaves the earlier ranks' views counted.
-    fn exchange(
+    /// Writes one round's `round` line to every rank and returns
+    /// without reading a reply. A write that fails is not reported
+    /// here: a broken link fails its next read, and
+    /// [`collect_round`](Self::collect_round) reads the ranks in
+    /// order, so the rank a failure names never depends on which
+    /// write noticed first. Posting relies on the kernel's socket
+    /// buffers to hold every `round` line in flight (DESIGN.md §14).
+    fn post_round(
         &self,
         session: u64,
-        routes: &Routes,
         round: usize,
         outbox: &[Message],
-    ) -> Result<RoundView, TransportError> {
+    ) -> Result<(), TransportError> {
         let mut inner = self.locked();
         Self::check_live(&inner)?;
         let cmd = Command::Round {
@@ -875,58 +951,60 @@ impl WorkerGroup {
         let line = framed(&cmd);
         let meta = WireMeta::of_command(&cmd);
         for rank in 0..self.workers {
-            inner.send_line(rank, &line, &meta)?;
+            let _ = inner.send_raw(rank, &line, &meta);
         }
+        Ok(())
+    }
+
+    /// Reads one posted round's views in rank order and restores them
+    /// into `view`. Each `view` carries only symbols; the entries'
+    /// labels come back from `routes`, the plan this session was
+    /// opened with. Each accepted view is counted on its rank's span
+    /// at once, so a later rank's failure leaves the earlier ranks'
+    /// views counted.
+    fn collect_round(
+        &self,
+        session: u64,
+        routes: &Routes,
+        round: usize,
+        outbox: &[Message],
+        view: &mut RoundView,
+    ) -> Result<(), TransportError> {
+        let mut inner = self.locked();
+        Self::check_live(&inner)?;
         // Rank-order reads make the merge deterministic: slices are
-        // contiguous ascending node ranges, so concatenation in rank
+        // contiguous ascending node ranges, so filling them in rank
         // order is node order.
         let n = routes.num_nodes();
-        let mut inboxes: Vec<Vec<(u64, Message)>> = Vec::with_capacity(n);
+        let slots = view.reset(n);
         for rank in 0..self.workers {
-            match inner.read_reply(rank)? {
+            let part = match inner.read_for(rank, session)? {
                 Reply::View {
-                    session: s,
-                    round: r,
-                    inboxes: part,
-                } if s == session && r == round => {
-                    let (lo, hi) = node_range(n, self.workers, rank);
-                    match wire::split_view(routes, lo..hi, outbox, &part) {
-                        Ok(entries) => {
-                            let spans = inner.open_sessions.get_mut(&session);
-                            if let Some(span) = spans.and_then(|spans| spans.get_mut(rank)) {
-                                span.rounds = span.rounds.saturating_add(1);
-                                span.frames += entries.iter().map(Vec::len).sum::<usize>() as u64;
-                                span.symbols += part.iter().map(String::len).sum::<usize>() as u64;
-                            }
-                            inboxes.extend(entries);
-                        }
-                        Err(detail) => {
-                            return Err(inner.fail(TransportError::Protocol {
-                                detail: format!("bad view from worker {rank}: {detail}"),
-                                postmortem: None,
-                            }))
-                        }
-                    }
-                }
-                Reply::Error { detail } => {
-                    return Err(inner.fail(TransportError::Protocol {
-                        detail,
-                        postmortem: None,
-                    }))
-                }
-                other => {
-                    return Err(inner.fail(TransportError::Protocol {
-                        detail: format!("unexpected reply to round from worker {rank}: {other:?}"),
-                        postmortem: None,
-                    }))
-                }
+                    round: r, inboxes, ..
+                } if r == round => inboxes,
+                other => return Err(inner.reject(rank, other, "round")),
+            };
+            let (lo, hi) = node_range(n, self.workers, rank);
+            let slice = &mut slots[lo..hi];
+            if let Err(detail) = wire::split_view(routes, lo..hi, outbox, &part, slice) {
+                return Err(inner.fail(TransportError::Protocol {
+                    detail: format!("bad view from worker {rank}: {detail}"),
+                    postmortem: None,
+                }));
+            }
+            let spans = inner.open_sessions.get_mut(&session);
+            if let Some(span) = spans.and_then(|spans| spans.get_mut(rank)) {
+                span.rounds = span.rounds.saturating_add(1);
+                span.frames += slice.iter().map(Vec::len).sum::<usize>() as u64;
+                span.symbols += part.iter().map(String::len).sum::<usize>() as u64;
             }
         }
-        Ok(RoundView::new(inboxes))
+        Ok(())
     }
 
     /// Ends a session: a one-way `close` to every rank, then the
-    /// session's spans go to the store.
+    /// session's spans go to the store. Replies set aside for it are
+    /// dropped, and any still on the wire are dropped when read.
     fn close_session(&self, session: u64) -> Result<(), TransportError> {
         let mut inner = self.locked();
         Self::check_live(&inner)?;
@@ -936,6 +1014,7 @@ impl WorkerGroup {
         for rank in 0..self.workers {
             inner.send_line(rank, &line, &meta)?;
         }
+        inner.set_aside.retain(|&(s, _), _| s != session);
         if let Some(spans) = inner.open_sessions.remove(&session) {
             inner.telemetry.record_closed(&spans, &inner.alive);
         }
@@ -963,49 +1042,113 @@ impl Transport for FailedTransport {
 }
 
 /// One run's view of the shared [`WorkerGroup`]: a session that is
-/// opened with the run's routes and closed at the barrier. The routes
-/// stay here for the session's lifetime, because `view` replies
-/// carry symbols only and every exchange labels them from the routes.
+/// opened with the run's routes and closed at the barrier.
 pub struct SocketTransport {
     group: Arc<WorkerGroup>,
-    session: Option<(u64, Routes)>,
+    session: Option<Session>,
+}
+
+/// An open session of a [`SocketTransport`].
+struct Session {
+    id: u64,
+    /// The plan the session was opened with. `view` replies carry
+    /// symbols only, and every collect labels them from it.
+    routes: Routes,
+    /// The round posted and not yet collected.
+    posted: Option<usize>,
+}
+
+fn misuse(detail: String) -> TransportError {
+    TransportError::Protocol {
+        detail,
+        postmortem: None,
+    }
+}
+
+fn opened<'a>(
+    session: &'a mut Option<Session>,
+    op: &str,
+) -> Result<&'a mut Session, TransportError> {
+    session
+        .as_mut()
+        .ok_or_else(|| misuse(format!("{op} before open")))
 }
 
 impl Transport for SocketTransport {
     fn open(&mut self, routes: &Routes) -> Result<(), TransportError> {
         if self.session.is_some() {
-            return Err(TransportError::Protocol {
-                detail: "transport opened twice".to_string(),
-                postmortem: None,
-            });
+            return Err(misuse("transport opened twice".to_string()));
         }
-        let session = self.group.open_session(routes)?;
-        self.session = Some((session, routes.clone()));
+        let id = self.group.open_session(routes)?;
+        self.session = Some(Session {
+            id,
+            routes: routes.clone(),
+            posted: None,
+        });
         Ok(())
     }
 
     fn exchange(&mut self, round: usize, outbox: &[Message]) -> Result<RoundView, TransportError> {
-        let (session, routes) = self
-            .session
-            .as_ref()
-            .ok_or_else(|| TransportError::Protocol {
-                detail: "exchange before open".to_string(),
-                postmortem: None,
-            })?;
-        self.group.exchange(*session, routes, round, outbox)
+        let mut view = RoundView::default();
+        self.exchange_into(round, outbox, &mut view)?;
+        Ok(view)
+    }
+
+    fn exchange_into(
+        &mut self,
+        round: usize,
+        outbox: &[Message],
+        view: &mut RoundView,
+    ) -> Result<(), TransportError> {
+        self.post(round, outbox)?;
+        self.collect_into(round, outbox, view)
+    }
+
+    fn post(&mut self, round: usize, outbox: &[Message]) -> Result<(), TransportError> {
+        let session = opened(&mut self.session, "post")?;
+        if let Some(posted) = session.posted {
+            return Err(misuse(format!(
+                "round {round} posted while round {posted} is in flight"
+            )));
+        }
+        self.group.post_round(session.id, round, outbox)?;
+        session.posted = Some(round);
+        Ok(())
+    }
+
+    fn collect_into(
+        &mut self,
+        round: usize,
+        outbox: &[Message],
+        view: &mut RoundView,
+    ) -> Result<(), TransportError> {
+        let session = opened(&mut self.session, "collect")?;
+        if session.posted.take() != Some(round) {
+            return Err(misuse(format!("round {round} collected but not posted")));
+        }
+        self.group
+            .collect_round(session.id, &session.routes, round, outbox, view)
     }
 
     fn barrier(&mut self) -> Result<(), TransportError> {
         match self.session.take() {
-            Some((session, _)) => self.group.close_session(session),
+            Some(session) => self.group.close_session(session.id),
             None => Ok(()),
         }
     }
 
     fn teardown(&mut self) {
-        if let Some((session, _)) = self.session.take() {
-            let _ = self.group.close_session(session);
+        if let Some(session) = self.session.take() {
+            let _ = self.group.close_session(session.id);
         }
+    }
+}
+
+impl Drop for SocketTransport {
+    /// A run that unwinds without reaching `teardown` still closes its
+    /// session, so no reply is ever kept for it.
+    fn drop(&mut self) {
+        self.teardown();
     }
 }
 
@@ -1124,6 +1267,7 @@ impl TransportFactory for SocketFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcc_model::transport::LocalTransport;
 
     #[test]
     fn node_ranges_partition() {
@@ -1139,6 +1283,145 @@ mod tests {
                 assert_eq!(covered, n, "ranges must cover 0..{n}");
             }
         }
+    }
+
+    /// A group whose workers are threads of this process running the
+    /// real worker loop, so set-aside routing is testable without a
+    /// worker binary. Dropping the group shuts the threads down.
+    fn thread_group(workers: usize) -> Arc<WorkerGroup> {
+        let (listener, port) = listen().unwrap();
+        for rank in 0..workers {
+            std::thread::spawn(move || {
+                crate::worker::run_from_args(&[port.to_string(), rank.to_string()])
+            });
+        }
+        let (links, _) = accept_links(&listener, workers, &mut []).unwrap();
+        Arc::new(WorkerGroup::assemble(
+            links,
+            Vec::new(),
+            "threads".to_string(),
+            TelemetryStore::new(),
+        ))
+    }
+
+    /// `lanes` sessions of an `n`-cycle with distinct wirings, each
+    /// paired with the in-process oracle for the same routes.
+    fn sessions(
+        group: &Arc<WorkerGroup>,
+        n: usize,
+        lanes: u64,
+    ) -> Vec<(SocketTransport, LocalTransport)> {
+        (0..lanes)
+            .map(|wiring| {
+                let inst =
+                    bcc_model::Instance::new_kt0(bcc_graphs::generators::cycle(n), wiring).unwrap();
+                let routes = Routes::of(inst.network());
+                let mut socket = SocketTransport {
+                    group: Arc::clone(group),
+                    session: None,
+                };
+                socket.open(&routes).unwrap();
+                let mut local = LocalTransport::new();
+                local.open(&routes).unwrap();
+                (socket, local)
+            })
+            .collect()
+    }
+
+    fn outbox(n: usize, lane: usize, round: usize, b: usize) -> Vec<Message> {
+        (0..n)
+            .map(|v| Message::from_bits((v * 7 + lane * 3 + round) as u64, b))
+            .collect()
+    }
+
+    fn set_aside(group: &WorkerGroup) -> usize {
+        group.locked().set_aside.len()
+    }
+
+    #[test]
+    fn out_of_order_collects_are_routed_and_nothing_is_kept_after_a_batch() {
+        let group = thread_group(2);
+        let mut lanes = sessions(&group, 5, 3);
+        let mut view = RoundView::default();
+        for round in 0..3 {
+            let outboxes: Vec<Vec<Message>> = (0..lanes.len())
+                .map(|lane| outbox(5, lane, round, 2))
+                .collect();
+            for ((socket, _), out) in lanes.iter_mut().zip(&outboxes) {
+                socket.post(round, out).unwrap();
+            }
+            // Collecting the last lane first reads past both earlier
+            // lanes' views on every rank.
+            for (k, ((socket, local), out)) in lanes.iter_mut().zip(&outboxes).enumerate().rev() {
+                socket.collect_into(round, out, &mut view).unwrap();
+                assert_eq!(view, local.exchange(round, out).unwrap(), "lane {k}");
+                assert_eq!(
+                    set_aside(&group),
+                    2 * k,
+                    "lane {k} leaves the lanes below it"
+                );
+            }
+        }
+        for (socket, _) in &mut lanes {
+            socket.barrier().unwrap();
+        }
+        assert_eq!(set_aside(&group), 0);
+        assert!(group.locked().open_sessions.is_empty());
+    }
+
+    #[test]
+    fn an_aborted_batch_leaves_no_reply_behind() {
+        let group = thread_group(2);
+        let mut view = RoundView::default();
+        // Abort after one collect: the lanes below it have views set
+        // aside, which their teardown drops.
+        let mut batch = sessions(&group, 5, 3);
+        for (lane, (socket, _)) in batch.iter_mut().enumerate() {
+            socket.post(0, &outbox(5, lane, 0, 1)).unwrap();
+        }
+        batch[2]
+            .0
+            .collect_into(0, &outbox(5, 2, 0, 1), &mut view)
+            .unwrap();
+        assert_eq!(set_aside(&group), 4);
+        for (socket, _) in &mut batch {
+            socket.teardown();
+        }
+        assert_eq!(set_aside(&group), 0);
+        // Abort before any collect: the views are still on the wire,
+        // and the next session to read drops them, not keeps them.
+        let mut batch = sessions(&group, 5, 3);
+        for (lane, (socket, _)) in batch.iter_mut().enumerate() {
+            socket.post(0, &outbox(5, lane, 0, 1)).unwrap();
+        }
+        drop(batch);
+        let (mut socket, mut local) = sessions(&group, 5, 1).pop().unwrap();
+        let out = outbox(5, 0, 0, 1);
+        socket.exchange_into(0, &out, &mut view).unwrap();
+        assert_eq!(view, local.exchange(0, &out).unwrap());
+        assert_eq!(set_aside(&group), 0);
+        socket.barrier().unwrap();
+        assert!(group.locked().open_sessions.is_empty());
+    }
+
+    #[test]
+    fn posting_twice_or_collecting_unposted_is_a_protocol_error() {
+        let group = thread_group(1);
+        let (mut socket, mut local) = sessions(&group, 4, 1).pop().unwrap();
+        let out = outbox(4, 0, 0, 1);
+        let mut view = RoundView::default();
+        let unposted = socket.collect_into(0, &out, &mut view);
+        assert!(matches!(unposted, Err(TransportError::Protocol { .. })));
+        socket.post(0, &out).unwrap();
+        let twice = socket.post(1, &out);
+        assert!(matches!(twice, Err(TransportError::Protocol { .. })));
+        let wrong_round = socket.collect_into(1, &out, &mut view);
+        assert!(matches!(wrong_round, Err(TransportError::Protocol { .. })));
+        // Misuse is the driver's fault; the group stays healthy.
+        assert!(!group.is_dead());
+        let (mut socket, _) = sessions(&group, 4, 1).pop().unwrap();
+        socket.exchange_into(0, &out, &mut view).unwrap();
+        assert_eq!(view, local.exchange(0, &out).unwrap());
     }
 
     #[test]
@@ -1161,11 +1444,7 @@ mod tests {
             (client, server)
         };
         let (client, server) = stream();
-        let mut link = Link {
-            reader: BufReader::new(server),
-            writer: client,
-            ring: VecDeque::new(),
-        };
+        let mut link = Link::new(BufReader::new(server), client);
         for i in 0..(FLIGHT_RING_CAPACITY + 3) {
             link.record_wire(
                 "send",

@@ -136,22 +136,31 @@ pub fn decode_message(s: &str) -> Result<Message, String> {
 }
 
 /// Restores the `(port_label, message)` entries of one `view` reply
-/// covering `nodes`: each node's string is cut, in port order, at
+/// covering `nodes` into `slots` (`slots[i]` is node `nodes.start +
+/// i`'s inbox): each node's string is cut, in port order, at
 /// `outbox[peer].len()` symbols per port, and each piece is labelled
-/// with the port's label from `routes`.
+/// with the port's label from `routes`. Every slot is cleared before
+/// it is filled, so the caller can lend the inbox vectors of a
+/// reused view and keep their capacity.
 ///
 /// # Errors
 ///
 /// Returns an error when the reply has the wrong number of strings,
 /// a string is shorter or longer than its node's ports require, a
 /// string holds a character outside `0`/`1`/`_`, or a route names a
-/// peer outside `outbox`.
+/// peer outside `outbox`. The slots' contents are then unspecified.
+///
+/// # Panics
+///
+/// Panics if `slots` does not have one entry per node of `nodes`.
 pub fn split_view(
     routes: &Routes,
     nodes: Range<usize>,
     outbox: &[Message],
     inboxes: &[String],
-) -> Result<Vec<Vec<(u64, Message)>>, String> {
+    slots: &mut [Vec<(u64, Message)>],
+) -> Result<(), String> {
+    assert_eq!(slots.len(), nodes.len(), "one slot per node of the range");
     if inboxes.len() != nodes.len() {
         return Err(format!(
             "view has {} inboxes for node range {}..{}",
@@ -160,8 +169,7 @@ pub fn split_view(
             nodes.end
         ));
     }
-    let mut restored = Vec::with_capacity(inboxes.len());
-    for (v, text) in nodes.zip(inboxes) {
+    for ((v, text), entries) in nodes.zip(inboxes).zip(slots) {
         let ports = routes.ports(v);
         let mut expected = 0;
         for &(_, peer) in ports {
@@ -178,16 +186,15 @@ pub fn split_view(
         }
         // The length check above makes every cut below in bounds.
         let mut rest = text.as_bytes();
-        let mut entries = Vec::with_capacity(ports.len());
+        entries.clear();
         for &(label, peer) in ports {
             let (head, tail) = rest.split_at(outbox[peer].len());
             rest = tail;
             let m = decode_symbols(head).map_err(|e| format!("inbox of node {v}: {e}"))?;
             entries.push((label, m));
         }
-        restored.push(entries);
     }
-    Ok(restored)
+    Ok(())
 }
 
 fn render_routes(routes: &[Vec<(u64, usize)>]) -> String {
@@ -495,10 +502,23 @@ mod tests {
         parts.iter().map(|p| p.to_string()).collect()
     }
 
+    /// Runs [`split_view`] on slots that still hold a stale entry, as
+    /// a reused view's would, and returns what it left in them.
+    fn split(
+        routes: &Routes,
+        nodes: Range<usize>,
+        outbox: &[Message],
+        inboxes: &[String],
+    ) -> Result<Vec<Vec<(u64, Message)>>, String> {
+        let mut slots = vec![vec![(7, m("0"))]; nodes.len()];
+        split_view(routes, nodes, outbox, inboxes, &mut slots)?;
+        Ok(slots)
+    }
+
     #[test]
     fn split_view_restores_labels_in_port_order() {
         let (routes, outbox) = split_fixture();
-        let entries = split_view(&routes, 0..3, &outbox, &texts(&["0___", "__1", "1"])).unwrap();
+        let entries = split(&routes, 0..3, &outbox, &texts(&["0___", "__1", "1"])).unwrap();
         assert_eq!(
             entries,
             vec![
@@ -507,7 +527,7 @@ mod tests {
                 vec![(u64::MAX, m("1"))],
             ]
         );
-        let tail = split_view(&routes, 2..4, &outbox, &texts(&["1", ""])).unwrap();
+        let tail = split(&routes, 2..4, &outbox, &texts(&["1", ""])).unwrap();
         assert_eq!(tail, vec![vec![(u64::MAX, m("1"))], vec![]]);
     }
 
@@ -524,26 +544,23 @@ mod tests {
             (&["0___", "__1", ""], "empty string for a ported node"),
         ];
         for (parts, what) in bad {
-            let verdict = split_view(&routes, 0..3, &outbox, &texts(parts));
+            let verdict = split(&routes, 0..3, &outbox, &texts(parts));
             assert!(verdict.is_err(), "{what}: {parts:?} was accepted");
         }
-        let short = split_view(&routes, 0..3, &outbox[..3], &texts(&["0___", "__1", "1"]));
+        let short = split(&routes, 0..3, &outbox[..3], &texts(&["0___", "__1", "1"]));
         assert!(short.is_err(), "a peer outside the outbox must be rejected");
     }
 
     #[test]
     fn split_view_handles_empty_ranges_and_one_node() {
         let (routes, outbox) = split_fixture();
-        assert_eq!(split_view(&routes, 1..1, &outbox, &[]), Ok(Vec::new()));
-        assert!(split_view(&routes, 1..1, &outbox, &texts(&[""])).is_err());
+        assert_eq!(split(&routes, 1..1, &outbox, &[]), Ok(Vec::new()));
+        assert!(split(&routes, 1..1, &outbox, &texts(&[""])).is_err());
 
         let single = Routes::from_ports(vec![vec![]]);
         let one = [m("1")];
-        assert_eq!(
-            split_view(&single, 0..1, &one, &texts(&[""])),
-            Ok(vec![vec![]])
-        );
-        assert!(split_view(&single, 0..1, &one, &texts(&["1"])).is_err());
-        assert!(split_view(&single, 0..1, &one, &[]).is_err());
+        assert_eq!(split(&single, 0..1, &one, &texts(&[""])), Ok(vec![vec![]]));
+        assert!(split(&single, 0..1, &one, &texts(&["1"])).is_err());
+        assert!(split(&single, 0..1, &one, &[]).is_err());
     }
 }

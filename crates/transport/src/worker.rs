@@ -8,7 +8,10 @@
 //! It never looks at a clock, never touches the simulation state, and
 //! counts nothing: the coordinator tallies each rank's traffic from
 //! the views it reads (DESIGN.md §15). A `close` drops the session
-//! and is not answered.
+//! and is not answered. Every other command is answered once, in the
+//! order the commands arrived; with many sessions' rounds in flight
+//! the coordinator relies on that order to route each reply to its
+//! session.
 //!
 //! EOF on the command stream is a clean shutdown (the coordinator
 //! dropped the group); every malformed or unserviceable command is

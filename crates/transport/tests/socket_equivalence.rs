@@ -6,7 +6,8 @@
 //! message boundaries from the routes, so the runs below cover what
 //! that restoration must get right: multi-symbol and silent messages,
 //! KT-1 labels past 2^53, and batched lanes retiring at different
-//! rounds.
+//! rounds, alone and with several threads' pipelined batches sharing
+//! one worker group.
 
 use bcc_engine::BatchRun;
 use bcc_graphs::generators;
@@ -200,6 +201,65 @@ fn batched_lanes_retiring_at_different_rounds_match_local_oracle() {
     for (lane, (o, s)) in oracle.iter().zip(&socket).enumerate() {
         assert_same_run(o, s, &format!("lane {lane}"));
     }
+}
+
+#[test]
+fn concurrent_pipelined_batches_match_local_oracle() {
+    // Several threads drive pipelined batches through one worker
+    // group. Each batch's lanes retire at different rounds, so the
+    // threads' sessions come and go mid-run and interleave on every
+    // link: a collect regularly reads past other threads' views.
+    // Three workers over 8 nodes give uneven ranges (2/3/3).
+    let n = 8;
+    let sockets: Arc<dyn TransportFactory> = Arc::new(SocketFactory::with_command(3, worker_bin()));
+    std::thread::scope(|scope| {
+        for thread in 0..4u64 {
+            let sockets = Arc::clone(&sockets);
+            scope.spawn(move || {
+                let inputs = [
+                    generators::complete(n),
+                    generators::path(n),
+                    generators::star(n),
+                    generators::cycle(n),
+                    generators::two_cycles(3, 5),
+                ];
+                let instances: Vec<Instance> = inputs
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, g)| Instance::new_kt0(g, 10 * thread + i as u64).unwrap())
+                    .collect();
+                // Thread t runs t + 2 lanes, so batches differ in width too.
+                let lanes: Vec<(&Instance, u64)> = instances
+                    .iter()
+                    .take(thread as usize + 2)
+                    .enumerate()
+                    .map(|(i, inst)| (inst, thread + i as u64))
+                    .collect();
+                let cfg = SimConfig::bcc1(n + 1).bandwidth(2);
+                let oracle = BatchRun::new(cfg.clone().transport(Arc::new(LocalFactory)))
+                    .run(&lanes, &Countdown);
+                let rounds: Vec<usize> = oracle.iter().map(|o| o.stats().rounds).collect();
+                assert!(
+                    rounds.windows(2).any(|w| w[0] != w[1]),
+                    "lanes must retire at different rounds: {rounds:?}"
+                );
+                for repeat in 0..4 {
+                    let batch = BatchRun::new(cfg.clone().transport(Arc::clone(&sockets)));
+                    for (lane, (o, s)) in oracle
+                        .iter()
+                        .zip(&batch.run(&lanes, &Countdown))
+                        .enumerate()
+                    {
+                        assert_same_run(
+                            o,
+                            s,
+                            &format!("thread {thread} repeat {repeat} lane {lane}"),
+                        );
+                    }
+                }
+            });
+        }
+    });
 }
 
 #[test]

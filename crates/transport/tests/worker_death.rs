@@ -274,3 +274,61 @@ fn worker_death_sweep_rank_0() {
 fn worker_death_sweep_rank_1() {
     sweep(Some(1));
 }
+
+/// Pins the pipelining itself: a batch posts every lane's `round`
+/// line before it reads any of that round's views. A driver that did
+/// one round trip per lane would leave a view between two sends.
+#[test]
+fn batch_posts_every_lane_before_reading_a_view() {
+    let inst = Instance::new_kt1(generators::cycle(5)).unwrap();
+    let lanes = [(&inst, 0), (&inst, 1), (&inst, 2)];
+    // Rank 0 serves round 0 of all three lanes, then dies on the
+    // first `round` line of round 1; rank 1 survives with its ring.
+    let _knob = knob_lock();
+    std::env::set_var(EXIT_AFTER_ENV, "3@0");
+    let factory = Arc::new(SocketFactory::with_command(2, worker_bin()));
+    let cfg =
+        SimConfig::bcc1(SWEEP_ROUNDS).transport(Arc::clone(&factory) as Arc<dyn TransportFactory>);
+    let outs = BatchRun::new(cfg).run(&lanes, &EchoBit);
+    std::env::remove_var(EXIT_AFTER_ENV);
+    for out in &outs {
+        match out.transport_failure() {
+            Some(TransportError::WorkerDead { rank: 0, .. }) => {}
+            other => panic!("expected rank 0 WorkerDead, got {other:?}"),
+        }
+    }
+
+    let incidents = factory.take_postmortems();
+    let survivor = match incidents.as_slice() {
+        [pm] => &pm.workers[1],
+        many => panic!("expected one incident, got {}", many.len()),
+    };
+    assert!(survivor.alive, "rank 1 survived");
+    let ring = &survivor.ring;
+    let at = |dir: &str, kind: &str, round: u64| -> Vec<usize> {
+        (0..ring.len())
+            .filter(|&i| ring[i].dir == dir && ring[i].kind == kind && ring[i].round == round)
+            .collect()
+    };
+    assert_eq!(
+        at("recv", "view", 0).len(),
+        3,
+        "round 0 was read for every lane"
+    );
+    for round in [0, 1] {
+        let sends = at("send", "round", round);
+        let sessions: std::collections::BTreeSet<u64> =
+            sends.iter().map(|&i| ring[i].session).collect();
+        assert_eq!(
+            sessions.len(),
+            3,
+            "round {round}: one `round` line per lane"
+        );
+        if let Some(&first_view) = at("recv", "view", round).first() {
+            assert!(
+                sends.iter().all(|&i| i < first_view),
+                "round {round}: a view was read before every lane was posted: {ring:?}"
+            );
+        }
+    }
+}
