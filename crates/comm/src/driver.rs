@@ -1,8 +1,7 @@
 //! A deterministic two-party protocol driver with exact bit
 //! accounting.
 
-use bcc_metrics::MetricScope;
-use bcc_trace::{field, TraceBuf, TraceLevel, TraceScope};
+use bcc_trace::{field, Observer, TraceBuf};
 
 /// Which party acts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,14 +71,13 @@ impl<Out> ProtocolRun<Out> {
 }
 
 /// Options for one protocol run — the single configuration surface
-/// of [`run_protocol`]: message limit, optional bit budget, tracing
-/// and metrics.
+/// of [`run_protocol`]: message limit, optional bit budget, and an
+/// observer for tracing and metrics.
 #[derive(Debug, Clone)]
 pub struct DriverOpts {
     max_messages: usize,
     budget: Option<usize>,
-    trace: TraceScope,
-    metrics: MetricScope,
+    observer: Observer,
 }
 
 impl DriverOpts {
@@ -89,8 +87,7 @@ impl DriverOpts {
         DriverOpts {
             max_messages,
             budget: None,
-            trace: TraceScope::disabled(),
-            metrics: MetricScope::disabled(),
+            observer: Observer::off(),
         }
     }
 
@@ -106,30 +103,21 @@ impl DriverOpts {
         self
     }
 
-    /// Attaches a trace destination. Each run records a `protocol`
-    /// span wrapping one `message` event per message with the
-    /// speaker, its index, bit length, and the bit offset where it
+    /// Attaches a trace and metrics destination. Each run records a
+    /// `protocol` span wrapping one `message` event per message with
+    /// the speaker, its index, bit length, and the bit offset where it
     /// starts in the transcript (truncated messages carry
-    /// `truncated = true`). Everything recorded is logical — message
-    /// indices and bit positions, never timing — so equal inputs
-    /// yield byte-identical traces, and the returned run is identical
-    /// whether the scope records or not.
+    /// `truncated = true`). It adds to the `comm.protocol_runs`,
+    /// `comm.bits_exchanged`, and `comm.messages` counters at core
+    /// metrics level; at full level it also records a
+    /// `comm.message_bits` histogram sample per message. Everything
+    /// recorded is logical — message indices and bit positions, never
+    /// timing — so equal inputs yield byte-identical traces and dumps,
+    /// and the returned run is identical whether the observer records
+    /// or not.
     #[must_use]
-    pub fn trace(mut self, scope: TraceScope) -> Self {
-        self.trace = scope;
-        self
-    }
-
-    /// Attaches a metrics destination. Each run adds to the
-    /// `comm.protocol_runs`, `comm.bits_exchanged`, and
-    /// `comm.messages` counters at core level; at full level it also
-    /// records a `comm.message_bits` histogram sample per message.
-    /// Like tracing, only logical quantities are recorded — never
-    /// timing — and the returned run is identical whether the scope
-    /// records or not.
-    #[must_use]
-    pub fn metrics(mut self, scope: MetricScope) -> Self {
-        self.metrics = scope;
+    pub fn observe(mut self, observer: Observer) -> Self {
+        self.observer = observer;
         self
     }
 
@@ -143,14 +131,9 @@ impl DriverOpts {
         self.budget
     }
 
-    /// The attached trace scope (disabled by default).
-    pub fn trace_scope(&self) -> &TraceScope {
-        &self.trace
-    }
-
-    /// The attached metrics scope (disabled by default).
-    pub fn metrics_scope(&self) -> &MetricScope {
-        &self.metrics
+    /// The attached observer (off by default).
+    pub fn observer(&self) -> &Observer {
+        &self.observer
     }
 }
 
@@ -162,30 +145,18 @@ pub fn run_protocol<Out: Clone>(
     bob: &mut dyn Party<Out>,
     opts: &DriverOpts,
 ) -> ProtocolRun<Out> {
-    let run = if opts.trace.level() > TraceLevel::Off {
-        opts.trace
-            .with(|buf| run_core(alice, bob, opts.budget, opts.max_messages, buf))
-    } else {
-        run_core(
-            alice,
-            bob,
-            opts.budget,
-            opts.max_messages,
-            &mut TraceBuf::disabled(),
-        )
-    };
-    if opts.metrics.core_enabled() {
-        // One lock for the whole run's worth of counters.
-        opts.metrics.with(|b| {
-            b.counter("comm.protocol_runs", 1);
-            b.counter("comm.bits_exchanged", run.bits_exchanged as u64);
-            b.counter("comm.messages", run.transcript.len() as u64);
+    opts.observer.with(|trace, metrics| {
+        let run = run_core(alice, bob, opts.budget, opts.max_messages, trace);
+        metrics.counter("comm.protocol_runs", 1);
+        metrics.counter("comm.bits_exchanged", run.bits_exchanged as u64);
+        metrics.counter("comm.messages", run.transcript.len() as u64);
+        if metrics.full_enabled() {
             for (_, msg) in &run.transcript {
-                b.full_observe("comm.message_bits", msg.len() as u64);
+                metrics.observe("comm.message_bits", msg.len() as u64);
             }
-        });
-    }
-    run
+        }
+        run
+    })
 }
 
 /// The alternating-message loop behind [`run_protocol`]
@@ -274,6 +245,7 @@ fn run_core<Out: Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcc_metrics::MetricsBuf;
 
     /// Alice sends her number bit by bit; Bob outputs the sum.
     struct SumAlice {
@@ -389,14 +361,17 @@ mod tests {
         let (mut alice, mut bob) = build();
         let plain = run_protocol(&mut alice, &mut bob, &DriverOpts::new(10));
         let (mut alice, mut bob) = build();
-        let scope = TraceScope::new(TraceBuf::new(TraceLevel::Events, "u"));
+        let scope = Observer::new(
+            TraceBuf::new(TraceLevel::Events, "u"),
+            MetricsBuf::disabled(),
+        );
         let traced = run_protocol(
             &mut alice,
             &mut bob,
-            &DriverOpts::new(10).trace(scope.clone()),
+            &DriverOpts::new(10).observe(scope.clone()),
         );
         assert_eq!(plain, traced);
-        let events = scope.take().into_events();
+        let events = scope.take().0.into_events();
         assert_eq!(events[0].kind, EventKind::SpanStart);
         assert_eq!(events[0].name, "protocol");
         let msgs: Vec<_> = events.iter().filter(|e| e.name == "message").collect();
@@ -420,7 +395,7 @@ mod tests {
 
     #[test]
     fn metered_run_matches_unmetered_and_counts_bits() {
-        use bcc_metrics::{MetricsBuf, MetricsLevel};
+        use bcc_metrics::MetricsLevel;
         let build = || {
             (
                 SumAlice {
@@ -438,14 +413,17 @@ mod tests {
         let (mut alice, mut bob) = build();
         let plain = run_protocol(&mut alice, &mut bob, &DriverOpts::new(10));
         let (mut alice, mut bob) = build();
-        let scope = MetricScope::new(MetricsBuf::new(MetricsLevel::Full, "u"));
+        let scope = Observer::new(
+            TraceBuf::disabled(),
+            MetricsBuf::new(MetricsLevel::Full, "u"),
+        );
         let metered = run_protocol(
             &mut alice,
             &mut bob,
-            &DriverOpts::new(10).metrics(scope.clone()),
+            &DriverOpts::new(10).observe(scope.clone()),
         );
         assert_eq!(plain, metered);
-        let (counters, _, hists) = scope.take().into_parts();
+        let (counters, _, hists) = scope.take().1.into_parts();
         assert_eq!(counters.get("comm.protocol_runs"), Some(&1));
         assert_eq!(
             counters.get("comm.bits_exchanged"),
@@ -460,13 +438,16 @@ mod tests {
         assert_eq!(mb.sum, plain.bits_exchanged as u64);
         // Core level keeps counters, drops the histogram.
         let (mut alice, mut bob) = build();
-        let core = MetricScope::new(MetricsBuf::new(MetricsLevel::Core, "u"));
+        let core = Observer::new(
+            TraceBuf::disabled(),
+            MetricsBuf::new(MetricsLevel::Core, "u"),
+        );
         run_protocol(
             &mut alice,
             &mut bob,
-            &DriverOpts::new(10).metrics(core.clone()),
+            &DriverOpts::new(10).observe(core.clone()),
         );
-        let (c, _, h) = core.take().into_parts();
+        let (c, _, h) = core.take().1.into_parts();
         assert_eq!(c.get("comm.protocol_runs"), Some(&1));
         assert!(h.is_empty());
     }
@@ -484,11 +465,14 @@ mod tests {
             received: Vec::new(),
             expected: 10,
         };
-        let scope = TraceScope::new(TraceBuf::new(TraceLevel::Events, "u"));
-        let opts = DriverOpts::new(10).bit_budget(4).trace(scope.clone());
+        let scope = Observer::new(
+            TraceBuf::new(TraceLevel::Events, "u"),
+            MetricsBuf::disabled(),
+        );
+        let opts = DriverOpts::new(10).bit_budget(4).observe(scope.clone());
         let run = run_protocol(&mut alice, &mut bob, &opts);
         assert_eq!(run.bits_exchanged, 4);
-        let events = scope.take().into_events();
+        let events = scope.take().0.into_events();
         let msg = events.iter().find(|e| e.name == "message").unwrap();
         assert_eq!(msg.field("truncated"), Some(&FieldValue::Bool(true)));
         assert_eq!(msg.field("bits"), Some(&FieldValue::UInt(4)));

@@ -22,10 +22,11 @@
 //! locality of touching each round's machinery once for 64 runs
 //! instead of 64 times.
 
+use bcc_metrics::MetricsBuf;
 use bcc_model::transport::{RoundView, Routes, Transport, TransportError};
 use bcc_model::{Algorithm, Inbox, Instance, Message, NodeProgram, RunOutcome, RunStats, Symbol};
 use bcc_model::{NodeView, SimConfig, Transcript};
-use bcc_trace::{field, TraceBuf, TraceLevel};
+use bcc_trace::{field, TraceBuf};
 
 /// The lane-width ceiling: one bit per lane in a `u64` word.
 pub const MAX_LANES: usize = 64;
@@ -105,7 +106,7 @@ pub struct BatchRun {
 impl BatchRun {
     /// A batched executor with the given scalar-equivalent
     /// configuration (round limit, bandwidth, transcript recording,
-    /// trace scope).
+    /// observer).
     pub fn new(cfg: SimConfig) -> Self {
         BatchRun { cfg }
     }
@@ -120,7 +121,7 @@ impl BatchRun {
     /// to `self.config().run(instance, algorithm, seed)` for that
     /// lane.
     ///
-    /// When the configuration carries a trace scope, the batch records
+    /// When the configuration's observer traces, the batch records
     /// a `batch` span wrapping one `round=r` span per executed round
     /// with `active_lanes` / `bits_broadcast` counters — an aggregate
     /// view, not the per-node scalar trace.
@@ -161,7 +162,7 @@ impl BatchRun {
     /// failure aborts the whole batch with the typed error after
     /// closing any open spans.
     ///
-    /// When the configuration carries a trace scope, the batch records
+    /// When the configuration's observer traces, the batch records
     /// a `batch` span wrapping one `round=r` span per executed round
     /// with `active_lanes` / `bits_broadcast` counters — an aggregate
     /// view, not the per-node scalar trace.
@@ -180,21 +181,12 @@ impl BatchRun {
         lanes: &[Lane<'_>],
         algorithm: &dyn Algorithm,
     ) -> Result<Vec<RunOutcome>, TransportError> {
-        let scope = self.cfg.trace_scope();
         let factory = self.cfg.transport_factory();
         let mut transports: Vec<Box<dyn Transport>> =
             lanes.iter().map(|_| factory.create()).collect();
-        let result = if scope.level() > TraceLevel::Off {
-            scope.with(|buf| run_batch_impl(&self.cfg, &mut transports, lanes, algorithm, buf))
-        } else {
-            run_batch_impl(
-                &self.cfg,
-                &mut transports,
-                lanes,
-                algorithm,
-                &mut TraceBuf::disabled(),
-            )
-        };
+        let result = self.cfg.observer().with(|trace, metrics| {
+            run_batch_impl(&self.cfg, &mut transports, lanes, algorithm, trace, metrics)
+        });
         for transport in &mut transports {
             transport.teardown();
         }
@@ -236,6 +228,7 @@ fn run_batch_impl(
     lanes: &[Lane<'_>],
     algorithm: &dyn Algorithm,
     trace: &mut TraceBuf,
+    metrics: &mut MetricsBuf,
 ) -> Result<Vec<RunOutcome>, TransportError> {
     let l = lanes.len();
     assert!(l >= 1, "a batch needs at least one lane");
@@ -252,11 +245,9 @@ fn run_batch_impl(
     }
     let b = cfg.bandwidth_per_round();
     let record = cfg.records_transcripts();
-    let metrics = cfg.metrics_scope();
-    let metered = metrics.core_enabled();
-    // Per-round (active_lanes, bits) samples, folded into the metrics
-    // buffer in one locked batch after the loop.
-    let mut round_samples: Vec<(u64, u64)> = Vec::new();
+    // Executed rounds and their total broadcast bits, for the
+    // end-of-batch `engine.*` counters.
+    let (mut rounds_run, mut total_bits) = (0u64, 0u64);
 
     let mut programs: Vec<Vec<Box<dyn NodeProgram>>> = lanes
         .iter()
@@ -392,9 +383,12 @@ fn run_batch_impl(
             trace.counter("engine.active_lanes", u64::from(active.count_ones()));
             trace.counter("engine.round_bits", round_bits as u64);
         }
-        if metered {
-            round_samples.push((u64::from(active.count_ones()), round_bits as u64));
-        }
+        // A lane-occupancy gauge sample per executed round and (at
+        // full level) a per-round broadcast-bits histogram sample.
+        metrics.gauge("engine.active_lanes", u64::from(active.count_ones()));
+        metrics.full_observe("engine.round_bits", round_bits as u64);
+        rounds_run += 1;
+        total_bits = total_bits.saturating_add(round_bits as u64);
         if trace.spans_enabled() {
             trace.span_end(&format!("round={round}"), vec![]);
         }
@@ -462,25 +456,13 @@ fn run_batch_impl(
             ],
         );
     }
-    if metered {
-        // One lock for the whole batch: counters for the batch shape,
-        // a lane-occupancy gauge sample per executed round, and (at
-        // full level) a per-round broadcast-bits histogram.
-        metrics.with(|buf| {
-            buf.counter("engine.batches", 1);
-            buf.counter("engine.lanes", l as u64);
-            buf.counter("engine.rounds", round_samples.len() as u64);
-            // Core-level total of the same quantity the full-level
-            // histogram samples per round, so profile attribution can
-            // join against core dumps too.
-            let total_bits: u64 = round_samples.iter().map(|&(_, bits)| bits).sum();
-            buf.counter("engine.round_bits", total_bits);
-            for &(active_lanes, bits) in &round_samples {
-                buf.gauge("engine.active_lanes", active_lanes);
-                buf.full_observe("engine.round_bits", bits);
-            }
-        });
-    }
+    metrics.counter("engine.batches", 1);
+    metrics.counter("engine.lanes", l as u64);
+    metrics.counter("engine.rounds", rounds_run);
+    // Core-level total of the same quantity the full-level histogram
+    // samples per round, so profile attribution can join against core
+    // dumps too.
+    metrics.counter("engine.round_bits", total_bits);
     Ok(outcomes)
 }
 
@@ -607,7 +589,7 @@ mod tests {
         use bcc_model::transport::{
             RoundView, Routes, Transport, TransportError, TransportFactory,
         };
-        use bcc_trace::{TraceLevel, TraceScope};
+        use bcc_trace::{Observer, TraceLevel};
 
         struct Dying;
         impl Transport for Dying {
@@ -637,9 +619,12 @@ mod tests {
         }
 
         let i = Instance::new_kt1(generators::cycle(4)).unwrap();
-        let scope = TraceScope::new(bcc_trace::TraceBuf::new(TraceLevel::Events, "batch-test"));
+        let scope = Observer::new(
+            TraceBuf::new(TraceLevel::Events, "batch-test"),
+            MetricsBuf::disabled(),
+        );
         let cfg = SimConfig::bcc1(3)
-            .trace(scope.clone())
+            .observe(scope.clone())
             .transport(std::sync::Arc::new(DyingFactory));
         let out = BatchRun::new(cfg).run(&[(&i, 0), (&i, 1)], &EchoBit);
         assert_eq!(out.len(), 2);
@@ -654,7 +639,7 @@ mod tests {
             assert!(!o.recorded());
         }
         // Every span that opened also closed.
-        let events = scope.take().into_events();
+        let events = scope.take().0.into_events();
         use bcc_trace::EventKind;
         let starts = events
             .iter()
@@ -670,16 +655,20 @@ mod tests {
 
     #[test]
     fn batch_metrics_record_shape_and_occupancy() {
-        use bcc_metrics::{MetricScope, MetricsBuf, MetricsLevel};
+        use bcc_metrics::MetricsLevel;
+        use bcc_trace::Observer;
         let i = Instance::new_kt0(generators::cycle(5), 2).unwrap();
-        let scope = MetricScope::new(MetricsBuf::new(MetricsLevel::Full, "batch-test"));
-        let cfg = SimConfig::bcc1(3).metrics(scope.clone());
+        let scope = Observer::new(
+            TraceBuf::disabled(),
+            MetricsBuf::new(MetricsLevel::Full, "batch-test"),
+        );
+        let cfg = SimConfig::bcc1(3).observe(scope.clone());
         let out = BatchRun::new(cfg.clone()).run(&[(&i, 0), (&i, 1)], &EchoBit);
         // Metrics are an observer: outcome identical to unmetered.
         let plain = BatchRun::new(SimConfig::bcc1(3)).run(&[(&i, 0), (&i, 1)], &EchoBit);
         assert_eq!(out[0].decisions(), plain[0].decisions());
         assert_eq!(out[1].stats(), plain[1].stats());
-        let (counters, gauges, hists) = scope.take().into_parts();
+        let (counters, gauges, hists) = scope.take().1.into_parts();
         assert_eq!(counters.get("engine.batches"), Some(&1));
         assert_eq!(counters.get("engine.lanes"), Some(&2));
         let rounds = *counters.get("engine.rounds").unwrap();
@@ -703,12 +692,15 @@ mod tests {
 
     #[test]
     fn batch_trace_records_round_spans() {
-        use bcc_trace::{TraceLevel, TraceScope};
+        use bcc_trace::{Observer, TraceLevel};
         let i = Instance::new_kt0(generators::cycle(5), 2).unwrap();
-        let scope = TraceScope::new(bcc_trace::TraceBuf::new(TraceLevel::Events, "batch-test"));
-        let cfg = SimConfig::bcc1(3).trace(scope.clone());
+        let scope = Observer::new(
+            TraceBuf::new(TraceLevel::Events, "batch-test"),
+            MetricsBuf::disabled(),
+        );
+        let cfg = SimConfig::bcc1(3).observe(scope.clone());
         let out = BatchRun::new(cfg.clone()).run(&[(&i, 0), (&i, 1)], &EchoBit);
-        let events = scope.take().into_events();
+        let events = scope.take().0.into_events();
         assert_eq!(events[0].name, "batch");
         assert!(events.iter().any(|e| e.name == "round=2"));
         assert!(events.iter().any(|e| e.name == "engine.active_lanes"));

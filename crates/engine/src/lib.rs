@@ -38,7 +38,6 @@ pub mod store;
 pub use batch::{BatchRun, Lane, MAX_LANES};
 pub use hash::{fnv1a, Fnv64};
 pub use measure::{
-    distributional_error_batched, distributional_error_batched_observed, randomized_error_batched,
-    simulate_two_party_batched, simulate_two_party_batched_observed, EngineError,
+    distributional_error_batched, randomized_error_batched, simulate_two_party_batched, EngineError,
 };
 pub use store::{thread_lookups, ArtifactKey, ArtifactStore};

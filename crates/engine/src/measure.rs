@@ -14,10 +14,8 @@ use bcc_comm::reduction::{gadget_graph, Gadget};
 use bcc_comm::simulate::SimulationReport;
 use bcc_comm::CommError;
 use bcc_core::hard::WeightedInstance;
-use bcc_metrics::MetricScope;
 use bcc_model::{Algorithm, Decision, Instance, ModelError, SimConfig};
 use bcc_partitions::SetPartition;
-use bcc_trace::TraceScope;
 
 /// Failure to assemble a batched measurement's instances.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,69 +58,16 @@ impl From<ModelError> for EngineError {
 /// are contiguous slices), so the `f64` additions happen in the exact
 /// sequence the scalar `.sum()` performs. Transcript recording is
 /// skipped — decisions are independent of it — which is where most of
-/// the per-run saving comes from.
+/// the per-run saving comes from. To observe the kernel, run
+/// [`BatchRun::distributional_error`] under an observing config.
 pub fn distributional_error_batched(
     dist: &[WeightedInstance],
     algorithm: &dyn Algorithm,
     t: usize,
     coin_seed: u64,
 ) -> f64 {
-    distributional_error_batched_observed(
-        dist,
-        algorithm,
-        t,
-        coin_seed,
-        TraceScope::disabled(),
-        MetricScope::disabled(),
-    )
-}
-
-/// [`distributional_error_batched`] with observability attached: the
-/// kernel records its round spans and the `engine.*` cost counters
-/// into the given scopes. Observers never change the returned error —
-/// the unobserved form delegates here with both scopes disabled.
-pub fn distributional_error_batched_observed(
-    dist: &[WeightedInstance],
-    algorithm: &dyn Algorithm,
-    t: usize,
-    coin_seed: u64,
-    trace: TraceScope,
-    metrics: MetricScope,
-) -> f64 {
-    let batch = BatchRun::new(
-        SimConfig::bcc1(t)
-            .transcripts(false)
-            .trace(trace)
-            .metrics(metrics),
-    );
-    let mut error = 0.0f64;
-    let mut i = 0;
-    while i < dist.len() {
-        // A batch is a maximal contiguous same-shape slice of the
-        // distribution, capped at the lane width. The hard
-        // distributions are single-n, so this is one full chunk per
-        // 64 instances.
-        let n = dist[i].instance.num_vertices();
-        let mut j = i + 1;
-        while j < dist.len() && j - i < MAX_LANES && dist[j].instance.num_vertices() == n {
-            j += 1;
-        }
-        let lanes: Vec<Lane<'_>> = dist[i..j]
-            .iter()
-            .map(|wi| (&wi.instance, coin_seed))
-            .collect();
-        let outcomes = batch.run(&lanes, algorithm);
-        for (wi, out) in dist[i..j].iter().zip(&outcomes) {
-            let said_yes = out.system_decision() == Decision::Yes;
-            error += if said_yes == wi.is_one_cycle {
-                0.0
-            } else {
-                wi.weight
-            };
-        }
-        i = j;
-    }
-    error
+    BatchRun::new(SimConfig::bcc1(t).transcripts(false))
+        .distributional_error(dist, algorithm, coin_seed)
 }
 
 /// The batched form of [`bcc_core::hard::randomized_error`]: averages
@@ -152,6 +97,8 @@ pub fn randomized_error_batched(
 /// kernel is pinned equal to scalar direct execution, so the reports
 /// returned here match `simulate_two_party` field for field — the
 /// equivalence tests in `crates/experiments` keep that chain honest.
+/// To observe the kernel, run [`BatchRun::simulate_two_party`] under
+/// an observing config.
 ///
 /// # Errors
 ///
@@ -169,75 +116,102 @@ pub fn simulate_two_party_batched(
     coin_seed: u64,
     max_rounds: usize,
 ) -> Result<Vec<SimulationReport>, EngineError> {
-    simulate_two_party_batched_observed(
-        gadget,
-        algorithm,
-        pairs,
-        coin_seed,
-        max_rounds,
-        TraceScope::disabled(),
-        MetricScope::disabled(),
-    )
+    BatchRun::new(SimConfig::bcc1(max_rounds).transcripts(false))
+        .simulate_two_party(gadget, algorithm, pairs, coin_seed)
 }
 
-/// [`simulate_two_party_batched`] with observability attached: the
-/// kernel records its round spans and the `engine.*` cost counters
-/// into the given scopes. Observers never change a report field — the
-/// unobserved form delegates here with both scopes disabled.
-///
-/// # Errors
-///
-/// Same contract as [`simulate_two_party_batched`].
-///
-/// # Panics
-///
-/// Same contract as [`simulate_two_party_batched`].
-pub fn simulate_two_party_batched_observed(
-    gadget: Gadget,
-    algorithm: &dyn Algorithm,
-    pairs: &[(SetPartition, SetPartition)],
-    coin_seed: u64,
-    max_rounds: usize,
-    trace: TraceScope,
-    metrics: MetricScope,
-) -> Result<Vec<SimulationReport>, EngineError> {
-    if pairs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let n = pairs[0].0.ground_size();
-    assert!(
-        pairs
-            .iter()
-            .all(|(pa, pb)| pa.ground_size() == n && pb.ground_size() == n),
-        "all pairs must share one ground-set size"
-    );
-    let num_vertices = gadget.num_vertices(n);
-    let instances: Vec<Instance> = pairs
-        .iter()
-        .map(|(pa, pb)| Ok(Instance::new_kt1(gadget_graph(gadget, pa, pb)?)?))
-        .collect::<Result<_, EngineError>>()?;
-    let lanes: Vec<Lane<'_>> = instances.iter().map(|inst| (inst, coin_seed)).collect();
-    let batch = BatchRun::new(
-        SimConfig::bcc1(max_rounds)
-            .transcripts(false)
-            .trace(trace)
-            .metrics(metrics),
-    );
-    let outcomes = batch.run_chunked(&lanes, algorithm);
-    Ok(outcomes
-        .into_iter()
-        .map(|out| {
-            let rounds = out.stats().rounds;
-            let characters = rounds * num_vertices;
-            SimulationReport {
-                rounds,
-                characters_exchanged: characters,
-                bits_exchanged: 2 * characters + 2 * rounds,
-                decisions: out.decisions().to_vec(),
-                component_labels: out.component_labels().to_vec(),
+impl BatchRun {
+    /// [`distributional_error_batched`] under this executor's
+    /// configuration: its round limit is `t`, and its observer
+    /// receives the kernel's round spans and `engine.*` cost counters.
+    /// Observers never change the returned error.
+    pub fn distributional_error(
+        &self,
+        dist: &[WeightedInstance],
+        algorithm: &dyn Algorithm,
+        coin_seed: u64,
+    ) -> f64 {
+        let mut error = 0.0f64;
+        let mut i = 0;
+        while i < dist.len() {
+            // A batch is a maximal contiguous same-shape slice of the
+            // distribution, capped at the lane width. The hard
+            // distributions are single-n, so this is one full chunk
+            // per 64 instances.
+            let n = dist[i].instance.num_vertices();
+            let mut j = i + 1;
+            while j < dist.len() && j - i < MAX_LANES && dist[j].instance.num_vertices() == n {
+                j += 1;
             }
-        })
-        .collect())
+            let lanes: Vec<Lane<'_>> = dist[i..j]
+                .iter()
+                .map(|wi| (&wi.instance, coin_seed))
+                .collect();
+            let outcomes = self.run(&lanes, algorithm);
+            for (wi, out) in dist[i..j].iter().zip(&outcomes) {
+                let said_yes = out.system_decision() == Decision::Yes;
+                error += if said_yes == wi.is_one_cycle {
+                    0.0
+                } else {
+                    wi.weight
+                };
+            }
+            i = j;
+        }
+        error
+    }
+
+    /// [`simulate_two_party_batched`] under this executor's
+    /// configuration: its round limit is `max_rounds`, and its
+    /// observer receives the kernel's round spans and `engine.*` cost
+    /// counters. Observers never change a report field.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`simulate_two_party_batched`].
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`simulate_two_party_batched`].
+    pub fn simulate_two_party(
+        &self,
+        gadget: Gadget,
+        algorithm: &dyn Algorithm,
+        pairs: &[(SetPartition, SetPartition)],
+        coin_seed: u64,
+    ) -> Result<Vec<SimulationReport>, EngineError> {
+        if pairs.is_empty() {
+            return Ok(Vec::new());
+        }
+        let n = pairs[0].0.ground_size();
+        assert!(
+            pairs
+                .iter()
+                .all(|(pa, pb)| pa.ground_size() == n && pb.ground_size() == n),
+            "all pairs must share one ground-set size"
+        );
+        let num_vertices = gadget.num_vertices(n);
+        let instances: Vec<Instance> = pairs
+            .iter()
+            .map(|(pa, pb)| Ok(Instance::new_kt1(gadget_graph(gadget, pa, pb)?)?))
+            .collect::<Result<_, EngineError>>()?;
+        let lanes: Vec<Lane<'_>> = instances.iter().map(|inst| (inst, coin_seed)).collect();
+        let outcomes = self.run_chunked(&lanes, algorithm);
+        Ok(outcomes
+            .into_iter()
+            .map(|out| {
+                let rounds = out.stats().rounds;
+                let characters = rounds * num_vertices;
+                SimulationReport {
+                    rounds,
+                    characters_exchanged: characters,
+                    bits_exchanged: 2 * characters + 2 * rounds,
+                    decisions: out.decisions().to_vec(),
+                    component_labels: out.component_labels().to_vec(),
+                }
+            })
+            .collect())
+    }
 }
 
 #[cfg(test)]

@@ -1,15 +1,18 @@
 //! Allocation budget of the round loop: once a run is set up, a round
 //! allocates nothing, on the batched kernel and on the scalar driver,
-//! and the inline `Message` forms never touch the heap.
+//! and the inline `Message` forms never touch the heap. Unobserved
+//! configurations are free to build and clone.
 //!
 //! A counting global allocator tallies allocations per thread, so
 //! tests running in parallel in this binary cannot disturb each
 //! other's counts.
 
 use bcc_algorithms::HashVoteDecider;
+use bcc_comm::driver::DriverOpts;
 use bcc_engine::{BatchRun, Lane, MAX_LANES};
 use bcc_graphs::generators;
 use bcc_model::{Instance, Message, SimConfig, Symbol};
+use bcc_trace::Observer;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -126,4 +129,21 @@ fn inline_messages_allocate_nothing() {
     assert_eq!(messages[1], messages[2]);
     assert_eq!(messages[3].len(), 64);
     assert_eq!(messages[3].bits_used(), 1);
+}
+
+#[test]
+fn unobserved_configs_allocate_nothing() {
+    let (configs, count) = allocations(|| {
+        let observer = Observer::off();
+        let sim = SimConfig::bcc1(3);
+        let opts = DriverOpts::new(8);
+        let clones = (observer.clone(), sim.clone(), opts.clone());
+        (observer, sim, opts, clones)
+    });
+    assert_eq!(
+        count, 0,
+        "an off observer or an unobserved config allocated"
+    );
+    assert_eq!(configs.1.max_rounds(), 3);
+    assert_eq!(configs.2.max_messages(), 8);
 }

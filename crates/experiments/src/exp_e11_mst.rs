@@ -25,22 +25,16 @@ pub struct MstRow {
 }
 
 /// Runs one instance. The simulated run records its `sim` span tree
-/// and `sim.*` cost counters into the given scopes (pass disabled
-/// scopes to observe nothing); observers never change a row field.
-pub fn run_one(
-    g: Graph,
-    weight_seed: u64,
-    trace: bcc_trace::TraceScope,
-    metrics: bcc_metrics::MetricScope,
-) -> MstRow {
+/// and `sim.*` cost counters into `observer` (pass `Observer::off()`
+/// to observe nothing); observers never change a row field.
+pub fn run_one(g: Graph, weight_seed: u64, observer: bcc_trace::Observer) -> MstRow {
     let n = g.num_vertices();
     let m = g.num_edges();
     let algo = BoruvkaMst::new(weight_seed);
     let inst = Instance::new_kt1(g.clone()).expect("instance");
     let out = SimConfig::bcc1(10_000_000)
         .transcripts(false)
-        .trace(trace)
-        .metrics(metrics)
+        .observe(observer)
         .run(&inst, &algo, 0);
     let wg = WeightedGraph::from_graph_hashed(&g, weight_seed);
     let oracle = wg.minimum_spanning_forest();
@@ -87,7 +81,7 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
                 move |ctx| {
                     let mut rng = rand::rngs::StdRng::seed_from_u64(ctx.seed);
                     let g = generators::gnm(n, 2 * n, &mut rng);
-                    let row = run_one(g, n as u64, ctx.trace().clone(), ctx.metrics().clone());
+                    let row = run_one(g, n as u64, ctx.observer().clone());
                     let log2 = (n as f64).log2();
                     let text = format!(
                         "{:>5} {:>6} {:>8} {:>9} {:>16.2}\n",
@@ -185,8 +179,7 @@ mod tests {
         let row = super::run_one(
             bcc_graphs::generators::complete(9),
             4,
-            bcc_trace::TraceScope::disabled(),
-            bcc_metrics::MetricScope::disabled(),
+            bcc_trace::Observer::off(),
         );
         assert!(row.matches);
         assert_eq!(row.m, 36);

@@ -143,7 +143,7 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
             job_seed(suite_seed, "e1", s),
             move |ctx| {
                 let out = piece_output(s, n, t, algo, coin);
-                ctx.trace().event(
+                ctx.observer().event(
                     "e1.error",
                     vec![
                         field("n", n),
@@ -153,7 +153,7 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
                         field("floor", out.float("floor").unwrap_or(f64::NAN)),
                     ],
                 );
-                ctx.metrics().counter("e1.pieces", 1);
+                ctx.observer().with(|_, m| m.counter("e1.pieces", 1));
                 out
             },
         ));
@@ -187,11 +187,11 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
                 t_full,
             );
             let e_full = distributional_error_batched(&dist, &full, t_full, 0);
-            ctx.trace().event(
+            ctx.observer().event(
                 "e1.transition",
                 vec![field("n", n), field("t_full", t_full), field("error", e_full)],
             );
-            ctx.metrics().counter("e1.transition_rounds", t_full as u64);
+            ctx.observer().with(|_, m| m.counter("e1.transition_rounds", t_full as u64));
             JobOutput::new("e1", shard, "transition")
                 .value("n", n)
                 .value("t_full", t_full)

@@ -9,13 +9,14 @@ use bcc_algorithms::{
 use bcc_core::hard::uniform_two_cycle_distribution;
 use bcc_core::indist::{harmonic_tail, lemma_3_9_degree_check, lemma_3_9_t_counts};
 use bcc_engine::artifacts::indist_round_zero;
-use bcc_engine::distributional_error_batched_observed;
+use bcc_engine::BatchRun;
 use bcc_model::testing::ConstantDecision;
+use bcc_model::SimConfig;
 use bcc_trace::field;
 use rand::SeedableRng;
 use std::fmt::Write as _;
 
-/// Distributional error at `t` rounds with the job's observers
+/// Distributional error at `t` rounds with the job's observer
 /// attached, so the kernel's round spans and `engine.*` cost counters
 /// land in this job's trace/metrics units.
 fn err(
@@ -24,14 +25,12 @@ fn err(
     t: usize,
     ctx: &bcc_runner::JobCtx,
 ) -> f64 {
-    distributional_error_batched_observed(
-        dist,
-        algorithm,
-        t,
-        0,
-        ctx.trace().clone(),
-        ctx.metrics().clone(),
+    BatchRun::new(
+        SimConfig::bcc1(t)
+            .transcripts(false)
+            .observe(ctx.observer().clone()),
     )
+    .distributional_error(dist, algorithm, 0)
 }
 
 /// Structural row for one `n`.
@@ -110,7 +109,7 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
             move |ctx| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(ctx.seed);
                 let r = structure_row(n, &mut rng);
-                ctx.trace().event(
+                ctx.observer().event(
                     "e2.structure",
                     vec![
                         field("n", r.n),
@@ -120,12 +119,10 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
                         field("expansion", r.expansion),
                     ],
                 );
-                if ctx.metrics().core_enabled() {
-                    ctx.metrics().with(|b| {
-                        b.counter("e2.structure_rows", 1);
-                        b.gauge("e2.lower_graph_vertices", (r.v1 + r.v2) as u64);
-                    });
-                }
+                ctx.observer().with(|_, b| {
+                    b.counter("e2.structure_rows", 1);
+                    b.gauge("e2.lower_graph_vertices", (r.v1 + r.v2) as u64);
+                });
                 let text = format!(
                     "{:>3} {:>8} {:>8} {:>8.4} {:>9.4} {:>8} {:>5} {:>9.3}\n",
                     r.n, r.v1, r.v2, r.ratio, r.harmonic, r.degrees_exact, r.k_v2, r.expansion
@@ -159,7 +156,7 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
         job_seed(suite_seed, "e2", shard),
         move |ctx| {
             let g = indist_round_zero(crate::cache::store(), n_big);
-            ctx.trace().event(
+            ctx.observer().event(
                 "e2.census",
                 vec![
                     field("n", n_big),
@@ -167,7 +164,7 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
                     field("v2", g.v2_len()),
                 ],
             );
-            ctx.metrics().counter("e2.census_rows", 1);
+            ctx.observer().with(|_, m| m.counter("e2.census_rows", 1));
             let mut text = String::new();
             writeln!(
                 text,
@@ -216,7 +213,7 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
                     ("truncated-real".to_string(), err(&dist, &trunc, t, ctx)),
                 ];
                 for (name, e) in &rows {
-                    ctx.trace().event(
+                    ctx.observer().event(
                         "e2.error",
                         vec![
                             field("t", t),
@@ -225,7 +222,8 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
                         ],
                     );
                 }
-                ctx.metrics().counter("e2.error_rows", rows.len() as u64);
+                ctx.observer()
+                    .with(|_, m| m.counter("e2.error_rows", rows.len() as u64));
                 let s: Vec<String> = rows.iter().map(|(n, e)| format!("{n}={e:.4}")).collect();
                 let mut out = JobOutput::new("e2", shard, format!("error t={t}"))
                     .value("n", n_err)

@@ -101,12 +101,10 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
             job_seed(suite_seed, "e4", shard),
             move |ctx| {
                 let r = cost_row(n, rank_max, ctx.seed);
-                if ctx.metrics().core_enabled() {
-                    ctx.metrics().with(|b| {
-                        b.counter("e4.cost_rows", 1);
-                        b.counter("e4.upper_bits", r.upper_bits as u64);
-                    });
-                }
+                ctx.observer().with(|_, b| {
+                    b.counter("e4.cost_rows", 1);
+                    b.counter("e4.upper_bits", r.upper_bits as u64);
+                });
                 let text = format!(
                     "{:>5} {:>11} {:>11.2} {:>7.2}\n",
                     r.n, r.upper_bits, r.lower_bits, r.gap
@@ -133,9 +131,11 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
         move |ctx| {
             let mut ok = 0usize;
             let mut total = 0usize;
-            // Route the driver's comm.* counters into the job's
-            // metrics scope (no-op when metrics are off).
-            let opts = DriverOpts::new(8).metrics(ctx.metrics().clone());
+            // Route the driver's comm.* counters into the job's dump
+            // but keep the sweep's 225 `protocol` spans and their
+            // `message` events out of the trace (no-op when metrics
+            // are off).
+            let opts = DriverOpts::new(8).observe(ctx.observer().metrics_only());
             for pa in all_partitions(4) {
                 for pb in all_partitions(4) {
                     let mut alice = TrivialJoinAlice::new(pa.clone());

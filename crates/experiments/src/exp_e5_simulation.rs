@@ -5,10 +5,11 @@ use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
 use bcc_algorithms::{NeighborIdBroadcast, Problem};
 use bcc_comm::reduction::Gadget;
 use bcc_core::kt1::{simulation_bits_per_round, theorem_4_4_certificate};
-use bcc_engine::simulate_two_party_batched_observed;
+use bcc_engine::BatchRun;
+use bcc_model::SimConfig;
 use bcc_partitions::numbers::log2_bell;
 use bcc_partitions::random::uniform_matching_partition;
-use bcc_trace::field;
+use bcc_trace::{field, Observer};
 use rand::SeedableRng;
 use std::fmt::Write as _;
 
@@ -34,14 +35,13 @@ pub struct SimRow {
 
 /// Measures one ground-set size with the given sampling RNG. The
 /// lockstep kernel records its round spans and `engine.*` cost
-/// counters into the given scopes (pass disabled scopes to observe
+/// counters into `observer` (pass [`Observer::off`] to observe
 /// nothing); observers never change a row field.
 pub fn sim_row(
     n: usize,
     samples: usize,
     rng: &mut rand::rngs::StdRng,
-    trace: bcc_trace::TraceScope,
-    metrics: bcc_metrics::MetricScope,
+    observer: Observer,
 ) -> SimRow {
     let algo = NeighborIdBroadcast::new(Problem::MultiCycle);
     // Draw every sampled pair first, consuming the RNG in the exact
@@ -56,15 +56,12 @@ pub fn sim_row(
             )
         })
         .collect();
-    let reports = simulate_two_party_batched_observed(
-        Gadget::TwoRegular,
-        &algo,
-        &pairs,
-        0,
-        1_000_000,
-        trace,
-        metrics,
+    let reports = BatchRun::new(
+        SimConfig::bcc1(1_000_000)
+            .transcripts(false)
+            .observe(observer),
     )
+    .simulate_two_party(Gadget::TwoRegular, &algo, &pairs, 0)
     .unwrap_or_default();
     let mut worst_rounds = 0;
     let mut worst_bits = 0;
@@ -122,14 +119,8 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
             job_seed(suite_seed, "e5", shard),
             move |ctx| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(ctx.seed);
-                let r = sim_row(
-                    n,
-                    samples,
-                    &mut rng,
-                    ctx.trace().clone(),
-                    ctx.metrics().clone(),
-                );
-                ctx.trace().event(
+                let r = sim_row(n, samples, &mut rng, ctx.observer().clone());
+                ctx.observer().event(
                     "e5.sim",
                     vec![
                         field("n", r.n),
@@ -138,14 +129,12 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
                         field("implied_rounds", r.implied_rounds),
                     ],
                 );
-                ctx.trace().counter("e5.bits_exchanged", r.bits as u64);
-                if ctx.metrics().core_enabled() {
-                    ctx.metrics().with(|b| {
-                        b.counter("e5.sim_rows", 1);
-                        b.counter("e5.bits_exchanged", r.bits as u64);
-                        b.counter("e5.rounds", r.rounds as u64);
-                    });
-                }
+                ctx.observer().with(|trace, b| {
+                    trace.counter("e5.bits_exchanged", r.bits as u64);
+                    b.counter("e5.sim_rows", 1);
+                    b.counter("e5.bits_exchanged", r.bits as u64);
+                    b.counter("e5.rounds", r.rounds as u64);
+                });
                 let text = format!(
                     "{:>4} {:>7} {:>9} {:>9} {:>10.1} {:>13.2} {:>8}\n",
                     r.n,
@@ -181,7 +170,7 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
         job_seed(suite_seed, "e5", shard),
         move |ctx| {
             let cert = theorem_4_4_certificate(Gadget::TwoRegular, cert_n);
-            ctx.trace().event(
+            ctx.observer().event(
                 "e5.certificate",
                 vec![
                     field("n", cert.n),
@@ -284,15 +273,7 @@ mod tests {
     fn series(ns: &[usize], samples: usize) -> Vec<super::SimRow> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         ns.iter()
-            .map(|&n| {
-                super::sim_row(
-                    n,
-                    samples,
-                    &mut rng,
-                    bcc_trace::TraceScope::disabled(),
-                    bcc_metrics::MetricScope::disabled(),
-                )
-            })
+            .map(|&n| super::sim_row(n, samples, &mut rng, super::Observer::off()))
             .collect()
     }
 

@@ -30,20 +30,15 @@ pub struct UpperRow {
 /// Measures every algorithm on the single cycle `C_n` (a YES
 /// instance; each one is verified to answer correctly as it goes).
 /// Each simulated run records its `sim` span tree and `sim.*` cost
-/// counters into the given scopes (pass disabled scopes to observe
+/// counters into `observer` (pass `Observer::off()` to observe
 /// nothing); observers never change a row field.
-pub fn upper_row(
-    n: usize,
-    trace: bcc_trace::TraceScope,
-    metrics: bcc_metrics::MetricScope,
-) -> UpperRow {
+pub fn upper_row(n: usize, observer: bcc_trace::Observer) -> UpperRow {
     let g = generators::cycle(n);
     let kt1 = Instance::new_kt1(g.clone()).expect("instance");
     let kt0 = Instance::new_kt0(g, 5).expect("instance");
     let sim = SimConfig::bcc1(1_000_000)
         .transcripts(false)
-        .trace(trace.clone())
-        .metrics(metrics.clone());
+        .observe(observer.clone());
 
     let run = |i: &Instance, a: &dyn bcc_model::Algorithm| {
         let out = sim.run(i, a, 0);
@@ -59,8 +54,7 @@ pub fn upper_row(
     let sim_blog = SimConfig::bcc1(1_000_000)
         .bandwidth(blog)
         .transcripts(false)
-        .trace(trace)
-        .metrics(metrics);
+        .observe(observer);
     let out_blog = sim_blog.run(&kt1, &BoruvkaMinLabel::new(Problem::Connectivity), 0);
     assert_eq!(out_blog.system_decision(), Decision::Yes);
     UpperRow {
@@ -98,7 +92,7 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
                 format!("n={n}"),
                 job_seed(suite_seed, "e7", shard),
                 move |ctx| {
-                    let r = upper_row(n, ctx.trace().clone(), ctx.metrics().clone());
+                    let r = upper_row(n, ctx.observer().clone());
                     let w = bcc_model::codec::bits_needed(n);
                     let ratio = r.neighbor_kt1 as f64 / (n as f64).log2();
                     let text = format!(
@@ -210,13 +204,7 @@ mod tests {
     fn logarithmic_shape() {
         let rows: Vec<UpperRow> = [16, 64]
             .into_iter()
-            .map(|n| {
-                upper_row(
-                    n,
-                    bcc_trace::TraceScope::disabled(),
-                    bcc_metrics::MetricScope::disabled(),
-                )
-            })
+            .map(|n| upper_row(n, bcc_trace::Observer::off()))
             .collect();
         for r in &rows {
             let w = bcc_model::codec::bits_needed(r.n);

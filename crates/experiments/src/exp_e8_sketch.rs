@@ -44,21 +44,19 @@ pub fn instance_set(n: usize, trials: usize, seed: u64) -> Vec<(bcc_graphs::Grap
 
 /// Measures one bandwidth on a pre-generated instance set. Each
 /// simulated run records its `sim` span tree and `sim.*` cost counters
-/// into the given scopes (pass disabled scopes to observe nothing);
+/// into `observer` (pass `Observer::off()` to observe nothing);
 /// observers never change a row field.
 pub fn sketch_row(
     n: usize,
     b: usize,
     graphs: &[(bcc_graphs::Graph, bool)],
-    trace: bcc_trace::TraceScope,
-    metrics: bcc_metrics::MetricScope,
+    observer: bcc_trace::Observer,
 ) -> SketchRow {
     let algo = SketchConnectivity::new(Problem::Connectivity);
     let sim = SimConfig::bcc1(50_000_000)
         .bandwidth(b)
         .transcripts(false)
-        .trace(trace)
-        .metrics(metrics);
+        .observe(observer);
     let mut rounds_total = 0usize;
     let mut correct = 0usize;
     for (i, (g, truth)) in graphs.iter().enumerate() {
@@ -105,7 +103,7 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
                 job_seed(suite_seed, "e8", shard),
                 move |ctx| {
                     let graphs = instance_set(n, trials, input_seed);
-                    let r = sketch_row(n, b, &graphs, ctx.trace().clone(), ctx.metrics().clone());
+                    let r = sketch_row(n, b, &graphs, ctx.observer().clone());
                     let text = format!(
                         "{:>4} {:>7} {:>12.1} {:>9.2} {:>12}\n",
                         r.n, r.b, r.mean_rounds, r.accuracy, r.sketch_bits
@@ -196,15 +194,7 @@ mod tests {
         let graphs = super::instance_set(10, 4, 77);
         let rows: Vec<super::SketchRow> = [64, 1024]
             .into_iter()
-            .map(|b| {
-                super::sketch_row(
-                    10,
-                    b,
-                    &graphs,
-                    bcc_trace::TraceScope::disabled(),
-                    bcc_metrics::MetricScope::disabled(),
-                )
-            })
+            .map(|b| super::sketch_row(10, b, &graphs, bcc_trace::Observer::off()))
             .collect();
         assert!(rows[0].mean_rounds > rows[1].mean_rounds);
         for r in &rows {

@@ -52,11 +52,11 @@ pub fn jobs(_quick: bool, suite_seed: u64) -> Vec<ExpJob> {
         job_seed(suite_seed, "f1", 0),
         |ctx| {
             let (i1, i2, table) = figure1();
-            ctx.trace().event(
+            ctx.observer().event(
                 "f1.crossing",
                 vec![field("n", 8usize), field("crossed_edges", 2usize)],
             );
-            ctx.metrics().counter("f1.crossings", 1);
+            ctx.observer().with(|_, m| m.counter("f1.crossings", 1));
             let mut out = String::new();
             writeln!(
                 out,
@@ -84,7 +84,7 @@ pub fn jobs(_quick: bool, suite_seed: u64) -> Vec<ExpJob> {
             // broadcaster, distinguishable once IDs flow.
             let indist_uniform = indistinguishable_after(&i1, &i2, &EchoBit, 6, 0);
             let indist_ids = indistinguishable_after(&i1, &i2, &IdBroadcast::new(), 3, 0);
-            ctx.trace().event(
+            ctx.observer().event(
                 "f1.lemma_3_4",
                 vec![
                     field("indist_uniform", indist_uniform),

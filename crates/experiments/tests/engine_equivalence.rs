@@ -91,8 +91,7 @@ fn e5_sim_row_matches_scalar_simulation_loop() {
         n,
         samples,
         &mut rng,
-        bcc_trace::TraceScope::disabled(),
-        bcc_metrics::MetricScope::disabled(),
+        bcc_trace::Observer::off(),
     );
 
     let algo = NeighborIdBroadcast::new(Problem::MultiCycle);

@@ -29,7 +29,7 @@ fn run(ids: &[&str], threads: usize, level: MetricsLevel) -> SuiteRun {
         .expect("known ids")
 }
 
-const IDS: [&str; 5] = ["f1", "e1", "e2", "e4", "e5"];
+const IDS: [&str; 8] = ["f1", "e1", "e2", "e4", "e5", "e7", "e8", "e11"];
 
 #[test]
 fn metering_never_changes_report_bytes() {

@@ -25,7 +25,7 @@ fn run(ids: &[&str], threads: usize, level: TraceLevel) -> SuiteRun {
         .expect("known ids")
 }
 
-const IDS: [&str; 4] = ["f1", "e1", "e2", "e5"];
+const IDS: [&str; 7] = ["f1", "e1", "e2", "e5", "e7", "e8", "e11"];
 
 #[test]
 fn tracing_never_changes_report_bytes() {

@@ -113,23 +113,6 @@ pub const D2_CARVEOUTS: [&str; 1] = ["crates/serve/src/net.rs"];
 /// Path prefix of the protocol crate checked by K1.
 pub const K1_PATH: &str = "crates/algorithms/";
 
-/// The only crate allowed to touch sinks directly: the O1 exemption.
-pub const O1_EXEMPT: &str = "crates/trace/";
-
-/// Sink-layer names forbidden outside `crates/trace` by O1: naming
-/// one means trace events reach bytes without the deterministic
-/// `Collector` merge.
-pub const O1_FORBIDDEN: [&str; 4] = ["JsonlSink", "SummarySink", "NullSink", "write_event"];
-
-/// The only crate allowed to touch metric sinks directly: the O2
-/// exemption.
-pub const O2_EXEMPT: &str = "crates/metrics/";
-
-/// Sink-layer names forbidden outside `crates/metrics` by O2: naming
-/// one means metric records reach bytes without the commutative
-/// `MetricsHub` merge.
-pub const O2_FORBIDDEN: [&str; 3] = ["MetricsJsonlSink", "MetricsSummarySink", "write_metric"];
-
 /// `bcc_model` items a protocol module must not name: everything that
 /// exists outside a single node's KT-0/KT-1 view.
 pub const K1_FORBIDDEN: [&str; 8] = [
@@ -155,8 +138,7 @@ pub fn run_all(ws: &Workspace) -> Vec<Finding> {
         rule_d2(file, &mut out);
         rule_p1(file, &mut out);
         rule_k1(file, &mut out);
-        rule_o1(file, &mut out);
-        rule_o2(file, &mut out);
+        rule_sinks(file, &mut out);
         rule_a1(file, &mut out);
     }
     rule_r1(ws, &mut out);
@@ -402,54 +384,53 @@ fn rule_k1(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// O1: trace bytes only via the Collector → Trace pipeline.
-fn rule_o1(file: &SourceFile, out: &mut Vec<Finding>) {
-    if file.path.starts_with(O1_EXEMPT) {
-        return;
-    }
-    for t in file.code() {
-        if t.kind == TokKind::Ident
-            && O1_FORBIDDEN.contains(&t.text.as_str())
-            && !file.is_test_line(t.line)
-        {
-            emit(
-                file,
-                out,
-                "O1",
-                t.line,
-                format!(
-                    "`{}` bypasses the Collector merge: emit trace bytes only \
-                     through `Trace::write_jsonl`/`Trace::summary` so traces \
-                     stay byte-identical across thread counts",
-                    t.text
-                ),
-            );
-        }
-    }
-}
+/// Sink hygiene (O1, O2), one row per pipeline: the rule id; the only
+/// crate allowed to touch the pipeline's sinks directly; the
+/// sink-layer names forbidden outside it (naming one means records
+/// reach bytes without the deterministic merge); then the finding's
+/// wording: the merge a bypass skips, the kind of bytes, the facade
+/// that renders them, and the artifacts it keeps byte-identical.
+type SinkRule = (
+    &'static str,
+    &'static str,
+    &'static [&'static str],
+    [&'static str; 4],
+);
 
-/// O2: metric bytes only via the MetricsHub → MetricsDump facade.
-fn rule_o2(file: &SourceFile, out: &mut Vec<Finding>) {
-    if file.path.starts_with(O2_EXEMPT) {
-        return;
-    }
-    for t in file.code() {
-        if t.kind == TokKind::Ident
-            && O2_FORBIDDEN.contains(&t.text.as_str())
-            && !file.is_test_line(t.line)
-        {
-            emit(
-                file,
-                out,
-                "O2",
-                t.line,
-                format!(
-                    "`{}` bypasses the MetricsHub merge: emit metric bytes only \
-                     through `MetricsDump::write_jsonl`/`MetricsDump::summary` \
-                     so dumps stay byte-identical across thread counts",
+const SINK_RULES: [SinkRule; 2] = [
+    (
+        "O1",
+        "crates/trace/",
+        &["JsonlSink", "SummarySink", "NullSink", "write_event"],
+        ["Collector", "trace", "Trace", "traces"],
+    ),
+    (
+        "O2",
+        "crates/metrics/",
+        &["MetricsJsonlSink", "MetricsSummarySink", "write_metric"],
+        ["MetricsHub", "metric", "MetricsDump", "dumps"],
+    ),
+];
+
+/// O1/O2: rendered trace and metric bytes only via their facades.
+fn rule_sinks(file: &SourceFile, out: &mut Vec<Finding>) {
+    for (id, exempt, forbidden, [merge, bytes, facade, artifacts]) in SINK_RULES {
+        if file.path.starts_with(exempt) {
+            continue;
+        }
+        for t in file.code() {
+            if t.kind == TokKind::Ident
+                && forbidden.contains(&t.text.as_str())
+                && !file.is_test_line(t.line)
+            {
+                let message = format!(
+                    "`{}` bypasses the {merge} merge: emit {bytes} bytes only \
+                     through `{facade}::write_jsonl`/`{facade}::summary` so \
+                     {artifacts} stay byte-identical across thread counts",
                     t.text
-                ),
-            );
+                );
+                emit(file, out, id, t.line, message);
+            }
         }
     }
 }

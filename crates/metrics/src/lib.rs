@@ -23,8 +23,6 @@
 //! - [`MetricsDump`]: the merged result; renders to a stable JSONL
 //!   codec (and parses back) through the facade that lint rule O2
 //!   guards, plus a compact text summary.
-//! - [`MetricScope`]: the clonable handle configuration objects carry
-//!   (simulator configs, driver options, job contexts).
 //! - [`Histogram`] / [`HistogramSnapshot`]: the shared fixed-bucket
 //!   log₂ histogram. The atomic recorder serves the runner's
 //!   wall-clock profiling; the snapshot doubles as the in-buffer
@@ -64,11 +62,9 @@ mod hist;
 mod hub;
 pub mod json;
 mod level;
-mod scope;
 pub mod sink;
 
 pub use buf::{GaugeStat, MetricsBuf};
 pub use hist::{Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use hub::{MetricsDump, MetricsHub};
 pub use level::MetricsLevel;
-pub use scope::MetricScope;

@@ -7,8 +7,8 @@ use crate::symbol::Message;
 use crate::transport::{
     default_factory, RoundView, Routes, Transport, TransportError, TransportFactory,
 };
-use bcc_metrics::MetricScope;
-use bcc_trace::{field, TraceBuf, TraceLevel, TraceScope};
+use bcc_metrics::MetricsBuf;
+use bcc_trace::{field, Observer, TraceBuf};
 use std::fmt;
 use std::sync::Arc;
 
@@ -85,13 +85,13 @@ pub struct RunStats {
 /// produce byte-identical traces and dumps.
 struct SimRecorder<'a> {
     trace: &'a mut TraceBuf,
-    metrics: &'a MetricScope,
+    metrics: &'a mut MetricsBuf,
     stats: RunStats,
     round_bits: usize,
 }
 
 impl<'a> SimRecorder<'a> {
-    fn new(trace: &'a mut TraceBuf, metrics: &'a MetricScope) -> Self {
+    fn new(trace: &'a mut TraceBuf, metrics: &'a mut MetricsBuf) -> Self {
         SimRecorder {
             trace,
             metrics,
@@ -189,16 +189,13 @@ impl<'a> SimRecorder<'a> {
     }
 
     fn run_end(&mut self, completed: bool) -> RunStats {
-        if self.metrics.core_enabled() {
-            let stats = self.stats;
-            // One lock for the whole batch of end-of-run counters.
-            self.metrics.with(|b| {
-                b.counter("sim.runs", 1);
-                b.counter("sim.rounds", stats.rounds as u64);
-                b.counter("sim.bits_broadcast", stats.bits_broadcast as u64);
-                b.counter("sim.messages_delivered", stats.messages_delivered as u64);
-            });
-        }
+        let stats = self.stats;
+        self.metrics.counter("sim.runs", 1);
+        self.metrics.counter("sim.rounds", stats.rounds as u64);
+        self.metrics
+            .counter("sim.bits_broadcast", stats.bits_broadcast as u64);
+        self.metrics
+            .counter("sim.messages_delivered", stats.messages_delivered as u64);
         if self.trace.spans_enabled() {
             self.trace.span_end(
                 "sim",
@@ -386,11 +383,12 @@ impl RunOutcome {
 ///
 /// The builder folds what used to be four entry points into one:
 /// bandwidth via [`bandwidth`](Self::bandwidth), transcript recording
-/// via [`transcripts`](Self::transcripts), and trace capture via
-/// [`trace`](Self::trace) — no `run`/`run_traced` split. Tracing is
-/// an observer: the returned outcome is identical whether the scope
-/// records or is disabled, and everything recorded is a pure function
-/// of `(instance, algorithm, coin_seed)`, never of wall-clock time.
+/// via [`transcripts`](Self::transcripts), and trace and metrics
+/// capture via [`observe`](Self::observe) — no `run`/`run_traced`
+/// split. The observer is pure: the returned outcome is identical
+/// whether it records or is off, and everything recorded is a pure
+/// function of `(instance, algorithm, coin_seed)`, never of
+/// wall-clock time.
 ///
 /// Round delivery goes through a [`Transport`]: explicitly via
 /// [`transport`](Self::transport), else the process-wide default
@@ -404,8 +402,7 @@ pub struct SimConfig {
     max_rounds: usize,
     bandwidth: usize,
     record: bool,
-    trace: TraceScope,
-    metrics: MetricScope,
+    observer: Observer,
     transport: Option<Arc<dyn TransportFactory>>,
 }
 
@@ -415,8 +412,7 @@ impl fmt::Debug for SimConfig {
             .field("max_rounds", &self.max_rounds)
             .field("bandwidth", &self.bandwidth)
             .field("record", &self.record)
-            .field("trace", &self.trace)
-            .field("metrics", &self.metrics)
+            .field("observer", &self.observer)
             .field("transport", &self.transport.as_ref().map(|t| t.label()))
             .finish()
     }
@@ -430,8 +426,7 @@ impl SimConfig {
             max_rounds,
             bandwidth: 1,
             record: true,
-            trace: TraceScope::disabled(),
-            metrics: MetricScope::disabled(),
+            observer: Observer::off(),
             transport: None,
         }
     }
@@ -460,27 +455,20 @@ impl SimConfig {
         self
     }
 
-    /// Attaches a trace destination. Each run records a `sim` span
-    /// wrapping one `round=r` span per executed round, with per-node
-    /// `broadcast` events, a per-round `sim.bits_broadcast` counter,
-    /// and one final `decision` event per vertex (point events at
-    /// [`Events`](TraceLevel::Events) level; the counter from `Costs`;
-    /// spans alone at `Spans`).
+    /// Attaches a trace and metrics destination. Each run records a
+    /// `sim` span wrapping one `round=r` span per executed round, with
+    /// per-node `broadcast` events, a per-round `sim.bits_broadcast`
+    /// counter, and one final `decision` event per vertex (point
+    /// events at `Events` level; the counter from `Costs`; spans alone
+    /// at `Spans`). It adds its aggregate statistics to the `sim.*`
+    /// counters (`sim.runs`, `sim.rounds`, `sim.bits_broadcast`,
+    /// `sim.messages_delivered`) at core metrics level and observes
+    /// per-broadcast and per-round bit histograms
+    /// (`sim.broadcast_bits`, `sim.round_bits`) at full level. Only
+    /// logical quantities are recorded.
     #[must_use]
-    pub fn trace(mut self, scope: TraceScope) -> Self {
-        self.trace = scope;
-        self
-    }
-
-    /// Attaches a metrics destination. Each run adds its aggregate
-    /// statistics to the `sim.*` counters (`sim.runs`, `sim.rounds`,
-    /// `sim.bits_broadcast`, `sim.messages_delivered`) at core level
-    /// and observes per-broadcast and per-round bit histograms
-    /// (`sim.broadcast_bits`, `sim.round_bits`) at full level. Like
-    /// tracing, metrics are a pure observer of logical quantities.
-    #[must_use]
-    pub fn metrics(mut self, scope: MetricScope) -> Self {
-        self.metrics = scope;
+    pub fn observe(mut self, observer: Observer) -> Self {
+        self.observer = observer;
         self
     }
 
@@ -499,14 +487,9 @@ impl SimConfig {
         self.record
     }
 
-    /// The attached trace scope (disabled by default).
-    pub fn trace_scope(&self) -> &TraceScope {
-        &self.trace
-    }
-
-    /// The attached metrics scope (disabled by default).
-    pub fn metrics_scope(&self) -> &MetricScope {
-        &self.metrics
+    /// The attached observer (off by default).
+    pub fn observer(&self) -> &Observer {
+        &self.observer
     }
 
     /// Attaches an explicit transport factory, overriding the
@@ -564,27 +547,17 @@ impl SimConfig {
         coin_seed: u64,
     ) -> Result<RunOutcome, TransportError> {
         let mut transport = self.transport_factory().create();
-        let result = if self.trace.level() > TraceLevel::Off {
-            self.trace.with(|buf| {
-                try_run_impl(
-                    self,
-                    transport.as_mut(),
-                    instance,
-                    algorithm,
-                    coin_seed,
-                    buf,
-                )
-            })
-        } else {
+        let result = self.observer.with(|trace, metrics| {
+            let recorder = SimRecorder::new(trace, metrics);
             try_run_impl(
                 self,
                 transport.as_mut(),
                 instance,
                 algorithm,
                 coin_seed,
-                &mut TraceBuf::disabled(),
+                recorder,
             )
-        };
+        });
         transport.teardown();
         result
     }
@@ -602,7 +575,7 @@ fn try_run_impl(
     instance: &Instance,
     algorithm: &dyn Algorithm,
     coin_seed: u64,
-    trace: &mut TraceBuf,
+    mut recorder: SimRecorder<'_>,
 ) -> Result<RunOutcome, TransportError> {
     let n = instance.num_vertices();
     // Open before the `sim` span: a spawn/handshake failure leaves no
@@ -618,7 +591,6 @@ fn try_run_impl(
         };
         n
     ];
-    let mut recorder = SimRecorder::new(trace, &cfg.metrics);
     recorder.run_start(n, cfg.bandwidth, cfg.max_rounds, coin_seed);
     let mut all_done = programs.iter().all(|p| p.is_done());
     // One outbox and one view per run, refilled every round.
@@ -773,6 +745,7 @@ mod tests {
     use super::*;
     use crate::testing::{ConstantDecision, EchoBit, IdBroadcast};
     use bcc_graphs::generators;
+    use bcc_trace::TraceLevel;
 
     #[test]
     fn constant_algorithms_decide_immediately() {
@@ -853,9 +826,14 @@ mod tests {
     fn traced_run_matches_untraced_outcome() {
         let i = Instance::new_kt0(generators::cycle(5), 3).unwrap();
         let plain = SimConfig::bcc1(4).run(&i, &EchoBit, 1);
-        let scope = TraceScope::new(TraceBuf::new(TraceLevel::Events, "test"));
-        let traced = SimConfig::bcc1(4).trace(scope.clone()).run(&i, &EchoBit, 1);
-        let buf = scope.take();
+        let scope = Observer::new(
+            TraceBuf::new(TraceLevel::Events, "test"),
+            MetricsBuf::disabled(),
+        );
+        let traced = SimConfig::bcc1(4)
+            .observe(scope.clone())
+            .run(&i, &EchoBit, 1);
+        let buf = scope.take().0;
         // Tracing is an observer: identical outcome.
         assert_eq!(plain.decisions(), traced.decisions());
         assert_eq!(plain.stats(), traced.stats());
@@ -887,19 +865,22 @@ mod tests {
 
     #[test]
     fn metered_run_matches_unmetered_outcome() {
-        use bcc_metrics::{MetricsBuf, MetricsLevel};
+        use bcc_metrics::MetricsLevel;
         let i = Instance::new_kt0(generators::cycle(5), 3).unwrap();
         let plain = SimConfig::bcc1(4).run(&i, &EchoBit, 1);
-        let scope = MetricScope::new(MetricsBuf::new(MetricsLevel::Full, "test"));
+        let scope = Observer::new(
+            TraceBuf::disabled(),
+            MetricsBuf::new(MetricsLevel::Full, "test"),
+        );
         let metered = SimConfig::bcc1(4)
-            .metrics(scope.clone())
+            .observe(scope.clone())
             .run(&i, &EchoBit, 1);
         // Metrics are an observer: identical outcome.
         assert_eq!(plain.decisions(), metered.decisions());
         assert_eq!(plain.stats(), metered.stats());
         assert!(runs_indistinguishable(&plain, &metered));
         // The counters equal the stats the report sees.
-        let (counters, _, hists) = scope.take().into_parts();
+        let (counters, _, hists) = scope.take().1.into_parts();
         let stats = plain.stats();
         assert_eq!(counters.get("sim.runs"), Some(&1));
         assert_eq!(counters.get("sim.rounds"), Some(&(stats.rounds as u64)));
@@ -921,11 +902,14 @@ mod tests {
             .expect("broadcast_bits hist");
         assert_eq!(bb.count, (5 * stats.rounds) as u64);
         // Core level drops the histograms but keeps the counters.
-        let core = MetricScope::new(MetricsBuf::new(MetricsLevel::Core, "test"));
+        let core = Observer::new(
+            TraceBuf::disabled(),
+            MetricsBuf::new(MetricsLevel::Core, "test"),
+        );
         SimConfig::bcc1(4)
-            .metrics(core.clone())
+            .observe(core.clone())
             .run(&i, &EchoBit, 1);
-        let (c, _, h) = core.take().into_parts();
+        let (c, _, h) = core.take().1.into_parts();
         assert_eq!(c.get("sim.runs"), Some(&1));
         assert!(h.is_empty());
     }
@@ -934,11 +918,14 @@ mod tests {
     fn same_seed_traces_are_identical() {
         let i = Instance::new_kt0(generators::two_cycles(3, 4), 9).unwrap();
         let run = || {
-            let scope = TraceScope::new(TraceBuf::new(TraceLevel::Events, "u"));
+            let scope = Observer::new(
+                TraceBuf::new(TraceLevel::Events, "u"),
+                MetricsBuf::disabled(),
+            );
             SimConfig::bcc1(6)
-                .trace(scope.clone())
+                .observe(scope.clone())
                 .run(&i, &EchoBit, 42);
-            scope.take().into_events()
+            scope.take().0.into_events()
         };
         assert_eq!(run(), run());
     }
@@ -946,9 +933,14 @@ mod tests {
     #[test]
     fn spans_level_records_rounds_without_broadcasts() {
         let i = Instance::new_kt1(generators::cycle(4)).unwrap();
-        let scope = TraceScope::new(TraceBuf::new(TraceLevel::Spans, "u"));
-        SimConfig::bcc1(2).trace(scope.clone()).run(&i, &EchoBit, 0);
-        let events = scope.take().into_events();
+        let scope = Observer::new(
+            TraceBuf::new(TraceLevel::Spans, "u"),
+            MetricsBuf::disabled(),
+        );
+        SimConfig::bcc1(2)
+            .observe(scope.clone())
+            .run(&i, &EchoBit, 0);
+        let events = scope.take().0.into_events();
         assert!(events.iter().all(|e| {
             matches!(
                 e.kind,
@@ -1034,10 +1026,13 @@ mod tests {
     fn dead_transport_degrades_with_typed_error_and_balanced_spans() {
         let i = Instance::new_kt1(generators::cycle(4)).unwrap();
         let factory: Arc<dyn TransportFactory> = Arc::new(DyingFactory { at_round: 1 });
-        let scope = TraceScope::new(TraceBuf::new(TraceLevel::Events, "t"));
+        let scope = Observer::new(
+            TraceBuf::new(TraceLevel::Events, "t"),
+            MetricsBuf::disabled(),
+        );
         let cfg = SimConfig::bcc1(5)
             .transport(Arc::clone(&factory))
-            .trace(scope.clone());
+            .observe(scope.clone());
         let err = cfg.try_run(&i, &EchoBit, 0).unwrap_err();
         assert!(matches!(err, TransportError::WorkerDead { rank: 0, .. }));
         // The infallible face degrades to all-undecided, never panics.
@@ -1048,7 +1043,7 @@ mod tests {
         assert!(!out.recorded());
         assert_eq!(out.transport_failure(), Some(&err));
         // Every span the failing runs opened was closed.
-        let events = scope.take().into_events();
+        let events = scope.take().0.into_events();
         let starts = events
             .iter()
             .filter(|e| matches!(e.kind, bcc_trace::EventKind::SpanStart))

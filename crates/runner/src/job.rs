@@ -1,16 +1,9 @@
 //! The typed job model: specs, execution context, errors, results.
 
+use bcc_trace::Observer;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-// `TraceScope` started life here as the pool's per-job trace handle;
-// it now lives in `bcc-trace` so configuration objects in lower-level
-// crates (simulator configs, protocol-driver options) can carry one
-// without depending on the runner. Re-exported for compatibility.
-// `MetricScope` is its metrics twin from `bcc-metrics`.
-pub use bcc_metrics::MetricScope;
-pub use bcc_trace::TraceScope;
 
 /// A shared flag that flips exactly once, from "running" to
 /// "cancelled". Cheap to clone; all clones observe the flip.
@@ -113,23 +106,17 @@ pub struct JobCtx {
     pub attempt: u32,
     pub(crate) token: CancellationToken,
     pub(crate) deadline: Option<Instant>,
-    pub(crate) trace: TraceScope,
-    pub(crate) metrics: MetricScope,
+    pub(crate) observer: Observer,
 }
 
 impl JobCtx {
-    /// The job's trace scope. Disabled (every call a cheap no-op)
-    /// unless the run went through a traced pool entry point.
-    pub fn trace(&self) -> &TraceScope {
-        &self.trace
-    }
-
-    /// The job's metrics scope. Disabled (every call a cheap no-op)
-    /// unless the run went through an observed pool entry point with
-    /// a live [`MetricsHub`](bcc_metrics::MetricsHub). Only logical
+    /// The job's observer: its trace and metrics buffers. Off (every
+    /// call a cheap no-op) unless the run went through a pool entry
+    /// point with a live [`Collector`](bcc_trace::Collector) or
+    /// [`MetricsHub`](bcc_metrics::MetricsHub). Only logical
     /// quantities may be recorded here — never clock readings.
-    pub fn metrics(&self) -> &MetricScope {
-        &self.metrics
+    pub fn observer(&self) -> &Observer {
+        &self.observer
     }
 
     /// True once the job's deadline passed or the run was cancelled.
@@ -203,8 +190,7 @@ impl<T> Job<T> {
             self,
             &CancellationToken::new(),
             &crate::Metrics::new(),
-            &TraceScope::disabled(),
-            &MetricScope::disabled(),
+            &Observer::off(),
         )
     }
 }

@@ -7,9 +7,6 @@ pub mod job;
 pub mod metrics;
 pub mod pool;
 
-pub use job::{
-    CancellationToken, Job, JobCtx, JobError, JobResult, JobSpec, JobStatus, MetricScope,
-    TraceScope,
-};
+pub use job::{CancellationToken, Job, JobCtx, JobError, JobResult, JobSpec, JobStatus};
 pub use metrics::{Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use pool::Pool;

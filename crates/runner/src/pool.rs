@@ -6,10 +6,10 @@
 //! no jobs are injected after `execute` starts, "every shard empty"
 //! is a correct termination condition.
 
-use crate::job::{CancellationToken, Job, JobCtx, JobError, JobResult, JobStatus, TraceScope};
+use crate::job::{CancellationToken, Job, JobCtx, JobError, JobResult, JobStatus};
 use crate::metrics::Metrics;
-use bcc_metrics::{MetricScope, MetricsHub};
-use bcc_trace::{field, Collector};
+use bcc_metrics::MetricsHub;
+use bcc_trace::{field, Collector, Observer};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -376,15 +376,11 @@ fn run_observed_job<T>(
             field("seed", job.spec.seed),
         ],
     );
-    let scope = TraceScope::new(buf);
-    // Off-mode pays one shared Arc clone, never a per-job allocation.
-    let mscope = if hub.enabled() {
-        MetricScope::new(hub.buf(job.spec.id.clone()))
-    } else {
-        MetricScope::disabled()
-    };
-    let result = run_job(job, run_token, metrics, &scope, &mscope);
-    let mut buf = scope.take();
+    // With tracing and metrics both off this is `Observer::off()`:
+    // no lock and no shared allocation per job.
+    let observer = Observer::new(buf, hub.buf(job.spec.id.clone()));
+    let result = run_job(job, run_token, metrics, &observer);
+    let (mut buf, mut mbuf) = observer.take();
     // Cost records at the span boundary, under the still-open `job`
     // span, named identically to the runner.* workload counters so
     // the profiler can attribute attempts to the job path.
@@ -401,7 +397,6 @@ fn run_observed_job<T>(
     );
     collector.absorb(buf);
     if hub.enabled() {
-        let mut mbuf = mscope.take();
         mbuf.counter("runner.jobs", 1);
         mbuf.counter(&format!("runner.{}", result.status.tag()), 1);
         if result.attempts > 1 {
@@ -418,8 +413,7 @@ pub(crate) fn run_job<T>(
     job: &Job<T>,
     run_token: &CancellationToken,
     metrics: &Metrics,
-    trace: &TraceScope,
-    metric_scope: &MetricScope,
+    observer: &Observer,
 ) -> JobResult<T> {
     let started = Instant::now();
     let deadline = job.spec.timeout.map(|t| started + t);
@@ -431,8 +425,7 @@ pub(crate) fn run_job<T>(
             attempt: attempts,
             token: run_token.clone(),
             deadline,
-            trace: trace.clone(),
-            metrics: metric_scope.clone(),
+            observer: observer.clone(),
         };
         let overdue = || deadline.is_some_and(|d| Instant::now() >= d);
         let outcome = catch_unwind(AssertUnwindSafe(|| (job.work)(&ctx)));

@@ -263,9 +263,10 @@ mod tracing {
         (0..n)
             .map(|i| {
                 Job::new(JobSpec::new(format!("t{i:02}"), i), |ctx| {
-                    ctx.trace()
+                    ctx.observer()
                         .event("work", vec![bcc_trace::field("seed", ctx.seed)]);
-                    ctx.trace().counter("items", ctx.seed + 1);
+                    ctx.observer()
+                        .with(|trace, _| trace.counter("items", ctx.seed + 1));
                     Ok(ctx.seed)
                 })
             })

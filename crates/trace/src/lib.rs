@@ -29,6 +29,9 @@
 //!   workspace's shared JSON codec (`bcc_metrics::json`), so traces
 //!   round-trip (used by the determinism proptests and the trace
 //!   validator in CI).
+//! - [`Observer`]: the one clonable handle configuration objects
+//!   carry (simulator configs, driver options, job contexts): a job's
+//!   `TraceBuf` and its `bcc_metrics::MetricsBuf` behind one lock.
 //! - [`tree`]: span-tree reconstruction — rebuilds each unit's span
 //!   forest (with per-span cost attachment) from the merged stream,
 //!   the substrate for the `bcc-prof` cost-attribution profiler.
@@ -72,5 +75,5 @@ pub mod tree;
 pub use buf::{TraceBuf, TraceLevel};
 pub use collector::{Collector, Trace};
 pub use event::{field, Event, EventKind, FieldValue};
-pub use scope::TraceScope;
+pub use scope::Observer;
 pub use tree::{build_trees, SpanNode, UnitTree};

@@ -9,10 +9,10 @@
 
 use bcc_engine::BatchRun;
 use bcc_graphs::generators;
-use bcc_metrics::{MetricScope, MetricsHub, MetricsLevel};
+use bcc_metrics::{MetricsHub, MetricsLevel};
 use bcc_model::testing::EchoBit;
 use bcc_model::{Decision, Instance, SimConfig, TransportError};
-use bcc_trace::{build_trees, Collector, TraceLevel, TraceScope};
+use bcc_trace::{build_trees, Collector, Observer, TraceLevel};
 use bcc_transport::worker::EXIT_AFTER_ENV;
 use bcc_transport::{SocketFactory, TransportFactory, WorkerCmd};
 use std::path::PathBuf;
@@ -196,11 +196,9 @@ fn sweep(target: Option<usize>) {
         let factory = Arc::new(SocketFactory::with_command(2, worker_bin()));
         let collector = Collector::new(TraceLevel::Events);
         let hub = MetricsHub::new(MetricsLevel::Core);
-        let trace = TraceScope::new(collector.buf("sweep"));
-        let metrics = MetricScope::new(hub.buf("sweep"));
+        let observer = Observer::new(collector.buf("sweep"), hub.buf("sweep"));
         let cfg = SimConfig::bcc1(SWEEP_ROUNDS)
-            .trace(trace.clone())
-            .metrics(metrics.clone())
+            .observe(observer.clone())
             .transport(Arc::clone(&factory) as Arc<dyn TransportFactory>);
         let outs = BatchRun::new(cfg).run(&lanes, &EchoBit);
         std::env::remove_var(EXIT_AFTER_ENV);
@@ -225,8 +223,9 @@ fn sweep(target: Option<usize>) {
             }
         }
 
-        collector.absorb(trace.take());
-        hub.absorb(metrics.take());
+        let (trace, metrics) = observer.take();
+        collector.absorb(trace);
+        hub.absorb(metrics);
         factory.flush_telemetry(&collector, &hub);
         for tree in build_trees(collector.finish().events()) {
             assert!(
