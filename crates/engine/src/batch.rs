@@ -12,7 +12,10 @@
 //! channel, so the per-lane [`RunOutcome`]s are byte-identical to `L`
 //! scalar [`SimConfig::run`] calls (pinned by the equivalence
 //! proptests in `tests/`): same decisions, transcripts, views, stats,
-//! in the same per-lane round counts.
+//! in the same per-lane round counts. Each lane is a [`RunState`], the
+//! per-run state the scalar simulator drives too, so spawning, view
+//! checks, transcripts and outcome assembly are shared; the kernel
+//! owns only the packing, the active mask and its `engine.*` records.
 //!
 //! Lanes retire independently: a lane whose programs all report done
 //! drops out of the active mask and stops paying for rounds, exactly
@@ -24,8 +27,7 @@
 
 use bcc_metrics::MetricsBuf;
 use bcc_model::transport::{RoundView, Routes, Transport, TransportError};
-use bcc_model::{Algorithm, Inbox, Instance, Message, NodeProgram, RunOutcome, RunStats, Symbol};
-use bcc_model::{NodeView, SimConfig, Transcript};
+use bcc_model::{Algorithm, Instance, Message, RunOutcome, RunState, SimConfig, Symbol};
 use bcc_trace::{field, TraceBuf};
 
 /// The lane-width ceiling: one bit per lane in a `u64` word.
@@ -116,16 +118,6 @@ impl BatchRun {
         &self.cfg
     }
 
-    /// Runs `algorithm` on every lane in lockstep and returns one
-    /// outcome per lane, in lane order. Each outcome is byte-identical
-    /// to `self.config().run(instance, algorithm, seed)` for that
-    /// lane.
-    ///
-    /// When the configuration's observer traces, the batch records
-    /// a `batch` span wrapping one `round=r` span per executed round
-    /// with `active_lanes` / `bits_broadcast` counters — an aggregate
-    /// view, not the per-node scalar trace.
-    ///
     /// Like [`try_run`](Self::try_run), but degrades a transport
     /// failure into one all-`Undecided`, unrecorded outcome per lane
     /// (each carrying the error in
@@ -244,32 +236,19 @@ fn run_batch_impl(
         transport.open(&Routes::of(inst.network()))?;
     }
     let b = cfg.bandwidth_per_round();
-    let record = cfg.records_transcripts();
     // Executed rounds and their total broadcast bits, for the
     // end-of-batch `engine.*` counters.
     let (mut rounds_run, mut total_bits) = (0u64, 0u64);
 
-    let mut programs: Vec<Vec<Box<dyn NodeProgram>>> = lanes
+    let mut runs: Vec<RunState> = lanes
         .iter()
-        .map(|(inst, seed)| {
-            (0..n)
-                .map(|v| algorithm.spawn(inst.initial_knowledge(v, b, *seed)))
-                .collect()
-        })
+        .map(|&(inst, seed)| RunState::spawn(cfg, inst, algorithm, seed))
         .collect();
-    let empty = Transcript {
-        sent: Vec::new(),
-        received: Vec::new(),
-    };
-    let mut transcripts: Vec<Vec<Transcript>> = vec![vec![empty; n]; l];
-    let mut stats: Vec<RunStats> = vec![RunStats::default(); l];
-    // `all_done` mirrors the scalar loop-top check: a lane whose
-    // programs are done before round 0 executes zero rounds.
-    let mut all_done: Vec<bool> = programs
-        .iter()
-        .map(|ps| ps.iter().all(|p| p.is_done()))
-        .collect();
-    let mut active: u64 = (0..l).filter(|&i| !all_done[i]).fold(0, |m, i| m | 1 << i);
+    // A lane whose programs are done before round 0 executes zero
+    // rounds, as its scalar run does.
+    let mut active: u64 = (0..l)
+        .filter(|&i| !runs[i].is_done())
+        .fold(0, |m, i| m | 1 << i);
 
     if trace.spans_enabled() {
         trace.span_start(
@@ -299,13 +278,12 @@ fn run_batch_impl(
         // Phase 1: every active lane broadcasts; the characters exist
         // only inside the packed words from here on.
         packed.clear();
-        for (lane, progs) in programs.iter_mut().enumerate() {
+        for (lane, run) in runs.iter_mut().enumerate() {
             if active >> lane & 1 == 0 {
                 continue;
             }
-            for (v, prog) in progs.iter_mut().enumerate() {
-                let m = prog.broadcast(round).normalized(b);
-                packed.pack(lane, v, &m);
+            for v in 0..n {
+                packed.pack(lane, v, &run.broadcast(round, v));
             }
         }
         // Phase 2a: reconstruct each lane's broadcast vector from the
@@ -326,56 +304,19 @@ fn run_batch_impl(
         // and let its programs receive.
         let mut round_bits = 0usize;
         let mut posted = 0;
-        for lane in 0..l {
+        for (lane, run) in runs.iter_mut().enumerate() {
             if active >> lane & 1 == 0 {
                 continue;
             }
             let outbox = &outboxes[posted * n..(posted + 1) * n];
             posted += 1;
-            for (v, m) in outbox.iter().enumerate() {
-                let bits = m.bits_used();
-                stats[lane].bits_broadcast += bits;
-                round_bits += bits;
-                if record {
-                    transcripts[lane][v].sent.push(m.clone());
-                }
-            }
-            if let Err(err) = transports[lane].collect_into(round, outbox, &mut view) {
+            round_bits = round_bits.saturating_add(run.sent(outbox));
+            let delivered = transports[lane]
+                .collect_into(round, outbox, &mut view)
+                .and_then(|()| run.receive(round, &mut view));
+            if let Err(err) = delivered {
                 return Err(abort_batch(trace, Some(round), err));
             }
-            view.canonicalize();
-            if view.num_nodes() != n {
-                let err = TransportError::Protocol {
-                    detail: format!(
-                        "transport returned {} inboxes for {n} nodes",
-                        view.num_nodes()
-                    ),
-                    postmortem: None,
-                };
-                return Err(abort_batch(trace, Some(round), err));
-            }
-            for (v, slot) in view.inboxes_mut().iter_mut().enumerate() {
-                let entries = std::mem::take(slot);
-                if entries.len() != n - 1 {
-                    let err = TransportError::Protocol {
-                        detail: format!(
-                            "transport delivered {} messages to node {v}, expected {}",
-                            entries.len(),
-                            n - 1
-                        ),
-                        postmortem: None,
-                    };
-                    return Err(abort_batch(trace, Some(round), err));
-                }
-                if record {
-                    transcripts[lane][v].received.push(entries.clone());
-                }
-                let inbox = Inbox::new(entries);
-                programs[lane][v].receive(round, &inbox);
-                *slot = inbox.into_entries();
-                stats[lane].messages_delivered += n - 1;
-            }
-            stats[lane].rounds = round + 1;
         }
         // Cost records carry the canonical dotted names so the
         // profiler can join them against the metrics dump.
@@ -393,9 +334,8 @@ fn run_batch_impl(
             trace.span_end(&format!("round={round}"), vec![]);
         }
         // Retire lanes whose programs all finished this round.
-        for lane in 0..l {
-            if active >> lane & 1 == 1 && programs[lane].iter().all(|p| p.is_done()) {
-                all_done[lane] = true;
+        for (lane, run) in runs.iter().enumerate() {
+            if run.is_done() {
                 active &= !(1 << lane);
             }
         }
@@ -407,52 +347,22 @@ fn run_batch_impl(
         }
     }
 
-    let outcomes: Vec<RunOutcome> = (0..l)
-        .map(|lane| {
-            let (inst, seed) = lanes[lane];
-            let views: Vec<NodeView> = (0..if record { n } else { 0 })
-                .map(|v| {
-                    let ik = inst.initial_knowledge(v, b, seed);
-                    let mut port_labels = ik.port_labels.clone();
-                    port_labels.sort_unstable();
-                    NodeView {
-                        id: ik.id,
-                        port_labels,
-                        input_port_labels: ik.input_port_labels.clone(),
-                        sent: transcripts[lane][v].sent.clone(),
-                        received: transcripts[lane][v]
-                            .received
-                            .iter()
-                            .map(|round| {
-                                let mut r = round.clone();
-                                r.sort_by_key(|(label, _)| *label);
-                                r
-                            })
-                            .collect(),
-                    }
-                })
-                .collect();
-            let ps = &programs[lane];
-            RunOutcome::from_parts(
-                ps.iter().map(|p| p.decide()).collect(),
-                ps.iter().map(|p| p.component_label()).collect(),
-                ps.iter().map(|p| p.spanning_edges()).collect(),
-                std::mem::take(&mut transcripts[lane]),
-                views,
-                stats[lane],
-                all_done[lane],
-                record,
-            )
-        })
+    let outcomes: Vec<RunOutcome> = runs
+        .into_iter()
+        .zip(lanes)
+        .map(|(run, &(inst, seed))| run.finish(inst, seed))
         .collect();
 
     if trace.spans_enabled() {
-        let max_rounds_run = stats.iter().map(|s| s.rounds).max().unwrap_or(0);
+        let max_rounds_run = outcomes.iter().map(|o| o.stats().rounds).max().unwrap_or(0);
         trace.span_end(
             "batch",
             vec![
                 field("rounds", max_rounds_run),
-                field("completed_lanes", all_done.iter().filter(|&&d| d).count()),
+                field(
+                    "completed_lanes",
+                    outcomes.iter().filter(|o| o.completed()).count(),
+                ),
             ],
         );
     }

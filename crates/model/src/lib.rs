@@ -37,6 +37,9 @@
 //!   per-node [`Transcript`]s and [`NodeView`]s — the exact "state of
 //!   a vertex" whose equality defines *indistinguishability*
 //!   (Lemma 3.4);
+//! - [`RunState`]: one run's programs, transcripts and statistics,
+//!   advanced round by round by the scalar executor and by each lane
+//!   of the batched kernel in `bcc-engine`;
 //! - [`transport`]: the round-delivery surface ([`Transport`]) the
 //!   executor routes every exchange through — in-process
 //!   ([`transport::LocalTransport`]) by default, multi-process via
@@ -76,8 +79,8 @@ pub use instance::Instance;
 pub use network::{KnowledgeMode, Network};
 pub use program::{Algorithm, Decision, Inbox, InitialKnowledge, NodeProgram};
 pub use simulator::{
-    runs_indistinguishable, try_runs_indistinguishable, NodeView, RunOutcome, RunStats, SimConfig,
-    Transcript,
+    runs_indistinguishable, try_runs_indistinguishable, NodeView, RunOutcome, RunState, RunStats,
+    SimConfig, Transcript,
 };
 pub use symbol::{Message, Symbol};
 pub use transport::{Transport, TransportError, TransportSpec};

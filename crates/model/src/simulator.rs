@@ -2,7 +2,7 @@
 
 use crate::error::ModelError;
 use crate::instance::Instance;
-use crate::program::{Algorithm, Decision, Inbox};
+use crate::program::{Algorithm, Decision, Inbox, NodeProgram};
 use crate::symbol::Message;
 use crate::transport::{
     default_factory, RoundView, Routes, Transport, TransportError, TransportFactory,
@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 /// The full communication record of one vertex: what it broadcast and
 /// what it received on each port, round by round.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Transcript {
     /// Messages broadcast by this vertex, one per executed round.
     pub sent: Vec<Message>,
@@ -73,12 +73,13 @@ pub struct RunStats {
     pub messages_delivered: usize,
 }
 
-/// Counts rounds, bits, and deliveries, and — when the caller asked
-/// for a trace or for metrics — mirrors the same quantities into
-/// round spans and broadcast/decision events, and into the `sim.*`
-/// workload metrics. All RunStats accounting goes through here, so
-/// the statistics a report prints, the events a trace records, and
-/// the counters a metrics dump merges can never drift apart.
+/// Mirrors a run's rounds, bits and decisions into round spans and
+/// broadcast/decision events, and into the `sim.*` workload metrics,
+/// when the caller asked for a trace or for metrics. It keeps no
+/// statistics of its own: every number it records is read from the
+/// [`RunState`] that counted it, so the statistics a report prints,
+/// the events a trace records, and the counters a metrics dump merges
+/// can never drift apart.
 ///
 /// Every recorded value is logical (round numbers, node ids, bit
 /// counts); the simulator never reads a clock, so equal-seed runs
@@ -86,20 +87,9 @@ pub struct RunStats {
 struct SimRecorder<'a> {
     trace: &'a mut TraceBuf,
     metrics: &'a mut MetricsBuf,
-    stats: RunStats,
-    round_bits: usize,
 }
 
-impl<'a> SimRecorder<'a> {
-    fn new(trace: &'a mut TraceBuf, metrics: &'a mut MetricsBuf) -> Self {
-        SimRecorder {
-            trace,
-            metrics,
-            stats: RunStats::default(),
-            round_bits: 0,
-        }
-    }
-
+impl SimRecorder<'_> {
     fn run_start(&mut self, n: usize, bandwidth: usize, max_rounds: usize, coin_seed: u64) {
         if self.trace.spans_enabled() {
             self.trace.span_start(
@@ -115,7 +105,6 @@ impl<'a> SimRecorder<'a> {
     }
 
     fn round_start(&mut self, round: usize) {
-        self.round_bits = 0;
         if self.trace.spans_enabled() {
             self.trace.span_start(&format!("round={round}"), vec![]);
         }
@@ -123,8 +112,6 @@ impl<'a> SimRecorder<'a> {
 
     fn broadcast(&mut self, v: usize, message: &Message) {
         let bits = message.bits_used();
-        self.stats.bits_broadcast += bits;
-        self.round_bits += bits;
         self.metrics.full_observe("sim.broadcast_bits", bits as u64);
         if self.trace.events_enabled() {
             self.trace.event(
@@ -138,35 +125,17 @@ impl<'a> SimRecorder<'a> {
         }
     }
 
-    fn delivered(&mut self, count: usize) {
-        self.stats.messages_delivered += count;
-    }
-
-    fn round_end(&mut self, round: usize) {
-        self.stats.rounds = round + 1;
+    fn round_end(&mut self, round: usize, round_bits: usize) {
         self.metrics
-            .full_observe("sim.round_bits", self.round_bits as u64);
+            .full_observe("sim.round_bits", round_bits as u64);
         // The per-round cost record carries the same canonical name as
         // the core `sim.bits_broadcast` workload counter, so the
         // profiler can join span-attributed costs against dump totals.
         if self.trace.costs_enabled() {
-            self.trace
-                .counter("sim.bits_broadcast", self.round_bits as u64);
+            self.trace.counter("sim.bits_broadcast", round_bits as u64);
         }
         if self.trace.spans_enabled() {
             self.trace.span_end(&format!("round={round}"), vec![]);
-        }
-    }
-
-    fn decision(&mut self, v: usize, decision: Decision) {
-        if self.trace.events_enabled() {
-            let tag = match decision {
-                Decision::Yes => "yes",
-                Decision::No => "no",
-                Decision::Undecided => "undecided",
-            };
-            self.trace
-                .event("decision", vec![field("node", v), field("decision", tag)]);
         }
     }
 
@@ -188,8 +157,21 @@ impl<'a> SimRecorder<'a> {
         }
     }
 
-    fn run_end(&mut self, completed: bool) -> RunStats {
-        let stats = self.stats;
+    /// One `decision` event per vertex, the run's `sim.*` counters and
+    /// the end of the `sim` span.
+    fn run_end(&mut self, outcome: &RunOutcome) {
+        if self.trace.events_enabled() {
+            for (v, decision) in outcome.decisions.iter().enumerate() {
+                let tag = match decision {
+                    Decision::Yes => "yes",
+                    Decision::No => "no",
+                    Decision::Undecided => "undecided",
+                };
+                self.trace
+                    .event("decision", vec![field("node", v), field("decision", tag)]);
+            }
+        }
+        let stats = outcome.stats;
         self.metrics.counter("sim.runs", 1);
         self.metrics.counter("sim.rounds", stats.rounds as u64);
         self.metrics
@@ -200,14 +182,13 @@ impl<'a> SimRecorder<'a> {
             self.trace.span_end(
                 "sim",
                 vec![
-                    field("rounds", self.stats.rounds),
-                    field("bits_broadcast", self.stats.bits_broadcast),
-                    field("messages_delivered", self.stats.messages_delivered),
-                    field("completed", completed),
+                    field("rounds", stats.rounds),
+                    field("bits_broadcast", stats.bits_broadcast),
+                    field("messages_delivered", stats.messages_delivered),
+                    field("completed", outcome.all_done),
                 ],
             );
         }
-        self.stats
     }
 }
 
@@ -310,57 +291,20 @@ impl RunOutcome {
 
     /// The degraded outcome of a run whose transport failed: `n`
     /// undecided vertices and the typed error, never a panic. Used by
-    /// [`SimConfig::run`] and the batched engine when
-    /// [`Transport::exchange`] reports trouble.
+    /// [`SimConfig::run`] and the batched engine when delivery fails:
+    /// the transport reports an error, or its view of a round has the
+    /// wrong shape.
     pub fn transport_failed(n: usize, err: TransportError) -> Self {
         RunOutcome {
             decisions: vec![Decision::Undecided; n],
             component_labels: vec![None; n],
             spanning_edges: vec![None; n],
-            transcripts: vec![
-                Transcript {
-                    sent: Vec::new(),
-                    received: Vec::new(),
-                };
-                n
-            ],
+            transcripts: vec![Transcript::default(); n],
             views: Vec::new(),
             stats: RunStats::default(),
             all_done: false,
             recorded: false,
             transport_failure: Some(err),
-        }
-    }
-
-    /// Assembles an outcome from raw parts.
-    ///
-    /// This is the constructor used by batched executors
-    /// (`bcc-engine`) that advance many instances in lockstep and
-    /// materialize one outcome per lane outside this module. The
-    /// caller owns the invariants the scalar path maintains: all
-    /// per-vertex vectors have equal length, and `views` is empty
-    /// unless `recorded` is true.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        decisions: Vec<Decision>,
-        component_labels: Vec<Option<u64>>,
-        spanning_edges: Vec<Option<Vec<(u64, u64)>>>,
-        transcripts: Vec<Transcript>,
-        views: Vec<NodeView>,
-        stats: RunStats,
-        all_done: bool,
-        recorded: bool,
-    ) -> Self {
-        RunOutcome {
-            decisions,
-            component_labels,
-            spanning_edges,
-            transcripts,
-            views,
-            stats,
-            all_done,
-            recorded,
-            transport_failure: None,
         }
     }
 }
@@ -548,14 +492,13 @@ impl SimConfig {
     ) -> Result<RunOutcome, TransportError> {
         let mut transport = self.transport_factory().create();
         let result = self.observer.with(|trace, metrics| {
-            let recorder = SimRecorder::new(trace, metrics);
             try_run_impl(
                 self,
                 transport.as_mut(),
                 instance,
                 algorithm,
                 coin_seed,
-                recorder,
+                SimRecorder { trace, metrics },
             )
         });
         transport.teardown();
@@ -563,12 +506,191 @@ impl SimConfig {
     }
 }
 
-/// The one scalar execution path every entry point funnels into —
+/// The driver-side state of one `(instance, coin_seed)` run: its node
+/// programs, their transcripts, the run's [`RunStats`] and whether
+/// every program reports done. Both drivers advance runs through it —
+/// [`SimConfig::run`] one at a time, the lockstep kernel in
+/// `bcc-engine` one per lane — so spawning, the checks on a delivered
+/// view, transcript recording and outcome assembly exist once, and
+/// the two cannot disagree on any of them.
+///
+/// A round is [`broadcast`](Self::broadcast) for every vertex,
+/// [`sent`](Self::sent) with the round's outbox, the transport's
+/// delivery of that outbox, then [`receive`](Self::receive) with the
+/// delivered view. [`finish`](Self::finish) builds the outcome.
+pub struct RunState {
+    programs: Vec<Box<dyn NodeProgram>>,
+    transcripts: Vec<Transcript>,
+    stats: RunStats,
+    all_done: bool,
+    bandwidth: usize,
+    record: bool,
+}
+
+// The per-round methods are `#[inline]`: the batched kernel calls
+// them from another crate for every lane of every round, and without
+// cross-crate inlining its multi-round `twoparty` benchmark workload
+// measured about 7% slower.
+impl RunState {
+    /// Spawns one program per vertex of `instance`, with the
+    /// bandwidth and transcript recording of `cfg`.
+    pub fn spawn(
+        cfg: &SimConfig,
+        instance: &Instance,
+        algorithm: &dyn Algorithm,
+        coin_seed: u64,
+    ) -> Self {
+        let n = instance.num_vertices();
+        let programs: Vec<_> = (0..n)
+            .map(|v| algorithm.spawn(instance.initial_knowledge(v, cfg.bandwidth, coin_seed)))
+            .collect();
+        RunState {
+            all_done: programs.iter().all(|p| p.is_done()),
+            programs,
+            transcripts: vec![Transcript::default(); n],
+            stats: RunStats::default(),
+            bandwidth: cfg.bandwidth,
+            record: cfg.record,
+        }
+    }
+
+    /// Whether every program reports done. A run that is done before
+    /// round 0 executes no rounds.
+    #[inline]
+    pub fn is_done(&self) -> bool {
+        self.all_done
+    }
+
+    /// Vertex `v`'s round-`round` broadcast, normalized to the
+    /// bandwidth.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range, or if the program broadcasts
+    /// more symbols than the bandwidth allows.
+    #[inline]
+    pub fn broadcast(&mut self, round: usize, v: usize) -> Message {
+        self.programs[v].broadcast(round).normalized(self.bandwidth)
+    }
+
+    /// Accounts one round's outbox (`outbox[v]` is vertex `v`'s
+    /// broadcast): adds its bits to the statistics, records it in the
+    /// transcripts when recording is on, and returns the round's bits.
+    #[inline]
+    pub fn sent(&mut self, outbox: &[Message]) -> usize {
+        let round_bits = outbox
+            .iter()
+            .map(Message::bits_used)
+            .fold(0, usize::saturating_add);
+        self.stats.bits_broadcast = self.stats.bits_broadcast.saturating_add(round_bits);
+        if self.record {
+            for (transcript, m) in self.transcripts.iter_mut().zip(outbox) {
+                transcript.sent.push(m.clone());
+            }
+        }
+        round_bits
+    }
+
+    /// Hands round `round`'s delivered view to the programs. The view
+    /// is canonicalized (inboxes sorted by port label), must cover
+    /// every vertex with `n − 1` entries each, and is recorded in the
+    /// transcripts when recording is on. Each inbox's entry vector is
+    /// lent to the program and put back, so the caller can reuse the
+    /// view's buffers next round.
+    ///
+    /// # Errors
+    ///
+    /// A [`TransportError::Protocol`] when the view has the wrong
+    /// number of inboxes, or an inbox the wrong number of entries.
+    #[inline]
+    pub fn receive(&mut self, round: usize, view: &mut RoundView) -> Result<(), TransportError> {
+        view.canonicalize();
+        let n = self.programs.len();
+        let expected = n.saturating_sub(1);
+        let shape = |detail| TransportError::Protocol {
+            detail,
+            postmortem: None,
+        };
+        if view.num_nodes() != n {
+            return Err(shape(format!(
+                "round view covers {} of {n} nodes",
+                view.num_nodes()
+            )));
+        }
+        let slots = view.inboxes_mut().iter_mut();
+        for (v, (slot, program)) in slots.zip(&mut self.programs).enumerate() {
+            if slot.len() != expected {
+                return Err(shape(format!(
+                    "node {v} received {} messages, expected {expected}",
+                    slot.len()
+                )));
+            }
+            if self.record {
+                self.transcripts[v].received.push(slot.clone());
+            }
+            let inbox = Inbox::new(std::mem::take(slot));
+            program.receive(round, &inbox);
+            *slot = inbox.into_entries();
+        }
+        self.stats.messages_delivered = self
+            .stats
+            .messages_delivered
+            .saturating_add(n.saturating_mul(expected));
+        self.stats.rounds = round.saturating_add(1);
+        self.all_done = self.programs.iter().all(|p| p.is_done());
+        Ok(())
+    }
+
+    /// The run's outcome: every program's outputs, the transcripts and
+    /// statistics, and — when recording is on — each vertex's
+    /// [`NodeView`], its initial knowledge rebuilt from `instance` and
+    /// `coin_seed` (the pair the run was spawned with).
+    pub fn finish(self, instance: &Instance, coin_seed: u64) -> RunOutcome {
+        let n = if self.record { self.programs.len() } else { 0 };
+        let views = (0..n)
+            .map(|v| {
+                let ik = instance.initial_knowledge(v, self.bandwidth, coin_seed);
+                let mut port_labels = ik.port_labels;
+                port_labels.sort_unstable();
+                let transcript = &self.transcripts[v];
+                NodeView {
+                    id: ik.id,
+                    port_labels,
+                    input_port_labels: ik.input_port_labels,
+                    sent: transcript.sent.clone(),
+                    received: transcript
+                        .received
+                        .iter()
+                        .map(|round| {
+                            let mut r = round.clone();
+                            r.sort_by_key(|(label, _)| *label);
+                            r
+                        })
+                        .collect(),
+                }
+            })
+            .collect();
+        let programs = &self.programs;
+        RunOutcome {
+            decisions: programs.iter().map(|p| p.decide()).collect(),
+            component_labels: programs.iter().map(|p| p.component_label()).collect(),
+            spanning_edges: programs.iter().map(|p| p.spanning_edges()).collect(),
+            transcripts: self.transcripts,
+            views,
+            stats: self.stats,
+            all_done: self.all_done,
+            recorded: self.record,
+            transport_failure: None,
+        }
+    }
+}
+
+/// The scalar execution path every entry point funnels into —
 /// [`SimConfig::run`] reaches it, and the lockstep kernel in
-/// `bcc-engine` pins itself against it. Round
-/// delivery goes through `transport`; everything observable (spans,
-/// events, `sim.*` metrics, transcripts) is recorded here on the
-/// driver side, so conforming transports cannot perturb it.
+/// `bcc-engine` pins itself against it. Each round posts the outbox to
+/// `transport` and collects the view; everything observable (spans,
+/// events, `sim.*` metrics, transcripts) is recorded on the driver
+/// side, so conforming transports cannot perturb it.
 fn try_run_impl(
     cfg: &SimConfig,
     transport: &mut dyn Transport,
@@ -581,128 +703,41 @@ fn try_run_impl(
     // Open before the `sim` span: a spawn/handshake failure leaves no
     // half-open span behind.
     transport.open(&Routes::of(instance.network()))?;
-    let mut programs: Vec<_> = (0..n)
-        .map(|v| algorithm.spawn(instance.initial_knowledge(v, cfg.bandwidth, coin_seed)))
-        .collect();
-    let mut transcripts = vec![
-        Transcript {
-            sent: Vec::new(),
-            received: Vec::new(),
-        };
-        n
-    ];
+    let mut run = RunState::spawn(cfg, instance, algorithm, coin_seed);
     recorder.run_start(n, cfg.bandwidth, cfg.max_rounds, coin_seed);
-    let mut all_done = programs.iter().all(|p| p.is_done());
     // One outbox and one view per run, refilled every round.
-    let mut broadcasts: Vec<Message> = Vec::with_capacity(n);
+    let mut outbox: Vec<Message> = Vec::with_capacity(n);
     let mut view = RoundView::default();
 
     for round in 0..cfg.max_rounds {
-        if all_done {
+        if run.is_done() {
             break;
         }
         recorder.round_start(round);
-        // Phase 1: everyone broadcasts.
-        broadcasts.clear();
-        broadcasts.extend(
-            programs
-                .iter_mut()
-                .map(|p| p.broadcast(round).normalized(cfg.bandwidth)),
-        );
-        for (v, m) in broadcasts.iter().enumerate() {
+        outbox.clear();
+        outbox.extend((0..n).map(|v| run.broadcast(round, v)));
+        let round_bits = run.sent(&outbox);
+        for (v, m) in outbox.iter().enumerate() {
             recorder.broadcast(v, m);
-            if cfg.record {
-                transcripts[v].sent.push(m.clone());
-            }
         }
-        // Phase 2: the transport delivers; the canonicalized view is
-        // in port-label order, which for every constructible network
-        // equals the port-index order the in-process loop produced.
-        if let Err(err) = transport.exchange_into(round, &broadcasts, &mut view) {
+        let delivered = transport
+            .post(round, &outbox)
+            .and_then(|()| transport.collect_into(round, &outbox, &mut view))
+            .and_then(|()| run.receive(round, &mut view));
+        if let Err(err) = delivered {
             recorder.abort(Some(round), &err);
             return Err(err);
         }
-        view.canonicalize();
-        if view.num_nodes() != n {
-            let err = TransportError::Protocol {
-                detail: format!("round view covers {} of {n} nodes", view.num_nodes()),
-                postmortem: None,
-            };
-            recorder.abort(Some(round), &err);
-            return Err(err);
-        }
-        for (v, slot) in view.inboxes_mut().iter_mut().enumerate() {
-            let entries = std::mem::take(slot);
-            if entries.len() != n.saturating_sub(1) {
-                let err = TransportError::Protocol {
-                    detail: format!(
-                        "node {v} received {} messages, expected {}",
-                        entries.len(),
-                        n.saturating_sub(1)
-                    ),
-                    postmortem: None,
-                };
-                recorder.abort(Some(round), &err);
-                return Err(err);
-            }
-            let delivered = entries.len();
-            if cfg.record {
-                transcripts[v].received.push(entries.clone());
-            }
-            let inbox = Inbox::new(entries);
-            programs[v].receive(round, &inbox);
-            *slot = inbox.into_entries();
-            recorder.delivered(delivered);
-        }
-        recorder.round_end(round);
-        all_done = programs.iter().all(|p| p.is_done());
+        recorder.round_end(round, round_bits);
     }
 
     if let Err(err) = transport.barrier() {
         recorder.abort(None, &err);
         return Err(err);
     }
-
-    let views = (0..if cfg.record { n } else { 0 })
-        .map(|v| {
-            let ik = instance.initial_knowledge(v, cfg.bandwidth, coin_seed);
-            let mut port_labels = ik.port_labels.clone();
-            port_labels.sort_unstable();
-            NodeView {
-                id: ik.id,
-                port_labels,
-                input_port_labels: ik.input_port_labels.clone(),
-                sent: transcripts[v].sent.clone(),
-                received: transcripts[v]
-                    .received
-                    .iter()
-                    .map(|round| {
-                        let mut r = round.clone();
-                        r.sort_by_key(|(l, _)| *l);
-                        r
-                    })
-                    .collect(),
-            }
-        })
-        .collect();
-
-    let decisions: Vec<Decision> = programs.iter().map(|p| p.decide()).collect();
-    for (v, &d) in decisions.iter().enumerate() {
-        recorder.decision(v, d);
-    }
-    let stats = recorder.run_end(all_done);
-
-    Ok(RunOutcome {
-        decisions,
-        component_labels: programs.iter().map(|p| p.component_label()).collect(),
-        spanning_edges: programs.iter().map(|p| p.spanning_edges()).collect(),
-        transcripts,
-        views,
-        stats,
-        all_done,
-        recorded: cfg.record,
-        transport_failure: None,
-    })
+    let outcome = run.finish(instance, coin_seed);
+    recorder.run_end(&outcome);
+    Ok(outcome)
 }
 
 /// Checks whether two runs are *indistinguishable*: every vertex has

@@ -17,9 +17,9 @@
 //! Determinism contract, in order of obligation:
 //!
 //! 1. `exchange` is a pure function of `(routes, outbox)` — same
-//!    inputs, same `RoundView`, across processes and runs — and
-//!    `exchange_into`, like a `post` followed by its `collect_into`,
-//!    fully overwrites the view it is lent with that same result.
+//!    inputs, same `RoundView`, across processes and runs — and a
+//!    `post` followed by its `collect_into` fully overwrites the view
+//!    it is lent with that same result.
 //! 2. Message *multiset* per vertex is fixed by the routes; delivery
 //!    *order* inside a vertex's inbox is the transport's own. The
 //!    driver canonicalizes with [`RoundView::canonicalize`] (stable
@@ -173,7 +173,7 @@ impl Routes {
 
 /// One round's delivery result: for every vertex, its `(port label,
 /// message)` pairs. Produced by [`Transport::exchange`] or refilled in
-/// place by [`Transport::exchange_into`]; the driver canonicalizes it
+/// place by [`Transport::collect_into`]; the driver canonicalizes it
 /// before building an `Inbox`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundView {
@@ -230,39 +230,23 @@ impl RoundView {
 }
 
 /// A round-delivery backend. Drivers call [`open`](Self::open) once
-/// per run with the instance's [`Routes`], then deliver each round
-/// either in one call ([`exchange`](Self::exchange) or
-/// [`exchange_into`](Self::exchange_into)) or in two
-/// ([`post`](Self::post), later [`collect_into`](Self::collect_into)),
-/// then call [`barrier`](Self::barrier) after the last round and
+/// per run with the instance's [`Routes`], then deliver each round in
+/// two calls ([`post`](Self::post), later
+/// [`collect_into`](Self::collect_into)), then call
+/// [`barrier`](Self::barrier) after the last round and
 /// [`teardown`](Self::teardown) when the transport is dropped from
-/// service. See the module docs for the determinism contract.
+/// service. [`exchange`](Self::exchange) is the same delivery in one
+/// call, into a fresh view. See the module docs for the determinism
+/// contract.
 pub trait Transport {
     /// Binds the transport to one instance's delivery plan. Called
-    /// exactly once before the first `exchange`.
+    /// exactly once, before the first round is delivered.
     fn open(&mut self, routes: &Routes) -> Result<(), TransportError>;
 
     /// Delivers round `round`: `outbox[v]` is vertex `v`'s broadcast,
     /// already normalized to the configured bandwidth. Returns every
     /// vertex's `(port label, message)` entries.
     fn exchange(&mut self, round: usize, outbox: &[Message]) -> Result<RoundView, TransportError>;
-
-    /// Delivers round `round` into a view the caller lends, so a
-    /// driver can reuse one view's buffers across rounds. On success
-    /// a conforming implementation has fully overwritten `view`: it
-    /// holds exactly what [`exchange`](Self::exchange) would have
-    /// returned, and nothing of what it held before. On error the
-    /// view's contents are unspecified. The default body delegates to
-    /// `exchange`.
-    fn exchange_into(
-        &mut self,
-        round: usize,
-        outbox: &[Message],
-        view: &mut RoundView,
-    ) -> Result<(), TransportError> {
-        *view = self.exchange(round, outbox)?;
-        Ok(())
-    }
 
     /// The first half of a split delivery: hands round `round`'s
     /// outbox to the backend without waiting for the result, so a
@@ -277,18 +261,23 @@ pub trait Transport {
         Ok(())
     }
 
-    /// The second half of a split delivery: fills `view` with the
-    /// round [`post`](Self::post) handed over, under the same
-    /// full-overwrite rule as [`exchange_into`](Self::exchange_into).
-    /// The default body is `exchange_into`, which is exactly right for
-    /// a backend whose `post` does nothing.
+    /// The second half of a split delivery: fills `view`, which the
+    /// caller lends so it can reuse one view's buffers across rounds,
+    /// with the round [`post`](Self::post) handed over. On success a
+    /// conforming implementation has fully overwritten `view`: it
+    /// holds exactly what [`exchange`](Self::exchange) would have
+    /// returned, and nothing of what it held before. On error the
+    /// view's contents are unspecified. The default body is
+    /// `exchange`, which is exactly right for a backend whose `post`
+    /// does nothing.
     fn collect_into(
         &mut self,
         round: usize,
         outbox: &[Message],
         view: &mut RoundView,
     ) -> Result<(), TransportError> {
-        self.exchange_into(round, outbox, view)
+        *view = self.exchange(round, outbox)?;
+        Ok(())
     }
 
     /// Quiesces the transport after the final round: a conforming
@@ -368,11 +357,11 @@ impl Transport for LocalTransport {
 
     fn exchange(&mut self, round: usize, outbox: &[Message]) -> Result<RoundView, TransportError> {
         let mut view = RoundView::default();
-        self.exchange_into(round, outbox, &mut view)?;
+        self.collect_into(round, outbox, &mut view)?;
         Ok(view)
     }
 
-    fn exchange_into(
+    fn collect_into(
         &mut self,
         _round: usize,
         outbox: &[Message],

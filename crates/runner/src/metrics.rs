@@ -9,11 +9,10 @@
 //! mix, because a deterministic dump may not contain anything a clock
 //! or a scheduler decided. The histogram implementation itself is
 //! shared: [`Histogram`]/[`HistogramSnapshot`] are `bcc-metrics`
-//! types, re-exported here for compatibility.
+//! types.
 
+use bcc_metrics::{Histogram, HistogramSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-pub use bcc_metrics::{Histogram, HistogramSnapshot, NUM_BUCKETS};
 
 /// Counters for everything the pool does, plus the latency histogram.
 #[derive(Debug, Default)]

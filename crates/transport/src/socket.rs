@@ -1089,19 +1089,10 @@ impl Transport for SocketTransport {
     }
 
     fn exchange(&mut self, round: usize, outbox: &[Message]) -> Result<RoundView, TransportError> {
-        let mut view = RoundView::default();
-        self.exchange_into(round, outbox, &mut view)?;
-        Ok(view)
-    }
-
-    fn exchange_into(
-        &mut self,
-        round: usize,
-        outbox: &[Message],
-        view: &mut RoundView,
-    ) -> Result<(), TransportError> {
         self.post(round, outbox)?;
-        self.collect_into(round, outbox, view)
+        let mut view = RoundView::default();
+        self.collect_into(round, outbox, &mut view)?;
+        Ok(view)
     }
 
     fn post(&mut self, round: usize, outbox: &[Message]) -> Result<(), TransportError> {
@@ -1397,8 +1388,10 @@ mod tests {
         drop(batch);
         let (mut socket, mut local) = sessions(&group, 5, 1).pop().unwrap();
         let out = outbox(5, 0, 0, 1);
-        socket.exchange_into(0, &out, &mut view).unwrap();
-        assert_eq!(view, local.exchange(0, &out).unwrap());
+        assert_eq!(
+            socket.exchange(0, &out).unwrap(),
+            local.exchange(0, &out).unwrap()
+        );
         assert_eq!(set_aside(&group), 0);
         socket.barrier().unwrap();
         assert!(group.locked().open_sessions.is_empty());
@@ -1420,8 +1413,10 @@ mod tests {
         // Misuse is the driver's fault; the group stays healthy.
         assert!(!group.is_dead());
         let (mut socket, _) = sessions(&group, 4, 1).pop().unwrap();
-        socket.exchange_into(0, &out, &mut view).unwrap();
-        assert_eq!(view, local.exchange(0, &out).unwrap());
+        assert_eq!(
+            socket.exchange(0, &out).unwrap(),
+            local.exchange(0, &out).unwrap()
+        );
     }
 
     #[test]
