@@ -238,7 +238,7 @@ impl NodeProgram for MstNode {
                 debug_assert!(fed.is_ok(), "sender broke the bit-serial encoding");
             }
         }
-        self.phase_state.round_in += 1;
+        self.phase_state.round_in = self.phase_state.round_in.saturating_add(1);
         if self.phase_state.round_in == self.rounds_per_phase() {
             // Assemble every vertex's proposal (peers + self).
             let mut proposals: Vec<(usize, Option<(u64, usize)>)> = Vec::with_capacity(self.n);

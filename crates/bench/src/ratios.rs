@@ -6,7 +6,7 @@
 //! block is an untimed prepare step, then the fastest of `runs` timed
 //! runs. The pair's figure is the signed median of the per-rep
 //! figures, with their quartiles as its spread. [`parse`] rejects
-//! anything [`write`] would not produce with a typed [`BenchError`].
+//! anything [`write()`] would not produce with a typed [`BenchError`].
 
 use bcc_metrics::json::{self, escape, JsonValue};
 use std::fmt;
@@ -263,7 +263,7 @@ impl fmt::Display for BenchError {
 
 impl std::error::Error for BenchError {}
 
-/// Parses a `BENCH.json` document; anything [`write`] would not have
+/// Parses a `BENCH.json` document; anything [`write()`] would not have
 /// produced is a [`BenchError`].
 pub fn parse(text: &str) -> Result<Vec<Pair>, BenchError> {
     let root = json::parse(text).map_err(BenchError::Json)?;

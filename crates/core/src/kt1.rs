@@ -89,7 +89,7 @@ pub fn verify_simulation_correctness(
             return Err(format!("wrong answer on PA={pa} PB={pb}"));
         }
         let per_round = simulation_bits_per_round(gadget, pa.ground_size());
-        if report.bits_exchanged != report.rounds * per_round {
+        if report.rounds.checked_mul(per_round) != Some(report.bits_exchanged) {
             return Err(format!(
                 "cost mismatch on PA={pa} PB={pb}: {} bits over {} rounds",
                 report.bits_exchanged, report.rounds

@@ -144,15 +144,14 @@ impl BatchRun {
     /// to `self.config().run(instance, algorithm, seed)` for that
     /// lane.
     ///
-    /// Message delivery routes through the configuration's
-    /// [`Transport`] factory, one transport per lane (each lane has
-    /// its own wiring, hence its own routes); the trace and all
-    /// accounting stay driver-side, so outcomes do not depend on the
-    /// backend. Each round [`post`](Transport::post)s every active
-    /// lane's outbox before it collects any lane's view, so a backend
-    /// with real latency overlaps the lanes' round trips. A transport
-    /// failure aborts the whole batch with the typed error after
-    /// closing any open spans.
+    /// Message delivery routes through one [`Transport`] from the
+    /// configuration's factory, opened with the lanes' networks
+    /// [stacked](Routes::stacked) into one plan: each round is one
+    /// exchange of an `L·n` outbox, and each active lane receives its
+    /// own `n` inboxes of the view. The trace and all accounting stay
+    /// driver-side, so outcomes do not depend on the backend. A
+    /// transport failure aborts the whole batch with the typed error
+    /// after closing any open spans.
     ///
     /// When the configuration's observer traces, the batch records
     /// a `batch` span wrapping one `round=r` span per executed round
@@ -161,8 +160,8 @@ impl BatchRun {
     ///
     /// # Errors
     ///
-    /// Returns the first [`TransportError`] any lane's transport
-    /// reports.
+    /// Returns the first [`TransportError`] the transport reports, or
+    /// a [`TransportError::Protocol`] for a view of the wrong shape.
     ///
     /// # Panics
     ///
@@ -173,15 +172,11 @@ impl BatchRun {
         lanes: &[Lane<'_>],
         algorithm: &dyn Algorithm,
     ) -> Result<Vec<RunOutcome>, TransportError> {
-        let factory = self.cfg.transport_factory();
-        let mut transports: Vec<Box<dyn Transport>> =
-            lanes.iter().map(|_| factory.create()).collect();
+        let mut transport = self.cfg.transport_factory().create();
         let result = self.cfg.observer().with(|trace, metrics| {
-            run_batch_impl(&self.cfg, &mut transports, lanes, algorithm, trace, metrics)
+            run_batch_impl(&self.cfg, &mut *transport, lanes, algorithm, trace, metrics)
         });
-        for transport in &mut transports {
-            transport.teardown();
-        }
+        transport.teardown();
         result
     }
 
@@ -216,7 +211,7 @@ fn abort_batch(
 
 fn run_batch_impl(
     cfg: &SimConfig,
-    transports: &mut [Box<dyn Transport>],
+    transport: &mut dyn Transport,
     lanes: &[Lane<'_>],
     algorithm: &dyn Algorithm,
     trace: &mut TraceBuf,
@@ -230,11 +225,10 @@ fn run_batch_impl(
         lanes.iter().all(|(inst, _)| inst.num_vertices() == n),
         "all lanes must share one vertex count"
     );
-    // Opens happen before the batch span starts, so an open failure
-    // returns with no spans to unwind.
-    for (transport, (inst, _)) in transports.iter_mut().zip(lanes) {
-        transport.open(&Routes::of(inst.network()))?;
-    }
+    // The open happens before the batch span starts, so an open
+    // failure returns with no spans to unwind.
+    let networks: Vec<_> = lanes.iter().map(|(inst, _)| inst.network()).collect();
+    transport.open(&Routes::stacked(&networks))?;
     let b = cfg.bandwidth_per_round();
     // Executed rounds and their total broadcast bits, for the
     // end-of-batch `engine.*` counters.
@@ -263,10 +257,9 @@ fn run_batch_impl(
     }
 
     let mut packed = PackedRound::new(n, b);
-    // One outbox for every lane's broadcasts and one view for the
-    // whole batch, refilled every round. The outbox holds the active
-    // lanes' broadcast vectors back to back, in lane order.
-    let mut outboxes: Vec<Message> = Vec::with_capacity(l * n);
+    // One stacked outbox and one stacked view for the whole batch,
+    // refilled every round: lane `i`'s vertices are `i·n..(i + 1)·n`.
+    let mut outbox: Vec<Message> = Vec::with_capacity(l * n);
     let mut view = RoundView::default();
     for round in 0..cfg.max_rounds() {
         if active == 0 {
@@ -286,35 +279,44 @@ fn run_batch_impl(
                 packed.pack(lane, v, &run.broadcast(round, v));
             }
         }
-        // Phase 2a: reconstruct each lane's broadcast vector from the
-        // words and post it to that lane's transport, so every lane's
-        // round is in flight before any is read.
-        outboxes.clear();
-        for (lane, transport) in transports.iter_mut().enumerate() {
+        // Phase 2: reconstruct every lane's broadcasts from the words
+        // (a retired lane sends empty messages) and deliver the whole
+        // batch in one exchange.
+        outbox.clear();
+        for lane in 0..l {
             if active >> lane & 1 == 0 {
-                continue;
-            }
-            let start = outboxes.len();
-            outboxes.extend((0..n).map(|v| packed.unpack(lane, v)));
-            if let Err(err) = transport.post(round, &outboxes[start..]) {
-                return Err(abort_batch(trace, Some(round), err));
+                outbox.resize(outbox.len() + n, Message::silent(0));
+            } else {
+                outbox.extend((0..n).map(|v| packed.unpack(lane, v)));
             }
         }
-        // Phase 2b: account each lane's broadcasts, collect its view
-        // and let its programs receive.
+        if let Err(err) = transport.exchange_into(round, &outbox, &mut view) {
+            return Err(abort_batch(trace, Some(round), err));
+        }
+        // A view cut short inside an active lane fails in that lane's
+        // `receive`, worded as a short scalar view; every other wrong
+        // length fails here.
+        let stacked = view.num_nodes();
+        let cut_in_active_lane = stacked < l * n && active >> (stacked / n) != 0;
+        if stacked != l * n && !cut_in_active_lane {
+            let err = TransportError::Protocol {
+                detail: format!("round view covers {stacked} of {} nodes", l * n),
+                postmortem: None,
+            };
+            return Err(abort_batch(trace, Some(round), err));
+        }
+        // Phase 3: account each active lane's broadcasts and let its
+        // programs receive their own inboxes.
         let mut round_bits = 0usize;
-        let mut posted = 0;
+        let inboxes = view.inboxes_mut();
         for (lane, run) in runs.iter_mut().enumerate() {
             if active >> lane & 1 == 0 {
                 continue;
             }
-            let outbox = &outboxes[posted * n..(posted + 1) * n];
-            posted += 1;
-            round_bits = round_bits.saturating_add(run.sent(outbox));
-            let delivered = transports[lane]
-                .collect_into(round, outbox, &mut view)
-                .and_then(|()| run.receive(round, &mut view));
-            if let Err(err) = delivered {
+            let (lo, hi) = (lane * n, (lane + 1) * n);
+            round_bits = round_bits.saturating_add(run.sent(&outbox[lo..hi]));
+            let lane_inboxes = &mut inboxes[lo.min(stacked)..hi.min(stacked)];
+            if let Err(err) = run.receive(round, lane_inboxes) {
                 return Err(abort_batch(trace, Some(round), err));
             }
         }
@@ -328,7 +330,7 @@ fn run_batch_impl(
         // full level) a per-round broadcast-bits histogram sample.
         metrics.gauge("engine.active_lanes", u64::from(active.count_ones()));
         metrics.full_observe("engine.round_bits", round_bits as u64);
-        rounds_run += 1;
+        rounds_run = rounds_run.saturating_add(1);
         total_bits = total_bits.saturating_add(round_bits as u64);
         if trace.spans_enabled() {
             trace.span_end(&format!("round={round}"), vec![]);
@@ -341,10 +343,8 @@ fn run_batch_impl(
         }
     }
 
-    for transport in transports.iter_mut() {
-        if let Err(err) = transport.barrier() {
-            return Err(abort_batch(trace, None, err));
-        }
+    if let Err(err) = transport.barrier() {
+        return Err(abort_batch(trace, None, err));
     }
 
     let outcomes: Vec<RunOutcome> = runs
@@ -561,6 +561,55 @@ mod tests {
             .count();
         assert_eq!(starts, ends);
         assert!(events.iter().any(|e| e.name == "transport.error"));
+    }
+
+    #[test]
+    fn stacked_view_one_inbox_too_long_is_a_protocol_error() {
+        use bcc_model::transport::{
+            LocalTransport, RoundView, Routes, Transport, TransportError, TransportFactory,
+        };
+
+        /// Delivers like the oracle, plus one stray inbox at the end.
+        struct Long(LocalTransport);
+        impl Transport for Long {
+            fn open(&mut self, routes: &Routes) -> Result<(), TransportError> {
+                self.0.open(routes)
+            }
+            fn exchange(
+                &mut self,
+                round: usize,
+                outbox: &[Message],
+            ) -> Result<RoundView, TransportError> {
+                let view = self.0.exchange(round, outbox)?;
+                let mut inboxes: Vec<_> = (0..view.num_nodes())
+                    .map(|v| view.inbox(v).to_vec())
+                    .collect();
+                inboxes.push(view.inbox(0).to_vec());
+                Ok(RoundView::new(inboxes))
+            }
+        }
+        struct LongFactory;
+        impl TransportFactory for LongFactory {
+            fn create(&self) -> Box<dyn Transport> {
+                Box::new(Long(LocalTransport::new()))
+            }
+            fn label(&self) -> String {
+                "long".to_string()
+            }
+        }
+
+        let i = Instance::new_kt0(generators::cycle(5), 4).unwrap();
+        let cfg = SimConfig::bcc1(3).transport(std::sync::Arc::new(LongFactory));
+        let err = BatchRun::new(cfg)
+            .try_run(&[(&i, 0), (&i, 1)], &EchoBit)
+            .map(drop)
+            .unwrap_err();
+        match err {
+            TransportError::Protocol { detail, .. } => {
+                assert_eq!(detail, "round view covers 11 of 10 nodes");
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub fn sketch_row(
     for (i, (g, truth)) in graphs.iter().enumerate() {
         let inst = Instance::new_kt1(g.clone()).expect("instance");
         let out = sim.run(&inst, &algo, i as u64);
-        rounds_total += out.stats().rounds;
+        rounds_total = rounds_total.saturating_add(out.stats().rounds);
         if (out.system_decision() == Decision::Yes) == *truth {
             correct += 1;
         }

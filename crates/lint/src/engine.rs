@@ -1,7 +1,7 @@
 //! Workspace walking (optionally parallel) and the JSON/SARIF
 //! renderers. Both output formats are byte-stable: findings arrive
 //! pre-sorted, file parsing is chunked deterministically across
-//! threads, and every string passes through one [`escape`].
+//! threads, and every string passes through one `escape`.
 
 use crate::rules::Finding;
 use crate::source::SourceFile;

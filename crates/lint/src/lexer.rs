@@ -12,7 +12,8 @@
 //! * identifiers, numeric literals, and single-char punctuation.
 //!
 //! Comments are kept as tokens (the suppression syntax lives in them);
-//! rules iterate [`code`]-filtered streams.
+//! rules iterate [`code`](crate::source::SourceFile::code)-filtered
+//! streams.
 
 /// Token classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -436,14 +436,15 @@ fn rule_sinks(file: &SourceFile, out: &mut Vec<Finding>) {
 }
 
 /// True for identifiers that carry bit-accounting or round-count
-/// semantics: lowercase snake names with a `bits` segment, or the
-/// round counters themselves. Uppercase consts (`WEIGHT_BITS`) are
-/// compile-time and exempt.
+/// semantics: lowercase snake names with a `bits`, `round` or `rounds`
+/// segment (`total_bits`, `rounds_run`, `round_in`). Uppercase consts
+/// (`WEIGHT_BITS`) are compile-time and exempt.
 fn is_accounting_ident(text: &str) -> bool {
     if text.chars().any(|c| c.is_ascii_uppercase()) {
         return false;
     }
-    text == "round" || text == "rounds" || text.split('_').any(|s| s == "bits")
+    text.split('_')
+        .any(|s| s == "bits" || s == "round" || s == "rounds")
 }
 
 /// A1: unchecked `+`/`-`/`*`/`<<` arithmetic on bit-accounting
@@ -470,12 +471,18 @@ fn rule_a1(file: &SourceFile, out: &mut Vec<Finding>) {
             _ => false,
         };
         // Preceded by a binary operator, walking back over a field
-        // chain (`run.bits_exchanged`): `x + run.bits`, `1 << bits`,
-        // `x += bits`. Unary `-x`/`*x` (no operand before the op)
-        // are excluded.
+        // chain with empty-argument method calls
+        // (`run.bits_exchanged`, `out.stats().rounds`): `x + run.bits`,
+        // `1 << bits`, `x += bits`. Unary `-x`/`*x` (no operand before
+        // the op) are excluded.
         let mut j = i;
-        while j >= 2 && code[j - 1].is_punct('.') && code[j - 2].kind == TokKind::Ident {
-            j -= 2;
+        while j >= 2 && code[j - 1].is_punct('.') {
+            let call = j >= 4 && code[j - 2].is_punct(')') && code[j - 3].is_punct('(');
+            let step = if call { 4 } else { 2 };
+            if code[j - step].kind != TokKind::Ident {
+                break;
+            }
+            j -= step;
         }
         let preceded = if j == 0 {
             false

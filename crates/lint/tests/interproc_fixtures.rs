@@ -53,9 +53,13 @@ fn l1_reports_the_cycle_and_the_rank_inversion_only() {
 fn a1_distinguishes_justified_and_bare_allows() {
     let f = findings();
     let a1: Vec<_> = f.iter().filter(|x| x.rule == "A1").collect();
-    assert_eq!(a1.len(), 2, "{a1:#?}");
+    assert_eq!(a1.len(), 4, "{a1:#?}");
     assert!(a1.iter().any(|x| x.snippet.contains("bits_sent + n")));
     assert!(a1.iter().any(|x| x.message.contains("no justification")));
+    assert!(a1.iter().any(|x| x.snippet.contains("rounds_run += 1")));
+    assert!(a1
+        .iter()
+        .any(|x| x.snippet.contains("x += out.stats().rounds")));
 }
 
 #[test]

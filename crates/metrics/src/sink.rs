@@ -1,7 +1,7 @@
 //! Rendering internals: from a merged dump to bytes.
 //!
 //! Everything here is the *private back half* of the facade on
-//! [`MetricsDump`](crate::MetricsDump). Code outside `crates/metrics`
+//! [`MetricsDump`]. Code outside `crates/metrics`
 //! must not name these types or call [`MetricsJsonlSink::write_metric`]
 //! directly (lint rule O2, the metrics mirror of O1): the facade is
 //! the only blessed route from recorded metrics to rendered bytes, so

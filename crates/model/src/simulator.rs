@@ -517,7 +517,7 @@ impl SimConfig {
 /// A round is [`broadcast`](Self::broadcast) for every vertex,
 /// [`sent`](Self::sent) with the round's outbox, the transport's
 /// delivery of that outbox, then [`receive`](Self::receive) with the
-/// delivered view. [`finish`](Self::finish) builds the outcome.
+/// delivered inboxes. [`finish`](Self::finish) builds the outcome.
 pub struct RunState {
     programs: Vec<Box<dyn NodeProgram>>,
     transcripts: Vec<Transcript>,
@@ -591,40 +591,45 @@ impl RunState {
         round_bits
     }
 
-    /// Hands round `round`'s delivered view to the programs. The view
-    /// is canonicalized (inboxes sorted by port label), must cover
-    /// every vertex with `n − 1` entries each, and is recorded in the
-    /// transcripts when recording is on. Each inbox's entry vector is
-    /// lent to the program and put back, so the caller can reuse the
-    /// view's buffers next round.
+    /// Hands round `round`'s delivered inboxes to the programs:
+    /// `inboxes[v]` is vertex `v`'s, a whole [`RoundView`] for a scalar
+    /// run or one lane's slice of a stacked view. Every inbox is
+    /// canonicalized (sorted by port label), there must be one per
+    /// vertex with `n − 1` entries each, and they are recorded in the
+    /// transcripts when recording is on. Each entry vector is lent to
+    /// the program and put back, so the caller can reuse the view's
+    /// buffers next round.
     ///
     /// # Errors
     ///
-    /// A [`TransportError::Protocol`] when the view has the wrong
-    /// number of inboxes, or an inbox the wrong number of entries.
+    /// A [`TransportError::Protocol`] when there is the wrong number
+    /// of inboxes, or an inbox has the wrong number of entries.
     #[inline]
-    pub fn receive(&mut self, round: usize, view: &mut RoundView) -> Result<(), TransportError> {
-        view.canonicalize();
+    pub fn receive(
+        &mut self,
+        round: usize,
+        inboxes: &mut [Vec<(u64, Message)>],
+    ) -> Result<(), TransportError> {
         let n = self.programs.len();
         let expected = n.saturating_sub(1);
         let shape = |detail| TransportError::Protocol {
             detail,
             postmortem: None,
         };
-        if view.num_nodes() != n {
+        if inboxes.len() != n {
             return Err(shape(format!(
                 "round view covers {} of {n} nodes",
-                view.num_nodes()
+                inboxes.len()
             )));
         }
-        let slots = view.inboxes_mut().iter_mut();
-        for (v, (slot, program)) in slots.zip(&mut self.programs).enumerate() {
+        for (v, (slot, program)) in inboxes.iter_mut().zip(&mut self.programs).enumerate() {
             if slot.len() != expected {
                 return Err(shape(format!(
                     "node {v} received {} messages, expected {expected}",
                     slot.len()
                 )));
             }
+            RoundView::canonicalize_inbox(slot);
             if self.record {
                 self.transcripts[v].received.push(slot.clone());
             }
@@ -687,8 +692,8 @@ impl RunState {
 
 /// The scalar execution path every entry point funnels into —
 /// [`SimConfig::run`] reaches it, and the lockstep kernel in
-/// `bcc-engine` pins itself against it. Each round posts the outbox to
-/// `transport` and collects the view; everything observable (spans,
+/// `bcc-engine` pins itself against it. Each round exchanges the
+/// outbox through `transport`; everything observable (spans,
 /// events, `sim.*` metrics, transcripts) is recorded on the driver
 /// side, so conforming transports cannot perturb it.
 fn try_run_impl(
@@ -721,9 +726,8 @@ fn try_run_impl(
             recorder.broadcast(v, m);
         }
         let delivered = transport
-            .post(round, &outbox)
-            .and_then(|()| transport.collect_into(round, &outbox, &mut view))
-            .and_then(|()| run.receive(round, &mut view));
+            .exchange_into(round, &outbox, &mut view)
+            .and_then(|()| run.receive(round, view.inboxes_mut()));
         if let Err(err) = delivered {
             recorder.abort(Some(round), &err);
             return Err(err);

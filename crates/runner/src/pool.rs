@@ -194,10 +194,10 @@ impl Pool {
     /// the cancellation through their [`JobCtx`].
     ///
     /// Every job gets a trace buffer and a metrics buffer (unit = job
-    /// id). The trace buffer's lifecycle `job` span wraps whatever the
-    /// work closure records through [`JobCtx::trace`]; the metrics
-    /// buffer collects what it records through [`JobCtx::metrics`]
-    /// plus the runner's own logical outcome counters (`runner.jobs`,
+    /// id), both behind the one handle [`JobCtx::observer`]. The trace
+    /// buffer's lifecycle `job` span wraps whatever the work closure
+    /// records through it; the metrics buffer collects what it records
+    /// there plus the runner's own logical outcome counters (`runner.jobs`,
     /// `runner.completed`, `runner.retries`, …). Finished buffers are
     /// absorbed into `collector` and `hub`; pass
     /// [`Collector::disabled`] and [`MetricsHub::disabled`] to observe

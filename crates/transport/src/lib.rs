@@ -10,7 +10,7 @@
 //! ## Determinism contract
 //!
 //! A socket run must be **byte-identical** to an in-process
-//! [`LocalTransport`](bcc_model::transport::LocalTransport) run for
+//! [`LocalTransport`] run for
 //! the same seed — same reports, same merged traces, same metrics
 //! dumps. That holds by construction:
 //!
@@ -67,7 +67,7 @@ pub use worker::EXIT_AFTER_ENV;
 
 use std::sync::Arc;
 
-/// The argv[1] magic that turns any participating binary into a
+/// The `argv[1]` magic that turns any participating binary into a
 /// transport worker (see [`maybe_run_worker`]).
 pub const WORKER_FLAG: &str = "--bcc-transport-worker";
 

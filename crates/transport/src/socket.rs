@@ -10,19 +10,17 @@
 //! independent of which worker answered first. No wall-clock value
 //! ever crosses the wire; all accounting stays in the driver.
 //!
-//! Delivery is split in two ([`Transport::post`] writes the `round`
-//! lines, [`Transport::collect_into`] reads the views), so a driver
-//! with many sessions on one group — the batched engine, one per
-//! lane — can have all of them in flight at once. A worker answers in
-//! command order, so a read for one session may meet another
-//! session's reply first; [`GroupInner::read_for`] sets such replies
-//! aside, keyed by `(session, rank)`, until their session collects.
+//! Many sessions share one group (concurrent runs in one process),
+//! and each holds the group's lock for a whole round trip, from its
+//! `round` lines to its last view. So the only reply ever waiting on
+//! a link is the lock holder's, and a reply naming any other session
+//! or round is a protocol failure.
 //!
 //! That includes the transport's own accounting (DESIGN.md §15):
-//! each open session holds one [`SessionSpan`] per rank, and every
+//! each open session holds one `SessionSpan` per rank, and every
 //! view [`wire::split_view`] accepts adds its round, frames and
 //! symbols to its rank's span. A closed session's spans go to the
-//! factory's [`TelemetryStore`], and one `flush_telemetry` call per
+//! factory's `TelemetryStore`, and one `flush_telemetry` call per
 //! run set derives counters and synthesizes trace events from them —
 //! rank order, spans canonically sorted — into the shared
 //! `Collector`/`MetricsHub` as the `transport.*` counter family under
@@ -437,15 +435,6 @@ enum RawError {
     Protocol(String),
 }
 
-/// The session a reply answers; `None` for replies that name none
-/// (`hello`, `bye`, `error`).
-fn reply_session(reply: &Reply) -> Option<u64> {
-    match reply {
-        Reply::Ok { session } | Reply::View { session, .. } => Some(*session),
-        Reply::Hello { .. } | Reply::Bye | Reply::Error { .. } => None,
-    }
-}
-
 struct GroupInner {
     /// One link per worker, index = rank.
     links: Vec<Link>,
@@ -454,9 +443,6 @@ struct GroupInner {
     /// Sessions opened and not yet closed, each with one span per
     /// rank.
     open_sessions: BTreeMap<u64, Vec<SessionSpan>>,
-    /// Replies read while looking for another session's, kept until
-    /// their own session reads them.
-    set_aside: BTreeMap<(u64, usize), Reply>,
     /// Per-rank liveness as far as the coordinator knows.
     alive: Vec<bool>,
     /// Factory label (`sockets:N`), echoed into postmortems.
@@ -480,7 +466,6 @@ impl GroupInner {
                 *alive = false;
             }
         }
-        self.set_aside.clear();
         let open = std::mem::take(&mut self.open_sessions);
         for spans in open.values() {
             self.telemetry.record_closed(spans, &self.alive);
@@ -608,30 +593,6 @@ impl GroupInner {
             };
             self.fail(err)
         })
-    }
-
-    /// Reads rank `rank`'s next reply to `session`, or one that names
-    /// no session (an `error` is fatal whoever it answers). Replies to
-    /// other sessions met on the way are [set aside](Self::set_aside).
-    fn read_for(&mut self, rank: usize, session: u64) -> Result<Reply, TransportError> {
-        if let Some(reply) = self.set_aside.remove(&(session, rank)) {
-            return Ok(reply);
-        }
-        loop {
-            let reply = self.read_reply(rank)?;
-            match reply_session(&reply) {
-                Some(other) if other != session => self.set_aside(rank, other, reply),
-                _ => return Ok(reply),
-            }
-        }
-    }
-
-    /// Keeps a reply until its session reads it. A session that is no
-    /// longer open will never read it, so its reply is dropped.
-    fn set_aside(&mut self, rank: usize, session: u64, reply: Reply) {
-        if self.open_sessions.contains_key(&session) {
-            self.set_aside.insert((session, rank), reply);
-        }
     }
 
     /// Fails the group on a reply that is not the one expected: an
@@ -870,7 +831,6 @@ impl WorkerGroup {
                 children,
                 next_session: 1,
                 open_sessions: BTreeMap::new(),
-                set_aside: BTreeMap::new(),
                 alive: vec![true; workers],
                 backend,
                 telemetry,
@@ -919,8 +879,8 @@ impl WorkerGroup {
             inner.send_line(rank, &line, &WireMeta::of_command(&cmd))?;
         }
         for rank in 0..self.workers {
-            match inner.read_for(rank, session)? {
-                Reply::Ok { .. } => {}
+            match inner.read_reply(rank)? {
+                Reply::Ok { session: s } if s == session => {}
                 other => return Err(inner.reject(rank, other, "open")),
             }
         }
@@ -928,18 +888,23 @@ impl WorkerGroup {
         Ok(session)
     }
 
-    /// Writes one round's `round` line to every rank and returns
-    /// without reading a reply. A write that fails is not reported
-    /// here: a broken link fails its next read, and
-    /// [`collect_round`](Self::collect_round) reads the ranks in
+    /// Delivers one round under the group lock: the `round` line to
+    /// every rank, then every rank's view, read in rank order and
+    /// restored into `view`. A write that fails is not reported by
+    /// itself: a broken link fails its read, and reads go in rank
     /// order, so the rank a failure names never depends on which
-    /// write noticed first. Posting relies on the kernel's socket
-    /// buffers to hold every `round` line in flight (DESIGN.md §14).
-    fn post_round(
+    /// write noticed first. Each `view` carries only symbols; the
+    /// entries' labels come back from `routes`, the plan this session
+    /// was opened with. Each accepted view is counted on its rank's
+    /// span at once, so a later rank's failure leaves the earlier
+    /// ranks' views counted.
+    fn exchange_round(
         &self,
         session: u64,
+        routes: &Routes,
         round: usize,
         outbox: &[Message],
+        view: &mut RoundView,
     ) -> Result<(), TransportError> {
         let mut inner = self.locked();
         Self::check_live(&inner)?;
@@ -953,35 +918,18 @@ impl WorkerGroup {
         for rank in 0..self.workers {
             let _ = inner.send_raw(rank, &line, &meta);
         }
-        Ok(())
-    }
-
-    /// Reads one posted round's views in rank order and restores them
-    /// into `view`. Each `view` carries only symbols; the entries'
-    /// labels come back from `routes`, the plan this session was
-    /// opened with. Each accepted view is counted on its rank's span
-    /// at once, so a later rank's failure leaves the earlier ranks'
-    /// views counted.
-    fn collect_round(
-        &self,
-        session: u64,
-        routes: &Routes,
-        round: usize,
-        outbox: &[Message],
-        view: &mut RoundView,
-    ) -> Result<(), TransportError> {
-        let mut inner = self.locked();
-        Self::check_live(&inner)?;
         // Rank-order reads make the merge deterministic: slices are
         // contiguous ascending node ranges, so filling them in rank
         // order is node order.
         let n = routes.num_nodes();
         let slots = view.reset(n);
         for rank in 0..self.workers {
-            let part = match inner.read_for(rank, session)? {
+            let part = match inner.read_reply(rank)? {
                 Reply::View {
-                    round: r, inboxes, ..
-                } if r == round => inboxes,
+                    session: s,
+                    round: r,
+                    inboxes,
+                } if s == session && r == round => inboxes,
                 other => return Err(inner.reject(rank, other, "round")),
             };
             let (lo, hi) = node_range(n, self.workers, rank);
@@ -1003,8 +951,7 @@ impl WorkerGroup {
     }
 
     /// Ends a session: a one-way `close` to every rank, then the
-    /// session's spans go to the store. Replies set aside for it are
-    /// dropped, and any still on the wire are dropped when read.
+    /// session's spans go to the store.
     fn close_session(&self, session: u64) -> Result<(), TransportError> {
         let mut inner = self.locked();
         Self::check_live(&inner)?;
@@ -1014,7 +961,6 @@ impl WorkerGroup {
         for rank in 0..self.workers {
             inner.send_line(rank, &line, &meta)?;
         }
-        inner.set_aside.retain(|&(s, _), _| s != session);
         if let Some(spans) = inner.open_sessions.remove(&session) {
             inner.telemetry.record_closed(&spans, &inner.alive);
         }
@@ -1052,10 +998,8 @@ pub struct SocketTransport {
 struct Session {
     id: u64,
     /// The plan the session was opened with. `view` replies carry
-    /// symbols only, and every collect labels them from it.
+    /// symbols only, and every exchange labels them from it.
     routes: Routes,
-    /// The round posted and not yet collected.
-    posted: Option<usize>,
 }
 
 fn misuse(detail: String) -> TransportError {
@@ -1063,15 +1007,6 @@ fn misuse(detail: String) -> TransportError {
         detail,
         postmortem: None,
     }
-}
-
-fn opened<'a>(
-    session: &'a mut Option<Session>,
-    op: &str,
-) -> Result<&'a mut Session, TransportError> {
-    session
-        .as_mut()
-        .ok_or_else(|| misuse(format!("{op} before open")))
 }
 
 impl Transport for SocketTransport {
@@ -1083,42 +1018,28 @@ impl Transport for SocketTransport {
         self.session = Some(Session {
             id,
             routes: routes.clone(),
-            posted: None,
         });
         Ok(())
     }
 
     fn exchange(&mut self, round: usize, outbox: &[Message]) -> Result<RoundView, TransportError> {
-        self.post(round, outbox)?;
         let mut view = RoundView::default();
-        self.collect_into(round, outbox, &mut view)?;
+        self.exchange_into(round, outbox, &mut view)?;
         Ok(view)
     }
 
-    fn post(&mut self, round: usize, outbox: &[Message]) -> Result<(), TransportError> {
-        let session = opened(&mut self.session, "post")?;
-        if let Some(posted) = session.posted {
-            return Err(misuse(format!(
-                "round {round} posted while round {posted} is in flight"
-            )));
-        }
-        self.group.post_round(session.id, round, outbox)?;
-        session.posted = Some(round);
-        Ok(())
-    }
-
-    fn collect_into(
+    fn exchange_into(
         &mut self,
         round: usize,
         outbox: &[Message],
         view: &mut RoundView,
     ) -> Result<(), TransportError> {
-        let session = opened(&mut self.session, "collect")?;
-        if session.posted.take() != Some(round) {
-            return Err(misuse(format!("round {round} collected but not posted")));
-        }
+        let session = self
+            .session
+            .as_ref()
+            .ok_or_else(|| misuse("exchange before open".to_string()))?;
         self.group
-            .collect_round(session.id, &session.routes, round, outbox, view)
+            .exchange_round(session.id, &session.routes, round, outbox, view)
     }
 
     fn barrier(&mut self) -> Result<(), TransportError> {
@@ -1137,7 +1058,7 @@ impl Transport for SocketTransport {
 
 impl Drop for SocketTransport {
     /// A run that unwinds without reaching `teardown` still closes its
-    /// session, so no reply is ever kept for it.
+    /// session, so the workers drop it and its spans are recorded.
     fn drop(&mut self) {
         self.teardown();
     }
@@ -1156,7 +1077,7 @@ enum GroupSlot {
 /// A group whose workers died is respawned on the next `create` (the
 /// failure was transient); a group that never spawned (bad binary) is
 /// cached as failed so repeated runs fail fast instead of re-exec'ing
-/// a broken command. The factory's [`TelemetryStore`] outlives both:
+/// a broken command. The factory's `TelemetryStore` outlives both:
 /// telemetry, postmortems, and wall stats accumulate across respawns
 /// until drained through the [`TransportFactory`] observability
 /// hooks.
@@ -1258,7 +1179,6 @@ impl TransportFactory for SocketFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcc_model::transport::LocalTransport;
 
     #[test]
     fn node_ranges_partition() {
@@ -1274,149 +1194,6 @@ mod tests {
                 assert_eq!(covered, n, "ranges must cover 0..{n}");
             }
         }
-    }
-
-    /// A group whose workers are threads of this process running the
-    /// real worker loop, so set-aside routing is testable without a
-    /// worker binary. Dropping the group shuts the threads down.
-    fn thread_group(workers: usize) -> Arc<WorkerGroup> {
-        let (listener, port) = listen().unwrap();
-        for rank in 0..workers {
-            std::thread::spawn(move || {
-                crate::worker::run_from_args(&[port.to_string(), rank.to_string()])
-            });
-        }
-        let (links, _) = accept_links(&listener, workers, &mut []).unwrap();
-        Arc::new(WorkerGroup::assemble(
-            links,
-            Vec::new(),
-            "threads".to_string(),
-            TelemetryStore::new(),
-        ))
-    }
-
-    /// `lanes` sessions of an `n`-cycle with distinct wirings, each
-    /// paired with the in-process oracle for the same routes.
-    fn sessions(
-        group: &Arc<WorkerGroup>,
-        n: usize,
-        lanes: u64,
-    ) -> Vec<(SocketTransport, LocalTransport)> {
-        (0..lanes)
-            .map(|wiring| {
-                let inst =
-                    bcc_model::Instance::new_kt0(bcc_graphs::generators::cycle(n), wiring).unwrap();
-                let routes = Routes::of(inst.network());
-                let mut socket = SocketTransport {
-                    group: Arc::clone(group),
-                    session: None,
-                };
-                socket.open(&routes).unwrap();
-                let mut local = LocalTransport::new();
-                local.open(&routes).unwrap();
-                (socket, local)
-            })
-            .collect()
-    }
-
-    fn outbox(n: usize, lane: usize, round: usize, b: usize) -> Vec<Message> {
-        (0..n)
-            .map(|v| Message::from_bits((v * 7 + lane * 3 + round) as u64, b))
-            .collect()
-    }
-
-    fn set_aside(group: &WorkerGroup) -> usize {
-        group.locked().set_aside.len()
-    }
-
-    #[test]
-    fn out_of_order_collects_are_routed_and_nothing_is_kept_after_a_batch() {
-        let group = thread_group(2);
-        let mut lanes = sessions(&group, 5, 3);
-        let mut view = RoundView::default();
-        for round in 0..3 {
-            let outboxes: Vec<Vec<Message>> = (0..lanes.len())
-                .map(|lane| outbox(5, lane, round, 2))
-                .collect();
-            for ((socket, _), out) in lanes.iter_mut().zip(&outboxes) {
-                socket.post(round, out).unwrap();
-            }
-            // Collecting the last lane first reads past both earlier
-            // lanes' views on every rank.
-            for (k, ((socket, local), out)) in lanes.iter_mut().zip(&outboxes).enumerate().rev() {
-                socket.collect_into(round, out, &mut view).unwrap();
-                assert_eq!(view, local.exchange(round, out).unwrap(), "lane {k}");
-                assert_eq!(
-                    set_aside(&group),
-                    2 * k,
-                    "lane {k} leaves the lanes below it"
-                );
-            }
-        }
-        for (socket, _) in &mut lanes {
-            socket.barrier().unwrap();
-        }
-        assert_eq!(set_aside(&group), 0);
-        assert!(group.locked().open_sessions.is_empty());
-    }
-
-    #[test]
-    fn an_aborted_batch_leaves_no_reply_behind() {
-        let group = thread_group(2);
-        let mut view = RoundView::default();
-        // Abort after one collect: the lanes below it have views set
-        // aside, which their teardown drops.
-        let mut batch = sessions(&group, 5, 3);
-        for (lane, (socket, _)) in batch.iter_mut().enumerate() {
-            socket.post(0, &outbox(5, lane, 0, 1)).unwrap();
-        }
-        batch[2]
-            .0
-            .collect_into(0, &outbox(5, 2, 0, 1), &mut view)
-            .unwrap();
-        assert_eq!(set_aside(&group), 4);
-        for (socket, _) in &mut batch {
-            socket.teardown();
-        }
-        assert_eq!(set_aside(&group), 0);
-        // Abort before any collect: the views are still on the wire,
-        // and the next session to read drops them, not keeps them.
-        let mut batch = sessions(&group, 5, 3);
-        for (lane, (socket, _)) in batch.iter_mut().enumerate() {
-            socket.post(0, &outbox(5, lane, 0, 1)).unwrap();
-        }
-        drop(batch);
-        let (mut socket, mut local) = sessions(&group, 5, 1).pop().unwrap();
-        let out = outbox(5, 0, 0, 1);
-        assert_eq!(
-            socket.exchange(0, &out).unwrap(),
-            local.exchange(0, &out).unwrap()
-        );
-        assert_eq!(set_aside(&group), 0);
-        socket.barrier().unwrap();
-        assert!(group.locked().open_sessions.is_empty());
-    }
-
-    #[test]
-    fn posting_twice_or_collecting_unposted_is_a_protocol_error() {
-        let group = thread_group(1);
-        let (mut socket, mut local) = sessions(&group, 4, 1).pop().unwrap();
-        let out = outbox(4, 0, 0, 1);
-        let mut view = RoundView::default();
-        let unposted = socket.collect_into(0, &out, &mut view);
-        assert!(matches!(unposted, Err(TransportError::Protocol { .. })));
-        socket.post(0, &out).unwrap();
-        let twice = socket.post(1, &out);
-        assert!(matches!(twice, Err(TransportError::Protocol { .. })));
-        let wrong_round = socket.collect_into(1, &out, &mut view);
-        assert!(matches!(wrong_round, Err(TransportError::Protocol { .. })));
-        // Misuse is the driver's fault; the group stays healthy.
-        assert!(!group.is_dead());
-        let (mut socket, _) = sessions(&group, 4, 1).pop().unwrap();
-        assert_eq!(
-            socket.exchange(0, &out).unwrap(),
-            local.exchange(0, &out).unwrap()
-        );
     }
 
     #[test]

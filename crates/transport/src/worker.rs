@@ -9,9 +9,9 @@
 //! counts nothing: the coordinator tallies each rank's traffic from
 //! the views it reads (DESIGN.md §15). A `close` drops the session
 //! and is not answered. Every other command is answered once, in the
-//! order the commands arrived; with many sessions' rounds in flight
-//! the coordinator relies on that order to route each reply to its
-//! session.
+//! order the commands arrived. A session may stack many independent
+//! runs into one plan (the batched engine's lanes); to the worker it
+//! is just a plan with more rows.
 //!
 //! EOF on the command stream is a clean shutdown (the coordinator
 //! dropped the group); every malformed or unserviceable command is
