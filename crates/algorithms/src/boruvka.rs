@@ -60,7 +60,10 @@ impl Algorithm for BoruvkaMinLabel {
         );
         // KT-1 guarantees `all_ids` (mode asserted above); a malformed
         // init degrades to a singleton network instead of panicking.
-        let all_ids = init.all_ids.clone().unwrap_or_else(|| vec![init.id]);
+        let all_ids = init
+            .all_ids
+            .as_deref()
+            .map_or_else(|| vec![init.id], <[u64]>::to_vec);
         let max_id = all_ids.last().copied().unwrap_or(init.id) as usize;
         let id_width = bits_needed(max_id + 1).max(bits_needed(init.n.max(2)));
         let label = init.id;

@@ -43,7 +43,7 @@ fn neighbor_ids(init: &InitialKnowledge) -> Vec<u64> {
         KnowledgeMode::Kt1,
         "the common-neighbor demos use KT-1 (IDs 0..n as vertex names)"
     );
-    init.input_port_labels.clone()
+    init.input_port_labels.to_vec()
 }
 
 /// The unicast (range-3) solution: one round of per-port witness bits.
@@ -60,7 +60,7 @@ impl RangeAlgorithm for CommonNeighborUnicast {
         Box::new(UnicastNode {
             id: init.id,
             n: init.n,
-            port_labels: init.port_labels.clone(),
+            port_labels: init.port_labels.to_vec(),
             neighbors,
             answer: None,
         })

@@ -36,10 +36,14 @@ impl Algorithm for FullGraphBroadcast {
             KnowledgeMode::Kt1,
             "FullGraphBroadcast requires KT-1 (needs IDs); wrap in Kt0Upgrade for KT-0"
         );
-        let all_ids = init.all_ids.clone().expect("KT-1 provides all ids");
+        let all_ids = init
+            .all_ids
+            .as_deref()
+            .expect("KT-1 provides all ids")
+            .to_vec();
         Box::new(FullBroadcastNode {
             problem: self.problem,
-            neighbor_ids: init.input_port_labels.clone(),
+            neighbor_ids: init.input_port_labels.to_vec(),
             init,
             all_ids,
             // rows[sender index in sorted-ID order][j] = received bit.

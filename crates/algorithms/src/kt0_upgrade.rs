@@ -104,8 +104,8 @@ impl<A: Algorithm> UpgradeNode<A> {
             bandwidth: self.outer.bandwidth,
             mode: KnowledgeMode::Kt1,
             port_labels: self.port_id_map.iter().map(|&(_, id)| id).collect(),
-            input_port_labels: input_ids,
-            all_ids: Some(all_ids),
+            input_port_labels: input_ids.into(),
+            all_ids: Some(all_ids.into()),
             coin_seed: self.outer.coin_seed,
         };
         self.inner = Some(self.factory.spawn(inner_ik));

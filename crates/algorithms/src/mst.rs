@@ -67,7 +67,10 @@ impl Algorithm for BoruvkaMst {
         // KT-1 guarantees `all_ids` (mode asserted above) and every
         // port label appears in it; the fallbacks keep a malformed
         // init deterministic instead of panicking.
-        let all_ids = init.all_ids.clone().unwrap_or_else(|| vec![init.id]);
+        let all_ids = init
+            .all_ids
+            .as_deref()
+            .map_or_else(|| vec![init.id], <[u64]>::to_vec);
         let n = init.n;
         let me = all_ids.iter().position(|&id| id == init.id).unwrap_or(0);
         let neighbors: Vec<usize> = init

@@ -49,13 +49,17 @@ impl Algorithm for NeighborIdBroadcast {
             "NeighborIdBroadcast requires KT-1; wrap in Kt0Upgrade for KT-0"
         );
         let width = bits_needed(init.n);
-        let all_ids = init.all_ids.clone().expect("KT-1 provides all ids");
+        let all_ids = init
+            .all_ids
+            .as_deref()
+            .expect("KT-1 provides all ids")
+            .to_vec();
         let my_degree = init.input_degree() as u64;
         Box::new(NeighborNode {
             problem: self.problem,
             width,
             all_ids,
-            my_neighbor_ids: init.input_port_labels.clone(),
+            my_neighbor_ids: init.input_port_labels.to_vec(),
             init,
             degree_schedule: BitSchedule::of_value(my_degree, width),
             degree_accs: Vec::new(),

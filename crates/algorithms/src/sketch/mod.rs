@@ -87,7 +87,10 @@ impl Algorithm for SketchConnectivity {
         // KT-1 guarantees `all_ids` (mode asserted above); the
         // fallbacks keep a malformed init deterministic instead of
         // panicking.
-        let all_ids = init.all_ids.clone().unwrap_or_else(|| vec![init.id]);
+        let all_ids = init
+            .all_ids
+            .as_deref()
+            .map_or_else(|| vec![init.id], <[u64]>::to_vec);
         let max_phases = 2 * bcc_model::codec::bits_needed(n) + 4;
         let me = all_ids.iter().position(|&id| id == init.id).unwrap_or(0);
         // Component labels: everyone starts in their own component,

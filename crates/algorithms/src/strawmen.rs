@@ -42,7 +42,7 @@ impl Algorithm for HashVoteDecider {
 
     fn spawn(&self, init: InitialKnowledge) -> Box<dyn NodeProgram> {
         let mut h = mix(init.id ^ mix(init.coin_seed));
-        for &p in &init.input_port_labels {
+        for &p in init.input_port_labels.iter() {
             h = mix(h ^ p);
         }
         Box::new(HashVoteNode {

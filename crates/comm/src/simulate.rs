@@ -74,8 +74,8 @@ fn knowledge_for(
         n: num_vertices,
         bandwidth: 1,
         mode: KnowledgeMode::Kt1,
-        port_labels,
-        input_port_labels: neighbor_ids,
+        port_labels: port_labels.into(),
+        input_port_labels: neighbor_ids.into(),
         all_ids: Some((0..num_vertices as u64).collect()),
         coin_seed,
     }

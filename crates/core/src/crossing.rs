@@ -263,6 +263,27 @@ mod tests {
     }
 
     #[test]
+    fn crossing_a_warm_instance_rederives_its_start() {
+        // A run warms the instance's start table; the crossed clone
+        // must not inherit it.
+        let warm = cycle_instance(10);
+        let _ = SimConfig::bcc1(2).run(&warm, &EchoBit, 0);
+        let crossed =
+            cross_instance(&warm, DirectedEdge::new(0, 1), DirectedEdge::new(5, 6)).unwrap();
+        let cold = Instance::new(crossed.network().clone(), crossed.input().clone()).unwrap();
+        assert_ne!(crossed.routes(), warm.routes());
+        assert_eq!(crossed.routes(), cold.routes());
+        for v in 0..10 {
+            assert_eq!(
+                crossed.initial_knowledge(v, 1, 3),
+                cold.initial_knowledge(v, 1, 3),
+                "vertex {v}"
+            );
+        }
+        assert_eq!(crossed, cold);
+    }
+
+    #[test]
     fn crossing_is_involution() {
         let i1 = cycle_instance(9);
         let e1 = DirectedEdge::new(1, 2);

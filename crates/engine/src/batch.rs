@@ -98,6 +98,15 @@ impl PackedRound {
     }
 }
 
+/// The buffers one batch refills every round: the stacked outbox and
+/// the stacked view. A sweep lends one set to every batch, so after
+/// the first batch no inbox vector is allocated again.
+#[derive(Debug, Default)]
+pub(crate) struct BatchBuffers {
+    outbox: Vec<Message>,
+    view: RoundView,
+}
+
 /// The batched executor. Construction is cheap; one value can run any
 /// number of batches.
 #[derive(Debug, Clone)]
@@ -130,7 +139,17 @@ impl BatchRun {
     /// Panics if `lanes` is empty, has more than [`MAX_LANES`]
     /// entries, or mixes instances with different vertex counts.
     pub fn run(&self, lanes: &[Lane<'_>], algorithm: &dyn Algorithm) -> Vec<RunOutcome> {
-        match self.try_run(lanes, algorithm) {
+        self.run_with(lanes, algorithm, &mut BatchBuffers::default())
+    }
+
+    /// [`run`](Self::run) with borrowed round buffers.
+    pub(crate) fn run_with(
+        &self,
+        lanes: &[Lane<'_>],
+        algorithm: &dyn Algorithm,
+        buffers: &mut BatchBuffers,
+    ) -> Vec<RunOutcome> {
+        match self.try_run_with(lanes, algorithm, buffers) {
             Ok(outcomes) => outcomes,
             Err(err) => lanes
                 .iter()
@@ -145,8 +164,9 @@ impl BatchRun {
     /// lane.
     ///
     /// Message delivery routes through one [`Transport`] from the
-    /// configuration's factory, opened with the lanes' networks
-    /// [stacked](Routes::stacked) into one plan: each round is one
+    /// configuration's factory, opened with the lanes' cached plans
+    /// ([`Instance::routes`]) [stacked](Routes::stacked) into one
+    /// plan: each round is one
     /// exchange of an `L·n` outbox, and each active lane receives its
     /// own `n` inboxes of the view. The trace and all accounting stay
     /// driver-side, so outcomes do not depend on the backend. A
@@ -172,21 +192,43 @@ impl BatchRun {
         lanes: &[Lane<'_>],
         algorithm: &dyn Algorithm,
     ) -> Result<Vec<RunOutcome>, TransportError> {
+        self.try_run_with(lanes, algorithm, &mut BatchBuffers::default())
+    }
+
+    /// [`try_run`](Self::try_run) with borrowed round buffers.
+    fn try_run_with(
+        &self,
+        lanes: &[Lane<'_>],
+        algorithm: &dyn Algorithm,
+        buffers: &mut BatchBuffers,
+    ) -> Result<Vec<RunOutcome>, TransportError> {
         let mut transport = self.cfg.transport_factory().create();
         let result = self.cfg.observer().with(|trace, metrics| {
-            run_batch_impl(&self.cfg, &mut *transport, lanes, algorithm, trace, metrics)
+            run_batch_impl(
+                &self.cfg,
+                &mut *transport,
+                lanes,
+                algorithm,
+                buffers,
+                trace,
+                metrics,
+            )
         });
         transport.teardown();
         result
     }
 
     /// Runs an arbitrarily long lane list by splitting it into
-    /// [`MAX_LANES`]-wide batches, preserving lane order.
+    /// [`MAX_LANES`]-wide batches, preserving lane order. Every batch
+    /// is its own transport session, and all of them refill one
+    /// outbox and one view.
     pub fn run_chunked(&self, lanes: &[Lane<'_>], algorithm: &dyn Algorithm) -> Vec<RunOutcome> {
-        lanes
-            .chunks(MAX_LANES)
-            .flat_map(|chunk| self.run(chunk, algorithm))
-            .collect()
+        let mut buffers = BatchBuffers::default();
+        let mut outcomes = Vec::with_capacity(lanes.len());
+        for chunk in lanes.chunks(MAX_LANES) {
+            outcomes.extend(self.run_with(chunk, algorithm, &mut buffers));
+        }
+        outcomes
     }
 }
 
@@ -214,6 +256,7 @@ fn run_batch_impl(
     transport: &mut dyn Transport,
     lanes: &[Lane<'_>],
     algorithm: &dyn Algorithm,
+    buffers: &mut BatchBuffers,
     trace: &mut TraceBuf,
     metrics: &mut MetricsBuf,
 ) -> Result<Vec<RunOutcome>, TransportError> {
@@ -227,8 +270,8 @@ fn run_batch_impl(
     );
     // The open happens before the batch span starts, so an open
     // failure returns with no spans to unwind.
-    let networks: Vec<_> = lanes.iter().map(|(inst, _)| inst.network()).collect();
-    transport.open(&Routes::stacked(&networks))?;
+    let plans: Vec<&Routes> = lanes.iter().map(|(inst, _)| inst.routes()).collect();
+    transport.open(&Routes::stacked(&plans))?;
     let b = cfg.bandwidth_per_round();
     // Executed rounds and their total broadcast bits, for the
     // end-of-batch `engine.*` counters.
@@ -257,10 +300,11 @@ fn run_batch_impl(
     }
 
     let mut packed = PackedRound::new(n, b);
-    // One stacked outbox and one stacked view for the whole batch,
+    // One stacked outbox and one stacked view, lent by the caller and
     // refilled every round: lane `i`'s vertices are `i·n..(i + 1)·n`.
-    let mut outbox: Vec<Message> = Vec::with_capacity(l * n);
-    let mut view = RoundView::default();
+    let BatchBuffers { outbox, view } = buffers;
+    outbox.clear();
+    outbox.reserve(l * n);
     for round in 0..cfg.max_rounds() {
         if active == 0 {
             break;
@@ -290,7 +334,7 @@ fn run_batch_impl(
                 outbox.extend((0..n).map(|v| packed.unpack(lane, v)));
             }
         }
-        if let Err(err) = transport.exchange_into(round, &outbox, &mut view) {
+        if let Err(err) = transport.exchange_into(round, outbox, view) {
             return Err(abort_batch(trace, Some(round), err));
         }
         // A view cut short inside an active lane fails in that lane's

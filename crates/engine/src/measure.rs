@@ -9,7 +9,7 @@
 //! summation order*, so a report assembled from batched numbers never
 //! differs from the scalar report by even a ULP.
 
-use crate::batch::{BatchRun, Lane, MAX_LANES};
+use crate::batch::{BatchBuffers, BatchRun, Lane, MAX_LANES};
 use bcc_comm::reduction::{gadget_graph, Gadget};
 use bcc_comm::simulate::SimulationReport;
 use bcc_comm::CommError;
@@ -132,6 +132,8 @@ impl BatchRun {
         coin_seed: u64,
     ) -> f64 {
         let mut error = 0.0f64;
+        // Every batch refills one outbox and one view.
+        let mut buffers = BatchBuffers::default();
         let mut i = 0;
         while i < dist.len() {
             // A batch is a maximal contiguous same-shape slice of the
@@ -147,7 +149,7 @@ impl BatchRun {
                 .iter()
                 .map(|wi| (&wi.instance, coin_seed))
                 .collect();
-            let outcomes = self.run(&lanes, algorithm);
+            let outcomes = self.run_with(&lanes, algorithm, &mut buffers);
             for (wi, out) in dist[i..j].iter().zip(&outcomes) {
                 let said_yes = out.system_decision() == Decision::Yes;
                 error += if said_yes == wi.is_one_cycle {

@@ -1,7 +1,10 @@
-//! Allocation budget of the round loop: once a run is set up, a round
-//! allocates nothing, on the batched kernel and on the scalar driver,
-//! and the inline `Message` forms never touch the heap. Unobserved
-//! configurations are free to build and clone.
+//! Allocation budget of the round loop and of a run's set-up: once a
+//! run is set up, a round allocates nothing, on the batched kernel and
+//! on the scalar driver, and the inline `Message` forms never touch the
+//! heap. Set-up is pinned per run: a warm instance hands out initial
+//! knowledge without allocating, a warm batch allocates an exact count
+//! per lane, and a sweep's later chunks reuse the first chunk's inbox
+//! vectors. Unobserved configurations are free to build and clone.
 //!
 //! A counting global allocator tallies allocations per thread, so
 //! tests running in parallel in this binary cannot disturb each
@@ -114,6 +117,68 @@ fn scalar_rounds_allocate_nothing() {
     let ((), two) = allocations(|| run(2));
     let ((), three) = allocations(|| run(3));
     assert_eq!(three, two, "a scalar round allocated");
+}
+
+/// Allocations of a warm `HashVoteDecider` batch with recording off,
+/// per lane: the program vector and the 7 boxed programs (8), the
+/// outcome's decision, label and spanning-edge vectors (3), and the
+/// lane's 7 inbox vectors in a fresh stacked view (7).
+const BATCH_PER_LANE: u64 = 18;
+/// The same batch's allocations per batch: the default factory handle,
+/// the transport, the plan list, the stacked plan's two slices, the
+/// lane vector, the packed words, the outbox, the view's inbox list
+/// and the outcome vector.
+const BATCH_FIXED: u64 = 10;
+
+#[test]
+fn initial_knowledge_on_a_warm_instance_allocates_nothing() {
+    for instance in [
+        Instance::new_kt0(generators::two_cycles(3, 4), 9).expect("valid"),
+        Instance::new_kt1(generators::two_cycles(3, 4)).expect("valid"),
+    ] {
+        assert_eq!(instance.num_vertices(), 7);
+        let _ = instance.initial_knowledge(0, 1, 0);
+        let (knowledge, count) =
+            allocations(|| std::array::from_fn::<_, 7, _>(|v| instance.initial_knowledge(v, 1, 5)));
+        assert_eq!(count, 0, "{:?} knowledge allocated", instance.mode());
+        assert!(knowledge.iter().all(|k| k.coin_seed == 5 && k.n == 7));
+    }
+}
+
+#[test]
+fn warm_batch_allocates_a_pinned_count_per_lane() {
+    let instances = lanes_instances();
+    let batch = BatchRun::new(SimConfig::bcc1(2).transcripts(false));
+    for l in [1, MAX_LANES] {
+        let lanes: Vec<Lane<'_>> = instances[..l].iter().map(|i| (i, 5)).collect();
+        // Warm-up: the instances derive their start tables here.
+        batch.run(&lanes, &HashVoteDecider::new(2));
+        let (outcomes, count) = allocations(|| batch.run(&lanes, &HashVoteDecider::new(2)));
+        assert!(outcomes.iter().all(|o| o.stats().rounds == 2));
+        assert_eq!(
+            count,
+            BATCH_FIXED + l as u64 * BATCH_PER_LANE,
+            "a warm {l}-lane batch"
+        );
+    }
+}
+
+#[test]
+fn second_chunk_allocates_no_inbox_vectors() {
+    let instances = lanes_instances();
+    let lanes: Vec<Lane<'_>> = instances.iter().chain(&instances).map(|i| (i, 5)).collect();
+    let batch = BatchRun::new(SimConfig::bcc1(2).transcripts(false));
+    let algorithm = HashVoteDecider::new(2);
+    batch.run(&lanes[..MAX_LANES], &algorithm);
+    let (_, one) = allocations(|| batch.run_chunked(&lanes[..MAX_LANES], &algorithm));
+    let (outcomes, two) = allocations(|| batch.run_chunked(&lanes, &algorithm));
+    assert_eq!(outcomes.len(), 2 * MAX_LANES);
+    // The second chunk costs a fresh batch less its `l·n` inbox
+    // vectors, the view's inbox list and the outbox: it refills the
+    // first chunk's.
+    let fresh = BATCH_FIXED + MAX_LANES as u64 * BATCH_PER_LANE;
+    let lent = MAX_LANES as u64 * 7 + 2;
+    assert_eq!(two - one, fresh - lent);
 }
 
 #[test]

@@ -3,6 +3,7 @@
 
 use crate::network::KnowledgeMode;
 use crate::symbol::Message;
+use std::sync::Arc;
 
 /// A vertex's YES/NO output for decision problems.
 ///
@@ -23,6 +24,14 @@ pub enum Decision {
 /// Everything a vertex knows before round 1 (Section 1.2): its ID,
 /// `n`, the bandwidth, its port labels, which ports carry input-graph
 /// edges, all IDs (KT-1 only), and the shared random string.
+///
+/// The label and ID lists are shared slices: an [`Instance`] derives
+/// them once and hands every run the same `Arc`s, so building a
+/// vertex's knowledge costs reference-count bumps, not copies. A
+/// program that wants its own `Vec` calls `.to_vec()`; a hand-built
+/// knowledge converts its vectors with `.into()`.
+///
+/// [`Instance`]: crate::Instance
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InitialKnowledge {
     /// This vertex's unique ID.
@@ -35,11 +44,11 @@ pub struct InitialKnowledge {
     pub mode: KnowledgeMode,
     /// The labels of the `n−1` ports, in port-index order. In KT-0
     /// these are `1..n−1`; in KT-1 they are the peer IDs.
-    pub port_labels: Vec<u64>,
+    pub port_labels: Arc<[u64]>,
     /// Labels of the ports that carry input-graph edges, sorted.
-    pub input_port_labels: Vec<u64>,
+    pub input_port_labels: Arc<[u64]>,
     /// All vertex IDs (sorted), available only in KT-1.
-    pub all_ids: Option<Vec<u64>>,
+    pub all_ids: Option<Arc<[u64]>>,
     /// Seed of the shared (public-coin) random string; identical at
     /// every vertex, per the paper's public-coin convention.
     pub coin_seed: u64,
@@ -189,9 +198,9 @@ mod tests {
             n: 5,
             bandwidth: 1,
             mode: KnowledgeMode::Kt1,
-            port_labels: vec![1, 2, 3, 4],
-            input_port_labels: vec![2, 4],
-            all_ids: Some(vec![1, 2, 3, 4, 7]),
+            port_labels: vec![1, 2, 3, 4].into(),
+            input_port_labels: vec![2, 4].into(),
+            all_ids: Some(vec![1, 2, 3, 4, 7].into()),
             coin_seed: 0,
         };
         assert_eq!(ik.input_degree(), 2);

@@ -4,9 +4,7 @@ use crate::error::ModelError;
 use crate::instance::Instance;
 use crate::program::{Algorithm, Decision, Inbox, NodeProgram};
 use crate::symbol::Message;
-use crate::transport::{
-    default_factory, RoundView, Routes, Transport, TransportError, TransportFactory,
-};
+use crate::transport::{default_factory, RoundView, Transport, TransportError, TransportFactory};
 use bcc_metrics::MetricsBuf;
 use bcc_trace::{field, Observer, TraceBuf};
 use std::fmt;
@@ -238,13 +236,27 @@ impl RunOutcome {
         &self.spanning_edges
     }
 
-    /// The transcript of vertex `v`.
+    /// The transcript of vertex `v`: an empty record when the run was
+    /// not [recorded](Self::recorded).
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
     pub fn transcript(&self, v: usize) -> &Transcript {
-        &self.transcripts[v]
+        static UNRECORDED: Transcript = Transcript {
+            sent: Vec::new(),
+            received: Vec::new(),
+        };
+        if self.recorded {
+            &self.transcripts[v]
+        } else {
+            assert!(
+                v < self.decisions.len(),
+                "vertex {v} out of range for {} vertices",
+                self.decisions.len()
+            );
+            &UNRECORDED
+        }
     }
 
     /// The state (view) of vertex `v` — the object compared by
@@ -252,7 +264,9 @@ impl RunOutcome {
     ///
     /// # Panics
     ///
-    /// Panics if `v` is out of range.
+    /// Panics if `v` is out of range, and for every `v` when the run
+    /// was not [recorded](Self::recorded): an unrecorded outcome has
+    /// no views (see [`views`](Self::views)).
     pub fn view(&self, v: usize) -> &NodeView {
         &self.views[v]
     }
@@ -299,7 +313,7 @@ impl RunOutcome {
             decisions: vec![Decision::Undecided; n],
             component_labels: vec![None; n],
             spanning_edges: vec![None; n],
-            transcripts: vec![Transcript::default(); n],
+            transcripts: Vec::new(),
             views: Vec::new(),
             stats: RunStats::default(),
             all_done: false,
@@ -391,8 +405,9 @@ impl SimConfig {
     /// `Θ(rounds·n²)` heap messages — prohibitive for large
     /// performance sweeps — and is only needed by the
     /// indistinguishability machinery. With recording off,
-    /// [`RunOutcome::transcript`] and [`RunOutcome::view`] return
-    /// empty records.
+    /// [`RunOutcome::transcript`] returns an empty record,
+    /// [`RunOutcome::views`] is empty, and [`RunOutcome::view`]
+    /// panics.
     #[must_use]
     pub fn transcripts(mut self, record: bool) -> Self {
         self.record = record;
@@ -533,7 +548,9 @@ pub struct RunState {
 // measured about 7% slower.
 impl RunState {
     /// Spawns one program per vertex of `instance`, with the
-    /// bandwidth and transcript recording of `cfg`.
+    /// bandwidth and transcript recording of `cfg`. Each program's
+    /// knowledge comes from the instance's shared start table; with
+    /// recording off no transcripts are allocated.
     pub fn spawn(
         cfg: &SimConfig,
         instance: &Instance,
@@ -547,7 +564,11 @@ impl RunState {
         RunState {
             all_done: programs.iter().all(|p| p.is_done()),
             programs,
-            transcripts: vec![Transcript::default(); n],
+            transcripts: if cfg.record {
+                vec![Transcript::default(); n]
+            } else {
+                Vec::new()
+            },
             stats: RunStats::default(),
             bandwidth: cfg.bandwidth,
             record: cfg.record,
@@ -648,20 +669,21 @@ impl RunState {
 
     /// The run's outcome: every program's outputs, the transcripts and
     /// statistics, and — when recording is on — each vertex's
-    /// [`NodeView`], its initial knowledge rebuilt from `instance` and
-    /// `coin_seed` (the pair the run was spawned with).
+    /// [`NodeView`], its initial knowledge read from the start table
+    /// of `instance` (the instance the run was spawned on) and
+    /// `coin_seed`.
     pub fn finish(self, instance: &Instance, coin_seed: u64) -> RunOutcome {
         let n = if self.record { self.programs.len() } else { 0 };
         let views = (0..n)
             .map(|v| {
                 let ik = instance.initial_knowledge(v, self.bandwidth, coin_seed);
-                let mut port_labels = ik.port_labels;
+                let mut port_labels = ik.port_labels.to_vec();
                 port_labels.sort_unstable();
                 let transcript = &self.transcripts[v];
                 NodeView {
                     id: ik.id,
                     port_labels,
-                    input_port_labels: ik.input_port_labels,
+                    input_port_labels: ik.input_port_labels.to_vec(),
                     sent: transcript.sent.clone(),
                     received: transcript
                         .received
@@ -706,8 +728,8 @@ fn try_run_impl(
 ) -> Result<RunOutcome, TransportError> {
     let n = instance.num_vertices();
     // Open before the `sim` span: a spawn/handshake failure leaves no
-    // half-open span behind.
-    transport.open(&Routes::of(instance.network()))?;
+    // half-open span behind. The plan is the instance's cached one.
+    transport.open(instance.routes())?;
     let mut run = RunState::spawn(cfg, instance, algorithm, coin_seed);
     recorder.run_start(n, cfg.bandwidth, cfg.max_rounds, coin_seed);
     // One outbox and one view per run, refilled every round.
@@ -859,6 +881,17 @@ mod tests {
             try_runs_indistinguishable(&recorded, &recorded.clone()),
             Ok(true)
         );
+    }
+
+    #[test]
+    fn unrecorded_outcome_has_no_views_and_empty_transcripts() {
+        let i = Instance::new_kt0(generators::cycle(5), 2).unwrap();
+        let out = SimConfig::bcc1(3).transcripts(false).run(&i, &EchoBit, 7);
+        assert_eq!(out.stats().rounds, 3);
+        assert!(out.views().is_empty());
+        for v in 0..5 {
+            assert_eq!(*out.transcript(v), Transcript::default());
+        }
     }
 
     #[test]

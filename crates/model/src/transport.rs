@@ -107,16 +107,17 @@ impl std::error::Error for TransportError {}
 /// private to this crate.
 ///
 /// One plan can also carry several instances at once:
-/// [`stacked`](Self::stacked) lays same-size networks side by side as
+/// [`stacked`](Self::stacked) lays same-size plans side by side as
 /// one disjoint union of cliques, which is how the batched engine
 /// delivers a whole batch through one transport.
 ///
 /// The table is stored row-compressed and shared: one flat slice of
 /// `(port_label, peer)` pairs and one slice of row offsets, both
-/// behind an `Arc`. Building a plan allocates twice, and cloning one
-/// (every [`LocalTransport::open`] does) allocates nothing. Rows may
-/// differ in length, so any raw table [`from_ports`](Self::from_ports)
-/// accepts stays representable.
+/// behind an `Arc`. Building a plan, with [`of`](Self::of) or
+/// [`stacked`](Self::stacked), allocates twice, and cloning one (every
+/// [`LocalTransport::open`] does) allocates nothing. Rows may differ in
+/// length, so any raw table [`from_ports`](Self::from_ports) accepts
+/// stays representable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Routes {
     /// Every vertex's `(port_label, peer)` pairs, rows concatenated in
@@ -130,49 +131,75 @@ pub struct Routes {
 impl Routes {
     /// Extracts the delivery plan of a network.
     pub fn of(network: &Network) -> Routes {
-        Routes::stacked(&[network])
-    }
-
-    /// The delivery plan of several same-size networks side by side:
-    /// network `l`'s vertex `v` is row `l·n + v`, and its peers are
-    /// offset by `l·n`, so no message crosses from one network to
-    /// another.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the networks differ in vertex count.
-    pub fn stacked(networks: &[&Network]) -> Routes {
-        let n = networks.first().map_or(0, |net| net.num_vertices());
-        assert!(
-            networks.iter().all(|net| net.num_vertices() == n),
-            "stacked networks must share one vertex count"
-        );
+        let n = network.num_vertices();
         let ports = n.saturating_sub(1);
-        let rows = networks.len() * n;
-        // Exact-length iterators, so each `Arc` slice is collected in
+        // An exact-length iterator, so the `Arc` slice is collected in
         // one allocation with no intermediate `Vec`. The cursor steps
-        // port, then vertex, then network, which keeps divisions out
-        // of the per-entry work (dividing the flat index made `of`
-        // about 40% slower at n = 7).
-        let (mut lane, mut v, mut p) = (0, 0, 0);
-        let entries = (0..rows * ports)
+        // port, then vertex, which keeps divisions out of the
+        // per-entry work (dividing the flat index made `of` about 40%
+        // slower at n = 7).
+        let (mut v, mut p) = (0, 0);
+        let entries = (0..n * ports)
             .map(|_| {
-                let net = networks[lane];
-                let entry = (net.port_label(v, p), lane * n + net.peer_of(v, p));
+                let entry = (network.port_label(v, p), network.peer_of(v, p));
                 p += 1;
                 if p == ports {
                     (p, v) = (0, v + 1);
-                    if v == n {
-                        (v, lane) = (0, lane + 1);
-                    }
                 }
                 entry
             })
             .collect();
         Routes {
             entries,
-            offsets: (0..=rows).map(|row| row * ports).collect(),
+            offsets: (0..=n).map(|row| row * ports).collect(),
         }
+    }
+
+    /// Several same-size plans side by side: plan `l`'s row `v` is row
+    /// `l·n + v` of the result, and its peers are offset by `l·n`, so
+    /// no message crosses from one plan to another. The rows are
+    /// copied; the plans themselves are usually each instance's cached
+    /// [`Instance::routes`](crate::Instance::routes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plans differ in vertex count.
+    pub fn stacked(plans: &[&Routes]) -> Routes {
+        let n = plans.first().map_or(0, |plan| plan.num_nodes());
+        assert!(
+            plans.iter().all(|plan| plan.num_nodes() == n),
+            "stacked plans must share one vertex count"
+        );
+        let total: usize = plans.iter().map(|plan| plan.entries.len()).sum();
+        let rows = plans.len() * n;
+        // Exact-length iterators again, one allocation per slice; the
+        // cursors walk each plan in turn.
+        let (mut lane, mut next) = (0, 0);
+        let entries = (0..total)
+            .map(|_| {
+                while next == plans[lane].entries.len() {
+                    (lane, next) = (lane + 1, 0);
+                }
+                let (label, peer) = plans[lane].entries[next];
+                next += 1;
+                (label, lane * n + peer)
+            })
+            .collect();
+        // Row `l·n + v` starts where plan `l`'s row `v` does, shifted by
+        // the entries of the plans before it.
+        let (mut lane, mut v, mut base) = (0, 0, 0);
+        let offsets = (0..rows)
+            .map(|_| {
+                let start = base + plans[lane].offsets[v];
+                v += 1;
+                if v == n {
+                    (lane, v, base) = (lane + 1, 0, base + plans[lane].entries.len());
+                }
+                start
+            })
+            .chain(std::iter::once(total))
+            .collect();
+        Routes { entries, offsets }
     }
 
     /// Builds a plan from a raw port table (`ports[v][p] =
@@ -560,8 +587,8 @@ mod tests {
             Instance::new_kt1(generators::path(5)).unwrap(),
             Instance::new_kt0(generators::cycle(5), 8).unwrap(),
         ];
-        let networks: Vec<&Network> = lanes.iter().map(Instance::network).collect();
-        let stacked = Routes::stacked(&networks);
+        let plans: Vec<&Routes> = lanes.iter().map(Instance::routes).collect();
+        let stacked = Routes::stacked(&plans);
         let n = 5;
         assert_eq!(stacked.num_nodes(), lanes.len() * n);
         for (l, inst) in lanes.iter().enumerate() {
@@ -581,8 +608,27 @@ mod tests {
         }
         // One network stacked alone is its own plan, and the empty
         // stack is the empty plan.
-        assert_eq!(Routes::stacked(&networks[..1]), Routes::of(networks[0]));
+        assert_eq!(Routes::stacked(&plans[..1]), Routes::of(lanes[0].network()));
         assert_eq!(Routes::stacked(&[]), Routes::from_ports(vec![]));
+    }
+
+    #[test]
+    fn stacked_copies_ragged_rows() {
+        let a = Routes::from_ports(vec![vec![(1, 1)], vec![], vec![(2, 0), (3, 1)]]);
+        let b = Routes::from_ports(vec![vec![], vec![(4, 2), (5, 0)], vec![(6, 1)]]);
+        let stacked = Routes::stacked(&[&a, &b, &a]);
+        let want = Routes::from_ports(vec![
+            vec![(1, 1)],
+            vec![],
+            vec![(2, 0), (3, 1)],
+            vec![],
+            vec![(4, 5), (5, 3)],
+            vec![(6, 4)],
+            vec![(1, 7)],
+            vec![],
+            vec![(2, 6), (3, 7)],
+        ]);
+        assert_eq!(stacked, want);
     }
 
     #[test]

@@ -135,7 +135,7 @@ proptest! {
         for v in 0..n {
             let ik = inst.initial_knowledge(v, 1, 0);
             prop_assert_eq!(ik.input_degree(), g.degree(v));
-            for &l in &ik.input_port_labels {
+            for &l in ik.input_port_labels.iter() {
                 prop_assert!((1..n as u64).contains(&l));
             }
             prop_assert_eq!(ik.port_labels.len(), n - 1);

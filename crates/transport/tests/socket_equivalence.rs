@@ -6,8 +6,8 @@
 //! message boundaries from the routes, so the runs below cover what
 //! that restoration must get right: multi-symbol and silent messages,
 //! KT-1 labels past 2^53, and batched lanes retiring at different
-//! rounds, alone and with several threads' pipelined batches sharing
-//! one worker group.
+//! rounds, alone and with several threads' batches sharing one worker
+//! group, each round one locked round trip.
 
 use bcc_engine::BatchRun;
 use bcc_graphs::generators;
@@ -204,11 +204,11 @@ fn batched_lanes_retiring_at_different_rounds_match_local_oracle() {
 }
 
 #[test]
-fn concurrent_pipelined_batches_match_local_oracle() {
-    // Several threads drive pipelined batches through one worker
-    // group. Each batch's lanes retire at different rounds, so the
-    // threads' sessions come and go mid-run and interleave on every
-    // link: a collect regularly reads past other threads' views.
+fn concurrent_batches_with_locked_round_trips_match_local_oracle() {
+    // Several threads drive batches through one worker group, each
+    // round one round trip under the group's lock. Each batch's lanes
+    // retire at different rounds, so the threads' sessions come and go
+    // mid-run and take turns on every link, round trip by round trip.
     // Three workers over 8 nodes give uneven ranges (2/3/3).
     let n = 8;
     let sockets: Arc<dyn TransportFactory> = Arc::new(SocketFactory::with_command(3, worker_bin()));
