@@ -1,102 +1,39 @@
 //! The batched lockstep kernel: up to 64 same-shape instances advance
-//! through one shared round loop, with every broadcast character
-//! bit-packed across lanes.
+//! through one shared round loop and one transport session.
 //!
 //! A [`BatchRun`] executes one [`Algorithm`] under one [`SimConfig`]
 //! on `L ≤ 64` *lanes* — `(instance, coin_seed)` pairs over graphs
-//! with the same vertex count. Each round, the kernel packs the
-//! `{0, 1, ⊥}` broadcast of every lane into two `u64` words per
-//! `(node, symbol position)` — a `ones` word and a `silent` word, one
-//! bit per lane — and then *reconstructs* every delivered message from
-//! those words. The packed words are the real data path, not a side
-//! channel, so the per-lane [`RunOutcome`]s are byte-identical to `L`
-//! scalar [`SimConfig::run`] calls (pinned by the equivalence
-//! proptests in `tests/`): same decisions, transcripts, views, stats,
-//! in the same per-lane round counts. Each lane is a [`RunState`], the
-//! per-run state the scalar simulator drives too, so spawning, view
-//! checks, transcripts and outcome assembly are shared; the kernel
-//! owns only the packing, the active mask and its `engine.*` records.
+//! with the same vertex count. The lanes' delivery plans are stacked
+//! into one plan, so each round every active lane writes its `n`
+//! broadcasts into its slice of one `L·n` outbox, the batch is
+//! delivered in one exchange, and each lane receives its own `n`
+//! inboxes of the view. The per-lane [`RunOutcome`]s are
+//! byte-identical to `L` scalar [`SimConfig::run`] calls (pinned by
+//! the equivalence proptests in `tests/`): same decisions,
+//! transcripts, views, stats, in the same per-lane round counts. Each
+//! lane is a [`RunState`], the per-run state the scalar simulator
+//! drives too, so spawning, view checks, transcripts and outcome
+//! assembly are shared; the kernel owns only the stacking, the active
+//! mask and its `engine.*` records.
 //!
 //! Lanes retire independently: a lane whose programs all report done
-//! drops out of the active mask and stops paying for rounds, exactly
-//! as its scalar run would have stopped — the remaining lanes keep
+//! drops out of the `u64` active mask and stops paying for rounds,
+//! exactly as its scalar run would have stopped — it only pads its
+//! outbox slice with empty messages — and the remaining lanes keep
 //! going until the mask is empty or the round limit hits. What the
-//! batch saves is the per-round control overhead and the cache
-//! locality of touching each round's machinery once for 64 runs
-//! instead of 64 times.
+//! batch saves is the per-round control overhead and the transport
+//! sessions: one per 64 runs instead of one per run.
 
 use bcc_metrics::MetricsBuf;
 use bcc_model::transport::{RoundView, Routes, Transport, TransportError};
-use bcc_model::{Algorithm, Instance, Message, RunOutcome, RunState, SimConfig, Symbol};
+use bcc_model::{Algorithm, Instance, Message, RunOutcome, RunState, SimConfig};
 use bcc_trace::{field, TraceBuf};
 
-/// The lane-width ceiling: one bit per lane in a `u64` word.
+/// The lane-width ceiling: one bit per lane in the `u64` active mask.
 pub const MAX_LANES: usize = 64;
 
 /// One batch member: the instance to run and its public-coin seed.
 pub type Lane<'a> = (&'a Instance, u64);
-
-/// The broadcast characters of one round, bit-packed across lanes:
-/// `words[v * bandwidth + k]` holds the `(ones, silent)` pair for
-/// symbol position `k` of node `v`, bit `i` describing lane `i`.
-/// A lane's symbol is `⊥` if its `silent` bit is set, else the bit in
-/// `ones`. Inactive lanes keep both bits clear; their slots are never
-/// read back.
-#[derive(Debug, Clone)]
-struct PackedRound {
-    words: Vec<(u64, u64)>,
-    bandwidth: usize,
-}
-
-impl PackedRound {
-    fn new(n: usize, bandwidth: usize) -> Self {
-        PackedRound {
-            words: vec![(0, 0); n * bandwidth],
-            bandwidth,
-        }
-    }
-
-    fn clear(&mut self) {
-        for w in &mut self.words {
-            *w = (0, 0);
-        }
-    }
-
-    fn pack(&mut self, lane: usize, v: usize, message: &Message) {
-        for (k, s) in message.symbols().enumerate() {
-            let (ones, silent) = &mut self.words[v * self.bandwidth + k];
-            match s {
-                Symbol::One => *ones |= 1 << lane,
-                Symbol::Silent => *silent |= 1 << lane,
-                Symbol::Zero => {}
-            }
-        }
-    }
-
-    /// Lane `lane`'s broadcast of node `v`: a gather of one bit per
-    /// position into a word pair, or a symbol vector past 64 positions.
-    fn unpack(&self, lane: usize, v: usize) -> Message {
-        let words = &self.words[v * self.bandwidth..(v + 1) * self.bandwidth];
-        if self.bandwidth > 64 {
-            return words
-                .iter()
-                .map(|&(ones, silent)| {
-                    if silent >> lane & 1 == 1 {
-                        Symbol::Silent
-                    } else {
-                        Symbol::bit(ones >> lane & 1 == 1)
-                    }
-                })
-                .collect();
-        }
-        let (mut ones, mut silent) = (0u64, 0u64);
-        for (k, &(o, s)) in words.iter().enumerate() {
-            ones |= (o >> lane & 1) << k;
-            silent |= (s >> lane & 1) << k;
-        }
-        Message::from_words(ones, silent, self.bandwidth)
-    }
-}
 
 /// The buffers one batch refills every round: the stacked outbox and
 /// the stacked view. A sweep lends one set to every batch, so after
@@ -299,7 +236,6 @@ fn run_batch_impl(
         );
     }
 
-    let mut packed = PackedRound::new(n, b);
     // One stacked outbox and one stacked view, lent by the caller and
     // refilled every round: lane `i`'s vertices are `i·n..(i + 1)·n`.
     let BatchBuffers { outbox, view } = buffers;
@@ -312,26 +248,15 @@ fn run_batch_impl(
         if trace.spans_enabled() {
             trace.span_start(&format!("round={round}"), vec![]);
         }
-        // Phase 1: every active lane broadcasts; the characters exist
-        // only inside the packed words from here on.
-        packed.clear();
-        for (lane, run) in runs.iter_mut().enumerate() {
-            if active >> lane & 1 == 0 {
-                continue;
-            }
-            for v in 0..n {
-                packed.pack(lane, v, &run.broadcast(round, v));
-            }
-        }
-        // Phase 2: reconstruct every lane's broadcasts from the words
-        // (a retired lane sends empty messages) and deliver the whole
-        // batch in one exchange.
+        // Every active lane broadcasts into its slice of the stacked
+        // outbox (a retired lane sends empty messages), and the whole
+        // batch is delivered in one exchange.
         outbox.clear();
-        for lane in 0..l {
+        for (lane, run) in runs.iter_mut().enumerate() {
             if active >> lane & 1 == 0 {
                 outbox.resize(outbox.len() + n, Message::silent(0));
             } else {
-                outbox.extend((0..n).map(|v| packed.unpack(lane, v)));
+                outbox.extend((0..n).map(|v| run.broadcast(round, v)));
             }
         }
         if let Err(err) = transport.exchange_into(round, outbox, view) {
@@ -349,8 +274,8 @@ fn run_batch_impl(
             };
             return Err(abort_batch(trace, Some(round), err));
         }
-        // Phase 3: account each active lane's broadcasts and let its
-        // programs receive their own inboxes.
+        // Account each active lane's broadcasts and let its programs
+        // receive their own inboxes.
         let mut round_bits = 0usize;
         let inboxes = view.inboxes_mut();
         for (lane, run) in runs.iter_mut().enumerate() {
@@ -425,7 +350,7 @@ mod tests {
     use super::*;
     use bcc_graphs::generators;
     use bcc_model::testing::{ConstantDecision, EchoBit, IdBroadcast, SymbolMix};
-    use bcc_model::{runs_indistinguishable, Decision};
+    use bcc_model::{runs_indistinguishable, Decision, Inbox, InitialKnowledge, NodeProgram};
 
     fn assert_outcomes_equal(batched: &RunOutcome, scalar: &RunOutcome) {
         assert_eq!(batched.decisions(), scalar.decisions());
@@ -451,18 +376,70 @@ mod tests {
         assert_outcomes_equal(&batched[0], &scalar);
     }
 
+    /// Whether every span that opened in `events` also closed.
+    fn spans_balanced(events: &[bcc_trace::Event]) -> bool {
+        use bcc_trace::EventKind;
+        let count = |kind| events.iter().filter(|e| e.kind == kind).count();
+        count(EventKind::SpanStart) == count(EventKind::SpanEnd)
+    }
+
+    /// Every vertex broadcasts `1` until `coin_seed` rounds have run,
+    /// then reports done: lanes with different seeds retire at
+    /// different rounds.
+    struct RetiresAtSeed;
+
+    struct RetiresAtSeedNode {
+        rounds: u64,
+        stop: u64,
+    }
+
+    impl Algorithm for RetiresAtSeed {
+        fn name(&self) -> &str {
+            "retires-at-seed"
+        }
+
+        fn spawn(&self, init: InitialKnowledge) -> Box<dyn NodeProgram> {
+            Box::new(RetiresAtSeedNode {
+                rounds: 0,
+                stop: init.coin_seed,
+            })
+        }
+    }
+
+    impl NodeProgram for RetiresAtSeedNode {
+        fn broadcast(&mut self, _round: usize) -> Message {
+            Message::from_bits(1, 1)
+        }
+
+        fn receive(&mut self, _round: usize, _inbox: &Inbox) {
+            self.rounds += 1;
+        }
+
+        fn decide(&self) -> Decision {
+            Decision::Yes
+        }
+
+        fn is_done(&self) -> bool {
+            self.rounds >= self.stop
+        }
+    }
+
     #[test]
     fn mixed_instances_retire_independently() {
-        // Lanes finish at different rounds (different n would be
-        // rejected; different inputs and seeds are the point).
+        // Different n would be rejected; different inputs and seeds
+        // are the point. `RetiresAtSeed` lanes finish at different
+        // rounds.
         let a = Instance::new_kt0(generators::cycle(6), 3).unwrap();
         let b = Instance::new_kt0(generators::two_cycles(3, 3), 40).unwrap();
         let cfg = SimConfig::bcc1(12);
         let lanes: Vec<Lane<'_>> = vec![(&a, 0), (&b, 0), (&a, 9), (&b, 7)];
-        let batched = BatchRun::new(cfg.clone()).run(&lanes, &IdBroadcast::new());
-        for (lane, out) in lanes.iter().zip(&batched) {
-            let scalar = cfg.run(lane.0, &IdBroadcast::new(), lane.1);
-            assert_outcomes_equal(out, &scalar);
+        let algorithms: [&dyn Algorithm; 2] = [&IdBroadcast::new(), &RetiresAtSeed];
+        for algorithm in algorithms {
+            let batched = BatchRun::new(cfg.clone()).run(&lanes, algorithm);
+            for (lane, out) in lanes.iter().zip(&batched) {
+                let scalar = cfg.run(lane.0, algorithm, lane.1);
+                assert_outcomes_equal(out, &scalar);
+            }
         }
     }
 
@@ -477,7 +454,7 @@ mod tests {
     }
 
     #[test]
-    fn wide_bandwidth_roundtrips_through_packing() {
+    fn wide_bandwidth_lanes_match_scalar() {
         let i = Instance::new_kt0(generators::cycle(5), 2).unwrap();
         // Narrow, the last inline width, and the first heap width.
         for b in [3, 64, 65] {
@@ -592,18 +569,8 @@ mod tests {
             assert!(!o.completed());
             assert!(!o.recorded());
         }
-        // Every span that opened also closed.
         let events = scope.take().0.into_events();
-        use bcc_trace::EventKind;
-        let starts = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::SpanStart))
-            .count();
-        let ends = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::SpanEnd))
-            .count();
-        assert_eq!(starts, ends);
+        assert!(spans_balanced(&events));
         assert!(events.iter().any(|e| e.name == "transport.error"));
     }
 
@@ -612,10 +579,19 @@ mod tests {
         use bcc_model::transport::{
             LocalTransport, RoundView, Routes, Transport, TransportError, TransportFactory,
         };
+        use bcc_trace::{Observer, TraceLevel};
 
-        /// Delivers like the oracle, plus one stray inbox at the end.
-        struct Long(LocalTransport);
-        impl Transport for Long {
+        /// How a view differs from the oracle's.
+        #[derive(Clone, Copy)]
+        enum Skew {
+            /// One stray inbox at the end.
+            Extra,
+            /// The last inbox is missing once the last lane has
+            /// retired (its outbox slice is empty messages).
+            DropRetired,
+        }
+        struct Skewed(LocalTransport, Skew);
+        impl Transport for Skewed {
             fn open(&mut self, routes: &Routes) -> Result<(), TransportError> {
                 self.0.open(routes)
             }
@@ -628,31 +604,65 @@ mod tests {
                 let mut inboxes: Vec<_> = (0..view.num_nodes())
                     .map(|v| view.inbox(v).to_vec())
                     .collect();
-                inboxes.push(view.inbox(0).to_vec());
+                match self.1 {
+                    Skew::Extra => inboxes.push(view.inbox(0).to_vec()),
+                    Skew::DropRetired => {
+                        if outbox.last().is_some_and(Message::is_empty) {
+                            inboxes.pop();
+                        }
+                    }
+                }
                 Ok(RoundView::new(inboxes))
             }
         }
-        struct LongFactory;
-        impl TransportFactory for LongFactory {
+        struct SkewedFactory(Skew);
+        impl TransportFactory for SkewedFactory {
             fn create(&self) -> Box<dyn Transport> {
-                Box::new(Long(LocalTransport::new()))
+                Box::new(Skewed(LocalTransport::new(), self.0))
             }
             fn label(&self) -> String {
-                "long".to_string()
+                "skewed".to_string()
             }
         }
 
-        let i = Instance::new_kt0(generators::cycle(5), 4).unwrap();
-        let cfg = SimConfig::bcc1(3).transport(std::sync::Arc::new(LongFactory));
-        let err = BatchRun::new(cfg)
-            .try_run(&[(&i, 0), (&i, 1)], &EchoBit)
-            .map(drop)
-            .unwrap_err();
-        match err {
-            TransportError::Protocol { detail, .. } => {
-                assert_eq!(detail, "round view covers 11 of 10 nodes");
+        let ring = Instance::new_kt0(generators::cycle(5), 4).unwrap();
+        let a = Instance::new_kt0(generators::cycle(6), 3).unwrap();
+        let b = Instance::new_kt0(generators::two_cycles(3, 3), 40).unwrap();
+        let cases: [(Skew, Vec<Lane<'_>>, &dyn Algorithm, &str); 2] = [
+            (
+                Skew::Extra,
+                vec![(&ring, 0), (&ring, 1)],
+                &EchoBit,
+                "round view covers 11 of 10 nodes",
+            ),
+            // The last lane retires after round 0 and the first after
+            // round 2, so round 1 cuts the view inside a retired lane,
+            // where no lane's `receive` sees it.
+            (
+                Skew::DropRetired,
+                vec![(&a, 3), (&b, 1)],
+                &RetiresAtSeed,
+                "round view covers 11 of 12 nodes",
+            ),
+        ];
+        for (skew, lanes, algorithm, want) in cases {
+            let scope = Observer::new(
+                TraceBuf::new(TraceLevel::Events, "batch-test"),
+                MetricsBuf::disabled(),
+            );
+            let cfg = SimConfig::bcc1(3)
+                .observe(scope.clone())
+                .transport(std::sync::Arc::new(SkewedFactory(skew)));
+            let err = BatchRun::new(cfg)
+                .try_run(&lanes, algorithm)
+                .map(drop)
+                .unwrap_err();
+            match err {
+                TransportError::Protocol { detail, .. } => assert_eq!(detail, want),
+                other => panic!("expected a protocol error, got {other:?}"),
             }
-            other => panic!("expected a protocol error, got {other:?}"),
+            let events = scope.take().0.into_events();
+            assert!(spans_balanced(&events), "{want}: unbalanced spans");
         }
     }
 

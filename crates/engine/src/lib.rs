@@ -7,10 +7,9 @@
 //! of sampled partition pairs). This crate exploits that shape:
 //!
 //! * [`BatchRun`] advances up to [`MAX_LANES`] (= 64) same-shape
-//!   instances through one lockstep round loop, bit-packing each
-//!   `{0, 1, ⊥}` broadcast character into `(ones, silent)` `u64`
-//!   word pairs — one bit per lane per `(node, symbol position)` —
-//!   and reconstructing every delivered message from those words.
+//!   instances through one lockstep round loop: their delivery plans
+//!   are stacked into one, so each round delivers every lane's
+//!   broadcasts in one exchange of one transport session.
 //!   Per-lane outcomes are byte-identical to scalar
 //!   [`SimConfig::run`](bcc_model::SimConfig::run) calls, pinned by
 //!   proptests.

@@ -124,11 +124,10 @@ fn scalar_rounds_allocate_nothing() {
 /// outcome's decision, label and spanning-edge vectors (3), and the
 /// lane's 7 inbox vectors in a fresh stacked view (7).
 const BATCH_PER_LANE: u64 = 18;
-/// The same batch's allocations per batch: the default factory handle,
-/// the transport, the plan list, the stacked plan's two slices, the
-/// lane vector, the packed words, the outbox, the view's inbox list
-/// and the outcome vector.
-const BATCH_FIXED: u64 = 10;
+/// The same batch's allocations per batch: the transport, the plan
+/// list, the stacked plan's two slices, the lane vector, the outbox,
+/// the view's inbox list and the outcome vector.
+const BATCH_FIXED: u64 = 8;
 
 #[test]
 fn initial_knowledge_on_a_warm_instance_allocates_nothing() {

@@ -120,9 +120,9 @@ proptest! {
         check_batch_vs_scalar(&SimConfig::bcc1(40), &instances, &algo)?;
     }
 
-    /// BCC(b) bandwidths survive the (ones, silent) word packing:
-    /// narrow ones, the 64-symbol edge of the inline `Message`, and
-    /// wide ones past it, with every symbol position carrying traffic.
+    /// BCC(b) bandwidths survive the stacked delivery: narrow ones,
+    /// the 64-symbol edge of the inline `Message`, and wide ones past
+    /// it, with every symbol position carrying traffic.
     #[test]
     fn wide_bandwidth_batched_equals_scalar(
         b in prop_oneof![1usize..5, 63usize..67, 128usize..131],

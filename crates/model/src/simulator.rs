@@ -17,7 +17,8 @@ pub struct Transcript {
     /// Messages broadcast by this vertex, one per executed round.
     pub sent: Vec<Message>,
     /// Messages received, `received[round]` = `(port label, message)`
-    /// pairs in port-index order.
+    /// pairs sorted by port label (port-index order for every
+    /// constructible network).
     pub received: Vec<Vec<(u64, Message)>>,
 }
 
@@ -43,8 +44,9 @@ impl Transcript {
 /// after `t` rounds iff every vertex has the same [`NodeView`] in both
 /// (Section 3).
 ///
-/// The received half is keyed and sorted by *port label*, because the
-/// port label — not the peer's identity — is what the vertex can see.
+/// The transcript's received half is keyed and sorted by *port
+/// label*, because the port label — not the peer's identity — is what
+/// the vertex can see.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeView {
     /// The vertex ID.
@@ -53,10 +55,8 @@ pub struct NodeView {
     pub port_labels: Vec<u64>,
     /// Sorted labels of input-edge ports (initial knowledge).
     pub input_port_labels: Vec<u64>,
-    /// Broadcast messages, round by round.
-    pub sent: Vec<Message>,
-    /// Received messages, per round, sorted by port label.
-    pub received: Vec<Vec<(u64, Message)>>,
+    /// Broadcast and received messages, round by round.
+    pub transcript: Transcript,
 }
 
 /// Aggregate statistics of one run.
@@ -196,7 +196,6 @@ pub struct RunOutcome {
     decisions: Vec<Decision>,
     component_labels: Vec<Option<u64>>,
     spanning_edges: Vec<Option<Vec<(u64, u64)>>>,
-    transcripts: Vec<Transcript>,
     views: Vec<NodeView>,
     stats: RunStats,
     all_done: bool,
@@ -248,7 +247,7 @@ impl RunOutcome {
             received: Vec::new(),
         };
         if self.recorded {
-            &self.transcripts[v]
+            &self.views[v].transcript
         } else {
             assert!(
                 v < self.decisions.len(),
@@ -313,7 +312,6 @@ impl RunOutcome {
             decisions: vec![Decision::Undecided; n],
             component_labels: vec![None; n],
             spanning_edges: vec![None; n],
-            transcripts: Vec::new(),
             views: Vec::new(),
             stats: RunStats::default(),
             all_done: false,
@@ -339,14 +337,10 @@ impl RunOutcome {
 /// assert_eq!(outcome.stats().rounds, 0); // decides instantly
 /// ```
 ///
-/// The builder folds what used to be four entry points into one:
-/// bandwidth via [`bandwidth`](Self::bandwidth), transcript recording
-/// via [`transcripts`](Self::transcripts), and trace and metrics
-/// capture via [`observe`](Self::observe) — no `run`/`run_traced`
-/// split. The observer is pure: the returned outcome is identical
-/// whether it records or is off, and everything recorded is a pure
-/// function of `(instance, algorithm, coin_seed)`, never of
-/// wall-clock time.
+/// The observer set by [`observe`](Self::observe) is pure: the
+/// returned outcome is identical whether it records or is off, and
+/// everything recorded is a pure function of
+/// `(instance, algorithm, coin_seed)`, never of wall-clock time.
 ///
 /// Round delivery goes through a [`Transport`]: explicitly via
 /// [`transport`](Self::transport), else the process-wide default
@@ -667,33 +661,25 @@ impl RunState {
         Ok(())
     }
 
-    /// The run's outcome: every program's outputs, the transcripts and
-    /// statistics, and — when recording is on — each vertex's
-    /// [`NodeView`], its initial knowledge read from the start table
-    /// of `instance` (the instance the run was spawned on) and
-    /// `coin_seed`.
+    /// The run's outcome: every program's outputs and the statistics,
+    /// and — when recording is on — each vertex's [`NodeView`], which
+    /// takes over the vertex's transcript. Its initial knowledge is
+    /// read from the start table of `instance` (the instance the run
+    /// was spawned on) and `coin_seed`.
     pub fn finish(self, instance: &Instance, coin_seed: u64) -> RunOutcome {
-        let n = if self.record { self.programs.len() } else { 0 };
-        let views = (0..n)
-            .map(|v| {
+        let views = self
+            .transcripts
+            .into_iter()
+            .enumerate()
+            .map(|(v, transcript)| {
                 let ik = instance.initial_knowledge(v, self.bandwidth, coin_seed);
                 let mut port_labels = ik.port_labels.to_vec();
                 port_labels.sort_unstable();
-                let transcript = &self.transcripts[v];
                 NodeView {
                     id: ik.id,
                     port_labels,
                     input_port_labels: ik.input_port_labels.to_vec(),
-                    sent: transcript.sent.clone(),
-                    received: transcript
-                        .received
-                        .iter()
-                        .map(|round| {
-                            let mut r = round.clone();
-                            r.sort_by_key(|(label, _)| *label);
-                            r
-                        })
-                        .collect(),
+                    transcript,
                 }
             })
             .collect();
@@ -702,7 +688,6 @@ impl RunState {
             decisions: programs.iter().map(|p| p.decide()).collect(),
             component_labels: programs.iter().map(|p| p.component_label()).collect(),
             spanning_edges: programs.iter().map(|p| p.spanning_edges()).collect(),
-            transcripts: self.transcripts,
             views,
             stats: self.stats,
             all_done: self.all_done,

@@ -35,7 +35,7 @@ use crate::symbol::Message;
 use bcc_metrics::MetricsHub;
 use bcc_trace::Collector;
 use std::fmt;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// A delivery failure. Every variant is a condition the driver can
 /// report and degrade on; transports must never panic on I/O or
@@ -524,12 +524,14 @@ pub fn reset_default_factory() {
 }
 
 /// The process-wide default factory: whatever
-/// [`set_default_factory`] installed, else [`LocalFactory`].
+/// [`set_default_factory`] installed, else one shared [`LocalFactory`]
+/// handle, built on first use.
 pub fn default_factory() -> Arc<dyn TransportFactory> {
+    static LOCAL: OnceLock<Arc<dyn TransportFactory>> = OnceLock::new();
     let slot = DEFAULT_FACTORY.read().unwrap_or_else(|e| e.into_inner());
     match slot.as_ref() {
         Some(f) => Arc::clone(f),
-        None => Arc::new(LocalFactory),
+        None => Arc::clone(LOCAL.get_or_init(|| Arc::new(LocalFactory))),
     }
 }
 
@@ -565,6 +567,21 @@ mod tests {
         }
         t.barrier().unwrap();
         t.teardown();
+    }
+
+    #[test]
+    fn default_factory_shares_one_local_handle() {
+        let local = default_factory();
+        assert_eq!(local.label(), "local");
+        assert!(Arc::ptr_eq(&local, &default_factory()));
+        // An installed factory wins until reset; the shared local
+        // handle comes back after. Installing a `LocalFactory` keeps
+        // concurrent tests' runs unchanged.
+        let installed: Arc<dyn TransportFactory> = Arc::new(LocalFactory);
+        set_default_factory(Arc::clone(&installed));
+        assert!(Arc::ptr_eq(&default_factory(), &installed));
+        reset_default_factory();
+        assert!(Arc::ptr_eq(&default_factory(), &local));
     }
 
     #[test]

@@ -197,6 +197,11 @@ proptest! {
         prop_assert!(runs_indistinguishable(&oracle, &permuted));
         for v in 0..inst.num_vertices() {
             prop_assert_eq!(oracle.transcript(v), permuted.transcript(v));
+            // The driver's canonicalization is the only sort a view's
+            // received half gets, so it must already be by port label.
+            for inbox in &permuted.view(v).transcript.received {
+                prop_assert!(inbox.windows(2).all(|w| w[0].0 <= w[1].0));
+            }
         }
     }
 
