@@ -33,11 +33,6 @@ impl<A: Algorithm + Clone + 'static> Kt0Upgrade<A> {
     pub fn new(inner: A) -> Self {
         Kt0Upgrade { inner }
     }
-
-    /// Rounds of the ID-exchange prologue for `n` vertices.
-    pub fn prologue_rounds(n: usize) -> usize {
-        bits_needed(n)
-    }
 }
 
 impl<A: Algorithm + Clone + 'static> Algorithm for Kt0Upgrade<A> {
@@ -196,8 +191,9 @@ mod tests {
             let i = Instance::new_kt0(generators::cycle(n), 7).unwrap();
             let algo = Kt0Upgrade::new(NeighborIdBroadcast::new(Problem::Connectivity));
             let out = SimConfig::bcc1(1000).run(&i, &algo, 0);
-            let expect = Kt0Upgrade::<NeighborIdBroadcast>::prologue_rounds(n)
-                + NeighborIdBroadcast::rounds_for(n, 2);
+            // A ⌈log₂ n⌉-round ID prologue, then the inner algorithm's
+            // (1 + d_max)·⌈log₂ n⌉ rounds with d_max = 2.
+            let expect = bits_needed(n) + 3 * bits_needed(n);
             assert_eq!(out.stats().rounds, expect, "n={n}");
         }
     }

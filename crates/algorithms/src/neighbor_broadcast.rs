@@ -28,13 +28,6 @@ impl NeighborIdBroadcast {
     pub fn new(problem: Problem) -> Self {
         NeighborIdBroadcast { problem }
     }
-
-    /// Rounds this algorithm takes on inputs with maximum degree
-    /// `d_max` and `n` vertices: `(1 + d_max)·⌈log₂ n⌉` (degree phase
-    /// plus ID phase).
-    pub fn rounds_for(n: usize, d_max: usize) -> usize {
-        bits_needed(n) * (1 + d_max)
-    }
 }
 
 impl Algorithm for NeighborIdBroadcast {
@@ -249,10 +242,9 @@ mod tests {
     fn round_count_is_logarithmic_on_cycles() {
         for n in [8usize, 16, 32, 64] {
             let out = run(generators::cycle(n), Problem::Connectivity);
-            let expect = NeighborIdBroadcast::rounds_for(n, 2);
-            assert_eq!(out.stats().rounds, expect, "n={n}");
-            // 3·log2(n) on 2-regular graphs.
-            assert_eq!(expect, 3 * bits_needed(n));
+            // (1 + d_max)·⌈log₂ n⌉ rounds (degree phase plus ID
+            // phase): 3·⌈log₂ n⌉ on 2-regular graphs.
+            assert_eq!(out.stats().rounds, 3 * bits_needed(n), "n={n}");
         }
     }
 

@@ -34,11 +34,6 @@ impl Problem {
             Problem::ConnectedComponents => "ConnectedComponents",
         }
     }
-
-    /// The ground-truth decision on a fully known input graph.
-    pub fn ground_truth(self, g: &Graph) -> Decision {
-        decide_problem(g, self)
-    }
 }
 
 impl std::fmt::Display for Problem {

@@ -106,11 +106,11 @@ pub enum Decode {
 /// let mut a = L0Sketch::zero(m, seed);
 /// a.update(17, 1);
 /// let mut b = L0Sketch::zero(m, seed);
-/// b.update(17, 1);
-/// b.update(55, 1);
-/// // a - b sketches the vector with -1 at 55.
-/// let diff = a.subtracted(&b);
-/// assert_eq!(diff.decode(), Decode::Sample { index: 55, value: -1 });
+/// b.update(17, -1);
+/// b.update(55, -1);
+/// // a + b sketches the vector with -1 at 55.
+/// let sum = a.added(&b);
+/// assert_eq!(sum.decode(), Decode::Sample { index: 55, value: -1 });
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct L0Sketch {
@@ -192,30 +192,13 @@ impl L0Sketch {
     ///
     /// Panics if dimensions or seeds differ.
     pub fn added(&self, other: &L0Sketch) -> L0Sketch {
-        self.combined(other, 1)
-    }
-
-    /// Componentwise difference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions or seeds differ.
-    pub fn subtracted(&self, other: &L0Sketch) -> L0Sketch {
-        self.combined(other, -1)
-    }
-
-    fn combined(&self, other: &L0Sketch, sign: i64) -> L0Sketch {
         assert_eq!(self.m, other.m, "dimension mismatch");
         assert_eq!(self.seed, other.seed, "seed mismatch");
         let mut out = self.clone();
         for (a, b) in out.levels.iter_mut().zip(&other.levels) {
-            a.count += sign * b.count;
-            a.weighted += sign as i128 * b.weighted;
-            a.fingerprint = if sign >= 0 {
-                addmod(a.fingerprint, b.fingerprint)
-            } else {
-                submod(a.fingerprint, b.fingerprint)
-            };
+            a.count += b.count;
+            a.weighted += b.weighted;
+            a.fingerprint = addmod(a.fingerprint, b.fingerprint);
         }
         out
     }
@@ -340,8 +323,8 @@ mod tests {
         let mut a = L0Sketch::zero(64, 9);
         a.update(10, 5);
         let mut b = L0Sketch::zero(64, 9);
-        b.update(10, 5);
-        assert_eq!(a.subtracted(&b).decode(), Decode::Zero);
+        b.update(10, -5);
+        assert_eq!(a.added(&b).decode(), Decode::Zero);
     }
 
     #[test]

@@ -177,9 +177,9 @@ mod tests {
     fn strawmen_always_decide() {
         let i = Instance::new_kt0(generators::two_cycles(3, 4), 1).unwrap();
         let out = SimConfig::bcc1(100).run(&i, &HashVoteDecider::new(2), 9);
-        assert!(!out.any_undecided());
+        assert!(!out.decisions().contains(&Decision::Undecided));
         let out = SimConfig::bcc1(100).run(&i, &ParityDecider::new(2), 9);
-        assert!(!out.any_undecided());
+        assert!(!out.decisions().contains(&Decision::Undecided));
     }
 
     #[test]

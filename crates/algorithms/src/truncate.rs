@@ -5,7 +5,7 @@ use bcc_model::{Algorithm, Decision, Inbox, InitialKnowledge, Message, NodeProgr
 
 /// Runs the inner algorithm for exactly `t` rounds, then stops and
 /// forces a decision: whatever the inner program has decided, with
-/// `Undecided` mapped to a configurable default vote.
+/// `Undecided` mapped to YES.
 ///
 /// Theorem 3.1/3.5-style experiments ask: *how well can any `t`-round
 /// algorithm do?* `Truncated` turns each real algorithm into a
@@ -15,7 +15,6 @@ use bcc_model::{Algorithm, Decision, Inbox, InitialKnowledge, Message, NodeProgr
 pub struct Truncated<A> {
     inner: A,
     rounds: usize,
-    default_vote: Decision,
 }
 
 impl<A: Algorithm + Clone + 'static> Truncated<A> {
@@ -24,20 +23,7 @@ impl<A: Algorithm + Clone + 'static> Truncated<A> {
     /// distributions, making the measured error a *lower* bound on the
     /// strawman's true error).
     pub fn new(inner: A, rounds: usize) -> Self {
-        Truncated {
-            inner,
-            rounds,
-            default_vote: Decision::Yes,
-        }
-    }
-
-    /// Truncates with an explicit default vote for undecided vertices.
-    pub fn with_default(inner: A, rounds: usize, default_vote: Decision) -> Self {
-        Truncated {
-            inner,
-            rounds,
-            default_vote,
-        }
+        Truncated { inner, rounds }
     }
 }
 
@@ -50,7 +36,6 @@ impl<A: Algorithm + Clone + 'static> Algorithm for Truncated<A> {
         Box::new(TruncatedNode {
             inner: self.inner.spawn(init),
             rounds: self.rounds,
-            default_vote: self.default_vote,
             round: 0,
         })
     }
@@ -59,7 +44,6 @@ impl<A: Algorithm + Clone + 'static> Algorithm for Truncated<A> {
 struct TruncatedNode {
     inner: Box<dyn NodeProgram>,
     rounds: usize,
-    default_vote: Decision,
     round: usize,
 }
 
@@ -75,7 +59,7 @@ impl NodeProgram for TruncatedNode {
 
     fn decide(&self) -> Decision {
         match self.inner.decide() {
-            Decision::Undecided => self.default_vote,
+            Decision::Undecided => Decision::Yes,
             d => d,
         }
     }
@@ -114,14 +98,5 @@ mod tests {
         let out = SimConfig::bcc1(1000).run(&i, &t, 0);
         assert_eq!(out.system_decision(), Decision::No);
         assert!(out.stats().rounds < 500);
-    }
-
-    #[test]
-    fn default_vote_no() {
-        let i = Instance::new_kt1(generators::cycle(32)).unwrap();
-        let t =
-            Truncated::with_default(NeighborIdBroadcast::new(Problem::TwoCycle), 2, Decision::No);
-        let out = SimConfig::bcc1(1000).run(&i, &t, 0);
-        assert_eq!(out.system_decision(), Decision::No);
     }
 }

@@ -192,7 +192,16 @@ fn corpus() -> Vec<(String, Decoder)> {
 
     let mut corpus: Vec<(String, Decoder)> = vec![
         (event_to_json(&event), trace_event),
-        (hub.finish().to_jsonl_string(), metrics_dump),
+        (
+            {
+                let mut bytes = Vec::new();
+                hub.finish()
+                    .write_jsonl(&mut bytes)
+                    .expect("in-memory write");
+                String::from_utf8(bytes).expect("dumps are UTF-8")
+            },
+            metrics_dump,
+        ),
         (profile_to_jsonl(&prof), profile),
         (postmortem::postmortems_to_jsonl(&[incident]), postmortems),
         (ratios::write(&[bench_pair]), bench_file),

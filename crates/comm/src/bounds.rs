@@ -1,4 +1,5 @@
-//! Communication lower-bound tools: log-rank and fooling sets.
+//! Communication lower-bound tools: the log-rank certificate and an
+//! exact solver for tiny matrices.
 //!
 //! Lemma 1.28 of Kushilevitz–Nisan (used at Corollaries 2.4 and 4.2):
 //! the deterministic communication complexity of `f` is at least
@@ -10,23 +11,13 @@ use bcc_linalg::Matrix;
 use bcc_partitions::matrices::JoinMatrix;
 
 /// The log-rank lower bound `log₂ rank(M)` on deterministic 2-party
-/// communication, computed exactly over GF(2⁶¹−1).
-///
-/// Since GF(p) rank lower-bounds rational rank... more precisely
-/// `rank_GF(p) ≤ rank_ℚ`, the returned value is a *valid* (possibly
-/// slightly weaker) communication lower bound; when the matrix has
-/// full GF(p) rank the bound coincides with the rational one.
-pub fn log_rank_bound(m: &Matrix) -> f64 {
-    let r = m.rank();
-    if r == 0 {
-        0.0
-    } else {
-        (r as f64).log2()
-    }
-}
-
-/// The log-rank bound together with the rank itself and whether it is
+/// communication, together with the rank itself and whether it is
 /// full — the certificate shape used by the Theorem 4.4 pipeline.
+///
+/// The rank is computed exactly over GF(2⁶¹−1). Since
+/// `rank_GF(p) ≤ rank_ℚ`, the bound is *valid* (possibly slightly
+/// weaker than the rational one); when the matrix has full GF(p) rank
+/// the two coincide.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankCertificate {
     /// The matrix dimension.
@@ -49,71 +40,6 @@ pub fn certify_rank(jm: &JoinMatrix) -> RankCertificate {
         comm_lower_bound_bits: if rank == 0 { 0.0 } else { (rank as f64).log2() },
         full_rank: rank == jm.dim(),
     }
-}
-
-/// Greedily builds a fooling set for the 1-entries of a 0/1 matrix:
-/// a set of cells `(r_i, c_i)` with `M(r_i, c_i) = 1` such that for
-/// every pair `i ≠ j`, `M(r_i, c_j) = 0` or `M(r_j, c_i) = 0`. A
-/// fooling set of size `s` proves `D(f) ≥ log₂ s`.
-///
-/// Greedy is a heuristic: it returns *a* fooling set (certifying its
-/// size), not the largest one.
-pub fn greedy_fooling_set(m: &Matrix) -> Vec<(usize, usize)> {
-    // Prefer cells on sparse rows/columns: dense rows (like the
-    // trivial partition's all-ones row in M_n) are maximally
-    // incompatible and would block everything if chosen first.
-    let row_ones: Vec<usize> = (0..m.num_rows())
-        .map(|r| {
-            (0..m.num_cols())
-                .filter(|&c| !m.get(r, c).is_zero())
-                .count()
-        })
-        .collect();
-    let col_ones: Vec<usize> = (0..m.num_cols())
-        .map(|c| {
-            (0..m.num_rows())
-                .filter(|&r| !m.get(r, c).is_zero())
-                .count()
-        })
-        .collect();
-    let mut candidates: Vec<(usize, usize)> = (0..m.num_rows())
-        .flat_map(|r| (0..m.num_cols()).map(move |c| (r, c)))
-        .filter(|&(r, c)| !m.get(r, c).is_zero())
-        .collect();
-    candidates.sort_by_key(|&(r, c)| row_ones[r] + col_ones[c]);
-    let mut chosen: Vec<(usize, usize)> = Vec::new();
-    let mut used_rows = vec![false; m.num_rows()];
-    for (r, c) in candidates {
-        if used_rows[r] {
-            continue; // one cell per row keeps the scan near-linear
-        }
-        let compatible = chosen
-            .iter()
-            .all(|&(r2, c2)| m.get(r, c2).is_zero() || m.get(r2, c).is_zero());
-        if compatible {
-            chosen.push((r, c));
-            used_rows[r] = true;
-        }
-    }
-    chosen
-}
-
-/// Verifies that `cells` is a valid fooling set for the 1-entries of
-/// `m`.
-pub fn is_fooling_set(m: &Matrix, cells: &[(usize, usize)]) -> bool {
-    for &(r, c) in cells {
-        if m.get(r, c).is_zero() {
-            return false;
-        }
-    }
-    for (i, &(r1, c1)) in cells.iter().enumerate() {
-        for &(r2, c2) in &cells[i + 1..] {
-            if !m.get(r1, c2).is_zero() && !m.get(r2, c1).is_zero() {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 /// The **exact** deterministic communication complexity `D(f)` of a
@@ -230,11 +156,9 @@ mod tests {
     use bcc_partitions::matrices::{partition_join_matrix, two_partition_matrix};
     use bcc_partitions::numbers::{bell_number, num_matching_partitions};
 
-    #[test]
-    fn identity_log_rank() {
-        let id = Matrix::identity(8);
-        assert_eq!(log_rank_bound(&id), 3.0);
-        assert_eq!(log_rank_bound(&Matrix::zeros(3, 3)), 0.0);
+    /// The `n × n` identity matrix: the EQ function's matrix.
+    fn identity(n: usize) -> Matrix {
+        Matrix::from_fn(n, n, |i, j| if i == j { GfP::ONE } else { GfP::ZERO })
     }
 
     /// Corollary 2.4 in miniature: D(Partition) ≥ log2 B_n.
@@ -259,38 +183,12 @@ mod tests {
     }
 
     #[test]
-    fn fooling_set_on_identity_is_diagonal() {
-        let id = Matrix::identity(6);
-        let fs = greedy_fooling_set(&id);
-        assert_eq!(fs.len(), 6);
-        assert!(is_fooling_set(&id, &fs));
-    }
-
-    #[test]
-    fn fooling_set_on_all_ones_is_singleton() {
-        let ones = Matrix::from_fn(4, 4, |_, _| GfP::ONE);
-        let fs = greedy_fooling_set(&ones);
-        assert_eq!(fs.len(), 1);
-        assert!(is_fooling_set(&ones, &fs));
-    }
-
-    #[test]
-    fn fooling_set_on_join_matrix_is_nontrivial() {
-        let jm = partition_join_matrix(4);
-        let fs = greedy_fooling_set(&jm.matrix);
-        assert!(is_fooling_set(&jm.matrix, &fs));
-        // The diagonal-complement structure of M_n admits a large
-        // fooling set; greedy should find more than a constant.
-        assert!(fs.len() >= 4, "found only {}", fs.len());
-    }
-
-    #[test]
     fn exact_cc_identity() {
         // EQ on a k-element domain: D = ceil(log2 k) + 1.
-        assert_eq!(exact_deterministic_cc(&Matrix::identity(2)), 2);
-        assert_eq!(exact_deterministic_cc(&Matrix::identity(4)), 3);
-        assert_eq!(exact_deterministic_cc(&Matrix::identity(5)), 4);
-        assert_eq!(exact_deterministic_cc(&Matrix::identity(8)), 4);
+        assert_eq!(exact_deterministic_cc(&identity(2)), 2);
+        assert_eq!(exact_deterministic_cc(&identity(4)), 3);
+        assert_eq!(exact_deterministic_cc(&identity(5)), 4);
+        assert_eq!(exact_deterministic_cc(&identity(8)), 4);
     }
 
     #[test]
@@ -308,7 +206,7 @@ mod tests {
         // checked exactly on the small Partition matrices.
         for jm in [partition_join_matrix(3), two_partition_matrix(4)] {
             let d = exact_deterministic_cc(&jm.matrix);
-            let lb = log_rank_bound(&jm.matrix);
+            let lb = certify_rank(&jm).comm_lower_bound_bits;
             assert!(d as f64 + 1e-9 >= lb, "D = {d} below log-rank {lb}");
             // And it is achievable within the trivial upper bound
             // ceil(log2 rows) + 1.
@@ -334,14 +232,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "gated to 8x8")]
     fn exact_cc_rejects_large() {
-        exact_deterministic_cc(&Matrix::identity(9));
-    }
-
-    #[test]
-    fn invalid_fooling_set_rejected() {
-        let id = Matrix::identity(3);
-        assert!(!is_fooling_set(&id, &[(0, 1)]));
-        let ones = Matrix::from_fn(2, 2, |_, _| GfP::ONE);
-        assert!(!is_fooling_set(&ones, &[(0, 0), (1, 1)]));
+        exact_deterministic_cc(&identity(9));
     }
 }

@@ -63,11 +63,6 @@ impl<Out> ProtocolRun<Out> {
             .flat_map(|(_, m)| m.iter().copied())
             .collect()
     }
-
-    /// Number of messages sent.
-    pub fn num_messages(&self) -> usize {
-        self.transcript.len()
-    }
 }
 
 /// Options for one protocol run — the single configuration surface
@@ -319,7 +314,7 @@ mod tests {
         assert_eq!(run.alice_output, Some(15));
         assert_eq!(run.bob_output, Some(15));
         assert_eq!(run.bits_exchanged, 3 + 8);
-        assert_eq!(run.num_messages(), 2);
+        assert_eq!(run.transcript.len(), 2);
         assert_eq!(run.transcript[0].0, Turn::Alice);
         assert_eq!(run.transcript[1].0, Turn::Bob);
     }
@@ -431,10 +426,10 @@ mod tests {
         );
         assert_eq!(
             counters.get("comm.messages"),
-            Some(&(plain.num_messages() as u64))
+            Some(&(plain.transcript.len() as u64))
         );
         let mb = hists.get("comm.message_bits").expect("message_bits hist");
-        assert_eq!(mb.count, plain.num_messages() as u64);
+        assert_eq!(mb.count, plain.transcript.len() as u64);
         assert_eq!(mb.sum, plain.bits_exchanged as u64);
         // Core level keeps counters, drops the histogram.
         let (mut alice, mut bob) = build();

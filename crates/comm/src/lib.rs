@@ -21,8 +21,9 @@
 //! - [`protocols`]: the trivial `O(n log n)`-bit upper-bound protocols
 //!   for `Partition` and `PartitionComp`, plus bit-budget-limited
 //!   (ε-error) variants for the information experiments;
-//! - [`bounds`]: the log-rank lower bound and a greedy fooling-set
-//!   finder, applied to `M_n`/`E_n` from [`bcc_partitions::matrices`];
+//! - [`bounds`]: the log-rank lower bound, applied to `M_n`/`E_n`
+//!   from [`bcc_partitions::matrices`], and an exact solver for tiny
+//!   matrices;
 //! - [`reduction`]: the gadget graphs `G(P_A, P_B)` (general and
 //!   2-regular variants) with executable Theorem 4.3;
 //! - [`simulate`]: the Section 4.3 simulation — Alice hosts `A ∪ L`,

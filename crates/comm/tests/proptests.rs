@@ -101,7 +101,7 @@ proptest! {
     fn theorem_4_3_two_regular_random((pa, pb) in arb_matching_pair(6)) {
         prop_assert!(verify_theorem_4_3(Gadget::TwoRegular, &pa, &pb));
         let g = gadget_graph(Gadget::TwoRegular, &pa, &pb).unwrap();
-        prop_assert!(g.is_regular(2));
+        prop_assert!((0..g.num_vertices()).all(|v| g.degree(v) == 2));
         let s = bcc_graphs::cycles::cycle_structure(&g).unwrap();
         prop_assert!(s.min_length() >= 4);
         prop_assert_eq!(s.count(), pa.join(&pb).num_blocks());

@@ -3,7 +3,7 @@
 
 use crate::crossing::{are_independent, cross_instance, DirectedEdge};
 use bcc_graphs::cycles::{classify_two_cycle, TwoCycleClass};
-use bcc_graphs::enumerate::{multi_cycle_covers, one_cycles, two_cycle_graphs};
+use bcc_graphs::enumerate::{one_cycles, two_cycle_graphs};
 use bcc_graphs::generators;
 use bcc_model::{Algorithm, Decision, Instance, SimConfig};
 
@@ -92,38 +92,6 @@ pub fn uniform_two_cycle_distribution(n: usize) -> Vec<WeightedInstance> {
     out
 }
 
-/// The `MultiCycle` analogue of the uniform distribution (the KT-1
-/// problem of Theorem 4.4): mass 1/2 uniform over one-cycle instances
-/// and 1/2 uniform over all disjoint-cycle covers with ≥ 2 cycles,
-/// each of length ≥ 4 — enumerated exactly over the canonical KT-0
-/// network (usable in KT-1 too via `Instance::new_kt1`).
-pub fn uniform_multi_cycle_distribution(n: usize) -> Vec<WeightedInstance> {
-    let all = multi_cycle_covers(n, 4);
-    let (ones, multis): (Vec<_>, Vec<_>) = all.into_iter().partition(|g| g.is_connected());
-    assert!(
-        !ones.is_empty() && !multis.is_empty(),
-        "n >= 8 needed for MultiCycle"
-    );
-    let w1 = 0.5 / ones.len() as f64;
-    let w2 = 0.5 / multis.len() as f64;
-    let mut out = Vec::with_capacity(ones.len() + multis.len());
-    for g in ones {
-        out.push(WeightedInstance {
-            instance: Instance::new_kt0_canonical(g).expect("canonical instance"),
-            is_one_cycle: true,
-            weight: w1,
-        });
-    }
-    for g in multis {
-        out.push(WeightedInstance {
-            instance: Instance::new_kt0_canonical(g).expect("canonical instance"),
-            is_one_cycle: false,
-            weight: w2,
-        });
-    }
-    out
-}
-
 /// The distributional error of a `t`-round run of `algorithm` under a
 /// weighted instance family: the probability mass of instances on
 /// which the *system decision* (YES iff all vertices vote YES;
@@ -153,6 +121,7 @@ pub fn distributional_error(
 /// the error of the *randomized* algorithm under the distribution
 /// (the quantity Theorem 3.1 bounds below by a constant for
 /// `t = o(log n)`).
+// bcc-lint: allow(U1): scalar reference oracle that the batched engine is tested against
 pub fn randomized_error(
     dist: &[WeightedInstance],
     algorithm: &dyn Algorithm,
@@ -217,7 +186,7 @@ mod tests {
         // constant-NO on the YES mass.
         let d = uniform_two_cycle_distribution(6);
         let e_yes = distributional_error(&d, &ConstantDecision::yes(), 0, 0);
-        let e_no = distributional_error(&d, &ConstantDecision::no(), 0, 0);
+        let e_no = distributional_error(&d, &ConstantDecision::new(Decision::No), 0, 0);
         assert!((e_yes - 0.5).abs() < 1e-12);
         assert!((e_no - 0.5).abs() < 1e-12);
     }
@@ -267,37 +236,5 @@ mod tests {
         let d = star_distribution(9);
         let e = randomized_error(&d, &ConstantDecision::yes(), 0, &[0, 1, 2]);
         assert!((e - 0.5).abs() < 1e-12);
-    }
-}
-
-#[cfg(test)]
-mod multi_cycle_tests {
-    use super::*;
-    use bcc_algorithms::{Kt0Upgrade, NeighborIdBroadcast, Problem, Truncated};
-
-    #[test]
-    fn multi_cycle_distribution_masses() {
-        let d = uniform_multi_cycle_distribution(8);
-        // One-cycles: 2520; multi: 315 (4+4 splits).
-        assert_eq!(d.len(), 2520 + 315);
-        let total: f64 = d.iter().map(|wi| wi.weight).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-        let yes: f64 = d
-            .iter()
-            .filter(|wi| wi.is_one_cycle)
-            .map(|wi| wi.weight)
-            .sum();
-        assert!((yes - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn multi_cycle_error_floor_and_ceiling() {
-        let d = uniform_multi_cycle_distribution(8);
-        let algo = Kt0Upgrade::new(NeighborIdBroadcast::new(Problem::MultiCycle));
-        // Truncated far below log n: constant error.
-        let e1 = distributional_error(&d, &Truncated::new(algo, 1), 1, 0);
-        assert!(e1 >= 0.25, "error {e1} too small at t=1");
-        // Full run: exact.
-        assert_eq!(distributional_error(&d, &algo, 1000, 0), 0.0);
     }
 }

@@ -51,6 +51,7 @@ impl IndistGraph {
     /// The graph `G^t_{x,y}` for a concrete algorithm: active edges of
     /// each one-cycle instance are computed from its own `t`-round run
     /// on the canonical KT-0 network.
+    // bcc-lint: allow(U1): builds Theorem 3.1's t-round graph, an input of the open E2 proof-chain item
     pub fn with_algorithm(
         n: usize,
         algorithm: &dyn Algorithm,
@@ -142,7 +143,7 @@ impl IndistGraph {
     /// this requires `|V₂| ≥ k·|V₁|`: the Lemma 3.9 ratio
     /// `|V₂|/|V₁| = Θ(log n)` only exceeds 1 near `n ≈ 90`, far beyond
     /// enumerable sizes, so at experiment scale use
-    /// [`IndistGraph::k_matching_saturating_v2`] (the same Hall
+    /// [`IndistGraph::max_k_matching_v2`] (the same Hall
     /// machinery in the feasible direction; the error argument is
     /// symmetric in the matched pair).
     pub fn k_matching(&self, k: usize) -> Option<KMatching> {
@@ -158,16 +159,6 @@ impl IndistGraph {
             }
         }
         flip
-    }
-
-    /// A `k`-matching saturating `V₂`: every two-cycle instance
-    /// assigned `k` distinct one-cycle instances, disjointly. This is
-    /// the direction feasible at enumerable sizes (where
-    /// `|V₁| > |V₂|`), and it carries the same indistinguishability
-    /// consequence: the algorithm answers identically on each matched
-    /// star, so it errs on the lighter side of every star.
-    pub fn k_matching_saturating_v2(&self, k: usize) -> Option<KMatching> {
-        k_matching(&self.flipped(), k)
     }
 
     /// The largest `k` for which a `k`-matching of size `|V₁|` exists,
@@ -187,7 +178,7 @@ impl IndistGraph {
     /// The measured neighborhood expansion `min_S |N(S)|/|S|` over
     /// randomly sampled subsets `S ⊆ V₂` (the side whose saturation is
     /// feasible at enumerable sizes) — the empirical Lemma 3.8 /
-    /// Hall-condition check matching [`Self::k_matching_saturating_v2`].
+    /// Hall-condition check matching [`Self::max_k_matching_v2`].
     pub fn sampled_expansion_v2<R: rand::Rng + ?Sized>(
         &self,
         sizes: &[usize],
@@ -212,7 +203,12 @@ impl IndistGraph {
     }
 
     /// The largest `k` for which a `k`-matching saturating `V₂`
-    /// exists.
+    /// exists: every two-cycle instance assigned `k` distinct
+    /// one-cycle instances, disjointly. This is the direction feasible
+    /// at enumerable sizes (where `|V₁| > |V₂|`), and it carries the
+    /// same indistinguishability consequence: the algorithm answers
+    /// identically on each matched star, so it errs on the lighter
+    /// side of every star.
     pub fn max_k_matching_v2(&self, cap: usize) -> usize {
         let flip = self.flipped();
         let mut best = 0;
@@ -290,32 +286,6 @@ pub fn harmonic_tail(d: usize) -> f64 {
     (3..=d / 2).map(|i| 1.0 / i as f64).sum()
 }
 
-/// The measured neighborhood expansion `min_{S} |N(S)|/|S|` over
-/// randomly sampled subsets `S ⊆ V₁` of each size in `sizes` —
-/// an empirical check of Lemma 3.8 (exact minimization over all `S` is
-/// exponential; sampling plus the k-matching certificate brackets it).
-pub fn sampled_expansion<R: rand::Rng + ?Sized>(
-    g: &IndistGraph,
-    sizes: &[usize],
-    samples_per_size: usize,
-    rng: &mut R,
-) -> f64 {
-    use rand::seq::SliceRandom;
-    let mut min_ratio = f64::INFINITY;
-    let all: Vec<usize> = (0..g.v1_len()).collect();
-    for &s in sizes {
-        if s == 0 || s > g.v1_len() {
-            continue;
-        }
-        for _ in 0..samples_per_size {
-            let subset: Vec<usize> = all.choose_multiple(rng, s).copied().collect();
-            let nb = g.bip.neighborhood(subset.iter().copied());
-            min_ratio = min_ratio.min(nb.len() as f64 / s as f64);
-        }
-    }
-    min_ratio
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,7 +338,7 @@ mod tests {
         // The feasible direction saturates V2.
         let k = g.max_k_matching_v2(16);
         assert!(k >= 1, "no V2-saturating 1-matching at n=7");
-        let km = g.k_matching_saturating_v2(k).expect("max_k certified");
+        let km = k_matching(&g.flipped(), k).expect("max_k certified");
         assert_eq!(km.assignments.len(), g.v2_len());
         // k cannot exceed |V1|/|V2|.
         assert!((k as f64) <= 1.0 / g.count_ratio() + 1e-9);
@@ -398,15 +368,6 @@ mod tests {
         // Active sets are tiny (ids are distinct), so very few crossings.
         let total_active: usize = g.active_counts.iter().sum();
         assert!(total_active <= g.v1_len(), "labels did not fragment");
-    }
-
-    #[test]
-    fn expansion_sampling_positive() {
-        use rand::SeedableRng;
-        let g = IndistGraph::round_zero(6);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let e = sampled_expansion(&g, &[1, 2, 5], 10, &mut rng);
-        assert!(e >= 1.0, "expansion {e} below 1 at round zero");
     }
 
     #[test]

@@ -10,10 +10,7 @@
 
 use bcc_comm::bounds::{certify_rank, RankCertificate};
 use bcc_comm::reduction::Gadget;
-use bcc_comm::simulate::simulate_two_party;
-use bcc_model::{Algorithm, Decision};
 use bcc_partitions::matrices::{partition_join_matrix, two_partition_matrix};
-use bcc_partitions::SetPartition;
 
 /// A complete Theorem 4.4 certificate for one ground-set size.
 #[derive(Debug, Clone)]
@@ -67,44 +64,9 @@ pub fn theorem_4_4_certificate(gadget: Gadget, n: usize) -> Kt1LowerBound {
     }
 }
 
-/// Verifies the reduction end-to-end for one algorithm: for every
-/// `(P_A, P_B)` in `pairs`, the two-party simulation of `algorithm`
-/// answers the `Partition` question correctly (YES ⇔ join trivial)
-/// and its measured per-round cost matches
-/// [`simulation_bits_per_round`]. Returns the maximum rounds used.
-pub fn verify_simulation_correctness(
-    gadget: Gadget,
-    algorithm: &dyn Algorithm,
-    pairs: &[(SetPartition, SetPartition)],
-) -> Result<usize, String> {
-    let mut max_rounds = 0;
-    for (pa, pb) in pairs {
-        let report = simulate_two_party(gadget, algorithm, pa, pb, 0, 1_000_000);
-        let expect = if pa.join(pb).is_trivial() {
-            Decision::Yes
-        } else {
-            Decision::No
-        };
-        if report.system_decision() != expect {
-            return Err(format!("wrong answer on PA={pa} PB={pb}"));
-        }
-        let per_round = simulation_bits_per_round(gadget, pa.ground_size());
-        if report.rounds.checked_mul(per_round) != Some(report.bits_exchanged) {
-            return Err(format!(
-                "cost mismatch on PA={pa} PB={pb}: {} bits over {} rounds",
-                report.bits_exchanged, report.rounds
-            ));
-        }
-        max_rounds = max_rounds.max(report.rounds);
-    }
-    Ok(max_rounds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcc_algorithms::{NeighborIdBroadcast, Problem};
-    use bcc_partitions::enumerate::matching_partitions;
     use bcc_partitions::numbers::num_matching_partitions;
 
     #[test]
@@ -122,19 +84,6 @@ mod tests {
         assert!(cert.rank.full_rank, "Theorem 2.3 verified at n=4");
         assert_eq!(cert.rank.dim, 15);
         assert_eq!(cert.bits_per_round, 2 * 16 + 2);
-    }
-
-    #[test]
-    fn simulation_verified_against_real_algorithm() {
-        let parts: Vec<_> = matching_partitions(4).collect();
-        let pairs: Vec<_> = parts
-            .iter()
-            .flat_map(|a| parts.iter().map(move |b| (a.clone(), b.clone())))
-            .collect();
-        let algo = NeighborIdBroadcast::new(Problem::MultiCycle);
-        let rounds = verify_simulation_correctness(Gadget::TwoRegular, &algo, &pairs)
-            .expect("simulation correct");
-        assert!(rounds > 0);
     }
 
     #[test]

@@ -80,6 +80,7 @@ pub fn active_edges(
 /// The `(x, y)` label pair with the most active edges, with its count —
 /// the pigeonhole step. Guaranteed `count ≥ m / 3^{2t}` where `m` is
 /// the number of edges (each label has `3^t` choices per side).
+// bcc-lint: allow(U1): the pigeonhole census, an input of the open Theorem 3.1 items
 pub fn best_label_pair(g: &Graph, strings: &[Vec<Symbol>]) -> (EdgeLabel, usize) {
     let mut census: std::collections::BTreeMap<EdgeLabel, usize> =
         std::collections::BTreeMap::new();
@@ -94,6 +95,7 @@ pub fn best_label_pair(g: &Graph, strings: &[Vec<Symbol>]) -> (EdgeLabel, usize)
 
 /// The pigeonhole guarantee of the warm-up argument: with `m` edges
 /// and `t` rounds, some label class has at least `⌈m / 3^{2t}⌉` edges.
+// bcc-lint: allow(U1): the pigeonhole floor, an input of the open Theorem 3.1 items
 pub fn pigeonhole_floor(m: usize, t: usize) -> usize {
     let classes = 9usize.checked_pow(t as u32).unwrap_or(usize::MAX);
     m.div_ceil(classes.max(1))

@@ -49,7 +49,6 @@ pub mod indist;
 pub mod infobound;
 pub mod kt1;
 pub mod labels;
-pub mod pls;
 pub mod theorems;
 
 mod error;

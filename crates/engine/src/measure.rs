@@ -238,8 +238,9 @@ mod tests {
     fn batched_randomized_error_matches() {
         let dist = star_distribution(9);
         let coins = [0u64, 1, 2];
-        let scalar = randomized_error(&dist, &ConstantDecision::no(), 1, &coins);
-        let batched = randomized_error_batched(&dist, &ConstantDecision::no(), 1, &coins);
+        let scalar = randomized_error(&dist, &ConstantDecision::new(Decision::No), 1, &coins);
+        let batched =
+            randomized_error_batched(&dist, &ConstantDecision::new(Decision::No), 1, &coins);
         assert_eq!(scalar.to_bits(), batched.to_bits());
     }
 

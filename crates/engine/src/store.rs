@@ -162,11 +162,6 @@ impl ArtifactStore {
         }
     }
 
-    /// Whether this store persists to disk.
-    pub fn is_persistent(&self) -> bool {
-        self.dir.is_some()
-    }
-
     /// Cache hits so far (memory or disk).
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)

@@ -177,7 +177,8 @@ mod tests {
     #[test]
     fn single_run_matches() {
         let row = super::run_one(
-            bcc_graphs::generators::complete(9),
+            bcc_graphs::Graph::from_edges(9, (0..9).flat_map(|u| (u + 1..9).map(move |v| (u, v))))
+                .expect("K_9 edges are valid"),
             4,
             bcc_trace::Observer::off(),
         );

@@ -80,12 +80,6 @@ pub fn structure_row(n: usize, rng: &mut rand::rngs::StdRng) -> IndistRow {
     }
 }
 
-/// Builds the structural series (serial entry point with a fixed RNG).
-pub fn structure(ns: &[usize]) -> Vec<IndistRow> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(2024);
-    ns.iter().map(|&n| structure_row(n, &mut rng)).collect()
-}
-
 fn sizes(quick: bool) -> &'static [usize] {
     if quick {
         &[6, 7]
@@ -311,9 +305,15 @@ impl crate::Experiment for E2 {
 
 #[cfg(test)]
 mod tests {
+    use rand::SeedableRng;
+
     #[test]
     fn structure_rows_consistent() {
-        let rows = super::structure(&[6, 7]);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2024);
+        let rows: Vec<_> = [6, 7]
+            .iter()
+            .map(|&n| super::structure_row(n, &mut rng))
+            .collect();
         for r in &rows {
             assert!(r.degrees_exact, "n={}", r.n);
             assert!(

@@ -56,16 +56,6 @@ fn e_row(n: usize) -> RankRow {
     }
 }
 
-/// The M_n series (keep `n ≤ 7`: `B_7 = 877`).
-pub fn m_series(max_n: usize) -> Vec<RankRow> {
-    (1..=max_n).map(m_row).collect()
-}
-
-/// The E_n series (keep `n ≤ 10`: `9!! = 945`).
-pub fn e_series(max_n: usize) -> Vec<RankRow> {
-    (1..=max_n / 2).map(|k| e_row(2 * k)).collect()
-}
-
 fn row_output(shard: u32, row: &RankRow) -> JobOutput {
     let text = format!(
         "{:>3} {:>3} {:>7} {:>7} {:>8} {:>10.2} {:>9.2}\n",
@@ -204,7 +194,7 @@ mod tests {
 
     #[test]
     fn log_rank_grows_superlinearly() {
-        let m = super::m_series(5);
+        let m: Vec<_> = (1..=5).map(super::m_row).collect();
         // log2 B_n / n grows with n — the Θ(n log n) signature.
         let per_el: Vec<f64> = m.iter().skip(1).map(|r| r.log2_rank / r.n as f64).collect();
         for w in per_el.windows(2) {

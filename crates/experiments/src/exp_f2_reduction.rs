@@ -218,7 +218,7 @@ mod tests {
         let mut outs: Vec<JobOutput> = run
             .job_results
             .into_iter()
-            .filter_map(|r| r.status.into_output())
+            .filter_map(|r| r.status.output().cloned())
             .collect();
         let forward = reduce(outs.clone());
         outs.reverse();

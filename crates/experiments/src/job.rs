@@ -382,8 +382,8 @@ mod tests {
             bcc_engine::artifacts::join_matrix_rank(&store, 3);
             JobOutput::new("ex", 0, "s").value("seed", ctx.seed)
         });
-        let out = job.into_runner_job(None).run_inline().status.into_output();
-        let out = out.expect("completed");
+        let result = crate::test_job_result(job.into_runner_job(None));
+        let out = result.status.output().expect("completed");
         assert_eq!(out.int("seed"), Some(42));
         assert_eq!(out.cache_lookups, 2);
     }

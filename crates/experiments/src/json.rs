@@ -152,10 +152,11 @@ mod tests {
         let job = bcc_runner::Job::new(bcc_runner::JobSpec::new("e1/x", 9), |_ctx| {
             Ok(JobOutput::new("e1", 0, "x"))
         });
-        let rec = job_record(&job.run_inline());
+        let rec = job_record(&crate::test_job_result(job));
         assert!(rec.contains("\"type\":\"job\""));
         assert!(rec.contains("\"id\":\"e1/x\""));
         assert!(rec.contains("\"status\":\"completed\""));
+        assert!(rec.contains("\"attempts\":1,"));
         assert!(rec.contains("\"error\":null"));
     }
 
@@ -168,6 +169,7 @@ mod tests {
         let rec = metrics_record(&m.snapshot());
         assert!(rec.contains("\"type\":\"metrics\""));
         assert!(rec.contains("\"scheduled\":1"));
+        assert!(rec.contains("\"retried\":0,"));
         assert!(rec.contains("\"count\":1"));
     }
 }

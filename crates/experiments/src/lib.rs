@@ -408,6 +408,19 @@ pub(crate) fn test_report(id: &str, quick: bool) -> Report {
     run.reports.remove(0)
 }
 
+/// Runs one runner job on a one-thread pool, unobserved.
+#[cfg(test)]
+pub(crate) fn test_job_result<T: Send>(job: bcc_runner::Job<T>) -> bcc_runner::JobResult<T> {
+    bcc_runner::Pool::new(1)
+        .execute(
+            vec![job],
+            &bcc_runner::CancellationToken::new(),
+            &bcc_trace::Collector::disabled(),
+            &bcc_metrics::MetricsHub::disabled(),
+        )
+        .remove(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::{job::DEFAULT_SEED, RunRequest};

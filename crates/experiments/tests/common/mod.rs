@@ -41,6 +41,13 @@ pub fn trace_jsonl(trace: &Trace) -> String {
     String::from_utf8(buf).expect("traces are UTF-8")
 }
 
+/// A metrics dump's JSONL bytes.
+pub fn dump_jsonl(dump: &MetricsDump) -> String {
+    let mut buf = Vec::new();
+    dump.write_jsonl(&mut buf).expect("in-memory write");
+    String::from_utf8(buf).expect("dumps are UTF-8")
+}
+
 /// Asserts that two trace JSONL renderings are byte-identical. On a
 /// mismatch it panics naming the first diverging event by its
 /// `(unit, seq)` merge key, with both sides' lines.

@@ -12,7 +12,7 @@ use bcc_experiments::RunRequest;
 use bcc_metrics::{MetricsHub, MetricsLevel};
 use bcc_prof::{profile_to_jsonl, Profile};
 use bcc_trace::{Collector, TraceLevel};
-use common::{assert_same_dump, assert_same_profile, assert_same_trace, trace_jsonl};
+use common::{assert_same_dump, assert_same_profile, assert_same_trace, dump_jsonl, trace_jsonl};
 
 const IDS: [&str; 4] = ["f1", "e1", "e2", "e5"];
 
@@ -30,7 +30,7 @@ fn artifacts() -> (String, String, String) {
     let profile = Profile::build(run.trace.events(), Some(&run.workload));
     (
         trace_jsonl(&run.trace),
-        run.workload.to_jsonl_string(),
+        dump_jsonl(&run.workload),
         profile_to_jsonl(&profile),
     )
 }

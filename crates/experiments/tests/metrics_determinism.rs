@@ -18,7 +18,7 @@ use bcc_experiments::job::DEFAULT_SEED;
 use bcc_experiments::{RunRequest, SuiteRun};
 use bcc_metrics::{MetricsDump, MetricsHub, MetricsLevel};
 use bcc_trace::Collector;
-use common::assert_same_dump;
+use common::{assert_same_dump, dump_jsonl};
 
 /// A quick run of `ids` on `threads` workers, metered at `level`.
 fn run(ids: &[&str], threads: usize, level: MetricsLevel) -> SuiteRun {
@@ -53,8 +53,8 @@ fn merged_dump_is_identical_across_thread_counts() {
     let serial = run(&IDS, 1, MetricsLevel::Full);
     let parallel = run(&IDS, 8, MetricsLevel::Full);
     assert_same_dump(
-        &serial.workload.to_jsonl_string(),
-        &parallel.workload.to_jsonl_string(),
+        &dump_jsonl(&serial.workload),
+        &dump_jsonl(&parallel.workload),
         "1 vs 8 threads",
     );
 }
@@ -63,15 +63,15 @@ fn merged_dump_is_identical_across_thread_counts() {
 fn same_seed_reruns_reproduce_the_dump() {
     let a = run(&IDS, 4, MetricsLevel::Core);
     let b = run(&IDS, 4, MetricsLevel::Core);
-    assert_eq!(a.workload.to_jsonl_string(), b.workload.to_jsonl_string());
+    assert_eq!(dump_jsonl(&a.workload), dump_jsonl(&b.workload));
 }
 
 #[test]
 fn dump_round_trips_through_jsonl() {
     let run = run(&IDS, 2, MetricsLevel::Full);
-    let text = run.workload.to_jsonl_string();
+    let text = dump_jsonl(&run.workload);
     let parsed = MetricsDump::parse_jsonl(&text).expect("own dump parses");
-    assert_eq!(parsed.to_jsonl_string(), text, "codec round trip");
+    assert_eq!(dump_jsonl(&parsed), text, "codec round trip");
     assert_eq!(parsed.counters(), run.workload.counters());
     assert_eq!(parsed.units(), run.workload.units());
 }

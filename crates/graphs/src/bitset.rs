@@ -88,30 +88,6 @@ impl BitSet {
         self.words.fill(0);
     }
 
-    /// In-place union with `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if capacities differ.
-    pub fn union_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// In-place intersection with `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if capacities differ.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
     /// Iterates over the elements in increasing order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
@@ -196,21 +172,6 @@ mod tests {
             s.insert(v);
         }
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 63, 64, 65, 128, 199]);
-    }
-
-    #[test]
-    fn union_and_intersection() {
-        let mut a = BitSet::new(10);
-        let mut b = BitSet::new(10);
-        a.insert(1);
-        a.insert(2);
-        b.insert(2);
-        b.insert(3);
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 2, 3]);
-        a.intersect_with(&b);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Connected components, spanning forests and component labellings.
+//! Connected components and component labellings.
 //!
 //! These are the ground-truth oracles against which every `BCC(b)`
 //! algorithm in the workspace is judged: `Connectivity` asks whether
@@ -6,7 +6,7 @@
 //! `ConnectedComponents` asks each node to output the label assigned
 //! here (the minimum vertex of its component).
 
-use crate::graph::{Edge, Graph};
+use crate::graph::Graph;
 use crate::union_find::UnionFind;
 
 /// The result of a connected-components computation.
@@ -27,11 +27,6 @@ impl Components {
             by.entry(l).or_default().push(v);
         }
         by.into_values().collect()
-    }
-
-    /// Returns `true` if `u` and `v` are in the same component.
-    pub fn same_component(&self, u: usize, v: usize) -> bool {
-        self.label[u] == self.label[v]
     }
 }
 
@@ -59,76 +54,6 @@ pub fn connected_components(g: &Graph) -> Components {
     }
 }
 
-/// Returns a spanning forest of `g` (a maximal cycle-free subset of the
-/// edges), as edges in the order they were accepted by a union–find
-/// scan over the sorted edge list.
-pub fn spanning_forest(g: &Graph) -> Vec<Edge> {
-    let mut uf = UnionFind::new(g.num_vertices());
-    let mut forest = Vec::new();
-    for e in g.edges() {
-        if uf.union(e.u, e.v) {
-            forest.push(e);
-        }
-    }
-    forest
-}
-
-/// Returns `true` if `g` is acyclic (a forest).
-pub fn is_forest(g: &Graph) -> bool {
-    // A graph is a forest iff m = n - (number of components).
-    let c = connected_components(g);
-    g.num_edges() == g.num_vertices() - c.count
-}
-
-/// Breadth-first distances from `source` (`usize::MAX` marks
-/// unreachable vertices).
-///
-/// # Panics
-///
-/// Panics if `source >= n`.
-pub fn bfs_distances(g: &Graph, source: usize) -> Vec<usize> {
-    assert!(source < g.num_vertices(), "source out of range");
-    let mut dist = vec![usize::MAX; g.num_vertices()];
-    dist[source] = 0;
-    let mut queue = std::collections::VecDeque::from([source]);
-    while let Some(u) = queue.pop_front() {
-        for &v in g.neighbors(u) {
-            if dist[v] == usize::MAX {
-                dist[v] = dist[u] + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
-/// An upper bound on the arboricity of `g` via the degeneracy
-/// (iteratively removing a minimum-degree vertex). The degeneracy `d`
-/// satisfies `arboricity <= d <= 2·arboricity - 1`, so constant
-/// degeneracy certifies the "uniformly sparse" regime in which the
-/// paper's lower bound is tight.
-pub fn degeneracy(g: &Graph) -> usize {
-    let n = g.num_vertices();
-    let mut deg: Vec<usize> = (0..n).map(|v| g.degree(v)).collect();
-    let mut removed = vec![false; n];
-    let mut best = 0;
-    for _ in 0..n {
-        // One vertex is removed per pass, so a minimum always exists;
-        // the guard keeps this loop panic-free regardless.
-        let Some(v) = (0..n).filter(|&v| !removed[v]).min_by_key(|&v| deg[v]) else {
-            break;
-        };
-        best = best.max(deg[v]);
-        removed[v] = true;
-        for &w in g.neighbors(v) {
-            if !removed[w] {
-                deg[w] -= 1;
-            }
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,8 +65,6 @@ mod tests {
         let c = connected_components(&g);
         assert_eq!(c.count, 2);
         assert_eq!(c.groups(), vec![vec![0, 1, 2], vec![3, 4, 5, 6]]);
-        assert!(c.same_component(0, 2));
-        assert!(!c.same_component(0, 3));
     }
 
     #[test]
@@ -149,45 +72,5 @@ mod tests {
         let c = connected_components(&Graph::new(4));
         assert_eq!(c.count, 4);
         assert_eq!(c.label, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn spanning_forest_size() {
-        let g = generators::cycle(5);
-        let f = spanning_forest(&g);
-        assert_eq!(f.len(), 4); // n - 1 for a connected graph
-        let g2 = generators::two_cycles(3, 3);
-        assert_eq!(spanning_forest(&g2).len(), 4); // n - 2
-    }
-
-    #[test]
-    fn forest_recognition() {
-        let path = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
-        assert!(is_forest(&path));
-        assert!(!is_forest(&generators::cycle(4)));
-        assert!(is_forest(&Graph::new(3)));
-    }
-
-    #[test]
-    fn bfs_on_cycle() {
-        let g = generators::cycle(6);
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d, vec![0, 1, 2, 3, 2, 1]);
-    }
-
-    #[test]
-    fn bfs_unreachable() {
-        let g = Graph::from_edges(3, [(0, 1)]).unwrap();
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d[2], usize::MAX);
-    }
-
-    #[test]
-    fn degeneracy_of_families() {
-        assert_eq!(degeneracy(&generators::cycle(8)), 2);
-        assert_eq!(degeneracy(&generators::star(8)), 1);
-        let path = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
-        assert_eq!(degeneracy(&path), 1);
-        assert_eq!(degeneracy(&Graph::new(3)), 0);
     }
 }

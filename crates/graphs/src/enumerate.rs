@@ -199,72 +199,6 @@ pub fn two_cycle_graphs(n: usize) -> impl Iterator<Item = Graph> {
     })
 }
 
-/// All graphs on `0..n` that are disjoint unions of cycles, each of
-/// length at least `min_len` (the full `MultiCycle` instance space for
-/// `min_len = 4`). Collected eagerly; intended for small `n`.
-pub fn multi_cycle_covers(n: usize, min_len: usize) -> Vec<Graph> {
-    assert!(min_len >= 3, "cycles need length >= 3");
-    let mut out = Vec::new();
-    // Recursively partition vertices into blocks of size >= min_len,
-    // always putting the smallest unused vertex in the current block to
-    // get each set partition exactly once, then place all cycles.
-    fn recurse(
-        n: usize,
-        min_len: usize,
-        remaining: &[usize],
-        blocks: &mut Vec<Vec<usize>>,
-        out: &mut Vec<Graph>,
-    ) {
-        if remaining.is_empty() {
-            // Cartesian product of cycle choices per block.
-            let choices: Vec<Vec<Graph>> = blocks
-                .iter()
-                .map(|b| crate::enumerate::cycles_on(n, b))
-                .collect();
-            let mut acc: Vec<Graph> = vec![Graph::new(n)];
-            for block_cycles in &choices {
-                let mut next = Vec::with_capacity(acc.len() * block_cycles.len());
-                for base in &acc {
-                    for c in block_cycles {
-                        let mut g = base.clone();
-                        for e in c.edges() {
-                            g.add_edge(e.u, e.v).expect("blocks disjoint");
-                        }
-                        next.push(g);
-                    }
-                }
-                acc = next;
-            }
-            out.extend(acc);
-            return;
-        }
-        let anchor = remaining[0];
-        let rest = &remaining[1..];
-        // Choose the rest of anchor's block from `rest`.
-        for size in (min_len - 1)..=rest.len() {
-            for members in crate::enumerate::subsets(rest.len(), size) {
-                let mut block = vec![anchor];
-                block.extend(members.iter().map(|&i| rest[i]));
-                let leftover: Vec<usize> = rest
-                    .iter()
-                    .copied()
-                    .filter(|v| !block.contains(v))
-                    .collect();
-                if !leftover.is_empty() && leftover.len() < min_len {
-                    continue;
-                }
-                blocks.push(block);
-                recurse(n, min_len, &leftover, blocks, out);
-                blocks.pop();
-            }
-        }
-    }
-    let all: Vec<usize> = (0..n).collect();
-    let mut blocks = Vec::new();
-    recurse(n, min_len, &all, &mut blocks, &mut out);
-    out
-}
-
 /// All perfect matchings of `0..n` as sorted pair lists (requires `n`
 /// even). There are `(n-1)!! = n!/(2^{n/2}·(n/2)!)` of them — exactly
 /// the instances of the paper's `TwoPartition` problem (Section 4.1).
@@ -301,23 +235,6 @@ pub fn perfect_matchings(n: usize) -> Vec<Vec<(usize, usize)>> {
     }
     recurse(n, &mut used, &mut current, &mut out);
     out
-}
-
-/// The double factorial `(n-1)!! = 1·3·5·…·(n-1)` for even `n`: the
-/// number of perfect matchings of `[n]`.
-///
-/// # Panics
-///
-/// Panics if `n` is odd or the result overflows `u64`.
-pub fn num_perfect_matchings(n: usize) -> u64 {
-    assert!(n.is_multiple_of(2), "need even n");
-    let mut acc: u64 = 1;
-    let mut k = 1u64;
-    while k < n as u64 {
-        acc = acc.checked_mul(k).expect("matching count overflows u64");
-        k += 2;
-    }
-    acc
 }
 
 /// Number of two-cycle graphs on `n` vertices, computed from the split
@@ -424,27 +341,11 @@ mod tests {
     }
 
     #[test]
-    fn multi_cycle_cover_counts() {
-        // n = 6, min_len 3: one 6-cycle (60) + two 3-cycles (10) = 70.
-        let covers = multi_cycle_covers(6, 3);
-        assert_eq!(covers.len(), 70);
-        for g in &covers {
-            cycle_structure(g).unwrap();
-        }
-        // n = 8, min_len 4: one 8-cycle (2520) + 4+4 splits
-        // (C(8,4)/2 = 35 splits × 3 × 3 = 315) = 2835.
-        let covers8 = multi_cycle_covers(8, 4);
-        assert_eq!(covers8.len(), 2835);
-    }
-
-    #[test]
     fn perfect_matching_counts() {
         assert_eq!(perfect_matchings(2).len(), 1);
         assert_eq!(perfect_matchings(4).len(), 3);
         assert_eq!(perfect_matchings(6).len(), 15);
         assert_eq!(perfect_matchings(8).len(), 105);
-        assert_eq!(num_perfect_matchings(8), 105);
-        assert_eq!(num_perfect_matchings(10), 945);
         // Each matching covers every vertex exactly once.
         for m in perfect_matchings(6) {
             let mut seen = [false; 6];

@@ -49,16 +49,6 @@ impl Edge {
             )
         }
     }
-
-    /// Returns `true` if `w` is an endpoint of this edge.
-    pub fn touches(&self, w: usize) -> bool {
-        self.u == w || self.v == w
-    }
-
-    /// Returns `true` if the two edges share an endpoint.
-    pub fn shares_endpoint(&self, other: &Edge) -> bool {
-        self.touches(other.u) || self.touches(other.v)
-    }
 }
 
 impl std::fmt::Display for Edge {
@@ -213,11 +203,6 @@ impl Graph {
         self.adj[v].len()
     }
 
-    /// Maximum degree over all vertices (0 for the empty graph).
-    pub fn max_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Neighbors of `v`, in insertion order.
     ///
     /// # Panics
@@ -225,15 +210,6 @@ impl Graph {
     /// Panics if `v >= n`.
     pub fn neighbors(&self, v: usize) -> &[usize] {
         &self.adj[v]
-    }
-
-    /// Adjacency row of `v` as a bit set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= n`.
-    pub fn neighbor_set(&self, v: usize) -> &BitSet {
-        &self.rows[v]
     }
 
     /// Iterates over all edges with `u < v`, in sorted order.
@@ -249,11 +225,6 @@ impl Graph {
         out
     }
 
-    /// Returns `true` if every vertex has degree exactly `d`.
-    pub fn is_regular(&self, d: usize) -> bool {
-        (0..self.n).all(|v| self.degree(v) == d)
-    }
-
     /// Returns `true` if the graph is connected (the empty graph and
     /// singleton graph are connected).
     pub fn is_connected(&self) -> bool {
@@ -267,43 +238,6 @@ impl Graph {
             }
         }
         uf.num_sets() == 1
-    }
-
-    /// Replaces edge set with `edges` (keeping `n`), validating as in
-    /// [`Graph::from_edges`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Graph::add_edge`].
-    pub fn set_edges(
-        &mut self,
-        edges: impl IntoIterator<Item = (usize, usize)>,
-    ) -> Result<(), GraphError> {
-        *self = Graph::new(self.n);
-        for (u, v) in edges {
-            self.add_edge(u, v)?;
-        }
-        Ok(())
-    }
-
-    /// The complement graph (useful for tests of the clique network).
-    pub fn complement(&self) -> Graph {
-        let mut g = Graph::new(self.n);
-        for u in 0..self.n {
-            for v in (u + 1)..self.n {
-                if !self.has_edge(u, v) {
-                    g.add_edge(u, v).expect("complement edge valid");
-                }
-            }
-        }
-        g
-    }
-
-    /// Sorted degree sequence.
-    pub fn degree_sequence(&self) -> Vec<usize> {
-        let mut d: Vec<usize> = (0..self.n).map(|v| self.degree(v)).collect();
-        d.sort_unstable();
-        d
     }
 
     /// A canonical, hashable encoding of the edge set: the sorted edge
@@ -332,10 +266,6 @@ mod tests {
         assert_eq!(Edge::new(3, 1), Edge::new(1, 3));
         assert_eq!(Edge::new(1, 3).other(1), 3);
         assert_eq!(Edge::new(1, 3).other(3), 1);
-        assert!(Edge::new(1, 3).touches(1));
-        assert!(!Edge::new(1, 3).touches(2));
-        assert!(Edge::new(1, 3).shares_endpoint(&Edge::new(3, 5)));
-        assert!(!Edge::new(1, 3).shares_endpoint(&Edge::new(2, 5)));
     }
 
     #[test]
@@ -393,30 +323,5 @@ mod tests {
         assert_eq!(g.canonical_key(), vec![(0, 1), (0, 3), (2, 3)]);
         let h = Graph::from_edges(4, [(0, 3), (2, 3), (1, 0)]).unwrap();
         assert_eq!(g, h);
-    }
-
-    #[test]
-    fn complement_of_path() {
-        let g = Graph::from_edges(3, [(0, 1), (1, 2)]).unwrap();
-        let c = g.complement();
-        assert_eq!(c.canonical_key(), vec![(0, 2)]);
-    }
-
-    #[test]
-    fn regularity_and_degrees() {
-        let g = Graph::from_edges(3, [(0, 1), (1, 2), (2, 0)]).unwrap();
-        assert!(g.is_regular(2));
-        assert_eq!(g.max_degree(), 2);
-        assert_eq!(g.degree_sequence(), vec![2, 2, 2]);
-        assert!(!Graph::new(2).is_regular(1));
-    }
-
-    #[test]
-    fn set_edges_replaces() {
-        let mut g = Graph::from_edges(4, [(0, 1)]).unwrap();
-        g.set_edges([(2, 3)]).unwrap();
-        assert!(!g.has_edge(0, 1));
-        assert!(g.has_edge(2, 3));
-        assert_eq!(g.num_edges(), 1);
     }
 }

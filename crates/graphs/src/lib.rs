@@ -8,18 +8,16 @@
 //!   `0..n`, the input-graph type of every `BCC(b)` instance;
 //! - [`UnionFind`]: union–find with union by rank and path compression,
 //!   used by connectivity checks, partition joins and Borůvka phases;
-//! - [`connectivity`]: connected components, spanning forests and
-//!   component labellings;
+//! - [`connectivity`]: connected components and component labellings;
 //! - [`cycles`]: recognition of disjoint-cycle graphs — the promise of
 //!   the paper's `TwoCycle` and `MultiCycle` problems;
 //! - [`generators`]: deterministic and random instance families
 //!   (cycles, disjoint cycles, `G(n, m)`, random 2-regular graphs);
 //! - [`enumerate`]: *exact* enumeration of the instance spaces the
 //!   lower-bound proofs quantify over (all labeled one-cycle graphs, all
-//!   two-cycle graphs, all disjoint-cycle covers, all perfect
-//!   matchings);
-//! - [`matching`]: Hopcroft–Karp maximum bipartite matching, Hall
-//!   condition checking, and the *k-matching* extraction used by the
+//!   two-cycle graphs, all perfect matchings);
+//! - [`matching`]: Hopcroft–Karp maximum bipartite matching, a Hall
+//!   condition oracle, and the *k-matching* extraction used by the
 //!   Polygamous Hall Theorem (Theorem 2.1 of the paper).
 //!
 //! # Example

@@ -10,8 +10,8 @@
 //!
 //! - [`BipartiteGraph`]: adjacency between a left and right vertex set;
 //! - [`hopcroft_karp`]: maximum matching in `O(E·√V)`;
-//! - [`hall_violator`]: find a set `S` with `|N(S)| < k·|S|`, or prove
-//!   none exists (via a max-flow argument through the matching);
+//! - [`hall_condition_brute_force`]: the expansion condition checked
+//!   over every subset, the oracle the tests hold [`k_matching`] to;
 //! - [`k_matching`]: the constructive Polygamous Hall Theorem —
 //!   returns a `k`-matching of size `|L|` whenever the expansion
 //!   condition `|N(S)| ≥ k·|S|` holds.
@@ -35,16 +35,6 @@ impl BipartiteGraph {
             right,
             adj: vec![Vec::new(); left],
         }
-    }
-
-    /// Number of left vertices.
-    pub fn num_left(&self) -> usize {
-        self.left
-    }
-
-    /// Number of right vertices.
-    pub fn num_right(&self) -> usize {
-        self.right
     }
 
     /// Total number of edges.
@@ -203,6 +193,7 @@ impl KMatching {
     /// Verifies the defining properties against `g`: each left vertex
     /// has exactly `k` neighbors assigned, every assigned vertex is an
     /// actual neighbor, and the assigned sets are pairwise disjoint.
+    // bcc-lint: allow(U1): certificate check that k_matching's outputs are tested against
     pub fn is_valid(&self, g: &BipartiteGraph) -> bool {
         let mut used = BitSet::new(g.right);
         for (l, assigned) in self.assignments.iter().enumerate() {
@@ -249,54 +240,10 @@ pub fn k_matching(g: &BipartiteGraph, k: usize) -> Option<KMatching> {
     Some(KMatching { k, assignments })
 }
 
-/// Searches for a *Hall violator* for replication factor `k`: a set
-/// `S ⊆ L` with `|N(S)| < k·|S|`. Returns `None` when the expansion
-/// condition holds everywhere.
-///
-/// Uses the standard certificate: if the cloned graph has no perfect
-/// left matching, the set of left vertices reachable from any
-/// unmatched left vertex by alternating paths violates Hall.
-pub fn hall_violator(g: &BipartiteGraph, k: usize) -> Option<Vec<usize>> {
-    let mut clone_graph = BipartiteGraph::new(g.left * k, g.right);
-    for l in 0..g.left {
-        for c in 0..k {
-            for &r in &g.adj[l] {
-                clone_graph.add_edge(l * k + c, r);
-            }
-        }
-    }
-    let m = hopcroft_karp(&clone_graph);
-    if m.size() == g.left * k {
-        return None;
-    }
-    // Find an unmatched clone and explore alternating paths.
-    let start = (0..clone_graph.left).find(|&l| m.pair_left[l].is_none())?;
-    let mut left_seen = BitSet::new(clone_graph.left);
-    let mut right_seen = BitSet::new(clone_graph.right);
-    left_seen.insert(start);
-    let mut stack = vec![start];
-    while let Some(l) = stack.pop() {
-        for &r in &clone_graph.adj[l] {
-            if right_seen.insert(r) {
-                if let Some(l2) = m.pair_right[r] {
-                    if left_seen.insert(l2) {
-                        stack.push(l2);
-                    }
-                }
-            }
-        }
-    }
-    // Project clones back to original left vertices.
-    let mut violator: Vec<usize> = left_seen.iter().map(|cl| cl / k).collect();
-    violator.dedup();
-    violator.sort_unstable();
-    violator.dedup();
-    Some(violator)
-}
-
 /// Checks the expansion condition `|N(S)| ≥ k·|S|` for *every* subset
 /// `S ⊆ L` by brute force. Exponential in `|L|`; intended for tests
-/// against [`hall_violator`] on small graphs.
+/// against [`k_matching`] on small graphs.
+// bcc-lint: allow(U1): brute-force Hall oracle that k_matching is tested against
 pub fn hall_condition_brute_force(g: &BipartiteGraph, k: usize) -> bool {
     assert!(g.left <= 20, "brute force limited to 20 left vertices");
     for mask in 1u32..(1 << g.left) {
@@ -371,26 +318,6 @@ mod tests {
         assert!(hall_condition_brute_force(&g, 2));
         let km = k_matching(&g, 2).expect("Hall holds");
         assert!(km.is_valid(&g));
-    }
-
-    #[test]
-    fn hall_violator_found_when_expansion_fails() {
-        // Both left vertices see only right vertex 0.
-        let mut g = BipartiteGraph::new(2, 3);
-        g.add_edge(0, 0);
-        g.add_edge(1, 0);
-        assert!(!hall_condition_brute_force(&g, 1));
-        let v = hall_violator(&g, 1).expect("violator exists");
-        assert_eq!(g.neighborhood(v.iter().copied()).len(), 1);
-        assert!(v.len() >= 2, "violator {v:?} must have |N(S)| < |S|");
-        assert!(k_matching(&g, 1).is_none());
-    }
-
-    #[test]
-    fn hall_violator_none_when_condition_holds() {
-        let g = complete_bipartite(3, 6);
-        assert!(hall_violator(&g, 2).is_none());
-        assert!(hall_condition_brute_force(&g, 2));
     }
 
     #[test]

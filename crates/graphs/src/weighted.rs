@@ -125,13 +125,6 @@ impl WeightedGraph {
             total_weight: total,
         }
     }
-
-    /// Returns `true` if all edge weights are distinct (uniqueness of
-    /// the MSF).
-    pub fn weights_distinct(&self) -> bool {
-        let mut seen = std::collections::BTreeSet::new();
-        self.weights.values().all(|&w| seen.insert(w))
-    }
 }
 
 /// The deterministic distinct edge weight shared by the distributed
@@ -177,9 +170,12 @@ mod tests {
 
     #[test]
     fn hashed_weights_distinct() {
+        let n = 12;
         for seed in 0..5 {
-            let g = WeightedGraph::from_graph_hashed(&generators::complete(12), seed);
-            assert!(g.weights_distinct(), "seed={seed}");
+            let weights: std::collections::BTreeSet<u64> = (0..n)
+                .flat_map(|u| (u + 1..n).map(move |v| hashed_weight(u, v, n, seed)))
+                .collect();
+            assert_eq!(weights.len(), n * (n - 1) / 2, "seed={seed}");
         }
     }
 
@@ -196,7 +192,8 @@ mod tests {
     fn mst_weight_optimal_brute_force() {
         // Compare against brute force over all spanning trees on a
         // small dense graph.
-        let base = generators::complete(5);
+        let base = Graph::from_edges(5, (0..5).flat_map(|u| (u + 1..5).map(move |v| (u, v))))
+            .expect("K_5 edges are valid");
         let g = WeightedGraph::from_graph_hashed(&base, 3);
         let edges = g.weighted_edges();
         let m = edges.len();

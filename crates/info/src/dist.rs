@@ -65,13 +65,6 @@ impl<T: Ord + Clone> Dist<T> {
         Dist { probs }
     }
 
-    /// The point distribution on a single outcome.
-    pub fn point(outcome: T) -> Self {
-        Dist {
-            probs: BTreeMap::from([(outcome, 1.0)]),
-        }
-    }
-
     /// Probability of `outcome` (0 if outside the support).
     pub fn prob(&self, outcome: &T) -> f64 {
         self.probs.get(outcome).copied().unwrap_or(0.0)
@@ -103,30 +96,6 @@ impl<T: Ord + Clone> Dist<T> {
         }
         Dist { probs }
     }
-
-    /// Kullback–Leibler divergence `D(self ‖ other)` in bits.
-    ///
-    /// Returns `f64::INFINITY` if `self` puts mass where `other` does
-    /// not.
-    pub fn kl_divergence(&self, other: &Dist<T>) -> f64 {
-        let mut acc = 0.0;
-        for (o, &p) in &self.probs {
-            if p == 0.0 {
-                continue;
-            }
-            let q = other.prob(o);
-            if q == 0.0 {
-                return f64::INFINITY;
-            }
-            acc += p * (p / q).log2();
-        }
-        acc
-    }
-
-    /// Total mass (should be 1 up to rounding; exposed for tests).
-    pub fn total_mass(&self) -> f64 {
-        self.probs.values().sum()
-    }
 }
 
 #[cfg(test)]
@@ -138,12 +107,11 @@ mod tests {
         let d = Dist::uniform((0..8).collect());
         assert!((d.entropy() - 3.0).abs() < 1e-12);
         assert_eq!(d.support_size(), 8);
-        assert!((d.total_mass() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn point_has_zero_entropy() {
-        let d = Dist::point(42);
+        let d = Dist::uniform(vec![42]);
         assert_eq!(d.entropy(), 0.0);
         assert_eq!(d.prob(&42), 1.0);
         assert_eq!(d.prob(&41), 0.0);
@@ -170,16 +138,6 @@ mod tests {
         let d = Dist::from_weights(vec![(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0)]);
         let m = d.map(|x| x / 2);
         assert!(m.entropy() <= d.entropy() + 1e-12);
-    }
-
-    #[test]
-    fn kl_divergence_properties() {
-        let p = Dist::from_weights(vec![(0, 1.0), (1, 3.0)]);
-        let q = Dist::uniform(vec![0, 1]);
-        assert!(p.kl_divergence(&q) > 0.0);
-        assert!(p.kl_divergence(&p).abs() < 1e-12);
-        let r = Dist::point(0);
-        assert_eq!(p.kl_divergence(&r), f64::INFINITY);
     }
 
     #[test]

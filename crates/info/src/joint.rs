@@ -54,15 +54,6 @@ impl<X: Ord + Clone, Y: Ord + Clone> Joint<X, Y> {
         Joint { probs }
     }
 
-    /// Builds the joint distribution of `(X, f(X))` for `X ~ input`
-    /// and a deterministic map `f` — the shape of (input, transcript)
-    /// pairs for a deterministic protocol.
-    pub fn from_function(input: &Dist<X>, mut f: impl FnMut(&X) -> Y) -> Self {
-        Joint {
-            probs: input.iter().map(|(x, p)| ((x.clone(), f(x)), p)).collect(),
-        }
-    }
-
     /// The probability of a pair.
     pub fn prob(&self, x: &X, y: &Y) -> f64 {
         self.probs
@@ -104,11 +95,6 @@ impl<X: Ord + Clone, Y: Ord + Clone> Joint<X, Y> {
         (self.joint_entropy() - self.marginal_y().entropy()).max(0.0)
     }
 
-    /// The conditional entropy `H(Y | X)` in bits.
-    pub fn conditional_entropy_y_given_x(&self) -> f64 {
-        (self.joint_entropy() - self.marginal_x().entropy()).max(0.0)
-    }
-
     /// The mutual information `I(X; Y) = H(X) + H(Y) − H(X, Y)` in
     /// bits (clamped at 0 against floating-point cancellation).
     pub fn mutual_information(&self) -> f64 {
@@ -127,7 +113,7 @@ mod tests {
 
     #[test]
     fn chain_rule() {
-        // H(X, Y) = H(Y) + H(X|Y) = H(X) + H(Y|X).
+        // H(X, Y) = H(Y) + H(X|Y).
         let j = Joint::from_weights(vec![
             ((0, 'a'), 1.0),
             ((0, 'b'), 2.0),
@@ -137,9 +123,6 @@ mod tests {
         let lhs = j.joint_entropy();
         assert!(
             (lhs - (j.marginal_y().entropy() + j.conditional_entropy_x_given_y())).abs() < 1e-9
-        );
-        assert!(
-            (lhs - (j.marginal_x().entropy() + j.conditional_entropy_y_given_x())).abs() < 1e-9
         );
     }
 
@@ -153,18 +136,20 @@ mod tests {
         ]);
         let i1 = j.mutual_information();
         let i2 = j.marginal_x().entropy() - j.conditional_entropy_x_given_y();
-        let i3 = j.marginal_y().entropy() - j.conditional_entropy_y_given_x();
         assert!((i1 - i2).abs() < 1e-9);
-        assert!((i1 - i3).abs() < 1e-9);
         assert!(i1 > 0.0);
+    }
+
+    /// The joint distribution of `(X, f(X))` for `X` uniform on `0..n`.
+    fn of_function(n: u32, f: impl Fn(u32) -> u32) -> Joint<u32, u32> {
+        Joint::from_weights((0..n).map(|v| ((v, f(v)), 1.0)).collect())
     }
 
     #[test]
     fn deterministic_function_gives_full_information_about_output() {
-        // If Y = f(X), then H(Y|X) = 0 and I(X;Y) = H(Y).
-        let x = Dist::uniform((0u32..12).collect());
-        let j = Joint::from_function(&x, |&v| v % 3);
-        assert!(j.conditional_entropy_y_given_x().abs() < 1e-12);
+        // If Y = f(X), then H(Y|X) = H(X,Y) − H(X) = 0 and I(X;Y) = H(Y).
+        let j = of_function(12, |v| v % 3);
+        assert!((j.joint_entropy() - j.marginal_x().entropy()).abs() < 1e-12);
         assert!((j.mutual_information() - j.marginal_y().entropy()).abs() < 1e-9);
     }
 
@@ -172,8 +157,7 @@ mod tests {
     fn injective_function_reveals_everything() {
         // The transcript of an exact PartitionComp protocol determines
         // Alice's input: H(X | Y) = 0 and I = H(X).
-        let x = Dist::uniform((0u32..16).collect());
-        let j = Joint::from_function(&x, |&v| v * 7);
+        let j = of_function(16, |v| v * 7);
         assert!(j.conditional_entropy_x_given_y().abs() < 1e-9);
         assert!((j.mutual_information() - 4.0).abs() < 1e-9);
     }
@@ -203,8 +187,9 @@ mod tests {
     #[test]
     fn marginals_sum_to_one() {
         let j = Joint::from_weights(vec![((0, 0), 3.0), ((1, 1), 1.0)]);
-        assert!((j.marginal_x().total_mass() - 1.0).abs() < 1e-12);
-        assert!((j.marginal_y().total_mass() - 1.0).abs() < 1e-12);
+        let mass = |d: Dist<u32>| d.iter().map(|(_, p)| p).sum::<f64>();
+        assert!((mass(j.marginal_x()) - 1.0).abs() < 1e-12);
+        assert!((mass(j.marginal_y()) - 1.0).abs() < 1e-12);
         assert!((j.prob(&0, &0) - 0.75).abs() < 1e-12);
     }
 }

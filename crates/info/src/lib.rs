@@ -28,40 +28,3 @@ mod joint;
 
 pub use dist::Dist;
 pub use joint::Joint;
-
-/// Binary entropy function `H(p) = −p·log₂(p) − (1−p)·log₂(1−p)`,
-/// with the conventions `H(0) = H(1) = 0`.
-///
-/// # Panics
-///
-/// Panics if `p` is outside `[0, 1]`.
-pub fn binary_entropy(p: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&p), "probability {p} outside [0, 1]");
-    let term = |x: f64| if x == 0.0 { 0.0 } else { -x * x.log2() };
-    term(p) + term(1.0 - p)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn binary_entropy_endpoints() {
-        assert_eq!(binary_entropy(0.0), 0.0);
-        assert_eq!(binary_entropy(1.0), 0.0);
-        assert!((binary_entropy(0.5) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn binary_entropy_symmetric() {
-        for &p in &[0.1, 0.25, 0.4] {
-            assert!((binary_entropy(p) - binary_entropy(1.0 - p)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn binary_entropy_rejects_invalid() {
-        binary_entropy(1.5);
-    }
-}

@@ -33,16 +33,6 @@ impl GfP {
         GfP(value % MODULUS)
     }
 
-    /// Creates an element from a signed integer (negative values map to
-    /// their additive inverses).
-    pub fn from_i64(value: i64) -> Self {
-        if value >= 0 {
-            GfP::new(value as u64)
-        } else {
-            -GfP::new(value.unsigned_abs())
-        }
-    }
-
     /// The canonical representative in `0..MODULUS`.
     pub fn value(self) -> u64 {
         self.0
@@ -230,13 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn from_signed() {
-        assert_eq!(GfP::from_i64(-1), -GfP::ONE);
-        assert_eq!(GfP::from_i64(5), GfP::new(5));
-        assert_eq!(GfP::from_i64(-5) + GfP::from_i64(5), GfP::ZERO);
-    }
-
-    #[test]
     fn division() {
         let a = GfP::new(21);
         assert_eq!(a / GfP::new(3), GfP::new(7));
@@ -248,7 +231,7 @@ mod tests {
         a += GfP::new(5);
         assert_eq!(a.value(), 15);
         a -= GfP::new(20);
-        assert_eq!(a, GfP::from_i64(-5));
+        assert_eq!(a, -GfP::new(5));
         a *= GfP::ZERO;
         assert!(a.is_zero());
     }

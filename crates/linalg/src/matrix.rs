@@ -1,4 +1,4 @@
-//! Dense matrices over GF(2⁶¹ − 1) with exact rank and determinant.
+//! Dense matrices over GF(2⁶¹ − 1) with exact rank.
 
 use crate::field::GfP;
 
@@ -9,13 +9,9 @@ use crate::field::GfP;
 /// ```
 /// use bcc_linalg::{GfP, Matrix};
 ///
-/// let m = Matrix::from_rows(&[
-///     &[1, 2, 3],
-///     &[4, 5, 6],
-///     &[7, 8, 9],
-/// ]);
+/// // [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+/// let m = Matrix::from_fn(3, 3, |i, j| GfP::new((3 * i + j + 1) as u64));
 /// assert_eq!(m.rank(), 2); // rows are in arithmetic progression
-/// assert!(m.determinant().is_zero());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Matrix {
@@ -32,33 +28,6 @@ impl Matrix {
             cols,
             data: vec![GfP::ZERO; rows * cols],
         }
-    }
-
-    /// The `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, GfP::ONE);
-        }
-        m
-    }
-
-    /// Builds a matrix from integer rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows have unequal lengths.
-    pub fn from_rows(rows: &[&[u64]]) -> Self {
-        let r = rows.len();
-        let c = rows.first().map_or(0, |row| row.len());
-        let mut m = Matrix::zeros(r, c);
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(row.len(), c, "ragged rows");
-            for (j, &v) in row.iter().enumerate() {
-                m.set(i, j, GfP::new(v));
-            }
-        }
-        m
     }
 
     /// Builds a matrix by evaluating `f(i, j)` at every entry.
@@ -102,22 +71,6 @@ impl Matrix {
         self.data[i * self.cols + j] = v;
     }
 
-    /// The principal submatrix with the given row/column indices (the
-    /// object of Lemma 4.1's sub-rank argument).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range (requires a square matrix).
-    pub fn principal_submatrix(&self, indices: &[usize]) -> Matrix {
-        assert_eq!(
-            self.rows, self.cols,
-            "principal submatrix of a square matrix"
-        );
-        Matrix::from_fn(indices.len(), indices.len(), |i, j| {
-            self.get(indices[i], indices[j])
-        })
-    }
-
     /// Matrix product.
     ///
     /// # Panics
@@ -144,31 +97,12 @@ impl Matrix {
     /// The rank, by fraction-free Gaussian elimination over GF(p).
     pub fn rank(&self) -> usize {
         let mut m = self.clone();
-        m.row_echelon().0
+        m.row_echelon()
     }
 
-    /// The determinant of a square matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn determinant(&self) -> GfP {
-        assert_eq!(self.rows, self.cols, "determinant of a square matrix");
-        let mut m = self.clone();
-        let (rank, det) = m.row_echelon();
-        if rank < self.rows {
-            GfP::ZERO
-        } else {
-            det
-        }
-    }
-
-    /// In-place reduction to row echelon form; returns `(rank, det)`
-    /// where `det` is the product of pivots adjusted for row swaps
-    /// (meaningful only for square full-rank matrices).
-    fn row_echelon(&mut self) -> (usize, GfP) {
+    /// In-place reduction to row echelon form; returns the rank.
+    fn row_echelon(&mut self) -> usize {
         let mut pivot_row = 0;
-        let mut det = GfP::ONE;
         for col in 0..self.cols {
             if pivot_row == self.rows {
                 break;
@@ -184,10 +118,8 @@ impl Matrix {
                     self.set(src, j, b);
                     self.set(pivot_row, j, a);
                 }
-                det = -det;
             }
             let pivot = self.get(pivot_row, col);
-            det *= pivot;
             let inv = pivot.inverse();
             for r in (pivot_row + 1)..self.rows {
                 let factor = self.get(r, col) * inv;
@@ -201,7 +133,7 @@ impl Matrix {
             }
             pivot_row += 1;
         }
-        (pivot_row, det)
+        pivot_row
     }
 }
 
@@ -209,30 +141,27 @@ impl Matrix {
 mod tests {
     use super::*;
 
+    /// Builds a matrix from integer rows.
+    fn from_rows(rows: &[&[u64]]) -> Matrix {
+        let c = rows.first().map_or(0, |row| row.len());
+        Matrix::from_fn(rows.len(), c, |i, j| GfP::new(rows[i][j]))
+    }
+
     #[test]
-    fn identity_rank_and_det() {
-        let id = Matrix::identity(5);
+    fn identity_rank() {
+        let id = Matrix::from_fn(5, 5, |i, j| if i == j { GfP::ONE } else { GfP::ZERO });
         assert_eq!(id.rank(), 5);
-        assert_eq!(id.determinant(), GfP::ONE);
     }
 
     #[test]
     fn singular_matrix() {
-        let m = Matrix::from_rows(&[&[1, 2], &[2, 4]]);
+        let m = from_rows(&[&[1, 2], &[2, 4]]);
         assert_eq!(m.rank(), 1);
-        assert!(m.determinant().is_zero());
-    }
-
-    #[test]
-    fn known_determinant() {
-        // det [[1,2],[3,4]] = -2 ≡ p - 2.
-        let m = Matrix::from_rows(&[&[1, 2], &[3, 4]]);
-        assert_eq!(m.determinant(), GfP::from_i64(-2));
     }
 
     #[test]
     fn rank_of_rectangular() {
-        let m = Matrix::from_rows(&[&[1, 0, 0, 1], &[0, 1, 0, 1], &[1, 1, 0, 2]]);
+        let m = from_rows(&[&[1, 0, 0, 1], &[0, 1, 0, 1], &[1, 1, 0, 2]]);
         assert_eq!(m.rank(), 2);
         assert_eq!(m.num_rows(), 3);
         assert_eq!(m.num_cols(), 4);
@@ -240,51 +169,27 @@ mod tests {
 
     #[test]
     fn multiplication() {
-        let a = Matrix::from_rows(&[&[1, 2], &[3, 4]]);
-        let b = Matrix::from_rows(&[&[5, 6], &[7, 8]]);
+        let a = from_rows(&[&[1, 2], &[3, 4]]);
+        let b = from_rows(&[&[5, 6], &[7, 8]]);
         let c = a.mul(&b);
-        assert_eq!(c, Matrix::from_rows(&[&[19, 22], &[43, 50]]));
+        assert_eq!(c, from_rows(&[&[19, 22], &[43, 50]]));
     }
 
     #[test]
     fn sylvester_rank_inequality_holds() {
         // rank(AB) >= rank(A) + rank(B) - n, the inequality used in
         // the proof of Lemma 4.1.
-        let a = Matrix::from_rows(&[&[1, 0, 0], &[0, 1, 0], &[0, 0, 0]]);
-        let b = Matrix::from_rows(&[&[0, 0, 0], &[0, 1, 0], &[0, 0, 1]]);
+        let a = from_rows(&[&[1, 0, 0], &[0, 1, 0], &[0, 0, 0]]);
+        let b = from_rows(&[&[0, 0, 0], &[0, 1, 0], &[0, 0, 1]]);
         let ab = a.mul(&b);
         assert!(ab.rank() >= a.rank() + b.rank() - 3);
         assert_eq!(ab.rank(), 1);
     }
 
     #[test]
-    fn principal_submatrix_of_full_rank_is_full_rank() {
-        // The general observation proved inside Lemma 4.1: principal
-        // submatrices of a full-rank matrix are full rank. (True for
-        // *symmetric positive* style matrices used there; here we check
-        // the mechanism on an identity-plus-ones matrix that is full
-        // rank with full-rank principal minors.)
-        let n = 5;
-        let m = Matrix::from_fn(
-            n,
-            n,
-            |i, j| {
-                if i == j {
-                    GfP::new(n as u64)
-                } else {
-                    GfP::ONE
-                }
-            },
-        );
-        assert_eq!(m.rank(), n);
-        let sub = m.principal_submatrix(&[0, 2, 4]);
-        assert_eq!(sub.rank(), 3);
-    }
-
-    #[test]
     fn from_fn_matches_from_rows() {
         let a = Matrix::from_fn(2, 3, |i, j| GfP::new((i * 3 + j) as u64));
-        let b = Matrix::from_rows(&[&[0, 1, 2], &[3, 4, 5]]);
+        let b = from_rows(&[&[0, 1, 2], &[3, 4, 5]]);
         assert_eq!(a, b);
     }
 
@@ -298,6 +203,5 @@ mod tests {
     fn empty_matrix() {
         let m = Matrix::zeros(0, 0);
         assert_eq!(m.rank(), 0);
-        assert_eq!(m.determinant(), GfP::ONE);
     }
 }

@@ -65,14 +65,6 @@ proptest! {
     }
 
     #[test]
-    fn det_zero_iff_rank_deficient(n in 1usize..5, seed in any::<u64>()) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let m = Matrix::from_fn(n, n, |_, _| GfP::new(rng.gen_range(0..3)));
-        prop_assert_eq!(m.determinant().is_zero(), m.rank() < n);
-    }
-
-    #[test]
     fn gf2_rank_le_gfp_rank_for_01(n in 1usize..7, seed in any::<u64>()) {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -84,13 +76,4 @@ proptest! {
         prop_assert!(g2.rank() <= gp.rank());
     }
 
-    #[test]
-    fn principal_submatrix_rank_bounded(n in 2usize..6, seed in any::<u64>()) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let m = Matrix::from_fn(n, n, |_, _| GfP::new(rng.gen_range(0..4)));
-        let idx: Vec<usize> = (0..n).filter(|_| rng.gen()).collect();
-        let sub = m.principal_submatrix(&idx);
-        prop_assert!(sub.rank() <= m.rank());
-    }
 }

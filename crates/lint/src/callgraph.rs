@@ -494,6 +494,7 @@ mod tests {
                 .iter()
                 .map(|(p, s)| SourceFile::parse(*p, s))
                 .collect(),
+            referrers: Vec::new(),
         }
     }
 

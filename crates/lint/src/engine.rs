@@ -37,21 +37,17 @@ pub fn collect_workspace(root: &Path) -> io::Result<Workspace> {
 /// Propagates I/O failures (unreadable directory or file).
 pub fn collect_workspace_jobs(root: &Path, jobs: usize) -> io::Result<Workspace> {
     let mut paths: Vec<PathBuf> = Vec::new();
-    walk(root, &mut paths)?;
-    paths.sort();
-    let rels: Vec<(PathBuf, String)> = paths
-        .into_iter()
-        .map(|path| {
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .components()
-                .map(|c| c.as_os_str().to_string_lossy())
-                .collect::<Vec<_>>()
-                .join("/");
-            (path, rel)
-        })
-        .collect();
+    let mut nested: Vec<PathBuf> = Vec::new();
+    walk(root, &mut paths, &mut nested)?;
+    let mut referrer_paths: Vec<PathBuf> = Vec::new();
+    for dir in nested.iter().map(|d| d.join("src")).filter(|d| d.is_dir()) {
+        walk(&dir, &mut referrer_paths, &mut Vec::new())?;
+    }
+    let mut referrers = Vec::with_capacity(referrer_paths.len());
+    for (path, rel) in relative(root, referrer_paths) {
+        referrers.push(SourceFile::parse(rel, &fs::read_to_string(&path)?));
+    }
+    let rels = relative(root, paths);
     let jobs = jobs.max(1).min(rels.len().max(1));
     if jobs == 1 {
         let mut files = Vec::with_capacity(rels.len());
@@ -59,7 +55,7 @@ pub fn collect_workspace_jobs(root: &Path, jobs: usize) -> io::Result<Workspace>
             let src = fs::read_to_string(&path)?;
             files.push(SourceFile::parse(rel, &src));
         }
-        return Ok(Workspace { files });
+        return Ok(Workspace { files, referrers });
     }
     let chunk = rels.len().div_ceil(jobs);
     let results: Vec<io::Result<Vec<SourceFile>>> = std::thread::scope(|s| {
@@ -88,23 +84,45 @@ pub fn collect_workspace_jobs(root: &Path, jobs: usize) -> io::Result<Workspace>
     for r in results {
         files.extend(r?);
     }
-    Ok(Workspace { files })
+    Ok(Workspace { files, referrers })
 }
 
-fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+/// Sorts `paths` and pairs each with its `/`-separated path relative
+/// to `root`.
+fn relative(root: &Path, mut paths: Vec<PathBuf>) -> Vec<(PathBuf, String)> {
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|path| {
+            let rel = path
+                .strip_prefix(root)
+                .unwrap_or(&path)
+                .components()
+                .map(|c| c.as_os_str().to_string_lossy())
+                .collect::<Vec<_>>()
+                .join("/");
+            (path, rel)
+        })
+        .collect()
+}
+
+/// Collects `.rs` files under `dir` into `out`, and the nested
+/// workspaces it skips into `nested`.
+fn walk(dir: &Path, out: &mut Vec<PathBuf>, nested: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_ref())
-                || name.starts_with('.')
-                || is_nested_workspace(&path)
-            {
+            if SKIP_DIRS.contains(&name.as_ref()) || name.starts_with('.') {
                 continue;
             }
-            walk(&path, out)?;
+            if is_nested_workspace(&path) {
+                nested.push(path);
+                continue;
+            }
+            walk(&path, out, nested)?;
         } else if name.ends_with(".rs") {
             out.push(path);
         }
@@ -115,6 +133,8 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// A directory whose manifest declares a `[workspace]` of its own is a
 /// separate project (the `perfbench/` benchmark builds against the
 /// workspace's crates by path), not part of the workspace under lint.
+/// Its `src/` is still read as [`Workspace::referrers`]: a workspace
+/// `pub fn` that only the benchmark calls is not test-only surface.
 fn is_nested_workspace(dir: &Path) -> bool {
     fs::read_to_string(dir.join("Cargo.toml"))
         .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))

@@ -440,6 +440,7 @@ mod tests {
                 .iter()
                 .map(|(p, s)| SourceFile::parse(*p, s))
                 .collect(),
+            referrers: Vec::new(),
         };
         let model = Model::build(&ws);
         let mut out = Vec::new();

@@ -41,10 +41,19 @@
 //!   commutative per-unit merge that makes dumps byte-identical
 //!   across thread counts.
 //!
+//! * **U1** — public surface only tests reach: a `pub fn` in a
+//!   library crate (`crates/*/src`, not `main.rs` or `src/bin/`) whose
+//!   name, as an identifier, appears in no non-test code besides its
+//!   own definition. Name-based and conservative: any non-test use of
+//!   the name — in the workspace or in a nested workspace's `src/`
+//!   ([`Workspace::referrers`]) — keeps it silent. A bare `allow(U1)`
+//!   is itself a finding, as with A1.
+//!
 //! [`Report`]: https://docs.rs/bcc-experiments
 
 use crate::lexer::TokKind;
 use crate::source::SourceFile;
+use std::collections::BTreeMap;
 
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,6 +82,9 @@ pub struct Finding {
 pub struct Workspace {
     /// Parsed files, sorted by path.
     pub files: Vec<SourceFile>,
+    /// `src/` files of nested workspaces (`perfbench/`): not linted,
+    /// read only as U1 referrers.
+    pub referrers: Vec<SourceFile>,
 }
 
 /// Crates whose non-test code feeds experiment reports: the D1 scope.
@@ -97,9 +109,9 @@ pub const D1_PATHS: [&str; 12] = [
     "crates/model/src/postmortem.rs",
 ];
 
-/// Crates allowed to read clocks: the runner owns deadlines, latency
-/// metrics, and retry timing — its *results* (timings) are labelled as
-/// measurements, never folded into report bytes — and the bench
+/// Crates allowed to read clocks: the runner owns deadlines and latency
+/// metrics — its *results* (timings) are labelled as measurements,
+/// never folded into report bytes — and the bench
 /// crate's throughput recorder exists only to time things.
 pub const D2_EXEMPT: [&str; 2] = ["crates/runner/", "crates/bench/"];
 
@@ -142,6 +154,7 @@ pub fn run_all(ws: &Workspace) -> Vec<Finding> {
         rule_a1(file, &mut out);
     }
     rule_r1(ws, &mut out);
+    rule_u1(ws, &mut out);
     crate::taint::rule_n1(ws, &model, &mut out);
     crate::locks::rule_l1(ws, &model, &mut out);
     out.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
@@ -150,7 +163,9 @@ pub fn run_all(ws: &Workspace) -> Vec<Finding> {
 
 /// Every rule id, in report order — the baseline and SARIF renderers
 /// iterate this.
-pub const ALL_RULES: &[&str] = &["A1", "D1", "D2", "K1", "L1", "N1", "O1", "O2", "P1", "R1"];
+pub const ALL_RULES: &[&str] = &[
+    "A1", "D1", "D2", "K1", "L1", "N1", "O1", "O2", "P1", "R1", "U1",
+];
 
 /// One-paragraph rationale per rule, for `--explain <rule>`.
 pub fn explain(rule: &str) -> Option<&'static str> {
@@ -222,6 +237,16 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              if counters cannot silently wrap: use checked_*/saturating_* \
              arithmetic, or `// bcc-lint: allow(A1): <why overflow is \
              impossible>` with a written justification."
+        }
+        "U1" => {
+            "U1 — public surface only tests reach. A `pub fn` in a library \
+             crate (crates/*/src, not main.rs or src/bin/) whose name, as an \
+             identifier, appears in no non-test code besides its own \
+             definition: delete it, or move it into the test that uses it. \
+             Test code is `tests/`, `benches/`, `examples/` and \
+             `#[cfg(test)]`/`#[test]` items; the nested perfbench/src \
+             workspace counts as a referrer. Scalar reference oracles may \
+             stay with `// bcc-lint: allow(U1): <reason>`."
         }
         _ => return None,
     })
@@ -538,6 +563,68 @@ fn rule_a1(file: &SourceFile, out: &mut Vec<Finding>) {
             snippet: file.line_text(t.line).to_string(),
             chain: Vec::new(),
         });
+    }
+}
+
+/// True for a library source file: `crates/<name>/src/…`, except a
+/// binary's `main.rs` and `src/bin/` targets.
+fn is_library_file(path: &str) -> bool {
+    let mut parts = path.split('/');
+    parts.next() == Some("crates")
+        && parts.next().is_some()
+        && parts.next() == Some("src")
+        && !path.ends_with("/main.rs")
+        && !path.contains("/src/bin/")
+}
+
+/// U1: `pub fn`s whose name no non-test code uses.
+fn rule_u1(ws: &Workspace, out: &mut Vec<Finding>) {
+    let mut uses: BTreeMap<&str, usize> = BTreeMap::new();
+    for file in ws.files.iter().chain(&ws.referrers) {
+        for t in file.code() {
+            if t.kind == TokKind::Ident && !file.is_test_line(t.line) {
+                *uses.entry(t.text.as_str()).or_default() += 1;
+            }
+        }
+    }
+    for file in ws.files.iter().filter(|f| is_library_file(&f.path)) {
+        let code: Vec<_> = file.code().collect();
+        for w in code.windows(3) {
+            let [vis, kw, name] = w else { continue };
+            if !vis.is_ident("pub")
+                || !kw.is_ident("fn")
+                || name.kind != TokKind::Ident
+                || file.is_test_line(name.line)
+                || uses.get(name.text.as_str()).copied().unwrap_or(0) > 1
+            {
+                continue;
+            }
+            let line = name.line;
+            let message = if !file.is_suppressed("U1", line) {
+                format!(
+                    "`pub fn {}` has no caller outside test code: delete it, \
+                     or move it into the test that calls it",
+                    name.text
+                )
+            } else if file.suppression_justified("U1", line) {
+                continue;
+            } else {
+                format!(
+                    "`allow(U1)` on `{}` has no justification: write \
+                     `// bcc-lint: allow(U1): <why tests need it here>`",
+                    name.text
+                )
+            };
+            out.push(Finding {
+                rule: "U1",
+                file: file.path.clone(),
+                line,
+                severity: "error",
+                message,
+                snippet: file.line_text(line).to_string(),
+                chain: Vec::new(),
+            });
+        }
     }
 }
 

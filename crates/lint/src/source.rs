@@ -127,12 +127,16 @@ fn mark_test_lines(tokens: &[Token], num_lines: usize) -> Vec<bool> {
 }
 
 /// Scans a `[...]` attribute starting at its `[`. Returns (index past
-/// the closing `]`, whether the attribute mentions `test`). The
-/// mention check covers `#[test]`, `#[cfg(test)]`, and composites
-/// like `#[cfg(all(test, …))]`.
+/// the closing `]`, whether the attribute marks test code). Test
+/// markers are `#[test]`, `#[cfg(test)]`, and `test` nested only in
+/// `all(…)`/`any(…)` inside a `cfg` (`#[cfg(all(test, …))]`);
+/// `#[cfg(not(test))]` and `#[cfg_attr(test, …)]` items are built
+/// outside tests and stay library code.
 fn scan_attribute(code: &[&Token], open: usize) -> (usize, bool) {
     let mut depth = 0usize;
-    let mut mentions_test = false;
+    // The predicate name before each open `(`, outermost first.
+    let mut enclosing: Vec<&str> = Vec::new();
+    let mut is_test = false;
     let mut i = open;
     while i < code.len() {
         let t = code[i];
@@ -141,14 +145,28 @@ fn scan_attribute(code: &[&Token], open: usize) -> (usize, bool) {
         } else if t.is_punct(']') {
             depth -= 1;
             if depth == 0 {
-                return (i + 1, mentions_test);
+                return (i + 1, is_test);
             }
-        } else if t.kind == TokKind::Ident && t.text == "test" {
-            mentions_test = true;
+        } else if t.is_punct('(') {
+            let name = code[i - 1];
+            enclosing.push(if name.kind == TokKind::Ident {
+                &name.text
+            } else {
+                ""
+            });
+        } else if t.is_punct(')') {
+            enclosing.pop();
+        } else if t.is_ident("test") {
+            is_test |= match enclosing.split_first() {
+                None => i == open + 1 && code.get(i + 1).is_some_and(|n| n.is_punct(']')),
+                Some((first, rest)) => {
+                    *first == "cfg" && rest.iter().all(|p| *p == "all" || *p == "any")
+                }
+            };
         }
         i += 1;
     }
-    (i, mentions_test)
+    (i, is_test)
 }
 
 /// The last line of the item starting at `code[start]`: brace-matched
@@ -244,6 +262,17 @@ mod tests {
         let src = "#[cfg(feature = \"x\")]\nmod m {\n    fn f() {}\n}\n";
         let f = SourceFile::parse("crates/x/src/lib.rs", src);
         assert!(!f.is_test_line(3));
+    }
+
+    #[test]
+    fn only_test_builds_are_marked() {
+        let src = "#[cfg(not(test))]\nfn lib_only() {}\n#[cfg_attr(test, derive(Debug))]\nstruct S;\n#[cfg(all(test, feature = \"x\"))]\nfn a() {}\n#[cfg(any(unix, test))]\nfn b() {}\n#[cfg(all(not(test), unix))]\nfn c() {}\n";
+        let f = SourceFile::parse("crates/x/src/lib.rs", src);
+        assert!(!f.is_test_line(2));
+        assert!(!f.is_test_line(4));
+        assert!(f.is_test_line(6));
+        assert!(f.is_test_line(8));
+        assert!(!f.is_test_line(10));
     }
 
     #[test]

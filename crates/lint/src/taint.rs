@@ -27,8 +27,6 @@ use crate::rules::{Finding, Workspace, D2_CARVEOUTS, D2_EXEMPT};
 pub const SINK_NAMES: &[&str] = &[
     "counter",
     "event",
-    "full_counter",
-    "full_gauge",
     "full_observe",
     "gauge",
     "observe",
@@ -204,6 +202,7 @@ mod tests {
                 .iter()
                 .map(|(p, s)| SourceFile::parse(*p, s))
                 .collect(),
+            referrers: Vec::new(),
         };
         let model = Model::build(&ws);
         let mut out = Vec::new();

@@ -8,7 +8,7 @@ pub const DECOY: &str = "HashMap::new() and x.unwrap() and Instant::now()";
 
 // A comment mentioning HashMap and unwrap() is not a finding either.
 
-pub fn count(xs: &[u32]) -> BTreeMap<u32, u32> {
+fn count(xs: &[u32]) -> BTreeMap<u32, u32> {
     let mut m = BTreeMap::new();
     for &x in xs {
         *m.entry(x).or_insert(0) += 1;

@@ -4,11 +4,11 @@
 
 use std::time::Instant;
 
-pub fn watchdog_start() -> Instant {
+fn watchdog_start() -> Instant {
     Instant::now() // carved out: must NOT be a D2 finding
 }
 
-pub fn bad_entropy() -> u64 {
+fn bad_entropy() -> u64 {
     let _rng = OsRng; // seeded D2: entropy is forbidden even in the carve-out
     7
 }

@@ -1,13 +1,20 @@
-//! Per-rule behaviour on the seeded-violation fixture workspace under
-//! `tests/fixtures/ws/` (a directory the real workspace walk skips).
+//! Per-rule behaviour on the seeded-violation fixture workspaces under
+//! `tests/fixtures/` (a directory the real workspace walk skips):
+//! `ws/` for the token rules, `ws3/` for U1.
 
 use bcc_lint::{collect_workspace, run_all, Finding};
 use std::path::Path;
 
-fn fixture_findings() -> Vec<Finding> {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws");
+fn findings_in(fixture: &str) -> Vec<Finding> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(fixture);
     let ws = collect_workspace(&root).expect("fixture workspace readable");
     run_all(&ws)
+}
+
+fn fixture_findings() -> Vec<Finding> {
+    findings_in("ws")
 }
 
 fn by_rule<'a>(findings: &'a [Finding], rule: &str) -> Vec<&'a Finding> {
@@ -140,6 +147,30 @@ fn o2_flags_direct_metric_sink_use_outside_metrics_crate() {
         .iter()
         .all(|f| f.file == "crates/experiments/src/exp_yy_broken.rs"));
     assert!(o2.iter().all(|f| f.message.contains("MetricsHub")));
+}
+
+#[test]
+fn u1_flags_pub_fns_that_only_tests_reach() {
+    let findings = findings_in("ws3");
+    let u1: Vec<_> = findings
+        .iter()
+        .filter(|f| f.rule == "U1")
+        .map(|f| (f.file.as_str(), f.snippet.as_str(), f.message.as_str()))
+        .collect();
+    // `only_tests` is called from `tests/` and `#[cfg(test)]` code only
+    // (and from the nested workspace's `tests/`, which is no referrer);
+    // the bare `allow(U1)` is reported for its missing reason. Not
+    // flagged: a library caller (`used_in_lib`), a nested-workspace
+    // `src/` caller (`bench_only`), a `#[cfg(not(test))]` caller
+    // (`production_only`), a justified allow, and `pub fn`s of
+    // `main.rs` and `src/bin/` targets.
+    assert_eq!(u1.len(), 2, "{u1:#?}");
+    assert_eq!(u1[0].0, "crates/lib_a/src/lib.rs");
+    assert!(u1[0].1.contains("pub fn only_tests"), "{u1:#?}");
+    assert!(u1[0].2.contains("no caller outside test code"));
+    assert!(u1[1].1.contains("pub fn bare_allow"), "{u1:#?}");
+    assert!(u1[1].2.contains("no justification"));
+    assert!(findings.iter().all(|f| f.rule == "U1"), "{findings:#?}");
 }
 
 #[test]

@@ -156,20 +156,6 @@ impl MetricsBuf {
         }
     }
 
-    /// [`counter`](Self::counter), kept only at [`MetricsLevel::Full`].
-    pub fn full_counter(&mut self, name: &str, delta: u64) {
-        if self.full_enabled() {
-            self.counter(name, delta);
-        }
-    }
-
-    /// [`gauge`](Self::gauge), kept only at [`MetricsLevel::Full`].
-    pub fn full_gauge(&mut self, name: &str, value: u64) {
-        if self.full_enabled() {
-            self.gauge(name, value);
-        }
-    }
-
     /// [`observe`](Self::observe), kept only at [`MetricsLevel::Full`].
     pub fn full_observe(&mut self, name: &str, value: u64) {
         if self.full_enabled() {
@@ -210,7 +196,7 @@ mod tests {
         b.counter("c", 2);
         b.gauge("g", 3);
         b.observe("h", 4);
-        b.full_counter("fc", 1);
+        b.full_observe("fh", 1);
         assert!(b.is_empty());
         assert_eq!(b.len(), 0);
     }
@@ -222,20 +208,18 @@ mod tests {
         b.counter("c", 3);
         b.gauge("g", 7);
         b.observe("h", 9);
-        b.full_counter("fc", 1);
-        b.full_gauge("fg", 1);
         b.full_observe("fh", 1);
         let (c, g, h) = b.into_parts();
         assert_eq!(c.get("c"), Some(&5));
         assert_eq!(g.get("g").map(|s| s.max), Some(7));
         assert_eq!(h.get("h").map(|s| s.count), Some(1));
-        assert!(!c.contains_key("fc") && !g.contains_key("fg") && !h.contains_key("fh"));
+        assert!(!h.contains_key("fh"));
     }
 
     #[test]
     fn full_keeps_everything() {
         let mut b = MetricsBuf::new(MetricsLevel::Full, "u");
-        b.full_counter("fc", 1);
+        b.counter("c", 1);
         b.full_observe("fh", 2);
         assert_eq!(b.len(), 2);
     }

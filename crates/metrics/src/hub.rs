@@ -190,13 +190,6 @@ impl MetricsDump {
         sink.finish()
     }
 
-    /// The JSONL rendering as one in-memory string.
-    pub fn to_jsonl_string(&self) -> String {
-        let mut lines = render_lines(self);
-        lines.push(String::new()); // trailing newline
-        lines.join("\n")
-    }
-
     /// The compact human-readable summary.
     pub fn summary(&self) -> String {
         MetricsSummarySink::render(self)
@@ -204,7 +197,8 @@ impl MetricsDump {
 
     /// Parses a dump back from its JSONL rendering. Derived fields
     /// (means, percentiles) are recomputed from the merged aggregates,
-    /// so `parse_jsonl(d.to_jsonl_string()) == d` for every dump `d`.
+    /// so parsing the [`write_jsonl`](Self::write_jsonl) bytes of a
+    /// dump `d` gives back `d`.
     ///
     /// # Errors
     ///
@@ -279,6 +273,12 @@ impl MetricsDump {
 mod tests {
     use super::*;
 
+    fn jsonl(dump: &MetricsDump) -> String {
+        let mut bytes = Vec::new();
+        dump.write_jsonl(&mut bytes).unwrap();
+        String::from_utf8(bytes).unwrap()
+    }
+
     fn sample_hub(level: MetricsLevel) -> MetricsHub {
         let hub = MetricsHub::new(level);
         let mut a = hub.buf("job-a");
@@ -311,7 +311,7 @@ mod tests {
         hub.absorb(a);
         let ba = hub.finish();
         assert_eq!(ab, ba);
-        assert_eq!(ab.to_jsonl_string(), ba.to_jsonl_string());
+        assert_eq!(jsonl(&ab), jsonl(&ba));
         assert_eq!(ab.counter("sim.bits"), Some(15));
         assert_eq!(ab.units(), 2);
     }
@@ -366,10 +366,10 @@ mod tests {
     #[test]
     fn jsonl_round_trips() {
         let dump = sample_hub(MetricsLevel::Full).finish();
-        let text = dump.to_jsonl_string();
+        let text = jsonl(&dump);
         let parsed = MetricsDump::parse_jsonl(&text).unwrap();
         assert_eq!(parsed, dump);
-        assert_eq!(parsed.to_jsonl_string(), text);
+        assert_eq!(jsonl(&parsed), text);
     }
 
     #[test]
@@ -378,7 +378,7 @@ mod tests {
         let mut b = hub.buf("u");
         b.counter("cache.lookups", 7);
         hub.absorb(b);
-        let text = hub.finish().to_jsonl_string();
+        let text = jsonl(&hub.finish());
         assert_eq!(
             text,
             "{\"type\":\"meta\",\"schema\":1,\"level\":\"core\",\"units\":1,\"counters\":1,\"gauges\":0,\"hists\":0}\n\
@@ -395,7 +395,7 @@ mod tests {
         b.gauge("engine.occupancy", big);
         hub.absorb(b);
         let dump = hub.finish();
-        let parsed = MetricsDump::parse_jsonl(&dump.to_jsonl_string()).unwrap();
+        let parsed = MetricsDump::parse_jsonl(&jsonl(&dump)).unwrap();
         assert_eq!(parsed.counter("sim.bits"), Some(big));
         assert_eq!(parsed.gauges()["engine.occupancy"].sum, big);
         assert_eq!(parsed, dump);

@@ -50,7 +50,9 @@
 //! hub.absorb(buf);
 //! let dump = hub.finish();
 //! assert_eq!(dump.counter("sim.bits_broadcast"), Some(27));
-//! let text = dump.to_jsonl_string();
+//! let mut bytes = Vec::new();
+//! dump.write_jsonl(&mut bytes).unwrap();
+//! let text = String::from_utf8(bytes).unwrap();
 //! assert_eq!(bcc_metrics::MetricsDump::parse_jsonl(&text).unwrap(), dump);
 //! ```
 

@@ -133,7 +133,7 @@ impl Instance {
     /// Propagates network-construction errors.
     pub fn new_kt1(input: Graph) -> Result<Self, ModelError> {
         let ids = (0..input.num_vertices() as u64).collect();
-        Instance::new(Network::kt1(ids)?, input)
+        Instance::new_kt1_with_ids(input, ids)
     }
 
     /// A KT-1 instance with explicit IDs (`ids[v]` = ID of vertex `v`).
@@ -300,7 +300,9 @@ mod tests {
         assert!(Instance::new(net, generators::cycle(4)).is_err());
         let mut i = Instance::new_kt1(generators::cycle(4)).unwrap();
         assert!(i.set_input(generators::cycle(5)).is_err());
-        assert!(i.set_input(generators::cycle(4).complement()).is_ok());
+        // The complement of C_4: a perfect matching on the same 4 vertices.
+        let matching = bcc_graphs::Graph::from_edges(4, [(0, 2), (1, 3)]).unwrap();
+        assert!(i.set_input(matching).is_ok());
     }
 
     #[test]

@@ -147,11 +147,6 @@ impl Network {
         &self.ids
     }
 
-    /// The vertex index with the given ID, if any.
-    pub fn vertex_with_id(&self, id: u64) -> Option<usize> {
-        self.ids.iter().position(|&x| x == id)
-    }
-
     /// The vertex at the far end of port `p` of `v`.
     ///
     /// # Panics
@@ -298,12 +293,5 @@ mod tests {
             net.swap_peers(0, 1, 1),
             Err(ModelError::InvalidRewire { .. })
         ));
-    }
-
-    #[test]
-    fn vertex_with_id_lookup() {
-        let net = Network::kt1(vec![5, 9, 7]).unwrap();
-        assert_eq!(net.vertex_with_id(9), Some(1));
-        assert_eq!(net.vertex_with_id(4), None);
     }
 }

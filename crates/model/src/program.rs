@@ -113,14 +113,6 @@ impl Inbox {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Entries sorted by port label — the canonical view used for
-    /// state comparison.
-    pub fn sorted_by_label(&self) -> Vec<(u64, Message)> {
-        let mut v = self.entries.clone();
-        v.sort_by_key(|(l, _)| *l);
-        v
-    }
 }
 
 /// The per-vertex program: a deterministic state machine driven by the
@@ -186,9 +178,6 @@ mod tests {
         assert!(!inbox.is_empty());
         assert_eq!(inbox.by_label(3).unwrap().symbol(), Symbol::One);
         assert!(inbox.by_label(9).is_none());
-        let sorted = inbox.sorted_by_label();
-        assert_eq!(sorted[0].0, 1);
-        assert_eq!(sorted[1].0, 3);
     }
 
     #[test]

@@ -27,15 +27,6 @@ impl Transcript {
     pub fn rounds(&self) -> usize {
         self.sent.len()
     }
-
-    /// The sent messages as a display string (one row per round).
-    pub fn sent_string(&self) -> String {
-        self.sent
-            .iter()
-            .map(Message::to_string)
-            .collect::<Vec<_>>()
-            .join("")
-    }
 }
 
 /// The *state of a vertex* after `t` rounds, in the exact sense of the
@@ -219,11 +210,6 @@ impl RunOutcome {
         }
     }
 
-    /// Returns `true` if any vertex was still undecided at the end.
-    pub fn any_undecided(&self) -> bool {
-        self.decisions.contains(&Decision::Undecided)
-    }
-
     /// Per-vertex component labels (for `ConnectedComponents`).
     pub fn component_labels(&self) -> &[Option<u64>] {
         &self.component_labels
@@ -332,7 +318,8 @@ impl RunOutcome {
 /// use bcc_graphs::generators;
 ///
 /// let instance = Instance::new_kt1(generators::two_cycles(3, 3)).unwrap();
-/// let outcome = SimConfig::bcc1(4).run(&instance, &testing::ConstantDecision::no(), 0);
+/// let constant_no = testing::ConstantDecision::new(Decision::No);
+/// let outcome = SimConfig::bcc1(4).run(&instance, &constant_no, 0);
 /// assert_eq!(outcome.system_decision(), Decision::No);
 /// assert_eq!(outcome.stats().rounds, 0); // decides instantly
 /// ```
@@ -433,11 +420,6 @@ impl SimConfig {
     /// The bandwidth `b`.
     pub fn bandwidth_per_round(&self) -> usize {
         self.bandwidth
-    }
-
-    /// Whether transcripts/views are recorded.
-    pub fn records_transcripts(&self) -> bool {
-        self.record
     }
 
     /// The attached observer (off by default).
@@ -800,7 +782,7 @@ mod tests {
         assert_eq!(yes.system_decision(), Decision::Yes);
         assert!(yes.completed());
         assert_eq!(yes.stats().rounds, 0);
-        let no = SimConfig::bcc1(5).run(&i, &ConstantDecision::no(), 0);
+        let no = SimConfig::bcc1(5).run(&i, &ConstantDecision::new(Decision::No), 0);
         assert_eq!(no.system_decision(), Decision::No);
     }
 
@@ -1012,7 +994,6 @@ mod tests {
         let cfg = SimConfig::bcc1(2).bandwidth(4);
         assert_eq!(cfg.bandwidth_per_round(), 4);
         assert_eq!(cfg.max_rounds(), 2);
-        assert!(cfg.records_transcripts());
     }
 
     #[test]
@@ -1094,7 +1075,7 @@ mod tests {
         assert!(matches!(err, TransportError::WorkerDead { rank: 0, .. }));
         // The infallible face degrades to all-undecided, never panics.
         let out = cfg.run(&i, &EchoBit, 0);
-        assert!(out.any_undecided());
+        assert!(out.decisions().contains(&Decision::Undecided));
         assert_eq!(out.system_decision(), Decision::No);
         assert!(!out.completed());
         assert!(!out.recorded());

@@ -184,14 +184,6 @@ impl Message {
         self.len() == 0
     }
 
-    /// Returns `true` if every position is silent.
-    pub fn is_silent(&self) -> bool {
-        match &self.0 {
-            Repr::Packed { silent, len, .. } => *silent == low_mask(usize::from(*len)),
-            Repr::Wide(symbols) => symbols.iter().all(|&s| s == Symbol::Silent),
-        }
-    }
-
     /// The single symbol of a bandwidth-1 message.
     ///
     /// # Panics
@@ -337,13 +329,11 @@ mod tests {
         assert_eq!(m.to_bits(), Some(0b1011));
         assert_eq!(m.len(), 6);
         assert_eq!(m.bits_used(), 6);
-        assert!(!m.is_silent());
     }
 
     #[test]
     fn silent_message() {
         let m = Message::silent(3);
-        assert!(m.is_silent());
         assert_eq!(m.bits_used(), 0);
         assert_eq!(m.to_bits(), None);
         assert_eq!(m.to_string(), "⊥⊥⊥");

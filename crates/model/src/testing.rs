@@ -15,18 +15,14 @@ pub struct ConstantDecision {
 }
 
 impl ConstantDecision {
-    /// Always answer YES.
-    pub fn yes() -> Self {
-        ConstantDecision {
-            decision: Decision::Yes,
-        }
+    /// Always answer `decision`.
+    pub fn new(decision: Decision) -> Self {
+        ConstantDecision { decision }
     }
 
-    /// Always answer NO.
-    pub fn no() -> Self {
-        ConstantDecision {
-            decision: Decision::No,
-        }
+    /// Always answer YES.
+    pub fn yes() -> Self {
+        Self::new(Decision::Yes)
     }
 }
 
@@ -247,7 +243,7 @@ mod tests {
     #[test]
     fn names() {
         assert_eq!(ConstantDecision::yes().name(), "constant-yes");
-        assert_eq!(ConstantDecision::no().name(), "constant-no");
+        assert_eq!(ConstantDecision::new(Decision::No).name(), "constant-no");
         assert_eq!(EchoBit.name(), "echo-bit");
         assert_eq!(IdBroadcast::new().name(), "id-broadcast");
     }
@@ -258,7 +254,7 @@ mod tests {
         let out = SimConfig::bcc1(7).run(&i, &EchoBit, 0);
         assert!(!out.completed());
         assert_eq!(out.stats().rounds, 7);
-        assert!(out.any_undecided());
+        assert!(out.decisions().contains(&Decision::Undecided));
     }
 
     #[test]

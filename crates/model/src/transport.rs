@@ -203,8 +203,8 @@ impl Routes {
     }
 
     /// Builds a plan from a raw port table (`ports[v][p] =
-    /// (port_label, peer)`). Used by transports that reconstruct the
-    /// plan from the wire; peers must index into `0..ports.len()`.
+    /// (port_label, peer)`); peers must index into `0..ports.len()`.
+    // bcc-lint: allow(U1): the only way for codec and transport tests to build plans no network yields (ragged rows, extreme labels)
     pub fn from_ports(ports: Vec<Vec<(u64, usize)>>) -> Routes {
         let offsets = std::iter::once(0)
             .chain(ports.iter().scan(0, |end, row| {
@@ -274,15 +274,6 @@ impl RoundView {
             inbox.clear();
         }
         &mut self.inboxes
-    }
-
-    /// Puts the view in canonical form in place: every vertex's
-    /// entries stable-sorted by port label (see
-    /// [`canonicalize_inbox`](Self::canonicalize_inbox)).
-    pub fn canonicalize(&mut self) {
-        for inbox in &mut self.inboxes {
-            RoundView::canonicalize_inbox(inbox);
-        }
     }
 
     /// Stable-sorts one inbox's entries by port label. For every
@@ -671,16 +662,13 @@ mod tests {
             vec![(3, msg(1)), (1, msg(0)), (2, msg(1))],
             vec![(5, msg(0)), (4, msg(0))],
         ]);
-        let mut canon = view;
-        canon.canonicalize();
-        assert_eq!(
-            canon.inbox(0).iter().map(|e| e.0).collect::<Vec<_>>(),
-            vec![1, 2, 3]
-        );
-        assert_eq!(
-            canon.inbox(1).iter().map(|e| e.0).collect::<Vec<_>>(),
-            vec![4, 5]
-        );
+        let labels = |v: usize| {
+            let mut inbox = view.inbox(v).to_vec();
+            RoundView::canonicalize_inbox(&mut inbox);
+            inbox.iter().map(|e| e.0).collect::<Vec<_>>()
+        };
+        assert_eq!(labels(0), vec![1, 2, 3]);
+        assert_eq!(labels(1), vec![4, 5]);
     }
 
     #[test]
@@ -694,9 +682,11 @@ mod tests {
             t.open(&routes).unwrap();
             let outbox: Vec<Message> = (0..routes.num_nodes()).map(|_| msg(1)).collect();
             let view = t.exchange(0, &outbox).unwrap();
-            let mut canon = view.clone();
-            canon.canonicalize();
-            assert_eq!(canon, view);
+            for v in 0..routes.num_nodes() {
+                let mut canon = view.inbox(v).to_vec();
+                RoundView::canonicalize_inbox(&mut canon);
+                assert_eq!(canon, view.inbox(v));
+            }
         }
     }
 

@@ -82,21 +82,6 @@ pub fn matching_partitions(n: usize) -> impl Iterator<Item = SetPartition> {
         })
 }
 
-/// Iterates over all partitions of `[n]` with exactly `k` blocks
-/// (there are `S(n, k)` of them).
-pub fn partitions_with_blocks(n: usize, k: usize) -> impl Iterator<Item = SetPartition> {
-    all_partitions(n).filter(move |p| p.num_blocks() == k)
-}
-
-/// The lexicographic index of a partition among `all_partitions(n)`,
-/// by linear scan; useful for building the `M_n` matrix row/column
-/// maps on small `n`.
-pub fn index_of(p: &SetPartition) -> usize {
-    all_partitions(p.ground_size())
-        .position(|q| &q == p)
-        .expect("every partition appears in the enumeration")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,7 +105,10 @@ mod tests {
     fn first_and_last() {
         let all: Vec<SetPartition> = all_partitions(4).collect();
         assert!(all.first().unwrap().is_trivial());
-        assert!(all.last().unwrap().is_finest());
+        assert_eq!(
+            all.last().unwrap(),
+            &SetPartition::finest(all[0].ground_size())
+        );
     }
 
     #[test]
@@ -147,18 +135,11 @@ mod tests {
         for n in 1..=7 {
             for k in 0..=n {
                 assert_eq!(
-                    partitions_with_blocks(n, k).count() as u128,
+                    all_partitions(n).filter(|p| p.num_blocks() == k).count() as u128,
                     stirling2(n, k),
                     "n={n} k={k}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn index_roundtrip() {
-        for (i, p) in all_partitions(5).enumerate() {
-            assert_eq!(index_of(&p), i);
         }
     }
 }

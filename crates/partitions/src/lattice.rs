@@ -215,7 +215,9 @@ mod tests {
         // In poset convention Z(P,R)=[P≤R] and μ as defined satisfy
         // (μ · Z)(P, Q) = δ(P, Q).
         let prod = mu.mul(&z);
-        assert_eq!(prod, Matrix::identity(lat.len()));
+        let n = lat.len();
+        let identity = Matrix::from_fn(n, n, |i, j| if i == j { GfP::ONE } else { GfP::ZERO });
+        assert_eq!(prod, identity);
     }
 
     #[test]

@@ -13,11 +13,10 @@
 //! This crate provides:
 //!
 //! - [`SetPartition`]: canonical restricted-growth-string
-//!   representation with [`SetPartition::join`], [`SetPartition::meet`]
-//!   and refinement predicates;
-//! - [`enumerate`]: iteration over all partitions of `[n]`, all
-//!   perfect-matching partitions (the `TwoPartition` inputs), and all
-//!   partitions with a given number of blocks;
+//!   representation with [`SetPartition::join`] and refinement
+//!   predicates;
+//! - [`enumerate`]: iteration over all partitions of `[n]` and all
+//!   perfect-matching partitions (the `TwoPartition` inputs);
 //! - [`numbers`]: Bell numbers, Stirling numbers of the second kind,
 //!   double factorials, and their logarithms;
 //! - [`random`]: exact uniform sampling of partitions;

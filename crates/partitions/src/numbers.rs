@@ -78,6 +78,7 @@ pub fn log2_bell(n: usize) -> f64 {
 /// # Panics
 ///
 /// Panics on `u128` overflow.
+// bcc-lint: allow(U1): closed-form count oracle that the partition enumeration is tested against
 pub fn stirling2(n: usize, k: usize) -> u128 {
     if k > n {
         return 0;

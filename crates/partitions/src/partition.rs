@@ -202,11 +202,6 @@ impl SetPartition {
         self.num_blocks == 1
     }
 
-    /// Returns `true` if every block is a singleton.
-    pub fn is_finest(&self) -> bool {
-        self.num_blocks == self.rgs.len()
-    }
-
     /// Returns `true` if every block has exactly two elements — the
     /// promise of the paper's `TwoPartition` problem (Section 4.1).
     pub fn is_perfect_matching(&self) -> bool {
@@ -245,26 +240,6 @@ impl SetPartition {
         SetPartition::from_assignment(&uf.canonical_labels())
     }
 
-    /// The lattice meet `self ∧ other`: the coarsest common refinement
-    /// (blocks are pairwise intersections).
-    ///
-    /// # Panics
-    ///
-    /// Panics if ground sets differ.
-    pub fn meet(&self, other: &SetPartition) -> SetPartition {
-        assert_eq!(
-            self.ground_size(),
-            other.ground_size(),
-            "meet requires equal ground sets"
-        );
-        let n = self.ground_size();
-        // Pair (block in self, block in other) identifies a meet block.
-        let labels: Vec<usize> = (0..n)
-            .map(|e| self.rgs[e] * (other.num_blocks.max(1)) + other.rgs[e])
-            .collect();
-        SetPartition::from_assignment(&labels)
-    }
-
     /// Returns `true` if `self` is a refinement of `other` (every block
     /// of `self` is contained in a block of `other`), written
     /// `self ≤ other` in the partition lattice.
@@ -291,26 +266,6 @@ impl SetPartition {
             }
         }
         true
-    }
-
-    /// Block sizes in block-index order.
-    pub fn block_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.num_blocks];
-        for &b in &self.rgs {
-            sizes[b] += 1;
-        }
-        sizes
-    }
-
-    /// An upper bound on the bits needed to transmit this partition
-    /// naively: `n·⌈log₂(n)⌉` (each element's block index) — the cost
-    /// of the trivial protocol of Section 4 (up to constants).
-    pub fn encoding_bits(&self) -> usize {
-        let n = self.ground_size();
-        if n <= 1 {
-            return 0;
-        }
-        n * (usize::BITS - (n - 1).leading_zeros()) as usize
     }
 }
 
@@ -374,7 +329,6 @@ mod tests {
     #[test]
     fn finest_and_trivial() {
         let f = SetPartition::finest(4);
-        assert!(f.is_finest());
         assert_eq!(f.num_blocks(), 4);
         let t = SetPartition::trivial(4);
         assert!(t.is_trivial());
@@ -421,18 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn meet_lattice_laws() {
-        let a = SetPartition::from_blocks(4, &[vec![0, 1, 2], vec![3]]).unwrap();
-        let b = SetPartition::from_blocks(4, &[vec![0, 1], vec![2, 3]]).unwrap();
-        let m = a.meet(&b);
-        assert!(m.refines(&a));
-        assert!(m.refines(&b));
-        assert_eq!(m.blocks(), vec![vec![0, 1], vec![2], vec![3]]);
-        assert_eq!(a.meet(&b), b.meet(&a));
-        assert_eq!(a.meet(&a), a);
-    }
-
-    #[test]
     fn perfect_matching_detection() {
         assert!(p(&[&[0, 1], &[2, 3]]).is_perfect_matching());
         assert!(!p(&[&[0, 1, 2], &[3]]).is_perfect_matching());
@@ -444,14 +386,6 @@ mod tests {
         let a = p(&[&[0, 1], &[2], &[3, 4]]);
         assert_eq!(a.to_string(), "(0,1)(2)(3,4)");
         assert_eq!(SetPartition::finest(0).to_string(), "()");
-    }
-
-    #[test]
-    fn block_sizes_and_encoding() {
-        let a = p(&[&[0, 1, 2], &[3]]);
-        assert_eq!(a.block_sizes(), vec![3, 1]);
-        assert_eq!(a.encoding_bits(), 4 * 2);
-        assert_eq!(SetPartition::finest(1).encoding_bits(), 0);
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub fn uniform_matching_partition<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Set
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::{all_partitions, index_of};
+    use crate::enumerate::all_partitions;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -113,10 +113,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         let n = 4;
         let total = 15_000usize;
+        let all: Vec<_> = all_partitions(n).collect();
         let mut counts = [0usize; 15];
         for _ in 0..total {
             let p = uniform_partition(n, &mut rng);
-            counts[index_of(&p)] += 1;
+            counts[all.iter().position(|q| *q == p).unwrap()] += 1;
         }
         for (i, &c) in counts.iter().enumerate() {
             assert!(
@@ -133,7 +134,7 @@ mod tests {
         let mut seen = vec![false; all.len()];
         for _ in 0..2000 {
             let p = uniform_partition(4, &mut rng);
-            seen[index_of(&p)] = true;
+            seen[all.iter().position(|q| *q == p).unwrap()] = true;
         }
         assert!(seen.iter().all(|&s| s), "all 15 partitions sampled");
     }

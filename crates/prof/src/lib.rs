@@ -52,9 +52,8 @@
 //! let trace = collector.finish();
 //!
 //! let profile = Profile::build(trace.events(), None);
-//! let frame = profile.frame("e1/job/sim", "sim.bits_broadcast").unwrap();
-//! assert_eq!(frame.exclusive, 24);
-//! assert_eq!(profile.attribution_pct("sim.bits_broadcast"), Some(100.0));
+//! let total = profile.total("sim.bits_broadcast").unwrap();
+//! assert_eq!((total.total, total.attributed), (24, 24));
 //! let jsonl = bcc_prof::codec::profile_to_jsonl(&profile);
 //! assert_eq!(bcc_prof::codec::parse_profile_jsonl(&jsonl).unwrap(), profile);
 //! ```

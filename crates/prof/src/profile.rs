@@ -238,26 +238,9 @@ impl Profile {
         }
     }
 
-    /// Looks up a frame by path and counter.
-    pub fn frame(&self, path: &str, counter: &str) -> Option<&Frame> {
-        self.frames
-            .iter()
-            .find(|f| f.path == path && f.counter == counter)
-    }
-
     /// Looks up a counter's attribution summary.
     pub fn total(&self, counter: &str) -> Option<&CounterTotal> {
         self.totals.iter().find(|t| t.counter == counter)
-    }
-
-    /// Fraction of `counter`'s total attributed to named span paths,
-    /// in percent; `None` when the counter is absent or zero.
-    pub fn attribution_pct(&self, counter: &str) -> Option<f64> {
-        let t = self.total(counter)?;
-        if t.total == 0 {
-            return None;
-        }
-        Some(t.attributed as f64 * 100.0 / t.total as f64)
     }
 
     /// True when nothing was profiled.
@@ -299,17 +282,23 @@ mod tests {
     fn attribution_rolls_up_and_normalizes() {
         let events = sample_trace();
         let p = Profile::build(&events, None);
+        let frame = |path: &str, counter: &str| {
+            p.frames
+                .iter()
+                .find(|f| f.path == path && f.counter == counter)
+                .unwrap()
+        };
         // Rounds aggregate: round=0 and round=1 across two units.
-        let round = p.frame("e2/job/sim/round", "sim.bits_broadcast").unwrap();
+        let round = frame("e2/job/sim/round", "sim.bits_broadcast");
         assert_eq!(round.exclusive, 28);
         assert_eq!(round.inclusive, 28);
-        let sim = p.frame("e2/job/sim", "sim.bits_broadcast").unwrap();
+        let sim = frame("e2/job/sim", "sim.bits_broadcast");
         assert_eq!(sim.exclusive, 0);
         assert_eq!(sim.inclusive, 28);
-        let root = p.frame("e2", "sim.bits_broadcast").unwrap();
+        let root = frame("e2", "sim.bits_broadcast");
         assert_eq!(root.inclusive, 28);
         // Floor costs of the suite unit land at the suite root.
-        let suite = p.frame("suite", "cache.lookups").unwrap();
+        let suite = frame("suite", "cache.lookups");
         assert_eq!(suite.exclusive, 3);
         // Span stats: 2 units of class e2, 4 round spans, 1 suite unit.
         let count = |path: &str| p.spans.iter().find(|s| s.path == path).unwrap().count;
@@ -320,7 +309,6 @@ mod tests {
         let t = p.total("sim.bits_broadcast").unwrap();
         assert_eq!((t.total, t.attributed, t.unattributed), (28, 28, 0));
         assert_eq!(t.source, TotalSource::Trace);
-        assert_eq!(p.attribution_pct("sim.bits_broadcast"), Some(100.0));
     }
 
     #[test]

@@ -37,30 +37,19 @@ pub struct JobSpec {
     /// Deterministic seed owned by this job; all of the job's
     /// randomness must derive from it.
     pub seed: u64,
-    /// How many times a [`JobError::Transient`] failure is re-run
-    /// before the job is reported failed.
-    pub max_retries: u32,
     /// Wall-clock budget, measured from the moment the job starts
     /// executing. `None` means unbounded.
     pub timeout: Option<Duration>,
 }
 
 impl JobSpec {
-    /// A spec with no retries and no deadline.
+    /// A spec with no deadline.
     pub fn new(id: impl Into<String>, seed: u64) -> Self {
         JobSpec {
             id: id.into(),
             seed,
-            max_retries: 0,
             timeout: None,
         }
-    }
-
-    /// Sets the transient-failure retry budget.
-    #[must_use]
-    pub fn with_retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = max_retries;
-        self
     }
 
     /// Sets the wall-clock deadline.
@@ -71,12 +60,10 @@ impl JobSpec {
     }
 }
 
-/// Why a job attempt did not produce an output.
+/// Why a job did not produce an output.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobError {
-    /// Worth retrying (up to [`JobSpec::max_retries`]).
-    Transient(String),
-    /// Not worth retrying.
+    /// The work closure returned an error.
     Fatal(String),
     /// The job panicked; the panic was isolated to its worker.
     Panicked(String),
@@ -85,7 +72,6 @@ pub enum JobError {
 impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            JobError::Transient(m) => write!(f, "transient: {m}"),
             JobError::Fatal(m) => write!(f, "fatal: {m}"),
             JobError::Panicked(m) => write!(f, "panicked: {m}"),
         }
@@ -94,16 +80,14 @@ impl std::fmt::Display for JobError {
 
 impl std::error::Error for JobError {}
 
-/// What a running job can see: its seed, which attempt this is, and
-/// whether it should stop early. Cancellation is cooperative — a
+/// What a running job can see: its seed, its observer, and whether it
+/// should stop early. Cancellation is cooperative — a
 /// long-running job that polls [`JobCtx::is_cancelled`] can bail out
 /// at its deadline instead of being discarded at the end.
 #[derive(Debug, Clone)]
 pub struct JobCtx {
     /// The job's deterministic seed (copied from its spec).
     pub seed: u64,
-    /// 1-based attempt number (> 1 only after transient retries).
-    pub attempt: u32,
     pub(crate) token: CancellationToken,
     pub(crate) deadline: Option<Instant>,
     pub(crate) observer: Observer,
@@ -134,26 +118,6 @@ impl JobCtx {
         self.deadline
             .map(|d| d.saturating_duration_since(Instant::now()))
     }
-
-    /// Derives `lanes` independent per-lane seeds from the job seed —
-    /// the batch API used by lockstep kernels (`bcc-engine`) that
-    /// advance many instances per shard. Lane `i` always gets the
-    /// same seed for the same job seed, regardless of how many lanes
-    /// the kernel packs, so reports stay byte-identical whether a
-    /// shard samples one instance at a time or sixty-four.
-    pub fn lane_seeds(&self, lanes: usize) -> Vec<u64> {
-        (0..lanes as u64)
-            .map(|i| splitmix64(self.seed ^ splitmix64(i.wrapping_add(0x9e37_79b9_7f4a_7c15))))
-            .collect()
-    }
-}
-
-/// SplitMix64 finalizer: a cheap, high-quality bijective mixer.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The boxed work closure of a [`Job`].
@@ -161,10 +125,8 @@ pub type WorkFn<T> = Box<dyn Fn(&JobCtx) -> Result<T, JobError> + Send>;
 
 /// A unit of schedulable work producing a `T`.
 ///
-/// The closure must be re-runnable (`Fn`, not `FnOnce`) so transient
-/// failures can be retried, and is executed under `catch_unwind` so a
-/// panic degrades into [`JobError::Panicked`] instead of killing the
-/// suite.
+/// The closure is executed under `catch_unwind`, so a panic degrades
+/// into [`JobError::Panicked`] instead of killing the suite.
 pub struct Job<T> {
     /// Identity + policy.
     pub spec: JobSpec,
@@ -182,17 +144,6 @@ impl<T> Job<T> {
             work: Box::new(work),
         }
     }
-
-    /// Runs the job inline on the calling thread (serial mode): same
-    /// retry and panic-isolation semantics as the pool, no threads.
-    pub fn run_inline(&self) -> JobResult<T> {
-        crate::pool::run_job(
-            self,
-            &CancellationToken::new(),
-            &crate::Metrics::new(),
-            &Observer::off(),
-        )
-    }
 }
 
 impl<T> std::fmt::Debug for Job<T> {
@@ -206,7 +157,7 @@ impl<T> std::fmt::Debug for Job<T> {
 pub enum JobStatus<T> {
     /// Produced an output within its deadline.
     Completed(T),
-    /// All attempts failed (or panicked).
+    /// The work closure errored or panicked.
     Failed(JobError),
     /// Finished (or was abandoned) after its wall-clock deadline; any
     /// late output is discarded.
@@ -233,14 +184,6 @@ impl<T> JobStatus<T> {
             _ => None,
         }
     }
-
-    /// Consumes into the output, if completed.
-    pub fn into_output(self) -> Option<T> {
-        match self {
-            JobStatus::Completed(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 /// A job's spec echo plus its terminal status, attempt count, and
@@ -253,7 +196,8 @@ pub struct JobResult<T> {
     pub seed: u64,
     /// Terminal state.
     pub status: JobStatus<T>,
-    /// Number of attempts executed (0 if cancelled before starting).
+    /// Number of attempts executed: 1 for a job that ran, 0 if it was
+    /// cancelled before starting or its result was lost.
     pub attempts: u32,
     /// Wall-clock time from first attempt to terminal state.
     pub latency: Duration,
@@ -274,34 +218,9 @@ mod tests {
         assert!(t.is_cancelled());
     }
 
-    /// `(lanes(4), lanes(64))` as seen by a job with `seed`.
-    fn lane_seeds_of(seed: u64) -> (Vec<u64>, Vec<u64>) {
-        let job = Job::new(JobSpec::new("lanes", seed), |ctx| {
-            assert!(!ctx.is_cancelled());
-            assert!(ctx.remaining().is_none());
-            Ok((ctx.lane_seeds(4), ctx.lane_seeds(64)))
-        });
-        job.run_inline().status.into_output().expect("completed")
-    }
-
-    #[test]
-    fn lane_seeds_are_distinct_and_prefix_stable() {
-        let (four, sixty_four) = lane_seeds_of(2024);
-        assert_eq!(four, sixty_four[..4]);
-        let mut uniq = four.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), 4);
-        // Different job seeds give different lanes.
-        assert_ne!(four, lane_seeds_of(2025).0);
-    }
-
     #[test]
     fn spec_builders() {
-        let s = JobSpec::new("x", 1)
-            .with_retries(3)
-            .with_timeout(Duration::from_secs(2));
-        assert_eq!(s.max_retries, 3);
+        let s = JobSpec::new("x", 1).with_timeout(Duration::from_secs(2));
         assert_eq!(s.timeout, Some(Duration::from_secs(2)));
     }
 }

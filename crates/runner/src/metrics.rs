@@ -20,7 +20,6 @@ pub struct Metrics {
     scheduled: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
-    retried: AtomicU64,
     timed_out: AtomicU64,
     cancelled: AtomicU64,
     panicked: AtomicU64,
@@ -52,7 +51,6 @@ impl Metrics {
         inc_scheduled / scheduled -> scheduled,
         inc_completed / completed -> completed,
         inc_failed / failed -> failed,
-        inc_retried / retried -> retried,
         inc_timed_out / timed_out -> timed_out,
         inc_cancelled / cancelled -> cancelled,
         inc_panicked / panicked -> panicked,
@@ -65,7 +63,6 @@ impl Metrics {
             scheduled: self.scheduled(),
             completed: self.completed(),
             failed: self.failed(),
-            retried: self.retried(),
             timed_out: self.timed_out(),
             cancelled: self.cancelled(),
             panicked: self.panicked(),
@@ -84,8 +81,6 @@ pub struct MetricsSnapshot {
     pub completed: u64,
     /// Jobs whose final attempt errored or panicked.
     pub failed: u64,
-    /// Transient-failure re-runs.
-    pub retried: u64,
     /// Jobs that exceeded their wall-clock deadline.
     pub timed_out: u64,
     /// Jobs skipped because the run was cancelled first.
@@ -117,9 +112,11 @@ impl MetricsSnapshot {
             "jobs      scheduled {:>6}  completed {:>6}  failed {:>4}  timed-out {:>4}  cancelled {:>4}\n",
             self.scheduled, self.completed, self.failed, self.timed_out, self.cancelled
         ));
+        // A job runs once, so `retried` is always 0; the column stays
+        // so the line keeps its shape.
         out.push_str(&format!(
             "attempts  retried   {:>6}  panicked  {:>6}  stolen {:>4}\n",
-            self.retried, self.panicked, self.stolen
+            0, self.panicked, self.stolen
         ));
         out.push_str(&format!(
             "latency   mean {}  p50<= {}  p90<= {}  p99<= {}  max {}\n",
@@ -135,20 +132,20 @@ impl MetricsSnapshot {
     /// This snapshot as one JSONL record (`"type":"metrics"`), the
     /// final line of a `--json` run. Key order is fixed; the output
     /// contains only plain JSON numbers, so the record is stable
-    /// byte-for-byte for equal snapshots. The latency object is the
-    /// shared [`HistogramSnapshot`] schema with the `_us` unit suffix.
+    /// byte-for-byte for equal snapshots. `retried` is always 0, as in
+    /// the summary table. The latency object is the shared
+    /// [`HistogramSnapshot`] schema with the `_us` unit suffix.
     pub fn to_jsonl(&self) -> String {
         format!(
             concat!(
                 "{{\"type\":\"metrics\",\"scheduled\":{},\"completed\":{},",
-                "\"failed\":{},\"retried\":{},\"timed_out\":{},",
+                "\"failed\":{},\"retried\":0,\"timed_out\":{},",
                 "\"cancelled\":{},\"panicked\":{},\"stolen\":{},",
                 "\"latency\":{}}}"
             ),
             self.scheduled,
             self.completed,
             self.failed,
-            self.retried,
             self.timed_out,
             self.cancelled,
             self.panicked,

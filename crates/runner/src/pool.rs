@@ -19,13 +19,12 @@ use std::time::{Duration, Instant};
 /// One worker's deque of `(submission index, job)` pairs.
 type Shard<T> = Mutex<VecDeque<(usize, Job<T>)>>;
 
-/// Shared drain state of a pool and all its [`Pool::share`] handles:
-/// a latch that, once set, makes every later `execute` call refuse
-/// its batch (all jobs come back [`JobStatus::Cancelled`]), plus an
-/// in-flight batch count so a drainer can wait for running work to
-/// finish. This is the hook long-lived owners (the `bcc-serve`
-/// daemon) use to shut down gracefully: finish what is running,
-/// accept nothing new.
+/// Drain state of a pool: a latch that, once set, makes every later
+/// `execute` call refuse its batch (all jobs come back
+/// [`JobStatus::Cancelled`]), plus an in-flight batch count so a
+/// drainer can wait for running work to finish. This is the hook
+/// long-lived owners (the `bcc-serve` daemon) use to shut down
+/// gracefully: finish what is running, accept nothing new.
 #[derive(Debug)]
 struct DrainGate {
     draining: std::sync::atomic::AtomicBool,
@@ -74,7 +73,7 @@ impl Drop for BatchGuard<'_> {
 pub struct Pool {
     threads: usize,
     metrics: Arc<Metrics>,
-    gate: Arc<DrainGate>,
+    gate: DrainGate,
 }
 
 impl Pool {
@@ -83,16 +82,8 @@ impl Pool {
         Pool {
             threads: threads.max(1),
             metrics: Arc::new(Metrics::new()),
-            gate: Arc::new(DrainGate::new()),
+            gate: DrainGate::new(),
         }
-    }
-
-    /// A pool sized to the host's available parallelism.
-    pub fn with_default_parallelism() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        Self::new(n)
     }
 
     /// Number of workers.
@@ -105,39 +96,23 @@ impl Pool {
         Arc::clone(&self.metrics)
     }
 
-    /// A shared handle to this pool: same width, same metrics, same
-    /// drain gate. Handles are how several owners (the connections of
-    /// a long-lived service, a scheduler thread, a shutdown path)
-    /// schedule onto one pool — a drain begun through any handle is
-    /// observed by all of them.
-    pub fn share(&self) -> Pool {
-        Pool {
-            threads: self.threads,
-            metrics: Arc::clone(&self.metrics),
-            gate: Arc::clone(&self.gate),
-        }
-    }
-
-    /// Flips the pool (and every [`share`](Self::share) handle) into
-    /// drain mode: batches already executing run to completion, but
-    /// every later `execute` call refuses its jobs, reporting each as
-    /// [`JobStatus::Cancelled`]. Idempotent.
+    /// Flips the pool into drain mode: batches already executing run to
+    /// completion, but every later `execute` call refuses its jobs,
+    /// reporting each as [`JobStatus::Cancelled`]. Idempotent.
     pub fn begin_drain(&self) {
         self.gate
             .draining
             .store(true, std::sync::atomic::Ordering::Release);
     }
 
-    /// True once [`begin_drain`](Self::begin_drain) was called on any
-    /// handle of this pool.
+    /// True once [`begin_drain`](Self::begin_drain) was called.
     pub fn is_draining(&self) -> bool {
         self.gate
             .draining
             .load(std::sync::atomic::Ordering::Acquire)
     }
 
-    /// Number of `execute` batches currently running across all
-    /// handles.
+    /// Number of `execute` batches currently running.
     pub fn in_flight(&self) -> usize {
         *self
             .gate
@@ -146,7 +121,7 @@ impl Pool {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Blocks until no batch is executing on any handle, or until
+    /// Blocks until no batch is executing, or until
     /// `timeout` elapses. Returns `true` when the pool went idle
     /// within the budget. With `None` the wait is unbounded.
     ///
@@ -198,7 +173,7 @@ impl Pool {
     /// buffer's lifecycle `job` span wraps whatever the work closure
     /// records through it; the metrics buffer collects what it records
     /// there plus the runner's own logical outcome counters (`runner.jobs`,
-    /// `runner.completed`, `runner.retries`, …). Finished buffers are
+    /// `runner.completed`, `runner.failed`, …). Finished buffers are
     /// absorbed into `collector` and `hub`; pass
     /// [`Collector::disabled`] and [`MetricsHub::disabled`] to observe
     /// nothing, at no per-job cost.
@@ -381,13 +356,10 @@ fn run_observed_job<T>(
     let observer = Observer::new(buf, hub.buf(job.spec.id.clone()));
     let result = run_job(job, run_token, metrics, &observer);
     let (mut buf, mut mbuf) = observer.take();
-    // Cost records at the span boundary, under the still-open `job`
-    // span, named identically to the runner.* workload counters so
-    // the profiler can attribute attempts to the job path.
+    // A cost record at the span boundary, under the still-open `job`
+    // span, named identically to the runner.* workload counter so
+    // the profiler can attribute jobs to the job path.
     buf.counter("runner.jobs", 1);
-    if result.attempts > 1 {
-        buf.counter("runner.retries", u64::from(result.attempts - 1));
-    }
     buf.span_end(
         "job",
         vec![
@@ -399,17 +371,14 @@ fn run_observed_job<T>(
     if hub.enabled() {
         mbuf.counter("runner.jobs", 1);
         mbuf.counter(&format!("runner.{}", result.status.tag()), 1);
-        if result.attempts > 1 {
-            mbuf.counter("runner.retries", u64::from(result.attempts - 1));
-        }
         hub.absorb(mbuf);
     }
     result
 }
 
-/// Runs one job to its terminal state on the current thread: retry
-/// loop, deadline accounting, panic isolation, metrics booking.
-pub(crate) fn run_job<T>(
+/// Runs one job to its terminal state on the current thread: one
+/// attempt, deadline accounting, panic isolation, metrics booking.
+fn run_job<T>(
     job: &Job<T>,
     run_token: &CancellationToken,
     metrics: &Metrics,
@@ -417,49 +386,23 @@ pub(crate) fn run_job<T>(
 ) -> JobResult<T> {
     let started = Instant::now();
     let deadline = job.spec.timeout.map(|t| started + t);
-    let mut attempts = 0u32;
-    let status = loop {
-        attempts += 1;
-        let ctx = JobCtx {
-            seed: job.spec.seed,
-            attempt: attempts,
-            token: run_token.clone(),
-            deadline,
-            observer: observer.clone(),
-        };
-        let overdue = || deadline.is_some_and(|d| Instant::now() >= d);
-        let outcome = catch_unwind(AssertUnwindSafe(|| (job.work)(&ctx)));
+    let ctx = JobCtx {
+        seed: job.spec.seed,
+        token: run_token.clone(),
+        deadline,
+        observer: observer.clone(),
+    };
+    let outcome = catch_unwind(AssertUnwindSafe(|| (job.work)(&ctx)));
+    if outcome.is_err() {
+        metrics.inc_panicked();
+    }
+    let status = if deadline.is_some_and(|d| Instant::now() >= d) {
+        JobStatus::TimedOut
+    } else {
         match outcome {
-            Ok(Ok(value)) => {
-                if overdue() {
-                    break JobStatus::TimedOut;
-                }
-                break JobStatus::Completed(value);
-            }
-            Ok(Err(JobError::Transient(msg))) => {
-                if overdue() {
-                    break JobStatus::TimedOut;
-                }
-                if attempts <= job.spec.max_retries && !run_token.is_cancelled() {
-                    metrics.inc_retried();
-                    continue;
-                }
-                break JobStatus::Failed(JobError::Transient(msg));
-            }
-            Ok(Err(err)) => {
-                if overdue() {
-                    break JobStatus::TimedOut;
-                }
-                break JobStatus::Failed(err);
-            }
-            Err(payload) => {
-                metrics.inc_panicked();
-                let msg = panic_message(payload.as_ref());
-                if overdue() {
-                    break JobStatus::TimedOut;
-                }
-                break JobStatus::Failed(JobError::Panicked(msg));
-            }
+            Ok(Ok(value)) => JobStatus::Completed(value),
+            Ok(Err(err)) => JobStatus::Failed(err),
+            Err(payload) => JobStatus::Failed(JobError::Panicked(panic_message(payload.as_ref()))),
         }
     };
     let latency = started.elapsed();
@@ -474,7 +417,7 @@ pub(crate) fn run_job<T>(
         id: job.spec.id.clone(),
         seed: job.spec.seed,
         status,
-        attempts,
+        attempts: 1,
         latency,
     }
 }

@@ -1,10 +1,9 @@
-//! End-to-end behavior of the work-stealing pool: ordering, retry,
+//! End-to-end behavior of the work-stealing pool: ordering,
 //! panic isolation, deadlines, cancellation, metrics accounting.
 
 use bcc_metrics::MetricsHub;
 use bcc_runner::{CancellationToken, Job, JobError, JobResult, JobSpec, JobStatus, Pool};
 use bcc_trace::Collector;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -49,52 +48,13 @@ fn parallel_and_serial_agree() {
     };
     let serial: Vec<_> = execute(&Pool::new(1), build())
         .into_iter()
-        .map(|r| r.status.into_output())
+        .map(|r| r.status.output().copied())
         .collect();
     let parallel: Vec<_> = execute(&Pool::new(8), build())
         .into_iter()
-        .map(|r| r.status.into_output())
+        .map(|r| r.status.output().copied())
         .collect();
     assert_eq!(serial, parallel);
-}
-
-#[test]
-fn transient_failures_are_retried_within_budget() {
-    let pool = Pool::new(2);
-    let calls = Arc::new(AtomicU32::new(0));
-    let calls2 = Arc::clone(&calls);
-    let flaky = Job::new(JobSpec::new("flaky", 0).with_retries(5), move |ctx| {
-        calls2.fetch_add(1, Ordering::SeqCst);
-        if ctx.attempt < 3 {
-            Err(JobError::Transient("not yet".into()))
-        } else {
-            Ok(ctx.attempt)
-        }
-    });
-    let results = execute(&pool, vec![flaky]);
-    assert_eq!(results[0].status, JobStatus::Completed(3));
-    assert_eq!(results[0].attempts, 3);
-    assert_eq!(calls.load(Ordering::SeqCst), 3);
-    let m = pool.metrics().snapshot();
-    assert_eq!(m.retried, 2);
-    assert_eq!(m.completed, 1);
-}
-
-#[test]
-fn retry_budget_is_bounded() {
-    let pool = Pool::new(1);
-    let always = Job::new(JobSpec::new("always", 0).with_retries(2), |_ctx| {
-        Err(JobError::Transient("still broken".into())) as Result<(), _>
-    });
-    let results = execute(&pool, vec![always]);
-    assert_eq!(results[0].attempts, 3, "initial attempt + 2 retries");
-    assert!(matches!(
-        results[0].status,
-        JobStatus::Failed(JobError::Transient(_))
-    ));
-    let m = pool.metrics().snapshot();
-    assert_eq!(m.retried, 2);
-    assert_eq!(m.failed, 1);
 }
 
 #[test]
@@ -127,7 +87,7 @@ fn panics_are_isolated_to_their_job() {
 #[test]
 fn fatal_errors_are_not_retried() {
     let pool = Pool::new(1);
-    let job = Job::new(JobSpec::new("fatal", 0).with_retries(4), |_ctx| {
+    let job = Job::new(JobSpec::new("fatal", 0), |_ctx| {
         Err(JobError::Fatal("bad input".into())) as Result<(), _>
     });
     let results = execute(&pool, vec![job]);
@@ -136,7 +96,7 @@ fn fatal_errors_are_not_retried() {
         results[0].status,
         JobStatus::Failed(JobError::Fatal(_))
     ));
-    assert_eq!(pool.metrics().snapshot().retried, 0);
+    assert_eq!(pool.metrics().snapshot().failed, 1);
 }
 
 #[test]
@@ -236,20 +196,6 @@ fn work_stealing_engages_on_imbalanced_loads() {
     assert!(m.stolen <= 32);
 }
 
-#[test]
-fn run_inline_matches_pool_semantics() {
-    let job = Job::new(JobSpec::new("inline", 7).with_retries(1), |ctx| {
-        if ctx.attempt == 1 {
-            Err(JobError::Transient("first try".into()))
-        } else {
-            Ok(ctx.seed)
-        }
-    });
-    let r = job.run_inline();
-    assert_eq!(r.status, JobStatus::Completed(7));
-    assert_eq!(r.attempts, 2);
-}
-
 mod tracing {
     use bcc_metrics::MetricsHub;
     use bcc_runner::{CancellationToken, Job, JobResult, JobSpec, Pool};
@@ -332,17 +278,6 @@ mod tracing {
 
 mod drain {
     use super::*;
-
-    #[test]
-    fn shared_handles_observe_one_gate() {
-        let pool = Pool::new(2);
-        let handle = pool.share();
-        assert!(!handle.is_draining());
-        pool.begin_drain();
-        assert!(handle.is_draining());
-        // Metrics are shared too.
-        assert_eq!(Arc::as_ptr(&pool.metrics()), Arc::as_ptr(&handle.metrics()));
-    }
 
     #[test]
     fn draining_pool_refuses_new_batches_as_cancelled() {

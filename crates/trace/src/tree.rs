@@ -84,11 +84,6 @@ impl UnitTree {
             root.visit(f);
         }
     }
-
-    /// True when reconstruction hit no anomalies.
-    pub fn well_formed(&self) -> bool {
-        self.unclosed == 0 && self.unmatched_closes == 0
-    }
 }
 
 /// Extracts the `delta` payload of a counter record; counters written
@@ -198,7 +193,7 @@ mod tests {
         let trees = build_trees(&sample_events());
         assert_eq!(trees.len(), 1);
         let tree = &trees[0];
-        assert!(tree.well_formed());
+        assert_eq!((tree.unclosed, tree.unmatched_closes), (0, 0));
         assert_eq!(tree.unit, "u");
         assert_eq!(tree.floor_counters, vec![("floor.cost".into(), 1)]);
         assert_eq!(tree.roots.len(), 1);
@@ -246,7 +241,7 @@ mod tests {
         assert_eq!(trees[0].unclosed, 1);
         assert_eq!(trees[0].roots.len(), 1);
         assert_eq!(trees[0].roots[0].end_seq, None);
-        assert!(!trees[0].well_formed());
+        assert!(trees[0].unclosed + trees[0].unmatched_closes > 0);
     }
 
     #[test]

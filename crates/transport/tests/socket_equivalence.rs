@@ -10,7 +10,7 @@
 //! group, each round one locked round trip.
 
 use bcc_engine::BatchRun;
-use bcc_graphs::generators;
+use bcc_graphs::{generators, Graph};
 use bcc_model::testing::{EchoBit, IdBroadcast};
 use bcc_model::transport::LocalFactory;
 use bcc_model::{
@@ -20,6 +20,12 @@ use bcc_model::{
 use bcc_transport::{SocketFactory, TransportFactory, WorkerCmd};
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// The complete graph `K_n`.
+fn complete(n: usize) -> Graph {
+    Graph::from_edges(n, (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v))))
+        .expect("complete edges are valid")
+}
 
 fn worker_bin() -> WorkerCmd {
     WorkerCmd::Bin(PathBuf::from(env!("CARGO_BIN_EXE_bcc-transport-worker")))
@@ -175,7 +181,7 @@ fn batched_lanes_retiring_at_different_rounds_match_local_oracle() {
         generators::cycle(n),
         generators::star(n),
         generators::path(n),
-        generators::complete(n),
+        complete(n),
         generators::two_cycles(3, 5),
     ];
     let instances: Vec<Instance> = inputs
@@ -217,7 +223,7 @@ fn concurrent_batches_with_locked_round_trips_match_local_oracle() {
             let sockets = Arc::clone(&sockets);
             scope.spawn(move || {
                 let inputs = [
-                    generators::complete(n),
+                    complete(n),
                     generators::path(n),
                     generators::star(n),
                     generators::cycle(n),

@@ -49,7 +49,7 @@ fn spawn_failure_is_a_fast_typed_error() {
         Some(TransportError::Spawn { .. }) => {}
         other => panic!("expected a Spawn error, got {other:?}"),
     }
-    assert!(out.any_undecided());
+    assert!(out.decisions().contains(&Decision::Undecided));
     assert_eq!(out.system_decision(), Decision::No);
     assert!(!out.completed());
 }
@@ -213,7 +213,10 @@ fn sweep(target: Option<usize>) {
         let served = SWEEP_ROUNDS;
         assert_eq!(matches_oracle, k >= served, "{knob}: knob engaged");
         if !matches_oracle {
-            for out in outs.iter().filter(|out| out.any_undecided()) {
+            for out in outs
+                .iter()
+                .filter(|out| out.decisions().contains(&Decision::Undecided))
+            {
                 match out.transport_failure() {
                     Some(TransportError::WorkerDead { rank, .. }) => {
                         assert_eq!(*rank, target.unwrap_or(0), "{knob}: dead rank");
@@ -229,7 +232,7 @@ fn sweep(target: Option<usize>) {
         factory.flush_telemetry(&collector, &hub);
         for tree in build_trees(collector.finish().events()) {
             assert!(
-                tree.well_formed(),
+                tree.unclosed == 0 && tree.unmatched_closes == 0,
                 "{knob}: unit {} is unbalanced",
                 tree.unit
             );

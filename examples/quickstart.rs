@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "vertex 0 broadcast {} rounds: \"{}\" ({} bits total across all vertices)",
         t0.rounds(),
-        t0.sent_string(),
+        t0.sent.iter().map(ToString::to_string).collect::<String>(),
         out_yes.stats().bits_broadcast,
     );
 

@@ -5,7 +5,7 @@ use bcclique::comm::bounds::certify_rank;
 use bcclique::comm::reduction::{gadget_graph, verify_theorem_4_3, Gadget};
 use bcclique::comm::simulate::simulate_two_party;
 use bcclique::core::infobound::partition_comp_information;
-use bcclique::core::kt1::{theorem_4_4_certificate, verify_simulation_correctness};
+use bcclique::core::kt1::{simulation_bits_per_round, theorem_4_4_certificate};
 use bcclique::partitions::enumerate::{all_partitions, matching_partitions};
 use bcclique::partitions::matrices::{partition_join_matrix, two_partition_matrix};
 use bcclique::partitions::numbers::{bell_number, num_matching_partitions};
@@ -50,6 +50,39 @@ fn simulation_equivalence_multiple_algorithms() {
             }
         }
     }
+}
+
+/// Verifies the reduction end-to-end for one algorithm: for every
+/// `(P_A, P_B)` in `pairs`, the two-party simulation of `algorithm`
+/// answers the `Partition` question correctly (YES ⇔ join trivial)
+/// and its measured per-round cost matches
+/// [`simulation_bits_per_round`]. Returns the maximum rounds used.
+fn verify_simulation_correctness(
+    gadget: Gadget,
+    algorithm: &dyn Algorithm,
+    pairs: &[(SetPartition, SetPartition)],
+) -> Result<usize, String> {
+    let mut max_rounds = 0;
+    for (pa, pb) in pairs {
+        let report = simulate_two_party(gadget, algorithm, pa, pb, 0, 1_000_000);
+        let expect = if pa.join(pb).is_trivial() {
+            Decision::Yes
+        } else {
+            Decision::No
+        };
+        if report.system_decision() != expect {
+            return Err(format!("wrong answer on PA={pa} PB={pb}"));
+        }
+        let per_round = simulation_bits_per_round(gadget, pa.ground_size());
+        if report.rounds.checked_mul(per_round) != Some(report.bits_exchanged) {
+            return Err(format!(
+                "cost mismatch on PA={pa} PB={pb}: {} bits over {} rounds",
+                report.bits_exchanged, report.rounds
+            ));
+        }
+        max_rounds = max_rounds.max(report.rounds);
+    }
+    Ok(max_rounds)
 }
 
 /// The full Theorem 4.4 chain: full-rank certificate + verified
