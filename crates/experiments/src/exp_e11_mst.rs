@@ -1,7 +1,7 @@
 //! E11 — MST in `BCC(1)`: the distributed Borůvka forest against the
 //! Kruskal oracle, with the polylog round profile.
 
-use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
+use crate::job::{ExpJob, JobOutput, Report};
 use bcc_algorithms::BoruvkaMst;
 use bcc_graphs::weighted::WeightedGraph;
 use bcc_graphs::{generators, Graph};
@@ -67,46 +67,37 @@ fn sizes(quick: bool) -> &'static [usize] {
 
 /// One job per graph size; each derives its random graph and weight
 /// seed from the job seed.
-pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
+pub fn jobs(quick: bool, _suite_seed: u64) -> Vec<ExpJob> {
     sizes(quick)
         .iter()
-        .enumerate()
-        .map(|(i, &n)| {
-            let shard = i as u32;
-            ExpJob::new(
-                "e11",
-                shard,
-                format!("n={n}"),
-                job_seed(suite_seed, "e11", shard),
-                move |ctx| {
-                    let mut rng = rand::rngs::StdRng::seed_from_u64(ctx.seed);
-                    let g = generators::gnm(n, 2 * n, &mut rng);
-                    let row = run_one(g, n as u64, ctx.observer().clone());
-                    let log2 = (n as f64).log2();
-                    let text = format!(
-                        "{:>5} {:>6} {:>8} {:>9} {:>16.2}\n",
-                        row.n,
-                        row.m,
-                        row.rounds,
-                        row.matches,
-                        row.rounds as f64 / (log2 * log2)
-                    );
-                    JobOutput::new("e11", shard, format!("n={n}"))
-                        .value("n", row.n)
-                        .value("m", row.m)
-                        .value("rounds", row.rounds)
-                        .value("weight", row.weight)
-                        .check("forest matches Kruskal oracle", row.matches)
-                        .text(text)
-                },
-            )
+        .map(|&n| {
+            ExpJob::new(format!("n={n}"), move |ctx| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(ctx.seed);
+                let g = generators::gnm(n, 2 * n, &mut rng);
+                let row = run_one(g, n as u64, ctx.observer().clone());
+                let log2 = (n as f64).log2();
+                let text = format!(
+                    "{:>5} {:>6} {:>8} {:>9} {:>16.2}\n",
+                    row.n,
+                    row.m,
+                    row.rounds,
+                    row.matches,
+                    row.rounds as f64 / (log2 * log2)
+                );
+                JobOutput::default()
+                    .value("n", row.n)
+                    .value("m", row.m)
+                    .value("rounds", row.rounds)
+                    .value("weight", row.weight)
+                    .check("forest matches Kruskal oracle", row.matches)
+                    .text(text)
+            })
         })
         .collect()
 }
 
 /// Assembles the E11 report from its job outputs.
-pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
-    sort_by_shard(&mut outputs);
+pub fn reduce(outputs: Vec<JobOutput>) -> Report {
     let mut r = Report::new("e11", "Boruvka MST over broadcast vs Kruskal oracle");
     let mut text = String::new();
     writeln!(
@@ -147,23 +138,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.absorb_checks(&outputs);
     r.text = text;
     r.finalize()
-}
-
-/// Registry handle: this module's entry in [`crate::REGISTRY`].
-pub struct E11;
-
-impl crate::Experiment for E11 {
-    fn id(&self) -> &'static str {
-        "e11"
-    }
-
-    fn jobs(&self, quick: bool, suite_seed: u64) -> Vec<ExpJob> {
-        jobs(quick, suite_seed)
-    }
-
-    fn reduce(&self, outputs: Vec<JobOutput>) -> Report {
-        reduce(outputs)
-    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! charts where a natural randomized protocol family lands relative to
 //! the deterministic Θ(n log n) cost.
 
-use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
+use crate::job::{job_seed, ExpJob, JobOutput, Report};
 use bcc_comm::protocols::trivial_message_bits;
 use bcc_comm::randomized::measure_error;
 use bcc_partitions::random::uniform_partition;
@@ -83,33 +83,24 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
     let (n, ks, num_inputs, num_seeds) = grid(quick);
     let input_seed = job_seed(suite_seed, "e12/inputs", 0);
     ks.into_iter()
-        .enumerate()
-        .map(|(i, k)| {
-            let shard = i as u32;
-            ExpJob::new(
-                "e12",
-                shard,
-                format!("k={k}"),
-                job_seed(suite_seed, "e12", shard),
-                move |_ctx| {
-                    let inputs = input_set(n, num_inputs, input_seed);
-                    let r = q2_row(n, k, &inputs, num_seeds);
-                    let text = format!("{:>6} {:>12.3} {:>16}\n", r.k, r.error, r.false_positive);
-                    JobOutput::new("e12", shard, format!("k={k}"))
-                        .value("n", r.n)
-                        .value("k", r.k)
-                        .value("error", r.error)
-                        .check("one-sided (no false positives)", !r.false_positive)
-                        .text(text)
-                },
-            )
+        .map(|k| {
+            ExpJob::new(format!("k={k}"), move |_ctx| {
+                let inputs = input_set(n, num_inputs, input_seed);
+                let r = q2_row(n, k, &inputs, num_seeds);
+                let text = format!("{:>6} {:>12.3} {:>16}\n", r.k, r.error, r.false_positive);
+                JobOutput::default()
+                    .value("n", r.n)
+                    .value("k", r.k)
+                    .value("error", r.error)
+                    .check("one-sided (no false positives)", !r.false_positive)
+                    .text(text)
+            })
         })
         .collect()
 }
 
 /// Assembles the E12 report from its job outputs.
-pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
-    sort_by_shard(&mut outputs);
+pub fn reduce(outputs: Vec<JobOutput>) -> Report {
     let mut r = Report::new(
         "e12",
         "Question 2 exploration — randomized Partition, error vs bits",
@@ -165,23 +156,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.absorb_checks(&outputs);
     r.text = text;
     r.finalize()
-}
-
-/// Registry handle: this module's entry in [`crate::REGISTRY`].
-pub struct E12;
-
-impl crate::Experiment for E12 {
-    fn id(&self) -> &'static str {
-        "e12"
-    }
-
-    fn jobs(&self, quick: bool, suite_seed: u64) -> Vec<ExpJob> {
-        jobs(quick, suite_seed)
-    }
-
-    fn reduce(&self, outputs: Vec<JobOutput>) -> Report {
-        reduce(outputs)
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! E1 — Theorem 3.5: the warm-up star distribution. Error of
 //! `t`-round algorithms vs the pigeonhole floor `Ω(3^{−4t})`.
 
-use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report, Value};
+use crate::job::{ExpJob, JobOutput, Report, Value};
 use bcc_algorithms::{
     HashVoteDecider, Kt0Upgrade, NeighborIdBroadcast, ParityDecider, Problem, Truncated,
 };
@@ -85,7 +85,7 @@ const HASH_VOTE_COINS: [u64; 5] = [0, 1, 2, 3, 4];
 /// `(n, t)` cell — the unit of parallelism. Each piece rebuilds the
 /// star distribution (cheap next to the error evaluation) so pieces
 /// are fully independent.
-fn piece_output(shard: u32, n: usize, t: usize, algo: &str, coin: Option<u64>) -> JobOutput {
+fn piece_output(n: usize, t: usize, algo: &str, coin: Option<u64>) -> JobOutput {
     let dist = star_distribution(n);
     let error = match (algo, coin) {
         ("constant-yes", _) => distributional_error_batched(&dist, &ConstantDecision::yes(), t, 0),
@@ -105,11 +105,7 @@ fn piece_output(shard: u32, n: usize, t: usize, algo: &str, coin: Option<u64>) -
         _ => unreachable!("unknown e1 piece {algo:?}"),
     };
     let floor = star_error_floor(n, t);
-    let label = match coin {
-        Some(c) => format!("n={n} t={t} {algo} c={c}"),
-        None => format!("n={n} t={t} {algo}"),
-    };
-    let mut out = JobOutput::new("e1", shard, label)
+    let mut out = JobOutput::default()
         .value("n", n)
         .value("t", t)
         .value("floor", floor)
@@ -123,62 +119,52 @@ fn piece_output(shard: u32, n: usize, t: usize, algo: &str, coin: Option<u64>) -
     out.check("error >= min(floor, 1/2)", error + 1e-9 >= floor.min(0.5))
 }
 
+/// The job measuring one piece.
+fn piece_job(n: usize, t: usize, algo: &'static str, coin: Option<u64>) -> ExpJob {
+    let label = match coin {
+        Some(c) => format!("n={n} t={t} {algo} c={c}"),
+        None => format!("n={n} t={t} {algo}"),
+    };
+    ExpJob::new(label, move |ctx| {
+        let out = piece_output(n, t, algo, coin);
+        ctx.observer().event(
+            "e1.error",
+            vec![
+                field("n", n),
+                field("t", t),
+                field("algo", algo),
+                field("error", out.float("error").unwrap_or(f64::NAN)),
+                field("floor", out.float("floor").unwrap_or(f64::NAN)),
+            ],
+        );
+        ctx.observer().with(|_, m| m.counter("e1.pieces", 1));
+        out
+    })
+}
+
 /// One job per `(n, t, algorithm)` piece — hash-vote split further
 /// per coin — plus a final transition job bracketing the bound from
 /// above with the full-round algorithm. Fine shards keep the pool's
 /// critical path short; `reduce` reassembles the `(n, t)` rows.
-pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
+pub fn jobs(quick: bool, _suite_seed: u64) -> Vec<ExpJob> {
     let (ns, ts) = grid(quick);
     let mut jobs = Vec::new();
-    let mut shard = 0u32;
-    let mut push = |jobs: &mut Vec<ExpJob>, n: usize, t: usize, algo: &'static str, coin| {
-        let s = shard;
-        jobs.push(ExpJob::new(
-            "e1",
-            s,
-            match coin {
-                Some(c) => format!("n={n} t={t} {algo} c={c}"),
-                None => format!("n={n} t={t} {algo}"),
-            },
-            job_seed(suite_seed, "e1", s),
-            move |ctx| {
-                let out = piece_output(s, n, t, algo, coin);
-                ctx.observer().event(
-                    "e1.error",
-                    vec![
-                        field("n", n),
-                        field("t", t),
-                        field("algo", algo),
-                        field("error", out.float("error").unwrap_or(f64::NAN)),
-                        field("floor", out.float("floor").unwrap_or(f64::NAN)),
-                    ],
-                );
-                ctx.observer().with(|_, m| m.counter("e1.pieces", 1));
-                out
-            },
-        ));
-        shard += 1;
-    };
     for &n in ns {
         for &t in ts {
-            push(&mut jobs, n, t, "constant-yes", None);
+            jobs.push(piece_job(n, t, "constant-yes", None));
             for &c in &HASH_VOTE_COINS {
-                push(&mut jobs, n, t, "hash-vote(rand)", Some(c));
+                jobs.push(piece_job(n, t, "hash-vote(rand)", Some(c)));
             }
-            push(&mut jobs, n, t, "parity-vote", None);
-            push(&mut jobs, n, t, "truncated-real", None);
+            jobs.push(piece_job(n, t, "parity-vote", None));
+            jobs.push(piece_job(n, t, "truncated-real", None));
         }
     }
-    let shard = shard;
     // The transition: once t reaches the real algorithm's round count
     // (4·⌈log₂ n⌉ on 2-regular inputs), its error drops to zero —
     // bracketing the lower bound from above.
     let n = ns[0];
     jobs.push(ExpJob::new(
-        "e1",
-        shard,
-        "transition",
-        job_seed(suite_seed, "e1", shard),
+                "transition",
         move |ctx| {
             let t_full = 4 * bcc_model::codec::bits_needed(n);
             let dist = star_distribution(n);
@@ -192,7 +178,7 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
                 vec![field("n", n), field("t_full", t_full), field("error", e_full)],
             );
             ctx.observer().with(|_, m| m.counter("e1.transition_rounds", t_full as u64));
-            JobOutput::new("e1", shard, "transition")
+            JobOutput::default()
                 .value("n", n)
                 .value("t_full", t_full)
                 .value("err_full", e_full)
@@ -206,8 +192,7 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
 }
 
 /// Assembles the E1 report from its job outputs.
-pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
-    sort_by_shard(&mut outputs);
+pub fn reduce(outputs: Vec<JobOutput>) -> Report {
     let mut r = Report::new("e1", "Theorem 3.5 star distribution — error vs t");
     let mut text = String::new();
     writeln!(text, "== E1: Theorem 3.5 star distribution — error vs t ==").unwrap();
@@ -278,23 +263,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.absorb_checks(&outputs);
     r.text = text;
     r.finalize()
-}
-
-/// Registry handle: this module's entry in [`crate::REGISTRY`].
-pub struct E1;
-
-impl crate::Experiment for E1 {
-    fn id(&self) -> &'static str {
-        "e1"
-    }
-
-    fn jobs(&self, quick: bool, suite_seed: u64) -> Vec<ExpJob> {
-        jobs(quick, suite_seed)
-    }
-
-    fn reduce(&self, outputs: Vec<JobOutput>) -> Report {
-        reduce(outputs)
-    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! graph, its degree census, expansion, k-matchings, and measured
 //! distributional error.
 
-use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
+use crate::job::{ExpJob, JobOutput, Report};
 use bcc_algorithms::{
     HashVoteDecider, Kt0Upgrade, NeighborIdBroadcast, ParityDecider, Problem, Truncated,
 };
@@ -90,152 +90,127 @@ fn sizes(quick: bool) -> &'static [usize] {
 
 /// One structure job per `n`, a `T_i` census job at the largest `n`,
 /// and one error-measurement job per round budget.
-pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
+pub fn jobs(quick: bool, _suite_seed: u64) -> Vec<ExpJob> {
     let ns = sizes(quick);
     let mut jobs = Vec::new();
-    let mut shard = 0u32;
     for &n in ns {
-        jobs.push(ExpJob::new(
-            "e2",
-            shard,
-            format!("structure n={n}"),
-            job_seed(suite_seed, "e2", shard),
-            move |ctx| {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(ctx.seed);
-                let r = structure_row(n, &mut rng);
-                ctx.observer().event(
-                    "e2.structure",
-                    vec![
-                        field("n", r.n),
-                        field("v1", r.v1),
-                        field("v2", r.v2),
-                        field("ratio", r.ratio),
-                        field("expansion", r.expansion),
-                    ],
-                );
-                ctx.observer().with(|_, b| {
-                    b.counter("e2.structure_rows", 1);
-                    b.gauge("e2.lower_graph_vertices", (r.v1 + r.v2) as u64);
-                });
-                let text = format!(
-                    "{:>3} {:>8} {:>8} {:>8.4} {:>9.4} {:>8} {:>5} {:>9.3}\n",
-                    r.n, r.v1, r.v2, r.ratio, r.harmonic, r.degrees_exact, r.k_v2, r.expansion
-                );
-                JobOutput::new("e2", shard, format!("structure n={n}"))
-                    .value("n", r.n)
-                    .value("v1", r.v1)
-                    .value("v2", r.v2)
-                    .value("ratio", r.ratio)
-                    .value("harmonic", r.harmonic)
-                    .value("k_v2", r.k_v2)
-                    .value("expansion", r.expansion)
-                    .check("degree formulas exact", r.degrees_exact)
-                    .check(
-                        "ratio matches harmonic",
-                        (r.ratio - r.harmonic).abs() < 1e-9,
-                    )
-                    .check("expansion >= 1", r.expansion >= 1.0)
-                    .text(text)
-            },
-        ));
-        shard += 1;
+        jobs.push(ExpJob::new(format!("structure n={n}"), move |ctx| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(ctx.seed);
+            let r = structure_row(n, &mut rng);
+            ctx.observer().event(
+                "e2.structure",
+                vec![
+                    field("n", r.n),
+                    field("v1", r.v1),
+                    field("v2", r.v2),
+                    field("ratio", r.ratio),
+                    field("expansion", r.expansion),
+                ],
+            );
+            ctx.observer().with(|_, b| {
+                b.counter("e2.structure_rows", 1);
+                b.gauge("e2.lower_graph_vertices", (r.v1 + r.v2) as u64);
+            });
+            let text = format!(
+                "{:>3} {:>8} {:>8} {:>8.4} {:>9.4} {:>8} {:>5} {:>9.3}\n",
+                r.n, r.v1, r.v2, r.ratio, r.harmonic, r.degrees_exact, r.k_v2, r.expansion
+            );
+            JobOutput::default()
+                .value("n", r.n)
+                .value("v1", r.v1)
+                .value("v2", r.v2)
+                .value("ratio", r.ratio)
+                .value("harmonic", r.harmonic)
+                .value("k_v2", r.k_v2)
+                .value("expansion", r.expansion)
+                .check("degree formulas exact", r.degrees_exact)
+                .check(
+                    "ratio matches harmonic",
+                    (r.ratio - r.harmonic).abs() < 1e-9,
+                )
+                .check("expansion >= 1", r.expansion >= 1.0)
+                .text(text)
+        }));
     }
 
     // T_i census at the largest n.
     let n_big = *ns.last().unwrap();
-    jobs.push(ExpJob::new(
-        "e2",
-        shard,
-        format!("census n={n_big}"),
-        job_seed(suite_seed, "e2", shard),
-        move |ctx| {
-            let g = indist_round_zero(crate::cache::store(), n_big);
-            ctx.observer().event(
-                "e2.census",
-                vec![
-                    field("n", n_big),
-                    field("v1", g.v1_len()),
-                    field("v2", g.v2_len()),
-                ],
-            );
-            ctx.observer().with(|_, m| m.counter("e2.census_rows", 1));
-            let mut text = String::new();
-            writeln!(
-                text,
-                "-- |T_i| census at n={n_big} (measured vs exact prediction)"
-            )
-            .unwrap();
-            let mut exact = true;
-            let mut out = JobOutput::new("e2", shard, format!("census n={n_big}"));
-            for (i, count, pred) in lemma_3_9_t_counts(&g) {
-                writeln!(text, "   i={i}: {count} vs {pred:.1}").unwrap();
-                exact &= (count as f64 - pred).abs() < 0.5;
-                out = out.value(format!("T_{i}"), count);
-            }
-            out.check("census matches prediction", exact).text(text)
-        },
-    ));
-    shard += 1;
+    jobs.push(ExpJob::new(format!("census n={n_big}"), move |ctx| {
+        let g = indist_round_zero(crate::cache::store(), n_big);
+        ctx.observer().event(
+            "e2.census",
+            vec![
+                field("n", n_big),
+                field("v1", g.v1_len()),
+                field("v2", g.v2_len()),
+            ],
+        );
+        ctx.observer().with(|_, m| m.counter("e2.census_rows", 1));
+        let mut text = String::new();
+        writeln!(
+            text,
+            "-- |T_i| census at n={n_big} (measured vs exact prediction)"
+        )
+        .unwrap();
+        let mut exact = true;
+        let mut out = JobOutput::default();
+        for (i, count, pred) in lemma_3_9_t_counts(&g) {
+            writeln!(text, "   i={i}: {count} vs {pred:.1}").unwrap();
+            exact &= (count as f64 - pred).abs() < 0.5;
+            out = out.value(format!("T_{i}"), count);
+        }
+        out.check("census matches prediction", exact).text(text)
+    }));
 
     // Distributional error of the algorithm library at t = 1, 2.
     let n_err = if quick { 6 } else { 7 };
     for t in [1usize, 2] {
-        jobs.push(ExpJob::new(
-            "e2",
-            shard,
-            format!("error t={t}"),
-            job_seed(suite_seed, "e2", shard),
-            move |ctx| {
-                let dist = uniform_two_cycle_distribution(n_err);
-                let trunc = Truncated::new(
-                    Kt0Upgrade::new(NeighborIdBroadcast::new(Problem::TwoCycle)),
-                    t,
+        jobs.push(ExpJob::new(format!("error t={t}"), move |ctx| {
+            let dist = uniform_two_cycle_distribution(n_err);
+            let trunc = Truncated::new(
+                Kt0Upgrade::new(NeighborIdBroadcast::new(Problem::TwoCycle)),
+                t,
+            );
+            let rows = [
+                (
+                    "constant-yes".to_string(),
+                    err(&dist, &ConstantDecision::yes(), t, ctx),
+                ),
+                (
+                    "hash-vote".to_string(),
+                    err(&dist, &HashVoteDecider::new(t), t, ctx),
+                ),
+                (
+                    "parity-vote".to_string(),
+                    err(&dist, &ParityDecider::new(t), t, ctx),
+                ),
+                ("truncated-real".to_string(), err(&dist, &trunc, t, ctx)),
+            ];
+            for (name, e) in &rows {
+                ctx.observer().event(
+                    "e2.error",
+                    vec![
+                        field("t", t),
+                        field("algo", name.as_str()),
+                        field("error", *e),
+                    ],
                 );
-                let rows = [
-                    (
-                        "constant-yes".to_string(),
-                        err(&dist, &ConstantDecision::yes(), t, ctx),
-                    ),
-                    (
-                        "hash-vote".to_string(),
-                        err(&dist, &HashVoteDecider::new(t), t, ctx),
-                    ),
-                    (
-                        "parity-vote".to_string(),
-                        err(&dist, &ParityDecider::new(t), t, ctx),
-                    ),
-                    ("truncated-real".to_string(), err(&dist, &trunc, t, ctx)),
-                ];
-                for (name, e) in &rows {
-                    ctx.observer().event(
-                        "e2.error",
-                        vec![
-                            field("t", t),
-                            field("algo", name.as_str()),
-                            field("error", *e),
-                        ],
-                    );
-                }
-                ctx.observer()
-                    .with(|_, m| m.counter("e2.error_rows", rows.len() as u64));
-                let s: Vec<String> = rows.iter().map(|(n, e)| format!("{n}={e:.4}")).collect();
-                let mut out = JobOutput::new("e2", shard, format!("error t={t}"))
-                    .value("n", n_err)
-                    .value("t", t);
-                for (name, e) in &rows {
-                    out = out.value(format!("err:{name}"), *e);
-                }
-                out.text(format!("   t={t}: {}\n", s.join("  ")))
-            },
-        ));
-        shard += 1;
+            }
+            ctx.observer()
+                .with(|_, m| m.counter("e2.error_rows", rows.len() as u64));
+            let s: Vec<String> = rows.iter().map(|(n, e)| format!("{n}={e:.4}")).collect();
+            let mut out = JobOutput::default().value("n", n_err).value("t", t);
+            for (name, e) in &rows {
+                out = out.value(format!("err:{name}"), *e);
+            }
+            out.text(format!("   t={t}: {}\n", s.join("  ")))
+        }));
     }
     jobs
 }
 
 /// Assembles the E2 report from its job outputs.
-pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
-    sort_by_shard(&mut outputs);
+pub fn reduce(outputs: Vec<JobOutput>) -> Report {
     let mut r = Report::new(
         "e2",
         "indistinguishability graph structure (Lemmas 3.7-3.9, Thm 2.1)",
@@ -284,23 +259,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.absorb_checks(&outputs);
     r.text = text;
     r.finalize()
-}
-
-/// Registry handle: this module's entry in [`crate::REGISTRY`].
-pub struct E2;
-
-impl crate::Experiment for E2 {
-    fn id(&self) -> &'static str {
-        "e2"
-    }
-
-    fn jobs(&self, quick: bool, suite_seed: u64) -> Vec<ExpJob> {
-        jobs(quick, suite_seed)
-    }
-
-    fn reduce(&self, outputs: Vec<JobOutput>) -> Report {
-        reduce(outputs)
-    }
 }
 
 #[cfg(test)]

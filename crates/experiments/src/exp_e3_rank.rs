@@ -1,6 +1,6 @@
 //! E3 — Theorem 2.3 and Lemma 4.1: exact ranks of `M_n` and `E_n`.
 
-use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
+use crate::job::{ExpJob, JobOutput, Report};
 use bcc_comm::bounds::certify_rank;
 use bcc_engine::artifacts::{bell_table, join_matrix_rank, two_partition_rank};
 use bcc_partitions::matrices::{partition_join_matrix, two_partition_matrix};
@@ -56,12 +56,12 @@ fn e_row(n: usize) -> RankRow {
     }
 }
 
-fn row_output(shard: u32, row: &RankRow) -> JobOutput {
+fn row_output(row: &RankRow) -> JobOutput {
     let text = format!(
         "{:>3} {:>3} {:>7} {:>7} {:>8} {:>10.2} {:>9.2}\n",
         row.matrix, row.n, row.dim, row.rank, row.rank_gf2, row.log2_rank, row.n_log_n
     );
-    JobOutput::new("e3", shard, format!("{} n={}", row.matrix, row.n))
+    JobOutput::default()
         .value("matrix", row.matrix)
         .value("n", row.n)
         .value("dim", row.dim)
@@ -83,37 +83,25 @@ fn bounds(quick: bool) -> (usize, usize) {
 /// One rank-certificate job per matrix instance (`M_1..M_max`,
 /// `E_2, E_4, ..`): the rank computations are independent and the
 /// larger ones dominate the runtime, so they parallelize well.
-pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
+pub fn jobs(quick: bool, _suite_seed: u64) -> Vec<ExpJob> {
     let (m_max, e_max) = bounds(quick);
     let mut jobs = Vec::new();
-    let mut shard = 0u32;
     for n in 1..=m_max {
-        jobs.push(ExpJob::new(
-            "e3",
-            shard,
-            format!("M n={n}"),
-            job_seed(suite_seed, "e3", shard),
-            move |_ctx| row_output(shard, &m_row(n)),
-        ));
-        shard += 1;
+        jobs.push(ExpJob::new(format!("M n={n}"), move |_ctx| {
+            row_output(&m_row(n))
+        }));
     }
     for k in 1..=e_max / 2 {
         let n = 2 * k;
-        jobs.push(ExpJob::new(
-            "e3",
-            shard,
-            format!("E n={n}"),
-            job_seed(suite_seed, "e3", shard),
-            move |_ctx| row_output(shard, &e_row(n)),
-        ));
-        shard += 1;
+        jobs.push(ExpJob::new(format!("E n={n}"), move |_ctx| {
+            row_output(&e_row(n))
+        }));
     }
     jobs
 }
 
 /// Assembles the E3 report from its job outputs.
-pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
-    sort_by_shard(&mut outputs);
+pub fn reduce(outputs: Vec<JobOutput>) -> Report {
     let mut r = Report::new("e3", "rank certificates (Theorem 2.3, Lemma 4.1)");
     let mut text = String::new();
     writeln!(text, "== E3: rank certificates (Theorem 2.3, Lemma 4.1) ==").unwrap();
@@ -165,23 +153,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.absorb_checks(&outputs);
     r.text = text;
     r.finalize()
-}
-
-/// Registry handle: this module's entry in [`crate::REGISTRY`].
-pub struct E3;
-
-impl crate::Experiment for E3 {
-    fn id(&self) -> &'static str {
-        "e3"
-    }
-
-    fn jobs(&self, quick: bool, suite_seed: u64) -> Vec<ExpJob> {
-        jobs(quick, suite_seed)
-    }
-
-    fn reduce(&self, outputs: Vec<JobOutput>) -> Report {
-        reduce(outputs)
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! E4 — Corollaries 2.4 / 4.2: the trivial protocol's measured cost vs
 //! the log-rank lower bound.
 
-use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
+use crate::job::{ExpJob, JobOutput, Report};
 use bcc_comm::bounds::{certify_rank, exact_deterministic_cc};
 use bcc_comm::driver::{run_protocol, DriverOpts};
 use bcc_comm::protocols::{TrivialJoinAlice, TrivialJoinBob};
@@ -89,103 +89,78 @@ fn grid(quick: bool) -> (&'static [usize], usize) {
 
 /// One cost-measurement job per `n`, plus the exhaustive-correctness
 /// sweep, the `E_6` certificate, and two exact protocol-tree searches.
-pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
+pub fn jobs(quick: bool, _suite_seed: u64) -> Vec<ExpJob> {
     let (ns, rank_max) = grid(quick);
     let mut jobs = Vec::new();
-    let mut shard = 0u32;
     for &n in ns {
-        jobs.push(ExpJob::new(
-            "e4",
-            shard,
-            format!("cost n={n}"),
-            job_seed(suite_seed, "e4", shard),
-            move |ctx| {
-                let r = cost_row(n, rank_max, ctx.seed);
-                ctx.observer().with(|_, b| {
-                    b.counter("e4.cost_rows", 1);
-                    b.counter("e4.upper_bits", r.upper_bits as u64);
-                });
-                let text = format!(
-                    "{:>5} {:>11} {:>11.2} {:>7.2}\n",
-                    r.n, r.upper_bits, r.lower_bits, r.gap
-                );
-                JobOutput::new("e4", shard, format!("cost n={n}"))
-                    .value("n", r.n)
-                    .value("upper_bits", r.upper_bits)
-                    .value("lower_bits", r.lower_bits)
-                    .value("gap", r.gap)
-                    .check("upper >= lower", r.upper_bits as f64 + 1e-9 >= r.lower_bits)
-                    .text(text)
-            },
-        ));
-        shard += 1;
+        jobs.push(ExpJob::new(format!("cost n={n}"), move |ctx| {
+            let r = cost_row(n, rank_max, ctx.seed);
+            ctx.observer().with(|_, b| {
+                b.counter("e4.cost_rows", 1);
+                b.counter("e4.upper_bits", r.upper_bits as u64);
+            });
+            let text = format!(
+                "{:>5} {:>11} {:>11.2} {:>7.2}\n",
+                r.n, r.upper_bits, r.lower_bits, r.gap
+            );
+            JobOutput::default()
+                .value("n", r.n)
+                .value("upper_bits", r.upper_bits)
+                .value("lower_bits", r.lower_bits)
+                .value("gap", r.gap)
+                .check("upper >= lower", r.upper_bits as f64 + 1e-9 >= r.lower_bits)
+                .text(text)
+        }));
     }
 
     // Correctness sweep of the trivial protocol on all pairs at n = 4,
     // and the TwoPartition bound.
-    jobs.push(ExpJob::new(
-        "e4",
-        shard,
-        "exhaustive n=4",
-        job_seed(suite_seed, "e4", shard),
-        move |ctx| {
-            let mut ok = 0usize;
-            let mut total = 0usize;
-            // Route the driver's comm.* counters into the job's dump
-            // but keep the sweep's 225 `protocol` spans and their
-            // `message` events out of the trace (no-op when metrics
-            // are off).
-            let opts = DriverOpts::new(8).observe(ctx.observer().metrics_only());
-            for pa in all_partitions(4) {
-                for pb in all_partitions(4) {
-                    let mut alice = TrivialJoinAlice::new(pa.clone());
-                    let mut bob = TrivialJoinBob::new(pb.clone());
-                    let run = run_protocol(&mut alice, &mut bob, &opts);
-                    total += 1;
-                    if run.bob_output == Some(pa.join(&pb).is_trivial()) {
-                        ok += 1;
-                    }
+    jobs.push(ExpJob::new("exhaustive n=4", move |ctx| {
+        let mut ok = 0usize;
+        let mut total = 0usize;
+        // Route the driver's comm.* counters into the job's dump
+        // but keep the sweep's 225 `protocol` spans and their
+        // `message` events out of the trace (no-op when metrics
+        // are off).
+        let opts = DriverOpts::new(8).observe(ctx.observer().metrics_only());
+        for pa in all_partitions(4) {
+            for pb in all_partitions(4) {
+                let mut alice = TrivialJoinAlice::new(pa.clone());
+                let mut bob = TrivialJoinBob::new(pb.clone());
+                let run = run_protocol(&mut alice, &mut bob, &opts);
+                total += 1;
+                if run.bob_output == Some(pa.join(&pb).is_trivial()) {
+                    ok += 1;
                 }
             }
-            JobOutput::new("e4", shard, "exhaustive n=4")
-                .value("ok", ok)
-                .value("total", total)
-                .check("exhaustively correct", ok == total)
-                .text(format!(
-                    "trivial protocol exhaustive correctness at n=4: {ok}/{total}\n"
-                ))
-        },
-    ));
-    shard += 1;
+        }
+        JobOutput::default()
+            .value("ok", ok)
+            .value("total", total)
+            .check("exhaustively correct", ok == total)
+            .text(format!(
+                "trivial protocol exhaustive correctness at n=4: {ok}/{total}\n"
+            ))
+    }));
 
-    jobs.push(ExpJob::new(
-        "e4",
-        shard,
-        "E_6 certificate",
-        job_seed(suite_seed, "e4", shard),
-        move |_ctx| {
-            let e6 = certify_rank(&two_partition_matrix(6));
-            JobOutput::new("e4", shard, "E_6 certificate")
-                .value("rank", e6.rank)
-                .value("dim", e6.dim)
-                .value("lower_bound_bits", e6.comm_lower_bound_bits)
-                .check("E_6 full rank", e6.rank == e6.dim)
-                .text(format!(
-                    "TwoPartition (E_6): rank {}/{} -> lower bound {:.2} bits\n",
-                    e6.rank, e6.dim, e6.comm_lower_bound_bits
-                ))
-        },
-    ));
-    shard += 1;
+    jobs.push(ExpJob::new("E_6 certificate", move |_ctx| {
+        let e6 = certify_rank(&two_partition_matrix(6));
+        JobOutput::default()
+            .value("rank", e6.rank)
+            .value("dim", e6.dim)
+            .value("lower_bound_bits", e6.comm_lower_bound_bits)
+            .check("E_6 full rank", e6.rank == e6.dim)
+            .text(format!(
+                "TwoPartition (E_6): rank {}/{} -> lower bound {:.2} bits\n",
+                e6.rank, e6.dim, e6.comm_lower_bound_bits
+            ))
+    }));
 
     // Exact D(f) by protocol-tree search on the tiny matrices,
     // sandwiched between log-rank and the trivial upper bound.
     for (name, which) in [("M_3", 0usize), ("E_4", 1usize)] {
         jobs.push(ExpJob::new(
-            "e4",
-            shard,
-            format!("exact D({name})"),
-            job_seed(suite_seed, "e4", shard),
+                        format!("exact D({name})"),
             move |_ctx| {
                 let jm = if which == 0 {
                     partition_join_matrix(3)
@@ -195,7 +170,7 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
                 let d = exact_deterministic_cc(&jm.matrix);
                 let lb = certify_rank(&jm).comm_lower_bound_bits;
                 let trivial = (jm.dim() as f64).log2().ceil() as usize + 1;
-                JobOutput::new("e4", shard, format!("exact D({name})"))
+                JobOutput::default()
                     .value("d", d)
                     .value("log_rank_bound", lb)
                     .value("trivial_upper", trivial)
@@ -206,14 +181,12 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
                     ))
             },
         ));
-        shard += 1;
     }
     jobs
 }
 
 /// Assembles the E4 report from its job outputs.
-pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
-    sort_by_shard(&mut outputs);
+pub fn reduce(outputs: Vec<JobOutput>) -> Report {
     let mut r = Report::new(
         "e4",
         "2-party Partition — trivial protocol vs log-rank bound",
@@ -249,23 +222,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.absorb_checks(&outputs);
     r.text = text;
     r.finalize()
-}
-
-/// Registry handle: this module's entry in [`crate::REGISTRY`].
-pub struct E4;
-
-impl crate::Experiment for E4 {
-    fn id(&self) -> &'static str {
-        "e4"
-    }
-
-    fn jobs(&self, quick: bool, suite_seed: u64) -> Vec<ExpJob> {
-        jobs(quick, suite_seed)
-    }
-
-    fn reduce(&self, outputs: Vec<JobOutput>) -> Report {
-        reduce(outputs)
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! E5 — Section 4.3 / Theorem 4.4: the Alice/Bob simulation of KT-1
 //! algorithms, its measured cost, and the implied round lower bound.
 
-use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
+use crate::job::{ExpJob, JobOutput, Report};
 use bcc_algorithms::{NeighborIdBroadcast, Problem};
 use bcc_comm::reduction::Gadget;
 use bcc_core::kt1::{simulation_bits_per_round, theorem_4_4_certificate};
@@ -107,101 +107,80 @@ fn grid(quick: bool) -> (&'static [usize], usize) {
 
 /// One simulation job per ground-set size plus the exact-certificate
 /// job.
-pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
+pub fn jobs(quick: bool, _suite_seed: u64) -> Vec<ExpJob> {
     let (ns, samples) = grid(quick);
     let mut jobs = Vec::new();
-    let mut shard = 0u32;
     for &n in ns {
-        jobs.push(ExpJob::new(
-            "e5",
-            shard,
-            format!("sim n={n}"),
-            job_seed(suite_seed, "e5", shard),
-            move |ctx| {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(ctx.seed);
-                let r = sim_row(n, samples, &mut rng, ctx.observer().clone());
-                ctx.observer().event(
-                    "e5.sim",
-                    vec![
-                        field("n", r.n),
-                        field("rounds", r.rounds),
-                        field("bits", r.bits),
-                        field("implied_rounds", r.implied_rounds),
-                    ],
-                );
-                ctx.observer().with(|trace, b| {
-                    trace.counter("e5.bits_exchanged", r.bits as u64);
-                    b.counter("e5.sim_rows", 1);
-                    b.counter("e5.bits_exchanged", r.bits as u64);
-                    b.counter("e5.rounds", r.rounds as u64);
-                });
-                let text = format!(
-                    "{:>4} {:>7} {:>9} {:>9} {:>10.1} {:>13.2} {:>8}\n",
-                    r.n,
-                    r.rounds,
-                    r.bits,
-                    r.bits_per_round,
-                    r.comm_lower,
-                    r.implied_rounds,
-                    r.correct
-                );
-                JobOutput::new("e5", shard, format!("sim n={n}"))
-                    .value("n", r.n)
-                    .value("rounds", r.rounds)
-                    .value("bits", r.bits)
-                    .value("bits_per_round", r.bits_per_round)
-                    .value("comm_lower", r.comm_lower)
-                    .value("implied_rounds", r.implied_rounds)
-                    .check("simulation correct", r.correct)
-                    .check(
-                        "bits divisible by bits/round",
-                        r.bits.is_multiple_of(r.bits_per_round),
-                    )
-                    .text(text)
-            },
-        ));
-        shard += 1;
-    }
-    let cert_n = if quick { 6 } else { 8 };
-    jobs.push(ExpJob::new(
-        "e5",
-        shard,
-        format!("certificate n={cert_n}"),
-        job_seed(suite_seed, "e5", shard),
-        move |ctx| {
-            let cert = theorem_4_4_certificate(Gadget::TwoRegular, cert_n);
+        jobs.push(ExpJob::new(format!("sim n={n}"), move |ctx| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(ctx.seed);
+            let r = sim_row(n, samples, &mut rng, ctx.observer().clone());
             ctx.observer().event(
-                "e5.certificate",
+                "e5.sim",
                 vec![
-                    field("n", cert.n),
-                    field("rank", cert.rank.rank),
-                    field("round_lower_bound", cert.round_lower_bound),
+                    field("n", r.n),
+                    field("rounds", r.rounds),
+                    field("bits", r.bits),
+                    field("implied_rounds", r.implied_rounds),
                 ],
             );
-            JobOutput::new("e5", shard, format!("certificate n={cert_n}"))
-                .value("n", cert.n)
-                .value("rank", cert.rank.rank)
-                .value("dim", cert.rank.dim)
-                .value("bits_per_round", cert.bits_per_round)
-                .value("round_lower_bound", cert.round_lower_bound)
-                .check("certificate full rank", cert.rank.full_rank)
-                .text(format!(
-                    "exact certificate n={}: rank {}/{} (full: {}), bits/round {}, round LB {}\n",
-                    cert.n,
-                    cert.rank.rank,
-                    cert.rank.dim,
-                    cert.rank.full_rank,
-                    cert.bits_per_round,
-                    cert.round_lower_bound
-                ))
-        },
-    ));
+            ctx.observer().with(|trace, b| {
+                trace.counter("e5.bits_exchanged", r.bits as u64);
+                b.counter("e5.sim_rows", 1);
+                b.counter("e5.bits_exchanged", r.bits as u64);
+                b.counter("e5.rounds", r.rounds as u64);
+            });
+            let text = format!(
+                "{:>4} {:>7} {:>9} {:>9} {:>10.1} {:>13.2} {:>8}\n",
+                r.n, r.rounds, r.bits, r.bits_per_round, r.comm_lower, r.implied_rounds, r.correct
+            );
+            JobOutput::default()
+                .value("n", r.n)
+                .value("rounds", r.rounds)
+                .value("bits", r.bits)
+                .value("bits_per_round", r.bits_per_round)
+                .value("comm_lower", r.comm_lower)
+                .value("implied_rounds", r.implied_rounds)
+                .check("simulation correct", r.correct)
+                .check(
+                    "bits divisible by bits/round",
+                    r.bits.is_multiple_of(r.bits_per_round),
+                )
+                .text(text)
+        }));
+    }
+    let cert_n = if quick { 6 } else { 8 };
+    jobs.push(ExpJob::new(format!("certificate n={cert_n}"), move |ctx| {
+        let cert = theorem_4_4_certificate(Gadget::TwoRegular, cert_n);
+        ctx.observer().event(
+            "e5.certificate",
+            vec![
+                field("n", cert.n),
+                field("rank", cert.rank.rank),
+                field("round_lower_bound", cert.round_lower_bound),
+            ],
+        );
+        JobOutput::default()
+            .value("n", cert.n)
+            .value("rank", cert.rank.rank)
+            .value("dim", cert.rank.dim)
+            .value("bits_per_round", cert.bits_per_round)
+            .value("round_lower_bound", cert.round_lower_bound)
+            .check("certificate full rank", cert.rank.full_rank)
+            .text(format!(
+                "exact certificate n={}: rank {}/{} (full: {}), bits/round {}, round LB {}\n",
+                cert.n,
+                cert.rank.rank,
+                cert.rank.dim,
+                cert.rank.full_rank,
+                cert.bits_per_round,
+                cert.round_lower_bound
+            ))
+    }));
     jobs
 }
 
 /// Assembles the E5 report from its job outputs.
-pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
-    sort_by_shard(&mut outputs);
+pub fn reduce(outputs: Vec<JobOutput>) -> Report {
     let mut r = Report::new(
         "e5",
         "two-party simulation of KT-1 BCC(1) (Section 4.3, Theorem 4.4)",
@@ -246,23 +225,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.absorb_checks(&outputs);
     r.text = text;
     r.finalize()
-}
-
-/// Registry handle: this module's entry in [`crate::REGISTRY`].
-pub struct E5;
-
-impl crate::Experiment for E5 {
-    fn id(&self) -> &'static str {
-        "e5"
-    }
-
-    fn jobs(&self, quick: bool, suite_seed: u64) -> Vec<ExpJob> {
-        jobs(quick, suite_seed)
-    }
-
-    fn reduce(&self, outputs: Vec<JobOutput>) -> Report {
-        reduce(outputs)
-    }
 }
 
 #[cfg(test)]

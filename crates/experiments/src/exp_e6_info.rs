@@ -1,7 +1,7 @@
 //! E6 — Theorem 4.5: exact information accounting for
 //! `PartitionComp` under the hard distribution.
 
-use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
+use crate::job::{ExpJob, JobOutput, Report};
 use bcc_comm::protocols::trivial_message_bits;
 use bcc_core::infobound::{implied_round_lower_bound, partition_comp_information};
 use std::fmt::Write as _;
@@ -16,99 +16,84 @@ fn sizes(quick: bool) -> &'static [usize] {
 
 /// One exact-enumeration job per ground-set size plus the bit-budget
 /// sweep at one size.
-pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
+pub fn jobs(quick: bool, _suite_seed: u64) -> Vec<ExpJob> {
     let ns = sizes(quick);
     let mut jobs = Vec::new();
-    let mut shard = 0u32;
     for &n in ns {
-        jobs.push(ExpJob::new(
-            "e6",
-            shard,
-            format!("info n={n}"),
-            job_seed(suite_seed, "e6", shard),
-            move |_ctx| {
-                let r = partition_comp_information(n, None);
-                let text = format!(
-                    "{:>3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>7} {:>6.3} {:>10}\n",
-                    n,
-                    r.input_entropy,
-                    r.transcript_entropy,
-                    r.mutual_information,
-                    r.conditional_entropy,
-                    r.max_transcript_bits,
-                    r.error,
-                    r.chain_holds()
-                );
-                JobOutput::new("e6", shard, format!("info n={n}"))
-                    .value("n", n)
-                    .value("input_entropy", r.input_entropy)
-                    .value("transcript_entropy", r.transcript_entropy)
-                    .value("mutual_information", r.mutual_information)
-                    .value("conditional_entropy", r.conditional_entropy)
-                    .value("max_transcript_bits", r.max_transcript_bits)
-                    .value("error", r.error)
-                    .check("information chain holds", r.chain_holds())
-                    .text(text)
-            },
-        ));
-        shard += 1;
+        jobs.push(ExpJob::new(format!("info n={n}"), move |_ctx| {
+            let r = partition_comp_information(n, None);
+            let text = format!(
+                "{:>3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>7} {:>6.3} {:>10}\n",
+                n,
+                r.input_entropy,
+                r.transcript_entropy,
+                r.mutual_information,
+                r.conditional_entropy,
+                r.max_transcript_bits,
+                r.error,
+                r.chain_holds()
+            );
+            JobOutput::default()
+                .value("n", n)
+                .value("input_entropy", r.input_entropy)
+                .value("transcript_entropy", r.transcript_entropy)
+                .value("mutual_information", r.mutual_information)
+                .value("conditional_entropy", r.conditional_entropy)
+                .value("max_transcript_bits", r.max_transcript_bits)
+                .value("error", r.error)
+                .check("information chain holds", r.chain_holds())
+                .text(text)
+        }));
     }
 
     // Budget sweep at one size: information rises to H(PA), error
     // falls to 0 only once the budget covers Alice's message.
     let n = if quick { 4 } else { 5 };
-    jobs.push(ExpJob::new(
-        "e6",
-        shard,
-        format!("budget sweep n={n}"),
-        job_seed(suite_seed, "e6", shard),
-        move |_ctx| {
-            let full = trivial_message_bits(n);
-            let mut text = String::new();
+    jobs.push(ExpJob::new(format!("budget sweep n={n}"), move |_ctx| {
+        let full = trivial_message_bits(n);
+        let mut text = String::new();
+        writeln!(
+            text,
+            "-- bit-budget sweep at n={n} (Alice's message = {full} bits)"
+        )
+        .unwrap();
+        writeln!(
+            text,
+            "{:>7} {:>9} {:>6} {:>13}",
+            "budget", "I(PA;Pi)", "err", "implied rnds"
+        )
+        .unwrap();
+        let budgets: Vec<usize> = (0..=full + 2).step_by((full / 6).max(1)).collect();
+        let mut chain_ok = true;
+        let mut final_error = f64::NAN;
+        for b in budgets {
+            let r = partition_comp_information(n, Some(b));
             writeln!(
                 text,
-                "-- bit-budget sweep at n={n} (Alice's message = {full} bits)"
+                "{:>7} {:>9.3} {:>6.3} {:>13.3}",
+                b,
+                r.mutual_information,
+                r.error,
+                implied_round_lower_bound(&r, 2 * 4 * n + 2)
             )
             .unwrap();
-            writeln!(
-                text,
-                "{:>7} {:>9} {:>6} {:>13}",
-                "budget", "I(PA;Pi)", "err", "implied rnds"
-            )
-            .unwrap();
-            let budgets: Vec<usize> = (0..=full + 2).step_by((full / 6).max(1)).collect();
-            let mut chain_ok = true;
-            let mut final_error = f64::NAN;
-            for b in budgets {
-                let r = partition_comp_information(n, Some(b));
-                writeln!(
-                    text,
-                    "{:>7} {:>9.3} {:>6.3} {:>13.3}",
-                    b,
-                    r.mutual_information,
-                    r.error,
-                    implied_round_lower_bound(&r, 2 * 4 * n + 2)
-                )
-                .unwrap();
-                chain_ok &= r.chain_holds();
-                final_error = r.error;
-            }
-            writeln!(text, "all rows satisfy |Pi| >= H(Pi) >= I >= (1-err)·H(PA)").unwrap();
-            JobOutput::new("e6", shard, format!("budget sweep n={n}"))
-                .value("n", n)
-                .value("alice_message_bits", full)
-                .value("final_error", final_error)
-                .check("chain holds at every budget", chain_ok)
-                .check("error vanishes at full budget", final_error == 0.0)
-                .text(text)
-        },
-    ));
+            chain_ok &= r.chain_holds();
+            final_error = r.error;
+        }
+        writeln!(text, "all rows satisfy |Pi| >= H(Pi) >= I >= (1-err)·H(PA)").unwrap();
+        JobOutput::default()
+            .value("n", n)
+            .value("alice_message_bits", full)
+            .value("final_error", final_error)
+            .check("chain holds at every budget", chain_ok)
+            .check("error vanishes at full budget", final_error == 0.0)
+            .text(text)
+    }));
     jobs
 }
 
 /// Assembles the E6 report from its job outputs.
-pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
-    sort_by_shard(&mut outputs);
+pub fn reduce(outputs: Vec<JobOutput>) -> Report {
     let mut r = Report::new("e6", "PartitionComp information accounting (Theorem 4.5)");
     let mut text = String::new();
     writeln!(
@@ -141,23 +126,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.absorb_checks(&outputs);
     r.text = text;
     r.finalize()
-}
-
-/// Registry handle: this module's entry in [`crate::REGISTRY`].
-pub struct E6;
-
-impl crate::Experiment for E6 {
-    fn id(&self) -> &'static str {
-        "e6"
-    }
-
-    fn jobs(&self, quick: bool, suite_seed: u64) -> Vec<ExpJob> {
-        jobs(quick, suite_seed)
-    }
-
-    fn reduce(&self, outputs: Vec<JobOutput>) -> Report {
-        reduce(outputs)
-    }
 }
 
 #[cfg(test)]

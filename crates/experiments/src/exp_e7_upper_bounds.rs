@@ -1,7 +1,7 @@
 //! E7 — the tightness side: measured round counts of the upper-bound
 //! algorithms on the paper's instance families.
 
-use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
+use crate::job::{ExpJob, JobOutput, Report};
 use bcc_algorithms::{
     BoruvkaMinLabel, FullGraphBroadcast, Kt0Upgrade, NeighborIdBroadcast, Problem,
 };
@@ -80,52 +80,37 @@ fn sizes(quick: bool) -> &'static [usize] {
 
 /// One job per cycle length — the larger simulations dominate, so the
 /// sweep parallelizes across sizes.
-pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
+pub fn jobs(quick: bool, _suite_seed: u64) -> Vec<ExpJob> {
     sizes(quick)
         .iter()
-        .enumerate()
-        .map(|(i, &n)| {
-            let shard = i as u32;
-            ExpJob::new(
-                "e7",
-                shard,
-                format!("n={n}"),
-                job_seed(suite_seed, "e7", shard),
-                move |ctx| {
-                    let r = upper_row(n, ctx.observer().clone());
-                    let w = bcc_model::codec::bits_needed(n);
-                    let ratio = r.neighbor_kt1 as f64 / (n as f64).log2();
-                    let text = format!(
-                        "{:>5} {:>12} {:>12} {:>9} {:>11} {:>7} {:>14.2}\n",
-                        r.n,
-                        r.neighbor_kt1,
-                        r.neighbor_kt0,
-                        r.boruvka,
-                        r.boruvka_blog,
-                        r.full,
-                        ratio
-                    );
-                    JobOutput::new("e7", shard, format!("n={n}"))
-                        .value("n", r.n)
-                        .value("neighbor_kt1", r.neighbor_kt1)
-                        .value("neighbor_kt0", r.neighbor_kt0)
-                        .value("boruvka", r.boruvka)
-                        .value("boruvka_blog", r.boruvka_blog)
-                        .value("full", r.full)
-                        .check("nbr-kt1 = 3 ceil(log2 n)", r.neighbor_kt1 == 3 * w)
-                        .check("nbr-kt0 = 4 ceil(log2 n)", r.neighbor_kt0 == 4 * w)
-                        .check("full = n", r.full == n)
-                        .check("boruvka O(log^2 n)", r.boruvka <= (2 * w + 1) * (w + 2))
-                        .text(text)
-                },
-            )
+        .map(|&n| {
+            ExpJob::new(format!("n={n}"), move |ctx| {
+                let r = upper_row(n, ctx.observer().clone());
+                let w = bcc_model::codec::bits_needed(n);
+                let ratio = r.neighbor_kt1 as f64 / (n as f64).log2();
+                let text = format!(
+                    "{:>5} {:>12} {:>12} {:>9} {:>11} {:>7} {:>14.2}\n",
+                    r.n, r.neighbor_kt1, r.neighbor_kt0, r.boruvka, r.boruvka_blog, r.full, ratio
+                );
+                JobOutput::default()
+                    .value("n", r.n)
+                    .value("neighbor_kt1", r.neighbor_kt1)
+                    .value("neighbor_kt0", r.neighbor_kt0)
+                    .value("boruvka", r.boruvka)
+                    .value("boruvka_blog", r.boruvka_blog)
+                    .value("full", r.full)
+                    .check("nbr-kt1 = 3 ceil(log2 n)", r.neighbor_kt1 == 3 * w)
+                    .check("nbr-kt0 = 4 ceil(log2 n)", r.neighbor_kt0 == 4 * w)
+                    .check("full = n", r.full == n)
+                    .check("boruvka O(log^2 n)", r.boruvka <= (2 * w + 1) * (w + 2))
+                    .text(text)
+            })
         })
         .collect()
 }
 
 /// Assembles the E7 report from its job outputs.
-pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
-    sort_by_shard(&mut outputs);
+pub fn reduce(outputs: Vec<JobOutput>) -> Report {
     let mut r = Report::new(
         "e7",
         "upper bounds on cycles — rounds vs n (tightness of Ω(log n))",
@@ -177,23 +162,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.absorb_checks(&outputs);
     r.text = text;
     r.finalize()
-}
-
-/// Registry handle: this module's entry in [`crate::REGISTRY`].
-pub struct E7;
-
-impl crate::Experiment for E7 {
-    fn id(&self) -> &'static str {
-        "e7"
-    }
-
-    fn jobs(&self, quick: bool, suite_seed: u64) -> Vec<ExpJob> {
-        jobs(quick, suite_seed)
-    }
-
-    fn reduce(&self, outputs: Vec<JobOutput>) -> Report {
-        reduce(outputs)
-    }
 }
 
 #[cfg(test)]

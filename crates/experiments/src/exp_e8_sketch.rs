@@ -2,7 +2,7 @@
 //! `b`, reproducing the `BCC(1)` vs `BCC(polylog)` gap the paper's
 //! introduction draws.
 
-use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
+use crate::job::{job_seed, ExpJob, JobOutput, Report};
 use bcc_algorithms::{Problem, SketchConnectivity};
 use bcc_graphs::generators;
 use bcc_model::{Decision, Instance, SimConfig};
@@ -93,38 +93,29 @@ pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
     let input_seed = job_seed(suite_seed, "e8/inputs", 0);
     bandwidths
         .iter()
-        .enumerate()
-        .map(|(i, &b)| {
-            let shard = i as u32;
-            ExpJob::new(
-                "e8",
-                shard,
-                format!("b={b}"),
-                job_seed(suite_seed, "e8", shard),
-                move |ctx| {
-                    let graphs = instance_set(n, trials, input_seed);
-                    let r = sketch_row(n, b, &graphs, ctx.observer().clone());
-                    let text = format!(
-                        "{:>4} {:>7} {:>12.1} {:>9.2} {:>12}\n",
-                        r.n, r.b, r.mean_rounds, r.accuracy, r.sketch_bits
-                    );
-                    JobOutput::new("e8", shard, format!("b={b}"))
-                        .value("n", r.n)
-                        .value("b", r.b)
-                        .value("mean_rounds", r.mean_rounds)
-                        .value("accuracy", r.accuracy)
-                        .value("sketch_bits", r.sketch_bits)
-                        .check("accuracy >= 3/4", r.accuracy >= 0.75)
-                        .text(text)
-                },
-            )
+        .map(|&b| {
+            ExpJob::new(format!("b={b}"), move |ctx| {
+                let graphs = instance_set(n, trials, input_seed);
+                let r = sketch_row(n, b, &graphs, ctx.observer().clone());
+                let text = format!(
+                    "{:>4} {:>7} {:>12.1} {:>9.2} {:>12}\n",
+                    r.n, r.b, r.mean_rounds, r.accuracy, r.sketch_bits
+                );
+                JobOutput::default()
+                    .value("n", r.n)
+                    .value("b", r.b)
+                    .value("mean_rounds", r.mean_rounds)
+                    .value("accuracy", r.accuracy)
+                    .value("sketch_bits", r.sketch_bits)
+                    .check("accuracy >= 3/4", r.accuracy >= 0.75)
+                    .text(text)
+            })
         })
         .collect()
 }
 
 /// Assembles the E8 report from its job outputs.
-pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
-    sort_by_shard(&mut outputs);
+pub fn reduce(outputs: Vec<JobOutput>) -> Report {
     let mut r = Report::new("e8", "sketch connectivity vs bandwidth (AGM + Boruvka)");
     let mut text = String::new();
     writeln!(
@@ -168,23 +159,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.absorb_checks(&outputs);
     r.text = text;
     r.finalize()
-}
-
-/// Registry handle: this module's entry in [`crate::REGISTRY`].
-pub struct E8;
-
-impl crate::Experiment for E8 {
-    fn id(&self) -> &'static str {
-        "e8"
-    }
-
-    fn jobs(&self, quick: bool, suite_seed: u64) -> Vec<ExpJob> {
-        jobs(quick, suite_seed)
-    }
-
-    fn reduce(&self, outputs: Vec<JobOutput>) -> Report {
-        reduce(outputs)
-    }
 }
 
 #[cfg(test)]

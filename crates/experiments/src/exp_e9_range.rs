@@ -2,7 +2,7 @@
 //! solved in one round with range 3 but needing `n/2` broadcast
 //! rounds, inside the same simulator.
 
-use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
+use crate::job::{ExpJob, JobOutput, Report};
 use bcc_algorithms::{common_neighbor_truth, CommonNeighborBroadcast, CommonNeighborUnicast};
 use bcc_graphs::generators;
 use bcc_model::range::RangeSimulator;
@@ -57,41 +57,32 @@ fn sizes(quick: bool) -> &'static [usize] {
 }
 
 /// One job per graph size.
-pub fn jobs(quick: bool, suite_seed: u64) -> Vec<ExpJob> {
+pub fn jobs(quick: bool, _suite_seed: u64) -> Vec<ExpJob> {
     sizes(quick)
         .iter()
-        .enumerate()
-        .map(|(i, &n)| {
-            let shard = i as u32;
-            ExpJob::new(
-                "e9",
-                shard,
-                format!("n={n}"),
-                job_seed(suite_seed, "e9", shard),
-                move |ctx| {
-                    let mut rng = rand::rngs::StdRng::seed_from_u64(ctx.seed);
-                    let r = range_row(n, &mut rng);
-                    let text = format!(
-                        "{:>5} {:>15} {:>17} {:>8}\n",
-                        r.n, r.unicast_rounds, r.broadcast_rounds, r.correct
-                    );
-                    JobOutput::new("e9", shard, format!("n={n}"))
-                        .value("n", r.n)
-                        .value("unicast_rounds", r.unicast_rounds)
-                        .value("broadcast_rounds", r.broadcast_rounds)
-                        .check("both algorithms correct", r.correct)
-                        .check("unicast solves in 1 round", r.unicast_rounds == 1)
-                        .check("broadcast needs n/2 rounds", r.broadcast_rounds == n / 2)
-                        .text(text)
-                },
-            )
+        .map(|&n| {
+            ExpJob::new(format!("n={n}"), move |ctx| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(ctx.seed);
+                let r = range_row(n, &mut rng);
+                let text = format!(
+                    "{:>5} {:>15} {:>17} {:>8}\n",
+                    r.n, r.unicast_rounds, r.broadcast_rounds, r.correct
+                );
+                JobOutput::default()
+                    .value("n", r.n)
+                    .value("unicast_rounds", r.unicast_rounds)
+                    .value("broadcast_rounds", r.broadcast_rounds)
+                    .check("both algorithms correct", r.correct)
+                    .check("unicast solves in 1 round", r.unicast_rounds == 1)
+                    .check("broadcast needs n/2 rounds", r.broadcast_rounds == n / 2)
+                    .text(text)
+            })
         })
         .collect()
 }
 
 /// Assembles the E9 report from its job outputs.
-pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
-    sort_by_shard(&mut outputs);
+pub fn reduce(outputs: Vec<JobOutput>) -> Report {
     let mut r = Report::new(
         "e9",
         "range spectrum — PairedCommonNeighbor, range 3 vs range 1",
@@ -125,23 +116,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.absorb_checks(&outputs);
     r.text = text;
     r.finalize()
-}
-
-/// Registry handle: this module's entry in [`crate::REGISTRY`].
-pub struct E9;
-
-impl crate::Experiment for E9 {
-    fn id(&self) -> &'static str {
-        "e9"
-    }
-
-    fn jobs(&self, quick: bool, suite_seed: u64) -> Vec<ExpJob> {
-        jobs(quick, suite_seed)
-    }
-
-    fn reduce(&self, outputs: Vec<JobOutput>) -> Report {
-        reduce(outputs)
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! F1 — Figure 1: a port-preserving crossing, rendered as data, with
 //! Lemma 3.4 executed live.
 
-use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
+use crate::job::{ExpJob, JobOutput, Report};
 use bcc_core::crossing::{cross_instance, indistinguishable_after, DirectedEdge};
 use bcc_graphs::generators;
 use bcc_model::testing::{EchoBit, IdBroadcast};
@@ -44,78 +44,71 @@ pub fn figure1() -> (Instance, Instance, PortTable) {
 
 /// F1 is one fixed figure — a single job covering the crossing, the
 /// port table, and both Lemma 3.4 directions.
-pub fn jobs(_quick: bool, suite_seed: u64) -> Vec<ExpJob> {
-    vec![ExpJob::new(
-        "f1",
-        0,
-        "figure1",
-        job_seed(suite_seed, "f1", 0),
-        |ctx| {
-            let (i1, i2, table) = figure1();
-            ctx.observer().event(
-                "f1.crossing",
-                vec![field("n", 8usize), field("crossed_edges", 2usize)],
-            );
-            ctx.observer().with(|_, m| m.counter("f1.crossings", 1));
-            let mut out = String::new();
-            writeln!(
-                out,
-                "base: canonical KT-0 8-cycle; crossing e1 = 0->1, e2 = 4->5"
-            )
-            .unwrap();
-            writeln!(out, "input edges before: {:?}", i1.input().canonical_key()).unwrap();
-            writeln!(out, "input edges after : {:?}", i2.input().canonical_key()).unwrap();
-            writeln!(out, "vertex  peer-before  port  peer-after").unwrap();
-            for (v, before, port, after) in &table.rows {
-                writeln!(out, "{v:>6}  {before:>11}  {port:>4}  {after:>10}").unwrap();
-            }
-            // Port preservation: input-edge port sets identical at all
-            // vertices.
-            let ports_preserved = (0..8).all(|v| {
-                i1.initial_knowledge(v, 1, 0).input_port_labels
-                    == i2.initial_knowledge(v, 1, 0).input_port_labels
-            });
-            writeln!(
-                out,
-                "input-edge port sets preserved at every vertex: {ports_preserved}"
-            )
-            .unwrap();
-            // Lemma 3.4 live: indistinguishable under a uniform
-            // broadcaster, distinguishable once IDs flow.
-            let indist_uniform = indistinguishable_after(&i1, &i2, &EchoBit, 6, 0);
-            let indist_ids = indistinguishable_after(&i1, &i2, &IdBroadcast::new(), 3, 0);
-            ctx.observer().event(
-                "f1.lemma_3_4",
-                vec![
-                    field("indist_uniform", indist_uniform),
-                    field("indist_ids", indist_ids),
-                ],
-            );
-            writeln!(
-                out,
-                "Lemma 3.4 (hypothesis satisfied, EchoBit, t=6): indistinguishable = {indist_uniform}"
-            )
-            .unwrap();
-            writeln!(
-                out,
-                "Lemma 3.4 contrapositive (IdBroadcast, t=3):    indistinguishable = {indist_ids}"
-            )
-            .unwrap();
-            JobOutput::new("f1", 0, "figure1")
-                .value("ports_preserved", ports_preserved)
-                .value("indist_uniform", indist_uniform)
-                .value("indist_ids", indist_ids)
-                .check("ports preserved", ports_preserved)
-                .check("lemma 3.4 indistinguishable", indist_uniform)
-                .check("lemma 3.4 contrapositive distinguishes", !indist_ids)
-                .text(out)
-        },
-    )]
+pub fn jobs(_quick: bool, _suite_seed: u64) -> Vec<ExpJob> {
+    vec![ExpJob::new("figure1", |ctx| {
+        let (i1, i2, table) = figure1();
+        ctx.observer().event(
+            "f1.crossing",
+            vec![field("n", 8usize), field("crossed_edges", 2usize)],
+        );
+        ctx.observer().with(|_, m| m.counter("f1.crossings", 1));
+        let mut out = String::new();
+        writeln!(
+            out,
+            "base: canonical KT-0 8-cycle; crossing e1 = 0->1, e2 = 4->5"
+        )
+        .unwrap();
+        writeln!(out, "input edges before: {:?}", i1.input().canonical_key()).unwrap();
+        writeln!(out, "input edges after : {:?}", i2.input().canonical_key()).unwrap();
+        writeln!(out, "vertex  peer-before  port  peer-after").unwrap();
+        for (v, before, port, after) in &table.rows {
+            writeln!(out, "{v:>6}  {before:>11}  {port:>4}  {after:>10}").unwrap();
+        }
+        // Port preservation: input-edge port sets identical at all
+        // vertices.
+        let ports_preserved = (0..8).all(|v| {
+            i1.initial_knowledge(v, 1, 0).input_port_labels
+                == i2.initial_knowledge(v, 1, 0).input_port_labels
+        });
+        writeln!(
+            out,
+            "input-edge port sets preserved at every vertex: {ports_preserved}"
+        )
+        .unwrap();
+        // Lemma 3.4 live: indistinguishable under a uniform
+        // broadcaster, distinguishable once IDs flow.
+        let indist_uniform = indistinguishable_after(&i1, &i2, &EchoBit, 6, 0);
+        let indist_ids = indistinguishable_after(&i1, &i2, &IdBroadcast::new(), 3, 0);
+        ctx.observer().event(
+            "f1.lemma_3_4",
+            vec![
+                field("indist_uniform", indist_uniform),
+                field("indist_ids", indist_ids),
+            ],
+        );
+        writeln!(
+            out,
+            "Lemma 3.4 (hypothesis satisfied, EchoBit, t=6): indistinguishable = {indist_uniform}"
+        )
+        .unwrap();
+        writeln!(
+            out,
+            "Lemma 3.4 contrapositive (IdBroadcast, t=3):    indistinguishable = {indist_ids}"
+        )
+        .unwrap();
+        JobOutput::default()
+            .value("ports_preserved", ports_preserved)
+            .value("indist_uniform", indist_uniform)
+            .value("indist_ids", indist_ids)
+            .check("ports preserved", ports_preserved)
+            .check("lemma 3.4 indistinguishable", indist_uniform)
+            .check("lemma 3.4 contrapositive distinguishes", !indist_ids)
+            .text(out)
+    })]
 }
 
 /// Assembles the F1 report from its job outputs.
-pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
-    sort_by_shard(&mut outputs);
+pub fn reduce(outputs: Vec<JobOutput>) -> Report {
     let mut r = Report::new("f1", "port-preserving crossing (Figure 1)");
     r.param("n", 8usize);
     let mut text = String::new();
@@ -129,23 +122,6 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.absorb_checks(&outputs);
     r.text = text;
     r.finalize()
-}
-
-/// Registry handle: this module's entry in [`crate::REGISTRY`].
-pub struct F1;
-
-impl crate::Experiment for F1 {
-    fn id(&self) -> &'static str {
-        "f1"
-    }
-
-    fn jobs(&self, quick: bool, suite_seed: u64) -> Vec<ExpJob> {
-        jobs(quick, suite_seed)
-    }
-
-    fn reduce(&self, outputs: Vec<JobOutput>) -> Report {
-        reduce(outputs)
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! F2 — Figure 2: the reduction gadgets on the paper's own example
 //! partitions, plus an exhaustive Theorem 4.3 sweep.
 
-use crate::job::{job_seed, sort_by_shard, ExpJob, JobOutput, Report};
+use crate::job::{ExpJob, JobOutput, Report};
 use bcc_comm::reduction::{gadget_graph, induced_partition_on_l, verify_theorem_4_3, Gadget};
 use bcc_graphs::connectivity::connected_components;
 use bcc_graphs::cycles::cycle_structure;
@@ -16,7 +16,7 @@ fn left_figure() -> JobOutput {
     let g = match gadget_graph(Gadget::General, &pa, &pb) {
         Ok(g) => g,
         Err(e) => {
-            return JobOutput::new("f2", 0, "left figure")
+            return JobOutput::default()
                 .check("gadget graph built", false)
                 .text(format!("gadget construction failed: {e}\n"))
         }
@@ -40,7 +40,7 @@ fn left_figure() -> JobOutput {
     )
     .unwrap();
     writeln!(out, "Theorem 4.3 holds: {holds}").unwrap();
-    JobOutput::new("f2", 0, "left figure")
+    JobOutput::default()
         .value("vertices", g.num_vertices())
         .value("edges", g.num_edges())
         .value("components", connected_components(&g).count)
@@ -57,7 +57,7 @@ fn right_figure() -> JobOutput {
     let g2 = match gadget_graph(Gadget::TwoRegular, &pa2, &pb2) {
         Ok(g) => g,
         Err(e) => {
-            return JobOutput::new("f2", 1, "right figure")
+            return JobOutput::default()
                 .check("gadget graph built", false)
                 .text(format!("gadget construction failed: {e}\n"))
         }
@@ -75,7 +75,7 @@ fn right_figure() -> JobOutput {
     )
     .unwrap();
     writeln!(out, "Theorem 4.3 holds: {holds}").unwrap();
-    JobOutput::new("f2", 1, "right figure")
+    JobOutput::default()
         .value("cycles", s.lengths().len())
         .value("join_blocks", join_blocks)
         .check("theorem 4.3 holds", holds)
@@ -103,7 +103,7 @@ fn general_sweep() -> JobOutput {
         "Theorem 4.3 exhaustive, general gadget, n=4: {ok}/{checked}"
     )
     .unwrap();
-    JobOutput::new("f2", 2, "general sweep n=4")
+    JobOutput::default()
         .value("ok", ok)
         .value("checked", checked)
         .check("sweep exhaustively holds", ok == checked)
@@ -128,7 +128,7 @@ fn two_regular_sweep() -> JobOutput {
         "Theorem 4.3 exhaustive, 2-regular gadget, n=6: {ok}/{checked}"
     )
     .unwrap();
-    JobOutput::new("f2", 3, "2-regular sweep n=6")
+    JobOutput::default()
         .value("ok", ok)
         .value("checked", checked)
         .check("sweep exhaustively holds", ok == checked)
@@ -140,30 +140,21 @@ type ShardFn = fn() -> JobOutput;
 
 /// F2 splits into four shards: the two figure gadgets and the two
 /// exhaustive Theorem 4.3 sweeps.
-pub fn jobs(_quick: bool, suite_seed: u64) -> Vec<ExpJob> {
-    let parts: [(u32, &'static str, ShardFn); 4] = [
-        (0, "left figure", left_figure),
-        (1, "right figure", right_figure),
-        (2, "general sweep n=4", general_sweep),
-        (3, "2-regular sweep n=6", two_regular_sweep),
+pub fn jobs(_quick: bool, _suite_seed: u64) -> Vec<ExpJob> {
+    let parts: [(&'static str, ShardFn); 4] = [
+        ("left figure", left_figure),
+        ("right figure", right_figure),
+        ("general sweep n=4", general_sweep),
+        ("2-regular sweep n=6", two_regular_sweep),
     ];
     parts
         .into_iter()
-        .map(|(shard, label, work)| {
-            ExpJob::new(
-                "f2",
-                shard,
-                label,
-                job_seed(suite_seed, "f2", shard),
-                move |_ctx| work(),
-            )
-        })
+        .map(|(label, work)| ExpJob::new(label, move |_ctx| work()))
         .collect()
 }
 
 /// Assembles the F2 report from its job outputs.
-pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
-    sort_by_shard(&mut outputs);
+pub fn reduce(outputs: Vec<JobOutput>) -> Report {
     let mut r = Report::new("f2", "reduction gadgets G(PA, PB) (Figure 2)");
     let mut text = String::new();
     writeln!(text, "== F2: reduction gadgets G(PA, PB) (Figure 2) ==").unwrap();
@@ -181,49 +172,13 @@ pub fn reduce(mut outputs: Vec<JobOutput>) -> Report {
     r.finalize()
 }
 
-/// Registry handle: this module's entry in [`crate::REGISTRY`].
-pub struct F2;
-
-impl crate::Experiment for F2 {
-    fn id(&self) -> &'static str {
-        "f2"
-    }
-
-    fn jobs(&self, quick: bool, suite_seed: u64) -> Vec<ExpJob> {
-        jobs(quick, suite_seed)
-    }
-
-    fn reduce(&self, outputs: Vec<JobOutput>) -> Report {
-        reduce(outputs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     #[test]
     fn all_sweeps_pass() {
         let r = crate::test_report("f2", false).text;
         assert!(r.contains("Theorem 4.3 holds: true"));
         assert!(r.contains("general gadget, n=4: 225/225"));
         assert!(r.contains("2-regular gadget, n=6: 225/225"));
-    }
-
-    #[test]
-    fn reduce_is_order_insensitive() {
-        let run = crate::RunRequest::new(["f2"], true, crate::job::DEFAULT_SEED)
-            .run()
-            .expect("registered id");
-        let mut outs: Vec<JobOutput> = run
-            .job_results
-            .into_iter()
-            .filter_map(|r| r.status.output().cloned())
-            .collect();
-        let forward = reduce(outs.clone());
-        outs.reverse();
-        let backward = reduce(outs);
-        assert_eq!(forward, backward);
-        assert!(forward.passed);
     }
 }

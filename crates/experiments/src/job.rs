@@ -1,14 +1,17 @@
 //! The experiment job model: sharded units of work with structured
 //! outputs, and the typed reports they reduce to.
 //!
-//! Every experiment module exposes the same shape:
+//! Every experiment module exposes the same two functions, named by
+//! its row in `crate::REGISTRY`:
 //!
 //! * `jobs(quick, suite_seed) -> Vec<ExpJob>` — independent shards,
-//!   each with a deterministic per-job seed derived from the suite
-//!   seed, the experiment id, and the shard index;
-//! * `reduce(Vec<JobOutput>) -> Report` — order-insensitive assembly
-//!   (outputs are sorted by shard first), producing a typed [`Report`]
-//!   whose `text` is the human-readable rendering.
+//!   each a label and a work closure. The harness owns the rest: a
+//!   shard's number is its position in the list, its seed is
+//!   [`job_seed`]`(suite_seed, id, shard)`, and it stamps the
+//!   experiment id, shard and label onto the shard's [`JobOutput`];
+//! * `reduce(Vec<JobOutput>) -> Report` — assembles the completed
+//!   outputs, which the harness hands over in shard order, into a
+//!   typed [`Report`] whose `text` is the human-readable rendering.
 //!
 //! Jobs run only through `crate::RunRequest`, on a `bcc_runner::Pool`
 //! of any width; reports are byte-identical at every thread count
@@ -113,7 +116,10 @@ impl Value {
 
 /// The structured result of one job: measured values, pass/fail
 /// checks, and the text fragment this shard contributes to the report.
-#[derive(Debug, Clone, PartialEq)]
+/// A job's work builds it from [`JobOutput::default`]; the harness
+/// then stamps `experiment`, `shard` and `label`, overwriting whatever
+/// the work set.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobOutput {
     /// Experiment id (`"e3"`).
     pub experiment: String,
@@ -128,26 +134,13 @@ pub struct JobOutput {
     /// Text fragment (report lines produced by this shard).
     pub text: String,
     /// Artifact-cache lookups (hits + misses) made inside this job's
-    /// work, set by the runner job [`ExpJob::into_runner_job`] builds.
+    /// work, set by the harness like the stamps above.
     /// A pure function of the work, so it feeds deterministic metrics;
     /// it is not part of the rendered output.
     pub cache_lookups: u64,
 }
 
 impl JobOutput {
-    /// An empty output for one shard.
-    pub fn new(experiment: impl Into<String>, shard: u32, label: impl Into<String>) -> Self {
-        JobOutput {
-            experiment: experiment.into(),
-            shard,
-            label: label.into(),
-            values: Vec::new(),
-            checks: Vec::new(),
-            text: String::new(),
-            cache_lookups: 0,
-        }
-    }
-
     /// Adds a measured value.
     #[must_use]
     pub fn value(mut self, key: impl Into<String>, val: impl Into<Value>) -> Self {
@@ -199,55 +192,52 @@ impl JobOutput {
 /// pure function of the per-job seed (plus its captured, immutable
 /// parameters) so that serial and parallel runs agree exactly.
 pub struct ExpJob {
-    /// Experiment id.
-    pub experiment: &'static str,
-    /// Shard index (reduce order).
-    pub shard: u32,
-    /// Human-readable shard label.
+    /// Human-readable shard label, unique within its experiment: the
+    /// job id is `"<experiment>/<label>"`, and it names the job's trace
+    /// and metrics unit.
     pub label: String,
-    /// The job's deterministic seed.
-    pub seed: u64,
     work: Box<dyn Fn(&JobCtx) -> JobOutput + Send>,
 }
 
 impl ExpJob {
-    /// Packages a work closure as one shard. `seed` should come from
-    /// [`job_seed`] so runs are reproducible under any thread count.
+    /// Packages a work closure as one shard.
     pub fn new(
-        experiment: &'static str,
-        shard: u32,
         label: impl Into<String>,
-        seed: u64,
         work: impl Fn(&JobCtx) -> JobOutput + Send + 'static,
     ) -> Self {
         ExpJob {
-            experiment,
-            shard,
             label: label.into(),
-            seed,
             work: Box::new(work),
         }
     }
 
-    /// Stable job id (`"e3/M n=4"`).
-    pub fn id(&self) -> String {
-        format!("{}/{}", self.experiment, self.label)
-    }
-
-    /// Converts into a `bcc_runner` job for pool execution. The job
-    /// counts the artifact-cache lookups its work makes on its own
-    /// thread into [`JobOutput::cache_lookups`], so concurrent runs in
-    /// one process never see each other's lookups.
-    pub fn into_runner_job(self, timeout: Option<Duration>) -> Job<JobOutput> {
-        let mut spec = JobSpec::new(self.id(), self.seed);
+    /// Converts shard `shard` of `experiment` into a `bcc_runner` job
+    /// with id `"<experiment>/<label>"` and seed
+    /// [`job_seed`]`(suite_seed, experiment, shard)`. The job stamps
+    /// its output with the experiment id, shard and label, and counts
+    /// the artifact-cache lookups its work makes on its own thread into
+    /// [`JobOutput::cache_lookups`], so concurrent runs in one process
+    /// never see each other's lookups.
+    pub(crate) fn into_runner_job(
+        self,
+        experiment: &'static str,
+        shard: u32,
+        suite_seed: u64,
+        timeout: Option<Duration>,
+    ) -> Job<JobOutput> {
+        let id = format!("{experiment}/{}", self.label);
+        let mut spec = JobSpec::new(id, job_seed(suite_seed, experiment, shard));
         if let Some(t) = timeout {
             spec = spec.with_timeout(t);
         }
-        let work = self.work;
+        let ExpJob { label, work } = self;
         Job::new(spec, move |ctx| {
             let before = bcc_engine::thread_lookups();
             let mut out = work(ctx);
             out.cache_lookups = bcc_engine::thread_lookups() - before;
+            out.experiment = experiment.to_string();
+            out.shard = shard;
+            out.label = label.clone();
             Ok(out)
         })
     }
@@ -256,18 +246,9 @@ impl ExpJob {
 impl std::fmt::Debug for ExpJob {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExpJob")
-            .field("experiment", &self.experiment)
-            .field("shard", &self.shard)
             .field("label", &self.label)
-            .field("seed", &self.seed)
             .finish()
     }
-}
-
-/// Sorts outputs into shard order; reduce functions call this first so
-/// they are insensitive to completion order.
-pub fn sort_by_shard(outputs: &mut [JobOutput]) {
-    outputs.sort_by_key(|o| o.shard);
 }
 
 /// The typed, reduced result of one experiment.
@@ -351,7 +332,7 @@ mod tests {
 
     #[test]
     fn output_builder_and_lookups() {
-        let o = JobOutput::new("e1", 3, "row")
+        let o = JobOutput::default()
             .value("n", 27usize)
             .value("floor", 0.25)
             .value("ok", true)
@@ -376,27 +357,17 @@ mod tests {
 
     #[test]
     fn runner_job_counts_its_own_cache_lookups() {
-        let job = ExpJob::new("ex", 0, "s", 42, |ctx| {
+        let job = ExpJob::new("s", |ctx| {
             let store = bcc_engine::ArtifactStore::in_memory();
             bcc_engine::artifacts::join_matrix_rank(&store, 3);
             bcc_engine::artifacts::join_matrix_rank(&store, 3);
-            JobOutput::new("ex", 0, "s").value("seed", ctx.seed)
+            JobOutput::default().value("seed", ctx.seed)
         });
-        let result = crate::test_job_result(job.into_runner_job(None));
+        let result = crate::test_job_result(job.into_runner_job("ex", 2, 42, None));
+        assert_eq!(result.id, "ex/s");
         let out = result.status.output().expect("completed");
-        assert_eq!(out.int("seed"), Some(42));
+        assert_eq!(out.int("seed"), Some(job_seed(42, "ex", 2) as i64));
+        assert_eq!((out.experiment.as_str(), out.shard), ("ex", 2));
         assert_eq!(out.cache_lookups, 2);
-    }
-
-    #[test]
-    fn sort_by_shard_orders() {
-        let mut outs = vec![
-            JobOutput::new("e", 2, "c"),
-            JobOutput::new("e", 0, "a"),
-            JobOutput::new("e", 1, "b"),
-        ];
-        sort_by_shard(&mut outs);
-        let labels: Vec<&str> = outs.iter().map(|o| o.label.as_str()).collect();
-        assert_eq!(labels, ["a", "b", "c"]);
     }
 }

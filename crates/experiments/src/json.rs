@@ -129,7 +129,7 @@ mod tests {
 
     #[test]
     fn output_and_report_are_json_objects() {
-        let o = JobOutput::new("e1", 0, "row")
+        let o = JobOutput::default()
             .value("n", 8usize)
             .check("shape", true)
             .text("line\n");
@@ -150,7 +150,7 @@ mod tests {
     #[test]
     fn job_record_shape() {
         let job = bcc_runner::Job::new(bcc_runner::JobSpec::new("e1/x", 9), |_ctx| {
-            Ok(JobOutput::new("e1", 0, "x"))
+            Ok(JobOutput::default())
         });
         let rec = job_record(&crate::test_job_result(job));
         assert!(rec.contains("\"type\":\"job\""));

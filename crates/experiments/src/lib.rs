@@ -2,12 +2,14 @@
 //! data series of the paper (see DESIGN.md §3 for the index, and
 //! EXPERIMENTS.md for recorded results).
 //!
-//! Each experiment module exposes `jobs(quick, seed)` (independent
-//! shards with deterministic per-job seeds) and `reduce(outputs)`
-//! (order-insensitive assembly into a typed [`job::Report`]), and
-//! registers itself in [`REGISTRY`] through the [`Experiment`] trait.
-//! Every run — the `bcc-experiments` binary (ids `f1`, `f2`,
-//! `e1`…`e12`, or `all`), the `bcc-serve` daemon, and the tests — goes
+//! Each experiment module exposes `jobs(quick, seed)` (its shards,
+//! each a label and a work closure) and `reduce(outputs)` (assembly of
+//! the completed shards, in shard order, into a typed
+//! [`job::Report`]). Adding an experiment is one such module plus one
+//! [`REGISTRY`] row naming its id and both functions; the harness
+//! numbers, seeds and stamps the shards (see [`job`]). Every run — the
+//! `bcc-experiments` binary (ids `f1`, `f2`, `e1`…`e12`, or `all`),
+//! the `bcc-serve` daemon, and the tests — goes
 //! through one [`RunRequest`], which fans shards out over a
 //! `bcc_runner::Pool`; reports are byte-identical at any thread count
 //! because every shard's output is a pure function of its seed.
@@ -38,12 +40,7 @@ use bcc_trace::{Collector, Trace};
 use job::{ExpJob, JobOutput, Report};
 use std::time::Duration;
 
-/// All experiment ids, in presentation order.
-pub const ALL_EXPERIMENTS: [&str; 14] = [
-    "f1", "f2", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12",
-];
-
-/// Error for an experiment id outside [`ALL_EXPERIMENTS`].
+/// Error for an experiment id outside [`REGISTRY`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownExperiment {
     /// The id that failed to resolve.
@@ -52,9 +49,10 @@ pub struct UnknownExperiment {
 
 impl std::fmt::Display for UnknownExperiment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ids: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
         write!(
             f,
-            "unknown experiment id {:?} (use one of {ALL_EXPERIMENTS:?})",
+            "unknown experiment id {:?} (use one of {ids:?})",
             self.id
         )
     }
@@ -63,49 +61,46 @@ impl std::fmt::Display for UnknownExperiment {
 impl std::error::Error for UnknownExperiment {}
 
 /// One experiment series, as the dispatcher sees it: a stable id, a
-/// sharded job list, and an order-insensitive reduction.
-///
-/// Implementations are the unit structs each `exp_*` module exports
-/// (`exp_e1_star::E1`, …), collected in [`REGISTRY`]. Adding an
-/// experiment means adding a module, implementing this trait, and
-/// appending the handle to [`REGISTRY`] and its id to
-/// [`ALL_EXPERIMENTS`] — lint rule R1 checks all of that statically.
-pub trait Experiment: Sync {
+/// sharded job list, and the reduction of the shards' outputs.
+#[derive(Debug)]
+pub struct Experiment {
     /// The dispatch id (`"f1"`, `"e1"`, …), unique across [`REGISTRY`].
-    fn id(&self) -> &'static str;
-    /// Independent job shards; every per-job seed derives from
-    /// `suite_seed` so reports are reproducible at any thread count.
-    fn jobs(&self, quick: bool, suite_seed: u64) -> Vec<ExpJob>;
-    /// Assembles completed shard outputs (any order) into the
-    /// experiment's typed report.
-    fn reduce(&self, outputs: Vec<JobOutput>) -> Report;
+    pub id: &'static str,
+    /// `jobs(quick, suite_seed)`: the shards, in shard order. The
+    /// harness derives every shard's seed from `suite_seed`, so reports
+    /// are reproducible at any thread count.
+    pub jobs: fn(bool, u64) -> Vec<ExpJob>,
+    /// Assembles the completed shards' outputs, in shard order, into
+    /// the experiment's typed report.
+    pub reduce: fn(Vec<JobOutput>) -> Report,
 }
 
 /// Every experiment, in presentation order — the single dispatch
-/// table behind [`experiment`] and [`RunRequest`].
-pub static REGISTRY: [&dyn Experiment; 14] = [
-    &exp_f1_crossing::F1,
-    &exp_f2_reduction::F2,
-    &exp_e1_star::E1,
-    &exp_e2_indist::E2,
-    &exp_e3_rank::E3,
-    &exp_e4_two_party::E4,
-    &exp_e5_simulation::E5,
-    &exp_e6_info::E6,
-    &exp_e7_upper_bounds::E7,
-    &exp_e8_sketch::E8,
-    &exp_e9_range::E9,
-    &exp_e10_lattice::E10,
-    &exp_e11_mst::E11,
-    &exp_e12_question2::E12,
+/// table behind [`experiment`] and [`RunRequest`]. Lint rule R1 checks
+/// that every `exp_*` module has a row naming its `jobs` and `reduce`.
+#[rustfmt::skip]
+pub static REGISTRY: [Experiment; 14] = [
+    Experiment { id: "f1", jobs: exp_f1_crossing::jobs, reduce: exp_f1_crossing::reduce },
+    Experiment { id: "f2", jobs: exp_f2_reduction::jobs, reduce: exp_f2_reduction::reduce },
+    Experiment { id: "e1", jobs: exp_e1_star::jobs, reduce: exp_e1_star::reduce },
+    Experiment { id: "e2", jobs: exp_e2_indist::jobs, reduce: exp_e2_indist::reduce },
+    Experiment { id: "e3", jobs: exp_e3_rank::jobs, reduce: exp_e3_rank::reduce },
+    Experiment { id: "e4", jobs: exp_e4_two_party::jobs, reduce: exp_e4_two_party::reduce },
+    Experiment { id: "e5", jobs: exp_e5_simulation::jobs, reduce: exp_e5_simulation::reduce },
+    Experiment { id: "e6", jobs: exp_e6_info::jobs, reduce: exp_e6_info::reduce },
+    Experiment { id: "e7", jobs: exp_e7_upper_bounds::jobs, reduce: exp_e7_upper_bounds::reduce },
+    Experiment { id: "e8", jobs: exp_e8_sketch::jobs, reduce: exp_e8_sketch::reduce },
+    Experiment { id: "e9", jobs: exp_e9_range::jobs, reduce: exp_e9_range::reduce },
+    Experiment { id: "e10", jobs: exp_e10_lattice::jobs, reduce: exp_e10_lattice::reduce },
+    Experiment { id: "e11", jobs: exp_e11_mst::jobs, reduce: exp_e11_mst::reduce },
+    Experiment { id: "e12", jobs: exp_e12_question2::jobs, reduce: exp_e12_question2::reduce },
 ];
 
 /// Looks an experiment up in [`REGISTRY`] by id.
-pub fn experiment(id: &str) -> Result<&'static dyn Experiment, UnknownExperiment> {
+pub fn experiment(id: &str) -> Result<&'static Experiment, UnknownExperiment> {
     REGISTRY
         .iter()
-        .copied()
-        .find(|e| e.id() == id)
+        .find(|e| e.id == id)
         .ok_or_else(|| UnknownExperiment { id: id.into() })
 }
 
@@ -350,17 +345,35 @@ impl RunRequest {
         if let Some(dir) = &self.cache_dir {
             cache::configure_disk(dir.clone());
         }
-        let mut experiments: Vec<&'static dyn Experiment> = Vec::new();
+        let mut experiments: Vec<&Experiment> = Vec::new();
         for id in &self.ids {
             let exp = experiment(id)?;
-            if !experiments.iter().any(|e| e.id() == exp.id()) {
+            if !experiments.iter().any(|e| e.id == exp.id) {
                 experiments.push(exp);
             }
         }
+        Ok(self.run_experiments(&experiments, pool, token))
+    }
+
+    /// Runs resolved experiments on `pool`. Shard `k` of experiment
+    /// `id` is the `k`-th entry of its `jobs` list, seeded with
+    /// `job_seed(seed, id, k)`; its output is stamped with `id`, `k`
+    /// and the shard's label, and `reduce` gets the outputs in shard
+    /// order.
+    fn run_experiments(
+        &self,
+        experiments: &[&Experiment],
+        pool: &bcc_runner::Pool,
+        token: &bcc_runner::CancellationToken,
+    ) -> SuiteRun {
         let runner_jobs: Vec<bcc_runner::Job<JobOutput>> = experiments
             .iter()
-            .flat_map(|e| e.jobs(self.quick, self.seed))
-            .map(|j| j.into_runner_job(self.timeout))
+            .flat_map(|e| {
+                (e.jobs)(self.quick, self.seed)
+                    .into_iter()
+                    .zip(0u32..)
+                    .map(|(job, shard)| job.into_runner_job(e.id, shard, self.seed, self.timeout))
+            })
             .collect();
         let (collector, hub) = self.sinks();
         let job_results = pool.execute(runner_jobs, token, &collector, &hub);
@@ -372,29 +385,31 @@ impl RunRequest {
         let reports = experiments
             .iter()
             .map(|e| {
+                // The pool returns results in submission order, and each
+                // experiment's shards are submitted in shard order.
                 let outputs: Vec<JobOutput> = job_results
                     .iter()
                     .filter_map(|r| r.status.output())
-                    .filter(|o| o.experiment == e.id())
+                    .filter(|o| o.experiment == e.id)
                     .cloned()
                     .collect();
-                let prefix = format!("{}/", e.id());
+                let prefix = format!("{}/", e.id);
                 let scheduled = job_results
                     .iter()
                     .filter(|r| r.id.starts_with(&prefix))
                     .count();
                 let completed = outputs.len();
-                degrade_partial(e.reduce(outputs), completed, scheduled)
+                degrade_partial((e.reduce)(outputs), completed, scheduled)
             })
             .collect();
-        Ok(SuiteRun {
+        SuiteRun {
             reports,
             job_results,
             metrics: pool.metrics().snapshot(),
             cache_lookups,
             trace: Collector::disabled().finish(),
             workload: MetricsDump::empty(MetricsLevel::Off),
-        })
+        }
     }
 }
 
@@ -423,20 +438,95 @@ pub(crate) fn test_job_result<T: Send>(job: bcc_runner::Job<T>) -> bcc_runner::J
 
 #[cfg(test)]
 mod tests {
-    use super::{job::DEFAULT_SEED, RunRequest};
-
-    #[test]
-    fn registry_ids_match_all_experiments_in_order() {
-        let ids: Vec<&str> = super::REGISTRY.iter().map(|e| e.id()).collect();
-        assert_eq!(ids, super::ALL_EXPERIMENTS);
-    }
+    use super::job::{job_seed, ExpJob, JobOutput, Report, Value, DEFAULT_SEED};
+    use super::{Experiment, RunRequest, REGISTRY};
+    use std::collections::BTreeSet;
+    use std::time::Duration;
 
     #[test]
     fn experiment_lookup_resolves_every_id() {
-        for id in super::ALL_EXPERIMENTS {
-            assert_eq!(super::experiment(id).map(|e| e.id()), Ok(id));
+        for e in &REGISTRY {
+            let found = super::experiment(e.id).expect("registered id");
+            assert!(std::ptr::eq(found, e));
         }
         assert!(super::experiment("zzz").is_err());
+    }
+
+    #[test]
+    fn unknown_id_message_lists_every_id_in_order() {
+        let err = super::experiment("zzz").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unknown experiment id \"zzz\" (use one of [\"f1\", \"f2\", \"e1\", \"e2\", \
+             \"e3\", \"e4\", \"e5\", \"e6\", \"e7\", \"e8\", \"e9\", \"e10\", \"e11\", \"e12\"])"
+        );
+        let ids: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
+        assert!(err.to_string().ends_with(&format!("{ids:?})")));
+    }
+
+    #[test]
+    fn job_labels_are_unique_within_each_experiment() {
+        // Two shards with one label would share a job id, and so a trace
+        // and metrics unit whose events then merge by `seq` alone.
+        for quick in [true, false] {
+            for e in &REGISTRY {
+                let labels: Vec<String> = (e.jobs)(quick, DEFAULT_SEED)
+                    .into_iter()
+                    .map(|j| j.label)
+                    .collect();
+                let unique: BTreeSet<&String> = labels.iter().collect();
+                assert_eq!(unique.len(), labels.len(), "{} (quick {quick})", e.id);
+            }
+        }
+    }
+
+    const SHARDS: u32 = 8;
+
+    /// Shards that forge their own stamps and finish in reverse order.
+    fn forging_jobs(_quick: bool, _suite_seed: u64) -> Vec<ExpJob> {
+        (0..SHARDS)
+            .map(|k| {
+                ExpJob::new(format!("s{k}"), move |ctx| {
+                    std::thread::sleep(Duration::from_millis(u64::from(SHARDS - k) * 5));
+                    let mut out = JobOutput::default().value("seed", ctx.seed);
+                    out.experiment = "forged".into();
+                    out.shard = 99;
+                    out.label = "forged".into();
+                    out
+                })
+            })
+            .collect()
+    }
+
+    /// Records the stamps of the outputs it sees, in the order it sees them.
+    fn stamps_in_order(outputs: Vec<JobOutput>) -> Report {
+        let mut r = Report::new("x", "harness contract");
+        for o in &outputs {
+            let seed = o.get("seed").cloned().unwrap_or(Value::Bool(false));
+            r.value(format!("{}/{}/{}", o.experiment, o.shard, o.label), seed);
+        }
+        r
+    }
+
+    static FORGING: Experiment = Experiment {
+        id: "x",
+        jobs: forging_jobs,
+        reduce: stamps_in_order,
+    };
+
+    #[test]
+    fn harness_numbers_seeds_stamps_and_orders_shards() {
+        let request = RunRequest::new(["x"], true, 7);
+        let pool = bcc_runner::Pool::new(4);
+        let run =
+            request.run_experiments(&[&FORGING], &pool, &bcc_runner::CancellationToken::new());
+        let expected: Vec<(String, Value)> = (0..SHARDS)
+            .map(|k| (format!("x/{k}/s{k}"), Value::from(job_seed(7, "x", k))))
+            .collect();
+        assert_eq!(run.reports[0].values, expected);
+        let ids: Vec<&str> = run.job_results.iter().map(|r| r.id.as_str()).collect();
+        let expected_ids: Vec<String> = (0..SHARDS).map(|k| format!("x/s{k}")).collect();
+        assert_eq!(ids, expected_ids);
     }
 
     #[test]

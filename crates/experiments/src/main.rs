@@ -47,7 +47,7 @@
 //! ```
 
 use bcc_experiments::job::DEFAULT_SEED;
-use bcc_experiments::{json, RunRequest, ALL_EXPERIMENTS};
+use bcc_experiments::{json, RunRequest, REGISTRY};
 use bcc_metrics::{MetricsHub, MetricsLevel};
 use bcc_trace::{Collector, TraceLevel};
 use std::io::Write;
@@ -163,7 +163,7 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
         }
     }
     if request.ids.is_empty() || request.ids.iter().any(|i| i == "all") {
-        request.ids = ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
+        request.ids = REGISTRY.iter().map(|e| e.id.to_string()).collect();
     }
     // --trace without an explicit level records everything; --profile
     // alone needs only the cost stream; an explicit --trace-level

@@ -2,11 +2,11 @@
 //! of the suite seed, independent of the worker-thread count.
 
 use bcc_experiments::job::DEFAULT_SEED;
-use bcc_experiments::{RunRequest, ALL_EXPERIMENTS};
+use bcc_experiments::{RunRequest, REGISTRY};
 
 #[test]
 fn quick_suite_reports_identical_across_thread_counts() {
-    let request = RunRequest::new(ALL_EXPERIMENTS, true, DEFAULT_SEED);
+    let request = RunRequest::new(REGISTRY.iter().map(|e| e.id), true, DEFAULT_SEED);
     let serial = request.clone().jobs(1).run().expect("known ids");
     let parallel = request.jobs(8).run().expect("known ids");
     assert_eq!(serial.reports.len(), parallel.reports.len());

@@ -23,10 +23,10 @@
 //!   KT-0/KT-1 separation (Section 1.2) says it cannot have.
 //! * **R1** — experiment-registry completeness: every
 //!   `crates/experiments/src/exp_*.rs` module must expose
-//!   `jobs()`/`reduce()`, implement the `Experiment` trait (its
-//!   registry handle), be referenced from `lib.rs` (the `REGISTRY`
-//!   entry), and have its id quoted there, so no series silently
-//!   drops out of `all` runs.
+//!   `jobs()`/`reduce()`, `lib.rs` must name both as
+//!   `exp_xx::jobs`/`exp_xx::reduce` (its `REGISTRY` row), and the
+//!   id must be quoted there, so no series silently drops out of
+//!   `all` runs.
 //! * **O1** — trace emission hygiene: outside `crates/trace`, code
 //!   must reach rendered trace bytes only through the `Collector` →
 //!   `Trace` pipeline (`Trace::write_jsonl`/`summary`). Naming a sink
@@ -198,9 +198,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         }
         "R1" => {
             "R1 — experiment-registry completeness. Every exp_*.rs module \
-             must expose jobs()/reduce(), implement Experiment, and be \
-             registered (and quoted) in lib.rs so no series drops out of \
-             `all` runs."
+             must expose jobs()/reduce(), and lib.rs must name both \
+             (exp_xx::jobs, exp_xx::reduce: its REGISTRY row) and quote \
+             its id, so no series drops out of `all` runs."
         }
         "O1" => {
             "O1 — trace emission hygiene. Outside crates/trace, rendered \
@@ -660,32 +660,22 @@ fn rule_r1(ws: &Workspace, out: &mut Vec<Finding>) {
                 );
             }
         }
-        if !has_impl_experiment(file) {
-            emit(
-                file,
-                out,
-                "R1",
-                1,
-                format!(
-                    "experiment module `{name}` has no `impl Experiment for` \
-                     block — it cannot appear in the REGISTRY dispatch table"
-                ),
-            );
-        }
         let Some(lib) = lib else {
             continue;
         };
-        if !references_module(lib, name) {
-            emit(
-                lib,
-                out,
-                "R1",
-                1,
-                format!(
-                    "`{name}` is never referenced in lib.rs (no REGISTRY entry) \
-                     — experiment `{id}` would silently drop from suite runs"
-                ),
-            );
+        for f in ["jobs", "reduce"] {
+            if !references_fn(lib, name, f) {
+                emit(
+                    lib,
+                    out,
+                    "R1",
+                    1,
+                    format!(
+                        "`{name}::{f}` is never referenced in lib.rs (no REGISTRY row) \
+                         — experiment `{id}` would silently drop from suite runs"
+                    ),
+                );
+            }
         }
         let quoted = format!("\"{id}\"");
         if !lib
@@ -709,18 +699,11 @@ fn has_pub_fn(file: &SourceFile, name: &str) -> bool {
         .any(|w| w[0].is_ident("pub") && w[1].is_ident("fn") && w[2].is_ident(name))
 }
 
-/// `impl Experiment for X` / `impl crate::Experiment for X` — the
-/// `Experiment for` pair occurs only in a trait-impl header.
-fn has_impl_experiment(file: &SourceFile) -> bool {
+/// A path use of `module::function` anywhere in the file — a
+/// REGISTRY row's `jobs: exp_xx::jobs` qualifies; `mod exp_xx;` does not.
+fn references_fn(file: &SourceFile, module: &str, function: &str) -> bool {
     let code: Vec<_> = file.code().collect();
-    code.windows(2)
-        .any(|w| w[0].is_ident("Experiment") && w[1].is_ident("for"))
-}
-
-/// A path use of the module (`exp_xx::…`) anywhere in the file — a
-/// REGISTRY entry like `&exp_xx::Xx` qualifies; `mod exp_xx;` does not.
-fn references_module(file: &SourceFile, module: &str) -> bool {
-    let code: Vec<_> = file.code().collect();
-    code.windows(3)
-        .any(|w| w[0].is_ident(module) && w[1].is_punct(':') && w[2].is_punct(':'))
+    code.windows(4).any(|w| {
+        w[0].is_ident(module) && w[1].is_punct(':') && w[2].is_punct(':') && w[3].is_ident(function)
+    })
 }

@@ -1,6 +1,5 @@
 //! Seeded violations: D1, D2, P1, and (by omitting `jobs`/`reduce`,
-//! the `impl Experiment for` handle, and any lib.rs reference or id
-//! literal) five R1 findings.
+//! any lib.rs reference to them, and the id literal) five R1 findings.
 
 use std::collections::HashMap; // seeded D1
 use std::time::Instant;

@@ -8,14 +8,6 @@ pub fn reduce(jobs: Vec<u32>) -> u32 {
     jobs.into_iter().sum()
 }
 
-pub struct Zz;
-
-impl Experiment for Zz {
-    fn id(&self) -> &'static str {
-        "zz"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     // Panics in test code are fine: no P1 here.

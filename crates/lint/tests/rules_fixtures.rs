@@ -101,22 +101,35 @@ fn k1_flags_simulator_in_protocol_code_but_not_tests() {
 fn r1_flags_unregistered_experiment_module() {
     let findings = fixture_findings();
     let r1 = by_rule(&findings, "R1");
-    // exp_yy_broken: missing jobs + reduce + `impl Experiment for`
-    // (3 on the module), never referenced from lib.rs (1), id "yy"
-    // absent from lib.rs (1).
-    assert_eq!(r1.len(), 5, "{r1:?}");
+    // exp_yy_broken: missing jobs + reduce (2 on the module), neither
+    // referenced from lib.rs (2), id "yy" absent from lib.rs (1);
+    // exp_ww_half: its row names `exp_ww_half::jobs` but not
+    // `exp_ww_half::reduce` (1 on lib.rs).
+    assert_eq!(r1.len(), 6, "{r1:?}");
     assert_eq!(
         r1.iter()
             .filter(|f| f.file == "crates/experiments/src/exp_yy_broken.rs")
             .count(),
-        3
-    );
-    assert_eq!(
-        r1.iter()
-            .filter(|f| f.file == "crates/experiments/src/lib.rs")
-            .count(),
         2
     );
+    let on_lib: Vec<&str> = r1
+        .iter()
+        .filter(|f| f.file == "crates/experiments/src/lib.rs")
+        .map(|f| f.message.as_str())
+        .collect();
+    assert_eq!(on_lib.len(), 4, "{on_lib:?}");
+    for missing in [
+        "exp_yy_broken::jobs",
+        "exp_yy_broken::reduce",
+        "exp_ww_half::reduce",
+    ] {
+        assert!(
+            on_lib.iter().any(|m| m.contains(&format!("`{missing}`"))),
+            "{missing}: {on_lib:?}"
+        );
+    }
+    assert!(on_lib.iter().any(|m| m.contains("id \"yy\" missing")));
+    assert!(!on_lib.iter().any(|m| m.contains("exp_ww_half::jobs")));
     // The fully-registered module is clean.
     assert!(!r1.iter().any(|f| f.file.contains("exp_zz_good")));
 }

@@ -64,7 +64,7 @@ mod hist;
 mod hub;
 pub mod json;
 mod level;
-pub mod sink;
+mod sink;
 
 pub use buf::{GaugeStat, MetricsBuf};
 pub use hist::{Histogram, HistogramSnapshot, NUM_BUCKETS};

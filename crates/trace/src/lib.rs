@@ -23,8 +23,9 @@
 //!   (lint rule O1). Buffers are absorbed under one short lock each
 //!   and merged **deterministically** by `(unit, seq)` — thread
 //!   interleaving can never reorder a trace.
-//! - [`Trace`]: the merged, immutable result; renders through the
-//!   sinks in [`sink`] (JSONL writer, compact text summary, null).
+//! - [`Trace`]: the merged, immutable result; renders as JSONL
+//!   ([`Trace::write_jsonl`]) or a compact text summary
+//!   ([`Trace::summary`]) through the crate's private sinks.
 //! - [`json`]: the JSONL event codec, a typed schema over the
 //!   workspace's shared JSON codec (`bcc_metrics::json`), so traces
 //!   round-trip (used by the determinism proptests and the trace
@@ -69,7 +70,7 @@ mod collector;
 mod event;
 pub mod json;
 mod scope;
-pub mod sink;
+mod sink;
 pub mod tree;
 
 pub use buf::{TraceBuf, TraceLevel};

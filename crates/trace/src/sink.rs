@@ -107,17 +107,6 @@ impl Sink for SummarySink {
     }
 }
 
-/// Discards every event. Exists so call sites can keep one code path
-/// and plug in "no output" with zero branching downstream.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn write_event(&mut self, _event: &Event) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,12 +147,5 @@ mod tests {
         assert!(text.contains("3 events across 1 units"));
         assert!(text.contains("counter bits"));
         assert!(text.contains("14"), "counter total missing: {text}");
-    }
-
-    #[test]
-    fn null_sink_accepts_everything() {
-        let mut sink = NullSink;
-        sink.write_event(&ev("x", EventKind::Gauge)).unwrap();
-        sink.finish().unwrap();
     }
 }

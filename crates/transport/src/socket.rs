@@ -43,7 +43,7 @@ use bcc_model::postmortem::{
 };
 use bcc_model::transport::{RoundView, Routes, Transport, TransportError, TransportFactory};
 use bcc_model::Message;
-use bcc_trace::{field, Collector, Event, EventKind, FieldValue};
+use bcc_trace::{field, Collector};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -311,67 +311,37 @@ impl TelemetryStore {
         if drained.is_empty() {
             return;
         }
-        let mut totals: BTreeMap<String, u64> = BTreeMap::new();
+        let mut totals = hub.buf("transport");
         for (_, t) in &drained {
             for (name, value) in t.counters() {
-                *totals.entry(name).or_insert(0) += value;
+                totals.counter(&format!("transport.{name}"), value);
             }
         }
-        let totals: Vec<(String, u64)> = totals.into_iter().collect();
-        hub.absorb_foreign("transport", "transport.", &totals);
+        hub.absorb(totals);
         for (rank, t) in drained {
-            let counters = t.counters();
             let unit = worker_unit(rank);
-            hub.absorb_foreign(&unit, &format!("transport.worker:{rank}."), &counters);
-            if !collector.enabled() {
-                continue;
+            let mut metrics = hub.buf(unit.as_str());
+            for (name, value) in t.counters() {
+                metrics.counter(&format!("transport.worker:{rank}.{name}"), value);
             }
+            hub.absorb(metrics);
             let mut spans = t.spans;
-            spans.sort();
             if spans.is_empty() {
                 continue;
             }
+            spans.sort();
             let wrapper = format!("worker:{rank}");
-            let mut events: Vec<Event> = Vec::with_capacity(4 * spans.len() + 2);
-            events.push(synthetic_event(EventKind::SpanStart, &wrapper, Vec::new()));
+            let mut trace = collector.buf(unit);
+            trace.span_start(&wrapper, Vec::new());
             for s in spans {
-                events.push(synthetic_event(
-                    EventKind::SpanStart,
-                    "session",
-                    vec![field("n", s.n), field("nodes", s.nodes)],
-                ));
-                events.push(synthetic_event(
-                    EventKind::Counter,
-                    "frames",
-                    vec![field("delta", s.frames)],
-                ));
-                events.push(synthetic_event(
-                    EventKind::Counter,
-                    "symbols",
-                    vec![field("delta", s.symbols)],
-                ));
-                events.push(synthetic_event(
-                    EventKind::SpanEnd,
-                    "session",
-                    vec![field("rounds", s.rounds)],
-                ));
+                trace.span_start("session", vec![field("n", s.n), field("nodes", s.nodes)]);
+                trace.counter("frames", s.frames);
+                trace.counter("symbols", s.symbols);
+                trace.span_end("session", vec![field("rounds", s.rounds)]);
             }
-            events.push(synthetic_event(EventKind::SpanEnd, &wrapper, Vec::new()));
-            collector.absorb_foreign(unit, events);
+            trace.span_end(&wrapper, Vec::new());
+            collector.absorb(trace);
         }
-    }
-}
-
-/// An event synthesized from a session span; unit,
-/// sequence, and path are rewritten by `absorb_foreign`.
-fn synthetic_event(kind: EventKind, name: &str, fields: Vec<(String, FieldValue)>) -> Event {
-    Event {
-        unit: String::new(),
-        seq: 0,
-        path: String::new(),
-        kind,
-        name: name.to_string(),
-        fields,
     }
 }
 
@@ -1179,6 +1149,7 @@ impl TransportFactory for SocketFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcc_trace::{EventKind, FieldValue};
 
     #[test]
     fn node_ranges_partition() {
@@ -1240,7 +1211,6 @@ mod tests {
     fn telemetry_store_flush_is_rank_ordered_and_one_shot() {
         use bcc_metrics::{MetricsHub, MetricsLevel};
         use bcc_trace::TraceLevel;
-        let store = TelemetryStore::new();
         let span = |rounds: u64, frames: u64| SessionSpan {
             n: 4,
             nodes: 2,
@@ -1250,8 +1220,13 @@ mod tests {
         };
         // Rank 0's two sessions arrive out of canonical order; flush
         // sorts the spans. Rank 1 dies holding the second session.
-        store.record_closed(&[span(9, 5), span(2, 7)], &[true, true]);
-        store.record_closed(&[span(1, 3), span(4, 4)], &[true, false]);
+        let filled = || {
+            let store = TelemetryStore::new();
+            store.record_closed(&[span(9, 5), span(2, 7)], &[true, true]);
+            store.record_closed(&[span(1, 3), span(4, 4)], &[true, false]);
+            store
+        };
+        let store = filled();
         let collector = Collector::new(TraceLevel::Events);
         let hub = MetricsHub::new(MetricsLevel::Core);
         store.drain_into(&collector, &hub);
@@ -1267,9 +1242,20 @@ mod tests {
         assert_eq!(dump.counter("transport.worker:0.truncated"), None);
         assert_eq!(dump.counter("transport.worker:1.frames"), Some(7));
         assert_eq!(dump.counter("transport.worker:1.truncated"), Some(1));
+        assert_eq!(dump.units(), 3, "group totals plus one unit per rank");
         // The trace holds one wrapped unit per rank, sessions sorted
-        // canonically (rank 0's rounds=1 session before rounds=9).
+        // canonically (rank 0's rounds=1 session before rounds=9),
+        // numbered and pathed as the unit's own buffer records them.
         let trace = collector.finish();
+        let seq_paths: Vec<(u64, &str)> = trace
+            .events()
+            .iter()
+            .filter(|e| e.unit == "transport/worker:0")
+            .map(|e| (e.seq, e.path.as_str()))
+            .collect();
+        let (w, s) = ("worker:0", "worker:0/session");
+        let paths = ["", w, s, s, w, w, s, s, w, ""];
+        assert_eq!(seq_paths, (0..10).zip(paths).collect::<Vec<_>>());
         let w0: Vec<(EventKind, String)> = trace
             .events()
             .iter()
@@ -1295,6 +1281,25 @@ mod tests {
             Some(&FieldValue::UInt(1)),
             "canonical sort puts the rounds=1 session first"
         );
+        // A spans-only collector keeps the span records, densely
+        // numbered, and a disabled hub or collector keeps nothing.
+        let spans_only = Collector::new(TraceLevel::Spans);
+        let off = MetricsHub::disabled();
+        filled().drain_into(&spans_only, &off);
+        let kept: Vec<(u64, EventKind)> = spans_only
+            .finish()
+            .events()
+            .iter()
+            .filter(|e| e.unit == "transport/worker:0")
+            .map(|e| (e.seq, e.kind))
+            .collect();
+        let (start, end) = (EventKind::SpanStart, EventKind::SpanEnd);
+        let kinds = [start, start, end, start, end, end];
+        assert_eq!(kept, (0..6).zip(kinds).collect::<Vec<_>>());
+        assert_eq!(off.finish().units(), 0);
+        let disabled = Collector::disabled();
+        filled().drain_into(&disabled, &MetricsHub::new(MetricsLevel::Core));
+        assert!(disabled.finish().is_empty());
     }
 
     #[test]
