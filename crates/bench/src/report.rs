@@ -18,8 +18,9 @@
 //!   median must be inside the bound.
 
 use crate::ratios::{Kind, Pair, Verdict};
-use bcc_metrics::json::{parse, push_quoted, JsonValue};
+use bcc_metrics::json::push_quoted;
 use bcc_metrics::MetricsDump;
+use bcc_trace::json::parse_event;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -34,7 +35,9 @@ pub struct TraceStats {
     pub units: u64,
 }
 
-/// Parses a trace JSONL file into per-kind counts.
+/// Parses a trace JSONL file into per-kind counts. Each line is read
+/// with the trace codec's own decoder, [`parse_event`], so a line
+/// that is not a well-formed event is an error here too.
 pub fn trace_stats(text: &str) -> Result<TraceStats, String> {
     let mut stats = TraceStats::default();
     let mut units = std::collections::BTreeSet::new();
@@ -42,16 +45,13 @@ pub fn trace_stats(text: &str) -> Result<TraceStats, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v = parse(line).map_err(|e| format!("trace line {}: {e}", i + 1))?;
-        let kind = v
-            .get("kind")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("trace line {}: no \"kind\" field", i + 1))?;
-        *stats.by_kind.entry(kind.to_string()).or_insert(0) += 1;
+        let event = parse_event(line).map_err(|e| format!("trace line {}: {e}", i + 1))?;
+        *stats
+            .by_kind
+            .entry(event.kind.tag().to_string())
+            .or_insert(0) += 1;
         stats.events += 1;
-        if let Some(u) = v.get("unit").and_then(JsonValue::as_str) {
-            units.insert(u.to_string());
-        }
+        units.insert(event.unit);
     }
     stats.units = units.len() as u64;
     Ok(stats)
@@ -448,7 +448,15 @@ fn push_string_array<'a>(out: &mut String, items: impl Iterator<Item = &'a str>)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcc_metrics::json::{parse, JsonValue};
     use bcc_metrics::{MetricsHub, MetricsLevel};
+
+    /// One well-formed trace line.
+    fn event(unit: &str, seq: u64, kind: &str) -> String {
+        format!(
+            "{{\"unit\":\"{unit}\",\"seq\":{seq},\"path\":\"\",\"kind\":\"{kind}\",\"name\":\"job\",\"fields\":{{}}}}"
+        )
+    }
 
     fn dump_with(counters: &[(&str, u64)]) -> MetricsDump {
         let hub = MetricsHub::new(MetricsLevel::Core);
@@ -551,11 +559,13 @@ mod tests {
 
     #[test]
     fn trace_stats_count_kinds_and_units() {
-        let text = "\
-{\"unit\":\"a\",\"seq\":0,\"kind\":\"span_start\",\"name\":\"job\"}\n\
-{\"unit\":\"a\",\"seq\":1,\"kind\":\"point\",\"name\":\"x\"}\n\
-{\"unit\":\"b\",\"seq\":0,\"kind\":\"span_start\",\"name\":\"job\"}\n";
-        let stats = trace_stats(text).unwrap();
+        let text = format!(
+            "{}\n{}\n\n{}\n",
+            event("a", 0, "span_start"),
+            event("a", 1, "point"),
+            event("b", 0, "span_start")
+        );
+        let stats = trace_stats(&text).unwrap();
         assert_eq!(stats.events, 3);
         assert_eq!(stats.units, 2);
         assert_eq!(stats.by_kind.get("span_start"), Some(&2));
@@ -563,11 +573,25 @@ mod tests {
     }
 
     #[test]
+    fn trace_stats_rejects_what_the_trace_codec_rejects() {
+        for line in [
+            r#"{"kind":"point"}"#,
+            r#"{"unit":"a","seq":0,"path":"","kind":"nope","name":"x","fields":{}}"#,
+            r#"{"unit":"a","seq":0,"path":"","kind":"point","name":"x","fields":{},"extra":1}"#,
+        ] {
+            assert!(parse_event(line).is_err(), "{line}");
+            let text = format!("{}\n{line}\n", event("a", 0, "point"));
+            let err = trace_stats(&text).unwrap_err();
+            assert!(err.starts_with("trace line 2: "), "{err}");
+        }
+    }
+
+    #[test]
     fn markdown_report_renders_every_section() {
         let dump = dump_with(&[("sim.runs", 7)]);
         let inputs = Inputs {
             metrics: Some(dump),
-            trace: Some(trace_stats("{\"unit\":\"a\",\"kind\":\"point\"}\n").unwrap()),
+            trace: Some(trace_stats(&event("a", 0, "point")).unwrap()),
             bench: Some(vec![pair("a", Kind::Speedup, 1.5, 2.0, 2.5)]),
             ..Default::default()
         };

@@ -74,11 +74,6 @@ pub fn cost_row(n: usize, rank_max: usize, seed: u64) -> CostRow {
     }
 }
 
-/// Builds the series (serial entry point with the historical seed).
-pub fn series(ns: &[usize], rank_max: usize) -> Vec<CostRow> {
-    ns.iter().map(|&n| cost_row(n, rank_max, 7)).collect()
-}
-
 fn grid(quick: bool) -> (&'static [usize], usize) {
     if quick {
         (&[4, 6, 8, 16], 5)
@@ -226,9 +221,16 @@ pub fn reduce(outputs: Vec<JobOutput>) -> Report {
 
 #[cfg(test)]
 mod tests {
+    /// Builds the series serially with the historical seed.
+    fn series(ns: &[usize], rank_max: usize) -> Vec<super::CostRow> {
+        ns.iter()
+            .map(|&n| super::cost_row(n, rank_max, 7))
+            .collect()
+    }
+
     #[test]
     fn upper_dominates_lower() {
-        let rows = super::series(&[4, 6, 8], 5);
+        let rows = series(&[4, 6, 8], 5);
         for r in &rows {
             assert!(r.upper_bits as f64 + 1e-9 >= r.lower_bits, "n={}", r.n);
             assert!(r.gap < 20.0, "gap unexpectedly large at n={}", r.n);

@@ -42,12 +42,6 @@ pub fn range_row(n: usize, rng: &mut rand::rngs::StdRng) -> RangeRow {
     }
 }
 
-/// Sweeps sizes on random graphs (serial entry point).
-pub fn series(ns: &[usize], seed: u64) -> Vec<RangeRow> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    ns.iter().map(|&n| range_row(n, &mut rng)).collect()
-}
-
 fn sizes(quick: bool) -> &'static [usize] {
     if quick {
         &[8, 16, 32]
@@ -120,9 +114,17 @@ pub fn reduce(outputs: Vec<JobOutput>) -> Report {
 
 #[cfg(test)]
 mod tests {
+    use rand::SeedableRng;
+
+    /// Sweeps sizes on random graphs drawn from one seeded stream.
+    fn series(ns: &[usize], seed: u64) -> Vec<super::RangeRow> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        ns.iter().map(|&n| super::range_row(n, &mut rng)).collect()
+    }
+
     #[test]
     fn separation_is_linear() {
-        let rows = super::series(&[8, 24], 1);
+        let rows = series(&[8, 24], 1);
         for r in &rows {
             assert!(r.correct, "n={}", r.n);
             assert_eq!(r.unicast_rounds, 1);

@@ -27,20 +27,6 @@
 //!   `exp_xx::jobs`/`exp_xx::reduce` (its `REGISTRY` row), and the
 //!   id must be quoted there, so no series silently drops out of
 //!   `all` runs.
-//! * **O1** — trace emission hygiene: outside `crates/trace`, code
-//!   must reach rendered trace bytes only through the `Collector` →
-//!   `Trace` pipeline (`Trace::write_jsonl`/`summary`). Naming a sink
-//!   type or calling `write_event` directly would bypass the
-//!   `(unit, seq)` merge that makes traces byte-identical across
-//!   thread counts.
-//! * **O2** — metric emission hygiene, O1's twin for `bcc-metrics`:
-//!   outside `crates/metrics`, rendered metric bytes exist only
-//!   through the `MetricsHub` → `MetricsDump` facade
-//!   (`MetricsDump::write_jsonl`/`summary`). Naming a metrics sink
-//!   type or calling `write_metric` directly would bypass the
-//!   commutative per-unit merge that makes dumps byte-identical
-//!   across thread counts.
-//!
 //! * **U1** — public surface only tests reach: a `pub fn` in a
 //!   library crate (`crates/*/src`, not `main.rs` or `src/bin/`) whose
 //!   name, as an identifier, appears in no non-test code besides its
@@ -150,7 +136,6 @@ pub fn run_all(ws: &Workspace) -> Vec<Finding> {
         rule_d2(file, &mut out);
         rule_p1(file, &mut out);
         rule_k1(file, &mut out);
-        rule_sinks(file, &mut out);
         rule_a1(file, &mut out);
     }
     rule_r1(ws, &mut out);
@@ -163,9 +148,7 @@ pub fn run_all(ws: &Workspace) -> Vec<Finding> {
 
 /// Every rule id, in report order — the baseline and SARIF renderers
 /// iterate this.
-pub const ALL_RULES: &[&str] = &[
-    "A1", "D1", "D2", "K1", "L1", "N1", "O1", "O2", "P1", "R1", "U1",
-];
+pub const ALL_RULES: &[&str] = &["A1", "D1", "D2", "K1", "L1", "N1", "P1", "R1", "U1"];
 
 /// One-paragraph rationale per rule, for `--explain <rule>`.
 pub fn explain(rule: &str) -> Option<&'static str> {
@@ -201,17 +184,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              must expose jobs()/reduce(), and lib.rs must name both \
              (exp_xx::jobs, exp_xx::reduce: its REGISTRY row) and quote \
              its id, so no series drops out of `all` runs."
-        }
-        "O1" => {
-            "O1 — trace emission hygiene. Outside crates/trace, rendered \
-             trace bytes exist only through the Collector -> Trace \
-             pipeline; naming a sink type or calling write_event bypasses \
-             the deterministic (unit, seq) merge."
-        }
-        "O2" => {
-            "O2 — metric emission hygiene, O1's twin for bcc-metrics: \
-             rendered metric bytes exist only through the MetricsHub -> \
-             MetricsDump facade."
         }
         "N1" => {
             "N1 — interprocedural nondeterminism taint. Entropy, wall \
@@ -405,57 +377,6 @@ fn rule_k1(file: &SourceFile, out: &mut Vec<Finding>) {
                     t.text
                 ),
             );
-        }
-    }
-}
-
-/// Sink hygiene (O1, O2), one row per pipeline: the rule id; the only
-/// crate allowed to touch the pipeline's sinks directly; the
-/// sink-layer names forbidden outside it (naming one means records
-/// reach bytes without the deterministic merge); then the finding's
-/// wording: the merge a bypass skips, the kind of bytes, the facade
-/// that renders them, and the artifacts it keeps byte-identical.
-type SinkRule = (
-    &'static str,
-    &'static str,
-    &'static [&'static str],
-    [&'static str; 4],
-);
-
-const SINK_RULES: [SinkRule; 2] = [
-    (
-        "O1",
-        "crates/trace/",
-        &["JsonlSink", "SummarySink", "NullSink", "write_event"],
-        ["Collector", "trace", "Trace", "traces"],
-    ),
-    (
-        "O2",
-        "crates/metrics/",
-        &["MetricsJsonlSink", "MetricsSummarySink", "write_metric"],
-        ["MetricsHub", "metric", "MetricsDump", "dumps"],
-    ),
-];
-
-/// O1/O2: rendered trace and metric bytes only via their facades.
-fn rule_sinks(file: &SourceFile, out: &mut Vec<Finding>) {
-    for (id, exempt, forbidden, [merge, bytes, facade, artifacts]) in SINK_RULES {
-        if file.path.starts_with(exempt) {
-            continue;
-        }
-        for t in file.code() {
-            if t.kind == TokKind::Ident
-                && forbidden.contains(&t.text.as_str())
-                && !file.is_test_line(t.line)
-            {
-                let message = format!(
-                    "`{}` bypasses the {merge} merge: emit {bytes} bytes only \
-                     through `{facade}::write_jsonl`/`{facade}::summary` so \
-                     {artifacts} stay byte-identical across thread counts",
-                    t.text
-                );
-                emit(file, out, id, t.line, message);
-            }
         }
     }
 }

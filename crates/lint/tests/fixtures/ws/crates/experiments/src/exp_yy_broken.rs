@@ -30,27 +30,3 @@ pub fn allowed_set() -> usize {
     let s: std::collections::HashSet<u32> = Default::default(); // bcc-lint: allow(D1)
     s.len()
 }
-
-pub fn sneaky_trace(events: &[u8]) -> usize {
-    let mut sink = JsonlSink::new(events); // seeded O1
-    sink.write_event(0); // seeded O1
-    0
-}
-
-pub fn suppressed_trace() -> usize {
-    // bcc-lint: allow(O1)
-    let _ = NullSink::default();
-    0
-}
-
-pub fn sneaky_metrics(dump: &[u8]) -> usize {
-    let mut sink = MetricsJsonlSink::new(dump); // seeded O2
-    sink.write_metric(0); // seeded O2
-    0
-}
-
-pub fn suppressed_metrics() -> usize {
-    // bcc-lint: allow(O2)
-    let _ = MetricsSummarySink::default();
-    0
-}

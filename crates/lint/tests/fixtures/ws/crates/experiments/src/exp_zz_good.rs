@@ -18,19 +18,3 @@ mod tests {
         v.unwrap();
     }
 }
-
-#[cfg(test)]
-mod sink_tests {
-    // Sinks in test code are fine: no O1 (or O2) here.
-    #[test]
-    fn summary_sink_in_tests_is_allowed() {
-        let _name = "SummarySink";
-        let _ = SummarySink::new();
-    }
-
-    #[test]
-    fn metrics_sink_in_tests_is_allowed() {
-        let _name = "MetricsSummarySink";
-        let _ = MetricsSummarySink::render();
-    }
-}

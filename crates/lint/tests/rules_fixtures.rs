@@ -135,34 +135,6 @@ fn r1_flags_unregistered_experiment_module() {
 }
 
 #[test]
-fn o1_flags_direct_sink_use_outside_trace_crate() {
-    let findings = fixture_findings();
-    let o1 = by_rule(&findings, "O1");
-    // `JsonlSink` + `write_event` in library code; the suppressed
-    // `NullSink` and the `SummarySink` inside `#[cfg(test)]` code (and
-    // the one in a string literal) must not appear.
-    assert_eq!(o1.len(), 2, "{o1:?}");
-    assert!(o1
-        .iter()
-        .all(|f| f.file == "crates/experiments/src/exp_yy_broken.rs"));
-    assert!(o1.iter().all(|f| f.message.contains("Collector")));
-}
-
-#[test]
-fn o2_flags_direct_metric_sink_use_outside_metrics_crate() {
-    let findings = fixture_findings();
-    let o2 = by_rule(&findings, "O2");
-    // `MetricsJsonlSink` + `write_metric` in library code; the
-    // suppressed `MetricsSummarySink` and the one inside `#[cfg(test)]`
-    // code (and the one in a string literal) must not appear.
-    assert_eq!(o2.len(), 2, "{o2:?}");
-    assert!(o2
-        .iter()
-        .all(|f| f.file == "crates/experiments/src/exp_yy_broken.rs"));
-    assert!(o2.iter().all(|f| f.message.contains("MetricsHub")));
-}
-
-#[test]
 fn u1_flags_pub_fns_that_only_tests_reach() {
     let findings = findings_in("ws3");
     let u1: Vec<_> = findings

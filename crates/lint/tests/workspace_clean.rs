@@ -30,7 +30,7 @@ fn workspace_passes_baseline_check() {
 
 #[test]
 fn workspace_has_no_determinism_or_layering_findings() {
-    // Determinism (D1/D2/N1), layering (K1/R1/O1/O2), and lock-order
+    // Determinism (D1/D2/N1), layering (K1/R1), and lock-order
     // (L1) rules carry no baseline debt: the workspace must be
     // completely clean of them, baselined or not. Only the panic
     // ratchet (P1) and bit-arithmetic ratchet (A1) hold legacy debt.

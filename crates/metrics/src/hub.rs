@@ -2,10 +2,10 @@
 
 use crate::buf::{GaugeStat, MetricsBuf};
 use crate::hist::HistogramSnapshot;
-use crate::json;
+use crate::json::{self, escape};
 use crate::level::MetricsLevel;
-use crate::sink::{render_lines, MetricsJsonlSink, MetricsSummarySink};
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Collects [`MetricsBuf`]s from any number of threads and merges
@@ -94,6 +94,9 @@ impl MetricsHub {
     }
 }
 
+/// The `schema` value of a dump's meta line.
+const SCHEMA: u64 = 1;
+
 /// The merged result of a measured run: every metric, aggregated over
 /// all units, keyed and ordered by name.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,25 +155,93 @@ impl MetricsDump {
         self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
     }
 
-    /// Writes the dump as JSONL: one meta line, then one line per
-    /// metric, ordered by kind then name. This is the facade over the
-    /// rendering internals (lint rule O2); equal dumps render
-    /// byte-identically.
+    /// Writes the dump as JSONL and flushes `w`: one meta line, then
+    /// counters, gauges, and histograms, each sorted by metric name.
+    /// Equal dumps render byte-identically.
     ///
     /// # Errors
     ///
     /// Propagates write failures.
-    pub fn write_jsonl(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
-        let mut sink = MetricsJsonlSink::new(w);
-        for line in render_lines(self) {
-            sink.write_metric(&line)?;
+    pub fn write_jsonl(&self, w: &mut dyn Write) -> std::io::Result<()> {
+        writeln!(
+            w,
+            "{{\"type\":\"meta\",\"schema\":{SCHEMA},\"level\":\"{}\",\"units\":{},\"counters\":{},\"gauges\":{},\"hists\":{}}}",
+            self.level.name(),
+            self.units,
+            self.counters.len(),
+            self.gauges.len(),
+            self.hists.len(),
+        )?;
+        for (name, value) in &self.counters {
+            writeln!(
+                w,
+                "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{value}}}",
+                escape(name)
+            )?;
         }
-        sink.finish()
+        for (name, g) in &self.gauges {
+            // An empty gauge never renders (observe precedes insert),
+            // so `min` is always a real observation here.
+            writeln!(
+                w,
+                "{{\"type\":\"gauge\",\"name\":\"{}\",\"count\":{},\"min\":{},\"max\":{},\"sum\":{}}}",
+                escape(name),
+                g.count,
+                g.min,
+                g.max,
+                g.sum,
+            )?;
+        }
+        for (name, h) in &self.hists {
+            let buckets: Vec<String> = h
+                .buckets
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c > 0)
+                .map(|(i, &c)| format!("[{i},{c}]"))
+                .collect();
+            writeln!(
+                w,
+                "{{\"type\":\"hist\",\"name\":\"{}\",{},\"sum\":{},\"buckets\":[{}]}}",
+                escape(name),
+                h.fields_json(""),
+                h.sum,
+                buckets.join(","),
+            )?;
+        }
+        w.flush()
     }
 
     /// The compact human-readable summary.
     pub fn summary(&self) -> String {
-        MetricsSummarySink::render(self)
+        let mut out = format!(
+            "-- metrics ({}) --  units {}\n",
+            self.level.name(),
+            self.units
+        );
+        for (name, value) in &self.counters {
+            out.push_str(&format!("counter {name:<32} {value}\n"));
+        }
+        for (name, g) in &self.gauges {
+            out.push_str(&format!(
+                "gauge   {name:<32} n={} min={} max={} mean={:.1}\n",
+                g.count,
+                g.min,
+                g.max,
+                g.mean()
+            ));
+        }
+        for (name, h) in &self.hists {
+            out.push_str(&format!(
+                "hist    {name:<32} n={} mean={:.1} p50<={} p99<={} max={}\n",
+                h.count,
+                h.mean(),
+                h.quantile_upper(0.50),
+                h.quantile_upper(0.99),
+                h.max
+            ));
+        }
+        out
     }
 
     /// Parses a dump back from its JSONL rendering. Derived fields
@@ -180,34 +251,61 @@ impl MetricsDump {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first malformed line.
+    /// Returns a line-numbered message for the first malformed line, a
+    /// meta line with an unknown schema or a second meta line, and for
+    /// meta counts that differ from the body; a dump with no meta line
+    /// is an error too.
     pub fn parse_jsonl(text: &str) -> Result<MetricsDump, String> {
         let mut dump = MetricsDump::empty(MetricsLevel::Off);
-        let mut saw_meta = false;
-        for (lineno, line) in text.lines().enumerate() {
+        let mut meta: Option<(usize, [u64; 3])> = None;
+        for (i, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            saw_meta |= dump
+            let lineno = i + 1;
+            let promised = dump
                 .parse_line(line)
-                .map_err(|e| format!("line {}: {e}", lineno + 1))?;
+                .map_err(|e| format!("line {lineno}: {e}"))?;
+            if let Some(promised) = promised {
+                if let Some((first, _)) = meta {
+                    return Err(format!(
+                        "line {lineno}: second meta line (the first is line {first})"
+                    ));
+                }
+                meta = Some((lineno, promised));
+            }
         }
-        if !saw_meta {
-            return Err("dump has no meta line".to_string());
+        let (lineno, promised) = meta.ok_or("dump has no meta line")?;
+        let found = [dump.counters.len(), dump.gauges.len(), dump.hists.len()].map(|n| n as u64);
+        if promised != found {
+            let [c, g, h] = promised;
+            let [fc, fg, fh] = found;
+            return Err(format!(
+                "line {lineno}: meta promised {c} counters / {g} gauges / {h} hists, found {fc} / {fg} / {fh}"
+            ));
         }
         Ok(dump)
     }
 
-    /// Folds one dump line into `self`; true when it was the meta line.
-    fn parse_line(&mut self, line: &str) -> Result<bool, String> {
+    /// Folds one dump line into `self`; for the meta line, returns the
+    /// counter, gauge and histogram counts it promises.
+    fn parse_line(&mut self, line: &str) -> Result<Option<[u64; 3]>, String> {
         let v = json::parse(line)?;
         match v.str_field("type")? {
             "meta" => {
+                let schema = v.u64_field("schema")?;
+                if schema != SCHEMA {
+                    return Err(format!("unsupported schema {schema}"));
+                }
                 let level_name = v.str_field("level")?;
                 self.level = MetricsLevel::from_name(level_name)
                     .ok_or_else(|| format!("bad level '{level_name}'"))?;
                 self.units = v.u64_field("units")?;
-                return Ok(true);
+                return Ok(Some([
+                    v.u64_field("counters")?,
+                    v.u64_field("gauges")?,
+                    v.u64_field("hists")?,
+                ]));
             }
             "counter" => {
                 self.counters
@@ -243,7 +341,7 @@ impl MetricsDump {
             }
             other => return Err(format!("unknown type '{other}'")),
         }
-        Ok(false)
+        Ok(None)
     }
 }
 
@@ -362,13 +460,40 @@ mod tests {
         let bad_bucket = "{\"type\":\"meta\",\"schema\":1,\"level\":\"core\",\"units\":1,\"counters\":0,\"gauges\":0,\"hists\":1}\n\
                           {\"type\":\"hist\",\"name\":\"h\",\"count\":1,\"mean\":1.0,\"p50_le\":1,\"p90_le\":1,\"p99_le\":1,\"max\":1,\"sum\":1,\"buckets\":[[999,1]]}";
         assert!(MetricsDump::parse_jsonl(bad_bucket).is_err());
+
+        let meta = |schema: u64, counters: u64| {
+            format!(
+                "{{\"type\":\"meta\",\"schema\":{schema},\"level\":\"core\",\"units\":1,\"counters\":{counters},\"gauges\":0,\"hists\":0}}\n"
+            )
+        };
+        let counter = "{\"type\":\"counter\",\"name\":\"x\",\"value\":1}\n";
+        assert!(MetricsDump::parse_jsonl(&format!("{}{counter}", meta(1, 1))).is_ok());
+        let err = |text: String| MetricsDump::parse_jsonl(&text).unwrap_err();
+        assert_eq!(
+            err(format!("{}{counter}", meta(99, 1))),
+            "line 1: unsupported schema 99"
+        );
+        assert_eq!(
+            err(format!("{}{counter}{}", meta(1, 1), meta(1, 1))),
+            "line 3: second meta line (the first is line 1)"
+        );
+        assert_eq!(
+            err(format!("{}{counter}", meta(1, 5))),
+            "line 1: meta promised 5 counters / 0 gauges / 0 hists, found 1 / 0 / 0"
+        );
     }
 
     #[test]
     fn summary_renders_counts() {
-        let s = sample_hub(MetricsLevel::Core).finish().summary();
-        assert!(s.contains("sim.bits"), "summary was: {s}");
-        assert!(s.contains("15"), "summary was: {s}");
-        assert!(s.contains("engine.occupancy"), "summary was: {s}");
+        assert_eq!(
+            sample_hub(MetricsLevel::Core).finish().summary(),
+            format!(
+                "-- metrics (core) --  units 2\n\
+                 counter {:<32} 15\n\
+                 gauge   {:<32} n=2 min=4 max=9 mean=6.5\n\
+                 hist    {:<32} n=2 mean=51.5 p50<=4 p99<=100 max=100\n",
+                "sim.bits", "engine.occupancy", "sim.round_bits"
+            )
+        );
     }
 }

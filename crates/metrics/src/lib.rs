@@ -20,9 +20,11 @@
 //!   merges them with **commutative aggregates** — counters add,
 //!   gauges fold `count`/`min`/`max`/`sum`, histograms add
 //!   bucket-wise — so thread interleaving can never change a dump.
-//! - [`MetricsDump`]: the merged result; renders to a stable JSONL
-//!   codec (and parses back) through the facade that lint rule O2
-//!   guards, plus a compact text summary.
+//! - [`MetricsDump`]: the merged result. Its two renderers, a stable
+//!   JSONL codec ([`MetricsDump::write_jsonl`], parsed back by
+//!   [`MetricsDump::parse_jsonl`]) and a compact text summary
+//!   ([`MetricsDump::summary`]), are the only code that turns metrics
+//!   into artifact bytes.
 //! - [`Histogram`] / [`HistogramSnapshot`]: the shared fixed-bucket
 //!   log₂ histogram. The atomic recorder serves the runner's
 //!   wall-clock profiling; the snapshot doubles as the in-buffer
@@ -64,7 +66,6 @@ mod hist;
 mod hub;
 pub mod json;
 mod level;
-mod sink;
 
 pub use buf::{GaugeStat, MetricsBuf};
 pub use hist::{Histogram, HistogramSnapshot, NUM_BUCKETS};

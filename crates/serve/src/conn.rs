@@ -10,31 +10,11 @@
 //! request this connection admitted but never collected, so an
 //! abandoned client cannot pin queue slots or quota.
 
-use crate::proto::{ProtoError, Request, Response, SubmitReq, TransportHealthMsg, WorkerHealthMsg};
+use crate::proto::{ProtoError, Request, Response, SubmitReq};
 use crate::server::Server;
 use std::collections::BTreeSet;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
-
-/// Worker health of the installed transport backend, for `snapshot`
-/// lines. `None` on the local backend, so local-backend observe
-/// transcripts keep their pre-telemetry bytes.
-fn transport_health() -> Option<TransportHealthMsg> {
-    let health = bcc_model::transport::default_factory().health()?;
-    Some(TransportHealthMsg {
-        backend: health.backend,
-        workers: health
-            .workers
-            .iter()
-            .map(|w| WorkerHealthMsg {
-                rank: w.rank as u64,
-                alive: w.alive,
-                respawns: w.respawns,
-                sessions: w.sessions,
-            })
-            .collect(),
-    })
-}
 
 /// Outcome of one bounded line read.
 #[derive(Debug)]
@@ -213,7 +193,7 @@ impl<R: BufRead, W: Write> Conn<'_, R, W> {
         self.send(&Response::Snapshot {
             tick,
             stats: self.server.stats(),
-            transport: transport_health(),
+            transport: bcc_model::transport::default_factory().health(),
         })?;
         let mut sent = 1u64;
         while sent < count {
@@ -224,7 +204,7 @@ impl<R: BufRead, W: Write> Conn<'_, R, W> {
                     self.send(&Response::Snapshot {
                         tick,
                         stats: self.server.stats(),
-                        transport: transport_health(),
+                        transport: bcc_model::transport::default_factory().health(),
                     })?;
                     sent += 1;
                 }

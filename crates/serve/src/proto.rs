@@ -11,6 +11,7 @@
 //! seed)` plus admission order.
 
 use bcc_metrics::json::{self, escape, JsonValue};
+use bcc_model::postmortem::TransportHealth;
 
 /// Protocol version announced in `welcome`.
 pub const PROTO_VERSION: u64 = 1;
@@ -318,50 +319,26 @@ pub struct StatsMsg {
     pub cache_entries: u64,
 }
 
-/// Per-worker transport health inside a `snapshot` line: liveness as
-/// the coordinator last observed it, respawn count of the worker
-/// group, and currently open sessions. Only present when the
-/// installed transport backend tracks workers (i.e. `sockets:N`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerHealthMsg {
-    /// Worker rank.
-    pub rank: u64,
-    /// Whether the coordinator still believes the worker alive.
-    pub alive: bool,
-    /// Times the worker group was respawned after a death.
-    pub respawns: u64,
-    /// Sessions currently open on the group.
-    pub sessions: u64,
-}
-
-/// Transport-backend health inside a `snapshot` line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TransportHealthMsg {
-    /// Backend label (`sockets:N`).
-    pub backend: String,
-    /// Per-worker health, rank-ordered. Empty until the group is
-    /// first spawned.
-    pub workers: Vec<WorkerHealthMsg>,
-}
-
-impl TransportHealthMsg {
-    fn to_json(&self) -> String {
-        let workers: Vec<String> = self
-            .workers
-            .iter()
-            .map(|w| {
-                format!(
-                    "{{\"rank\":{},\"alive\":{},\"respawns\":{},\"sessions\":{}}}",
-                    w.rank, w.alive, w.respawns, w.sessions
-                )
-            })
-            .collect();
-        format!(
-            "{{\"backend\":\"{}\",\"workers\":[{}]}}",
-            escape(&self.backend),
-            workers.join(",")
-        )
-    }
+/// Renders transport-backend health for a `snapshot` line: the
+/// backend label and, per worker in rank order, liveness as the
+/// coordinator last observed it, respawn count of the worker group,
+/// and currently open sessions. Flight rings are never rendered.
+fn transport_json(t: &TransportHealth) -> String {
+    let workers: Vec<String> = t
+        .workers
+        .iter()
+        .map(|w| {
+            format!(
+                "{{\"rank\":{},\"alive\":{},\"respawns\":{},\"sessions\":{}}}",
+                w.rank, w.alive, w.respawns, w.sessions
+            )
+        })
+        .collect();
+    format!(
+        "{{\"backend\":\"{}\",\"workers\":[{}]}}",
+        escape(&t.backend),
+        workers.join(",")
+    )
 }
 
 /// A response line, rendered with fixed key order.
@@ -401,7 +378,7 @@ pub enum Response {
         /// backend tracks workers (`None` on the local backend, which
         /// keeps the rendered line byte-identical to the
         /// pre-telemetry protocol there).
-        transport: Option<TransportHealthMsg>,
+        transport: Option<TransportHealth>,
     },
     /// Terminates an `observe` stream.
     Observed {
@@ -491,7 +468,7 @@ impl Response {
                 transport,
             } => {
                 let transport = match transport {
-                    Some(t) => format!(",\"transport\":{}", t.to_json()),
+                    Some(t) => format!(",\"transport\":{}", transport_json(t)),
                     None => String::new(),
                 };
                 format!(
@@ -530,6 +507,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcc_model::postmortem::WorkerHealth;
 
     #[test]
     fn parses_each_request_type() {
@@ -637,13 +615,14 @@ mod tests {
             Response::Snapshot {
                 tick: 3,
                 stats: StatsMsg::default(),
-                transport: Some(TransportHealthMsg {
+                transport: Some(TransportHealth {
                     backend: "sockets:2".into(),
-                    workers: vec![WorkerHealthMsg {
+                    workers: vec![WorkerHealth {
                         rank: 0,
                         alive: true,
                         respawns: 0,
                         sessions: 2,
+                        ring: Vec::new(),
                     }],
                 }),
             },
@@ -685,20 +664,22 @@ mod tests {
         let line = Response::Snapshot {
             tick: 2,
             stats: StatsMsg::default(),
-            transport: Some(TransportHealthMsg {
+            transport: Some(TransportHealth {
                 backend: "sockets:2".into(),
                 workers: vec![
-                    WorkerHealthMsg {
+                    WorkerHealth {
                         rank: 0,
                         alive: true,
                         respawns: 0,
                         sessions: 1,
+                        ring: Vec::new(),
                     },
-                    WorkerHealthMsg {
+                    WorkerHealth {
                         rank: 1,
                         alive: false,
                         respawns: 1,
                         sessions: 0,
+                        ring: Vec::new(),
                     },
                 ],
             }),

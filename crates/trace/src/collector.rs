@@ -2,19 +2,21 @@
 //! trace out.
 
 use crate::buf::{TraceBuf, TraceLevel};
-use crate::event::Event;
-use crate::sink::Sink;
+use crate::event::{Event, EventKind, FieldValue};
+use crate::json;
+use std::collections::{BTreeMap, BTreeSet};
+use std::io::Write;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Collects [`TraceBuf`]s from any number of threads and merges them
 /// into one deterministic [`Trace`].
 ///
-/// The collector is the *only* blessed route from recorded events to
-/// rendered bytes (lint rule O1): instrumented code records into
-/// buffers, buffers are absorbed here, and sinks only ever see the
-/// merged, `(unit, seq)`-sorted stream. That ordering is a pure
-/// function of event content, so `--jobs 1` and `--jobs 8` produce
-/// byte-identical traces no matter how workers interleave.
+/// The collector is the only route from recorded events to rendered
+/// bytes: instrumented code records into buffers, buffers are absorbed
+/// here, and [`Trace`] renders only the merged, `(unit, seq)`-sorted
+/// stream. That ordering is a pure function of event content, so
+/// `--jobs 1` and `--jobs 8` produce byte-identical traces no matter
+/// how workers interleave.
 ///
 /// Cloning shares the underlying store (`Arc`), so a collector can be
 /// handed to a pool and finished by the caller.
@@ -118,34 +120,49 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Streams every event through a sink and finishes it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the sink's I/O errors.
-    fn emit(&self, sink: &mut dyn Sink) -> std::io::Result<()> {
-        for e in &self.events {
-            sink.write_event(e)?;
-        }
-        sink.finish()
-    }
-
-    /// Writes the trace as JSONL, one event per line.
+    /// Writes the trace as JSONL, one event per line, and flushes `w`.
     ///
     /// # Errors
     ///
     /// Propagates write failures.
-    pub fn write_jsonl(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
-        let mut sink = crate::sink::JsonlSink::new(w);
-        self.emit(&mut sink)
+    pub fn write_jsonl(&self, w: &mut dyn Write) -> std::io::Result<()> {
+        for e in &self.events {
+            writeln!(w, "{}", json::event_to_json(e))?;
+        }
+        w.flush()
     }
 
-    /// The compact text summary (event/kind counts, counter totals).
+    /// The compact text summary: record counts per kind, event counts
+    /// per name, and counter totals.
     pub fn summary(&self) -> String {
-        let mut sink = crate::sink::SummarySink::new();
-        // SummarySink never fails: it only accumulates into memory.
-        let _ = self.emit(&mut sink);
-        sink.render()
+        let mut units = BTreeSet::new();
+        let mut kinds: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut names: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
+        for e in &self.events {
+            units.insert(e.unit.as_str());
+            *kinds.entry(e.kind.tag()).or_insert(0) += 1;
+            *names.entry(e.name.as_str()).or_insert(0) += 1;
+            if let (EventKind::Counter, Some(FieldValue::UInt(delta))) = (e.kind, e.field("delta"))
+            {
+                *counters.entry(e.name.as_str()).or_insert(0) += delta;
+            }
+        }
+        let mut out = format!(
+            "-- trace summary --\n{} events across {} units\n",
+            self.events.len(),
+            units.len()
+        );
+        for (kind, n) in kinds {
+            out.push_str(&format!("  kind {kind:<10} {n:>8}\n"));
+        }
+        for (name, n) in names {
+            out.push_str(&format!("  event {name:<20} {n:>8}\n"));
+        }
+        for (name, total) in counters {
+            out.push_str(&format!("  counter {name:<18} {total:>8}\n"));
+        }
+        out
     }
 }
 
@@ -203,8 +220,38 @@ mod tests {
         b.counter("bits", 2);
         b.event("broadcast", vec![]);
         c.absorb(b);
-        let s = c.finish().summary();
-        assert!(s.contains("bits"), "summary was: {s}");
-        assert!(s.contains('5'), "summary was: {s}");
+        let mut v = c.buf("v");
+        v.span_start("job", vec![]);
+        c.absorb(v);
+        assert_eq!(
+            c.finish().summary(),
+            "-- trace summary --\n\
+             4 events across 2 units\n  \
+             kind counter           2\n  \
+             kind point             1\n  \
+             kind span_start        1\n  \
+             event bits                        2\n  \
+             event broadcast                   1\n  \
+             event job                         1\n  \
+             counter bits                      5\n"
+        );
+    }
+
+    #[test]
+    fn write_jsonl_writes_one_parsable_line_per_event() {
+        let c = Collector::new(TraceLevel::Events);
+        let mut b = c.buf("u");
+        b.event("a", vec![field("i", 1u64)]);
+        b.counter("b", 7);
+        c.absorb(b);
+        let trace = c.finish();
+        let mut out = Vec::new();
+        trace.write_jsonl(&mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let parsed: Vec<Event> = text
+            .lines()
+            .map(|l| json::parse_event(l).unwrap())
+            .collect();
+        assert_eq!(parsed, trace.events());
     }
 }

@@ -19,13 +19,14 @@
 //! - [`TraceBuf`]: a plain, lock-free per-unit buffer. Recording is a
 //!   `Vec::push`; a disabled buffer ([`TraceLevel::Off`]) skips the
 //!   push entirely, so tracing compiles to a branch on the hot path.
-//! - [`Collector`]: the only blessed route from buffers to bytes
-//!   (lint rule O1). Buffers are absorbed under one short lock each
-//!   and merged **deterministically** by `(unit, seq)` — thread
-//!   interleaving can never reorder a trace.
-//! - [`Trace`]: the merged, immutable result; renders as JSONL
-//!   ([`Trace::write_jsonl`]) or a compact text summary
-//!   ([`Trace::summary`]) through the crate's private sinks.
+//! - [`Collector`]: the only route from buffers to bytes. Buffers
+//!   are absorbed under one short lock each and merged
+//!   **deterministically** by `(unit, seq)` — thread interleaving can
+//!   never reorder a trace.
+//! - [`Trace`]: the merged, immutable result. Its two renderers,
+//!   JSONL ([`Trace::write_jsonl`]) and a compact text summary
+//!   ([`Trace::summary`]), are the only code that turns events into
+//!   artifact bytes.
 //! - [`json`]: the JSONL event codec, a typed schema over the
 //!   workspace's shared JSON codec (`bcc_metrics::json`), so traces
 //!   round-trip (used by the determinism proptests and the trace
@@ -70,7 +71,6 @@ mod collector;
 mod event;
 pub mod json;
 mod scope;
-mod sink;
 pub mod tree;
 
 pub use buf::{TraceBuf, TraceLevel};
