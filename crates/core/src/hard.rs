@@ -117,24 +117,6 @@ pub fn distributional_error(
         .sum()
 }
 
-/// Averages [`distributional_error`] over several public-coin seeds —
-/// the error of the *randomized* algorithm under the distribution
-/// (the quantity Theorem 3.1 bounds below by a constant for
-/// `t = o(log n)`).
-// bcc-lint: allow(U1): scalar reference oracle that the batched engine is tested against
-pub fn randomized_error(
-    dist: &[WeightedInstance],
-    algorithm: &dyn Algorithm,
-    t: usize,
-    coins: &[u64],
-) -> f64 {
-    coins
-        .iter()
-        .map(|&c| distributional_error(dist, algorithm, t, c))
-        .sum::<f64>()
-        / coins.len() as f64
-}
-
 /// The error floor the warm-up star argument guarantees for any
 /// deterministic `t`-round algorithm that answers YES on the base
 /// instance: at least `C(s′, 2) / (2·C(s, 2))` where `s = ⌊n/3⌋` and
@@ -229,12 +211,5 @@ mod tests {
         assert!(star_error_floor(30, 1) < 0.5);
         assert!(star_error_floor(30, 1) > 0.0);
         assert_eq!(star_error_floor(9, 3), 0.0);
-    }
-
-    #[test]
-    fn randomized_error_averages() {
-        let d = star_distribution(9);
-        let e = randomized_error(&d, &ConstantDecision::yes(), 0, &[0, 1, 2]);
-        assert!((e - 0.5).abs() < 1e-12);
     }
 }

@@ -36,7 +36,5 @@ pub mod store;
 
 pub use batch::{BatchRun, Lane, MAX_LANES};
 pub use hash::{fnv1a, Fnv64};
-pub use measure::{
-    distributional_error_batched, randomized_error_batched, simulate_two_party_batched, EngineError,
-};
+pub use measure::{distributional_error_batched, simulate_two_party_batched, EngineError};
 pub use store::{thread_lookups, ArtifactKey, ArtifactStore};

@@ -70,22 +70,6 @@ pub fn distributional_error_batched(
         .distributional_error(dist, algorithm, coin_seed)
 }
 
-/// The batched form of [`bcc_core::hard::randomized_error`]: averages
-/// [`distributional_error_batched`] over the given coin seeds, in
-/// coin order — byte-identical to the scalar average.
-pub fn randomized_error_batched(
-    dist: &[WeightedInstance],
-    algorithm: &dyn Algorithm,
-    t: usize,
-    coins: &[u64],
-) -> f64 {
-    coins
-        .iter()
-        .map(|&c| distributional_error_batched(dist, algorithm, t, c))
-        .sum::<f64>()
-        / coins.len() as f64
-}
-
 /// The batched form of [`bcc_comm::simulate::simulate_two_party`]:
 /// runs every `(P_A, P_B)` pair's gadget instance through the
 /// lockstep kernel and reconstructs each [`SimulationReport`] from
@@ -219,9 +203,7 @@ impl BatchRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcc_core::hard::{
-        distributional_error, randomized_error, star_distribution, uniform_two_cycle_distribution,
-    };
+    use bcc_core::hard::{distributional_error, uniform_two_cycle_distribution};
     use bcc_model::testing::ConstantDecision;
 
     #[test]
@@ -231,16 +213,6 @@ mod tests {
         let algo = ConstantDecision::yes();
         let scalar = distributional_error(&dist, &algo, 2, 0);
         let batched = distributional_error_batched(&dist, &algo, 2, 0);
-        assert_eq!(scalar.to_bits(), batched.to_bits());
-    }
-
-    #[test]
-    fn batched_randomized_error_matches() {
-        let dist = star_distribution(9);
-        let coins = [0u64, 1, 2];
-        let scalar = randomized_error(&dist, &ConstantDecision::new(Decision::No), 1, &coins);
-        let batched =
-            randomized_error_batched(&dist, &ConstantDecision::new(Decision::No), 1, &coins);
         assert_eq!(scalar.to_bits(), batched.to_bits());
     }
 

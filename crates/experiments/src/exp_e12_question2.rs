@@ -57,15 +57,6 @@ pub fn q2_row(
     }
 }
 
-/// Builds trivial-join-heavy input sets and measures the error curve
-/// (serial entry point with the historical seed).
-pub fn sweep(n: usize, ks: &[usize], num_inputs: usize, num_seeds: usize) -> Vec<Q2Row> {
-    let inputs = input_set(n, num_inputs, 23);
-    ks.iter()
-        .map(|&k| q2_row(n, k, &inputs, num_seeds))
-        .collect()
-}
-
 fn grid(quick: bool) -> (usize, Vec<usize>, usize, usize) {
     let (n, num_inputs, num_seeds) = if quick { (8, 10, 6) } else { (16, 20, 10) };
     let deterministic = trivial_message_bits(n) + 1;
@@ -162,7 +153,11 @@ pub fn reduce(outputs: Vec<JobOutput>) -> Report {
 mod tests {
     #[test]
     fn error_curve_behaves() {
-        let rows = super::sweep(8, &[2, 128], 8, 5);
+        let inputs = super::input_set(8, 8, 23);
+        let rows: Vec<_> = [2, 128]
+            .iter()
+            .map(|&k| super::q2_row(8, k, &inputs, 5))
+            .collect();
         assert!(!rows[0].false_positive && !rows[1].false_positive);
         assert!(rows[1].error <= rows[0].error);
     }

@@ -6,66 +6,10 @@ use bcc_algorithms::{
     HashVoteDecider, Kt0Upgrade, NeighborIdBroadcast, ParityDecider, Problem, Truncated,
 };
 use bcc_core::hard::{star_distribution, star_error_floor};
-use bcc_engine::{distributional_error_batched, randomized_error_batched};
+use bcc_engine::distributional_error_batched;
 use bcc_model::testing::ConstantDecision;
 use bcc_trace::field;
 use std::fmt::Write as _;
-
-/// One row of the E1 series.
-#[derive(Debug, Clone)]
-pub struct StarRow {
-    /// Instance size.
-    pub n: usize,
-    /// Round budget.
-    pub t: usize,
-    /// Analytic floor (Theorem 3.5).
-    pub floor: f64,
-    /// `(algorithm, measured error)`.
-    pub errors: Vec<(String, f64)>,
-}
-
-/// Measures one `(n, t)` cell of the sweep.
-pub fn star_row(n: usize, t: usize) -> StarRow {
-    let dist = star_distribution(n);
-    let mut errors = Vec::new();
-    errors.push((
-        "constant-yes".into(),
-        distributional_error_batched(&dist, &ConstantDecision::yes(), t, 0),
-    ));
-    errors.push((
-        "hash-vote(rand)".into(),
-        randomized_error_batched(&dist, &HashVoteDecider::new(t.max(1)), t, &[0, 1, 2, 3, 4]),
-    ));
-    errors.push((
-        "parity-vote".into(),
-        distributional_error_batched(&dist, &ParityDecider::new(t.max(1)), t, 0),
-    ));
-    let truncated = Truncated::new(
-        Kt0Upgrade::new(NeighborIdBroadcast::new(Problem::TwoCycle)),
-        t,
-    );
-    errors.push((
-        "truncated-real".into(),
-        distributional_error_batched(&dist, &truncated, t, 0),
-    ));
-    StarRow {
-        n,
-        t,
-        floor: star_error_floor(n, t),
-        errors,
-    }
-}
-
-/// Runs the sweep serially (test/back-compat entry point).
-pub fn sweep(ns: &[usize], ts: &[usize]) -> Vec<StarRow> {
-    let mut rows = Vec::new();
-    for &n in ns {
-        for &t in ts {
-            rows.push(star_row(n, t));
-        }
-    }
-    rows
-}
 
 fn grid(quick: bool) -> (&'static [usize], &'static [usize]) {
     if quick {
@@ -201,8 +145,7 @@ pub fn reduce(outputs: Vec<JobOutput>) -> Report {
     let (pieces, rest): (Vec<&JobOutput>, Vec<&JobOutput>) =
         outputs.iter().partition(|o| o.label != "transition");
     // Reassemble each (n, t) row from its per-algorithm pieces; the
-    // hash-vote coins average in shard (= coin) order, matching
-    // `randomized_error` bit for bit.
+    // hash-vote coins average in shard (= coin) order.
     let mut all_above = true;
     let mut num_rows = 0usize;
     let mut i = 0;
@@ -275,9 +218,9 @@ mod tests {
 
     #[test]
     fn floor_decays_with_t() {
-        let rows = super::sweep(&[54], &[0, 1, 2]);
-        assert!(rows[0].floor >= rows[1].floor);
-        assert!(rows[1].floor >= rows[2].floor);
-        assert!(rows[1].floor > 0.0);
+        let floors: Vec<f64> = (0..3).map(|t| super::star_error_floor(54, t)).collect();
+        assert!(floors[0] >= floors[1]);
+        assert!(floors[1] >= floors[2]);
+        assert!(floors[1] > 0.0);
     }
 }

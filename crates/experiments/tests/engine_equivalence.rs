@@ -10,49 +10,59 @@ use bcc_algorithms::{
 };
 use bcc_comm::reduction::Gadget;
 use bcc_comm::simulate::simulate_two_party;
-use bcc_core::hard::{distributional_error, randomized_error, star_distribution};
+use bcc_core::hard::{distributional_error, star_distribution};
 use bcc_core::indist::IndistGraph;
-use bcc_experiments::job::DEFAULT_SEED;
+use bcc_experiments::job::{Value, DEFAULT_SEED};
 use bcc_experiments::RunRequest;
 use bcc_model::testing::ConstantDecision;
 use bcc_partitions::random::uniform_matching_partition;
 use rand::SeedableRng;
 
-/// E1's batched `star_row` reproduces the scalar error measurements
-/// bit for bit (same summation order, same coins).
+/// Every error E1's quick-mode jobs report is bit for bit the scalar
+/// `distributional_error` of the same `(n, t, algorithm, coin)` piece.
 #[test]
-fn e1_star_row_matches_scalar_measurements() {
-    let (n, t) = (27usize, 2usize);
-    let row = bcc_experiments::exp_e1_star::star_row(n, t);
-    let dist = star_distribution(n);
-    let trunc = Truncated::new(
-        Kt0Upgrade::new(NeighborIdBroadcast::new(Problem::TwoCycle)),
-        t,
-    );
-    let scalar: Vec<(&str, f64)> = vec![
-        (
-            "constant-yes",
-            distributional_error(&dist, &ConstantDecision::yes(), t, 0),
-        ),
-        (
-            "hash-vote(rand)",
-            randomized_error(&dist, &HashVoteDecider::new(t), t, &[0, 1, 2, 3, 4]),
-        ),
-        (
-            "parity-vote",
-            distributional_error(&dist, &ParityDecider::new(t), t, 0),
-        ),
-        ("truncated-real", distributional_error(&dist, &trunc, t, 0)),
-    ];
-    assert_eq!(row.errors.len(), scalar.len());
-    for ((name, batched), (ref_name, reference)) in row.errors.iter().zip(&scalar) {
-        assert_eq!(name, ref_name);
+fn e1_job_errors_match_scalar_measurements() {
+    let run = RunRequest::new(["e1"], true, DEFAULT_SEED)
+        .run()
+        .expect("known id");
+    let mut pieces = 0;
+    for result in &run.job_results {
+        let out = result.status.output().expect("every e1 job completes");
+        let Some(Value::Str(algo)) = out.get("algo") else {
+            continue; // the transition job
+        };
+        let n = usize::try_from(out.int("n").expect("n")).expect("n fits");
+        let t = usize::try_from(out.int("t").expect("t")).expect("t fits");
+        let coin = out
+            .int("coin")
+            .map_or(0, |c| u64::try_from(c).expect("coin fits"));
+        let dist = star_distribution(n);
+        let scalar = match algo.as_str() {
+            "constant-yes" => distributional_error(&dist, &ConstantDecision::yes(), t, coin),
+            "hash-vote(rand)" => {
+                distributional_error(&dist, &HashVoteDecider::new(t.max(1)), t, coin)
+            }
+            "parity-vote" => distributional_error(&dist, &ParityDecider::new(t.max(1)), t, coin),
+            "truncated-real" => {
+                let trunc = Truncated::new(
+                    Kt0Upgrade::new(NeighborIdBroadcast::new(Problem::TwoCycle)),
+                    t,
+                );
+                distributional_error(&dist, &trunc, t, coin)
+            }
+            other => panic!("unknown e1 piece {other:?}"),
+        };
+        let batched = out.float("error").expect("error");
         assert_eq!(
             batched.to_bits(),
-            reference.to_bits(),
-            "{name}: batched {batched} != scalar {reference}"
+            scalar.to_bits(),
+            "{}: batched {batched} != scalar {scalar}",
+            out.label
         );
+        pieces += 1;
     }
+    // Quick grid: 2 sizes x 3 round budgets x (3 algorithms + 5 coins).
+    assert_eq!(pieces, 48);
 }
 
 /// E2's cache-fronted `structure_row` matches a row built from a

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 /// use bcc_info::Dist;
 ///
 /// let d = Dist::from_weights(vec![("a", 1.0), ("b", 1.0), ("c", 2.0)]);
-/// assert!((d.prob(&"c") - 0.5).abs() < 1e-12);
+/// assert_eq!(d.iter().last(), Some((&"c", 0.5)));
 /// assert!((d.entropy() - 1.5).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone)]
@@ -65,16 +65,6 @@ impl<T: Ord + Clone> Dist<T> {
         Dist { probs }
     }
 
-    /// Probability of `outcome` (0 if outside the support).
-    pub fn prob(&self, outcome: &T) -> f64 {
-        self.probs.get(outcome).copied().unwrap_or(0.0)
-    }
-
-    /// Support size.
-    pub fn support_size(&self) -> usize {
-        self.probs.len()
-    }
-
     /// Iterates over `(outcome, probability)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&T, f64)> {
         self.probs.iter().map(|(o, &p)| (o, p))
@@ -102,34 +92,39 @@ impl<T: Ord + Clone> Dist<T> {
 mod tests {
     use super::*;
 
+    /// Probability of `outcome` (0 if outside the support).
+    fn prob<T: Ord>(d: &Dist<T>, outcome: &T) -> f64 {
+        d.probs.get(outcome).copied().unwrap_or(0.0)
+    }
+
     #[test]
     fn uniform_entropy_is_log_support() {
         let d = Dist::uniform((0..8).collect());
         assert!((d.entropy() - 3.0).abs() < 1e-12);
-        assert_eq!(d.support_size(), 8);
+        assert_eq!(d.probs.len(), 8);
     }
 
     #[test]
     fn point_has_zero_entropy() {
         let d = Dist::uniform(vec![42]);
         assert_eq!(d.entropy(), 0.0);
-        assert_eq!(d.prob(&42), 1.0);
-        assert_eq!(d.prob(&41), 0.0);
+        assert_eq!(prob(&d, &42), 1.0);
+        assert_eq!(prob(&d, &41), 0.0);
     }
 
     #[test]
     fn weights_normalize_and_merge() {
         let d = Dist::from_weights(vec![("x", 2.0), ("x", 2.0), ("y", 4.0), ("z", 0.0)]);
-        assert!((d.prob(&"x") - 0.5).abs() < 1e-12);
-        assert!((d.prob(&"y") - 0.5).abs() < 1e-12);
-        assert_eq!(d.support_size(), 2, "zero-weight outcome dropped");
+        assert!((prob(&d, &"x") - 0.5).abs() < 1e-12);
+        assert!((prob(&d, &"y") - 0.5).abs() < 1e-12);
+        assert_eq!(d.probs.len(), 2, "zero-weight outcome dropped");
     }
 
     #[test]
     fn map_groups_mass() {
         let d = Dist::uniform((0..10).collect());
         let parity = d.map(|x| x % 2);
-        assert!((parity.prob(&0) - 0.5).abs() < 1e-12);
+        assert!((prob(&parity, &0) - 0.5).abs() < 1e-12);
         assert!((parity.entropy() - 1.0).abs() < 1e-12);
     }
 

@@ -54,14 +54,6 @@ impl<X: Ord + Clone, Y: Ord + Clone> Joint<X, Y> {
         Joint { probs }
     }
 
-    /// The probability of a pair.
-    pub fn prob(&self, x: &X, y: &Y) -> f64 {
-        self.probs
-            .get(&(x.clone(), y.clone()))
-            .copied()
-            .unwrap_or(0.0)
-    }
-
     /// The marginal distribution of `X`.
     pub fn marginal_x(&self) -> Dist<X> {
         Dist::from_weights(
@@ -99,11 +91,6 @@ impl<X: Ord + Clone, Y: Ord + Clone> Joint<X, Y> {
     /// bits (clamped at 0 against floating-point cancellation).
     pub fn mutual_information(&self) -> f64 {
         (self.marginal_x().entropy() + self.marginal_y().entropy() - self.joint_entropy()).max(0.0)
-    }
-
-    /// Number of support pairs.
-    pub fn support_size(&self) -> usize {
-        self.probs.len()
     }
 }
 
@@ -172,7 +159,7 @@ mod tests {
         }
         let j = Joint::from_weights(weights);
         assert!(j.mutual_information().abs() < 1e-9);
-        assert_eq!(j.support_size(), 12);
+        assert_eq!(j.probs.len(), 12);
     }
 
     #[test]
@@ -190,6 +177,6 @@ mod tests {
         let mass = |d: Dist<u32>| d.iter().map(|(_, p)| p).sum::<f64>();
         assert!((mass(j.marginal_x()) - 1.0).abs() < 1e-12);
         assert!((mass(j.marginal_y()) - 1.0).abs() < 1e-12);
-        assert!((j.prob(&0, &0) - 0.75).abs() < 1e-12);
+        assert!((j.probs[&(0, 0)] - 0.75).abs() < 1e-12);
     }
 }

@@ -9,7 +9,10 @@ fn arb_weights(max_support: usize) -> impl Strategy<Value = Vec<f64>> {
         .prop_map(|ws| ws.into_iter().map(|w| w as f64).collect())
 }
 
-fn arb_joint(max_x: usize, max_y: usize) -> impl Strategy<Value = Joint<usize, usize>> {
+fn arb_joint_weights(
+    max_x: usize,
+    max_y: usize,
+) -> impl Strategy<Value = Vec<((usize, usize), f64)>> {
     (1usize..=max_x, 1usize..=max_y).prop_flat_map(|(nx, ny)| {
         proptest::collection::vec(0u32..100, nx * ny).prop_filter_map(
             "needs positive total mass",
@@ -18,15 +21,19 @@ fn arb_joint(max_x: usize, max_y: usize) -> impl Strategy<Value = Joint<usize, u
                 if total == 0 {
                     return None;
                 }
-                let weights: Vec<((usize, usize), f64)> = ws
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, w)| ((i / ny, i % ny), w as f64))
-                    .collect();
-                Some(Joint::from_weights(weights))
+                Some(
+                    ws.into_iter()
+                        .enumerate()
+                        .map(|(i, w)| ((i / ny, i % ny), w as f64))
+                        .collect(),
+                )
             },
         )
     })
+}
+
+fn arb_joint(max_x: usize, max_y: usize) -> impl Strategy<Value = Joint<usize, usize>> {
+    arb_joint_weights(max_x, max_y).prop_map(Joint::from_weights)
 }
 
 proptest! {
@@ -78,17 +85,11 @@ proptest! {
     /// Data processing (deterministic form): I(X; f(Y)) ≤ I(X; Y) for
     /// a fixed coarsening f.
     #[test]
-    fn data_processing(j in arb_joint(6, 8)) {
-        let mut weights: Vec<((usize, usize), f64)> = Vec::new();
-        for x in 0..6usize {
-            for y in 0..8usize {
-                let p = j.prob(&x, &y);
-                if p > 0.0 {
-                    weights.push(((x, y / 2), p));
-                }
-            }
-        }
-        let coarsened = Joint::from_weights(weights);
+    fn data_processing(weights in arb_joint_weights(6, 8)) {
+        let j = Joint::from_weights(weights.clone());
+        let coarsened = Joint::from_weights(
+            weights.into_iter().map(|((x, y), w)| ((x, y / 2), w)).collect(),
+        );
         prop_assert!(coarsened.mutual_information() <= j.mutual_information() + 1e-9);
     }
 

@@ -1,7 +1,7 @@
-//! Workspace walking (optionally parallel) and the JSON/SARIF
-//! renderers. Both output formats are byte-stable: findings arrive
-//! pre-sorted, file parsing is chunked deterministically across
-//! threads, and every string passes through one `escape`.
+//! Workspace walking and the JSON/SARIF renderers. Both output
+//! formats are byte-stable: files are parsed in sorted path order,
+//! findings arrive pre-sorted, and every string passes through one
+//! `escape`.
 
 use crate::rules::Finding;
 use crate::source::SourceFile;
@@ -18,24 +18,13 @@ use std::path::{Path, PathBuf};
 /// lint's own seeded-violation test inputs.
 const SKIP_DIRS: [&str; 5] = ["target", "vendor", ".git", "fixtures", "node_modules"];
 
-/// Reads and lexes every workspace `.rs` file under `root`.
+/// Reads and lexes every workspace `.rs` file under `root`, in
+/// sorted path order.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures (unreadable directory or file).
 pub fn collect_workspace(root: &Path) -> io::Result<Workspace> {
-    collect_workspace_jobs(root, 1)
-}
-
-/// [`collect_workspace`] with `jobs` parser threads. The path list
-/// is split into contiguous chunks and the per-chunk results are
-/// concatenated in order, so the resulting [`Workspace`] — and every
-/// downstream byte — is identical at any thread count.
-///
-/// # Errors
-///
-/// Propagates I/O failures (unreadable directory or file).
-pub fn collect_workspace_jobs(root: &Path, jobs: usize) -> io::Result<Workspace> {
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut nested: Vec<PathBuf> = Vec::new();
     walk(root, &mut paths, &mut nested)?;
@@ -43,48 +32,16 @@ pub fn collect_workspace_jobs(root: &Path, jobs: usize) -> io::Result<Workspace>
     for dir in nested.iter().map(|d| d.join("src")).filter(|d| d.is_dir()) {
         walk(&dir, &mut referrer_paths, &mut Vec::new())?;
     }
-    let mut referrers = Vec::with_capacity(referrer_paths.len());
-    for (path, rel) in relative(root, referrer_paths) {
-        referrers.push(SourceFile::parse(rel, &fs::read_to_string(&path)?));
-    }
-    let rels = relative(root, paths);
-    let jobs = jobs.max(1).min(rels.len().max(1));
-    if jobs == 1 {
-        let mut files = Vec::with_capacity(rels.len());
-        for (path, rel) in rels {
-            let src = fs::read_to_string(&path)?;
-            files.push(SourceFile::parse(rel, &src));
-        }
-        return Ok(Workspace { files, referrers });
-    }
-    let chunk = rels.len().div_ceil(jobs);
-    let results: Vec<io::Result<Vec<SourceFile>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = rels
-            .chunks(chunk)
-            .map(|slice| {
-                s.spawn(move || {
-                    let mut files = Vec::with_capacity(slice.len());
-                    for (path, rel) in slice {
-                        let src = fs::read_to_string(path)?;
-                        files.push(SourceFile::parse(rel.clone(), &src));
-                    }
-                    Ok(files)
-                })
-            })
-            .collect();
-        handles
+    let parse_all = |paths: Vec<PathBuf>| -> io::Result<Vec<SourceFile>> {
+        relative(root, paths)
             .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err(io::Error::other("parser thread panicked")))
-            })
+            .map(|(path, rel)| Ok(SourceFile::parse(rel, &fs::read_to_string(&path)?)))
             .collect()
-    });
-    let mut files = Vec::new();
-    for r in results {
-        files.extend(r?);
-    }
-    Ok(Workspace { files, referrers })
+    };
+    Ok(Workspace {
+        files: parse_all(paths)?,
+        referrers: parse_all(referrer_paths)?,
+    })
 }
 
 /// Sorts `paths` and pairs each with its `/`-separated path relative

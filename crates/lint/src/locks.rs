@@ -3,7 +3,7 @@
 //! Every acquisition site is mapped to a *lock class*:
 //!
 //! * `self.state.lock()` inside `impl Admission` → `Admission::state`;
-//! * `shard.lock()` where `shard: &Shard<T>` → `Shard` (parameter
+//! * `slot.lock()` where `slot: &Slot<T>` → `Slot` (parameter
 //!   types name the class);
 //! * a chain rooted in an unknown local → a per-function unique
 //!   class (it cannot alias anything else).
@@ -25,7 +25,7 @@
 //! 1. **Cycles** (strongly connected components, self-edges
 //!    included): a potential deadlock between concurrent call paths.
 //! 2. **Canonical serve order** (DESIGN.md §11): server → admission
-//!    → pool → store → hub. A pair acquiring a lower-ranked class
+//!    → store → hub. A pair acquiring a lower-ranked class
 //!    while holding a higher-ranked one is an inversion even without
 //!    a full cycle in the code today.
 
@@ -47,19 +47,18 @@ fn rank(class: &str) -> Option<u32> {
     match ty {
         "Server" | "Results" => Some(0),
         "Admission" => Some(1),
-        "DrainGate" | "Shard" => Some(2),
-        "ArtifactStore" => Some(3),
-        "MetricsHub" | "Collector" => Some(4),
+        "ArtifactStore" => Some(2),
+        "MetricsHub" | "Collector" => Some(3),
         // Socket-transport coordinator locks: a round exchange runs
         // under the trace scope (Collector), so the factory slot and
         // the worker-group link table sit innermost.
-        "SocketFactory" => Some(5),
-        "WorkerGroup" => Some(6),
+        "SocketFactory" => Some(4),
+        "WorkerGroup" => Some(5),
         // The telemetry buffer is acquired under the group lock while
         // an ended session's spans are recorded, and is always
         // released before the flush absorbs into Collector/MetricsHub
         // — so it sits innermost of all.
-        "TelemetryStore" => Some(7),
+        "TelemetryStore" => Some(6),
         _ => None,
     }
 }
@@ -192,7 +191,7 @@ pub fn rule_l1(ws: &Workspace, model: &Model, out: &mut Vec<Finding>) {
             severity: "error",
             message: format!(
                 "`{a}` acquired while holding `{h}` — inverts the canonical \
-                 serve lock order (server -> admission -> pool -> store -> hub, \
+                 serve lock order (server -> admission -> store -> hub, \
                  DESIGN.md \u{a7}11)"
             ),
             snippet: by_path

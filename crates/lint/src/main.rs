@@ -11,8 +11,6 @@
 //!   --format FMT        output format: text (default), json (JSONL),
 //!                       or sarif (single SARIF 2.1.0 document)
 //!   --json              shorthand for --format json
-//!   --jobs N            parse files on N threads (output is
-//!                       byte-identical at any N)
 //!   --explain RULE      print the rationale for a rule id and exit
 //!
 //! Exit codes follow the runner's conventions: 0 clean, 1 findings,
@@ -24,7 +22,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: bcc-lint [--root DIR] [--baseline write|check] \
-                     [--format text|json|sarif] [--json] [--jobs N] [--explain RULE]";
+                     [--format text|json|sarif] [--json] [--explain RULE]";
 
 const BASELINE_FILE: &str = "lint-baseline.toml";
 
@@ -49,7 +47,6 @@ struct Cli {
     root: PathBuf,
     mode: BaselineMode,
     format: Format,
-    jobs: usize,
     explain: Option<String>,
 }
 
@@ -57,7 +54,6 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
     let mut root = None;
     let mut mode = BaselineMode::Off;
     let mut format = Format::Text;
-    let mut jobs = 1usize;
     let mut explain = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -89,16 +85,6 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
                 };
             }
             "--json" => format = Format::Json,
-            "--jobs" => {
-                jobs = it
-                    .next()
-                    .ok_or("--jobs needs a value")?
-                    .parse()
-                    .map_err(|_| "--jobs needs a positive integer".to_string())?;
-                if jobs == 0 {
-                    return Err("--jobs needs a positive integer".to_string());
-                }
-            }
             "--explain" => {
                 explain = Some(it.next().ok_or("--explain needs a rule id")?);
             }
@@ -109,7 +95,6 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
         root: root.unwrap_or_else(default_root),
         mode,
         format,
-        jobs,
         explain,
     })
 }
@@ -159,7 +144,7 @@ fn main() -> ExitCode {
 }
 
 fn run(cli: &Cli) -> Result<ExitCode, String> {
-    let ws = engine::collect_workspace_jobs(&cli.root, cli.jobs)
+    let ws = engine::collect_workspace(&cli.root)
         .map_err(|e| format!("walking {}: {e}", cli.root.display()))?;
     let findings = rules::run_all(&ws);
     let baseline_path = cli.root.join(BASELINE_FILE);

@@ -29,8 +29,9 @@
 //!   `all` runs.
 //! * **U1** — public surface only tests reach: a `pub fn` in a
 //!   library crate (`crates/*/src`, not `main.rs` or `src/bin/`) whose
-//!   name, as an identifier, appears in no non-test code besides its
-//!   own definition. Name-based and conservative: any non-test use of
+//!   name, as an identifier, appears in no non-test code except as
+//!   the name of an `fn` definition (its own or a namesake's).
+//!   Name-based and conservative: any non-test use of
 //!   the name — in the workspace or in a nested workspace's `src/`
 //!   ([`Workspace::referrers`]) — keeps it silent. A bare `allow(U1)`
 //!   is itself a finding, as with A1.
@@ -39,7 +40,7 @@
 
 use crate::lexer::TokKind;
 use crate::source::SourceFile;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -213,8 +214,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "U1" => {
             "U1 — public surface only tests reach. A `pub fn` in a library \
              crate (crates/*/src, not main.rs or src/bin/) whose name, as an \
-             identifier, appears in no non-test code besides its own \
-             definition: delete it, or move it into the test that uses it. \
+             identifier, appears in no non-test code except as the name \
+             of an fn definition: delete it, or move it into the test that uses it. \
              Test code is `tests/`, `benches/`, `examples/` and \
              `#[cfg(test)]`/`#[test]` items; the nested perfbench/src \
              workspace counts as a referrer. Scalar reference oracles may \
@@ -498,13 +499,17 @@ fn is_library_file(path: &str) -> bool {
         && !path.contains("/src/bin/")
 }
 
-/// U1: `pub fn`s whose name no non-test code uses.
+/// U1: `pub fn`s whose name no non-test code uses. The name token of
+/// an `fn` definition is not a use, so two same-named test-only
+/// `pub fn`s in different files do not hide each other.
 fn rule_u1(ws: &Workspace, out: &mut Vec<Finding>) {
-    let mut uses: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut uses: BTreeSet<&str> = BTreeSet::new();
     for file in ws.files.iter().chain(&ws.referrers) {
+        let mut after_fn = false;
         for t in file.code() {
-            if t.kind == TokKind::Ident && !file.is_test_line(t.line) {
-                *uses.entry(t.text.as_str()).or_default() += 1;
+            let defined = std::mem::replace(&mut after_fn, t.is_ident("fn"));
+            if t.kind == TokKind::Ident && !defined && !file.is_test_line(t.line) {
+                uses.insert(t.text.as_str());
             }
         }
     }
@@ -516,7 +521,7 @@ fn rule_u1(ws: &Workspace, out: &mut Vec<Finding>) {
                 || !kw.is_ident("fn")
                 || name.kind != TokKind::Ident
                 || file.is_test_line(name.line)
-                || uses.get(name.text.as_str()).copied().unwrap_or(0) > 1
+                || uses.contains(name.text.as_str())
             {
                 continue;
             }

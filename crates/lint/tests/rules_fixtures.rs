@@ -148,13 +148,22 @@ fn u1_flags_pub_fns_that_only_tests_reach() {
     // flagged: a library caller (`used_in_lib`), a nested-workspace
     // `src/` caller (`bench_only`), a `#[cfg(not(test))]` caller
     // (`production_only`), a justified allow, and `pub fn`s of
-    // `main.rs` and `src/bin/` targets.
-    assert_eq!(u1.len(), 2, "{u1:#?}");
+    // `main.rs` and `src/bin/` targets. The two test-only `twin`s
+    // are both flagged: a definition's name is not a use.
+    assert_eq!(u1.len(), 4, "{u1:#?}");
     assert_eq!(u1[0].0, "crates/lib_a/src/lib.rs");
     assert!(u1[0].1.contains("pub fn only_tests"), "{u1:#?}");
     assert!(u1[0].2.contains("no caller outside test code"));
     assert!(u1[1].1.contains("pub fn bare_allow"), "{u1:#?}");
     assert!(u1[1].2.contains("no justification"));
+    for (finding, file) in u1[2..]
+        .iter()
+        .zip(["crates/lib_a/src/twin.rs", "crates/lib_b/src/lib.rs"])
+    {
+        assert_eq!(finding.0, file, "{u1:#?}");
+        assert!(finding.1.contains("pub fn twin"), "{u1:#?}");
+        assert!(finding.2.contains("no caller outside test code"));
+    }
     assert!(findings.iter().all(|f| f.rule == "U1"), "{findings:#?}");
 }
 

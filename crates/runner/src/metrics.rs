@@ -23,7 +23,6 @@ pub struct Metrics {
     timed_out: AtomicU64,
     cancelled: AtomicU64,
     panicked: AtomicU64,
-    stolen: AtomicU64,
     /// Per-job wall-clock latency (one sample per finished job).
     pub latency: Histogram,
 }
@@ -54,7 +53,6 @@ impl Metrics {
         inc_timed_out / timed_out -> timed_out,
         inc_cancelled / cancelled -> cancelled,
         inc_panicked / panicked -> panicked,
-        inc_stolen / stolen -> stolen,
     }
 
     /// A point-in-time copy of every counter and the histogram.
@@ -66,7 +64,6 @@ impl Metrics {
             timed_out: self.timed_out(),
             cancelled: self.cancelled(),
             panicked: self.panicked(),
-            stolen: self.stolen(),
             latency: self.latency.snapshot(),
         }
     }
@@ -87,8 +84,6 @@ pub struct MetricsSnapshot {
     pub cancelled: u64,
     /// Attempts that panicked (isolated by `catch_unwind`).
     pub panicked: u64,
-    /// Jobs a worker stole from another worker's shard.
-    pub stolen: u64,
     /// Latency histogram snapshot (microsecond samples).
     pub latency: HistogramSnapshot,
 }
@@ -112,11 +107,12 @@ impl MetricsSnapshot {
             "jobs      scheduled {:>6}  completed {:>6}  failed {:>4}  timed-out {:>4}  cancelled {:>4}\n",
             self.scheduled, self.completed, self.failed, self.timed_out, self.cancelled
         ));
-        // A job runs once, so `retried` is always 0; the column stays
-        // so the line keeps its shape.
+        // A job runs once and the one queue has nothing to steal, so
+        // `retried` and `stolen` are always 0; the columns stay so the
+        // line keeps its shape.
         out.push_str(&format!(
-            "attempts  retried   {:>6}  panicked  {:>6}  stolen {:>4}\n",
-            0, self.panicked, self.stolen
+            "attempts  retried        0  panicked  {:>6}  stolen    0\n",
+            self.panicked
         ));
         out.push_str(&format!(
             "latency   mean {}  p50<= {}  p90<= {}  p99<= {}  max {}\n",
@@ -132,15 +128,15 @@ impl MetricsSnapshot {
     /// This snapshot as one JSONL record (`"type":"metrics"`), the
     /// final line of a `--json` run. Key order is fixed; the output
     /// contains only plain JSON numbers, so the record is stable
-    /// byte-for-byte for equal snapshots. `retried` is always 0, as in
-    /// the summary table. The latency object is the shared
-    /// [`HistogramSnapshot`] schema with the `_us` unit suffix.
+    /// byte-for-byte for equal snapshots. `retried` and `stolen` are
+    /// always 0, as in the summary table. The latency object is the
+    /// shared [`HistogramSnapshot`] schema with the `_us` unit suffix.
     pub fn to_jsonl(&self) -> String {
         format!(
             concat!(
                 "{{\"type\":\"metrics\",\"scheduled\":{},\"completed\":{},",
                 "\"failed\":{},\"retried\":0,\"timed_out\":{},",
-                "\"cancelled\":{},\"panicked\":{},\"stolen\":{},",
+                "\"cancelled\":{},\"panicked\":{},\"stolen\":0,",
                 "\"latency\":{}}}"
             ),
             self.scheduled,
@@ -149,7 +145,6 @@ impl MetricsSnapshot {
             self.timed_out,
             self.cancelled,
             self.panicked,
-            self.stolen,
             self.latency.to_json("_us"),
         )
     }
@@ -172,6 +167,8 @@ mod tests {
         assert!(rec.contains("\"scheduled\":1"));
         assert!(rec.contains("\"latency\":{\"count\":1,\"mean_us\":100.0"));
         assert!(rec.contains("\"max_us\":100"));
+        assert!(rec.contains("\"retried\":0,\"timed_out\":0,"));
+        assert!(rec.contains("\"panicked\":0,\"stolen\":0,\"latency\""));
         assert!(!rec.contains('\n'));
     }
 
@@ -195,5 +192,6 @@ mod tests {
         let t = m.snapshot().summary_table();
         assert!(t.contains("scheduled"));
         assert!(t.contains("completed"));
+        assert!(t.contains("\nattempts  retried        0  panicked       0  stolen    0\n"));
     }
 }

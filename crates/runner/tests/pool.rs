@@ -1,10 +1,10 @@
-//! End-to-end behavior of the work-stealing pool: ordering,
-//! panic isolation, deadlines, cancellation, metrics accounting.
+//! End-to-end behavior of the one-queue pool: submission order,
+//! panic isolation (inside the job and around it), deadlines,
+//! cancellation, metrics accounting.
 
 use bcc_metrics::MetricsHub;
 use bcc_runner::{CancellationToken, Job, JobError, JobResult, JobSpec, JobStatus, Pool};
 use bcc_trace::Collector;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Runs one batch on `pool` with a fresh token and no observers.
@@ -171,9 +171,9 @@ fn empty_job_list_is_fine() {
 }
 
 #[test]
-fn work_stealing_engages_on_imbalanced_loads() {
-    // One shard gets all the slow jobs (round-robin over 2 workers with
-    // slow jobs at even indices); stealing must move some of them.
+fn imbalanced_loads_all_complete() {
+    // Slow jobs at every even index: the idle worker keeps claiming
+    // from the shared queue while the other sleeps.
     let pool = Pool::new(2);
     let jobs: Vec<Job<u64>> = (0..32)
         .map(|i| {
@@ -189,11 +189,55 @@ fn work_stealing_engages_on_imbalanced_loads() {
     assert!(results
         .iter()
         .all(|r| matches!(r.status, JobStatus::Completed(_))));
-    // Not asserting a specific steal count (timing-dependent), just
-    // that the counter is wired.
     let m = pool.metrics().snapshot();
     assert_eq!(m.completed, 32);
-    assert!(m.stolen <= 32);
+}
+
+/// A panic payload whose own `Drop` panics. The pool drops the
+/// payload after the job's `catch_unwind` returned, so that second
+/// panic starts outside the job body.
+struct PanicOnDrop;
+
+impl Drop for PanicOnDrop {
+    fn drop(&mut self) {
+        panic!("payload drop exploded");
+    }
+}
+
+#[test]
+fn a_panic_outside_the_job_body_fails_only_that_job() {
+    for threads in [1, 4] {
+        let pool = Pool::new(threads);
+        let mut jobs: Vec<Job<u64>> = (0..10).map(|i| ok_job(&format!("ok{i}"), i)).collect();
+        jobs.insert(
+            3,
+            Job::new(
+                JobSpec::new("bad-payload", 99),
+                |_ctx| -> Result<u64, JobError> { std::panic::panic_any(PanicOnDrop) },
+            ),
+        );
+        let results = execute(&pool, jobs);
+        assert_eq!(results.len(), 11);
+        assert_eq!(results[3].id, "bad-payload");
+        assert!(
+            matches!(results[3].status, JobStatus::Failed(_)),
+            "threads={threads}: {:?}",
+            results[3].status
+        );
+        let others: Vec<_> = results
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != 3)
+            .map(|(_, r)| (r.id.clone(), r.status.output().copied()))
+            .collect();
+        let expected: Vec<_> = (0..10u64)
+            .map(|i| (format!("ok{i}"), Some(i * 10)))
+            .collect();
+        assert_eq!(others, expected, "threads={threads}");
+        let m = pool.metrics().snapshot();
+        assert_eq!(m.scheduled, m.completed + m.failed, "threads={threads}");
+        assert_eq!((m.completed, m.failed), (10, 1), "threads={threads}");
+    }
 }
 
 mod tracing {
@@ -273,53 +317,5 @@ mod tracing {
             .events()
             .iter()
             .all(|e| matches!(e.kind, EventKind::SpanStart | EventKind::SpanEnd)));
-    }
-}
-
-mod drain {
-    use super::*;
-
-    #[test]
-    fn draining_pool_refuses_new_batches_as_cancelled() {
-        let pool = Pool::new(4);
-        pool.begin_drain();
-        let results = execute(&pool, (0..5).map(|i| ok_job(&format!("j{i}"), i)).collect());
-        assert_eq!(results.len(), 5);
-        assert!(results.iter().all(|r| r.status == JobStatus::Cancelled));
-        let m = pool.metrics().snapshot();
-        assert_eq!(m.scheduled, 5);
-        assert_eq!(m.cancelled, 5);
-    }
-
-    #[test]
-    fn wait_idle_returns_after_in_flight_batch_finishes() {
-        let pool = Arc::new(Pool::new(2));
-        assert_eq!(pool.in_flight(), 0);
-        assert!(pool.wait_idle(Some(Duration::from_millis(10))));
-        let worker = {
-            let pool = Arc::clone(&pool);
-            std::thread::spawn(move || {
-                let jobs: Vec<Job<u64>> = (0..4)
-                    .map(|i| {
-                        Job::new(JobSpec::new(format!("slow{i}"), i), |ctx| {
-                            std::thread::sleep(Duration::from_millis(30));
-                            Ok(ctx.seed)
-                        })
-                    })
-                    .collect();
-                execute(&pool, jobs)
-            })
-        };
-        // The batch takes ≥30ms; an unbounded wait from a drain
-        // observer must return only once it is done.
-        std::thread::sleep(Duration::from_millis(5));
-        pool.begin_drain();
-        assert!(pool.wait_idle(Some(Duration::from_secs(10))));
-        assert_eq!(pool.in_flight(), 0);
-        let results = worker.join().expect("worker joins");
-        assert!(results.iter().all(|r| r.status.output().is_some()));
-        // After the drain, fresh batches are refused.
-        let refused = execute(&pool, vec![ok_job("late", 1)]);
-        assert_eq!(refused[0].status, JobStatus::Cancelled);
     }
 }

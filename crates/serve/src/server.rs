@@ -7,7 +7,7 @@
 //! store, and every byte a request produces — its `result` line, its
 //! `serve.*` metrics, its request span — is a pure function of the
 //! admission sequence, never of connection interleaving. Concurrency
-//! lives *inside* a request (the pool shards its jobs), not across
+//! lives *inside* a request (the pool runs its shards in parallel), not across
 //! requests.
 //!
 //! This module is clock-free (lint rule D2): deadlines are delegated
@@ -357,7 +357,8 @@ impl Server {
     }
 
     /// Graceful drain: refuse new work, finish everything admitted,
-    /// quiesce the pool, flush metrics/trace dumps. Idempotent; every
+    /// join the scheduler (the pool's only caller, so no batch is left
+    /// running), flush metrics/trace dumps. Idempotent; every
     /// caller blocks until the first caller's drain completes and
     /// gets the same drained count back.
     pub fn drain(&self) -> u64 {
@@ -393,8 +394,6 @@ impl Server {
         if let Some(handle) = handle {
             let _ = handle.join();
         }
-        self.pool.begin_drain();
-        self.pool.wait_idle(None);
         if let Err(err) = self.flush_dumps() {
             eprintln!("bcc-serve: flush failed: {err}");
         }
