@@ -5,7 +5,7 @@ use crate::crossing::{are_independent, cross_instance, DirectedEdge};
 use bcc_graphs::cycles::{classify_two_cycle, TwoCycleClass};
 use bcc_graphs::enumerate::{one_cycles, two_cycle_graphs};
 use bcc_graphs::generators;
-use bcc_model::{Algorithm, Decision, Instance, SimConfig};
+use bcc_model::{Algorithm, Decision, Instance, RoundBuffers, SimConfig};
 
 /// A weighted instance of the `TwoCycle` problem: the instance, its
 /// ground truth, and its probability mass.
@@ -97,16 +97,21 @@ pub fn uniform_two_cycle_distribution(n: usize) -> Vec<WeightedInstance> {
 /// which the *system decision* (YES iff all vertices vote YES;
 /// undecided counts against YES, per Section 1.2) disagrees with the
 /// ground truth.
+///
+/// The runs are unrecorded, since decisions do not depend on
+/// transcript recording, and every run refills one lent outbox and
+/// view ([`SimConfig::run_with`]).
 pub fn distributional_error(
     dist: &[WeightedInstance],
     algorithm: &dyn Algorithm,
     t: usize,
     coin_seed: u64,
 ) -> f64 {
-    let sim = SimConfig::bcc1(t);
+    let sim = SimConfig::bcc1(t).transcripts(false);
+    let mut buffers = RoundBuffers::default();
     dist.iter()
         .map(|wi| {
-            let out = sim.run(&wi.instance, algorithm, coin_seed);
+            let out = sim.run_with(&wi.instance, algorithm, coin_seed, &mut buffers);
             let said_yes = out.system_decision() == Decision::Yes;
             if said_yes == wi.is_one_cycle {
                 0.0

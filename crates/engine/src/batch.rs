@@ -25,8 +25,8 @@
 //! sessions: one per 64 runs instead of one per run.
 
 use bcc_metrics::MetricsBuf;
-use bcc_model::transport::{RoundView, Routes, Transport, TransportError};
-use bcc_model::{Algorithm, Instance, Message, RunOutcome, RunState, SimConfig};
+use bcc_model::transport::{Routes, Transport, TransportError};
+use bcc_model::{Algorithm, Instance, Message, RoundBuffers, RunOutcome, RunState, SimConfig};
 use bcc_trace::{field, TraceBuf};
 
 /// The lane-width ceiling: one bit per lane in the `u64` active mask.
@@ -34,15 +34,6 @@ pub const MAX_LANES: usize = 64;
 
 /// One batch member: the instance to run and its public-coin seed.
 pub type Lane<'a> = (&'a Instance, u64);
-
-/// The buffers one batch refills every round: the stacked outbox and
-/// the stacked view. A sweep lends one set to every batch, so after
-/// the first batch no inbox vector is allocated again.
-#[derive(Debug, Default)]
-pub(crate) struct BatchBuffers {
-    outbox: Vec<Message>,
-    view: RoundView,
-}
 
 /// The batched executor. Construction is cheap; one value can run any
 /// number of batches.
@@ -76,7 +67,7 @@ impl BatchRun {
     /// Panics if `lanes` is empty, has more than [`MAX_LANES`]
     /// entries, or mixes instances with different vertex counts.
     pub fn run(&self, lanes: &[Lane<'_>], algorithm: &dyn Algorithm) -> Vec<RunOutcome> {
-        self.run_with(lanes, algorithm, &mut BatchBuffers::default())
+        self.run_with(lanes, algorithm, &mut RoundBuffers::default())
     }
 
     /// [`run`](Self::run) with borrowed round buffers.
@@ -84,7 +75,7 @@ impl BatchRun {
         &self,
         lanes: &[Lane<'_>],
         algorithm: &dyn Algorithm,
-        buffers: &mut BatchBuffers,
+        buffers: &mut RoundBuffers,
     ) -> Vec<RunOutcome> {
         match self.try_run_with(lanes, algorithm, buffers) {
             Ok(outcomes) => outcomes,
@@ -129,7 +120,7 @@ impl BatchRun {
         lanes: &[Lane<'_>],
         algorithm: &dyn Algorithm,
     ) -> Result<Vec<RunOutcome>, TransportError> {
-        self.try_run_with(lanes, algorithm, &mut BatchBuffers::default())
+        self.try_run_with(lanes, algorithm, &mut RoundBuffers::default())
     }
 
     /// [`try_run`](Self::try_run) with borrowed round buffers.
@@ -137,7 +128,7 @@ impl BatchRun {
         &self,
         lanes: &[Lane<'_>],
         algorithm: &dyn Algorithm,
-        buffers: &mut BatchBuffers,
+        buffers: &mut RoundBuffers,
     ) -> Result<Vec<RunOutcome>, TransportError> {
         let mut transport = self.cfg.transport_factory().create();
         let result = self.cfg.observer().with(|trace, metrics| {
@@ -160,7 +151,7 @@ impl BatchRun {
     /// is its own transport session, and all of them refill one
     /// outbox and one view.
     pub fn run_chunked(&self, lanes: &[Lane<'_>], algorithm: &dyn Algorithm) -> Vec<RunOutcome> {
-        let mut buffers = BatchBuffers::default();
+        let mut buffers = RoundBuffers::default();
         let mut outcomes = Vec::with_capacity(lanes.len());
         for chunk in lanes.chunks(MAX_LANES) {
             outcomes.extend(self.run_with(chunk, algorithm, &mut buffers));
@@ -193,7 +184,7 @@ fn run_batch_impl(
     transport: &mut dyn Transport,
     lanes: &[Lane<'_>],
     algorithm: &dyn Algorithm,
-    buffers: &mut BatchBuffers,
+    buffers: &mut RoundBuffers,
     trace: &mut TraceBuf,
     metrics: &mut MetricsBuf,
 ) -> Result<Vec<RunOutcome>, TransportError> {
@@ -238,7 +229,7 @@ fn run_batch_impl(
 
     // One stacked outbox and one stacked view, lent by the caller and
     // refilled every round: lane `i`'s vertices are `i·n..(i + 1)·n`.
-    let BatchBuffers { outbox, view } = buffers;
+    let RoundBuffers { outbox, view } = buffers;
     outbox.clear();
     outbox.reserve(l * n);
     for round in 0..cfg.max_rounds() {

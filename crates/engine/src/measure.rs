@@ -9,12 +9,12 @@
 //! summation order*, so a report assembled from batched numbers never
 //! differs from the scalar report by even a ULP.
 
-use crate::batch::{BatchBuffers, BatchRun, Lane, MAX_LANES};
+use crate::batch::{BatchRun, Lane, MAX_LANES};
 use bcc_comm::reduction::{gadget_graph, Gadget};
 use bcc_comm::simulate::SimulationReport;
 use bcc_comm::CommError;
 use bcc_core::hard::WeightedInstance;
-use bcc_model::{Algorithm, Decision, Instance, ModelError, SimConfig};
+use bcc_model::{Algorithm, Decision, Instance, ModelError, RoundBuffers, SimConfig};
 use bcc_partitions::SetPartition;
 
 /// Failure to assemble a batched measurement's instances.
@@ -56,9 +56,10 @@ impl From<ModelError> for EngineError {
 /// Byte-identical to the scalar function for every distribution: the
 /// mismatch weights are accumulated in distribution order (batches
 /// are contiguous slices), so the `f64` additions happen in the exact
-/// sequence the scalar `.sum()` performs. Transcript recording is
-/// skipped — decisions are independent of it — which is where most of
-/// the per-run saving comes from. To observe the kernel, run
+/// sequence the scalar `.sum()` performs. Both sweeps run unrecorded
+/// (decisions are independent of transcript recording), so the saving
+/// here is the kernel's alone: one transport session and one round
+/// loop per 64 runs. To observe the kernel, run
 /// [`BatchRun::distributional_error`] under an observing config.
 pub fn distributional_error_batched(
     dist: &[WeightedInstance],
@@ -117,7 +118,7 @@ impl BatchRun {
     ) -> f64 {
         let mut error = 0.0f64;
         // Every batch refills one outbox and one view.
-        let mut buffers = BatchBuffers::default();
+        let mut buffers = RoundBuffers::default();
         let mut i = 0;
         while i < dist.len() {
             // A batch is a maximal contiguous same-shape slice of the

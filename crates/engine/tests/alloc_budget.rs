@@ -2,9 +2,10 @@
 //! run is set up, a round allocates nothing, on the batched kernel and
 //! on the scalar driver, and the inline `Message` forms never touch the
 //! heap. Set-up is pinned per run: a warm instance hands out initial
-//! knowledge without allocating, a warm batch allocates an exact count
-//! per lane, and a sweep's later chunks reuse the first chunk's inbox
-//! vectors. Unobserved configurations are free to build and clone.
+//! knowledge without allocating, a warm batch and a warm scalar run
+//! with lent buffers allocate an exact count, and a sweep's later
+//! chunks or runs reuse the first one's outbox and inbox vectors.
+//! Unobserved configurations are free to build and clone.
 //!
 //! A counting global allocator tallies allocations per thread, so
 //! tests running in parallel in this binary cannot disturb each
@@ -12,9 +13,10 @@
 
 use bcc_algorithms::HashVoteDecider;
 use bcc_comm::driver::DriverOpts;
+use bcc_core::hard::{distributional_error, WeightedInstance};
 use bcc_engine::{BatchRun, Lane, MAX_LANES};
 use bcc_graphs::generators;
-use bcc_model::{Instance, Message, SimConfig, Symbol};
+use bcc_model::{Instance, Message, RoundBuffers, SimConfig, Symbol};
 use bcc_trace::Observer;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -178,6 +180,47 @@ fn second_chunk_allocates_no_inbox_vectors() {
     let fresh = BATCH_FIXED + MAX_LANES as u64 * BATCH_PER_LANE;
     let lent = MAX_LANES as u64 * 7 + 2;
     assert_eq!(two - one, fresh - lent);
+}
+
+/// Allocations of a warm scalar `HashVoteDecider` run with recording
+/// off and borrowed round buffers: the transport box, the program
+/// vector and the 7 boxed programs, and the outcome's decision, label
+/// and spanning-edge vectors.
+const SCALAR_LENT: u64 = 12;
+
+#[test]
+fn lent_scalar_run_allocates_a_pinned_count() {
+    let instance = Instance::new_kt0(generators::two_cycles(3, 4), 9).expect("valid");
+    let cfg = SimConfig::bcc1(2).transcripts(false);
+    let algorithm = HashVoteDecider::new(2);
+    let mut buffers = RoundBuffers::default();
+    cfg.run_with(&instance, &algorithm, 5, &mut buffers);
+    let (outcome, lent) = allocations(|| cfg.run_with(&instance, &algorithm, 5, &mut buffers));
+    assert_eq!(outcome.stats().rounds, 2);
+    assert_eq!(lent, SCALAR_LENT);
+    // A run with fresh buffers also allocates the outbox, the view's
+    // inbox list and its 7 inbox vectors.
+    let (_, fresh) = allocations(|| cfg.run(&instance, &algorithm, 5));
+    assert_eq!(fresh - lent, 2 + 7);
+}
+
+#[test]
+fn scalar_sweep_lends_its_buffers_to_every_run() {
+    let dist: Vec<WeightedInstance> = lanes_instances()
+        .into_iter()
+        .take(3)
+        .map(|instance| WeightedInstance {
+            instance,
+            is_one_cycle: false,
+            weight: 1.0 / 3.0,
+        })
+        .collect();
+    let algorithm = HashVoteDecider::new(2);
+    distributional_error(&dist, &algorithm, 2, 5);
+    let (_, two) = allocations(|| distributional_error(&dist[..2], &algorithm, 2, 5));
+    let (_, three) = allocations(|| distributional_error(&dist, &algorithm, 2, 5));
+    // The third run refills the buffers the first run allocated.
+    assert_eq!(three - two, SCALAR_LENT);
 }
 
 #[test]

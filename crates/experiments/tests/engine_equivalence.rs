@@ -3,18 +3,20 @@
 //! artifact cache) produces numbers byte-identical to the scalar
 //! originals, reports are byte-identical at any thread count, and a
 //! cold cache, a warm cache, and no cache at all produce the same
-//! report bytes.
+//! report bytes. The error sweeps run unrecorded, so E2's roster is
+//! also checked to decide alike with recording on and off.
 
 use bcc_algorithms::{
     HashVoteDecider, Kt0Upgrade, NeighborIdBroadcast, ParityDecider, Problem, Truncated,
 };
 use bcc_comm::reduction::Gadget;
 use bcc_comm::simulate::simulate_two_party;
-use bcc_core::hard::{distributional_error, star_distribution};
+use bcc_core::hard::{distributional_error, star_distribution, uniform_two_cycle_distribution};
 use bcc_core::indist::IndistGraph;
 use bcc_experiments::job::{Value, DEFAULT_SEED};
 use bcc_experiments::RunRequest;
 use bcc_model::testing::ConstantDecision;
+use bcc_model::{Algorithm, SimConfig};
 use bcc_partitions::random::uniform_matching_partition;
 use rand::SeedableRng;
 
@@ -88,6 +90,39 @@ fn e2_structure_row_matches_direct_graph() {
     );
     assert_eq!(cached.expansion.to_bits(), expansion.to_bits());
     assert!(cached.degrees_exact);
+}
+
+/// Both error sweeps run unrecorded, so this pins what they rest on
+/// with E2's roster on the paper's hard distribution: on every
+/// instance, a recorded run and an unrecorded one agree on decisions,
+/// statistics and completion.
+#[test]
+fn e2_roster_runs_agree_recorded_and_unrecorded() {
+    let dist = uniform_two_cycle_distribution(6);
+    for t in [1usize, 2] {
+        let trunc = Truncated::new(
+            Kt0Upgrade::new(NeighborIdBroadcast::new(Problem::TwoCycle)),
+            t,
+        );
+        let roster: [&dyn Algorithm; 4] = [
+            &ConstantDecision::yes(),
+            &HashVoteDecider::new(t),
+            &ParityDecider::new(t),
+            &trunc,
+        ];
+        let (recording, unrecorded) = (SimConfig::bcc1(t), SimConfig::bcc1(t).transcripts(false));
+        for algorithm in roster {
+            for (i, wi) in dist.iter().enumerate() {
+                let on = recording.run(&wi.instance, algorithm, 0);
+                let off = unrecorded.run(&wi.instance, algorithm, 0);
+                let at = format!("{} t={t} instance {i}", algorithm.name());
+                assert!(on.recorded() && !off.recorded(), "{at}");
+                assert_eq!(on.decisions(), off.decisions(), "{at}");
+                assert_eq!(on.stats(), off.stats(), "{at}");
+                assert_eq!(on.completed(), off.completed(), "{at}");
+            }
+        }
+    }
 }
 
 /// E5's batched `sim_row` reproduces the scalar per-pair simulation

@@ -35,6 +35,15 @@
 //!   the name — in the workspace or in a nested workspace's `src/`
 //!   ([`Workspace::referrers`]) — keeps it silent. A bare `allow(U1)`
 //!   is itself a finding, as with A1.
+//! * **G1** — reads of the artifact store's process-global counters
+//!   (`.hits()`, `.misses()`, `.lookups()`, [`G1_COUNTERS`]) in
+//!   non-test code. Their values depend on what earlier runs left in
+//!   a shared store, so a report, trace or dump that read them would
+//!   differ across `--jobs`, cache warmth and daemon uptime; counts
+//!   that reach an artifact are taken per job (`thread_lookups`). A
+//!   read that never reaches one, such as the daemon's live `stats`
+//!   reply, stays behind an allow, and a bare `allow(G1)` is itself a
+//!   finding.
 //!
 //! [`Report`]: https://docs.rs/bcc-experiments
 
@@ -109,6 +118,10 @@ pub const D2_EXEMPT: [&str; 2] = ["crates/runner/", "crates/bench/"];
 /// and OS-entropy reads stay forbidden even in these files.
 pub const D2_CARVEOUTS: [&str; 1] = ["crates/serve/src/net.rs"];
 
+/// `ArtifactStore` methods that read its process-global counters: the
+/// G1 scope. Matched by name as empty-argument method calls.
+pub const G1_COUNTERS: [&str; 3] = ["hits", "lookups", "misses"];
+
 /// Path prefix of the protocol crate checked by K1.
 pub const K1_PATH: &str = "crates/algorithms/";
 
@@ -138,6 +151,7 @@ pub fn run_all(ws: &Workspace) -> Vec<Finding> {
         rule_p1(file, &mut out);
         rule_k1(file, &mut out);
         rule_a1(file, &mut out);
+        rule_g1(file, &mut out);
     }
     rule_r1(ws, &mut out);
     rule_u1(ws, &mut out);
@@ -149,7 +163,7 @@ pub fn run_all(ws: &Workspace) -> Vec<Finding> {
 
 /// Every rule id, in report order — the baseline and SARIF renderers
 /// iterate this.
-pub const ALL_RULES: &[&str] = &["A1", "D1", "D2", "K1", "L1", "N1", "P1", "R1", "U1"];
+pub const ALL_RULES: &[&str] = &["A1", "D1", "D2", "G1", "K1", "L1", "N1", "P1", "R1", "U1"];
 
 /// One-paragraph rationale per rule, for `--explain <rule>`.
 pub fn explain(rule: &str) -> Option<&'static str> {
@@ -221,6 +235,17 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              workspace counts as a referrer. Scalar reference oracles may \
              stay with `// bcc-lint: allow(U1): <reason>`."
         }
+        "G1" => {
+            "G1 — reads of the artifact store's process-global counters \
+             (`.hits()`, `.misses()`, `.lookups()`) in non-test code. They \
+             count every lookup any run made on a shared store, so a \
+             report, trace or dump built from them would depend on \
+             `--jobs`, cache warmth and daemon uptime. Count per job with \
+             `thread_lookups` instead. A read that never reaches an \
+             artifact (the daemon's live `stats` reply) may stay with \
+             `// bcc-lint: allow(G1): <reason>`; a bare allow is itself a \
+             finding. Name-based: any type's method of these names counts."
+        }
         _ => return None,
     })
 }
@@ -229,6 +254,35 @@ fn emit(file: &SourceFile, out: &mut Vec<Finding>, rule: &'static str, line: u32
     if file.is_suppressed(rule, line) {
         return;
     }
+    push(file, out, rule, line, message);
+}
+
+/// [`emit`] for the rules whose allows must say why (A1, G1, U1): a
+/// justified allow silences the finding, and a bare one is reported
+/// instead, asking for `// bcc-lint: allow(<rule>): <why>`.
+fn emit_unless_justified(
+    file: &SourceFile,
+    out: &mut Vec<Finding>,
+    rule: &'static str,
+    line: u32,
+    subject: &str,
+    why: &str,
+    message: String,
+) {
+    let message = if !file.is_suppressed(rule, line) {
+        message
+    } else if file.suppression_justified(rule, line) {
+        return;
+    } else {
+        format!(
+            "`allow({rule})` on `{subject}` has no justification: write \
+             `// bcc-lint: allow({rule}): <{why}>`"
+        )
+    };
+    push(file, out, rule, line, message);
+}
+
+fn push(file: &SourceFile, out: &mut Vec<Finding>, rule: &'static str, line: u32, message: String) {
     out.push(Finding {
         rule,
         file: file.path.clone(),
@@ -452,39 +506,55 @@ fn rule_a1(file: &SourceFile, out: &mut Vec<Finding>) {
         if !followed && !preceded {
             continue;
         }
-        if file.is_suppressed("A1", t.line) {
-            if file.suppression_justified("A1", t.line) {
-                continue;
-            }
-            out.push(Finding {
-                rule: "A1",
-                file: file.path.clone(),
-                line: t.line,
-                severity: "error",
-                message: format!(
-                    "`allow(A1)` on `{}` has no justification: write \
-                     `// bcc-lint: allow(A1): <why overflow is impossible>`",
-                    t.text
-                ),
-                snippet: file.line_text(t.line).to_string(),
-                chain: Vec::new(),
-            });
-            continue;
-        }
-        out.push(Finding {
-            rule: "A1",
-            file: file.path.clone(),
-            line: t.line,
-            severity: "error",
-            message: format!(
+        emit_unless_justified(
+            file,
+            out,
+            "A1",
+            t.line,
+            &t.text,
+            "why overflow is impossible",
+            format!(
                 "unchecked arithmetic on bit-accounting quantity `{}`: bit \
                  counts feeding the lower-bound measurements must use \
                  `checked_*`/`saturating_*` (or a justified allow)",
                 t.text
             ),
-            snippet: file.line_text(t.line).to_string(),
-            chain: Vec::new(),
-        });
+        );
+    }
+}
+
+/// G1: reads of the artifact store's process-global counters in
+/// non-test code.
+fn rule_g1(file: &SourceFile, out: &mut Vec<Finding>) {
+    let code: Vec<_> = file.code().collect();
+    for w in code.windows(4) {
+        let [dot, name, open, close] = w else {
+            continue;
+        };
+        if !dot.is_punct('.')
+            || name.kind != TokKind::Ident
+            || !G1_COUNTERS.contains(&name.text.as_str())
+            || !open.is_punct('(')
+            || !close.is_punct(')')
+            || file.is_test_line(name.line)
+        {
+            continue;
+        }
+        emit_unless_justified(
+            file,
+            out,
+            "G1",
+            name.line,
+            &format!(".{}()", name.text),
+            "why the value never reaches a report, trace or dump",
+            format!(
+                "`.{}()` reads a process-global artifact-store counter, \
+                 whose value depends on what earlier runs left in a shared \
+                 store: count per job with `thread_lookups` (or justify a \
+                 read that never reaches an artifact)",
+                name.text
+            ),
+        );
     }
 }
 
@@ -525,31 +595,19 @@ fn rule_u1(ws: &Workspace, out: &mut Vec<Finding>) {
             {
                 continue;
             }
-            let line = name.line;
-            let message = if !file.is_suppressed("U1", line) {
+            emit_unless_justified(
+                file,
+                out,
+                "U1",
+                name.line,
+                &name.text,
+                "why tests need it here",
                 format!(
                     "`pub fn {}` has no caller outside test code: delete it, \
                      or move it into the test that calls it",
                     name.text
-                )
-            } else if file.suppression_justified("U1", line) {
-                continue;
-            } else {
-                format!(
-                    "`allow(U1)` on `{}` has no justification: write \
-                     `// bcc-lint: allow(U1): <why tests need it here>`",
-                    name.text
-                )
-            };
-            out.push(Finding {
-                rule: "U1",
-                file: file.path.clone(),
-                line,
-                severity: "error",
-                message,
-                snippet: file.line_text(line).to_string(),
-                chain: Vec::new(),
-            });
+                ),
+            );
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Per-rule behaviour on the seeded-violation fixture workspaces under
 //! `tests/fixtures/` (a directory the real workspace walk skips):
-//! `ws/` for the token rules, `ws3/` for U1.
+//! `ws/` for the token rules, `ws3/` for U1, `ws4/` for G1.
 
 use bcc_lint::{collect_workspace, run_all, Finding};
 use std::path::Path;
@@ -186,4 +186,20 @@ fn findings_are_sorted_by_file_line_rule() {
     let mut sorted = keys.clone();
     sorted.sort();
     assert_eq!(keys, sorted);
+}
+
+#[test]
+fn g1_flags_report_feeding_reads_of_global_cache_counters() {
+    let findings = findings_in("ws4");
+    let g1 = by_rule(&findings, "G1");
+    assert_eq!(findings.len(), g1.len(), "{findings:?}");
+    let lines: Vec<u32> = g1.iter().map(|f| f.line).collect();
+    // The metrics counter, the report line and the bare allow; not the
+    // justified allow, the field read or the test module.
+    assert_eq!(lines, [9, 14, 26], "{g1:?}");
+    assert!(g1[0].message.contains("`.lookups()`"));
+    assert!(g1[1].message.contains("thread_lookups"));
+    assert!(g1[2]
+        .message
+        .contains("`allow(G1)` on `.misses()` has no justification"));
 }

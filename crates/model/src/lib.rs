@@ -79,8 +79,8 @@ pub use instance::Instance;
 pub use network::{KnowledgeMode, Network};
 pub use program::{Algorithm, Decision, Inbox, InitialKnowledge, NodeProgram};
 pub use simulator::{
-    runs_indistinguishable, try_runs_indistinguishable, NodeView, RunOutcome, RunState, RunStats,
-    SimConfig, Transcript,
+    runs_indistinguishable, try_runs_indistinguishable, NodeView, RoundBuffers, RunOutcome,
+    RunState, RunStats, SimConfig, Transcript,
 };
 pub use symbol::{Message, Symbol};
 pub use transport::{Transport, TransportError, TransportSpec};

@@ -461,10 +461,23 @@ impl SimConfig {
         algorithm: &dyn Algorithm,
         coin_seed: u64,
     ) -> RunOutcome {
-        match self.try_run(instance, algorithm, coin_seed) {
-            Ok(outcome) => outcome,
-            Err(err) => RunOutcome::transport_failed(instance.num_vertices(), err),
-        }
+        self.try_run(instance, algorithm, coin_seed)
+            .unwrap_or_else(|err| RunOutcome::transport_failed(instance.num_vertices(), err))
+    }
+
+    /// [`run`](Self::run) with borrowed round buffers. A sweep lends
+    /// one set to every run, so after the first run no outbox and no
+    /// inbox vector is allocated again. The outcome does not depend on
+    /// what the buffers held before.
+    pub fn run_with(
+        &self,
+        instance: &Instance,
+        algorithm: &dyn Algorithm,
+        coin_seed: u64,
+        buffers: &mut RoundBuffers,
+    ) -> RunOutcome {
+        self.try_run_with(instance, algorithm, coin_seed, buffers)
+            .unwrap_or_else(|err| RunOutcome::transport_failed(instance.num_vertices(), err))
     }
 
     /// Fallible form of [`run`](Self::run).
@@ -481,6 +494,18 @@ impl SimConfig {
         algorithm: &dyn Algorithm,
         coin_seed: u64,
     ) -> Result<RunOutcome, TransportError> {
+        self.try_run_with(instance, algorithm, coin_seed, &mut RoundBuffers::default())
+    }
+
+    /// [`try_run`](Self::try_run) with borrowed round buffers. The
+    /// transport is still created, opened and torn down per run.
+    fn try_run_with(
+        &self,
+        instance: &Instance,
+        algorithm: &dyn Algorithm,
+        coin_seed: u64,
+        buffers: &mut RoundBuffers,
+    ) -> Result<RunOutcome, TransportError> {
         let mut transport = self.transport_factory().create();
         let result = self.observer.with(|trace, metrics| {
             try_run_impl(
@@ -489,12 +514,29 @@ impl SimConfig {
                 instance,
                 algorithm,
                 coin_seed,
+                buffers,
                 SimRecorder { trace, metrics },
             )
         });
         transport.teardown();
         result
     }
+}
+
+/// The buffers a driver refills every round: the outbox it hands the
+/// transport and the view the transport delivers into. The scalar
+/// simulator and the lockstep kernel in `bcc-engine` both take them by
+/// `&mut`, so a sweep lends one set to every run or batch and, after
+/// the first, allocates no outbox and no inbox vector again. Every
+/// round clears the outbox and the transport overwrites the view, so
+/// nothing a buffer held before reaches an outcome.
+#[derive(Debug, Default)]
+pub struct RoundBuffers {
+    /// The round's broadcasts, one per vertex (one per row of a
+    /// stacked batch plan).
+    pub outbox: Vec<Message>,
+    /// The round's delivered inboxes, refilled in place.
+    pub view: RoundView,
 }
 
 /// The driver-side state of one `(instance, coin_seed)` run: its node
@@ -691,6 +733,7 @@ fn try_run_impl(
     instance: &Instance,
     algorithm: &dyn Algorithm,
     coin_seed: u64,
+    buffers: &mut RoundBuffers,
     mut recorder: SimRecorder<'_>,
 ) -> Result<RunOutcome, TransportError> {
     let n = instance.num_vertices();
@@ -699,9 +742,9 @@ fn try_run_impl(
     transport.open(instance.routes())?;
     let mut run = RunState::spawn(cfg, instance, algorithm, coin_seed);
     recorder.run_start(n, cfg.bandwidth, cfg.max_rounds, coin_seed);
-    // One outbox and one view per run, refilled every round.
-    let mut outbox: Vec<Message> = Vec::with_capacity(n);
-    let mut view = RoundView::default();
+    // One outbox and one view, lent by the caller and refilled every
+    // round.
+    let RoundBuffers { outbox, view } = buffers;
 
     for round in 0..cfg.max_rounds {
         if run.is_done() {
@@ -710,12 +753,12 @@ fn try_run_impl(
         recorder.round_start(round);
         outbox.clear();
         outbox.extend((0..n).map(|v| run.broadcast(round, v)));
-        let round_bits = run.sent(&outbox);
+        let round_bits = run.sent(outbox);
         for (v, m) in outbox.iter().enumerate() {
             recorder.broadcast(v, m);
         }
         let delivered = transport
-            .exchange_into(round, &outbox, &mut view)
+            .exchange_into(round, outbox, view)
             .and_then(|()| run.receive(round, view.inboxes_mut()));
         if let Err(err) = delivered {
             recorder.abort(Some(round), &err);

@@ -8,8 +8,8 @@
 
 use crate::job::{CancellationToken, Job, JobCtx, JobError, JobResult, JobStatus};
 use crate::metrics::Metrics;
-use bcc_metrics::MetricsHub;
-use bcc_trace::{field, Collector, Observer};
+use bcc_metrics::{MetricsBuf, MetricsHub};
+use bcc_trace::{field, Collector, Observer, TraceBuf};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -123,16 +123,27 @@ impl Pool {
         results
             .into_iter()
             .zip(specs)
-            .map(|(r, (id, seed))| r.unwrap_or_else(|| lost_result(id, seed, metrics)))
+            .map(|(r, (id, seed))| {
+                r.unwrap_or_else(|| lost_result(id, seed, metrics, collector, hub))
+            })
             .collect()
     }
 }
 
 /// The terminal state for a job whose handling panicked outside its
 /// work closure — reported as failed rather than failing the whole run.
-fn lost_result<T>(id: String, seed: u64, metrics: &Metrics) -> JobResult<T> {
+/// The buffers its handling had opened unwound with it, so the job's
+/// `job` span and `runner.*` counters are recorded afresh here: the
+/// trace and dump count the job as failed, as [`Metrics`] does.
+fn lost_result<T>(
+    id: String,
+    seed: u64,
+    metrics: &Metrics,
+    collector: &Collector,
+    hub: &MetricsHub,
+) -> JobResult<T> {
     metrics.inc_failed();
-    JobResult {
+    let result = JobResult {
         id,
         seed,
         status: JobStatus::Failed(JobError::Fatal(
@@ -140,7 +151,10 @@ fn lost_result<T>(id: String, seed: u64, metrics: &Metrics) -> JobResult<T> {
         )),
         attempts: 0,
         latency: Duration::ZERO,
-    }
+    };
+    let buf = open_job_span(collector, &result.id, seed);
+    close_job(buf, hub.buf(result.id.clone()), &result, collector, hub);
+    result
 }
 
 fn cancelled_result<T>(job: &Job<T>) -> JobResult<T> {
@@ -154,10 +168,8 @@ fn cancelled_result<T>(job: &Job<T>) -> JobResult<T> {
 }
 
 /// Runs one job inside a fresh trace buffer and a fresh metrics
-/// buffer: opens the `job` span, executes, closes the span with the
-/// terminal status, books the runner's logical outcome counters, and
-/// absorbs both buffers. Everything recorded is logical — no clock
-/// values.
+/// buffer: opens the `job` span, executes, then closes it with
+/// [`close_job`]. Everything recorded is logical — no clock values.
 fn run_observed_job<T>(
     job: &Job<T>,
     run_token: &CancellationToken,
@@ -165,19 +177,32 @@ fn run_observed_job<T>(
     collector: &Collector,
     hub: &MetricsHub,
 ) -> JobResult<T> {
-    let mut buf = collector.buf(job.spec.id.clone());
-    buf.span_start(
-        "job",
-        vec![
-            field("id", job.spec.id.clone()),
-            field("seed", job.spec.seed),
-        ],
-    );
+    let buf = open_job_span(collector, &job.spec.id, job.spec.seed);
     // With tracing and metrics both off this is `Observer::off()`:
     // no lock and no shared allocation per job.
     let observer = Observer::new(buf, hub.buf(job.spec.id.clone()));
     let result = run_job(job, run_token, metrics, &observer);
-    let (mut buf, mut mbuf) = observer.take();
+    let (buf, mbuf) = observer.take();
+    close_job(buf, mbuf, &result, collector, hub);
+    result
+}
+
+/// A fresh trace buffer for job `id` with its `job` span open.
+fn open_job_span(collector: &Collector, id: &str, seed: u64) -> TraceBuf {
+    let mut buf = collector.buf(id);
+    buf.span_start("job", vec![field("id", id), field("seed", seed)]);
+    buf
+}
+
+/// Closes a job's `job` span with its terminal status, books the
+/// runner's logical outcome counters, and absorbs both buffers.
+fn close_job<T>(
+    mut buf: TraceBuf,
+    mut mbuf: MetricsBuf,
+    result: &JobResult<T>,
+    collector: &Collector,
+    hub: &MetricsHub,
+) {
     // A cost record at the span boundary, under the still-open `job`
     // span, named identically to the runner.* workload counter so
     // the profiler can attribute jobs to the job path.
@@ -195,7 +220,6 @@ fn run_observed_job<T>(
         mbuf.counter(&format!("runner.{}", result.status.tag()), 1);
         hub.absorb(mbuf);
     }
-    result
 }
 
 /// Runs one job to its terminal state on the current thread: one

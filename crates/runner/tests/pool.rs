@@ -2,9 +2,9 @@
 //! panic isolation (inside the job and around it), deadlines,
 //! cancellation, metrics accounting.
 
-use bcc_metrics::MetricsHub;
+use bcc_metrics::{MetricsHub, MetricsLevel};
 use bcc_runner::{CancellationToken, Job, JobError, JobResult, JobSpec, JobStatus, Pool};
-use bcc_trace::Collector;
+use bcc_trace::{Collector, EventKind, FieldValue, TraceLevel};
 use std::time::Duration;
 
 /// Runs one batch on `pool` with a fresh token and no observers.
@@ -216,7 +216,9 @@ fn a_panic_outside_the_job_body_fails_only_that_job() {
                 |_ctx| -> Result<u64, JobError> { std::panic::panic_any(PanicOnDrop) },
             ),
         );
-        let results = execute(&pool, jobs);
+        let collector = Collector::new(TraceLevel::Events);
+        let hub = MetricsHub::new(MetricsLevel::Core);
+        let results = pool.execute(jobs, &CancellationToken::new(), &collector, &hub);
         assert_eq!(results.len(), 11);
         assert_eq!(results[3].id, "bad-payload");
         assert!(
@@ -237,6 +239,36 @@ fn a_panic_outside_the_job_body_fails_only_that_job() {
         let m = pool.metrics().snapshot();
         assert_eq!(m.scheduled, m.completed + m.failed, "threads={threads}");
         assert_eq!((m.completed, m.failed), (10, 1), "threads={threads}");
+        // The lost job still leaves a balanced `job` span and its
+        // counters in the deterministic artifacts.
+        let trace = collector.finish();
+        let lost: Vec<_> = trace
+            .events()
+            .iter()
+            .filter(|e| e.unit == "bad-payload")
+            .collect();
+        let kinds: Vec<_> = lost.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [EventKind::SpanStart, EventKind::Counter, EventKind::SpanEnd],
+            "threads={threads}"
+        );
+        assert_eq!(
+            (lost[0].name.as_str(), lost[2].name.as_str()),
+            ("job", "job")
+        );
+        assert_eq!(
+            (lost[1].name.as_str(), lost[1].path.as_str()),
+            ("runner.jobs", "job")
+        );
+        assert_eq!(
+            lost[2].field("status"),
+            Some(&FieldValue::Str("failed".into()))
+        );
+        assert_eq!(lost[2].field("attempts"), Some(&FieldValue::UInt(0)));
+        let dump = hub.finish();
+        assert_eq!(dump.counter("runner.failed"), Some(m.failed));
+        assert_eq!(dump.counter("runner.jobs"), Some(m.scheduled));
     }
 }
 

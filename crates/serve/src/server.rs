@@ -337,6 +337,8 @@ impl Server {
     /// A live stats snapshot.
     pub fn stats(&self) -> StatsMsg {
         let store = cache::store();
+        // bcc-lint: allow(G1): the live `stats` reply reports the daemon-wide cache totals by design; no trace or metrics dump reads them
+        let (cache_lookups, cache_hits) = (store.lookups(), store.hits());
         StatsMsg {
             accepted: self.stats.accepted.load(Ordering::Relaxed),
             rejected: self.stats.rejected.load(Ordering::Relaxed),
@@ -345,8 +347,8 @@ impl Server {
             drained: self.stats.drained.load(Ordering::Relaxed),
             queue_depth: self.admission.depth(),
             draining: self.admission.is_draining(),
-            cache_lookups: store.lookups(),
-            cache_hits: store.hits(),
+            cache_lookups,
+            cache_hits,
             cache_entries: store.entries(),
         }
     }
