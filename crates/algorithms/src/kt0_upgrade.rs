@@ -41,25 +41,7 @@ impl<A: Algorithm + Clone + 'static> Algorithm for Kt0Upgrade<A> {
     }
 
     fn spawn(&self, init: InitialKnowledge) -> Box<dyn NodeProgram> {
-        assert_eq!(
-            init.mode,
-            KnowledgeMode::Kt0,
-            "Kt0Upgrade runs on KT-0 instances (on KT-1, run the inner algorithm directly)"
-        );
-        let width = bits_needed(init.n);
-        Box::new(UpgradeNode {
-            width,
-            schedule: BitSchedule::of_value(init.id, width),
-            accs: init
-                .port_labels
-                .iter()
-                .map(|&l| (l, BitAccumulator::new(width)))
-                .collect(),
-            outer: init,
-            factory: self.inner.clone(),
-            port_id_map: Vec::new(),
-            inner: None,
-        })
+        Box::new(UpgradeNode::new(self.inner.clone(), init, Vec::new()))
     }
 }
 
@@ -75,6 +57,32 @@ struct UpgradeNode<A> {
 }
 
 impl<A: Algorithm> UpgradeNode<A> {
+    /// The program before round 0: `spawn` and `reset` both build it
+    /// here. `accs` lends its capacity to the port accumulators.
+    fn new(factory: A, init: InitialKnowledge, mut accs: Vec<(u64, BitAccumulator)>) -> Self {
+        assert_eq!(
+            init.mode,
+            KnowledgeMode::Kt0,
+            "Kt0Upgrade runs on KT-0 instances (on KT-1, run the inner algorithm directly)"
+        );
+        let width = bits_needed(init.n);
+        accs.clear();
+        accs.extend(
+            init.port_labels
+                .iter()
+                .map(|&l| (l, BitAccumulator::new(width))),
+        );
+        UpgradeNode {
+            width,
+            schedule: BitSchedule::of_value(init.id, width),
+            accs,
+            outer: init,
+            factory,
+            port_id_map: Vec::new(),
+            inner: None,
+        }
+    }
+
     fn finish_prologue(&mut self) {
         self.port_id_map = self
             .accs
@@ -107,7 +115,7 @@ impl<A: Algorithm> UpgradeNode<A> {
     }
 }
 
-impl<A: Algorithm> NodeProgram for UpgradeNode<A> {
+impl<A: Algorithm + Clone> NodeProgram for UpgradeNode<A> {
     fn broadcast(&mut self, round: usize) -> Message {
         if round < self.width {
             return Message::single(self.schedule.symbol_at(round));
@@ -163,6 +171,12 @@ impl<A: Algorithm> NodeProgram for UpgradeNode<A> {
 
     fn is_done(&self) -> bool {
         self.inner.as_ref().is_some_and(|p| p.is_done())
+    }
+
+    fn reset(&mut self, init: &InitialKnowledge) -> bool {
+        let accs = std::mem::take(&mut self.accs);
+        *self = UpgradeNode::new(self.factory.clone(), init.clone(), accs);
+        true
     }
 }
 

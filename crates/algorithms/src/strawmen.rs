@@ -41,17 +41,7 @@ impl Algorithm for HashVoteDecider {
     }
 
     fn spawn(&self, init: InitialKnowledge) -> Box<dyn NodeProgram> {
-        let mut h = mix(init.id ^ mix(init.coin_seed));
-        for &p in init.input_port_labels.iter() {
-            h = mix(h ^ p);
-        }
-        Box::new(HashVoteNode {
-            rounds: self.rounds,
-            local_hash: h,
-            heard: 0,
-            round: 0,
-            coin_seed: init.coin_seed,
-        })
+        Box::new(HashVoteNode::new(self.rounds, &init))
     }
 }
 
@@ -61,6 +51,24 @@ struct HashVoteNode {
     heard: u64,
     round: usize,
     coin_seed: u64,
+}
+
+impl HashVoteNode {
+    /// The program before round 0: `spawn` and `reset` both build it
+    /// here.
+    fn new(rounds: usize, init: &InitialKnowledge) -> Self {
+        let mut h = mix(init.id ^ mix(init.coin_seed));
+        for &p in init.input_port_labels.iter() {
+            h = mix(h ^ p);
+        }
+        HashVoteNode {
+            rounds,
+            local_hash: h,
+            heard: 0,
+            round: 0,
+            coin_seed: init.coin_seed,
+        }
+    }
 }
 
 impl NodeProgram for HashVoteNode {
@@ -88,6 +96,11 @@ impl NodeProgram for HashVoteNode {
     fn is_done(&self) -> bool {
         self.round >= self.rounds
     }
+
+    fn reset(&mut self, init: &InitialKnowledge) -> bool {
+        *self = HashVoteNode::new(self.rounds, init);
+        true
+    }
 }
 
 /// Every vertex broadcasts the parity of its input-port labels for `t`
@@ -112,13 +125,7 @@ impl Algorithm for ParityDecider {
     }
 
     fn spawn(&self, init: InitialKnowledge) -> Box<dyn NodeProgram> {
-        let parity = init.input_port_labels.iter().fold(0u64, |a, &b| a ^ b) & 1;
-        Box::new(ParityNode {
-            rounds: self.rounds,
-            parity: parity == 1,
-            ones_heard: 0,
-            round: 0,
-        })
+        Box::new(ParityNode::new(self.rounds, &init))
     }
 }
 
@@ -127,6 +134,20 @@ struct ParityNode {
     parity: bool,
     ones_heard: usize,
     round: usize,
+}
+
+impl ParityNode {
+    /// The program before round 0: `spawn` and `reset` both build it
+    /// here.
+    fn new(rounds: usize, init: &InitialKnowledge) -> Self {
+        let parity = init.input_port_labels.iter().fold(0u64, |a, &b| a ^ b) & 1;
+        ParityNode {
+            rounds,
+            parity: parity == 1,
+            ones_heard: 0,
+            round: 0,
+        }
+    }
 }
 
 impl NodeProgram for ParityNode {
@@ -153,6 +174,11 @@ impl NodeProgram for ParityNode {
 
     fn is_done(&self) -> bool {
         self.round >= self.rounds
+    }
+
+    fn reset(&mut self, init: &InitialKnowledge) -> bool {
+        *self = ParityNode::new(self.rounds, init);
+        true
     }
 }
 

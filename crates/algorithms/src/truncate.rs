@@ -71,6 +71,20 @@ impl NodeProgram for TruncatedNode {
     fn is_done(&self) -> bool {
         self.round >= self.rounds || self.inner.is_done()
     }
+
+    fn reset(&mut self, init: &InitialKnowledge) -> bool {
+        // Every field is named, so a field added to `spawn` without a
+        // reset here does not compile. The round budget is the
+        // algorithm's; the inner program resets itself, or the whole
+        // node is spawned afresh.
+        let TruncatedNode {
+            inner,
+            rounds: _,
+            round,
+        } = self;
+        *round = 0;
+        inner.reset(init)
+    }
 }
 
 #[cfg(test)]

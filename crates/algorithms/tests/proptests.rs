@@ -3,11 +3,13 @@
 
 use bcc_algorithms::sketch::{edge_slot, slot_edge, Decode, L0Sketch};
 use bcc_algorithms::{
-    BoruvkaMinLabel, FullGraphBroadcast, Kt0Upgrade, NeighborIdBroadcast, Problem, Truncated,
+    BoruvkaMinLabel, FullGraphBroadcast, HashVoteDecider, Kt0Upgrade, NeighborIdBroadcast,
+    ParityDecider, Problem, Truncated,
 };
 use bcc_graphs::connectivity::connected_components;
 use bcc_graphs::{generators, Graph};
-use bcc_model::{Decision, Instance, SimConfig};
+use bcc_model::testing::ConstantDecision;
+use bcc_model::{Algorithm, Decision, Inbox, Instance, Message, NodeProgram, SimConfig};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -27,8 +29,104 @@ fn truth(g: &Graph) -> Decision {
     }
 }
 
+/// A KT-0 instance on `n` vertices: a random graph and a random
+/// port wiring.
+fn arb_kt0_instance() -> impl Strategy<Value = Instance> {
+    (5usize..10, any::<u64>(), any::<u64>()).prop_map(|(n, seed, wiring)| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let m = (seed as usize) % (n + 3);
+        Instance::new_kt0(generators::gnm(n, m, &mut rng), wiring).unwrap()
+    })
+}
+
+/// The programs of every vertex of `instance`, spawned by `algorithm`.
+fn spawn_all(
+    algorithm: &dyn Algorithm,
+    instance: &Instance,
+    coin: u64,
+) -> Vec<Box<dyn NodeProgram>> {
+    (0..instance.num_vertices())
+        .map(|v| algorithm.spawn(instance.initial_knowledge(v, 1, coin)))
+        .collect()
+}
+
+/// One `BCC(1)` round of `programs` on `instance`, delivered as the
+/// simulator does; returns the round's broadcasts.
+fn run_round(
+    programs: &mut [Box<dyn NodeProgram>],
+    instance: &Instance,
+    round: usize,
+) -> Vec<Message> {
+    let outbox: Vec<Message> = programs
+        .iter_mut()
+        .map(|p| p.broadcast(round).normalized(1))
+        .collect();
+    for (v, program) in programs.iter_mut().enumerate() {
+        let mut entries: Vec<(u64, Message)> = instance
+            .routes()
+            .ports(v)
+            .iter()
+            .map(|&(label, peer)| (label, outbox[peer].clone()))
+            .collect();
+        entries.sort_by_key(|&(label, _)| label);
+        program.receive(round, &Inbox::new(entries));
+    }
+    outbox
+}
+
+/// Every vertex's decision and done flag.
+fn outputs(programs: &[Box<dyn NodeProgram>]) -> Vec<(Decision, bool)> {
+    programs.iter().map(|p| (p.decide(), p.is_done())).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A program reset onto instance `b` after some rounds on `a`
+    /// behaves as one spawned on `b`: the same broadcasts, decisions
+    /// and done flags, round after round, for every roster program
+    /// that implements `reset`. Vertices `b` has beyond `a`'s are
+    /// spawned, as a respawned run does.
+    #[test]
+    fn reset_equals_spawn(
+        a in arb_kt0_instance(),
+        b in arb_kt0_instance(),
+        coins in (any::<u64>(), any::<u64>()),
+        warm_rounds in 0usize..4,
+        t in 1usize..5,
+    ) {
+        let upgrade = Kt0Upgrade::new(NeighborIdBroadcast::new(Problem::TwoCycle));
+        let algorithms: [&dyn Algorithm; 5] = [
+            &ConstantDecision::yes(),
+            &HashVoteDecider::new(t),
+            &ParityDecider::new(t),
+            &Truncated::new(upgrade, t),
+            &upgrade,
+        ];
+        for algorithm in algorithms {
+            let mut reset = spawn_all(algorithm, &a, coins.0);
+            for round in 0..warm_rounds {
+                run_round(&mut reset, &a, round);
+            }
+            reset.truncate(b.num_vertices());
+            for (v, program) in reset.iter_mut().enumerate() {
+                prop_assert!(
+                    program.reset(&b.initial_knowledge(v, 1, coins.1)),
+                    "{} does not reset", algorithm.name()
+                );
+            }
+            let kept = reset.len();
+            reset.extend(spawn_all(algorithm, &b, coins.1).into_iter().skip(kept));
+            let mut fresh = spawn_all(algorithm, &b, coins.1);
+            prop_assert_eq!(outputs(&reset), outputs(&fresh), "{} before round 0", algorithm.name());
+            // Long enough for the upgrade's inner program to run.
+            for round in 0..16 {
+                let sent = run_round(&mut reset, &b, round);
+                prop_assert_eq!(sent, run_round(&mut fresh, &b, round), "{} round {}", algorithm.name(), round);
+                prop_assert_eq!(outputs(&reset), outputs(&fresh), "{} round {}", algorithm.name(), round);
+            }
+        }
+    }
 
     /// The two full-knowledge algorithms solve Connectivity exactly on
     /// arbitrary graphs, with correct component labels.

@@ -8,12 +8,13 @@
 //! reconstruct `P_A` exactly. The chain the paper uses,
 //!
 //! ```text
-//! |Π| ≥ H(Π) ≥ I(P_A; Π) = H(P_A) − H(P_A | Π) ≥ (1 − ε)·H(P_A),
+//! |Π| ≥ H(Π) ≥ I(P_A; Π) = H(P_A) − H(P_A | Π) ≥ (1 − ε)·H(P_A) − h(ε),
 //! ```
 //!
-//! with `H(P_A) = log₂ B_n = Θ(n log n)`, is evaluated term by term on
-//! concrete protocols (exact and bit-budget-truncated) by full
-//! enumeration — no sampling anywhere.
+//! with `H(P_A) = log₂ B_n = Θ(n log n)` and the last step Fano's
+//! inequality, `H(P_A | Π) ≤ h(ε) + ε·log₂(B_n − 1)`, is evaluated
+//! term by term on concrete protocols (exact and bit-budget-truncated)
+//! by full enumeration — no sampling anywhere.
 
 use bcc_comm::driver::{run_protocol, DriverOpts};
 use bcc_comm::protocols::{JoinCompAlice, JoinCompBob};
@@ -48,13 +49,28 @@ pub struct InfoBoundReport {
 impl InfoBoundReport {
     /// The inequality chain of Theorem 4.5, checked numerically (with
     /// a small tolerance for floating point):
-    /// `|Π| ≥ H(Π) ≥ I(P_A; Π) ≥ (1 − ε)·H(P_A)`.
+    /// `|Π| ≥ H(Π) ≥ I(P_A; Π) ≥ (1 − ε)·H(P_A) − h(ε)`. The last
+    /// step is Fano's inequality; without its `h(ε)` term it fails for
+    /// honest ε-error protocols, such as a Bob who ignores Alice and
+    /// guesses one fixed partition. `h(0) = h(1) = 0`, so exact and
+    /// fully starved protocols are held to `I ≥ (1 − ε)·H(P_A)`.
     pub fn chain_holds(&self) -> bool {
         let tol = 1e-6;
         self.max_transcript_bits as f64 + tol >= self.transcript_entropy
             && self.transcript_entropy + tol >= self.mutual_information
-            && self.mutual_information + tol >= (1.0 - self.error) * self.input_entropy
+            && self.mutual_information + tol
+                >= (1.0 - self.error) * self.input_entropy - binary_entropy(self.error)
     }
+}
+
+/// The binary entropy `h(p) = −p·log₂ p − (1 − p)·log₂(1 − p)`, with
+/// `h(0) = h(1) = 0`.
+fn binary_entropy(p: f64) -> f64 {
+    [p, 1.0 - p]
+        .into_iter()
+        .filter(|&q| q > 0.0)
+        .map(|q| -q * q.log2())
+        .sum()
 }
 
 /// Runs the `PartitionComp` protocol on **every** partition of `[n]`
@@ -131,6 +147,40 @@ mod tests {
         assert_eq!(r.mutual_information, 0.0);
         assert_eq!(r.error, 1.0);
         assert!(r.chain_holds());
+    }
+
+    #[test]
+    fn fixed_guess_bob_satisfies_fano_but_not_the_bare_chain() {
+        // Bob ignores Alice and outputs one fixed partition: the
+        // transcript is empty, so I = 0, and he is right on 1 of B_n
+        // inputs.
+        let n = 4;
+        let b = bell_number(n) as usize;
+        let joint = Joint::from_weights((0..b).map(|input| ((input, ()), 1.0)).collect());
+        let r = InfoBoundReport {
+            n,
+            budget: Some(0),
+            input_entropy: joint.marginal_x().entropy(),
+            transcript_entropy: joint.marginal_y().entropy(),
+            mutual_information: joint.mutual_information(),
+            conditional_entropy: joint.conditional_entropy_x_given_y(),
+            max_transcript_bits: 0,
+            error: 1.0 - 1.0 / b as f64,
+        };
+        assert_eq!(r.mutual_information, 0.0);
+        // The chain without Fano's term demands I ≥ log₂ B_n / B_n > 0.
+        assert!(r.mutual_information + 1e-6 < (1.0 - r.error) * r.input_entropy);
+        assert!(r.chain_holds());
+        // Fano is tight here: H(P_A | Π) = h(ε) + ε·log₂(B_n − 1).
+        let fano = binary_entropy(r.error) + r.error * ((b - 1) as f64).log2();
+        assert!((r.conditional_entropy - fano).abs() < 1e-9);
+    }
+
+    #[test]
+    fn binary_entropy_vanishes_at_the_ends() {
+        assert_eq!(binary_entropy(0.0), 0.0);
+        assert_eq!(binary_entropy(1.0), 0.0);
+        assert!((binary_entropy(0.5) - 1.0).abs() < 1e-12);
     }
 
     #[test]

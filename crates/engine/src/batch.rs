@@ -14,7 +14,10 @@
 //! lane is a [`RunState`], the per-run state the scalar simulator
 //! drives too, so spawning, view checks, transcripts and outcome
 //! assembly are shared; the kernel owns only the stacking, the active
-//! mask and its `engine.*` records.
+//! mask and its `engine.*` records. A sweep keeps its lanes' runs from
+//! batch to batch and [respawns](RunState::respawn) them, so programs
+//! that can [reset](bcc_model::NodeProgram::reset) are not allocated
+//! again.
 //!
 //! Lanes retire independently: a lane whose programs all report done
 //! drops out of the `u64` active mask and stops paying for rounds,
@@ -130,13 +133,45 @@ impl BatchRun {
         algorithm: &dyn Algorithm,
         buffers: &mut RoundBuffers,
     ) -> Result<Vec<RunOutcome>, TransportError> {
+        let mut runs = Vec::with_capacity(lanes.len());
+        self.advance(lanes, algorithm, buffers, &mut runs)?;
+        Ok(runs
+            .into_iter()
+            .zip(lanes)
+            .map(|(run, &(inst, seed))| run.finish(inst, seed))
+            .collect())
+    }
+
+    /// Runs one batch in its own transport session and leaves lane
+    /// `i`'s finished run in `runs[i]`. The runs `runs` already holds
+    /// are [respawned](RunState::respawn) onto the lanes and the
+    /// missing ones spawned, so a sweep that lends the same vector to
+    /// every batch keeps its lanes' programs; they must come from
+    /// `algorithm`. On an error `runs` holds no usable result.
+    pub(crate) fn advance(
+        &self,
+        lanes: &[Lane<'_>],
+        algorithm: &dyn Algorithm,
+        buffers: &mut RoundBuffers,
+        runs: &mut Vec<RunState>,
+    ) -> Result<(), TransportError> {
+        runs.truncate(lanes.len());
+        for (run, &(inst, seed)) in runs.iter_mut().zip(lanes) {
+            run.respawn(&self.cfg, inst, algorithm, seed);
+        }
+        let kept = runs.len();
+        runs.extend(
+            lanes[kept..]
+                .iter()
+                .map(|&(inst, seed)| RunState::spawn(&self.cfg, inst, algorithm, seed)),
+        );
         let mut transport = self.cfg.transport_factory().create();
         let result = self.cfg.observer().with(|trace, metrics| {
             run_batch_impl(
                 &self.cfg,
                 &mut *transport,
                 lanes,
-                algorithm,
+                runs,
                 buffers,
                 trace,
                 metrics,
@@ -179,15 +214,18 @@ fn abort_batch(
     err
 }
 
+/// The one lockstep round loop: advances lane `i`'s freshly
+/// (re)spawned `runs[i]` until every lane is done or the round limit
+/// hits.
 fn run_batch_impl(
     cfg: &SimConfig,
     transport: &mut dyn Transport,
     lanes: &[Lane<'_>],
-    algorithm: &dyn Algorithm,
+    runs: &mut [RunState],
     buffers: &mut RoundBuffers,
     trace: &mut TraceBuf,
     metrics: &mut MetricsBuf,
-) -> Result<Vec<RunOutcome>, TransportError> {
+) -> Result<(), TransportError> {
     let l = lanes.len();
     assert!(l >= 1, "a batch needs at least one lane");
     assert!(l <= MAX_LANES, "at most {MAX_LANES} lanes per batch");
@@ -202,13 +240,9 @@ fn run_batch_impl(
     transport.open(&Routes::stacked(&plans))?;
     let b = cfg.bandwidth_per_round();
     // Executed rounds and their total broadcast bits, for the
-    // end-of-batch `engine.*` counters.
+    // end-of-batch `batch` span and `engine.*` counters.
     let (mut rounds_run, mut total_bits) = (0u64, 0u64);
 
-    let mut runs: Vec<RunState> = lanes
-        .iter()
-        .map(|&(inst, seed)| RunState::spawn(cfg, inst, algorithm, seed))
-        .collect();
     // A lane whose programs are done before round 0 executes zero
     // rounds, as its scalar run does.
     let mut active: u64 = (0..l)
@@ -307,21 +341,16 @@ fn run_batch_impl(
         return Err(abort_batch(trace, None, err));
     }
 
-    let outcomes: Vec<RunOutcome> = runs
-        .into_iter()
-        .zip(lanes)
-        .map(|(run, &(inst, seed))| run.finish(inst, seed))
-        .collect();
-
     if trace.spans_enabled() {
-        let max_rounds_run = outcomes.iter().map(|o| o.stats().rounds).max().unwrap_or(0);
+        // Every executed round had an active lane, so the rounds run
+        // are the longest lane's round count.
         trace.span_end(
             "batch",
             vec![
-                field("rounds", max_rounds_run),
+                field("rounds", rounds_run),
                 field(
                     "completed_lanes",
-                    outcomes.iter().filter(|o| o.completed()).count(),
+                    runs.iter().filter(|r| r.is_done()).count(),
                 ),
             ],
         );
@@ -333,7 +362,7 @@ fn run_batch_impl(
     // samples per round, so profile attribution can join against core
     // dumps too.
     metrics.counter("engine.round_bits", total_bits);
-    Ok(outcomes)
+    Ok(())
 }
 
 #[cfg(test)]

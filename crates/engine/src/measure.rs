@@ -59,7 +59,9 @@ impl From<ModelError> for EngineError {
 /// sequence the scalar `.sum()` performs. Both sweeps run unrecorded
 /// (decisions are independent of transcript recording), so the saving
 /// here is the kernel's alone: one transport session and one round
-/// loop per 64 runs. To observe the kernel, run
+/// loop per 64 runs, and lanes whose programs are reset from batch to
+/// batch instead of spawned, with decisions read without building
+/// outcomes. To observe the kernel, run
 /// [`BatchRun::distributional_error`] under an observing config.
 pub fn distributional_error_batched(
     dist: &[WeightedInstance],
@@ -109,7 +111,9 @@ impl BatchRun {
     /// [`distributional_error_batched`] under this executor's
     /// configuration: its round limit is `t`, and its observer
     /// receives the kernel's round spans and `engine.*` cost counters.
-    /// Observers never change the returned error.
+    /// Observers never change the returned error. A batch whose
+    /// transport fails counts each of its lanes as NO, as a degraded
+    /// scalar run does.
     pub fn distributional_error(
         &self,
         dist: &[WeightedInstance],
@@ -117,8 +121,13 @@ impl BatchRun {
         coin_seed: u64,
     ) -> f64 {
         let mut error = 0.0f64;
-        // Every batch refills one outbox and one view.
+        // Every batch refills one outbox and one view, and respawns
+        // one pool of lanes: after the first batch a lane's programs
+        // are reset, not spawned, and its decision is read straight
+        // from its run.
         let mut buffers = RoundBuffers::default();
+        let mut runs = Vec::with_capacity(MAX_LANES.min(dist.len()));
+        let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(MAX_LANES.min(dist.len()));
         let mut i = 0;
         while i < dist.len() {
             // A batch is a maximal contiguous same-shape slice of the
@@ -130,13 +139,15 @@ impl BatchRun {
             while j < dist.len() && j - i < MAX_LANES && dist[j].instance.num_vertices() == n {
                 j += 1;
             }
-            let lanes: Vec<Lane<'_>> = dist[i..j]
-                .iter()
-                .map(|wi| (&wi.instance, coin_seed))
-                .collect();
-            let outcomes = self.run_with(&lanes, algorithm, &mut buffers);
-            for (wi, out) in dist[i..j].iter().zip(&outcomes) {
-                let said_yes = out.system_decision() == Decision::Yes;
+            lanes.clear();
+            lanes.extend(dist[i..j].iter().map(|wi| (&wi.instance, coin_seed)));
+            // A transport failure leaves every lane undecided, which
+            // the system rule reads as NO.
+            let ok = self
+                .advance(&lanes, algorithm, &mut buffers, &mut runs)
+                .is_ok();
+            for (lane, wi) in dist[i..j].iter().enumerate() {
+                let said_yes = ok && runs[lane].system_decision() == Decision::Yes;
                 error += if said_yes == wi.is_one_cycle {
                     0.0
                 } else {
@@ -207,14 +218,136 @@ mod tests {
     use bcc_core::hard::{distributional_error, uniform_two_cycle_distribution};
     use bcc_model::testing::ConstantDecision;
 
+    /// Sweeps whose lane pool carries over between batches: a
+    /// multi-chunk one, one whose vertex count grows mid-sweep and one
+    /// where it shrinks. `EchoBit` keeps the default `reset`, so its
+    /// lanes are re-spawned; the roster's are reset.
     #[test]
     fn batched_error_bitwise_equals_scalar() {
-        let dist = uniform_two_cycle_distribution(6);
-        assert!(dist.len() > MAX_LANES, "exercise multi-chunk path");
-        let algo = ConstantDecision::yes();
-        let scalar = distributional_error(&dist, &algo, 2, 0);
-        let batched = distributional_error_batched(&dist, &algo, 2, 0);
-        assert_eq!(scalar.to_bits(), batched.to_bits());
+        use bcc_algorithms::{
+            HashVoteDecider, Kt0Upgrade, NeighborIdBroadcast, ParityDecider, Problem, Truncated,
+        };
+        use bcc_model::testing::EchoBit;
+        let (six, seven) = (
+            uniform_two_cycle_distribution(6),
+            uniform_two_cycle_distribution(7),
+        );
+        assert!(six.len() > MAX_LANES, "exercise multi-chunk path");
+        let grows: Vec<WeightedInstance> = six.iter().chain(&seven).cloned().collect();
+        let shrinks: Vec<WeightedInstance> = seven.iter().chain(&six).cloned().collect();
+        for dist in [&six, &grows, &shrinks] {
+            for t in 1..=4 {
+                let upgrade = Kt0Upgrade::new(NeighborIdBroadcast::new(Problem::TwoCycle));
+                let algorithms: [&dyn Algorithm; 5] = [
+                    &EchoBit,
+                    &ConstantDecision::yes(),
+                    &HashVoteDecider::new(t),
+                    &ParityDecider::new(t),
+                    &Truncated::new(upgrade, t),
+                ];
+                for algorithm in algorithms {
+                    let scalar = distributional_error(dist, algorithm, t, 3);
+                    let batched = distributional_error_batched(dist, algorithm, t, 3);
+                    assert_eq!(
+                        scalar.to_bits(),
+                        batched.to_bits(),
+                        "{} at t = {t} over {} instances",
+                        algorithm.name(),
+                        dist.len()
+                    );
+                }
+            }
+        }
+    }
+
+    /// A batch whose transport dies counts every lane as NO, as its
+    /// degraded outcomes would, and the next batch respawns the pool
+    /// from the half-run lanes and measures as usual. The sessions die
+    /// in round 1, after the lanes ran round 0.
+    #[test]
+    fn dead_batches_count_every_lane_as_no() {
+        use bcc_algorithms::HashVoteDecider;
+        use bcc_model::transport::{
+            LocalTransport, RoundView, Routes, Transport, TransportError, TransportFactory,
+        };
+        use bcc_model::Message;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        struct Dying(LocalTransport, bool);
+        impl Transport for Dying {
+            fn open(&mut self, routes: &Routes) -> Result<(), TransportError> {
+                self.0.open(routes)
+            }
+            fn exchange(
+                &mut self,
+                round: usize,
+                outbox: &[Message],
+            ) -> Result<RoundView, TransportError> {
+                if self.1 && round >= 1 {
+                    return Err(TransportError::WorkerDead {
+                        rank: 0,
+                        detail: "test".to_string(),
+                        postmortem: None,
+                    });
+                }
+                self.0.exchange(round, outbox)
+            }
+        }
+        /// Hands out transports; session `k` dies when `period`
+        /// divides `k`.
+        struct Sessions {
+            created: AtomicUsize,
+            period: usize,
+        }
+        impl TransportFactory for Sessions {
+            fn create(&self) -> Box<dyn Transport> {
+                let session = self.created.fetch_add(1, Ordering::Relaxed);
+                Box::new(Dying(LocalTransport::new(), session.is_multiple_of(self.period)))
+            }
+            fn label(&self) -> String {
+                "dying".to_string()
+            }
+        }
+        let dist = uniform_two_cycle_distribution(7);
+        let sweep = |period: usize| {
+            let factory = Sessions {
+                created: AtomicUsize::new(0),
+                period,
+            };
+            BatchRun::new(
+                SimConfig::bcc1(2)
+                    .transcripts(false)
+                    .transport(Arc::new(factory)),
+            )
+            .distributional_error(&dist, &HashVoteDecider::new(2), 5)
+        };
+
+        // Every session dead: the constant-NO sweep.
+        let no = distributional_error(&dist, &ConstantDecision::new(Decision::No), 2, 5);
+        assert_eq!(sweep(1).to_bits(), no.to_bits());
+
+        // Every other session dead: the scalar runs, with the dead
+        // batches read as NO.
+        let cfg = SimConfig::bcc1(2).transcripts(false);
+        let expected: f64 = dist
+            .chunks(MAX_LANES)
+            .enumerate()
+            .flat_map(|(batch, chunk)| chunk.iter().map(move |wi| (batch, wi)))
+            .map(|(batch, wi)| {
+                let said_yes = batch % 2 == 1
+                    && cfg
+                        .run(&wi.instance, &HashVoteDecider::new(2), 5)
+                        .system_decision()
+                        == Decision::Yes;
+                if said_yes == wi.is_one_cycle {
+                    0.0
+                } else {
+                    wi.weight
+                }
+            })
+            .sum();
+        assert_eq!(sweep(2).to_bits(), expected.to_bits());
     }
 
     #[test]

@@ -223,6 +223,39 @@ fn scalar_sweep_lends_its_buffers_to_every_run() {
     assert_eq!(three - two, SCALAR_LENT);
 }
 
+/// Allocations of a warm chunk of a pooled
+/// `BatchRun::distributional_error` sweep, whatever its lane count:
+/// the transport, the plan list and the stacked plan's two slices. Its
+/// lanes are respawned from the sweep's pool, so a lane allocates
+/// nothing.
+const SWEEP_CHUNK: u64 = 4;
+
+#[test]
+fn pooled_sweep_chunk_allocates_a_pinned_count() {
+    let dist: Vec<WeightedInstance> = lanes_instances()
+        .into_iter()
+        .map(|instance| WeightedInstance {
+            instance,
+            is_one_cycle: false,
+            weight: 1.0 / 64.0,
+        })
+        .collect();
+    // Two full chunks, and a full chunk followed by a 1-lane one.
+    let two: Vec<WeightedInstance> = dist.iter().chain(&dist).cloned().collect();
+    let one_more: Vec<WeightedInstance> = dist.iter().chain(&dist[..1]).cloned().collect();
+    let batch = BatchRun::new(SimConfig::bcc1(2).transcripts(false));
+    let algorithm = HashVoteDecider::new(2);
+    // Warm-up: every instance derives its start table and plan here.
+    for sweep in [&dist, &two, &one_more] {
+        batch.distributional_error(sweep, &algorithm, 5);
+    }
+    let (_, first) = allocations(|| batch.distributional_error(&dist, &algorithm, 5));
+    let (_, full) = allocations(|| batch.distributional_error(&two, &algorithm, 5));
+    let (_, single) = allocations(|| batch.distributional_error(&one_more, &algorithm, 5));
+    assert_eq!(full - first, SWEEP_CHUNK, "a warm 64-lane chunk");
+    assert_eq!(single - first, SWEEP_CHUNK, "a warm 1-lane chunk");
+}
+
 #[test]
 fn inline_messages_allocate_nothing() {
     let (messages, count) = allocations(|| {

@@ -21,6 +21,18 @@ pub enum Decision {
     Undecided,
 }
 
+impl Decision {
+    /// The system decision per Section 1.2 over every vertex's
+    /// decision: YES iff all of them are YES, otherwise NO.
+    pub(crate) fn system(mut decisions: impl Iterator<Item = Decision>) -> Decision {
+        if decisions.all(|d| d == Decision::Yes) {
+            Decision::Yes
+        } else {
+            Decision::No
+        }
+    }
+}
+
 /// Everything a vertex knows before round 1 (Section 1.2): its ID,
 /// `n`, the bandwidth, its port labels, which ports carry input-graph
 /// edges, all IDs (KT-1 only), and the shared random string.
@@ -151,6 +163,18 @@ pub trait NodeProgram {
     /// Whether this vertex has finished; the simulator stops when all
     /// vertices are done (or the round limit is hit).
     fn is_done(&self) -> bool;
+
+    /// Re-points this program at another vertex's initial knowledge,
+    /// whatever rounds it has run: afterwards it must behave exactly
+    /// as the program its algorithm's [`spawn`](Algorithm::spawn)
+    /// returns for `init`. Returns `false` when it cannot, and the
+    /// caller then spawns a fresh program in its place; that is the
+    /// default. A sweep over many instances resets a warm lane's
+    /// programs instead of allocating new ones.
+    fn reset(&mut self, init: &InitialKnowledge) -> bool {
+        let _ = init;
+        false
+    }
 }
 
 /// An algorithm: a factory spawning one [`NodeProgram`] per vertex

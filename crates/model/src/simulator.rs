@@ -203,11 +203,7 @@ impl RunOutcome {
     /// The system decision per Section 1.2: YES iff every vertex says
     /// YES, otherwise NO.
     pub fn system_decision(&self) -> Decision {
-        if self.decisions.iter().all(|&d| d == Decision::Yes) {
-            Decision::Yes
-        } else {
-            Decision::No
-        }
+        Decision::system(self.decisions.iter().copied())
     }
 
     /// Per-vertex component labels (for `ConnectedComponents`).
@@ -575,22 +571,52 @@ impl RunState {
         algorithm: &dyn Algorithm,
         coin_seed: u64,
     ) -> Self {
-        let n = instance.num_vertices();
-        let programs: Vec<_> = (0..n)
-            .map(|v| algorithm.spawn(instance.initial_knowledge(v, cfg.bandwidth, coin_seed)))
-            .collect();
-        RunState {
-            all_done: programs.iter().all(|p| p.is_done()),
-            programs,
-            transcripts: if cfg.record {
-                vec![Transcript::default(); n]
-            } else {
-                Vec::new()
-            },
+        let mut run = RunState {
+            programs: Vec::new(),
+            transcripts: Vec::new(),
             stats: RunStats::default(),
+            all_done: false,
             bandwidth: cfg.bandwidth,
             record: cfg.record,
+        };
+        run.respawn(cfg, instance, algorithm, coin_seed);
+        run
+    }
+
+    /// Points this run at another `(instance, coin_seed)`, leaving it
+    /// as [`spawn`](Self::spawn) would: each program that
+    /// [resets](NodeProgram::reset) is kept, the others are spawned
+    /// afresh, as are the programs of vertices it did not have, and
+    /// the statistics, transcripts and done flag start over. A sweep
+    /// keeps its runs and respawns them for every batch. `algorithm`
+    /// must be the one this run's programs were spawned by.
+    pub fn respawn(
+        &mut self,
+        cfg: &SimConfig,
+        instance: &Instance,
+        algorithm: &dyn Algorithm,
+        coin_seed: u64,
+    ) {
+        let n = instance.num_vertices();
+        let knowledge = |v| instance.initial_knowledge(v, cfg.bandwidth, coin_seed);
+        self.programs.truncate(n);
+        for (v, program) in self.programs.iter_mut().enumerate() {
+            let init = knowledge(v);
+            if !program.reset(&init) {
+                *program = algorithm.spawn(init);
+            }
         }
+        let kept = self.programs.len();
+        self.programs
+            .extend((kept..n).map(|v| algorithm.spawn(knowledge(v))));
+        self.transcripts.clear();
+        if cfg.record {
+            self.transcripts.resize(n, Transcript::default());
+        }
+        self.stats = RunStats::default();
+        self.all_done = self.programs.iter().all(|p| p.is_done());
+        self.bandwidth = cfg.bandwidth;
+        self.record = cfg.record;
     }
 
     /// Whether every program reports done. A run that is done before
@@ -683,6 +709,14 @@ impl RunState {
         self.stats.rounds = round.saturating_add(1);
         self.all_done = self.programs.iter().all(|p| p.is_done());
         Ok(())
+    }
+
+    /// The system decision per Section 1.2 over the programs' current
+    /// decisions: what [`finish`](Self::finish)'s outcome would
+    /// report as [`RunOutcome::system_decision`], read without
+    /// building the outcome.
+    pub fn system_decision(&self) -> Decision {
+        Decision::system(self.programs.iter().map(|p| p.decide()))
     }
 
     /// The run's outcome: every program's outputs and the statistics,

@@ -60,6 +60,11 @@ impl NodeProgram for ConstantNode {
     fn is_done(&self) -> bool {
         true
     }
+
+    fn reset(&mut self, _init: &InitialKnowledge) -> bool {
+        // The decision is the algorithm's, not the vertex's.
+        true
+    }
 }
 
 /// Every vertex broadcasts `1` forever and never decides: exercises
