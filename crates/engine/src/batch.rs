@@ -2,22 +2,23 @@
 //! through one shared round loop and one transport session.
 //!
 //! A [`BatchRun`] executes one [`Algorithm`] under one [`SimConfig`]
-//! on `L ≤ 64` *lanes* — `(instance, coin_seed)` pairs over graphs
-//! with the same vertex count. The lanes' delivery plans are stacked
+//! on a list of *lanes* — `(instance, coin_seed)` pairs — cut into
+//! batches of `L ≤ 64` contiguous lanes over graphs with the same
+//! vertex count. A batch's delivery plans are stacked
 //! into one plan, so each round every active lane writes its `n`
 //! broadcasts into its slice of one `L·n` outbox, the batch is
 //! delivered in one exchange, and each lane receives its own `n`
 //! inboxes of the view. The per-lane [`RunOutcome`]s are
-//! byte-identical to `L` scalar [`SimConfig::run`] calls (pinned by
+//! byte-identical to scalar [`SimConfig::run`] calls (pinned by
 //! the equivalence proptests in `tests/`): same decisions,
 //! transcripts, views, stats, in the same per-lane round counts. Each
 //! lane is a [`RunState`], the per-run state the scalar simulator
 //! drives too, so spawning, view checks, transcripts and outcome
-//! assembly are shared; the kernel owns only the stacking, the active
-//! mask and its `engine.*` records. A sweep keeps its lanes' runs from
-//! batch to batch and [respawns](RunState::respawn) them, so programs
-//! that can [reset](bcc_model::NodeProgram::reset) are not allocated
-//! again.
+//! assembly are shared; the kernel owns only the batching, the
+//! stacking, the active mask and its `engine.*` records. A call keeps
+//! one pool of runs from batch to batch and
+//! [respawns](RunState::respawn) it, so programs that can
+//! [reset](bcc_model::NodeProgram::reset) are not allocated again.
 //!
 //! Lanes retire independently: a lane whose programs all report done
 //! drops out of the `u64` active mask and stops paying for rounds,
@@ -53,102 +54,85 @@ impl BatchRun {
         BatchRun { cfg }
     }
 
-    /// The underlying configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
-    /// Like [`try_run`](Self::try_run), but degrades a transport
-    /// failure into one all-`Undecided`, unrecorded outcome per lane
-    /// (each carrying the error in
-    /// [`transport_failure`](RunOutcome::transport_failure)) instead
-    /// of returning `Err` — mirroring the scalar
-    /// [`SimConfig::run`] / `try_run` split.
+    /// Runs `algorithm` on every lane and returns one outcome per
+    /// lane, in lane order. Each outcome is byte-identical to the
+    /// configuration's scalar [`SimConfig::run`] of that lane's
+    /// instance and seed.
     ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is empty, has more than [`MAX_LANES`]
-    /// entries, or mixes instances with different vertex counts.
-    pub fn run(&self, lanes: &[Lane<'_>], algorithm: &dyn Algorithm) -> Vec<RunOutcome> {
-        self.run_with(lanes, algorithm, &mut RoundBuffers::default())
-    }
-
-    /// [`run`](Self::run) with borrowed round buffers.
-    pub(crate) fn run_with(
-        &self,
-        lanes: &[Lane<'_>],
-        algorithm: &dyn Algorithm,
-        buffers: &mut RoundBuffers,
-    ) -> Vec<RunOutcome> {
-        match self.try_run_with(lanes, algorithm, buffers) {
-            Ok(outcomes) => outcomes,
-            Err(err) => lanes
-                .iter()
-                .map(|(inst, _)| RunOutcome::transport_failed(inst.num_vertices(), err.clone()))
-                .collect(),
-        }
-    }
-
-    /// Runs `algorithm` on every lane in lockstep and returns one
-    /// outcome per lane, in lane order. Each outcome is byte-identical
-    /// to `self.config().run(instance, algorithm, seed)` for that
-    /// lane.
-    ///
-    /// Message delivery routes through one [`Transport`] from the
-    /// configuration's factory, opened with the lanes' cached plans
-    /// ([`Instance::routes`]) [stacked](Routes::stacked) into one
-    /// plan: each round is one
+    /// Any lane list is accepted: it is cut into maximal contiguous
+    /// slices of at most [`MAX_LANES`] lanes with one vertex count,
+    /// and each slice runs as one lockstep batch in its own transport
+    /// session, over the lanes' cached plans ([`Instance::routes`])
+    /// [stacked](Routes::stacked) into one plan: each round is one
     /// exchange of an `L·n` outbox, and each active lane receives its
     /// own `n` inboxes of the view. The trace and all accounting stay
-    /// driver-side, so outcomes do not depend on the backend. A
-    /// transport failure aborts the whole batch with the typed error
-    /// after closing any open spans.
+    /// driver-side, so outcomes do not depend on the backend. An empty
+    /// list runs nothing.
     ///
-    /// When the configuration's observer traces, the batch records
+    /// A batch whose transport fails — it reports an error, or
+    /// delivers a view of the wrong shape, a
+    /// [`TransportError::Protocol`] — closes its open spans and
+    /// degrades only its own lanes, to all-`Undecided`, unrecorded
+    /// outcomes carrying the error in
+    /// [`transport_failure`](RunOutcome::transport_failure).
+    ///
+    /// When the configuration's observer traces, each batch records
     /// a `batch` span wrapping one `round=r` span per executed round
     /// with `active_lanes` / `bits_broadcast` counters — an aggregate
     /// view, not the per-node scalar trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`TransportError`] the transport reports, or
-    /// a [`TransportError::Protocol`] for a view of the wrong shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is empty, has more than [`MAX_LANES`]
-    /// entries, or mixes instances with different vertex counts.
-    pub fn try_run(
-        &self,
-        lanes: &[Lane<'_>],
-        algorithm: &dyn Algorithm,
-    ) -> Result<Vec<RunOutcome>, TransportError> {
-        self.try_run_with(lanes, algorithm, &mut RoundBuffers::default())
+    pub fn run(&self, lanes: &[Lane<'_>], algorithm: &dyn Algorithm) -> Vec<RunOutcome> {
+        let mut outcomes = Vec::with_capacity(lanes.len());
+        self.sweep(lanes, algorithm, |batch, runs, result| match result {
+            Ok(()) => outcomes.extend(
+                runs.iter_mut()
+                    .zip(batch)
+                    .map(|(run, &(inst, seed))| run.finish(inst, seed)),
+            ),
+            Err(err) => {
+                outcomes.extend(batch.iter().map(|(inst, _)| {
+                    RunOutcome::transport_failed(inst.num_vertices(), err.clone())
+                }))
+            }
+        });
+        outcomes
     }
 
-    /// [`try_run`](Self::try_run) with borrowed round buffers.
-    fn try_run_with(
+    /// The one batching loop: cuts `lanes` into maximal contiguous
+    /// slices of at most [`MAX_LANES`] lanes sharing one vertex count,
+    /// runs each as one batch, and hands `each` the slice, its
+    /// finished runs (`runs[i]` is lane `i`'s) and the batch's result.
+    /// Every batch refills one outbox and one view and respawns one
+    /// pool of runs, so after the first batch a lane's programs are
+    /// reset, not spawned, wherever they can be. On an error the runs
+    /// hold no usable result.
+    pub(crate) fn sweep(
         &self,
         lanes: &[Lane<'_>],
         algorithm: &dyn Algorithm,
-        buffers: &mut RoundBuffers,
-    ) -> Result<Vec<RunOutcome>, TransportError> {
-        let mut runs = Vec::with_capacity(lanes.len());
-        self.advance(lanes, algorithm, buffers, &mut runs)?;
-        Ok(runs
-            .into_iter()
-            .zip(lanes)
-            .map(|(run, &(inst, seed))| run.finish(inst, seed))
-            .collect())
+        mut each: impl FnMut(&[Lane<'_>], &mut [RunState], Result<(), TransportError>),
+    ) {
+        let mut buffers = RoundBuffers::default();
+        let mut runs = Vec::with_capacity(MAX_LANES.min(lanes.len()));
+        let mut rest = lanes;
+        while let Some(&(first, _)) = rest.first() {
+            let n = first.num_vertices();
+            let width = rest
+                .iter()
+                .take(MAX_LANES)
+                .take_while(|(inst, _)| inst.num_vertices() == n)
+                .count();
+            let (batch, tail) = rest.split_at(width);
+            let result = self.advance(batch, algorithm, &mut buffers, &mut runs);
+            each(batch, &mut runs, result);
+            rest = tail;
+        }
     }
 
     /// Runs one batch in its own transport session and leaves lane
     /// `i`'s finished run in `runs[i]`. The runs `runs` already holds
     /// are [respawned](RunState::respawn) onto the lanes and the
-    /// missing ones spawned, so a sweep that lends the same vector to
-    /// every batch keeps its lanes' programs; they must come from
-    /// `algorithm`. On an error `runs` holds no usable result.
-    pub(crate) fn advance(
+    /// missing ones spawned; they must come from `algorithm`.
+    fn advance(
         &self,
         lanes: &[Lane<'_>],
         algorithm: &dyn Algorithm,
@@ -179,19 +163,6 @@ impl BatchRun {
         });
         transport.teardown();
         result
-    }
-
-    /// Runs an arbitrarily long lane list by splitting it into
-    /// [`MAX_LANES`]-wide batches, preserving lane order. Every batch
-    /// is its own transport session, and all of them refill one
-    /// outbox and one view.
-    pub fn run_chunked(&self, lanes: &[Lane<'_>], algorithm: &dyn Algorithm) -> Vec<RunOutcome> {
-        let mut buffers = RoundBuffers::default();
-        let mut outcomes = Vec::with_capacity(lanes.len());
-        for chunk in lanes.chunks(MAX_LANES) {
-            outcomes.extend(self.run_with(chunk, algorithm, &mut buffers));
-        }
-        outcomes
     }
 }
 
@@ -226,14 +197,9 @@ fn run_batch_impl(
     trace: &mut TraceBuf,
     metrics: &mut MetricsBuf,
 ) -> Result<(), TransportError> {
+    // The sweep hands over 1..=MAX_LANES lanes with one vertex count.
     let l = lanes.len();
-    assert!(l >= 1, "a batch needs at least one lane");
-    assert!(l <= MAX_LANES, "at most {MAX_LANES} lanes per batch");
     let n = lanes[0].0.num_vertices();
-    assert!(
-        lanes.iter().all(|(inst, _)| inst.num_vertices() == n),
-        "all lanes must share one vertex count"
-    );
     // The open happens before the batch span starts, so an open
     // failure returns with no spans to unwind.
     let plans: Vec<&Routes> = lanes.iter().map(|(inst, _)| inst.routes()).collect();
@@ -499,26 +465,100 @@ mod tests {
         assert_eq!(out[0].stats(), cfg.run(&i, &EchoBit, 7).stats());
     }
 
+    /// `run` takes any lane list. These 70 lanes mix n = 5 and n = 4
+    /// and run as four batches: 3 lanes at n = 5, 64 and 1 at n = 4,
+    /// then 2 at n = 5. Every lane equals its scalar run, and a
+    /// transport that dies in round 1 of the 64-lane batch degrades
+    /// only that batch's lanes; the next batch respawns the pool from
+    /// its half-run lanes. An empty list runs nothing.
     #[test]
-    fn chunked_run_covers_more_than_max_lanes() {
-        let i = Instance::new_kt1(generators::cycle(4)).unwrap();
-        let lanes: Vec<Lane<'_>> = (0..70).map(|s| (&i, s as u64)).collect();
-        let out = BatchRun::new(SimConfig::bcc1(3)).run_chunked(&lanes, &EchoBit);
-        assert_eq!(out.len(), 70);
-    }
+    fn run_sweeps_mixed_lanes_and_degrades_per_batch() {
+        use bcc_algorithms::HashVoteDecider;
+        use bcc_model::transport::{
+            LocalTransport, RoundView, Routes, Transport, TransportError, TransportFactory,
+        };
+        use bcc_trace::{Observer, TraceLevel};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
 
-    #[test]
-    #[should_panic(expected = "share one vertex count")]
-    fn mismatched_shapes_rejected() {
-        let a = Instance::new_kt1(generators::cycle(4)).unwrap();
-        let b = Instance::new_kt1(generators::cycle(5)).unwrap();
-        let _ = BatchRun::new(SimConfig::bcc1(2)).run(&[(&a, 0), (&b, 0)], &EchoBit);
-    }
+        /// Session 1 dies from round 1 on; the others deliver.
+        struct Dying(LocalTransport, bool);
+        impl Transport for Dying {
+            fn open(&mut self, routes: &Routes) -> Result<(), TransportError> {
+                self.0.open(routes)
+            }
+            fn exchange(
+                &mut self,
+                round: usize,
+                outbox: &[Message],
+            ) -> Result<RoundView, TransportError> {
+                if self.1 && round >= 1 {
+                    return Err(TransportError::WorkerDead {
+                        rank: 0,
+                        detail: "test".to_string(),
+                        postmortem: None,
+                    });
+                }
+                self.0.exchange(round, outbox)
+            }
+        }
+        struct SecondDies(AtomicUsize);
+        impl TransportFactory for SecondDies {
+            fn create(&self) -> Box<dyn Transport> {
+                let session = self.0.fetch_add(1, Ordering::Relaxed);
+                Box::new(Dying(LocalTransport::new(), session == 1))
+            }
+            fn label(&self) -> String {
+                "second-dies".to_string()
+            }
+        }
 
-    #[test]
-    #[should_panic(expected = "at least one lane")]
-    fn empty_batch_rejected() {
-        let _ = BatchRun::new(SimConfig::bcc1(2)).run(&[], &EchoBit);
+        let four: Vec<Instance> = (0..65)
+            .map(|s| Instance::new_kt0(generators::cycle(4), s).unwrap())
+            .collect();
+        let five: Vec<Instance> = (0..5)
+            .map(|s| Instance::new_kt0(generators::cycle(5), s).unwrap())
+            .collect();
+        let lanes: Vec<Lane<'_>> = five[..3]
+            .iter()
+            .chain(&four)
+            .chain(&five[3..])
+            .zip(0u64..)
+            .collect();
+        assert_eq!(lanes.len(), 70);
+        let dead = 3..3 + MAX_LANES;
+        let cfg = SimConfig::bcc1(4);
+        let algorithms: [&dyn Algorithm; 2] = [&IdBroadcast::new(), &HashVoteDecider::new(3)];
+        for algorithm in algorithms {
+            let batched = BatchRun::new(cfg.clone()).run(&lanes, algorithm);
+            assert_eq!(batched.len(), lanes.len());
+            for (out, &(inst, seed)) in batched.iter().zip(&lanes) {
+                assert_outcomes_equal(out, &cfg.run(inst, algorithm, seed));
+            }
+
+            let scope = Observer::new(
+                TraceBuf::new(TraceLevel::Spans, "batch-test"),
+                MetricsBuf::disabled(),
+            );
+            let dying = cfg
+                .clone()
+                .observe(scope.clone())
+                .transport(Arc::new(SecondDies(AtomicUsize::new(0))));
+            let degraded = BatchRun::new(dying).run(&lanes, algorithm);
+            for (lane, (out, ok)) in degraded.iter().zip(&batched).enumerate() {
+                if dead.contains(&lane) {
+                    assert!(out.transport_failure().is_some(), "lane {lane}");
+                    assert!(out.decisions().iter().all(|d| *d == Decision::Undecided));
+                } else {
+                    assert_outcomes_equal(out, ok);
+                }
+            }
+            let events = scope.take().0.into_events();
+            assert!(spans_balanced(&events));
+            let batches = events.iter().filter(|e| e.name == "batch").count();
+            assert_eq!(batches, 2 * 4, "four batch spans, opened and closed");
+            assert!(BatchRun::new(cfg.clone()).run(&[], algorithm).is_empty());
+        }
     }
 
     #[test]
@@ -673,13 +713,12 @@ mod tests {
             let cfg = SimConfig::bcc1(3)
                 .observe(scope.clone())
                 .transport(std::sync::Arc::new(SkewedFactory(skew)));
-            let err = BatchRun::new(cfg)
-                .try_run(&lanes, algorithm)
-                .map(drop)
-                .unwrap_err();
-            match err {
-                TransportError::Protocol { detail, .. } => assert_eq!(detail, want),
-                other => panic!("expected a protocol error, got {other:?}"),
+            let out = BatchRun::new(cfg).run(&lanes, algorithm);
+            for o in &out {
+                match o.transport_failure() {
+                    Some(TransportError::Protocol { detail, .. }) => assert_eq!(detail, want),
+                    other => panic!("expected a protocol error, got {other:?}"),
+                }
             }
             let events = scope.take().0.into_events();
             assert!(spans_balanced(&events), "{want}: unbalanced spans");

@@ -6,10 +6,11 @@
 //! *families* of same-shape instances (a hard distribution, a sweep
 //! of sampled partition pairs). This crate exploits that shape:
 //!
-//! * [`BatchRun`] advances up to [`MAX_LANES`] (= 64) same-shape
-//!   instances through one lockstep round loop: their delivery plans
-//!   are stacked into one, so each round delivers every lane's
-//!   broadcasts in one exchange of one transport session.
+//! * [`BatchRun`] cuts a list of instances into batches of up to
+//!   [`MAX_LANES`] (= 64) same-shape lanes and advances each batch
+//!   through one lockstep round loop: their delivery plans are
+//!   stacked into one, so each round delivers every lane's broadcasts
+//!   in one exchange of one transport session.
 //!   Per-lane outcomes are byte-identical to scalar
 //!   [`SimConfig::run`](bcc_model::SimConfig::run) calls, pinned by
 //!   proptests.

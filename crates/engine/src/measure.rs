@@ -9,12 +9,12 @@
 //! summation order*, so a report assembled from batched numbers never
 //! differs from the scalar report by even a ULP.
 
-use crate::batch::{BatchRun, Lane, MAX_LANES};
+use crate::batch::{BatchRun, Lane};
 use bcc_comm::reduction::{gadget_graph, Gadget};
 use bcc_comm::simulate::SimulationReport;
 use bcc_comm::CommError;
 use bcc_core::hard::WeightedInstance;
-use bcc_model::{Algorithm, Decision, Instance, ModelError, RoundBuffers, SimConfig};
+use bcc_model::{Algorithm, Decision, Instance, ModelError, SimConfig};
 use bcc_partitions::SetPartition;
 
 /// Failure to assemble a batched measurement's instances.
@@ -50,8 +50,8 @@ impl From<ModelError> for EngineError {
 }
 
 /// The batched form of [`bcc_core::hard::distributional_error`]:
-/// advances up to [`MAX_LANES`] weighted instances per lockstep batch
-/// instead of one scalar run per instance.
+/// advances up to [`MAX_LANES`](crate::MAX_LANES) weighted instances
+/// per lockstep batch instead of one scalar run per instance.
 ///
 /// Byte-identical to the scalar function for every distribution: the
 /// mismatch weights are accumulated in distribution order (batches
@@ -120,42 +120,23 @@ impl BatchRun {
         algorithm: &dyn Algorithm,
         coin_seed: u64,
     ) -> f64 {
+        let lanes: Vec<Lane<'_>> = dist.iter().map(|wi| (&wi.instance, coin_seed)).collect();
+        // Batches are contiguous, so the weights are added in
+        // distribution order. A lane's decision is read straight from
+        // its run; a transport failure leaves every lane of its batch
+        // undecided, which the system rule reads as NO.
+        let mut weights = dist.iter();
         let mut error = 0.0f64;
-        // Every batch refills one outbox and one view, and respawns
-        // one pool of lanes: after the first batch a lane's programs
-        // are reset, not spawned, and its decision is read straight
-        // from its run.
-        let mut buffers = RoundBuffers::default();
-        let mut runs = Vec::with_capacity(MAX_LANES.min(dist.len()));
-        let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(MAX_LANES.min(dist.len()));
-        let mut i = 0;
-        while i < dist.len() {
-            // A batch is a maximal contiguous same-shape slice of the
-            // distribution, capped at the lane width. The hard
-            // distributions are single-n, so this is one full chunk
-            // per 64 instances.
-            let n = dist[i].instance.num_vertices();
-            let mut j = i + 1;
-            while j < dist.len() && j - i < MAX_LANES && dist[j].instance.num_vertices() == n {
-                j += 1;
-            }
-            lanes.clear();
-            lanes.extend(dist[i..j].iter().map(|wi| (&wi.instance, coin_seed)));
-            // A transport failure leaves every lane undecided, which
-            // the system rule reads as NO.
-            let ok = self
-                .advance(&lanes, algorithm, &mut buffers, &mut runs)
-                .is_ok();
-            for (lane, wi) in dist[i..j].iter().enumerate() {
-                let said_yes = ok && runs[lane].system_decision() == Decision::Yes;
+        self.sweep(&lanes, algorithm, |_, runs, result| {
+            for (run, wi) in runs.iter().zip(weights.by_ref()) {
+                let said_yes = result.is_ok() && run.system_decision() == Decision::Yes;
                 error += if said_yes == wi.is_one_cycle {
                     0.0
                 } else {
                     wi.weight
                 };
             }
-            i = j;
-        }
+        });
         error
     }
 
@@ -194,7 +175,7 @@ impl BatchRun {
             .map(|(pa, pb)| Ok(Instance::new_kt1(gadget_graph(gadget, pa, pb)?)?))
             .collect::<Result<_, EngineError>>()?;
         let lanes: Vec<Lane<'_>> = instances.iter().map(|inst| (inst, coin_seed)).collect();
-        let outcomes = self.run_chunked(&lanes, algorithm);
+        let outcomes = self.run(&lanes, algorithm);
         Ok(outcomes
             .into_iter()
             .map(|out| {
@@ -215,6 +196,7 @@ impl BatchRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MAX_LANES;
     use bcc_core::hard::{distributional_error, uniform_two_cycle_distribution};
     use bcc_model::testing::ConstantDecision;
 
@@ -303,7 +285,10 @@ mod tests {
         impl TransportFactory for Sessions {
             fn create(&self) -> Box<dyn Transport> {
                 let session = self.created.fetch_add(1, Ordering::Relaxed);
-                Box::new(Dying(LocalTransport::new(), session.is_multiple_of(self.period)))
+                Box::new(Dying(
+                    LocalTransport::new(),
+                    session.is_multiple_of(self.period),
+                ))
             }
             fn label(&self) -> String {
                 "dying".to_string()

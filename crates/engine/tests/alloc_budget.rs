@@ -4,7 +4,8 @@
 //! heap. Set-up is pinned per run: a warm instance hands out initial
 //! knowledge without allocating, a warm batch and a warm scalar run
 //! with lent buffers allocate an exact count, and a sweep's later
-//! chunks or runs reuse the first one's outbox and inbox vectors.
+//! chunks or runs reuse the first one's outbox and inbox vectors, and
+//! a later chunk its lanes' programs too.
 //! Unobserved configurations are free to build and clone.
 //!
 //! A counting global allocator tallies allocations per thread, so
@@ -171,15 +172,13 @@ fn second_chunk_allocates_no_inbox_vectors() {
     let batch = BatchRun::new(SimConfig::bcc1(2).transcripts(false));
     let algorithm = HashVoteDecider::new(2);
     batch.run(&lanes[..MAX_LANES], &algorithm);
-    let (_, one) = allocations(|| batch.run_chunked(&lanes[..MAX_LANES], &algorithm));
-    let (outcomes, two) = allocations(|| batch.run_chunked(&lanes, &algorithm));
+    let (_, one) = allocations(|| batch.run(&lanes[..MAX_LANES], &algorithm));
+    let (outcomes, two) = allocations(|| batch.run(&lanes, &algorithm));
     assert_eq!(outcomes.len(), 2 * MAX_LANES);
-    // The second chunk costs a fresh batch less its `l·n` inbox
-    // vectors, the view's inbox list and the outbox: it refills the
-    // first chunk's.
-    let fresh = BATCH_FIXED + MAX_LANES as u64 * BATCH_PER_LANE;
-    let lent = MAX_LANES as u64 * 7 + 2;
-    assert_eq!(two - one, fresh - lent);
+    // The second chunk refills the first one's outbox and view and
+    // respawns its lanes' runs, resetting their programs: it costs a
+    // pooled sweep chunk and each lane's three outcome vectors.
+    assert_eq!(two - one, SWEEP_CHUNK + MAX_LANES as u64 * 3);
 }
 
 /// Allocations of a warm scalar `HashVoteDecider` run with recording

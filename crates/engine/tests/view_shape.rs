@@ -1,7 +1,7 @@
 //! Both drivers reject a delivered view of the wrong shape the same
-//! way: the scalar simulator and the batched kernel return the same
-//! typed `Protocol` error, and leave a balanced trace with one
-//! `transport.error` event.
+//! way: the scalar simulator and the batched kernel degrade their
+//! outcomes on the same typed `Protocol` error, and leave a balanced
+//! trace with one `transport.error` event.
 
 use bcc_engine::BatchRun;
 use bcc_graphs::generators;
@@ -10,7 +10,7 @@ use bcc_model::testing::EchoBit;
 use bcc_model::transport::{
     LocalTransport, RoundView, Routes, Transport, TransportError, TransportFactory,
 };
-use bcc_model::{Instance, Message, SimConfig};
+use bcc_model::{Instance, Message, RunOutcome, SimConfig};
 use bcc_trace::{EventKind, Observer, TraceBuf, TraceLevel};
 use std::sync::Arc;
 
@@ -66,13 +66,17 @@ impl TransportFactory for ShortFactory {
     }
 }
 
-/// The error detail, with the trace checked for balanced spans and
-/// exactly one `transport.error` event.
-fn protocol_detail(result: Result<(), TransportError>, observer: &Observer) -> String {
-    let detail = match result {
-        Err(TransportError::Protocol { detail, .. }) => detail,
-        other => panic!("expected a protocol error, got {other:?}"),
-    };
+/// The error detail every outcome degraded on, with the trace checked
+/// for balanced spans and exactly one `transport.error` event.
+fn protocol_detail(outcomes: &[RunOutcome], observer: &Observer) -> String {
+    let details: Vec<&str> = outcomes
+        .iter()
+        .map(|out| match out.transport_failure() {
+            Some(TransportError::Protocol { detail, .. }) => detail.as_str(),
+            other => panic!("expected a protocol error, got {other:?}"),
+        })
+        .collect();
+    assert!(details.windows(2).all(|w| w[0] == w[1]), "{details:?}");
     let events = observer.take().0.into_events();
     let count = |kind: EventKind| events.iter().filter(|e| e.kind == kind).count();
     assert_eq!(count(EventKind::SpanStart), count(EventKind::SpanEnd));
@@ -81,7 +85,7 @@ fn protocol_detail(result: Result<(), TransportError>, observer: &Observer) -> S
         .filter(|e| e.name == "transport.error")
         .count();
     assert_eq!(errors, 1, "one transport.error event");
-    detail
+    details[0].to_string()
 }
 
 fn observed(cut: Cut) -> (SimConfig, Observer) {
@@ -103,13 +107,13 @@ fn both_drivers_word_a_short_view_the_same() {
         (Cut::Entry, "node 0 received 3 messages, expected 4"),
     ] {
         let (cfg, observer) = observed(cut);
-        let scalar = cfg.try_run(&instance, &EchoBit, 0).map(drop);
-        let scalar = protocol_detail(scalar, &observer);
+        let scalar = [cfg.run(&instance, &EchoBit, 0)];
+        let scalar = protocol_detail(&scalar, &observer);
 
         let (cfg, observer) = observed(cut);
         let lanes = [(&instance, 0), (&instance, 1)];
-        let batched = BatchRun::new(cfg).try_run(&lanes, &EchoBit).map(drop);
-        let batched = protocol_detail(batched, &observer);
+        let batched = BatchRun::new(cfg).run(&lanes, &EchoBit);
+        let batched = protocol_detail(&batched, &observer);
 
         assert_eq!(scalar, want);
         assert_eq!(batched, want);

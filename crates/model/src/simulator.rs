@@ -449,22 +449,22 @@ impl SimConfig {
     /// A transport failure degrades — never panics — into
     /// [`RunOutcome::transport_failed`]: all vertices undecided and
     /// the typed error retrievable from
-    /// [`RunOutcome::transport_failure`]. Use [`try_run`](Self::try_run)
-    /// to receive the error as a `Result` instead.
+    /// [`RunOutcome::transport_failure`]. Trace spans opened before
+    /// the failure are closed, so traced error paths stay balanced.
     pub fn run(
         &self,
         instance: &Instance,
         algorithm: &dyn Algorithm,
         coin_seed: u64,
     ) -> RunOutcome {
-        self.try_run(instance, algorithm, coin_seed)
-            .unwrap_or_else(|err| RunOutcome::transport_failed(instance.num_vertices(), err))
+        self.run_with(instance, algorithm, coin_seed, &mut RoundBuffers::default())
     }
 
     /// [`run`](Self::run) with borrowed round buffers. A sweep lends
     /// one set to every run, so after the first run no outbox and no
     /// inbox vector is allocated again. The outcome does not depend on
-    /// what the buffers held before.
+    /// what the buffers held before. The transport is still created,
+    /// opened and torn down per run.
     pub fn run_with(
         &self,
         instance: &Instance,
@@ -472,36 +472,6 @@ impl SimConfig {
         coin_seed: u64,
         buffers: &mut RoundBuffers,
     ) -> RunOutcome {
-        self.try_run_with(instance, algorithm, coin_seed, buffers)
-            .unwrap_or_else(|err| RunOutcome::transport_failed(instance.num_vertices(), err))
-    }
-
-    /// Fallible form of [`run`](Self::run).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`TransportError`] the configured transport
-    /// reports (spawn failure, dead worker, protocol violation).
-    /// Trace spans opened before the failure are closed before
-    /// returning, so traced error paths stay balanced.
-    pub fn try_run(
-        &self,
-        instance: &Instance,
-        algorithm: &dyn Algorithm,
-        coin_seed: u64,
-    ) -> Result<RunOutcome, TransportError> {
-        self.try_run_with(instance, algorithm, coin_seed, &mut RoundBuffers::default())
-    }
-
-    /// [`try_run`](Self::try_run) with borrowed round buffers. The
-    /// transport is still created, opened and torn down per run.
-    fn try_run_with(
-        &self,
-        instance: &Instance,
-        algorithm: &dyn Algorithm,
-        coin_seed: u64,
-        buffers: &mut RoundBuffers,
-    ) -> Result<RunOutcome, TransportError> {
         let mut transport = self.transport_factory().create();
         let result = self.observer.with(|trace, metrics| {
             try_run_impl(
@@ -515,7 +485,7 @@ impl SimConfig {
             )
         });
         transport.teardown();
-        result
+        result.unwrap_or_else(|err| RunOutcome::transport_failed(instance.num_vertices(), err))
     }
 }
 
@@ -723,10 +693,11 @@ impl RunState {
     /// and — when recording is on — each vertex's [`NodeView`], which
     /// takes over the vertex's transcript. Its initial knowledge is
     /// read from the start table of `instance` (the instance the run
-    /// was spawned on) and `coin_seed`.
-    pub fn finish(self, instance: &Instance, coin_seed: u64) -> RunOutcome {
-        let views = self
-            .transcripts
+    /// was spawned on) and `coin_seed`. The transcripts move into the
+    /// outcome, so a finished run is left to be
+    /// [respawned](Self::respawn), not finished again.
+    pub fn finish(&mut self, instance: &Instance, coin_seed: u64) -> RunOutcome {
+        let views = std::mem::take(&mut self.transcripts)
             .into_iter()
             .enumerate()
             .map(|(v, transcript)| {
@@ -1148,16 +1119,17 @@ mod tests {
         let cfg = SimConfig::bcc1(5)
             .transport(Arc::clone(&factory))
             .observe(scope.clone());
-        let err = cfg.try_run(&i, &EchoBit, 0).unwrap_err();
-        assert!(matches!(err, TransportError::WorkerDead { rank: 0, .. }));
-        // The infallible face degrades to all-undecided, never panics.
+        // The run degrades to all-undecided, never panics.
         let out = cfg.run(&i, &EchoBit, 0);
+        assert!(matches!(
+            out.transport_failure(),
+            Some(TransportError::WorkerDead { rank: 0, .. })
+        ));
         assert!(out.decisions().contains(&Decision::Undecided));
         assert_eq!(out.system_decision(), Decision::No);
         assert!(!out.completed());
         assert!(!out.recorded());
-        assert_eq!(out.transport_failure(), Some(&err));
-        // Every span the failing runs opened was closed.
+        // Every span the failing run opened was closed.
         let events = scope.take().0.into_events();
         let starts = events
             .iter()

@@ -27,7 +27,8 @@
 //!    transport that permutes entries is still conforming.
 //! 3. Failure is a typed [`TransportError`], never a panic: a dead
 //!    worker surfaces as [`TransportError::WorkerDead`] and the run
-//!    degrades (see `SimConfig::try_run`).
+//!    degrades, carrying the error in
+//!    [`RunOutcome::transport_failure`](crate::RunOutcome::transport_failure).
 
 use crate::network::Network;
 use crate::postmortem::{Postmortem, TransportHealth};

@@ -405,6 +405,23 @@ enum RawError {
     Protocol(String),
 }
 
+impl RawError {
+    /// The typed error of a failed read or write on `rank`'s link.
+    fn at(self, rank: usize) -> TransportError {
+        match self {
+            RawError::Dead(detail) => TransportError::WorkerDead {
+                rank,
+                detail,
+                postmortem: None,
+            },
+            RawError::Protocol(detail) => TransportError::Protocol {
+                detail,
+                postmortem: None,
+            },
+        }
+    }
+}
+
 struct GroupInner {
     /// One link per worker, index = rank.
     links: Vec<Link>,
@@ -448,43 +465,35 @@ impl GroupInner {
     }
 
     fn build_postmortem(&self, error: &str, open_sessions: u64) -> Postmortem {
-        let respawns = self.telemetry.wall_get("spawns").saturating_sub(1);
         Postmortem {
             backend: self.backend.clone(),
             error: error.to_string(),
-            workers: self
-                .links
-                .iter()
-                .enumerate()
-                .map(|(rank, link)| WorkerHealth {
-                    rank,
-                    alive: self.alive.get(rank).copied().unwrap_or(false),
-                    respawns,
-                    sessions: open_sessions,
-                    ring: link.ring.iter().cloned().collect(),
-                })
-                .collect(),
+            workers: self.workers(open_sessions, |link| link.ring.iter().cloned().collect()),
         }
     }
 
     fn health(&self, backend: &str) -> TransportHealth {
-        let respawns = self.telemetry.wall_get("spawns").saturating_sub(1);
-        let sessions = self.open_sessions.len() as u64;
         TransportHealth {
             backend: backend.to_string(),
-            workers: self
-                .links
-                .iter()
-                .enumerate()
-                .map(|(rank, _)| WorkerHealth {
-                    rank,
-                    alive: self.alive.get(rank).copied().unwrap_or(false),
-                    respawns,
-                    sessions,
-                    ring: Vec::new(),
-                })
-                .collect(),
+            workers: self.workers(self.open_sessions.len() as u64, |_| Vec::new()),
         }
+    }
+
+    /// One health row per rank: its liveness, the group's respawns,
+    /// `sessions`, and `ring` of its link.
+    fn workers(&self, sessions: u64, ring: impl Fn(&Link) -> Vec<WireEvent>) -> Vec<WorkerHealth> {
+        let respawns = self.telemetry.wall_get("spawns").saturating_sub(1);
+        self.links
+            .iter()
+            .enumerate()
+            .map(|(rank, link)| WorkerHealth {
+                rank,
+                alive: self.alive.get(rank).copied().unwrap_or(false),
+                respawns,
+                sessions,
+                ring: ring(link),
+            })
+            .collect()
     }
 
     /// Writes one newline-terminated line (see [`framed`]) in a
@@ -532,37 +541,12 @@ impl GroupInner {
         line: &str,
         meta: &WireMeta,
     ) -> Result<(), TransportError> {
-        self.send_raw(rank, line, meta).map_err(|e| {
-            let err = match e {
-                RawError::Dead(detail) => TransportError::WorkerDead {
-                    rank,
-                    detail,
-                    postmortem: None,
-                },
-                RawError::Protocol(detail) => TransportError::Protocol {
-                    detail,
-                    postmortem: None,
-                },
-            };
-            self.fail(err)
-        })
+        self.send_raw(rank, line, meta)
+            .map_err(|e| self.fail(e.at(rank)))
     }
 
     fn read_reply(&mut self, rank: usize) -> Result<Reply, TransportError> {
-        self.read_raw(rank).map_err(|e| {
-            let err = match e {
-                RawError::Dead(detail) => TransportError::WorkerDead {
-                    rank,
-                    detail,
-                    postmortem: None,
-                },
-                RawError::Protocol(detail) => TransportError::Protocol {
-                    detail,
-                    postmortem: None,
-                },
-            };
-            self.fail(err)
-        })
+        self.read_raw(rank).map_err(|e| self.fail(e.at(rank)))
     }
 
     /// Fails the group on a reply that is not the one expected: an
