@@ -229,8 +229,8 @@ impl NodeProgram for BoruvkaNode {
                 .collect();
         }
         let total = self.payload_len();
-        for (label, bits) in &mut self.received {
-            let Some(msg) = inbox.by_label(*label) else {
+        for (port, (label, bits)) in self.received.iter_mut().enumerate() {
+            let Some(msg) = inbox.by_port(port, *label) else {
                 continue;
             };
             for s in msg.symbols() {

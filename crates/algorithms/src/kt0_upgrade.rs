@@ -53,6 +53,8 @@ struct UpgradeNode<A> {
     factory: A,
     /// `(port label, learned peer id)`, in port order.
     port_id_map: Vec<(u64, u64)>,
+    /// The inner program's inbox entries, refilled every round.
+    translated: Vec<(u64, Message)>,
     inner: Option<Box<dyn NodeProgram>>,
 }
 
@@ -79,7 +81,24 @@ impl<A: Algorithm> UpgradeNode<A> {
             outer: init,
             factory,
             port_id_map: Vec::new(),
+            translated: Vec::new(),
             inner: None,
+        }
+    }
+
+    /// The ID learned behind the port with label `label`, expected at
+    /// position `port` (the inbox is in port order, as `port_id_map`
+    /// is); any other position falls back to a search.
+    fn peer_id(&self, port: usize, label: u64) -> u64 {
+        match self.port_id_map.get(port) {
+            Some(&(l, id)) if l == label => id,
+            _ => {
+                self.port_id_map
+                    .iter()
+                    .find(|&&(l, _)| l == label)
+                    .expect("label learned in prologue")
+                    .1
+            }
         }
     }
 
@@ -128,33 +147,29 @@ impl<A: Algorithm + Clone> NodeProgram for UpgradeNode<A> {
 
     fn receive(&mut self, round: usize, inbox: &Inbox) {
         if round < self.width {
-            for (label, acc) in &mut self.accs {
-                let fed = acc.push(inbox.by_label(*label).expect("port present").symbol());
+            for (port, (label, acc)) in self.accs.iter_mut().enumerate() {
+                let fed = acc.push(inbox.by_port(port, *label).expect("port present").symbol());
                 debug_assert!(fed.is_ok(), "sender broke the bit-serial encoding");
             }
             if round + 1 == self.width {
                 self.finish_prologue();
             }
         } else {
-            let translated = Inbox::new(
+            let mut entries = std::mem::take(&mut self.translated);
+            entries.clear();
+            entries.extend(
                 inbox
                     .entries()
                     .iter()
-                    .map(|(label, m)| {
-                        let id = self
-                            .port_id_map
-                            .iter()
-                            .find(|(l, _)| l == label)
-                            .expect("label learned in prologue")
-                            .1;
-                        (id, m.clone())
-                    })
-                    .collect(),
+                    .enumerate()
+                    .map(|(port, (label, m))| (self.peer_id(port, *label), m.clone())),
             );
+            let translated = Inbox::new(entries);
             self.inner
                 .as_mut()
                 .expect("inner spawned after prologue")
                 .receive(round - self.width, &translated);
+            self.translated = translated.into_entries();
         }
     }
 
@@ -175,7 +190,9 @@ impl<A: Algorithm + Clone> NodeProgram for UpgradeNode<A> {
 
     fn reset(&mut self, init: &InitialKnowledge) -> bool {
         let accs = std::mem::take(&mut self.accs);
+        let translated = std::mem::take(&mut self.translated);
         *self = UpgradeNode::new(self.factory.clone(), init.clone(), accs);
+        self.translated = translated;
         true
     }
 }

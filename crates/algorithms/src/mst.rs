@@ -219,11 +219,11 @@ impl NodeProgram for MstNode {
                 })
                 .collect();
         } else {
-            for (label, flag, wacc, pacc) in &mut self.phase_state.accs {
+            for (port, (label, flag, wacc, pacc)) in self.phase_state.accs.iter_mut().enumerate() {
                 if *flag != Some(true) {
                     continue; // silent sender this phase
                 }
-                let Some(msg) = inbox.by_label(*label) else {
+                let Some(msg) = inbox.by_port(port, *label) else {
                     continue;
                 };
                 let sym = msg.symbol();

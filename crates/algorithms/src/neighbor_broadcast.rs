@@ -56,7 +56,8 @@ impl Algorithm for NeighborIdBroadcast {
             init,
             degree_schedule: BitSchedule::of_value(my_degree, width),
             degree_accs: Vec::new(),
-            degrees: None,
+            degrees: Vec::new(),
+            d_max: None,
             id_accs: Vec::new(),
             graph: None,
             round: 0,
@@ -68,27 +69,29 @@ struct NeighborNode {
     problem: Problem,
     init: InitialKnowledge,
     width: usize,
+    /// Every vertex ID, sorted (KT-1 knowledge), so an ID's vertex
+    /// index is its rank.
     all_ids: Vec<u64>,
     my_neighbor_ids: Vec<u64>,
     degree_schedule: BitSchedule,
+    /// Accumulators for phase 1, per port in inbox order.
     degree_accs: Vec<(u64, BitAccumulator)>,
-    /// `(sender id, degree)` once phase 1 finishes.
-    degrees: Option<Vec<(u64, usize)>>,
-    /// Accumulators for phase 2, per port.
-    id_accs: Vec<(u64, Vec<BitAccumulator>)>,
+    /// `(sender id, announced degree)` per port in inbox order, once
+    /// phase 1 finishes.
+    degrees: Vec<(u64, usize)>,
+    /// The maximum degree, ours included, once phase 1 finishes.
+    d_max: Option<usize>,
+    /// Accumulators for phase 2: each sender's announced neighbor IDs,
+    /// as many as its degree, back to back in the order of `degrees`.
+    id_accs: Vec<BitAccumulator>,
     graph: Option<Graph>,
     round: usize,
 }
 
 impl NeighborNode {
-    fn d_max(&self) -> Option<usize> {
-        let degs = self.degrees.as_ref()?;
-        let peer_max = degs.iter().map(|&(_, d)| d).max().unwrap_or(0);
-        Some(peer_max.max(self.my_neighbor_ids.len()))
-    }
-
-    fn phase2_rounds(&self) -> Option<usize> {
-        self.d_max().map(|d| d * self.width)
+    /// The vertex index of `id`: its rank in the sorted ID table.
+    fn index_of(&self, id: u64) -> Option<usize> {
+        self.all_ids.binary_search(&id).ok()
     }
 
     /// The symbol to broadcast in phase 2, at offset `o` into it: our
@@ -107,43 +110,37 @@ impl NeighborNode {
         if self.graph.is_some() {
             return;
         }
-        let Some(degs) = self.degrees.as_ref() else {
+        let Some(d_max) = self.d_max else {
             return;
         };
-        let Some(p2) = self.phase2_rounds() else {
-            return;
-        };
-        if self.round < self.width + p2 {
+        if self.round < (1 + d_max) * self.width {
             return;
         }
-        // Decode every sender's neighbor list.
-        let deg_of: std::collections::BTreeMap<u64, usize> = degs.iter().copied().collect();
-        let id_index: std::collections::BTreeMap<u64, usize> = self
-            .all_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect();
-        let n = self.init.n;
-        let mut g = Graph::new(n);
+        self.graph = self.decode();
+    }
+
+    /// The input graph, from every sender's announced neighbor list
+    /// and ours; `None` if a payload is incomplete or names an unknown
+    /// ID (a corrupt transcript), which leaves this vertex undecided.
+    fn decode(&self) -> Option<Graph> {
+        let mut g = Graph::new(self.init.n);
         let mut add = |a: usize, b: usize| {
             if a != b && !g.has_edge(a, b) {
                 g.add_edge(a, b).expect("decoded edge valid");
             }
         };
-        for (sender, accs) in &self.id_accs {
-            let d = deg_of[sender];
-            let su = id_index[sender];
-            for acc in accs.iter().take(d) {
-                let nid = acc.value().expect("payload complete after phase 2");
-                add(su, id_index[&nid]);
+        let mut accs = self.id_accs.iter();
+        for &(sender, d) in &self.degrees {
+            let su = self.index_of(sender)?;
+            for acc in accs.by_ref().take(d) {
+                add(su, self.index_of(acc.value()?)?);
             }
         }
-        let me = id_index[&self.init.id];
-        for nid in &self.my_neighbor_ids {
-            add(me, id_index[nid]);
+        let me = self.index_of(self.init.id)?;
+        for &nid in &self.my_neighbor_ids {
+            add(me, self.index_of(nid)?);
         }
-        self.graph = Some(g);
+        Some(g)
     }
 }
 
@@ -165,31 +162,35 @@ impl NodeProgram for NeighborNode {
                     .map(|(l, _)| (*l, BitAccumulator::new(self.width)))
                     .collect();
             }
-            for (label, acc) in &mut self.degree_accs {
-                let fed = acc.push(inbox.by_label(*label).expect("port present").symbol());
+            for (port, (label, acc)) in self.degree_accs.iter_mut().enumerate() {
+                let fed = acc.push(inbox.by_port(port, *label).expect("port present").symbol());
                 debug_assert!(fed.is_ok(), "sender broke the bit-serial encoding");
             }
             if round + 1 == self.width {
-                let degrees: Vec<(u64, usize)> = self
+                self.degrees = self
                     .degree_accs
                     .iter()
                     .map(|(l, a)| (*l, a.value().expect("degree payload complete") as usize))
                     .collect();
                 // Prepare phase-2 accumulators: one per announced neighbor.
-                self.id_accs = degrees
-                    .iter()
-                    .map(|&(l, d)| (l, (0..d).map(|_| BitAccumulator::new(self.width)).collect()))
-                    .collect();
-                self.degrees = Some(degrees);
+                let total = self.degrees.iter().map(|&(_, d)| d).sum();
+                self.id_accs = vec![BitAccumulator::new(self.width); total];
+                let peer_max = self.degrees.iter().map(|&(_, d)| d).max();
+                self.d_max = Some(peer_max.unwrap_or(0).max(self.my_neighbor_ids.len()));
             }
         } else {
             let offset = round - self.width;
             let slot = offset / self.width;
-            for (label, accs) in &mut self.id_accs {
-                if let Some(acc) = accs.get_mut(slot) {
-                    let fed = acc.push(inbox.by_label(*label).expect("port present").symbol());
+            // Sender `p`'s accumulators start after those of the
+            // senders before it.
+            let mut start = 0;
+            for (port, &(label, d)) in self.degrees.iter().enumerate() {
+                if slot < d {
+                    let symbol = inbox.by_port(port, label).expect("port present").symbol();
+                    let fed = self.id_accs[start + slot].push(symbol);
                     debug_assert!(fed.is_ok(), "sender broke the bit-serial encoding");
                 }
+                start += d;
             }
         }
         self.round = round + 1;
@@ -206,8 +207,7 @@ impl NodeProgram for NeighborNode {
     fn component_label(&self) -> Option<u64> {
         let g = self.graph.as_ref()?;
         let labels = local_component_labels(g, &self.all_ids);
-        let me = self.all_ids.iter().position(|&id| id == self.init.id)?;
-        Some(labels[me])
+        Some(labels[self.index_of(self.init.id)?])
     }
 
     fn is_done(&self) -> bool {

@@ -80,18 +80,18 @@ pub fn decide_problem(g: &Graph, problem: Problem) -> Decision {
 }
 
 /// Component labels on a fully known graph, mapped through the given
-/// vertex-ID table: the label of `v`'s component is the **minimum ID**
-/// among its members (the canonical `ConnectedComponents` output).
+/// vertex-ID table (one ID per vertex): the label of `v`'s component
+/// is the **minimum ID** among its members (the canonical
+/// `ConnectedComponents` output).
 pub fn local_component_labels(g: &Graph, ids: &[u64]) -> Vec<u64> {
     let comps = connected_components(g);
-    let n = g.num_vertices();
-    let mut min_id_of_label: std::collections::BTreeMap<usize, u64> =
-        std::collections::BTreeMap::new();
+    // A component's label is one of its vertices, so a table indexed
+    // by label holds every component's minimum ID.
+    let mut min_id = vec![u64::MAX; g.num_vertices()];
     for (&label, &id) in comps.label.iter().zip(ids) {
-        let entry = min_id_of_label.entry(label).or_insert(u64::MAX);
-        *entry = (*entry).min(id);
+        min_id[label] = min_id[label].min(id);
     }
-    (0..n).map(|v| min_id_of_label[&comps.label[v]]).collect()
+    comps.label.iter().map(|&label| min_id[label]).collect()
 }
 
 #[cfg(test)]

@@ -271,8 +271,8 @@ impl NodeProgram for SketchNode {
                 .collect();
         }
         let total = L0Sketch::bits(self.m());
-        for (label, bits) in &mut self.peer_bits {
-            let Some(msg) = inbox.by_label(*label) else {
+        for (port, (label, bits)) in self.peer_bits.iter_mut().enumerate() {
+            let Some(msg) = inbox.by_port(port, *label) else {
                 continue;
             };
             for s in msg.symbols() {

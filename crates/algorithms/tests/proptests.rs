@@ -3,8 +3,8 @@
 
 use bcc_algorithms::sketch::{edge_slot, slot_edge, Decode, L0Sketch};
 use bcc_algorithms::{
-    BoruvkaMinLabel, FullGraphBroadcast, HashVoteDecider, Kt0Upgrade, NeighborIdBroadcast,
-    ParityDecider, Problem, Truncated,
+    local_component_labels, BoruvkaMinLabel, FullGraphBroadcast, HashVoteDecider, Kt0Upgrade,
+    NeighborIdBroadcast, ParityDecider, Problem, Truncated,
 };
 use bcc_graphs::connectivity::connected_components;
 use bcc_graphs::{generators, Graph};
@@ -74,6 +74,22 @@ fn run_round(
     outbox
 }
 
+/// `local_component_labels` as first written, with its min-ID table
+/// in a `BTreeMap` keyed by component label: the reference the
+/// table-indexed form must agree with.
+fn btree_component_labels(g: &Graph, ids: &[u64]) -> Vec<u64> {
+    let comps = connected_components(g);
+    let mut min_id_of_label: std::collections::BTreeMap<usize, u64> =
+        std::collections::BTreeMap::new();
+    for (&label, &id) in comps.label.iter().zip(ids) {
+        let entry = min_id_of_label.entry(label).or_insert(u64::MAX);
+        *entry = (*entry).min(id);
+    }
+    (0..g.num_vertices())
+        .map(|v| min_id_of_label[&comps.label[v]])
+        .collect()
+}
+
 /// Every vertex's decision and done flag.
 fn outputs(programs: &[Box<dyn NodeProgram>]) -> Vec<(Decision, bool)> {
     programs.iter().map(|p| (p.decide(), p.is_done())).collect()
@@ -126,6 +142,27 @@ proptest! {
                 prop_assert_eq!(outputs(&reset), outputs(&fresh), "{} round {}", algorithm.name(), round);
             }
         }
+    }
+
+    /// Component labels from the label-indexed table equal the
+    /// `BTreeMap` form's on random disjoint unions of cycles (vertices
+    /// shuffled) under shuffled distinct IDs.
+    #[test]
+    fn component_labels_match_the_btree_form(n in 3usize..40, seed in any::<u64>()) {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let g = generators::random_disjoint_cycles(n, &mut rng);
+        // Distinct IDs: a random increasing sequence, shuffled.
+        let mut next = 0u64;
+        let mut ids: Vec<u64> = (0..n)
+            .map(|_| {
+                next += rng.gen_range(1..1_000u64);
+                next
+            })
+            .collect();
+        ids.shuffle(&mut rng);
+        prop_assert_eq!(local_component_labels(&g, &ids), btree_component_labels(&g, &ids));
     }
 
     /// The two full-knowledge algorithms solve Connectivity exactly on

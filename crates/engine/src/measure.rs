@@ -91,11 +91,6 @@ pub fn distributional_error_batched(
 ///
 /// Returns the first gadget- or instance-construction error; the
 /// scalar function panics on the same inputs.
-///
-/// # Panics
-///
-/// Panics if the pairs mix ground-set sizes (lanes must share one
-/// gadget shape).
 pub fn simulate_two_party_batched(
     gadget: Gadget,
     algorithm: &dyn Algorithm,
@@ -143,13 +138,10 @@ impl BatchRun {
     /// [`simulate_two_party_batched`] under this executor's
     /// configuration: its round limit is `max_rounds`, and its
     /// observer receives the kernel's round spans and `engine.*` cost
-    /// counters. Observers never change a report field.
+    /// counters. Observers never change a report field. Pairs may mix
+    /// ground-set sizes: each report is costed on its own gadget.
     ///
     /// # Errors
-    ///
-    /// Same contract as [`simulate_two_party_batched`].
-    ///
-    /// # Panics
     ///
     /// Same contract as [`simulate_two_party_batched`].
     pub fn simulate_two_party(
@@ -159,17 +151,6 @@ impl BatchRun {
         pairs: &[(SetPartition, SetPartition)],
         coin_seed: u64,
     ) -> Result<Vec<SimulationReport>, EngineError> {
-        if pairs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let n = pairs[0].0.ground_size();
-        assert!(
-            pairs
-                .iter()
-                .all(|(pa, pb)| pa.ground_size() == n && pb.ground_size() == n),
-            "all pairs must share one ground-set size"
-        );
-        let num_vertices = gadget.num_vertices(n);
         let instances: Vec<Instance> = pairs
             .iter()
             .map(|(pa, pb)| Ok(Instance::new_kt1(gadget_graph(gadget, pa, pb)?)?))
@@ -178,9 +159,10 @@ impl BatchRun {
         let outcomes = self.run(&lanes, algorithm);
         Ok(outcomes
             .into_iter()
-            .map(|out| {
+            .zip(pairs)
+            .map(|(out, (pa, _))| {
                 let rounds = out.stats().rounds;
-                let characters = rounds * num_vertices;
+                let characters = rounds * gadget.num_vertices(pa.ground_size());
                 SimulationReport {
                     rounds,
                     characters_exchanged: characters,
@@ -340,5 +322,46 @@ mod tests {
         let reports =
             simulate_two_party_batched(Gadget::TwoRegular, &ConstantDecision::yes(), &[], 0, 10);
         assert_eq!(reports.map(|r| r.len()), Ok(0));
+    }
+
+    #[test]
+    fn pairs_of_mixed_ground_sizes_are_each_costed_on_their_own_gadget() {
+        use bcc_algorithms::{NeighborIdBroadcast, Problem};
+        use bcc_comm::simulate::simulate_two_party;
+        let matching = |n: usize, shift: usize| {
+            let blocks: Vec<Vec<usize>> = (0..n / 2)
+                .map(|i| vec![(2 * i + shift) % n, (2 * i + 1 + shift) % n])
+                .collect();
+            SetPartition::from_blocks(n, &blocks).expect("a perfect matching")
+        };
+        // One long cycle (shifted matchings) and n/2 4-cycles (equal
+        // ones), at n = 6 and n = 8, interleaved.
+        let pairs: Vec<(SetPartition, SetPartition)> = [6, 8, 8, 6]
+            .iter()
+            .zip([1, 0, 1, 0])
+            .map(|(&n, shift)| (matching(n, 0), matching(n, shift)))
+            .collect();
+        let algorithm = NeighborIdBroadcast::new(Problem::MultiCycle);
+        let reports =
+            simulate_two_party_batched(Gadget::TwoRegular, &algorithm, &pairs, 3, 100).unwrap();
+        assert_eq!(reports.len(), pairs.len());
+        for ((pa, pb), report) in pairs.iter().zip(&reports) {
+            let scalar = simulate_two_party(Gadget::TwoRegular, &algorithm, pa, pb, 3, 100);
+            let n = pa.ground_size();
+            assert_eq!(report.rounds, scalar.rounds, "n = {n}");
+            assert_eq!(
+                report.characters_exchanged, scalar.characters_exchanged,
+                "n = {n}"
+            );
+            assert_eq!(report.bits_exchanged, scalar.bits_exchanged, "n = {n}");
+            assert_eq!(report.decisions, scalar.decisions, "n = {n}");
+            assert_eq!(report.component_labels, scalar.component_labels, "n = {n}");
+            assert_eq!(report.decisions.len(), Gadget::TwoRegular.num_vertices(n));
+        }
+        let yes: Vec<bool> = reports
+            .iter()
+            .map(|r| r.system_decision() == Decision::Yes)
+            .collect();
+        assert_eq!(yes, [true, false, true, false]);
     }
 }

@@ -12,12 +12,14 @@
 //! tests running in parallel in this binary cannot disturb each
 //! other's counts.
 
-use bcc_algorithms::HashVoteDecider;
+use bcc_algorithms::{HashVoteDecider, NeighborIdBroadcast, Problem};
 use bcc_comm::driver::DriverOpts;
+use bcc_comm::reduction::Gadget;
 use bcc_core::hard::{distributional_error, WeightedInstance};
-use bcc_engine::{BatchRun, Lane, MAX_LANES};
+use bcc_engine::{simulate_two_party_batched, BatchRun, Lane, MAX_LANES};
 use bcc_graphs::generators;
-use bcc_model::{Instance, Message, RoundBuffers, SimConfig, Symbol};
+use bcc_model::{Decision, Instance, Message, RoundBuffers, SimConfig, Symbol};
+use bcc_partitions::SetPartition;
 use bcc_trace::Observer;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -253,6 +255,41 @@ fn pooled_sweep_chunk_allocates_a_pinned_count() {
     let (_, single) = allocations(|| batch.distributional_error(&one_more, &algorithm, 5));
     assert_eq!(full - first, SWEEP_CHUNK, "a warm 64-lane chunk");
     assert_eq!(single - first, SWEEP_CHUNK, "a warm 1-lane chunk");
+}
+
+/// Allocations of one warm two-party operation: 8 pairs of perfect
+/// matchings on 12 points, each simulated as a 24-vertex KT-1 run of
+/// `NeighborIdBroadcast(MultiCycle)` on the 2-regular gadget, from
+/// the partitions to the reports. Most of them are the 192 programs'
+/// own: each spawns with its ID tables and per-port accumulators, and
+/// at the end builds the learned graph, classifies its cycles and
+/// labels its components.
+const TWO_PARTY_OP: u64 = 16_092;
+
+/// The `r`-th perfect matching of `0..12` by the circle method: 11 of
+/// them, pairwise edge-disjoint.
+fn round_robin_matching(r: usize) -> SetPartition {
+    let blocks: Vec<Vec<usize>> = std::iter::once(vec![11, r % 11])
+        .chain((1..6).map(|k| vec![(r + k) % 11, (r + 11 - k) % 11]))
+        .collect();
+    SetPartition::from_blocks(12, &blocks).expect("a perfect matching")
+}
+
+#[test]
+fn warm_two_party_op_allocates_a_pinned_count() {
+    let pairs: Vec<(SetPartition, SetPartition)> = (1..9)
+        .map(|r| (round_robin_matching(0), round_robin_matching(r)))
+        .collect();
+    let algorithm = NeighborIdBroadcast::new(Problem::MultiCycle);
+    let op = || simulate_two_party_batched(Gadget::TwoRegular, &algorithm, &pairs, 31, 200);
+    op().expect("valid gadgets");
+    let (reports, count) = allocations(op);
+    let reports = reports.expect("valid gadgets");
+    assert_eq!(reports.len(), 8);
+    assert!(reports
+        .iter()
+        .all(|r| r.decisions.len() == 24 && r.decisions.iter().all(|&d| d != Decision::Undecided)));
+    assert_eq!(count, TWO_PARTY_OP, "a warm two-party op");
 }
 
 #[test]

@@ -85,6 +85,16 @@ impl InitialKnowledge {
 
 /// The messages a vertex receives in one round: one [`Message`] per
 /// port, tagged with the port label, in port-index order.
+///
+/// Port order is a contract the drivers keep: they canonicalize every
+/// inbox by port label, which on every constructible network is port
+/// order (KT-1 ports are sorted by peer ID, KT-0 labels are `p + 1`),
+/// and `Kt0Upgrade`'s translated inbox keeps its outer one's order. So
+/// a program that reads port `p`'s message reads entry `p`
+/// ([`by_port`](Inbox::by_port)) in constant time. Readers must still
+/// be correct on an inbox in any order: `by_port` falls back to the
+/// label scan of [`by_label`](Inbox::by_label) when entry `p` carries
+/// another label.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Inbox {
     entries: Vec<(u64, Message)>,
@@ -114,6 +124,18 @@ impl Inbox {
             .iter()
             .find(|(l, _)| *l == label)
             .map(|(_, m)| m)
+    }
+
+    /// The message on the port with the given label, expected at
+    /// position `port`: entry `port` when it carries `label`, which is
+    /// every read on a port-ordered inbox, and otherwise the label
+    /// scan of [`by_label`](Inbox::by_label), so an inbox in any order
+    /// (or a `port` out of range) still reads correctly.
+    pub fn by_port(&self, port: usize, label: u64) -> Option<&Message> {
+        match self.entries.get(port) {
+            Some((l, m)) if *l == label => Some(m),
+            _ => self.by_label(label),
+        }
     }
 
     /// Number of ports (always `n − 1`).
@@ -202,6 +224,27 @@ mod tests {
         assert!(!inbox.is_empty());
         assert_eq!(inbox.by_label(3).unwrap().symbol(), Symbol::One);
         assert!(inbox.by_label(9).is_none());
+    }
+
+    #[test]
+    fn by_port_reads_by_position_and_falls_back_to_the_label() {
+        let inbox = Inbox::new(vec![
+            (3, Message::single(Symbol::One)),
+            (1, Message::single(Symbol::Zero)),
+            (5, Message::single(Symbol::Silent)),
+        ]);
+        // A hit: entry 1 carries label 1.
+        assert_eq!(inbox.by_port(1, 1).unwrap().symbol(), Symbol::Zero);
+        // A label mismatch: entry 0 carries 3, so label 5 is found by
+        // the scan, wherever it sits.
+        assert_eq!(inbox.by_port(0, 5).unwrap().symbol(), Symbol::Silent);
+        assert_eq!(inbox.by_port(2, 3).unwrap().symbol(), Symbol::One);
+        // An out-of-range port falls back too.
+        assert_eq!(inbox.by_port(7, 1).unwrap().symbol(), Symbol::Zero);
+        // A label no entry carries reads nothing, at any position.
+        assert!(inbox.by_port(0, 9).is_none());
+        assert!(inbox.by_port(9, 9).is_none());
+        assert!(Inbox::new(Vec::new()).by_port(0, 1).is_none());
     }
 
     #[test]

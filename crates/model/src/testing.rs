@@ -213,8 +213,8 @@ impl NodeProgram for IdBroadcastNode {
     }
 
     fn receive(&mut self, _round: usize, inbox: &Inbox) {
-        for (label, acc) in &mut self.accumulators {
-            if let Some(m) = inbox.by_label(*label) {
+        for (port, (label, acc)) in self.accumulators.iter_mut().enumerate() {
+            if let Some(m) = inbox.by_port(port, *label) {
                 // A corrupt payload (early silence) degrades to an
                 // incomplete accumulator — this vertex stays Undecided
                 // rather than crashing the whole simulation.
