@@ -1,11 +1,11 @@
 //! Deterministic Borůvka-style connectivity over broadcast:
 //! `O(log² n)` rounds in `BCC(1)`, `O(log n)` rounds in `BCC(log n)`.
 
-use crate::problem::Problem;
+use crate::problem::{components, yes_if, Problem};
 use bcc_graphs::UnionFind;
-use bcc_model::codec::{bits_needed, bits_to_u64, u64_to_bits};
+use bcc_model::codec::{bits_needed, BitStream};
 use bcc_model::{
-    Algorithm, Decision, Inbox, InitialKnowledge, KnowledgeMode, Message, NodeProgram, Symbol,
+    Algorithm, Decision, Inbox, InitialKnowledge, KnowledgeMode, Message, NodeProgram,
 };
 
 /// Deterministic KT-1 connectivity/components via Borůvka phases,
@@ -58,29 +58,22 @@ impl Algorithm for BoruvkaMinLabel {
             KnowledgeMode::Kt1,
             "BoruvkaMinLabel requires KT-1; wrap in Kt0Upgrade for KT-0"
         );
-        // KT-1 guarantees `all_ids` (mode asserted above); a malformed
-        // init degrades to a singleton network instead of panicking.
-        let all_ids = init
-            .all_ids
-            .as_deref()
-            .map_or_else(|| vec![init.id], <[u64]>::to_vec);
-        let max_id = all_ids.last().copied().unwrap_or(init.id) as usize;
+        let max_id = init.all_ids.as_deref().and_then(<[u64]>::last);
+        let max_id = max_id.copied().unwrap_or(init.id) as usize;
         let id_width = bits_needed(max_id + 1).max(bits_needed(init.n.max(2)));
-        let label = init.id;
-        Box::new(BoruvkaNode {
+        let mut node = BoruvkaNode {
             problem: self.problem,
-            bandwidth: init.bandwidth.max(1),
-            init,
-            all_ids,
+            rate: init.bandwidth.max(1),
             id_width,
-            label,
+            label: init.id,
             stage: Stage::Labels,
-            bit_pos: 0,
-            payload: Vec::new(),
-            received: Vec::new(),
-            peer_labels: Vec::new(),
+            stream: BitStream::new(),
+            labels: vec![init.id; init.n],
+            init,
             done: false,
-        })
+        };
+        node.start_labels();
+        Box::new(node)
     }
 }
 
@@ -96,54 +89,30 @@ enum Stage {
 struct BoruvkaNode {
     problem: Problem,
     init: InitialKnowledge,
-    bandwidth: usize,
-    all_ids: Vec<u64>,
+    /// Symbols per round.
+    rate: usize,
     id_width: usize,
     label: u64,
     stage: Stage,
-    bit_pos: usize,
-    /// The bits of the current outgoing payload (fixed at stage start).
-    payload: Vec<bool>,
-    /// Per-port accumulated payload bits: `(port label, bits)`.
-    received: Vec<(u64, Vec<bool>)>,
-    /// `(peer id, peer label)` learned in the label stage.
-    peer_labels: Vec<(u64, u64)>,
+    stream: BitStream,
+    /// Every vertex's label, by rank, learned in the label stage.
+    labels: Vec<u64>,
     done: bool,
 }
 
 impl BoruvkaNode {
-    fn payload_len(&self) -> usize {
-        match self.stage {
-            Stage::Labels => self.id_width,
-            Stage::Proposals => self.id_width + 1,
-        }
-    }
-
-    fn start_stage(&mut self, stage: Stage) {
-        self.stage = stage;
-        self.bit_pos = 0;
-        self.received.clear();
-        self.payload = match stage {
-            Stage::Labels => u64_to_bits(self.label, self.id_width),
-            Stage::Proposals => {
-                let (proposal, flag) = self.proposal();
-                let mut bits = u64_to_bits(proposal, self.id_width);
-                bits.push(flag);
-                bits
-            }
-        };
+    fn start_labels(&mut self) {
+        self.stage = Stage::Labels;
+        self.stream.begin(self.rate, self.id_width);
+        self.stream.push(self.label, self.id_width);
     }
 
     /// The smallest label different from ours among our input
-    /// neighbors, once peer labels are known.
+    /// neighbors, once their labels are known, and whether there is
+    /// one (otherwise our own label stands in).
     fn proposal(&self) -> (u64, bool) {
-        let label_of: std::collections::BTreeMap<u64, u64> =
-            self.peer_labels.iter().copied().collect();
-        let best = self
-            .init
-            .input_port_labels
-            .iter()
-            .filter_map(|nid| label_of.get(nid).copied())
+        let best = (self.init.input_port_labels.iter())
+            .filter_map(|&nid| Some(self.labels[self.init.rank_of(nid)?]))
             .filter(|&l| l != self.label)
             .min();
         match best {
@@ -152,130 +121,92 @@ impl BoruvkaNode {
         }
     }
 
-    /// Applies all broadcast merge proposals locally: identical at
-    /// every vertex, so labels stay consistent.
-    fn apply_merges(&mut self, proposals: Vec<(u64, u64, bool)>) {
-        // (sender label, proposed label, flag).
-        let pairs: Vec<(u64, u64)> = proposals
-            .into_iter()
-            .filter(|&(_, _, flag)| flag)
-            .map(|(from, to, _)| (from, to))
-            .collect();
+    /// The label stage is over: records every label and starts the
+    /// proposal stage. A label that did not arrive (a corrupt
+    /// transcript) stops this vertex here, undecided.
+    fn finish_labels(&mut self) {
+        for (port, &peer) in self.init.port_labels.iter().enumerate() {
+            let (Some(rank), Some(label)) = (
+                self.init.rank_of(peer),
+                self.stream.field(port, 0, self.id_width),
+            ) else {
+                return;
+            };
+            self.labels[rank] = label;
+        }
+        if let Some(me) = self.init.rank_of(self.init.id) {
+            self.labels[me] = self.label;
+        }
+        self.stage = Stage::Proposals;
+        let (proposal, flag) = self.proposal();
+        self.stream.begin(self.rate, self.id_width + 1);
+        self.stream.push(proposal, self.id_width);
+        self.stream.push(u64::from(flag), 1);
+    }
+
+    /// The proposal stage is over: applies every flagged proposal
+    /// locally, identically at every vertex, so labels stay
+    /// consistent; with none left, the run is done.
+    fn finish_proposals(&mut self) {
+        let (own, own_flag) = self.proposal();
+        let mut pairs: Vec<(u64, u64)> = Vec::new();
+        if own_flag {
+            pairs.push((self.label, own));
+        }
+        let w = self.id_width;
+        for (port, &peer) in self.init.port_labels.iter().enumerate() {
+            let (Some(rank), Some(to), Some(flag)) = (
+                self.init.rank_of(peer),
+                self.stream.field(port, 0, w),
+                self.stream.field(port, w, 1),
+            ) else {
+                return;
+            };
+            if flag == 1 {
+                pairs.push((self.labels[rank], to));
+            }
+        }
         if pairs.is_empty() {
             self.done = true;
             return;
         }
-        let idx_of: std::collections::BTreeMap<u64, usize> = self
-            .all_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect();
-        let mut uf = UnionFind::new(self.all_ids.len());
+        let rank = |id: u64| self.init.rank_of(id);
+        let mut uf = UnionFind::new(self.labels.len());
         for (a, b) in pairs {
-            uf.union(idx_of[&a], idx_of[&b]);
+            if let (Some(a), Some(b)) = (rank(a), rank(b)) {
+                uf.union(a, b);
+            }
         }
-        let my_root = uf.find(idx_of[&self.label]);
-        // The group always contains us, so the fallback never fires.
-        self.label = (0..self.all_ids.len())
-            .filter(|&i| uf.find(i) == my_root)
-            .map(|i| self.all_ids[i])
-            .min()
-            .unwrap_or(self.label);
-    }
-
-    /// After a quiescent phase, connectivity is decidable from the
-    /// final labels (all peers' labels are known from the last stage).
-    fn connectivity_decision(&self) -> Decision {
-        let mut labels: Vec<u64> = self.peer_labels.iter().map(|&(_, l)| l).collect();
-        labels.push(self.label);
-        labels.sort_unstable();
-        labels.dedup();
-        if labels.len() == 1 {
-            Decision::Yes
-        } else {
-            Decision::No
+        let ids = self.init.all_ids.as_deref().unwrap_or_default();
+        if let Some(me) = rank(self.label) {
+            let my_root = uf.find(me);
+            // The group always contains us, so the fallback never fires.
+            self.label = (0..ids.len())
+                .filter(|&i| uf.find(i) == my_root)
+                .map(|i| ids[i])
+                .min()
+                .unwrap_or(self.label);
         }
+        self.start_labels();
     }
 }
 
 impl NodeProgram for BoruvkaNode {
     fn broadcast(&mut self, _round: usize) -> Message {
-        if self.done {
-            return Message::silent(self.bandwidth);
-        }
-        if self.bit_pos == 0 && self.payload.is_empty() {
-            self.start_stage(Stage::Labels);
-        }
-        let syms: Vec<Symbol> = (0..self.bandwidth)
-            .map(|k| {
-                self.payload
-                    .get(self.bit_pos + k)
-                    .map_or(Symbol::Silent, |&b| Symbol::bit(b))
-            })
-            .collect();
-        Message::from_symbols(syms)
+        self.stream.send()
     }
 
     fn receive(&mut self, _round: usize, inbox: &Inbox) {
         if self.done {
             return;
         }
-        if self.received.is_empty() {
-            self.received = inbox
-                .entries()
-                .iter()
-                .map(|(l, _)| (*l, Vec::new()))
-                .collect();
-        }
-        let total = self.payload_len();
-        for (port, (label, bits)) in self.received.iter_mut().enumerate() {
-            let Some(msg) = inbox.by_port(port, *label) else {
-                continue;
-            };
-            for s in msg.symbols() {
-                if bits.len() < total {
-                    if let Some(b) = s.as_bit() {
-                        bits.push(b);
-                    }
-                }
-            }
-        }
-        self.bit_pos += self.bandwidth;
-        if self.bit_pos < total {
+        self.stream.receive(inbox, &self.init.port_labels);
+        if !self.stream.is_complete() {
             return;
         }
-        // Stage complete.
         match self.stage {
-            Stage::Labels => {
-                self.peer_labels = self
-                    .received
-                    .iter()
-                    .map(|(l, bits)| (*l, bits_to_u64(&bits[..self.id_width])))
-                    .collect();
-                self.start_stage(Stage::Proposals);
-            }
-            Stage::Proposals => {
-                let mut proposals: Vec<(u64, u64, bool)> =
-                    Vec::with_capacity(self.received.len() + 1);
-                // Own proposal (payload holds it verbatim).
-                let own_to = bits_to_u64(&self.payload[..self.id_width]);
-                let own_flag = self.payload[self.id_width];
-                proposals.push((self.label, own_to, own_flag));
-                let label_of: std::collections::BTreeMap<u64, u64> =
-                    self.peer_labels.iter().copied().collect();
-                let received = std::mem::take(&mut self.received);
-                for (peer_id, bits) in received {
-                    let from = label_of[&peer_id];
-                    let to = bits_to_u64(&bits[..self.id_width]);
-                    let flag = bits[self.id_width];
-                    proposals.push((from, to, flag));
-                }
-                self.apply_merges(proposals);
-                if !self.done {
-                    self.start_stage(Stage::Labels);
-                }
-            }
+            Stage::Labels => self.finish_labels(),
+            Stage::Proposals => self.finish_proposals(),
         }
     }
 
@@ -283,11 +214,17 @@ impl NodeProgram for BoruvkaNode {
         if !self.done {
             return Decision::Undecided;
         }
+        // After a quiescent phase every label is known and final; all
+        // four problems reduce to connectivity here.
         match self.problem {
             Problem::Connectivity
             | Problem::ConnectedComponents
             | Problem::TwoCycle
-            | Problem::MultiCycle => self.connectivity_decision(),
+            | Problem::MultiCycle => {
+                // The labels are IDs already: only the count is read.
+                let (count, _) = components(&self.labels, &[], 0);
+                yes_if(count == 1)
+            }
         }
     }
 

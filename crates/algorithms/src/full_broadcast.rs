@@ -1,9 +1,10 @@
 //! The trivial baseline: broadcast the whole adjacency row.
 
-use crate::problem::{decide_problem, local_component_labels, Problem};
+use crate::problem::{component_label_of, decide_problem, Problem};
 use bcc_graphs::Graph;
+use bcc_model::codec::BitStream;
 use bcc_model::{
-    Algorithm, Decision, Inbox, InitialKnowledge, KnowledgeMode, Message, NodeProgram, Symbol,
+    Algorithm, Decision, Inbox, InitialKnowledge, KnowledgeMode, Message, NodeProgram,
 };
 
 /// KT-1 baseline (deterministic, exactly `n` rounds in `BCC(1)`):
@@ -36,19 +37,17 @@ impl Algorithm for FullGraphBroadcast {
             KnowledgeMode::Kt1,
             "FullGraphBroadcast requires KT-1 (needs IDs); wrap in Kt0Upgrade for KT-0"
         );
-        let all_ids = init
-            .all_ids
-            .as_deref()
-            .expect("KT-1 provides all ids")
-            .to_vec();
+        // Our adjacency row: bit `j` says whether the vertex with the
+        // `j`-th smallest ID is our input-graph neighbor.
+        let mut stream = BitStream::new();
+        stream.begin(1, init.n);
+        for id in init.all_ids.as_deref().unwrap_or_default() {
+            stream.push(u64::from(init.input_port_labels.contains(id)), 1);
+        }
         Box::new(FullBroadcastNode {
             problem: self.problem,
-            neighbor_ids: init.input_port_labels.to_vec(),
             init,
-            all_ids,
-            // rows[sender index in sorted-ID order][j] = received bit.
-            rows: Vec::new(),
-            round: 0,
+            stream,
             graph: None,
         })
     }
@@ -57,75 +56,45 @@ impl Algorithm for FullGraphBroadcast {
 struct FullBroadcastNode {
     problem: Problem,
     init: InitialKnowledge,
-    neighbor_ids: Vec<u64>,
-    all_ids: Vec<u64>, // sorted
-    rows: Vec<Vec<(u64, bool)>>,
-    round: usize,
+    /// Our row out, every sender's row in.
+    stream: BitStream,
     graph: Option<Graph>,
 }
 
 impl FullBroadcastNode {
-    fn n(&self) -> usize {
-        self.init.n
-    }
-
-    fn reconstruct(&mut self) {
-        if self.graph.is_some() || self.round < self.n() {
-            return;
-        }
-        // rows[j] = list of (sender id, bit for target j).
-        let id_index: std::collections::BTreeMap<u64, usize> = self
-            .all_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect();
-        let n = self.n();
-        let mut g = Graph::new(n);
-        for (j, row) in self.rows.iter().enumerate() {
-            for &(sender_id, bit) in row {
-                if bit {
-                    let u = id_index[&sender_id];
-                    if u != j && !g.has_edge(u, j) {
-                        g.add_edge(u, j).expect("reconstructed edge valid");
-                    }
-                }
+    /// The input graph from every received row and our own
+    /// adjacency; `None` if a row is incomplete or a sender unknown
+    /// (a corrupt transcript), which leaves this vertex undecided.
+    fn decode(&self) -> Option<Graph> {
+        let init = &self.init;
+        let mut g = Graph::new(init.n);
+        // Both endpoints report an edge: the repeat is refused and
+        // skipped.
+        for (port, &sender) in init.port_labels.iter().enumerate() {
+            let u = init.rank_of(sender)?;
+            let row = self.stream.payload(port)?;
+            for j in (0..init.n).filter(|&j| row[j / 64] >> (j % 64) & 1 == 1) {
+                let _ = g.add_edge(u, j);
             }
         }
-        // Our own row is not received on any port; add own adjacency.
-        let me = id_index[&self.init.id];
-        for nid in &self.neighbor_ids {
-            let w = id_index[nid];
-            if !g.has_edge(me, w) {
-                g.add_edge(me, w).expect("own edges valid");
-            }
+        let me = init.rank_of(init.id)?;
+        for &nid in init.input_port_labels.iter() {
+            let _ = g.add_edge(me, init.rank_of(nid)?);
         }
-        self.graph = Some(g);
+        Some(g)
     }
 }
 
 impl NodeProgram for FullBroadcastNode {
-    fn broadcast(&mut self, round: usize) -> Message {
-        if round >= self.n() {
-            return Message::silent(1);
-        }
-        let target = self.all_ids[round];
-        let bit = self.neighbor_ids.contains(&target);
-        Message::single(Symbol::bit(bit))
+    fn broadcast(&mut self, _round: usize) -> Message {
+        self.stream.send()
     }
 
-    fn receive(&mut self, round: usize, inbox: &Inbox) {
-        if round < self.n() {
-            // In KT-1, port labels are sender ids.
-            let row: Vec<(u64, bool)> = inbox
-                .entries()
-                .iter()
-                .map(|(label, m)| (*label, m.symbol() == Symbol::One))
-                .collect();
-            self.rows.push(row);
+    fn receive(&mut self, _round: usize, inbox: &Inbox) {
+        self.stream.receive(inbox, &self.init.port_labels);
+        if self.graph.is_none() && self.stream.is_complete() {
+            self.graph = self.decode();
         }
-        self.round = round + 1;
-        self.reconstruct();
     }
 
     fn decide(&self) -> Decision {
@@ -136,10 +105,7 @@ impl NodeProgram for FullBroadcastNode {
     }
 
     fn component_label(&self) -> Option<u64> {
-        let g = self.graph.as_ref()?;
-        let labels = local_component_labels(g, &self.all_ids);
-        let me = self.all_ids.iter().position(|&id| id == self.init.id)?;
-        Some(labels[me])
+        component_label_of(self.graph.as_ref()?, &self.init)
     }
 
     fn is_done(&self) -> bool {

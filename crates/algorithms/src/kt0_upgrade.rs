@@ -1,6 +1,6 @@
 //! KT-0 → KT-1 knowledge upgrade in `⌈log₂ n⌉` rounds.
 
-use bcc_model::codec::{bits_needed, BitAccumulator, BitSchedule};
+use bcc_model::codec::{bits_needed, BitStream};
 use bcc_model::{
     Algorithm, Decision, Inbox, InitialKnowledge, KnowledgeMode, Message, NodeProgram,
 };
@@ -41,14 +41,14 @@ impl<A: Algorithm + Clone + 'static> Algorithm for Kt0Upgrade<A> {
     }
 
     fn spawn(&self, init: InitialKnowledge) -> Box<dyn NodeProgram> {
-        Box::new(UpgradeNode::new(self.inner.clone(), init, Vec::new()))
+        Box::new(UpgradeNode::new(self.inner.clone(), init, BitStream::new()))
     }
 }
 
 struct UpgradeNode<A> {
     width: usize,
-    schedule: BitSchedule,
-    accs: Vec<(u64, BitAccumulator)>,
+    /// The prologue: our ID out, every port's ID in.
+    stream: BitStream,
     outer: InitialKnowledge,
     factory: A,
     /// `(port label, learned peer id)`, in port order.
@@ -60,24 +60,19 @@ struct UpgradeNode<A> {
 
 impl<A: Algorithm> UpgradeNode<A> {
     /// The program before round 0: `spawn` and `reset` both build it
-    /// here. `accs` lends its capacity to the port accumulators.
-    fn new(factory: A, init: InitialKnowledge, mut accs: Vec<(u64, BitAccumulator)>) -> Self {
+    /// here, on the buffers of `stream`.
+    fn new(factory: A, init: InitialKnowledge, mut stream: BitStream) -> Self {
         assert_eq!(
             init.mode,
             KnowledgeMode::Kt0,
             "Kt0Upgrade runs on KT-0 instances (on KT-1, run the inner algorithm directly)"
         );
         let width = bits_needed(init.n);
-        accs.clear();
-        accs.extend(
-            init.port_labels
-                .iter()
-                .map(|&l| (l, BitAccumulator::new(width))),
-        );
+        stream.begin(1, width);
+        stream.push(init.id, width);
         UpgradeNode {
             width,
-            schedule: BitSchedule::of_value(init.id, width),
-            accs,
+            stream,
             outer: init,
             factory,
             port_id_map: Vec::new(),
@@ -89,35 +84,36 @@ impl<A: Algorithm> UpgradeNode<A> {
     /// The ID learned behind the port with label `label`, expected at
     /// position `port` (the inbox is in port order, as `port_id_map`
     /// is); any other position falls back to a search.
-    fn peer_id(&self, port: usize, label: u64) -> u64 {
+    fn peer_id(&self, port: usize, label: u64) -> Option<u64> {
         match self.port_id_map.get(port) {
-            Some(&(l, id)) if l == label => id,
-            _ => {
-                self.port_id_map
-                    .iter()
-                    .find(|&&(l, _)| l == label)
-                    .expect("label learned in prologue")
-                    .1
-            }
+            Some(&(l, id)) if l == label => Some(id),
+            _ => self
+                .port_id_map
+                .iter()
+                .find(|&&(l, _)| l == label)
+                .map(|&(_, id)| id),
         }
     }
 
+    /// Spawns the inner program on the learned KT-1 knowledge; a port
+    /// whose ID did not arrive leaves it unspawned, so this vertex
+    /// stays undecided.
     fn finish_prologue(&mut self) {
-        self.port_id_map = self
-            .accs
-            .iter()
-            .map(|(l, a)| (*l, a.value().expect("id payload complete")))
-            .collect();
+        let mut port_id_map = Vec::with_capacity(self.outer.port_labels.len());
+        for (port, &l) in self.outer.port_labels.iter().enumerate() {
+            let Some(id) = self.stream.field(port, 0, self.width) else {
+                return;
+            };
+            port_id_map.push((l, id));
+        }
+        self.port_id_map = port_id_map;
         let mut all_ids: Vec<u64> = self.port_id_map.iter().map(|&(_, id)| id).collect();
         all_ids.push(self.outer.id);
         all_ids.sort_unstable();
-        let id_of_label: std::collections::BTreeMap<u64, u64> =
-            self.port_id_map.iter().copied().collect();
-        let mut input_ids: Vec<u64> = self
-            .outer
-            .input_port_labels
-            .iter()
-            .map(|l| id_of_label[l])
+        let input = &self.outer.input_port_labels;
+        let mut input_ids: Vec<u64> = (self.port_id_map.iter())
+            .filter(|(l, _)| input.binary_search(l).is_ok())
+            .map(|&(_, id)| id)
             .collect();
         input_ids.sort_unstable();
         let inner_ik = InitialKnowledge {
@@ -136,41 +132,32 @@ impl<A: Algorithm> UpgradeNode<A> {
 
 impl<A: Algorithm + Clone> NodeProgram for UpgradeNode<A> {
     fn broadcast(&mut self, round: usize) -> Message {
-        if round < self.width {
-            return Message::single(self.schedule.symbol_at(round));
+        match (round.checked_sub(self.width), self.inner.as_mut()) {
+            (Some(inner_round), Some(inner)) => inner.broadcast(inner_round),
+            // The prologue, then silence if it failed.
+            _ => self.stream.send(),
         }
-        self.inner
-            .as_mut()
-            .expect("inner spawned after prologue")
-            .broadcast(round - self.width)
     }
 
     fn receive(&mut self, round: usize, inbox: &Inbox) {
-        if round < self.width {
-            for (port, (label, acc)) in self.accs.iter_mut().enumerate() {
-                let fed = acc.push(inbox.by_port(port, *label).expect("port present").symbol());
-                debug_assert!(fed.is_ok(), "sender broke the bit-serial encoding");
-            }
-            if round + 1 == self.width {
+        let Some(inner_round) = round.checked_sub(self.width) else {
+            self.stream.receive(inbox, &self.outer.port_labels);
+            if self.stream.is_complete() {
                 self.finish_prologue();
             }
-        } else {
-            let mut entries = std::mem::take(&mut self.translated);
-            entries.clear();
-            entries.extend(
-                inbox
-                    .entries()
-                    .iter()
-                    .enumerate()
-                    .map(|(port, (label, m))| (self.peer_id(port, *label), m.clone())),
-            );
-            let translated = Inbox::new(entries);
-            self.inner
-                .as_mut()
-                .expect("inner spawned after prologue")
-                .receive(round - self.width, &translated);
-            self.translated = translated.into_entries();
+            return;
+        };
+        let mut entries = std::mem::take(&mut self.translated);
+        entries.clear();
+        entries.extend(
+            (inbox.entries().iter().enumerate())
+                .filter_map(|(port, (label, m))| Some((self.peer_id(port, *label)?, m.clone()))),
+        );
+        let translated = Inbox::new(entries);
+        if let Some(inner) = self.inner.as_mut() {
+            inner.receive(inner_round, &translated);
         }
+        self.translated = translated.into_entries();
     }
 
     fn decide(&self) -> Decision {
@@ -189,9 +176,9 @@ impl<A: Algorithm + Clone> NodeProgram for UpgradeNode<A> {
     }
 
     fn reset(&mut self, init: &InitialKnowledge) -> bool {
-        let accs = std::mem::take(&mut self.accs);
+        let stream = std::mem::take(&mut self.stream);
         let translated = std::mem::take(&mut self.translated);
-        *self = UpgradeNode::new(self.factory.clone(), init.clone(), accs);
+        *self = UpgradeNode::new(self.factory.clone(), init.clone(), stream);
         self.translated = translated;
         true
     }

@@ -18,11 +18,12 @@
 //! `O(log² n)` rounds in `BCC(1)` — polylog, against the trivial
 //! `Θ(n)` baseline, and `O(log n)` rounds in `BCC(log n)`.
 
+use crate::problem::{components, yes_if};
 use bcc_graphs::weighted::hashed_weight;
 use bcc_graphs::UnionFind;
-use bcc_model::codec::{bits_needed, BitAccumulator, BitSchedule};
+use bcc_model::codec::{bits_needed, BitStream};
 use bcc_model::{
-    Algorithm, Decision, Inbox, InitialKnowledge, KnowledgeMode, Message, NodeProgram, Symbol,
+    Algorithm, Decision, Inbox, InitialKnowledge, KnowledgeMode, Message, NodeProgram,
 };
 
 /// Bits used to serialize an edge weight.
@@ -58,72 +59,55 @@ impl Algorithm for BoruvkaMst {
             KnowledgeMode::Kt1,
             "BoruvkaMst requires KT-1; wrap in Kt0Upgrade for KT-0"
         );
-        // KT-1 guarantees `all_ids` (mode asserted above) and every
-        // port label appears in it; the fallbacks keep a malformed
-        // init deterministic instead of panicking.
-        let all_ids = init
-            .all_ids
-            .as_deref()
-            .map_or_else(|| vec![init.id], <[u64]>::to_vec);
+        // KT-1 gives every ID a rank (mode asserted above); the
+        // fallbacks keep a malformed init deterministic instead of
+        // panicking.
         let n = init.n;
-        let me = all_ids.iter().position(|&id| id == init.id).unwrap_or(0);
-        let neighbors: Vec<usize> = init
-            .input_port_labels
-            .iter()
-            .map(|id| all_ids.iter().position(|x| x == id).unwrap_or(0))
+        let me = init.rank_of(init.id).unwrap_or(0);
+        let neighbors: Vec<usize> = (init.input_port_labels.iter())
+            .map(|&id| init.rank_of(id).unwrap_or(0))
             .collect();
-        let pos_width = bits_needed(n);
-        Box::new(MstNode {
+        let mut node = MstNode {
             weight_seed: self.weight_seed,
             n,
             me,
-            all_ids,
             neighbors,
-            pos_width,
+            pos_width: bits_needed(n),
             labels: (0..n).collect(),
             forest: Vec::new(),
-            phase_state: PhaseState::fresh(),
-            done: false,
-        })
-    }
-}
-
-/// Per-phase send/receive bookkeeping.
-struct PhaseState {
-    round_in: usize,
-    /// Our proposal for this phase, fixed at phase start.
-    proposal: Option<(u64, usize)>, // (weight, other position)
-    /// `(peer id, flag, weight acc, pos acc)`.
-    accs: Vec<(u64, Option<bool>, BitAccumulator, BitAccumulator)>,
-}
-
-impl PhaseState {
-    fn fresh() -> Self {
-        PhaseState {
-            round_in: 0,
             proposal: None,
-            accs: Vec::new(),
-        }
+            stream: BitStream::new(),
+            init,
+            done: false,
+        };
+        node.start_phase();
+        Box::new(node)
     }
 }
 
 struct MstNode {
     weight_seed: u64,
+    init: InitialKnowledge,
     n: usize,
     me: usize,
-    all_ids: Vec<u64>,
     neighbors: Vec<usize>,
     pos_width: usize,
     labels: Vec<usize>,
     /// Chosen forest edges as position pairs `(min, max)`.
     forest: Vec<(usize, usize)>,
-    phase_state: PhaseState,
+    /// Our proposal for this phase, `(weight, other position)`, fixed
+    /// at phase start.
+    proposal: Option<(u64, usize)>,
+    /// This phase's proposals: a flag bit, then the weight and the
+    /// other position if the flag is set (flag-only senders go
+    /// silent after it).
+    stream: BitStream,
     done: bool,
 }
 
 impl MstNode {
-    fn rounds_per_phase(&self) -> usize {
-        1 + WEIGHT_BITS + self.pos_width
+    fn ids(&self) -> &[u64] {
+        self.init.all_ids.as_deref().unwrap_or_default()
     }
 
     /// Our minimum-weight incident edge leaving the current component.
@@ -133,6 +117,38 @@ impl MstNode {
             .filter(|&&w| self.labels[w] != self.labels[self.me])
             .map(|&w| (hashed_weight(self.me, w, self.n, self.weight_seed), w))
             .min()
+    }
+
+    fn start_phase(&mut self) {
+        self.proposal = self.my_proposal();
+        self.stream.begin(1, 1 + WEIGHT_BITS + self.pos_width);
+        self.stream.push(u64::from(self.proposal.is_some()), 1);
+        if let Some((weight, other)) = self.proposal {
+            self.stream.push(weight, WEIGHT_BITS);
+            self.stream.push(other as u64, self.pos_width);
+        }
+    }
+
+    /// Every vertex's proposal, ours first, then the peers' in port
+    /// order; a flagged proposal that did not fully arrive (a corrupt
+    /// transcript) counts as none.
+    fn proposals(&self) -> Vec<(usize, Option<(u64, usize)>)> {
+        let mut proposals = Vec::with_capacity(self.n);
+        proposals.push((self.me, self.proposal));
+        for (port, &peer) in self.init.port_labels.iter().enumerate() {
+            let Some(sender) = self.init.rank_of(peer) else {
+                continue;
+            };
+            let field = |offset, width| self.stream.field(port, offset, width);
+            let prop = match (field(0, 1), field(1, WEIGHT_BITS)) {
+                (Some(1), Some(weight)) => {
+                    field(1 + WEIGHT_BITS, self.pos_width).map(|other| (weight, other as usize))
+                }
+                _ => None,
+            };
+            proposals.push((sender, prop));
+        }
+        proposals
     }
 
     /// Applies all proposals (identical at every vertex).
@@ -172,93 +188,22 @@ impl MstNode {
             }
         }
         self.labels = uf.canonical_labels();
-        self.phase_state = PhaseState::fresh();
+        self.start_phase();
     }
 }
 
 impl NodeProgram for MstNode {
     fn broadcast(&mut self, _round: usize) -> Message {
-        if self.done {
-            return Message::silent(1);
-        }
-        if self.phase_state.round_in == 0 {
-            self.phase_state.proposal = self.my_proposal();
-        }
-        let r = self.phase_state.round_in;
-        let sym = match (r, &self.phase_state.proposal) {
-            (0, p) => Symbol::bit(p.is_some()),
-            (_, None) => Symbol::Silent,
-            (_, Some((w, other))) => {
-                if r - 1 < WEIGHT_BITS {
-                    BitSchedule::of_value(*w, WEIGHT_BITS).symbol_at(r - 1)
-                } else {
-                    BitSchedule::of_value(*other as u64, self.pos_width)
-                        .symbol_at(r - 1 - WEIGHT_BITS)
-                }
-            }
-        };
-        Message::single(sym)
+        self.stream.send()
     }
 
     fn receive(&mut self, _round: usize, inbox: &Inbox) {
         if self.done {
             return;
         }
-        let r = self.phase_state.round_in;
-        if r == 0 {
-            self.phase_state.accs = inbox
-                .entries()
-                .iter()
-                .map(|(l, m)| {
-                    (
-                        *l,
-                        Some(m.symbol() == Symbol::One),
-                        BitAccumulator::new(WEIGHT_BITS),
-                        BitAccumulator::new(self.pos_width),
-                    )
-                })
-                .collect();
-        } else {
-            for (port, (label, flag, wacc, pacc)) in self.phase_state.accs.iter_mut().enumerate() {
-                if *flag != Some(true) {
-                    continue; // silent sender this phase
-                }
-                let Some(msg) = inbox.by_port(port, *label) else {
-                    continue;
-                };
-                let sym = msg.symbol();
-                let fed = if r - 1 < WEIGHT_BITS {
-                    wacc.push(sym)
-                } else {
-                    pacc.push(sym)
-                };
-                debug_assert!(fed.is_ok(), "sender broke the bit-serial encoding");
-            }
-        }
-        self.phase_state.round_in = self.phase_state.round_in.saturating_add(1);
-        if self.phase_state.round_in == self.rounds_per_phase() {
-            // Assemble every vertex's proposal (peers + self).
-            let mut proposals: Vec<(usize, Option<(u64, usize)>)> = Vec::with_capacity(self.n);
-            proposals.push((self.me, self.phase_state.proposal));
-            let accs = std::mem::take(&mut self.phase_state.accs);
-            for (peer_id, flag, wacc, pacc) in accs {
-                let Some(sender) = self.all_ids.iter().position(|id| *id == peer_id) else {
-                    continue;
-                };
-                // A `Some(true)` flag means both accumulators were fed
-                // their full payload; the fallbacks (worst weight,
-                // position 0) never fire on a well-formed transcript.
-                let prop = if flag == Some(true) {
-                    Some((
-                        wacc.value().unwrap_or(u64::MAX),
-                        pacc.value().unwrap_or(0) as usize,
-                    ))
-                } else {
-                    None
-                };
-                proposals.push((sender, prop));
-            }
-            self.apply_phase(proposals);
+        self.stream.receive(inbox, &self.init.port_labels);
+        if self.stream.is_complete() {
+            self.apply_phase(self.proposals());
         }
     }
 
@@ -266,35 +211,24 @@ impl NodeProgram for MstNode {
         if !self.done {
             return Decision::Undecided;
         }
-        let mut l = self.labels.clone();
-        l.sort_unstable();
-        l.dedup();
-        if l.len() == 1 {
-            Decision::Yes
-        } else {
-            Decision::No
-        }
+        yes_if(components(&self.labels, self.ids(), self.me).0 == 1)
     }
 
     fn component_label(&self) -> Option<u64> {
-        self.done.then(|| {
-            // Our component contains us, so the fallback never fires.
-            let my_label = self.labels[self.me];
-            (0..self.n)
-                .filter(|&v| self.labels[v] == my_label)
-                .map(|v| self.all_ids[v])
-                .min()
-                .unwrap_or(self.all_ids[self.me])
-        })
+        if !self.done {
+            return None;
+        }
+        components(&self.labels, self.ids(), self.me).1
     }
 
     fn spanning_edges(&self) -> Option<Vec<(u64, u64)>> {
         self.done.then(|| {
+            let ids = self.ids();
             let mut edges: Vec<(u64, u64)> = self
                 .forest
                 .iter()
                 .map(|&(a, b)| {
-                    let (x, y) = (self.all_ids[a], self.all_ids[b]);
+                    let (x, y) = (ids[a], ids[b]);
                     (x.min(y), x.max(y))
                 })
                 .collect();

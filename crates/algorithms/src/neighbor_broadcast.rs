@@ -1,9 +1,9 @@
 //! The tightness witness: `O((d_max + 1)·log n)` deterministic KT-1
 //! connectivity.
 
-use crate::problem::{decide_problem, local_component_labels, Problem};
+use crate::problem::{component_label_of, decide_problem, Problem};
 use bcc_graphs::Graph;
-use bcc_model::codec::{bits_needed, BitAccumulator, BitSchedule};
+use bcc_model::codec::{bits_needed, BitStream};
 use bcc_model::{
     Algorithm, Decision, Inbox, InitialKnowledge, KnowledgeMode, Message, NodeProgram,
 };
@@ -42,25 +42,16 @@ impl Algorithm for NeighborIdBroadcast {
             "NeighborIdBroadcast requires KT-1; wrap in Kt0Upgrade for KT-0"
         );
         let width = bits_needed(init.n);
-        let all_ids = init
-            .all_ids
-            .as_deref()
-            .expect("KT-1 provides all ids")
-            .to_vec();
-        let my_degree = init.input_degree() as u64;
+        let mut stream = BitStream::new();
+        stream.begin(1, width);
+        stream.push(init.input_degree() as u64, width);
         Box::new(NeighborNode {
             problem: self.problem,
-            width,
-            all_ids,
-            my_neighbor_ids: init.input_port_labels.to_vec(),
             init,
-            degree_schedule: BitSchedule::of_value(my_degree, width),
-            degree_accs: Vec::new(),
-            degrees: Vec::new(),
-            d_max: None,
-            id_accs: Vec::new(),
+            width,
+            stream,
+            degrees: None,
             graph: None,
-            round: 0,
         })
     }
 }
@@ -69,132 +60,74 @@ struct NeighborNode {
     problem: Problem,
     init: InitialKnowledge,
     width: usize,
-    /// Every vertex ID, sorted (KT-1 knowledge), so an ID's vertex
-    /// index is its rank.
-    all_ids: Vec<u64>,
-    my_neighbor_ids: Vec<u64>,
-    degree_schedule: BitSchedule,
-    /// Accumulators for phase 1, per port in inbox order.
-    degree_accs: Vec<(u64, BitAccumulator)>,
-    /// `(sender id, announced degree)` per port in inbox order, once
-    /// phase 1 finishes.
-    degrees: Vec<(u64, usize)>,
-    /// The maximum degree, ours included, once phase 1 finishes.
-    d_max: Option<usize>,
-    /// Accumulators for phase 2: each sender's announced neighbor IDs,
-    /// as many as its degree, back to back in the order of `degrees`.
-    id_accs: Vec<BitAccumulator>,
+    /// Phase 1 exchanges degrees, phase 2 neighbor-ID lists.
+    stream: BitStream,
+    /// Every port's announced degree, once phase 1 finishes.
+    degrees: Option<Vec<usize>>,
     graph: Option<Graph>,
-    round: usize,
 }
 
 impl NeighborNode {
-    /// The vertex index of `id`: its rank in the sorted ID table.
-    fn index_of(&self, id: u64) -> Option<usize> {
-        self.all_ids.binary_search(&id).ok()
-    }
-
-    /// The symbol to broadcast in phase 2, at offset `o` into it: our
-    /// neighbor list, one ID after another, silent after exhaustion
-    /// (but receivers only read what the degree announced).
-    fn phase2_symbol(&self, offset: usize) -> bcc_model::Symbol {
-        let slot = offset / self.width;
-        let bit = offset % self.width;
-        match self.my_neighbor_ids.get(slot) {
-            Some(&id) => BitSchedule::of_value(id, self.width).symbol_at(bit),
-            None => bcc_model::Symbol::Silent,
+    /// Ends phase 1: reads every port's degree and starts phase 2,
+    /// `d_max` IDs long (`d_max` counts our degree too), with our
+    /// neighbor list, one ID after another. A degree that did not
+    /// arrive (a corrupt transcript) leaves this vertex in phase 1,
+    /// silent and undecided.
+    fn start_lists(&mut self) {
+        let ports = self.init.port_labels.len();
+        let mut degrees = Vec::with_capacity(ports);
+        for port in 0..ports {
+            let Some(d) = self.stream.field(port, 0, self.width) else {
+                return;
+            };
+            degrees.push(d as usize);
         }
-    }
-
-    fn try_finish(&mut self) {
-        if self.graph.is_some() {
-            return;
+        let peer_max = degrees.iter().copied().max();
+        let d_max = peer_max.unwrap_or(0).max(self.init.input_degree());
+        self.stream.begin(1, d_max * self.width);
+        for &id in self.init.input_port_labels.iter() {
+            self.stream.push(id, self.width);
         }
-        let Some(d_max) = self.d_max else {
-            return;
-        };
-        if self.round < (1 + d_max) * self.width {
-            return;
-        }
-        self.graph = self.decode();
+        self.degrees = Some(degrees);
     }
 
     /// The input graph, from every sender's announced neighbor list
     /// and ours; `None` if a payload is incomplete or names an unknown
     /// ID (a corrupt transcript), which leaves this vertex undecided.
     fn decode(&self) -> Option<Graph> {
-        let mut g = Graph::new(self.init.n);
-        let mut add = |a: usize, b: usize| {
-            if a != b && !g.has_edge(a, b) {
-                g.add_edge(a, b).expect("decoded edge valid");
-            }
-        };
-        let mut accs = self.id_accs.iter();
-        for &(sender, d) in &self.degrees {
-            let su = self.index_of(sender)?;
-            for acc in accs.by_ref().take(d) {
-                add(su, self.index_of(acc.value()?)?);
+        let degrees = self.degrees.as_ref()?;
+        let init = &self.init;
+        let mut g = Graph::new(init.n);
+        // Both endpoints announce an edge: the repeat is refused and
+        // skipped.
+        for (port, (&sender, &d)) in init.port_labels.iter().zip(degrees).enumerate() {
+            let su = init.rank_of(sender)?;
+            for slot in 0..d {
+                let id = self.stream.field(port, slot * self.width, self.width)?;
+                let _ = g.add_edge(su, init.rank_of(id)?);
             }
         }
-        let me = self.index_of(self.init.id)?;
-        for &nid in &self.my_neighbor_ids {
-            add(me, self.index_of(nid)?);
+        let me = init.rank_of(init.id)?;
+        for &nid in init.input_port_labels.iter() {
+            let _ = g.add_edge(me, init.rank_of(nid)?);
         }
         Some(g)
     }
 }
 
 impl NodeProgram for NeighborNode {
-    fn broadcast(&mut self, round: usize) -> Message {
-        if round < self.width {
-            return Message::single(self.degree_schedule.symbol_at(round));
-        }
-        let offset = round - self.width;
-        Message::single(self.phase2_symbol(offset))
+    fn broadcast(&mut self, _round: usize) -> Message {
+        self.stream.send()
     }
 
-    fn receive(&mut self, round: usize, inbox: &Inbox) {
-        if round < self.width {
-            if self.degree_accs.is_empty() {
-                self.degree_accs = inbox
-                    .entries()
-                    .iter()
-                    .map(|(l, _)| (*l, BitAccumulator::new(self.width)))
-                    .collect();
-            }
-            for (port, (label, acc)) in self.degree_accs.iter_mut().enumerate() {
-                let fed = acc.push(inbox.by_port(port, *label).expect("port present").symbol());
-                debug_assert!(fed.is_ok(), "sender broke the bit-serial encoding");
-            }
-            if round + 1 == self.width {
-                self.degrees = self
-                    .degree_accs
-                    .iter()
-                    .map(|(l, a)| (*l, a.value().expect("degree payload complete") as usize))
-                    .collect();
-                // Prepare phase-2 accumulators: one per announced neighbor.
-                let total = self.degrees.iter().map(|&(_, d)| d).sum();
-                self.id_accs = vec![BitAccumulator::new(self.width); total];
-                let peer_max = self.degrees.iter().map(|&(_, d)| d).max();
-                self.d_max = Some(peer_max.unwrap_or(0).max(self.my_neighbor_ids.len()));
-            }
-        } else {
-            let offset = round - self.width;
-            let slot = offset / self.width;
-            // Sender `p`'s accumulators start after those of the
-            // senders before it.
-            let mut start = 0;
-            for (port, &(label, d)) in self.degrees.iter().enumerate() {
-                if slot < d {
-                    let symbol = inbox.by_port(port, label).expect("port present").symbol();
-                    let fed = self.id_accs[start + slot].push(symbol);
-                    debug_assert!(fed.is_ok(), "sender broke the bit-serial encoding");
-                }
-                start += d;
-            }
+    fn receive(&mut self, _round: usize, inbox: &Inbox) {
+        self.stream.receive(inbox, &self.init.port_labels);
+        if self.degrees.is_none() && self.stream.is_complete() {
+            self.start_lists();
         }
-        self.round = round + 1;
-        self.try_finish();
+        if self.graph.is_none() && self.stream.is_complete() {
+            self.graph = self.decode();
+        }
     }
 
     fn decide(&self) -> Decision {
@@ -205,9 +138,7 @@ impl NodeProgram for NeighborNode {
     }
 
     fn component_label(&self) -> Option<u64> {
-        let g = self.graph.as_ref()?;
-        let labels = local_component_labels(g, &self.all_ids);
-        Some(labels[self.index_of(self.init.id)?])
+        component_label_of(self.graph.as_ref()?, &self.init)
     }
 
     fn is_done(&self) -> bool {

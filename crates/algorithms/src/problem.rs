@@ -6,7 +6,7 @@ use bcc_graphs::cycles::{
     classify_multi_cycle, classify_two_cycle, MultiCycleClass, TwoCycleClass,
 };
 use bcc_graphs::Graph;
-use bcc_model::Decision;
+use bcc_model::{Decision, InitialKnowledge};
 
 /// The problems studied by the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,37 +46,49 @@ impl std::fmt::Display for Problem {
 /// the promise problems) fall back to the connectivity answer, so
 /// truncated runs on non-promise inputs still produce a decision.
 pub fn decide_problem(g: &Graph, problem: Problem) -> Decision {
+    let connectivity = || yes_if(g.is_connected());
     match problem {
-        Problem::Connectivity | Problem::ConnectedComponents => {
-            if g.is_connected() {
-                Decision::Yes
-            } else {
-                Decision::No
-            }
-        }
+        Problem::Connectivity | Problem::ConnectedComponents => connectivity(),
         Problem::TwoCycle => match classify_two_cycle(g) {
             Ok(TwoCycleClass::OneCycle) => Decision::Yes,
             Ok(TwoCycleClass::TwoCycles) => Decision::No,
-            Err(_) => {
-                if g.is_connected() {
-                    Decision::Yes
-                } else {
-                    Decision::No
-                }
-            }
+            Err(_) => connectivity(),
         },
         Problem::MultiCycle => match classify_multi_cycle(g) {
             Ok(MultiCycleClass::OneCycle) => Decision::Yes,
             Ok(MultiCycleClass::MultipleCycles) => Decision::No,
-            Err(_) => {
-                if g.is_connected() {
-                    Decision::Yes
-                } else {
-                    Decision::No
-                }
-            }
+            Err(_) => connectivity(),
         },
     }
+}
+
+/// YES if `yes`, else NO.
+pub(crate) fn yes_if(yes: bool) -> Decision {
+    if yes {
+        Decision::Yes
+    } else {
+        Decision::No
+    }
+}
+
+/// How many components a labelling names, and the minimum ID in
+/// vertex `me`'s component: vertex `v` has label `labels[v]` and ID
+/// `ids[v]`. The ID is `None` only if `me` is out of range.
+pub(crate) fn components<L: Ord + Copy>(
+    labels: &[L],
+    ids: &[u64],
+    me: usize,
+) -> (usize, Option<u64>) {
+    let mut distinct = labels.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let mine = labels.get(me).and_then(|&my_label| {
+        (labels.iter().zip(ids))
+            .filter(|&(&l, _)| l == my_label)
+            .map(|(_, &id)| id)
+            .min()
+    });
+    (distinct.len(), mine)
 }
 
 /// Component labels on a fully known graph, mapped through the given
@@ -92,6 +104,13 @@ pub fn local_component_labels(g: &Graph, ids: &[u64]) -> Vec<u64> {
         min_id[label] = min_id[label].min(id);
     }
     comps.label.iter().map(|&label| min_id[label]).collect()
+}
+
+/// The component label of the vertex `init` describes on its fully
+/// known input graph (KT-1): the minimum ID in its component.
+pub(crate) fn component_label_of(g: &Graph, init: &InitialKnowledge) -> Option<u64> {
+    let labels = local_component_labels(g, init.all_ids.as_deref()?);
+    labels.get(init.rank_of(init.id)?).copied()
 }
 
 #[cfg(test)]
@@ -135,6 +154,16 @@ mod tests {
         assert_eq!(&labels[..3], &[8, 8, 8]);
         // Second component {3..6} has ids {7,6,5,4} → min 4.
         assert_eq!(&labels[3..], &[4, 4, 4, 4]);
+    }
+
+    #[test]
+    fn components_count_labels_and_find_my_min_id() {
+        let labels = [4usize, 1, 4, 4, 1];
+        let ids = [50, 10, 30, 40, 20];
+        assert_eq!(components(&labels, &ids, 0), (2, Some(30)));
+        assert_eq!(components(&labels, &ids, 4), (2, Some(10)));
+        assert_eq!(components(&labels, &ids, 5), (2, None));
+        assert_eq!(components(&[7u64; 3], &[3, 2, 1], 0), (1, Some(1)));
     }
 
     #[test]

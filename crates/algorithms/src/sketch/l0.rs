@@ -237,38 +237,35 @@ impl L0Sketch {
         Decode::Fail
     }
 
-    /// Serializes to exactly [`L0Sketch::bits`] bits (LSB-first per
-    /// field).
-    pub fn to_bits(&self) -> Vec<bool> {
-        let mut out = Vec::with_capacity(Self::bits(self.m));
-        for lv in &self.levels {
-            push_u64(&mut out, lv.count as u64);
-            push_u64(&mut out, lv.weighted as u128 as u64);
-            push_u64(&mut out, (lv.weighted as u128 >> 64) as u64);
-            push_u64(&mut out, lv.fingerprint);
-        }
-        out
+    /// The sketch as LSB-first words, [`L0Sketch::bits`] bits in all:
+    /// per level, the count, the low and high words of the weighted
+    /// sum, and the fingerprint.
+    pub fn to_words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.levels.iter().flat_map(|lv| {
+            let weighted = lv.weighted as u128;
+            [
+                lv.count as u64,
+                weighted as u64,
+                (weighted >> 64) as u64,
+                lv.fingerprint,
+            ]
+        })
     }
 
-    /// Deserializes a sketch produced by [`L0Sketch::to_bits`] for the
-    /// same `(m, seed)`.
+    /// Reads a sketch written by [`L0Sketch::to_words`] for the same
+    /// `(m, seed)`.
     ///
     /// # Panics
     ///
-    /// Panics if `bits` has the wrong length.
-    pub fn from_bits(m: usize, seed: u64, bits: &[bool]) -> L0Sketch {
-        assert_eq!(bits.len(), Self::bits(m), "bad sketch length");
+    /// Panics if `words` has the wrong length.
+    pub fn from_words(m: usize, seed: u64, words: &[u64]) -> L0Sketch {
+        assert_eq!(words.len() * 64, Self::bits(m), "bad sketch length");
         let mut s = L0Sketch::zero(m, seed);
-        for (l, chunk) in bits.chunks(256).enumerate() {
-            let count = read_u64(&chunk[0..64]) as i64;
-            let lo = read_u64(&chunk[64..128]) as u128;
-            let hi = read_u64(&chunk[128..192]) as u128;
-            let weighted = (lo | hi << 64) as i128;
-            let fingerprint = read_u64(&chunk[192..256]);
-            s.levels[l] = Level {
-                count,
-                weighted,
-                fingerprint,
+        for (lv, w) in s.levels.iter_mut().zip(words.chunks_exact(4)) {
+            *lv = Level {
+                count: w[0] as i64,
+                weighted: (u128::from(w[1]) | u128::from(w[2]) << 64) as i128,
+                fingerprint: w[3],
             };
         }
         s
@@ -279,18 +276,6 @@ impl L0Sketch {
 /// from the shared seed.
 fn r_const() -> u64 {
     0x5bf0_3635_16c9_d6a7
-}
-
-fn push_u64(out: &mut Vec<bool>, v: u64) {
-    for i in 0..64 {
-        out.push(v >> i & 1 == 1);
-    }
-}
-
-fn read_u64(bits: &[bool]) -> u64 {
-    bits.iter()
-        .enumerate()
-        .fold(0u64, |acc, (i, &b)| acc | (u64::from(b)) << i)
 }
 
 #[cfg(test)]
@@ -375,9 +360,9 @@ mod tests {
         let mut s = L0Sketch::zero(128, 33);
         s.update(3, -4);
         s.update(99, 7);
-        let bits = s.to_bits();
-        assert_eq!(bits.len(), L0Sketch::bits(128));
-        let t = L0Sketch::from_bits(128, 33, &bits);
+        let words: Vec<u64> = s.to_words().collect();
+        assert_eq!(words.len() * 64, L0Sketch::bits(128));
+        let t = L0Sketch::from_words(128, 33, &words);
         assert_eq!(s, t);
         assert_eq!(s.decode(), t.decode());
     }

@@ -19,10 +19,11 @@ mod l0;
 
 pub use l0::{Decode, L0Sketch};
 
-use crate::problem::Problem;
+use crate::problem::{components, yes_if, Problem};
 use bcc_graphs::UnionFind;
+use bcc_model::codec::BitStream;
 use bcc_model::{
-    Algorithm, Decision, Inbox, InitialKnowledge, KnowledgeMode, Message, NodeProgram, Symbol,
+    Algorithm, Decision, Inbox, InitialKnowledge, KnowledgeMode, Message, NodeProgram,
 };
 
 /// The edge-slot index of the pair `i < j` among the `C(n,2)`
@@ -83,59 +84,49 @@ impl Algorithm for SketchConnectivity {
             KnowledgeMode::Kt1,
             "SketchConnectivity requires KT-1; wrap in Kt0Upgrade for KT-0"
         );
-        let n = init.n;
-        // KT-1 guarantees `all_ids` (mode asserted above); the
+        // KT-1 gives every ID a rank (mode asserted above); the
         // fallbacks keep a malformed init deterministic instead of
         // panicking.
-        let all_ids = init
-            .all_ids
-            .as_deref()
-            .map_or_else(|| vec![init.id], <[u64]>::to_vec);
+        let n = init.n;
         let max_phases = 2 * bcc_model::codec::bits_needed(n) + 4;
-        let me = all_ids.iter().position(|&id| id == init.id).unwrap_or(0);
         // Component labels: everyone starts in their own component,
         // indexed by position in sorted-ID order.
-        Box::new(SketchNode {
+        let mut node = SketchNode {
             problem: self.problem,
             n,
-            me,
-            bandwidth: init.bandwidth.max(1),
-            neighbors: init
-                .input_port_labels
-                .iter()
-                .map(|id| all_ids.iter().position(|x| x == id).unwrap_or(0))
+            me: init.rank_of(init.id).unwrap_or(0),
+            rate: init.bandwidth.max(1),
+            neighbors: (init.input_port_labels.iter())
+                .map(|&id| init.rank_of(id).unwrap_or(0))
                 .collect(),
-            all_ids,
-            coin_seed: init.coin_seed,
             labels: (0..n).collect(),
             phase: 0,
             max_phases,
-            my_bits: Vec::new(),
-            bit_pos: 0,
-            peer_bits: Vec::new(),
+            stream: BitStream::new(),
+            init,
             done: false,
             decision: Decision::Undecided,
-        })
+        };
+        node.start_phase();
+        Box::new(node)
     }
 }
 
 struct SketchNode {
     problem: Problem,
+    init: InitialKnowledge,
     n: usize,
     me: usize,
-    bandwidth: usize,
+    /// Symbols per round.
+    rate: usize,
     neighbors: Vec<usize>,
-    all_ids: Vec<u64>,
-    coin_seed: u64,
     /// Component label (representative position) of every vertex
     /// position; identical at every node by construction.
     labels: Vec<usize>,
     phase: usize,
     max_phases: usize,
-    my_bits: Vec<bool>,
-    bit_pos: usize,
-    /// `(port label, bits received)` per peer.
-    peer_bits: Vec<(u64, Vec<bool>)>,
+    /// This phase's sketches, ours out and every peer's in.
+    stream: BitStream,
     done: bool,
     decision: Decision,
 }
@@ -146,9 +137,14 @@ impl SketchNode {
     }
 
     fn phase_seed(&self) -> u64 {
-        self.coin_seed
+        self.init
+            .coin_seed
             .wrapping_mul(0x2545f4914f6cdd1d)
             .wrapping_add(self.phase as u64)
+    }
+
+    fn ids(&self) -> &[u64] {
+        self.init.all_ids.as_deref().unwrap_or_default()
     }
 
     fn my_sketch(&self) -> L0Sketch {
@@ -162,26 +158,30 @@ impl SketchNode {
     }
 
     fn start_phase(&mut self) {
-        self.my_bits = self.my_sketch().to_bits();
-        self.bit_pos = 0;
-        self.peer_bits.clear();
+        let mine = self.my_sketch();
+        self.stream.begin(self.rate, L0Sketch::bits(self.m()));
+        for word in mine.to_words() {
+            self.stream.push(word, 64);
+        }
     }
 
     fn finish_phase(&mut self) {
-        // Deserialize everyone's sketches (peers keyed by port label =
-        // peer id in KT-1).
+        // Everyone's sketches: ours (a function of the phase), and
+        // each peer's, placed by the rank of its port label (= peer id
+        // in KT-1).
         let seed = self.phase_seed();
         let m = self.m();
         let mut sketches: Vec<Option<L0Sketch>> = vec![None; self.n];
-        sketches[self.me] = Some(L0Sketch::from_bits(m, seed, &self.my_bits));
-        for (peer_id, bits) in &self.peer_bits {
-            let Some(pos) = self.all_ids.iter().position(|id| id == peer_id) else {
+        sketches[self.me] = Some(self.my_sketch());
+        for (port, &peer) in self.init.port_labels.iter().enumerate() {
+            let (Some(pos), Some(words)) = (self.init.rank_of(peer), self.stream.payload(port))
+            else {
                 continue;
             };
-            sketches[pos] = Some(L0Sketch::from_bits(m, seed, &bits[..L0Sketch::bits(m)]));
+            sketches[pos] = Some(L0Sketch::from_words(m, seed, words));
         }
-        // Sum per component. A missing slot (unknown peer label) is
-        // skipped rather than panicking.
+        // Sum per component. A missing slot (unknown peer label or a
+        // short payload) is skipped rather than panicking.
         let mut comp_sketch: std::collections::BTreeMap<usize, L0Sketch> =
             std::collections::BTreeMap::new();
         for (slot, &label) in sketches.iter_mut().zip(&self.labels) {
@@ -217,19 +217,10 @@ impl SketchNode {
         }
         self.labels = uf.canonical_labels();
         self.phase += 1;
-        let num_components = {
-            let mut l = self.labels.clone();
-            l.sort_unstable();
-            l.dedup();
-            l.len()
-        };
+        let (num_components, _) = components(&self.labels, self.ids(), self.me);
         if (all_zero && !merged_any) || num_components == 1 || self.phase >= self.max_phases {
             self.done = true;
-            self.decision = if num_components == 1 {
-                Decision::Yes
-            } else {
-                Decision::No
-            };
+            self.decision = yes_if(num_components == 1);
         } else {
             self.start_phase();
         }
@@ -239,52 +230,15 @@ impl SketchNode {
 
 impl NodeProgram for SketchNode {
     fn broadcast(&mut self, _round: usize) -> Message {
-        if self.done {
-            return Message::silent(self.bandwidth);
-        }
-        if self.bit_pos == 0 && self.my_bits.is_empty() {
-            self.start_phase();
-        }
-        let total = L0Sketch::bits(self.m());
-        let syms: Vec<Symbol> = (0..self.bandwidth)
-            .map(|k| {
-                let p = self.bit_pos + k;
-                if p < total {
-                    Symbol::bit(self.my_bits[p])
-                } else {
-                    Symbol::Silent
-                }
-            })
-            .collect();
-        Message::from_symbols(syms)
+        self.stream.send()
     }
 
     fn receive(&mut self, _round: usize, inbox: &Inbox) {
         if self.done {
             return;
         }
-        if self.peer_bits.is_empty() {
-            self.peer_bits = inbox
-                .entries()
-                .iter()
-                .map(|(l, _)| (*l, Vec::new()))
-                .collect();
-        }
-        let total = L0Sketch::bits(self.m());
-        for (port, (label, bits)) in self.peer_bits.iter_mut().enumerate() {
-            let Some(msg) = inbox.by_port(port, *label) else {
-                continue;
-            };
-            for s in msg.symbols() {
-                if bits.len() < total {
-                    if let Some(b) = s.as_bit() {
-                        bits.push(b);
-                    }
-                }
-            }
-        }
-        self.bit_pos += self.bandwidth;
-        if self.bit_pos >= total {
+        self.stream.receive(inbox, &self.init.port_labels);
+        if self.stream.is_complete() {
             self.finish_phase();
         }
     }
@@ -294,16 +248,10 @@ impl NodeProgram for SketchNode {
     }
 
     fn component_label(&self) -> Option<u64> {
-        self.done.then(|| {
-            // Minimum ID in our component.
-            // Our component contains us, so the fallback never fires.
-            let my_label = self.labels[self.me];
-            (0..self.n)
-                .filter(|&v| self.labels[v] == my_label)
-                .map(|v| self.all_ids[v])
-                .min()
-                .unwrap_or(self.all_ids[self.me])
-        })
+        if !self.done {
+            return None;
+        }
+        components(&self.labels, self.ids(), self.me).1
     }
 
     fn is_done(&self) -> bool {

@@ -1,5 +1,5 @@
 //! Inbox entry order: the drivers hand programs port-ordered inboxes,
-//! and the per-port programs read them by position
+//! and the programs' bit streams read them by position
 //! (`Inbox::by_port`), but a program must behave the same on an inbox
 //! in any order. Each program here is driven through the
 //! `NodeProgram` API directly, with the same broadcasts delivered in
@@ -7,7 +7,8 @@
 //! round; every vertex's outputs must match round for round.
 
 use bcc_algorithms::{
-    BoruvkaMinLabel, BoruvkaMst, Kt0Upgrade, NeighborIdBroadcast, Problem, SketchConnectivity,
+    BoruvkaMinLabel, BoruvkaMst, FullGraphBroadcast, Kt0Upgrade, NeighborIdBroadcast, Problem,
+    SketchConnectivity,
 };
 use bcc_graphs::{generators, Graph};
 use bcc_model::testing::IdBroadcast;
@@ -132,7 +133,8 @@ fn kt1_programs_ignore_entry_order() {
     let boruvka = BoruvkaMinLabel::new(Problem::ConnectedComponents);
     let mst = BoruvkaMst::new(3);
     let sketch = SketchConnectivity::new(Problem::ConnectedComponents);
-    let algorithms: [&dyn Algorithm; 3] = [&neighbor, &boruvka, &mst];
+    let full = FullGraphBroadcast::new(Problem::ConnectedComponents);
+    let algorithms: [&dyn Algorithm; 4] = [&neighbor, &boruvka, &mst, &full];
     for g in graphs() {
         let instance = Instance::new_kt1(g).expect("valid");
         for algorithm in algorithms {

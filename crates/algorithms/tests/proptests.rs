@@ -279,8 +279,8 @@ proptest! {
         for _ in 0..8 {
             s.update(rng.gen_range(0..m), rng.gen_range(-5i64..=5));
         }
-        let bits = s.to_bits();
-        prop_assert_eq!(bits.len(), L0Sketch::bits(m));
-        prop_assert_eq!(L0Sketch::from_bits(m, 3, &bits), s);
+        let words: Vec<u64> = s.to_words().collect();
+        prop_assert_eq!(words.len() * 64, L0Sketch::bits(m));
+        prop_assert_eq!(L0Sketch::from_words(m, 3, &words), s);
     }
 }

@@ -34,12 +34,6 @@ pub enum ModelError {
         /// Human-readable description.
         reason: String,
     },
-    /// A bit-serial payload contained a silent symbol before all of
-    /// its bits arrived — an encoding bug in the sending program.
-    CorruptPayload {
-        /// Expected payload width in bits.
-        width: usize,
-    },
     /// An indistinguishability comparison was asked of a run executed
     /// with transcript recording disabled: with no views there is
     /// nothing to compare, and a vacuous "indistinguishable" would be
@@ -67,9 +61,6 @@ impl fmt::Display for ModelError {
                 )
             }
             ModelError::InvalidRewire { reason } => write!(f, "invalid rewiring: {reason}"),
-            ModelError::CorruptPayload { width } => {
-                write!(f, "silent symbol inside a {width}-bit payload")
-            }
             ModelError::UnrecordedRun => {
                 write!(
                     f,

@@ -44,8 +44,8 @@
 //!   executor routes every exchange through — in-process
 //!   ([`transport::LocalTransport`]) by default, multi-process via
 //!   `bcc-transport`;
-//! - [`codec`]: bit-encoding helpers shared by the upper-bound
-//!   algorithms.
+//! - [`codec`]: [`codec::BitStream`], the bit-serial payload exchange
+//!   every upper-bound algorithm sends and reads through.
 //!
 //! # Example
 //!

@@ -81,6 +81,13 @@ impl InitialKnowledge {
             KnowledgeMode::Kt0 => None,
         }
     }
+
+    /// In KT-1, the vertex index of `id`: its rank among all IDs,
+    /// found by binary search in the sorted `all_ids`. `None` in KT-0
+    /// and for an ID no vertex has.
+    pub fn rank_of(&self, id: u64) -> Option<usize> {
+        self.all_ids.as_deref()?.binary_search(&id).ok()
+    }
 }
 
 /// The messages a vertex receives in one round: one [`Message`] per
@@ -267,5 +274,27 @@ mod tests {
             ..ik
         };
         assert_eq!(kt0.neighbor_ids(), None);
+        assert_eq!(kt0.rank_of(7), None);
+    }
+
+    #[test]
+    fn rank_of_is_the_position_among_all_ids() {
+        let ik = InitialKnowledge {
+            id: 40,
+            n: 4,
+            bandwidth: 1,
+            mode: KnowledgeMode::Kt1,
+            port_labels: vec![3, 17, 99].into(),
+            input_port_labels: vec![17].into(),
+            all_ids: Some(vec![3, 17, 40, 99].into()),
+            coin_seed: 0,
+        };
+        assert_eq!(
+            [3, 17, 40, 99].map(|id| ik.rank_of(id)),
+            [Some(0), Some(1), Some(2), Some(3)]
+        );
+        assert_eq!(ik.rank_of(18), None);
+        assert_eq!(ik.rank_of(0), None);
+        assert_eq!(ik.rank_of(100), None);
     }
 }

@@ -26,15 +26,6 @@ impl Symbol {
         }
     }
 
-    /// The bit value, if not silent.
-    pub fn as_bit(self) -> Option<bool> {
-        match self {
-            Symbol::Zero => Some(false),
-            Symbol::One => Some(true),
-            Symbol::Silent => None,
-        }
-    }
-
     /// A compact character for transcripts: `0`, `1` or `⊥`.
     pub fn glyph(self) -> char {
         match self {
@@ -80,7 +71,7 @@ enum Repr {
 const WORD_BITS: usize = 64;
 
 /// The low `len` bits set (`len ≤ 64`).
-fn low_mask(len: usize) -> u64 {
+pub(crate) fn low_mask(len: usize) -> u64 {
     if len >= WORD_BITS {
         u64::MAX
     } else {
@@ -168,6 +159,30 @@ impl Message {
                 }
             }
             Repr::Wide(symbols) => symbols[k],
+        }
+    }
+
+    /// The 64 symbols from position `start` on as a word pair, in the
+    /// encoding of [`from_words`](Message::from_words); positions at
+    /// or past the length read as `⊥`.
+    pub(crate) fn word_pair(&self, start: usize) -> (u64, u64) {
+        match &self.0 {
+            Repr::Packed { ones, silent, len } if start < usize::from(*len) => {
+                let past = !low_mask(usize::from(*len) - start);
+                (ones >> start, silent >> start | past)
+            }
+            Repr::Packed { .. } => (0, u64::MAX),
+            Repr::Wide(symbols) => {
+                let (mut ones, mut silent) = (0u64, 0u64);
+                for k in 0..WORD_BITS {
+                    match symbols.get(start + k) {
+                        Some(Symbol::Zero) => {}
+                        Some(Symbol::One) => ones |= 1 << k,
+                        Some(Symbol::Silent) | None => silent |= 1 << k,
+                    }
+                }
+                (ones, silent)
+            }
         }
     }
 
@@ -318,8 +333,6 @@ mod tests {
     fn symbol_roundtrip() {
         assert_eq!(Symbol::bit(true), Symbol::One);
         assert_eq!(Symbol::bit(false), Symbol::Zero);
-        assert_eq!(Symbol::One.as_bit(), Some(true));
-        assert_eq!(Symbol::Silent.as_bit(), None);
         assert_eq!(Symbol::default(), Symbol::Silent);
     }
 

@@ -1,9 +1,10 @@
 //! Small reference algorithms used in tests, docs and as lower-bound
 //! strawmen.
 
-use crate::codec::{bits_needed, BitAccumulator, BitSchedule};
+use crate::codec::{bits_needed, BitStream};
 use crate::program::{Algorithm, Decision, Inbox, InitialKnowledge, NodeProgram};
 use crate::symbol::{Message, Symbol};
+use std::sync::Arc;
 
 /// An algorithm where every vertex immediately outputs a fixed
 /// decision without communicating. The simplest possible strawman for
@@ -176,53 +177,46 @@ impl Algorithm for IdBroadcast {
     }
 
     fn spawn(&self, init: InitialKnowledge) -> Box<dyn NodeProgram> {
-        let width = bits_needed(init.n);
-        Box::new(IdBroadcastNode {
-            schedule: BitSchedule::of_value(init.id, width),
-            accumulators: init
-                .port_labels
-                .iter()
-                .map(|&l| (l, BitAccumulator::new(width)))
-                .collect(),
-            width,
-            round: 0,
-        })
+        Box::new(IdBroadcastNode::new(init))
     }
 }
 
 struct IdBroadcastNode {
-    schedule: BitSchedule,
-    accumulators: Vec<(u64, BitAccumulator)>,
+    port_labels: Arc<[u64]>,
     width: usize,
-    round: usize,
+    stream: BitStream,
 }
 
 impl IdBroadcastNode {
+    fn new(init: InitialKnowledge) -> Self {
+        let width = bits_needed(init.n);
+        let mut stream = BitStream::new();
+        stream.begin(1, width);
+        stream.push(init.id, width);
+        IdBroadcastNode {
+            port_labels: init.port_labels,
+            width,
+            stream,
+        }
+    }
+
     /// The learned port-label → peer-ID map, once complete.
     fn learned(&self) -> Option<Vec<(u64, u64)>> {
-        self.accumulators
-            .iter()
-            .map(|(l, a)| a.value().map(|v| (*l, v)))
+        (self.port_labels.iter().enumerate())
+            .map(|(port, &l)| self.stream.field(port, 0, self.width).map(|id| (l, id)))
             .collect()
     }
 }
 
 impl NodeProgram for IdBroadcastNode {
-    fn broadcast(&mut self, round: usize) -> Message {
-        Message::single(self.schedule.symbol_at(round))
+    fn broadcast(&mut self, _round: usize) -> Message {
+        self.stream.send()
     }
 
     fn receive(&mut self, _round: usize, inbox: &Inbox) {
-        for (port, (label, acc)) in self.accumulators.iter_mut().enumerate() {
-            if let Some(m) = inbox.by_port(port, *label) {
-                // A corrupt payload (early silence) degrades to an
-                // incomplete accumulator — this vertex stays Undecided
-                // rather than crashing the whole simulation.
-                let fed = acc.push(m.symbol());
-                debug_assert!(fed.is_ok(), "sender broke the bit-serial encoding");
-            }
-        }
-        self.round += 1;
+        // A corrupt payload (early silence) reads as a short one, so
+        // this vertex stays Undecided rather than crashing the run.
+        self.stream.receive(inbox, &self.port_labels);
     }
 
     fn decide(&self) -> Decision {
@@ -234,7 +228,7 @@ impl NodeProgram for IdBroadcastNode {
     }
 
     fn is_done(&self) -> bool {
-        self.round >= self.width
+        self.stream.is_complete()
     }
 }
 
@@ -269,23 +263,9 @@ mod tests {
         let i = Instance::new_kt0(generators::cycle(8), 5).unwrap();
         let width = bits_needed(8);
         // Re-run manually so we can inspect the node programs.
-        let algo = IdBroadcast::new();
         let mut programs: Vec<IdBroadcastNode> = (0..8)
-            .map(|v| {
-                let init = i.initial_knowledge(v, 1, 0);
-                IdBroadcastNode {
-                    schedule: BitSchedule::of_value(init.id, width),
-                    accumulators: init
-                        .port_labels
-                        .iter()
-                        .map(|&l| (l, BitAccumulator::new(width)))
-                        .collect(),
-                    width,
-                    round: 0,
-                }
-            })
+            .map(|v| IdBroadcastNode::new(i.initial_knowledge(v, 1, 0)))
             .collect();
-        let _ = algo; // factory exercised above via trait in other tests
         for round in 0..width {
             let msgs: Vec<Message> = programs.iter_mut().map(|p| p.broadcast(round)).collect();
             for (v, program) in programs.iter_mut().enumerate() {
