@@ -240,6 +240,7 @@ impl NodeProgram for BoruvkaNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcc_graphs::connectivity::connected_components;
     use bcc_graphs::{generators, Graph};
     use bcc_model::{Instance, SimConfig};
     use rand::rngs::StdRng;
@@ -274,9 +275,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1234);
         for _ in 0..15 {
             let g = generators::gnm(14, 10, &mut rng);
-            let truth = crate::problem::local_component_labels(&g, &(0..14u64).collect::<Vec<_>>());
+            // With IDs 0..n a component's label is its minimum vertex.
+            let truth = connected_components(&g).label;
             let out = run(g);
-            let got: Vec<u64> = out.component_labels().iter().map(|l| l.unwrap()).collect();
+            let got: Vec<usize> = (out.component_labels().iter())
+                .map(|l| l.unwrap() as usize)
+                .collect();
             assert_eq!(got, truth);
         }
     }

@@ -1,7 +1,7 @@
 //! The trivial baseline: broadcast the whole adjacency row.
 
-use crate::problem::{component_label_of, decide_problem, Problem};
-use bcc_graphs::Graph;
+use crate::problem::{full_knowledge_answer, Problem};
+use bcc_graphs::UnionFind;
 use bcc_model::codec::BitStream;
 use bcc_model::{
     Algorithm, Decision, Inbox, InitialKnowledge, KnowledgeMode, Message, NodeProgram,
@@ -48,7 +48,7 @@ impl Algorithm for FullGraphBroadcast {
             problem: self.problem,
             init,
             stream,
-            graph: None,
+            answer: None,
         })
     }
 }
@@ -58,30 +58,27 @@ struct FullBroadcastNode {
     init: InitialKnowledge,
     /// Our row out, every sender's row in.
     stream: BitStream,
-    graph: Option<Graph>,
+    /// The decision and component label, once every row is in.
+    answer: Option<(Decision, Option<u64>)>,
 }
 
 impl FullBroadcastNode {
-    /// The input graph from every received row and our own
-    /// adjacency; `None` if a row is incomplete or a sender unknown
-    /// (a corrupt transcript), which leaves this vertex undecided.
-    fn decode(&self) -> Option<Graph> {
+    /// The answer on the input graph, from every received row and our
+    /// own adjacency; `None` if a row is incomplete or a sender
+    /// unknown (a corrupt transcript), which leaves this vertex
+    /// undecided. Both endpoints report an edge, and joining it twice
+    /// changes nothing.
+    fn decode(&self) -> Option<(Decision, Option<u64>)> {
         let init = &self.init;
-        let mut g = Graph::new(init.n);
-        // Both endpoints report an edge: the repeat is refused and
-        // skipped.
+        let mut edges = UnionFind::new(init.n);
         for (port, &sender) in init.port_labels.iter().enumerate() {
             let u = init.rank_of(sender)?;
             let row = self.stream.payload(port)?;
             for j in (0..init.n).filter(|&j| row[j / 64] >> (j % 64) & 1 == 1) {
-                let _ = g.add_edge(u, j);
+                edges.union(u, j);
             }
         }
-        let me = init.rank_of(init.id)?;
-        for &nid in init.input_port_labels.iter() {
-            let _ = g.add_edge(me, init.rank_of(nid)?);
-        }
-        Some(g)
+        full_knowledge_answer(self.problem, edges, init)
     }
 }
 
@@ -92,24 +89,21 @@ impl NodeProgram for FullBroadcastNode {
 
     fn receive(&mut self, _round: usize, inbox: &Inbox) {
         self.stream.receive(inbox, &self.init.port_labels);
-        if self.graph.is_none() && self.stream.is_complete() {
-            self.graph = self.decode();
+        if self.answer.is_none() && self.stream.is_complete() {
+            self.answer = self.decode();
         }
     }
 
     fn decide(&self) -> Decision {
-        match &self.graph {
-            Some(g) => decide_problem(g, self.problem),
-            None => Decision::Undecided,
-        }
+        self.answer.map_or(Decision::Undecided, |(d, _)| d)
     }
 
     fn component_label(&self) -> Option<u64> {
-        component_label_of(self.graph.as_ref()?, &self.init)
+        self.answer?.1
     }
 
     fn is_done(&self) -> bool {
-        self.graph.is_some()
+        self.answer.is_some()
     }
 }
 

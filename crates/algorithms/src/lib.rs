@@ -68,7 +68,7 @@ pub use full_broadcast::FullGraphBroadcast;
 pub use kt0_upgrade::Kt0Upgrade;
 pub use mst::BoruvkaMst;
 pub use neighbor_broadcast::NeighborIdBroadcast;
-pub use problem::{decide_problem, local_component_labels, Problem};
+pub use problem::Problem;
 pub use sketch::SketchConnectivity;
 pub use strawmen::{HashVoteDecider, ParityDecider};
 pub use truncate::Truncated;

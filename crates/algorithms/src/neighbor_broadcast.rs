@@ -1,8 +1,8 @@
 //! The tightness witness: `O((d_max + 1)·log n)` deterministic KT-1
 //! connectivity.
 
-use crate::problem::{component_label_of, decide_problem, Problem};
-use bcc_graphs::Graph;
+use crate::problem::{full_knowledge_answer, Problem};
+use bcc_graphs::UnionFind;
 use bcc_model::codec::{bits_needed, BitStream};
 use bcc_model::{
     Algorithm, Decision, Inbox, InitialKnowledge, KnowledgeMode, Message, NodeProgram,
@@ -51,7 +51,7 @@ impl Algorithm for NeighborIdBroadcast {
             width,
             stream,
             degrees: None,
-            graph: None,
+            answer: None,
         })
     }
 }
@@ -64,7 +64,8 @@ struct NeighborNode {
     stream: BitStream,
     /// Every port's announced degree, once phase 1 finishes.
     degrees: Option<Vec<usize>>,
-    graph: Option<Graph>,
+    /// The decision and component label, once the lists are decoded.
+    answer: Option<(Decision, Option<u64>)>,
 }
 
 impl NeighborNode {
@@ -91,27 +92,23 @@ impl NeighborNode {
         self.degrees = Some(degrees);
     }
 
-    /// The input graph, from every sender's announced neighbor list
-    /// and ours; `None` if a payload is incomplete or names an unknown
-    /// ID (a corrupt transcript), which leaves this vertex undecided.
-    fn decode(&self) -> Option<Graph> {
+    /// The answer on the input graph, from every sender's announced
+    /// neighbor list and ours; `None` if a payload is incomplete or
+    /// names an unknown ID (a corrupt transcript), which leaves this
+    /// vertex undecided. Both endpoints announce an edge, and joining
+    /// it twice changes nothing.
+    fn decode(&self) -> Option<(Decision, Option<u64>)> {
         let degrees = self.degrees.as_ref()?;
         let init = &self.init;
-        let mut g = Graph::new(init.n);
-        // Both endpoints announce an edge: the repeat is refused and
-        // skipped.
+        let mut edges = UnionFind::new(init.n);
         for (port, (&sender, &d)) in init.port_labels.iter().zip(degrees).enumerate() {
             let su = init.rank_of(sender)?;
             for slot in 0..d {
                 let id = self.stream.field(port, slot * self.width, self.width)?;
-                let _ = g.add_edge(su, init.rank_of(id)?);
+                edges.union(su, init.rank_of(id)?);
             }
         }
-        let me = init.rank_of(init.id)?;
-        for &nid in init.input_port_labels.iter() {
-            let _ = g.add_edge(me, init.rank_of(nid)?);
-        }
-        Some(g)
+        full_knowledge_answer(self.problem, edges, init)
     }
 }
 
@@ -125,30 +122,28 @@ impl NodeProgram for NeighborNode {
         if self.degrees.is_none() && self.stream.is_complete() {
             self.start_lists();
         }
-        if self.graph.is_none() && self.stream.is_complete() {
-            self.graph = self.decode();
+        if self.answer.is_none() && self.stream.is_complete() {
+            self.answer = self.decode();
         }
     }
 
     fn decide(&self) -> Decision {
-        match &self.graph {
-            Some(g) => decide_problem(g, self.problem),
-            None => Decision::Undecided,
-        }
+        self.answer.map_or(Decision::Undecided, |(d, _)| d)
     }
 
     fn component_label(&self) -> Option<u64> {
-        component_label_of(self.graph.as_ref()?, &self.init)
+        self.answer?.1
     }
 
     fn is_done(&self) -> bool {
-        self.graph.is_some()
+        self.answer.is_some()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcc_graphs::connectivity::connected_components;
     use bcc_graphs::generators;
     use bcc_model::{Instance, SimConfig};
 
@@ -201,6 +196,85 @@ mod tests {
         );
         let labels: Vec<u64> = out.component_labels().iter().map(|l| l.unwrap()).collect();
         assert_eq!(labels, vec![0, 0, 0, 0, 4, 4, 4, 4, 4]);
+    }
+
+    /// `NeighborIdBroadcast` whose vertex with ID `v` announces, and
+    /// keeps as its own input list, `lists[v]` instead of its true
+    /// neighbors: a corrupt transcript.
+    struct Announcing {
+        problem: Problem,
+        lists: Vec<Vec<u64>>,
+    }
+
+    impl Algorithm for Announcing {
+        fn name(&self) -> &str {
+            "announcing"
+        }
+
+        fn spawn(&self, mut init: InitialKnowledge) -> Box<dyn NodeProgram> {
+            init.input_port_labels = self.lists[init.id as usize].clone().into();
+            NeighborIdBroadcast::new(self.problem).spawn(init)
+        }
+    }
+
+    #[test]
+    fn corrupt_lists_answer_for_their_symmetric_closure() {
+        // One-sided announcements (0 names 1, 1 omits 0; 4 names 3, 3
+        // omits 4), a repeated ID (1 names 2 twice) and a vertex naming
+        // itself (2, 3, 5).
+        let split = vec![vec![1], vec![2, 2], vec![1, 2], vec![3], vec![3], vec![5]];
+        // One-sided links chain every vertex into one path.
+        let joined = vec![vec![1], vec![2, 2], vec![2, 3], vec![3], vec![5, 3], vec![]];
+        for lists in [split, joined] {
+            // The symmetric closure: every list into one graph,
+            // repeats and self-pairs refused.
+            let mut closure = bcc_graphs::Graph::new(6);
+            for (u, list) in lists.iter().enumerate() {
+                for &v in list {
+                    let _ = closure.add_edge(u, v as usize);
+                }
+            }
+            let expect = if closure.is_connected() {
+                Decision::Yes
+            } else {
+                Decision::No
+            };
+            let labels: Vec<Option<u64>> = (connected_components(&closure).label.iter())
+                .map(|&l| Some(l as u64))
+                .collect();
+            for problem in [
+                Problem::Connectivity,
+                Problem::TwoCycle,
+                Problem::MultiCycle,
+                Problem::ConnectedComponents,
+            ] {
+                let algorithm = Announcing {
+                    problem,
+                    lists: lists.clone(),
+                };
+                let i = Instance::new_kt1(bcc_graphs::Graph::new(6)).unwrap();
+                let out = SimConfig::bcc1(500).run(&i, &algorithm, 0);
+                assert!(out.decisions().iter().all(|&d| d == expect), "{problem}");
+                assert_eq!(out.component_labels(), &labels[..], "{problem}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_unknown_id_leaves_every_vertex_undecided() {
+        // ID 7 fits the 3-bit ID width of n = 6 but names no vertex.
+        let mut lists = vec![vec![]; 6];
+        lists[0] = vec![1, 7];
+        lists[1] = vec![0];
+        let algorithm = Announcing {
+            problem: Problem::Connectivity,
+            lists,
+        };
+        let i = Instance::new_kt1(bcc_graphs::Graph::new(6)).unwrap();
+        let out = SimConfig::bcc1(50).run(&i, &algorithm, 0);
+        assert!(out.decisions().iter().all(|&d| d == Decision::Undecided));
+        assert!(out.component_labels().iter().all(Option::is_none));
+        assert!(!out.completed());
     }
 
     #[test]

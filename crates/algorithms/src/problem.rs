@@ -1,11 +1,7 @@
-//! The decision problems of the paper, and local oracles for
-//! algorithms that reconstruct the whole input graph.
+//! The decision problems of the paper, and the local answer of
+//! algorithms that learn the whole input graph.
 
-use bcc_graphs::connectivity::connected_components;
-use bcc_graphs::cycles::{
-    classify_multi_cycle, classify_two_cycle, MultiCycleClass, TwoCycleClass,
-};
-use bcc_graphs::Graph;
+use bcc_graphs::UnionFind;
 use bcc_model::{Decision, InitialKnowledge};
 
 /// The problems studied by the paper.
@@ -42,26 +38,6 @@ impl std::fmt::Display for Problem {
     }
 }
 
-/// Decides `problem` on a fully known graph. Promise violations (for
-/// the promise problems) fall back to the connectivity answer, so
-/// truncated runs on non-promise inputs still produce a decision.
-pub fn decide_problem(g: &Graph, problem: Problem) -> Decision {
-    let connectivity = || yes_if(g.is_connected());
-    match problem {
-        Problem::Connectivity | Problem::ConnectedComponents => connectivity(),
-        Problem::TwoCycle => match classify_two_cycle(g) {
-            Ok(TwoCycleClass::OneCycle) => Decision::Yes,
-            Ok(TwoCycleClass::TwoCycles) => Decision::No,
-            Err(_) => connectivity(),
-        },
-        Problem::MultiCycle => match classify_multi_cycle(g) {
-            Ok(MultiCycleClass::OneCycle) => Decision::Yes,
-            Ok(MultiCycleClass::MultipleCycles) => Decision::No,
-            Err(_) => connectivity(),
-        },
-    }
-}
-
 /// YES if `yes`, else NO.
 pub(crate) fn yes_if(yes: bool) -> Decision {
     if yes {
@@ -91,70 +67,39 @@ pub(crate) fn components<L: Ord + Copy>(
     (distinct.len(), mine)
 }
 
-/// Component labels on a fully known graph, mapped through the given
-/// vertex-ID table (one ID per vertex): the label of `v`'s component
-/// is the **minimum ID** among its members (the canonical
-/// `ConnectedComponents` output).
-pub fn local_component_labels(g: &Graph, ids: &[u64]) -> Vec<u64> {
-    let comps = connected_components(g);
-    // A component's label is one of its vertices, so a table indexed
-    // by label holds every component's minimum ID.
-    let mut min_id = vec![u64::MAX; g.num_vertices()];
-    for (&label, &id) in comps.label.iter().zip(ids) {
-        min_id[label] = min_id[label].min(id);
+/// The answer of the vertex `init` describes once it knows the whole
+/// input graph: `edges` joins the endpoints (by rank) of every edge
+/// it heard of, and its own input edges are joined here. Returns its
+/// decision on `problem` and its component label, the minimum ID in
+/// its component; `None` if a neighbor ID is unknown or the IDs are
+/// not known (KT-0), which leaves the vertex undecided.
+pub(crate) fn full_knowledge_answer(
+    problem: Problem,
+    mut edges: UnionFind,
+    init: &InitialKnowledge,
+) -> Option<(Decision, Option<u64>)> {
+    let me = init.rank_of(init.id)?;
+    for &nid in init.input_port_labels.iter() {
+        edges.union(me, init.rank_of(nid)?);
     }
-    comps.label.iter().map(|&label| min_id[label]).collect()
-}
-
-/// The component label of the vertex `init` describes on its fully
-/// known input graph (KT-1): the minimum ID in its component.
-pub(crate) fn component_label_of(g: &Graph, init: &InitialKnowledge) -> Option<u64> {
-    let labels = local_component_labels(g, init.all_ids.as_deref()?);
-    labels.get(init.rank_of(init.id)?).copied()
+    let roots: Vec<usize> = (0..edges.len()).map(|v| edges.find(v)).collect();
+    let (count, label) = components(&roots, init.all_ids.as_deref()?, me);
+    // On a fully known graph all four problems reduce to
+    // connectivity: one cycle is a connected 2-regular graph, two or
+    // more disjoint cycles are disconnected, and a promise violation
+    // is answered by connectivity.
+    let decision = match problem {
+        Problem::Connectivity
+        | Problem::ConnectedComponents
+        | Problem::TwoCycle
+        | Problem::MultiCycle => yes_if(count == 1),
+    };
+    Some((decision, label))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcc_graphs::generators;
-
-    #[test]
-    fn ground_truth_decisions() {
-        let one = generators::cycle(6);
-        let two = generators::two_cycles(3, 3);
-        assert_eq!(decide_problem(&one, Problem::Connectivity), Decision::Yes);
-        assert_eq!(decide_problem(&two, Problem::Connectivity), Decision::No);
-        assert_eq!(decide_problem(&one, Problem::TwoCycle), Decision::Yes);
-        assert_eq!(decide_problem(&two, Problem::TwoCycle), Decision::No);
-        assert_eq!(
-            decide_problem(&generators::cycle(8), Problem::MultiCycle),
-            Decision::Yes
-        );
-        assert_eq!(
-            decide_problem(&generators::multi_cycle(&[4, 5, 4]), Problem::MultiCycle),
-            Decision::No
-        );
-    }
-
-    #[test]
-    fn promise_violation_falls_back_to_connectivity() {
-        let path = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
-        assert_eq!(decide_problem(&path, Problem::TwoCycle), Decision::Yes);
-        let forest = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
-        assert_eq!(decide_problem(&forest, Problem::MultiCycle), Decision::No);
-    }
-
-    #[test]
-    fn component_labels_use_min_id() {
-        let g = generators::two_cycles(3, 4);
-        // IDs reversed: vertex v has id 10 - v.
-        let ids: Vec<u64> = (0..7).map(|v| 10 - v as u64).collect();
-        let labels = local_component_labels(&g, &ids);
-        // First component {0,1,2} has ids {10,9,8} → min 8.
-        assert_eq!(&labels[..3], &[8, 8, 8]);
-        // Second component {3..6} has ids {7,6,5,4} → min 4.
-        assert_eq!(&labels[3..], &[4, 4, 4, 4]);
-    }
 
     #[test]
     fn components_count_labels_and_find_my_min_id() {
@@ -164,6 +109,45 @@ mod tests {
         assert_eq!(components(&labels, &ids, 4), (2, Some(10)));
         assert_eq!(components(&labels, &ids, 5), (2, None));
         assert_eq!(components(&[7u64; 3], &[3, 2, 1], 0), (1, Some(1)));
+    }
+
+    #[test]
+    fn full_knowledge_answers_by_connectivity_with_min_id_labels() {
+        use bcc_graphs::Graph;
+        use bcc_model::Instance;
+        let problems = [
+            Problem::Connectivity,
+            Problem::TwoCycle,
+            Problem::MultiCycle,
+            Problem::ConnectedComponents,
+        ];
+        let ids = vec![50, 10, 30, 40, 20];
+        // A path breaks the cycle promises and is connected; a forest
+        // breaks them and is not.
+        let cases = [
+            (vec![(0, 1), (1, 2), (2, 3), (3, 4)], Decision::Yes, [10; 5]),
+            (vec![(0, 1), (2, 3)], Decision::No, [10, 10, 30, 30, 20]),
+        ];
+        for (edges, decision, labels) in cases {
+            let g = Graph::from_edges(5, edges.iter().copied()).unwrap();
+            let inst = Instance::new_kt1_with_ids(g.clone(), ids.clone()).unwrap();
+            for (v, &label) in labels.iter().enumerate() {
+                let init = inst.initial_knowledge(v, 1, 0);
+                let rank = |u: usize| init.rank_of(ids[u]).unwrap();
+                let mut heard = UnionFind::new(5);
+                for &(a, b) in &edges {
+                    heard.union(rank(a), rank(b));
+                }
+                for problem in problems {
+                    let answer = full_knowledge_answer(problem, heard.clone(), &init);
+                    assert_eq!(answer, Some((decision, Some(label))), "{problem} v{v}");
+                }
+            }
+            // Without the IDs (KT-0) nothing can be answered.
+            let kt0 = Instance::new_kt0(g, 0).unwrap().initial_knowledge(0, 1, 0);
+            let answer = full_knowledge_answer(Problem::Connectivity, UnionFind::new(5), &kt0);
+            assert_eq!(answer, None);
+        }
     }
 
     #[test]

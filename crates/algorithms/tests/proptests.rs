@@ -3,10 +3,13 @@
 
 use bcc_algorithms::sketch::{edge_slot, slot_edge, Decode, L0Sketch};
 use bcc_algorithms::{
-    local_component_labels, BoruvkaMinLabel, FullGraphBroadcast, HashVoteDecider, Kt0Upgrade,
-    NeighborIdBroadcast, ParityDecider, Problem, Truncated,
+    BoruvkaMinLabel, FullGraphBroadcast, HashVoteDecider, Kt0Upgrade, NeighborIdBroadcast,
+    ParityDecider, Problem, Truncated,
 };
 use bcc_graphs::connectivity::connected_components;
+use bcc_graphs::cycles::{
+    classify_multi_cycle, classify_two_cycle, MultiCycleClass, TwoCycleClass,
+};
 use bcc_graphs::{generators, Graph};
 use bcc_model::testing::ConstantDecision;
 use bcc_model::{Algorithm, Decision, Inbox, Instance, Message, NodeProgram, SimConfig};
@@ -74,9 +77,9 @@ fn run_round(
     outbox
 }
 
-/// `local_component_labels` as first written, with its min-ID table
-/// in a `BTreeMap` keyed by component label: the reference the
-/// table-indexed form must agree with.
+/// Component labels on a fully known graph as first written, with the
+/// min-ID table in a `BTreeMap` keyed by component label: the label
+/// of `v`'s component is the minimum ID among its members.
 fn btree_component_labels(g: &Graph, ids: &[u64]) -> Vec<u64> {
     let comps = connected_components(g);
     let mut min_id_of_label: std::collections::BTreeMap<usize, u64> =
@@ -88,6 +91,80 @@ fn btree_component_labels(g: &Graph, ids: &[u64]) -> Vec<u64> {
     (0..g.num_vertices())
         .map(|v| min_id_of_label[&comps.label[v]])
         .collect()
+}
+
+/// The decision on a fully known graph by the problems' definitions:
+/// the promise problems by their cycle classification, a promise
+/// violation by connectivity.
+fn classified_decision(g: &Graph, problem: Problem) -> Decision {
+    match problem {
+        Problem::Connectivity | Problem::ConnectedComponents => truth(g),
+        Problem::TwoCycle => match classify_two_cycle(g) {
+            Ok(TwoCycleClass::OneCycle) => Decision::Yes,
+            Ok(TwoCycleClass::TwoCycles) => Decision::No,
+            Err(_) => truth(g),
+        },
+        Problem::MultiCycle => match classify_multi_cycle(g) {
+            Ok(MultiCycleClass::OneCycle) => Decision::Yes,
+            Ok(MultiCycleClass::MultipleCycles) => Decision::No,
+            Err(_) => truth(g),
+        },
+    }
+}
+
+/// Where the two full-knowledge algorithms, run on `g` with vertex
+/// `v` holding ID `ids[v]` (a permutation of `0..n`, so every ID fits
+/// the neighbor lists' width), disagree with the classification
+/// oracle's decision or the `BTreeMap` form's labels, for any of the
+/// four problems; `None` if nowhere.
+fn full_knowledge_mismatch(g: &Graph, ids: &[u64]) -> Option<String> {
+    let inst = Instance::new_kt1_with_ids(g.clone(), ids.to_vec()).unwrap();
+    let labels: Vec<Option<u64>> = (btree_component_labels(g, ids).into_iter())
+        .map(Some)
+        .collect();
+    let sim = SimConfig::bcc1(1_000).transcripts(false);
+    for problem in [
+        Problem::Connectivity,
+        Problem::TwoCycle,
+        Problem::MultiCycle,
+        Problem::ConnectedComponents,
+    ] {
+        let expect = classified_decision(g, problem);
+        for algo in [
+            &FullGraphBroadcast::new(problem) as &dyn Algorithm,
+            &NeighborIdBroadcast::new(problem),
+        ] {
+            let out = sim.run(&inst, algo, 0);
+            if out.decisions().iter().any(|&d| d != expect) || out.component_labels() != labels {
+                return Some(format!("{} on {problem}: {g:?} ids {ids:?}", algo.name()));
+            }
+        }
+    }
+    None
+}
+
+/// Every labelled graph on at most 6 vertices: both full-knowledge
+/// algorithms answer every problem as the classification oracle
+/// does, with min-ID component labels.
+#[test]
+fn full_knowledge_answers_match_classification_exhaustively() {
+    for n in 1..=6usize {
+        let pairs: Vec<(usize, usize)> = (0..n)
+            .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+            .collect();
+        // Reversed IDs, so a component's label is not its minimum
+        // vertex.
+        let ids: Vec<u64> = (0..n as u64).rev().collect();
+        for mask in 0u32..1 << pairs.len() {
+            let edges = (pairs.iter().enumerate())
+                .filter(|&(bit, _)| mask >> bit & 1 == 1)
+                .map(|(_, &e)| e);
+            let g = Graph::from_edges(n, edges).unwrap();
+            if let Some(mismatch) = full_knowledge_mismatch(&g, &ids) {
+                panic!("{mismatch}");
+            }
+        }
+    }
 }
 
 /// Every vertex's decision and done flag.
@@ -144,25 +221,15 @@ proptest! {
         }
     }
 
-    /// Component labels from the label-indexed table equal the
-    /// `BTreeMap` form's on random disjoint unions of cycles (vertices
-    /// shuffled) under shuffled distinct IDs.
+    /// Both full-knowledge algorithms answer every problem as the
+    /// classification oracle does on random graphs under shuffled IDs.
     #[test]
-    fn component_labels_match_the_btree_form(n in 3usize..40, seed in any::<u64>()) {
+    fn full_knowledge_answers_match_classification(g in arb_graph(), seed in any::<u64>()) {
         use rand::seq::SliceRandom;
-        use rand::Rng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let g = generators::random_disjoint_cycles(n, &mut rng);
-        // Distinct IDs: a random increasing sequence, shuffled.
-        let mut next = 0u64;
-        let mut ids: Vec<u64> = (0..n)
-            .map(|_| {
-                next += rng.gen_range(1..1_000u64);
-                next
-            })
-            .collect();
-        ids.shuffle(&mut rng);
-        prop_assert_eq!(local_component_labels(&g, &ids), btree_component_labels(&g, &ids));
+        let mut ids: Vec<u64> = (0..g.num_vertices() as u64).collect();
+        ids.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+        let mismatch = full_knowledge_mismatch(&g, &ids);
+        prop_assert!(mismatch.is_none(), "{:?}", mismatch);
     }
 
     /// The two full-knowledge algorithms solve Connectivity exactly on

@@ -260,11 +260,10 @@ fn pooled_sweep_chunk_allocates_a_pinned_count() {
 /// Allocations of one warm two-party operation: 8 pairs of perfect
 /// matchings on 12 points, each simulated as a 24-vertex KT-1 run of
 /// `NeighborIdBroadcast(MultiCycle)` on the 2-regular gadget, from
-/// the partitions to the reports. Most of them are the 192 programs'
-/// own: each fills one bit-stream buffer and a degree table, and at
-/// the end builds the learned graph, classifies its cycles and labels
-/// its components.
-const TWO_PARTY_OP: u64 = 15_516;
+/// the partitions to the reports. Each of the 192 programs fills one
+/// bit-stream buffer and a degree table, and at the end joins the
+/// learned edges in one union-find and counts its components.
+const TWO_PARTY_OP: u64 = 3_804;
 
 /// The `r`-th perfect matching of `0..12` by the circle method: 11 of
 /// them, pairwise edge-disjoint.

@@ -139,6 +139,7 @@ pub enum MultiCycleClass {
 ///
 /// Returns [`GraphError::PromiseViolation`] if the graph is not a
 /// disjoint union of cycles, or any cycle is shorter than 4.
+// bcc-lint: allow(U1): the MultiCycle promise oracle that the full-knowledge programs' answers are tested against
 pub fn classify_multi_cycle(g: &Graph) -> Result<MultiCycleClass, GraphError> {
     let s = cycle_structure(g)?;
     if let Some(&short) = s.lengths().iter().find(|&&l| l < 4) {
