@@ -200,7 +200,7 @@ impl NodeProgram for BoruvkaNode {
         if self.done {
             return;
         }
-        self.stream.receive(inbox, &self.init.port_labels);
+        self.stream.receive(inbox);
         if !self.stream.is_complete() {
             return;
         }

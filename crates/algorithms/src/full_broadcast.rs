@@ -88,7 +88,7 @@ impl NodeProgram for FullBroadcastNode {
     }
 
     fn receive(&mut self, _round: usize, inbox: &Inbox) {
-        self.stream.receive(inbox, &self.init.port_labels);
+        self.stream.receive(inbox);
         if self.answer.is_none() && self.stream.is_complete() {
             self.answer = self.decode();
         }

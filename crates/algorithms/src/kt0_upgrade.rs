@@ -9,8 +9,9 @@ use bcc_model::{
 /// `⌈log₂ n⌉` rounds in which every vertex broadcasts its ID bit-serially
 /// lets each vertex label its ports with the IDs behind them, after
 /// which the network is effectively KT-1 and the inner algorithm runs
-/// unchanged (its inbox labels are translated from port numbers to the
-/// learned IDs).
+/// unchanged: it reads the same inbox view, relabelled with the
+/// learned IDs ([`Inbox::relabelled`]). Its KT-1 port labels are
+/// therefore in the outer KT-0 port order, not sorted by ID.
 ///
 /// The paper observes (§1.1) that for bandwidth `b = Ω(log n)` the two
 /// knowledge regimes coincide; this adapter is the `b = 1` version,
@@ -51,10 +52,9 @@ struct UpgradeNode<A> {
     stream: BitStream,
     outer: InitialKnowledge,
     factory: A,
-    /// `(port label, learned peer id)`, in port order.
-    port_id_map: Vec<(u64, u64)>,
-    /// The inner program's inbox entries, refilled every round.
-    translated: Vec<(u64, Message)>,
+    /// The ID learned behind each port, in port order: the inner
+    /// program's port labels.
+    port_ids: Vec<u64>,
     inner: Option<Box<dyn NodeProgram>>,
 }
 
@@ -75,23 +75,8 @@ impl<A: Algorithm> UpgradeNode<A> {
             stream,
             outer: init,
             factory,
-            port_id_map: Vec::new(),
-            translated: Vec::new(),
+            port_ids: Vec::new(),
             inner: None,
-        }
-    }
-
-    /// The ID learned behind the port with label `label`, expected at
-    /// position `port` (the inbox is in port order, as `port_id_map`
-    /// is); any other position falls back to a search.
-    fn peer_id(&self, port: usize, label: u64) -> Option<u64> {
-        match self.port_id_map.get(port) {
-            Some(&(l, id)) if l == label => Some(id),
-            _ => self
-                .port_id_map
-                .iter()
-                .find(|&&(l, _)| l == label)
-                .map(|&(_, id)| id),
         }
     }
 
@@ -99,21 +84,21 @@ impl<A: Algorithm> UpgradeNode<A> {
     /// whose ID did not arrive leaves it unspawned, so this vertex
     /// stays undecided.
     fn finish_prologue(&mut self) {
-        let mut port_id_map = Vec::with_capacity(self.outer.port_labels.len());
-        for (port, &l) in self.outer.port_labels.iter().enumerate() {
-            let Some(id) = self.stream.field(port, 0, self.width) else {
-                return;
-            };
-            port_id_map.push((l, id));
-        }
-        self.port_id_map = port_id_map;
-        let mut all_ids: Vec<u64> = self.port_id_map.iter().map(|&(_, id)| id).collect();
+        let ports = self.outer.port_labels.len();
+        let Some(port_ids) = (0..ports)
+            .map(|port| self.stream.field(port, 0, self.width))
+            .collect::<Option<Vec<u64>>>()
+        else {
+            return;
+        };
+        self.port_ids = port_ids;
+        let mut all_ids = self.port_ids.clone();
         all_ids.push(self.outer.id);
         all_ids.sort_unstable();
         let input = &self.outer.input_port_labels;
-        let mut input_ids: Vec<u64> = (self.port_id_map.iter())
+        let mut input_ids: Vec<u64> = (self.outer.port_labels.iter().zip(&self.port_ids))
             .filter(|(l, _)| input.binary_search(l).is_ok())
-            .map(|&(_, id)| id)
+            .map(|(_, &id)| id)
             .collect();
         input_ids.sort_unstable();
         let inner_ik = InitialKnowledge {
@@ -121,7 +106,7 @@ impl<A: Algorithm> UpgradeNode<A> {
             n: self.outer.n,
             bandwidth: self.outer.bandwidth,
             mode: KnowledgeMode::Kt1,
-            port_labels: self.port_id_map.iter().map(|&(_, id)| id).collect(),
+            port_labels: self.port_ids.as_slice().into(),
             input_port_labels: input_ids.into(),
             all_ids: Some(all_ids.into()),
             coin_seed: self.outer.coin_seed,
@@ -141,23 +126,15 @@ impl<A: Algorithm + Clone> NodeProgram for UpgradeNode<A> {
 
     fn receive(&mut self, round: usize, inbox: &Inbox) {
         let Some(inner_round) = round.checked_sub(self.width) else {
-            self.stream.receive(inbox, &self.outer.port_labels);
+            self.stream.receive(inbox);
             if self.stream.is_complete() {
                 self.finish_prologue();
             }
             return;
         };
-        let mut entries = std::mem::take(&mut self.translated);
-        entries.clear();
-        entries.extend(
-            (inbox.entries().iter().enumerate())
-                .filter_map(|(port, (label, m))| Some((self.peer_id(port, *label)?, m.clone()))),
-        );
-        let translated = Inbox::new(entries);
         if let Some(inner) = self.inner.as_mut() {
-            inner.receive(inner_round, &translated);
+            inner.receive(inner_round, &inbox.relabelled(&self.port_ids));
         }
-        self.translated = translated.into_entries();
     }
 
     fn decide(&self) -> Decision {
@@ -177,9 +154,7 @@ impl<A: Algorithm + Clone> NodeProgram for UpgradeNode<A> {
 
     fn reset(&mut self, init: &InitialKnowledge) -> bool {
         let stream = std::mem::take(&mut self.stream);
-        let translated = std::mem::take(&mut self.translated);
         *self = UpgradeNode::new(self.factory.clone(), init.clone(), stream);
-        self.translated = translated;
         true
     }
 }

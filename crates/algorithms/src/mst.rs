@@ -201,7 +201,7 @@ impl NodeProgram for MstNode {
         if self.done {
             return;
         }
-        self.stream.receive(inbox, &self.init.port_labels);
+        self.stream.receive(inbox);
         if self.stream.is_complete() {
             self.apply_phase(self.proposals());
         }

@@ -118,7 +118,7 @@ impl NodeProgram for NeighborNode {
     }
 
     fn receive(&mut self, _round: usize, inbox: &Inbox) {
-        self.stream.receive(inbox, &self.init.port_labels);
+        self.stream.receive(inbox);
         if self.degrees.is_none() && self.stream.is_complete() {
             self.start_lists();
         }

@@ -237,7 +237,7 @@ impl NodeProgram for SketchNode {
         if self.done {
             return;
         }
-        self.stream.receive(inbox, &self.init.port_labels);
+        self.stream.receive(inbox);
         if self.stream.is_complete() {
             self.finish_phase();
         }

@@ -77,9 +77,9 @@ impl NodeProgram for HashVoteNode {
     }
 
     fn receive(&mut self, round: usize, inbox: &Inbox) {
-        for (label, m) in inbox.entries() {
+        for (label, m) in inbox.iter() {
             if m.symbol() == Symbol::One {
-                self.heard = mix(self.heard ^ mix(*label ^ (round as u64) << 32));
+                self.heard = mix(self.heard ^ mix(label ^ (round as u64) << 32));
             }
         }
         self.round = round + 1;
@@ -157,7 +157,6 @@ impl NodeProgram for ParityNode {
 
     fn receive(&mut self, _round: usize, inbox: &Inbox) {
         self.ones_heard += inbox
-            .entries()
             .iter()
             .filter(|(_, m)| m.symbol() == Symbol::One)
             .count();

@@ -1,10 +1,11 @@
-//! Inbox entry order: the drivers hand programs port-ordered inboxes,
-//! and the programs' bit streams read them by position
-//! (`Inbox::by_port`), but a program must behave the same on an inbox
-//! in any order. Each program here is driven through the
-//! `NodeProgram` API directly, with the same broadcasts delivered in
-//! port order, reversed, and rotated by a different amount every
-//! round; every vertex's outputs must match round for round.
+//! Port order: a vertex's ports come in whatever order its knowledge
+//! lists them, and KT-1 labels need not be sorted by ID. That is what
+//! `Kt0Upgrade`'s inner program sees: its ports keep the outer KT-0
+//! order, labelled with the IDs learned behind them. Each program here
+//! is driven through the `NodeProgram` API directly, once with the
+//! instance's ports and once with every vertex's ports rotated (its
+//! knowledge's labels and its inbox's row together), over the same
+//! broadcasts; every vertex's outputs must match round for round.
 
 use bcc_algorithms::{
     BoruvkaMinLabel, BoruvkaMst, FullGraphBroadcast, Kt0Upgrade, NeighborIdBroadcast, Problem,
@@ -15,15 +16,13 @@ use bcc_model::testing::IdBroadcast;
 use bcc_model::{Algorithm, Decision, Inbox, Instance, Message, NodeProgram};
 use rand::SeedableRng;
 
-/// How a round's inbox entries are arranged before delivery.
+/// How each vertex's ports are laid out.
 #[derive(Debug, Clone, Copy)]
 enum Order {
-    /// Port order, as the drivers deliver.
-    Port,
-    /// Port order reversed, every round.
-    Reversed,
-    /// Port order rotated left by `round + 1`, so no two consecutive
-    /// rounds agree on where a port's entry sits.
+    /// The instance's port order (KT-1 labels sorted by ID).
+    Instance,
+    /// Vertex `v`'s ports rotated left by `v + 1`, so KT-1 labels are
+    /// out of ID order and no two vertices agree on the shift.
     Rotated,
 }
 
@@ -45,7 +44,7 @@ fn outputs(programs: &[Box<dyn NodeProgram>]) -> Outputs {
 }
 
 /// Runs `algorithm` on `instance` in `BCC(bandwidth)` until every
-/// vertex is done (or `max_rounds`), delivering each inbox in `order`;
+/// vertex is done (or `max_rounds`), with ports laid out in `order`;
 /// returns each round's broadcasts and the outputs after it.
 fn run(
     algorithm: &dyn Algorithm,
@@ -54,8 +53,24 @@ fn run(
     order: Order,
     max_rounds: usize,
 ) -> Vec<(Vec<Message>, Outputs)> {
-    let mut programs: Vec<Box<dyn NodeProgram>> = (0..instance.num_vertices())
-        .map(|v| algorithm.spawn(instance.initial_knowledge(v, bandwidth, 7)))
+    let rows: Vec<Vec<(u64, usize)>> = (0..instance.num_vertices())
+        .map(|v| {
+            let mut row = instance.routes().ports(v).to_vec();
+            if let (Order::Rotated, false) = (order, row.is_empty()) {
+                let k = (v + 1) % row.len();
+                row.rotate_left(k);
+            }
+            row
+        })
+        .collect();
+    let mut programs: Vec<Box<dyn NodeProgram>> = rows
+        .iter()
+        .enumerate()
+        .map(|(v, row)| {
+            let mut init = instance.initial_knowledge(v, bandwidth, 7);
+            init.port_labels = row.iter().map(|&(label, _)| label).collect();
+            algorithm.spawn(init)
+        })
         .collect();
     let mut transcript = Vec::new();
     for round in 0..max_rounds {
@@ -66,55 +81,30 @@ fn run(
             .iter_mut()
             .map(|p| p.broadcast(round).normalized(bandwidth))
             .collect();
-        for (v, program) in programs.iter_mut().enumerate() {
-            let mut entries: Vec<(u64, Message)> = instance
-                .routes()
-                .ports(v)
-                .iter()
-                .map(|&(label, peer)| (label, outbox[peer].clone()))
-                .collect();
-            // Port order: the drivers' canonical (label-sorted) order.
-            entries.sort_by_key(|&(label, _)| label);
-            match order {
-                Order::Port => {}
-                Order::Reversed => entries.reverse(),
-                Order::Rotated => {
-                    if !entries.is_empty() {
-                        let k = (round + 1) % entries.len();
-                        entries.rotate_left(k);
-                    }
-                }
-            }
-            program.receive(round, &Inbox::new(entries));
+        for (program, row) in programs.iter_mut().zip(&rows) {
+            program.receive(round, &Inbox::new(row, &outbox));
         }
         transcript.push((outbox, outputs(&programs)));
     }
     transcript
 }
 
-/// Runs `algorithm` in all three orders and checks the transcripts
-/// agree, and that the port-ordered run finished with every vertex
+/// Runs `algorithm` in both orders and checks the transcripts agree,
+/// and that the instance-ordered run finished with every vertex
 /// decided.
 fn check(algorithm: &dyn Algorithm, instance: &Instance, bandwidth: usize) {
-    let port = run(algorithm, instance, bandwidth, Order::Port, 2_000);
+    let port = run(algorithm, instance, bandwidth, Order::Instance, 2_000);
     let (_, last) = port.last().expect("at least one round");
     assert!(
         last.iter()
             .all(|&(d, _, _, done)| done && d != Decision::Undecided),
-        "{} did not finish in port order",
+        "{} did not finish in instance order",
         algorithm.name()
     );
-    for order in [Order::Reversed, Order::Rotated] {
-        let other = run(algorithm, instance, bandwidth, order, 2_000);
-        assert_eq!(
-            other.len(),
-            port.len(),
-            "{} rounds, {order:?}",
-            algorithm.name()
-        );
-        for (round, (a, b)) in port.iter().zip(&other).enumerate() {
-            assert_eq!(a, b, "{} round {round}, {order:?}", algorithm.name());
-        }
+    let rotated = run(algorithm, instance, bandwidth, Order::Rotated, 2_000);
+    assert_eq!(rotated.len(), port.len(), "{} rounds", algorithm.name());
+    for (round, (a, b)) in port.iter().zip(&rotated).enumerate() {
+        assert_eq!(a, b, "{} round {round}", algorithm.name());
     }
 }
 
@@ -128,7 +118,7 @@ fn graphs() -> Vec<Graph> {
 }
 
 #[test]
-fn kt1_programs_ignore_entry_order() {
+fn kt1_programs_ignore_port_order() {
     let neighbor = NeighborIdBroadcast::new(Problem::ConnectedComponents);
     let boruvka = BoruvkaMinLabel::new(Problem::ConnectedComponents);
     let mst = BoruvkaMst::new(3);
@@ -148,7 +138,7 @@ fn kt1_programs_ignore_entry_order() {
 }
 
 #[test]
-fn kt0_programs_ignore_entry_order() {
+fn kt0_programs_ignore_port_order() {
     let upgrade = Kt0Upgrade::new(NeighborIdBroadcast::new(Problem::ConnectedComponents));
     let algorithms: [&dyn Algorithm; 2] = [&upgrade, &IdBroadcast::new()];
     for g in graphs() {

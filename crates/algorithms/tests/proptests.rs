@@ -65,14 +65,7 @@ fn run_round(
         .map(|p| p.broadcast(round).normalized(1))
         .collect();
     for (v, program) in programs.iter_mut().enumerate() {
-        let mut entries: Vec<(u64, Message)> = instance
-            .routes()
-            .ports(v)
-            .iter()
-            .map(|&(label, peer)| (label, outbox[peer].clone()))
-            .collect();
-        entries.sort_by_key(|&(label, _)| label);
-        program.receive(round, &Inbox::new(entries));
+        program.receive(round, &Inbox::new(instance.routes().ports(v), &outbox));
     }
     outbox
 }

@@ -5,9 +5,9 @@
 //! are mutated with byte flips, truncations and splices, and every
 //! decoder must answer with `Ok` or a typed `Err`, never a panic. All
 //! decoders sit on the one shared codec (`bcc_metrics::json`), so this
-//! also fuzzes its parser. A reply that still parses as a `view` is
-//! also cut into labelled entries by `split_view`, against the plan
-//! the seed line answers.
+//! also fuzzes its parser. The wire corpus holds the board's `round`
+//! and `view` lines: a mutated one decodes straight into messages, or
+//! fails with a typed error, in the line's parse.
 //!
 //! The same mutations hit artifact-cache disk entries: a fresh store
 //! reading a mutated entry must return the value a recomputation
@@ -17,14 +17,12 @@ use bcc_bench::ratios::{self, Kind, Pair};
 use bcc_engine::{artifacts, ArtifactKey, ArtifactStore};
 use bcc_metrics::{MetricsDump, MetricsHub, MetricsLevel};
 use bcc_model::postmortem::{self, Postmortem, WireEvent, WorkerHealth};
-use bcc_model::transport::{RoundView, Routes};
 use bcc_model::Message;
 use bcc_prof::{parse_profile_jsonl, profile_to_jsonl, CounterTotal, Frame, Profile, SpanStat};
 use bcc_trace::json::{event_to_json, parse_event};
 use bcc_trace::{field, Event, EventKind};
 use bcc_transport::wire::{
-    decode_message, parse_command, parse_reply, render_command, render_reply, split_view, Command,
-    Reply,
+    decode_message, parse_command, parse_reply, render_command, render_reply, Command, Reply,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -63,28 +61,11 @@ fn serve_request(text: &str) -> Result<(), String> {
 }
 
 fn wire_reply(text: &str) -> Result<(), String> {
-    match parse_reply(text)? {
-        Reply::View { inboxes, .. } => {
-            let (routes, outbox) = view_plan();
-            let mut view = RoundView::default();
-            let slots = view.reset(routes.num_nodes());
-            split_view(&routes, 0..routes.num_nodes(), &outbox, &inboxes, slots)
-        }
-        _ => Ok(()),
-    }
+    parse_reply(text).map(drop)
 }
 
 fn msg(s: &str) -> Message {
     decode_message(s).unwrap()
-}
-
-/// The routes and outbox the corpus `view` line answers: node 0
-/// hears a 3-symbol and a 2-symbol message, node 1 a 1-symbol and an
-/// empty one.
-fn view_plan() -> (Routes, Vec<Message>) {
-    let routes = Routes::from_ports(vec![vec![(1, 2), ((1 << 53) + 1, 3)], vec![(4, 0), (5, 1)]]);
-    let outbox = vec![msg("1"), msg(""), msg("01_"), msg("_1")];
-    (routes, outbox)
 }
 
 /// One valid rendering per artifact shape, paired with its decoder.
@@ -162,28 +143,23 @@ fn corpus() -> Vec<(String, Decoder)> {
         quartiles: [-18.71, 0.5, 1e-7],
     };
 
+    // A board segment mixing 3-, 2-, 1- and 0-symbol messages, as
+    // one rank's `round` line carries it and its `view` line returns it.
+    let segment = vec![msg("01_"), msg("_1"), msg("1"), msg("")];
     let commands = [
-        Command::Open {
-            session: 9,
-            n: 4,
-            lo: 0,
-            hi: 2,
-            routes: vec![vec![(1, 2), ((1 << 53) + 1, 3)], vec![]],
-        },
         Command::Round {
-            session: 9,
+            session: (1 << 53) + 1,
             round: 2,
-            outbox: vec![msg("01_"), msg("")],
+            outbox: segment.clone(),
         },
-        Command::Close { session: 9 },
         Command::Shutdown,
     ];
     let replies = [
         Reply::Hello { rank: 1 },
         Reply::View {
-            session: 9,
+            session: (1 << 53) + 1,
             round: 2,
-            inboxes: vec!["01__1".into(), "1".into()],
+            board: segment,
         },
         Reply::Error {
             detail: "bad \"stuff\"\n".into(),

@@ -12,8 +12,9 @@
 //! `r = Ω(log n)`.
 
 use crate::reduction::{alice_edges, bob_edges, shared_edges, Gadget};
+use bcc_model::transport::Routes;
 use bcc_model::{
-    Algorithm, Decision, Inbox, InitialKnowledge, KnowledgeMode, Message, NodeProgram, Symbol,
+    Algorithm, Decision, Inbox, InitialKnowledge, KnowledgeMode, Message, NodeProgram,
 };
 use bcc_partitions::SetPartition;
 
@@ -123,6 +124,18 @@ pub fn simulate_two_party(
             algorithm.spawn(knowledge_for(v, num_vertices, known, coin_seed))
         })
         .collect();
+    // Vertex `v` hears vertex `w` on the port labelled `w`: the KT-1
+    // wiring of `knowledge_for`, read through one plan every round.
+    let routes = Routes::from_ports(
+        (0..num_vertices)
+            .map(|v| {
+                (0..num_vertices)
+                    .filter(|&w| w != v)
+                    .map(|w| (w as u64, w))
+                    .collect()
+            })
+            .collect(),
+    );
 
     let mut characters = 0usize;
     let mut flag_bits = 0usize;
@@ -132,10 +145,11 @@ pub fn simulate_two_party(
             break;
         }
         // Each party computes its hosted vertices' broadcasts, then the
-        // parties exchange the two character vectors.
-        let broadcasts: Vec<Symbol> = programs
+        // parties exchange the two character vectors: together, the
+        // round's board.
+        let board: Vec<Message> = programs
             .iter_mut()
-            .map(|p| p.broadcast(rounds).normalized(1).symbol())
+            .map(|p| p.broadcast(rounds).normalized(1))
             .collect();
         // Characters crossing the Alice/Bob cut: every character is
         // needed by the other side, so each direction carries one
@@ -143,11 +157,7 @@ pub fn simulate_two_party(
         characters = characters.saturating_add(num_vertices);
         flag_bits = flag_bits.saturating_add(2);
         for (v, program) in programs.iter_mut().enumerate() {
-            let entries: Vec<(u64, Message)> = (0..num_vertices)
-                .filter(|&w| w != v)
-                .map(|w| (w as u64, Message::single(broadcasts[w])))
-                .collect();
-            program.receive(rounds, &Inbox::new(entries));
+            program.receive(rounds, &Inbox::new(routes.ports(v), &board));
         }
         rounds = rounds.saturating_add(1);
     }

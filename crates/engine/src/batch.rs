@@ -4,18 +4,20 @@
 //! A [`BatchRun`] executes one [`Algorithm`] under one [`SimConfig`]
 //! on a list of *lanes* — `(instance, coin_seed)` pairs — cut into
 //! batches of `L ≤ 64` contiguous lanes over graphs with the same
-//! vertex count. A batch's delivery plans are stacked
-//! into one plan, so each round every active lane writes its `n`
+//! vertex count. Each round every active lane writes its `n`
 //! broadcasts into its slice of one `L·n` outbox, the batch is
-//! delivered in one exchange, and each lane receives its own `n`
-//! inboxes of the view. The per-lane [`RunOutcome`]s are
-//! byte-identical to scalar [`SimConfig::run`] calls (pinned by
-//! the equivalence proptests in `tests/`): same decisions,
-//! transcripts, views, stats, in the same per-lane round counts. Each
-//! lane is a [`RunState`], the per-run state the scalar simulator
-//! drives too, so spawning, view checks, transcripts and outcome
-//! assembly are shared; the kernel owns only the batching, the
-//! stacking, the active mask and its `engine.*` records. A call keeps
+//! delivered in one exchange as one `L·n` board, and each lane's
+//! vertices read the lane's slice of the board through the lane's own
+//! cached plan ([`Instance::routes`]). No plan is copied or stacked:
+//! lanes never mix, because a lane only ever indexes its own slice.
+//! The per-lane [`RunOutcome`]s are byte-identical to scalar
+//! [`SimConfig::run`] calls (pinned by the equivalence proptests in
+//! `tests/`): same decisions, transcripts, views, stats, in the same
+//! per-lane round counts. Each lane is a [`RunState`], the per-run
+//! state the scalar simulator drives too, so spawning, reading the
+//! board, transcripts and outcome assembly are shared; the kernel owns
+//! only the batching, the board's one length check, the active mask
+//! and its `engine.*` records. A call keeps
 //! one pool of runs from batch to batch and
 //! [respawns](RunState::respawn) it, so programs that can
 //! [reset](bcc_model::NodeProgram::reset) are not allocated again.
@@ -29,7 +31,7 @@
 //! sessions: one per 64 runs instead of one per run.
 
 use bcc_metrics::MetricsBuf;
-use bcc_model::transport::{Routes, Transport, TransportError};
+use bcc_model::transport::{Transport, TransportError};
 use bcc_model::{Algorithm, Instance, Message, RoundBuffers, RunOutcome, RunState, SimConfig};
 use bcc_trace::{field, TraceBuf};
 
@@ -62,15 +64,14 @@ impl BatchRun {
     /// Any lane list is accepted: it is cut into maximal contiguous
     /// slices of at most [`MAX_LANES`] lanes with one vertex count,
     /// and each slice runs as one lockstep batch in its own transport
-    /// session, over the lanes' cached plans ([`Instance::routes`])
-    /// [stacked](Routes::stacked) into one plan: each round is one
-    /// exchange of an `L·n` outbox, and each active lane receives its
-    /// own `n` inboxes of the view. The trace and all accounting stay
-    /// driver-side, so outcomes do not depend on the backend. An empty
-    /// list runs nothing.
+    /// session: each round is one exchange of an `L·n` outbox, and
+    /// each active lane's vertices read its `n` rows of the board
+    /// through the lane's cached plan ([`Instance::routes`]). The
+    /// trace and all accounting stay driver-side, so outcomes do not
+    /// depend on the backend. An empty list runs nothing.
     ///
     /// A batch whose transport fails — it reports an error, or
-    /// delivers a view of the wrong shape, a
+    /// delivers a board of the wrong length, a
     /// [`TransportError::Protocol`] — closes its open spans and
     /// degrades only its own lanes, to all-`Undecided`, unrecorded
     /// outcomes carrying the error in
@@ -101,7 +102,7 @@ impl BatchRun {
     /// slices of at most [`MAX_LANES`] lanes sharing one vertex count,
     /// runs each as one batch, and hands `each` the slice, its
     /// finished runs (`runs[i]` is lane `i`'s) and the batch's result.
-    /// Every batch refills one outbox and one view and respawns one
+    /// Every batch refills one outbox and one board and respawns one
     /// pool of runs, so after the first batch a lane's programs are
     /// reset, not spawned, wherever they can be. On an error the runs
     /// hold no usable result.
@@ -201,9 +202,10 @@ fn run_batch_impl(
     let l = lanes.len();
     let n = lanes[0].0.num_vertices();
     // The open happens before the batch span starts, so an open
-    // failure returns with no spans to unwind.
-    let plans: Vec<&Routes> = lanes.iter().map(|(inst, _)| inst.routes()).collect();
-    transport.open(&Routes::stacked(&plans))?;
+    // failure returns with no spans to unwind. The session's plan is
+    // the first lane's: every lane shares its vertex count, and each
+    // lane reads the board through its own plan below.
+    transport.open(lanes[0].0.routes())?;
     let b = cfg.bandwidth_per_round();
     // Executed rounds and their total broadcast bits, for the
     // end-of-batch `batch` span and `engine.*` counters.
@@ -227,8 +229,8 @@ fn run_batch_impl(
         );
     }
 
-    // One stacked outbox and one stacked view, lent by the caller and
-    // refilled every round: lane `i`'s vertices are `i·n..(i + 1)·n`.
+    // One outbox and one board, lent by the caller and refilled every
+    // round: lane `i`'s vertices are rows `i·n..(i + 1)·n` of both.
     let RoundBuffers { outbox, view } = buffers;
     outbox.clear();
     outbox.reserve(l * n);
@@ -239,9 +241,9 @@ fn run_batch_impl(
         if trace.spans_enabled() {
             trace.span_start(&format!("round={round}"), vec![]);
         }
-        // Every active lane broadcasts into its slice of the stacked
-        // outbox (a retired lane sends empty messages), and the whole
-        // batch is delivered in one exchange.
+        // Every active lane broadcasts into its slice of the outbox (a
+        // retired lane sends empty messages), and the whole batch is
+        // delivered in one exchange.
         outbox.clear();
         for (lane, run) in runs.iter_mut().enumerate() {
             if active >> lane & 1 == 0 {
@@ -250,35 +252,24 @@ fn run_batch_impl(
                 outbox.extend((0..n).map(|v| run.broadcast(round, v)));
             }
         }
-        if let Err(err) = transport.exchange_into(round, outbox, view) {
-            return Err(abort_batch(trace, Some(round), err));
-        }
-        // A view cut short inside an active lane fails in that lane's
-        // `receive`, worded as a short scalar view; every other wrong
-        // length fails here.
-        let stacked = view.num_nodes();
-        let cut_in_active_lane = stacked < l * n && active >> (stacked / n) != 0;
-        if stacked != l * n && !cut_in_active_lane {
-            let err = TransportError::Protocol {
-                detail: format!("round view covers {stacked} of {} nodes", l * n),
-                postmortem: None,
-            };
-            return Err(abort_batch(trace, Some(round), err));
-        }
+        // One length check covers every lane, retired ones included.
+        let delivered = transport
+            .exchange_into(round, outbox, view)
+            .and_then(|()| view.board_of(l * n));
+        let board = match delivered {
+            Ok(board) => board,
+            Err(err) => return Err(abort_batch(trace, Some(round), err)),
+        };
         // Account each active lane's broadcasts and let its programs
-        // receive their own inboxes.
+        // read their own rows of the board.
         let mut round_bits = 0usize;
-        let inboxes = view.inboxes_mut();
-        for (lane, run) in runs.iter_mut().enumerate() {
+        for (lane, (run, &(inst, _))) in runs.iter_mut().zip(lanes).enumerate() {
             if active >> lane & 1 == 0 {
                 continue;
             }
-            let (lo, hi) = (lane * n, (lane + 1) * n);
-            round_bits = round_bits.saturating_add(run.sent(&outbox[lo..hi]));
-            let lane_inboxes = &mut inboxes[lo.min(stacked)..hi.min(stacked)];
-            if let Err(err) = run.receive(round, lane_inboxes) {
-                return Err(abort_batch(trace, Some(round), err));
-            }
+            let rows = lane * n..(lane + 1) * n;
+            round_bits = round_bits.saturating_add(run.sent(&outbox[rows.clone()]));
+            run.receive(round, inst.routes(), &board[rows]);
         }
         // Cost records carry the canonical dotted names so the
         // profiler can join them against the metrics dump.
@@ -635,18 +626,18 @@ mod tests {
     }
 
     #[test]
-    fn stacked_view_one_inbox_too_long_is_a_protocol_error() {
+    fn board_of_the_wrong_length_is_a_protocol_error() {
         use bcc_model::transport::{
             LocalTransport, RoundView, Routes, Transport, TransportError, TransportFactory,
         };
         use bcc_trace::{Observer, TraceLevel};
 
-        /// How a view differs from the oracle's.
+        /// How a board differs from the oracle's.
         #[derive(Clone, Copy)]
         enum Skew {
-            /// One stray inbox at the end.
+            /// One stray message at the end.
             Extra,
-            /// The last inbox is missing once the last lane has
+            /// The last message is missing once the last lane has
             /// retired (its outbox slice is empty messages).
             DropRetired,
         }
@@ -660,19 +651,16 @@ mod tests {
                 round: usize,
                 outbox: &[Message],
             ) -> Result<RoundView, TransportError> {
-                let view = self.0.exchange(round, outbox)?;
-                let mut inboxes: Vec<_> = (0..view.num_nodes())
-                    .map(|v| view.inbox(v).to_vec())
-                    .collect();
+                let mut board = self.0.exchange(round, outbox)?.board().to_vec();
                 match self.1 {
-                    Skew::Extra => inboxes.push(view.inbox(0).to_vec()),
+                    Skew::Extra => board.push(board[0].clone()),
                     Skew::DropRetired => {
                         if outbox.last().is_some_and(Message::is_empty) {
-                            inboxes.pop();
+                            board.pop();
                         }
                     }
                 }
-                Ok(RoundView::new(inboxes))
+                Ok(RoundView::new(board))
             }
         }
         struct SkewedFactory(Skew);
@@ -696,8 +684,8 @@ mod tests {
                 "round view covers 11 of 10 nodes",
             ),
             // The last lane retires after round 0 and the first after
-            // round 2, so round 1 cuts the view inside a retired lane,
-            // where no lane's `receive` sees it.
+            // round 2, so round 1 cuts the board inside a retired lane,
+            // which the one length check still sees.
             (
                 Skew::DropRetired,
                 vec![(&a, 3), (&b, 1)],

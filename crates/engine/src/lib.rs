@@ -8,9 +8,9 @@
 //!
 //! * [`BatchRun`] cuts a list of instances into batches of up to
 //!   [`MAX_LANES`] (= 64) same-shape lanes and advances each batch
-//!   through one lockstep round loop: their delivery plans are
-//!   stacked into one, so each round delivers every lane's broadcasts
-//!   in one exchange of one transport session.
+//!   through one lockstep round loop: each round delivers every
+//!   lane's broadcasts as one board in one exchange of one transport
+//!   session, and each lane reads its rows through its own plan.
 //!   Per-lane outcomes are byte-identical to scalar
 //!   [`SimConfig::run`](bcc_model::SimConfig::run) calls, pinned by
 //!   proptests.

@@ -4,8 +4,8 @@
 //! heap. Set-up is pinned per run: a warm instance hands out initial
 //! knowledge without allocating, a warm batch and a warm scalar run
 //! with lent buffers allocate an exact count, and a sweep's later
-//! chunks or runs reuse the first one's outbox and inbox vectors, and
-//! a later chunk its lanes' programs too.
+//! chunks or runs reuse the first one's outbox and board, and a later
+//! chunk its lanes' programs too.
 //! Unobserved configurations are free to build and clone.
 //!
 //! A counting global allocator tallies allocations per thread, so
@@ -125,14 +125,13 @@ fn scalar_rounds_allocate_nothing() {
 }
 
 /// Allocations of a warm `HashVoteDecider` batch with recording off,
-/// per lane: the program vector and the 7 boxed programs (8), the
-/// outcome's decision, label and spanning-edge vectors (3), and the
-/// lane's 7 inbox vectors in a fresh stacked view (7).
-const BATCH_PER_LANE: u64 = 18;
-/// The same batch's allocations per batch: the transport, the plan
-/// list, the stacked plan's two slices, the lane vector, the outbox,
-/// the view's inbox list and the outcome vector.
-const BATCH_FIXED: u64 = 8;
+/// per lane: the program vector and the 7 boxed programs (8), and the
+/// outcome's decision, label and spanning-edge vectors (3). A lane's
+/// inboxes are views of the board and allocate nothing.
+const BATCH_PER_LANE: u64 = 11;
+/// The same batch's allocations per batch: the transport, the lane
+/// vector, the outbox, the board and the outcome vector.
+const BATCH_FIXED: u64 = 5;
 
 #[test]
 fn initial_knowledge_on_a_warm_instance_allocates_nothing() {
@@ -168,7 +167,7 @@ fn warm_batch_allocates_a_pinned_count_per_lane() {
 }
 
 #[test]
-fn second_chunk_allocates_no_inbox_vectors() {
+fn second_chunk_reuses_the_first_chunks_buffers() {
     let instances = lanes_instances();
     let lanes: Vec<Lane<'_>> = instances.iter().chain(&instances).map(|i| (i, 5)).collect();
     let batch = BatchRun::new(SimConfig::bcc1(2).transcripts(false));
@@ -177,7 +176,7 @@ fn second_chunk_allocates_no_inbox_vectors() {
     let (_, one) = allocations(|| batch.run(&lanes[..MAX_LANES], &algorithm));
     let (outcomes, two) = allocations(|| batch.run(&lanes, &algorithm));
     assert_eq!(outcomes.len(), 2 * MAX_LANES);
-    // The second chunk refills the first one's outbox and view and
+    // The second chunk refills the first one's outbox and board and
     // respawns its lanes' runs, resetting their programs: it costs a
     // pooled sweep chunk and each lane's three outcome vectors.
     assert_eq!(two - one, SWEEP_CHUNK + MAX_LANES as u64 * 3);
@@ -199,10 +198,10 @@ fn lent_scalar_run_allocates_a_pinned_count() {
     let (outcome, lent) = allocations(|| cfg.run_with(&instance, &algorithm, 5, &mut buffers));
     assert_eq!(outcome.stats().rounds, 2);
     assert_eq!(lent, SCALAR_LENT);
-    // A run with fresh buffers also allocates the outbox, the view's
-    // inbox list and its 7 inbox vectors.
+    // A run with fresh buffers also allocates the outbox and the
+    // board.
     let (_, fresh) = allocations(|| cfg.run(&instance, &algorithm, 5));
-    assert_eq!(fresh - lent, 2 + 7);
+    assert_eq!(fresh - lent, 2);
 }
 
 #[test]
@@ -226,10 +225,9 @@ fn scalar_sweep_lends_its_buffers_to_every_run() {
 
 /// Allocations of a warm chunk of a pooled
 /// `BatchRun::distributional_error` sweep, whatever its lane count:
-/// the transport, the plan list and the stacked plan's two slices. Its
-/// lanes are respawned from the sweep's pool, so a lane allocates
-/// nothing.
-const SWEEP_CHUNK: u64 = 4;
+/// the transport. Its lanes are respawned from the sweep's pool and
+/// read the shared board, so a lane allocates nothing.
+const SWEEP_CHUNK: u64 = 1;
 
 #[test]
 fn pooled_sweep_chunk_allocates_a_pinned_count() {
@@ -262,8 +260,10 @@ fn pooled_sweep_chunk_allocates_a_pinned_count() {
 /// `NeighborIdBroadcast(MultiCycle)` on the 2-regular gadget, from
 /// the partitions to the reports. Each of the 192 programs fills one
 /// bit-stream buffer and a degree table, and at the end joins the
-/// learned edges in one union-find and counts its components.
-const TWO_PARTY_OP: u64 = 3_804;
+/// learned edges in one union-find and counts its components. The
+/// programs read the board through their plans, so a round allocates
+/// no inbox.
+const TWO_PARTY_OP: u64 = 3_609;
 
 /// The `r`-th perfect matching of `0..12` by the circle method: 11 of
 /// them, pairwise edge-disjoint.

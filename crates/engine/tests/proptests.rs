@@ -120,7 +120,7 @@ proptest! {
         check_batch_vs_scalar(&SimConfig::bcc1(40), &instances, &algo)?;
     }
 
-    /// BCC(b) bandwidths survive the stacked delivery: narrow ones,
+    /// BCC(b) bandwidths survive the batched board: narrow ones,
     /// the 64-symbol edge of the inline `Message`, and wide ones past
     /// it, with every symbol position carrying traffic.
     #[test]

@@ -1,7 +1,7 @@
-//! Both drivers reject a delivered view of the wrong shape the same
-//! way: the scalar simulator and the batched kernel degrade their
-//! outcomes on the same typed `Protocol` error, and leave a balanced
-//! trace with one `transport.error` event.
+//! Both drivers reject a delivered board of the wrong length the same
+//! way: the scalar simulator and the batched kernel check it once,
+//! degrade their outcomes on the same typed `Protocol` error, and
+//! leave a balanced trace with one `transport.error` event.
 
 use bcc_engine::BatchRun;
 use bcc_graphs::generators;
@@ -14,40 +14,35 @@ use bcc_model::{Instance, Message, RunOutcome, SimConfig};
 use bcc_trace::{EventKind, Observer, TraceBuf, TraceLevel};
 use std::sync::Arc;
 
-/// How a [`Short`] transport damages the view it delivers.
+/// How a [`Cutting`] transport damages the board it delivers.
 #[derive(Clone, Copy)]
 enum Cut {
-    /// The last vertex's inbox is missing.
-    Inbox,
-    /// Vertex 0's inbox lacks its last entry.
-    Entry,
+    /// The last row's message is missing.
+    Short,
+    /// One stray message follows the last row's.
+    Long,
 }
 
-/// Delivers like [`LocalTransport`], then cuts the view short.
-struct Short {
+/// Delivers like [`LocalTransport`], then cuts the board.
+struct Cutting {
     inner: LocalTransport,
     cut: Cut,
 }
 
-impl Transport for Short {
+impl Transport for Cutting {
     fn open(&mut self, routes: &Routes) -> Result<(), TransportError> {
         self.inner.open(routes)
     }
 
     fn exchange(&mut self, round: usize, outbox: &[Message]) -> Result<RoundView, TransportError> {
-        let view = self.inner.exchange(round, outbox)?;
-        let mut inboxes: Vec<_> = (0..view.num_nodes())
-            .map(|v| view.inbox(v).to_vec())
-            .collect();
+        let mut board = self.inner.exchange(round, outbox)?.board().to_vec();
         match self.cut {
-            Cut::Inbox => {
-                inboxes.pop();
+            Cut::Short => {
+                board.pop();
             }
-            Cut::Entry => {
-                inboxes[0].pop();
-            }
+            Cut::Long => board.push(Message::silent(1)),
         }
-        Ok(RoundView::new(inboxes))
+        Ok(RoundView::new(board))
     }
 }
 
@@ -55,14 +50,14 @@ struct ShortFactory(Cut);
 
 impl TransportFactory for ShortFactory {
     fn create(&self) -> Box<dyn Transport> {
-        Box::new(Short {
+        Box::new(Cutting {
             inner: LocalTransport::new(),
             cut: self.0,
         })
     }
 
     fn label(&self) -> String {
-        "short".to_string()
+        "cutting".to_string()
     }
 }
 
@@ -100,22 +95,33 @@ fn observed(cut: Cut) -> (SimConfig, Observer) {
 }
 
 #[test]
-fn both_drivers_word_a_short_view_the_same() {
+fn both_drivers_word_a_cut_board_the_same() {
     let instance = Instance::new_kt0(generators::cycle(5), 4).expect("valid");
-    for (cut, want) in [
-        (Cut::Inbox, "round view covers 4 of 5 nodes"),
-        (Cut::Entry, "node 0 received 3 messages, expected 4"),
+    for (cut, want, want_two) in [
+        (
+            Cut::Short,
+            "round view covers 4 of 5 nodes",
+            "round view covers 9 of 10 nodes",
+        ),
+        (
+            Cut::Long,
+            "round view covers 6 of 5 nodes",
+            "round view covers 11 of 10 nodes",
+        ),
     ] {
         let (cfg, observer) = observed(cut);
         let scalar = [cfg.run(&instance, &EchoBit, 0)];
-        let scalar = protocol_detail(&scalar, &observer);
+        assert_eq!(protocol_detail(&scalar, &observer), want);
+
+        // A one-lane batch has the scalar run's board, and words its
+        // cut the same; a two-lane batch counts both lanes' rows.
+        let (cfg, observer) = observed(cut);
+        let batched = BatchRun::new(cfg).run(&[(&instance, 0)], &EchoBit);
+        assert_eq!(protocol_detail(&batched, &observer), want);
 
         let (cfg, observer) = observed(cut);
         let lanes = [(&instance, 0), (&instance, 1)];
         let batched = BatchRun::new(cfg).run(&lanes, &EchoBit);
-        let batched = protocol_detail(&batched, &observer);
-
-        assert_eq!(scalar, want);
-        assert_eq!(batched, want);
+        assert_eq!(protocol_detail(&batched, &observer), want_two);
     }
 }

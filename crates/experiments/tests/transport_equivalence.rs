@@ -180,14 +180,15 @@ fn sockets_artifacts_are_deterministic_across_reruns_and_jobs() {
         "trace differs between --jobs 1 and --jobs 8"
     );
     // Quick e2 ships a fixed amount of work through the workers, and
-    // the coordinator's counts of it are pinned here.
+    // the coordinator's counts of it are pinned here: one board
+    // message per row per round, not one per receiving port.
     let text = String::from_utf8(first.metrics).expect("utf-8 metrics dump");
     let dump = bcc_metrics::MetricsDump::parse_jsonl(&text).expect("metrics dump parses");
     for (name, total) in [
         ("sessions", 32),
         ("rounds", 36),
-        ("frames", 18900),
-        ("symbols", 18900),
+        ("frames", 3780),
+        ("symbols", 3780),
     ] {
         let name = format!("transport.{name}");
         assert_eq!(dump.counter(&name), Some(total), "{name}");

@@ -91,8 +91,10 @@ pub fn bits_to_u64(bits: &[bool]) -> u64 {
 /// alice.push(0b10110, 5);
 /// bob.begin(1, 5);
 /// while !bob.is_complete() {
-///     bob.receive(&Inbox::new(vec![(9, alice.send())]), &[9]);
-///     alice.receive(&Inbox::new(vec![(4, bob.send())]), &[4]);
+///     // The round's board: Alice's broadcast at row 0, Bob's at 1.
+///     let board = [alice.send(), bob.send()];
+///     bob.receive(&Inbox::new(&[(9, 0)], &board));
+///     alice.receive(&Inbox::new(&[(4, 1)], &board));
 /// }
 /// assert_eq!(bob.field(0, 0, 5), Some(0b10110));
 /// // Bob sent nothing: his payload ended at once.
@@ -192,17 +194,17 @@ impl BitStream {
         Message::from_symbols(symbols.collect())
     }
 
-    /// Reads this round's `rate` symbols from every port and moves to
-    /// the next position. `labels` are the port labels in port order
-    /// (`InitialKnowledge::port_labels`); each port is read with
-    /// [`Inbox::by_port`], so an inbox in any order reads the same. A
-    /// port's payload ends at its first `⊥` or missing message, and
-    /// symbols past `width` are not read.
-    pub fn receive(&mut self, inbox: &Inbox, labels: &[u64]) {
+    /// Reads this round's `rate` symbols from every port of `inbox`
+    /// (read with [`Inbox::by_port`]) and moves to the next position.
+    /// The first round's inbox fixes the port count. A port's payload
+    /// ends at its first `⊥` or missing message, and symbols past
+    /// `width` are not read.
+    pub fn receive(&mut self, inbox: &Inbox) {
         let stride = self.stride();
         if self.recv.is_empty() {
-            self.recv.resize(labels.len() * stride, 0);
+            self.recv.resize(inbox.len() * stride, 0);
         }
+        let ports = self.recv.len() / stride;
         let (pos, take) = (self.pos, self.rate.min(self.width.saturating_sub(self.pos)));
         self.pos += self.rate;
         // In chunks of up to 64 symbols; a port whose payload ended,
@@ -212,13 +214,13 @@ impl BitStream {
             let at = pos + start;
             let past = !low_mask((take - start).min(64));
             let (w, shift) = (1 + at / 64, at % 64);
-            for (port, &label) in labels.iter().enumerate() {
+            for port in 0..ports {
                 // Block `port`: its length word, then its payload.
                 let block = port * stride;
                 if self.recv[block] != at as u64 {
                     continue;
                 }
-                let Some(message) = inbox.by_port(port, label) else {
+                let Some(message) = inbox.by_port(port) else {
                     continue;
                 };
                 let (ones, silent) = message.word_pair(start);
@@ -301,15 +303,15 @@ mod tests {
 
     /// Streams the fields `payloads[s]` from sender `s` to one
     /// receiver that hears sender `s` on port `s`, with each round's
-    /// inbox entries rearranged by `arrange(step, entries)`; returns
-    /// the receiver and the messages sender 0 sent.
+    /// board altered by `arrange(step, board)`; returns the receiver
+    /// and the messages sender 0 sent.
     fn exchange(
         payloads: &[&[(u64, usize)]],
         rate: usize,
         width: usize,
-        arrange: impl Fn(usize, &mut Vec<(u64, Message)>),
+        arrange: impl Fn(usize, &mut Vec<Message>),
     ) -> (BitStream, Vec<Message>) {
-        let labels: Vec<u64> = (0..payloads.len() as u64).map(|s| 10 + s).collect();
+        let row: Vec<(u64, usize)> = (0..payloads.len()).map(|s| (10 + s as u64, s)).collect();
         let mut senders: Vec<BitStream> = payloads
             .iter()
             .map(|fields| {
@@ -326,27 +328,23 @@ mod tests {
         let mut sent = Vec::new();
         let mut step = 0;
         while !receiver.is_complete() {
-            let mut entries: Vec<(u64, Message)> = senders
-                .iter()
-                .zip(&labels)
-                .map(|(s, &l)| (l, s.send()))
-                .collect();
-            sent.push(entries[0].1.clone());
-            for m in entries.iter().map(|(_, m)| m) {
+            let mut board: Vec<Message> = senders.iter().map(BitStream::send).collect();
+            sent.push(board[0].clone());
+            for m in &board {
                 assert_eq!(m.len(), rate);
             }
-            arrange(step, &mut entries);
-            receiver.receive(&Inbox::new(entries), &labels);
-            let empty = Inbox::new(Vec::new());
+            arrange(step, &mut board);
+            receiver.receive(&Inbox::new(&row, &board));
+            let empty = Inbox::new(&[], &board);
             for s in &mut senders {
-                s.receive(&empty, &[]);
+                s.receive(&empty);
             }
             step += 1;
         }
         (receiver, sent)
     }
 
-    fn port_order(_: usize, _: &mut Vec<(u64, Message)>) {}
+    fn port_order(_: usize, _: &mut Vec<Message>) {}
 
     #[test]
     fn every_width_roundtrips() {
@@ -405,15 +403,15 @@ mod tests {
             s.send().symbols().collect::<Vec<_>>(),
             [Symbol::One, Symbol::Zero, Symbol::One]
         );
-        s.receive(&Inbox::new(Vec::new()), &[]);
+        s.receive(&Inbox::new(&[], &[]));
         assert_eq!(
             s.send().symbols().collect::<Vec<_>>(),
             [Symbol::One, Symbol::Silent, Symbol::Silent]
         );
-        s.receive(&Inbox::new(Vec::new()), &[]);
+        s.receive(&Inbox::new(&[], &[]));
         assert_eq!(s.send(), Message::silent(3));
         assert!(!s.is_complete());
-        s.receive(&Inbox::new(Vec::new()), &[]);
+        s.receive(&Inbox::new(&[], &[]));
         assert!(s.is_complete());
     }
 
@@ -439,9 +437,9 @@ mod tests {
     #[test]
     fn silence_mid_payload_ends_it() {
         // Round 2 of 6 arrives silent; later bits are not read.
-        let silence_at_2 = |step: usize, entries: &mut Vec<(u64, Message)>| {
+        let silence_at_2 = |step: usize, board: &mut Vec<Message>| {
             if step == 2 {
-                entries[0].1 = Message::silent(1);
+                board[0] = Message::silent(1);
             }
         };
         let (r, _) = exchange(&[&[(0b111111, 6)]], 1, 6, silence_at_2);
@@ -450,18 +448,18 @@ mod tests {
         assert_eq!(r.field(0, 3, 3), None);
         assert_eq!(r.payload(0), None);
         // The same within one wide message: a `⊥` at symbol 70 of 100.
-        let gap = |_: usize, entries: &mut Vec<(u64, Message)>| {
-            let mut symbols: Vec<Symbol> = entries[0].1.symbols().collect();
+        let gap = |_: usize, board: &mut Vec<Message>| {
+            let mut symbols: Vec<Symbol> = board[0].symbols().collect();
             symbols[70] = Symbol::Silent;
-            entries[0].1 = Message::from_symbols(symbols);
+            board[0] = Message::from_symbols(symbols);
         };
         let (r, _) = exchange(&[&[(u64::MAX, 64), ((1 << 36) - 1, 36)]], 100, 100, gap);
         assert_eq!(r.field(0, 6, 64), Some(u64::MAX));
         assert_eq!(r.field(0, 7, 64), None);
-        // A missing message ends it too.
-        let drop_at_1 = |step: usize, entries: &mut Vec<(u64, Message)>| {
+        // A missing message (a board cut short) ends it too.
+        let drop_at_1 = |step: usize, board: &mut Vec<Message>| {
             if step == 1 {
-                entries.clear();
+                board.clear();
             }
         };
         let (r, _) = exchange(&[&[(0b11, 2)], &[(0b10, 2)]], 1, 2, drop_at_1);
@@ -470,40 +468,17 @@ mod tests {
     }
 
     #[test]
-    fn an_out_of_order_inbox_reads_the_same() {
-        let payloads: [&[(u64, usize)]; 4] = [&[(5, 7)], &[(77, 7)], &[(0, 7)], &[(127, 7)]];
-        let reversed = |_: usize, entries: &mut Vec<(u64, Message)>| entries.reverse();
-        let rotated = |step: usize, entries: &mut Vec<(u64, Message)>| {
-            let k = (step + 1) % entries.len();
-            entries.rotate_left(k)
-        };
-        let (port, _) = exchange(&payloads, 1, 7, port_order);
-        let (rev, _) = exchange(&payloads, 1, 7, reversed);
-        let (rot, _) = exchange(&payloads, 1, 7, rotated);
-        for (p, fields) in payloads.iter().enumerate() {
-            assert_eq!(port.field(p, 0, 7), Some(fields[0].0));
-            assert_eq!(rev.field(p, 0, 7), Some(fields[0].0));
-            assert_eq!(rot.field(p, 0, 7), Some(fields[0].0));
-        }
-    }
-
-    #[test]
     fn begin_reuses_the_stream() {
         let mut s = BitStream::new();
         assert!(s.is_complete());
         assert_eq!(s.send(), Message::silent(0));
-        let labels = [3u64, 8];
-        let inbox = |a: u64, b: u64| {
-            Inbox::new(vec![
-                (3, Message::from_bits(a, 2)),
-                (8, Message::from_bits(b, 2)),
-            ])
-        };
+        let row = [(3, 0), (8, 1)];
+        let board = |a: u64, b: u64| [Message::from_bits(a, 2), Message::from_bits(b, 2)];
         s.begin(2, 130);
         s.push(u64::MAX, 64);
         s.push(u64::MAX, 64);
         for _ in 0..65 {
-            s.receive(&inbox(0b11, 0b11), &labels);
+            s.receive(&Inbox::new(&row, &board(0b11, 0b11)));
         }
         assert_eq!(s.field(1, 64, 64), Some(u64::MAX));
         // A narrower second exchange sees none of the first.
@@ -512,9 +487,9 @@ mod tests {
         assert!(!s.is_complete());
         assert_eq!(s.field(0, 0, 1), None);
         assert_eq!(s.send(), Message::from_bits(0b10, 2));
-        s.receive(&inbox(0b01, 0b10), &labels);
+        s.receive(&Inbox::new(&row, &board(0b01, 0b10)));
         assert_eq!(s.send(), Message::from_bits(0b01, 2));
-        s.receive(&inbox(0b10, 0b01), &labels);
+        s.receive(&Inbox::new(&row, &board(0b10, 0b01)));
         assert!(s.is_complete());
         assert_eq!(s.send(), Message::silent(2));
         assert_eq!(s.field(0, 0, 4), Some(0b1001));

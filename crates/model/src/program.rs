@@ -90,69 +90,77 @@ impl InitialKnowledge {
     }
 }
 
-/// The messages a vertex receives in one round: one [`Message`] per
-/// port, tagged with the port label, in port-index order.
+/// The messages a vertex receives in one round, read through its
+/// ports: a view of the round's board (one [`Message`] per sender) by
+/// the vertex's routes row (`(port label, peer)` per port, in port
+/// order). Port `p` reads `board[peer]` for the row's `p`-th pair, so
+/// port order holds by construction, whoever delivered the board, and
+/// reading a port costs one index. The view borrows both slices; a
+/// driver builds one per vertex per round and allocates nothing.
 ///
-/// Port order is a contract the drivers keep: they canonicalize every
-/// inbox by port label, which on every constructible network is port
-/// order (KT-1 ports are sorted by peer ID, KT-0 labels are `p + 1`),
-/// and `Kt0Upgrade`'s translated inbox keeps its outer one's order. So
-/// a program that reads port `p`'s message reads entry `p`
-/// ([`by_port`](Inbox::by_port)) in constant time. Readers must still
-/// be correct on an inbox in any order: `by_port` falls back to the
-/// label scan of [`by_label`](Inbox::by_label) when entry `p` carries
-/// another label.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Inbox {
-    entries: Vec<(u64, Message)>,
+/// [`relabelled`](Inbox::relabelled) keeps the messages and swaps the
+/// labels, which is how `Kt0Upgrade` hands its inner program the same
+/// view labelled with the IDs it learned.
+#[derive(Debug, Clone, Copy)]
+pub struct Inbox<'a> {
+    row: &'a [(u64, usize)],
+    board: &'a [Message],
+    labels: Option<&'a [u64]>,
 }
 
-impl Inbox {
-    /// Creates an inbox from `(port label, message)` pairs in
-    /// port-index order.
-    pub fn new(entries: Vec<(u64, Message)>) -> Self {
-        Inbox { entries }
-    }
-
-    /// Gives the entry vector back, so a driver can refill it next
-    /// round instead of allocating a fresh one.
-    pub fn into_entries(self) -> Vec<(u64, Message)> {
-        self.entries
-    }
-
-    /// The `(label, message)` pairs in port-index order.
-    pub fn entries(&self) -> &[(u64, Message)] {
-        &self.entries
-    }
-
-    /// The message received on the port with the given label.
-    pub fn by_label(&self, label: u64) -> Option<&Message> {
-        self.entries
-            .iter()
-            .find(|(l, _)| *l == label)
-            .map(|(_, m)| m)
-    }
-
-    /// The message on the port with the given label, expected at
-    /// position `port`: entry `port` when it carries `label`, which is
-    /// every read on a port-ordered inbox, and otherwise the label
-    /// scan of [`by_label`](Inbox::by_label), so an inbox in any order
-    /// (or a `port` out of range) still reads correctly.
-    pub fn by_port(&self, port: usize, label: u64) -> Option<&Message> {
-        match self.entries.get(port) {
-            Some((l, m)) if *l == label => Some(m),
-            _ => self.by_label(label),
+impl<'a> Inbox<'a> {
+    /// The view of `board` through `row`: port `p` carries label
+    /// `row[p].0` and reads `board[row[p].1]`.
+    pub fn new(row: &'a [(u64, usize)], board: &'a [Message]) -> Self {
+        Inbox {
+            row,
+            board,
+            labels: None,
         }
+    }
+
+    /// The same view with port `p` labelled `labels[p]`; a port past
+    /// the end of `labels` keeps its label.
+    pub fn relabelled<'b>(&self, labels: &'b [u64]) -> Inbox<'b>
+    where
+        'a: 'b,
+    {
+        Inbox {
+            labels: Some(labels),
+            ..*self
+        }
+    }
+
+    /// The label of port `port`; `None` when it is out of range.
+    pub fn label(&self, port: usize) -> Option<u64> {
+        let own = self.row.get(port)?.0;
+        Some(
+            self.labels
+                .and_then(|l| l.get(port).copied())
+                .unwrap_or(own),
+        )
+    }
+
+    /// The message on port `port`; `None` when the port is out of
+    /// range (or its peer outside the board).
+    pub fn by_port(&self, port: usize) -> Option<&'a Message> {
+        self.board.get(self.row.get(port)?.1)
+    }
+
+    /// The `(label, message)` pairs in port order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &'a Message)> + 'a {
+        let inbox = *self;
+        (0..self.len()).filter_map(move |p| Some((inbox.label(p)?, inbox.by_port(p)?)))
     }
 
     /// Number of ports (always `n − 1`).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.row.len()
     }
 
     /// Returns `true` if there are no ports (the 1-vertex network).
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.row.is_empty()
     }
 }
 
@@ -222,36 +230,43 @@ mod tests {
     use crate::symbol::Symbol;
 
     #[test]
-    fn inbox_lookup() {
-        let inbox = Inbox::new(vec![
-            (3, Message::single(Symbol::One)),
-            (1, Message::single(Symbol::Zero)),
-        ]);
+    fn inbox_reads_port_p_from_its_peers_row() {
+        let board = [
+            Message::single(Symbol::One),
+            Message::single(Symbol::Zero),
+            Message::single(Symbol::Silent),
+        ];
+        // Vertex 1 of three, its ports in unsorted label order.
+        let row = [(9, 2), (4, 0)];
+        let inbox = Inbox::new(&row, &board);
         assert_eq!(inbox.len(), 2);
         assert!(!inbox.is_empty());
-        assert_eq!(inbox.by_label(3).unwrap().symbol(), Symbol::One);
-        assert!(inbox.by_label(9).is_none());
+        assert_eq!(inbox.by_port(0).unwrap().symbol(), Symbol::Silent);
+        assert_eq!(inbox.by_port(1).unwrap().symbol(), Symbol::One);
+        assert!(inbox.by_port(2).is_none());
+        assert_eq!(inbox.label(0), Some(9));
+        assert_eq!(inbox.label(2), None);
+        let pairs: Vec<(u64, Symbol)> = inbox.iter().map(|(l, m)| (l, m.symbol())).collect();
+        assert_eq!(pairs, [(9, Symbol::Silent), (4, Symbol::One)]);
+        // A peer outside the board reads nothing.
+        let stray = [(1, 3)];
+        assert!(Inbox::new(&stray, &board).by_port(0).is_none());
+        assert!(Inbox::new(&[], &board).is_empty());
     }
 
     #[test]
-    fn by_port_reads_by_position_and_falls_back_to_the_label() {
-        let inbox = Inbox::new(vec![
-            (3, Message::single(Symbol::One)),
-            (1, Message::single(Symbol::Zero)),
-            (5, Message::single(Symbol::Silent)),
-        ]);
-        // A hit: entry 1 carries label 1.
-        assert_eq!(inbox.by_port(1, 1).unwrap().symbol(), Symbol::Zero);
-        // A label mismatch: entry 0 carries 3, so label 5 is found by
-        // the scan, wherever it sits.
-        assert_eq!(inbox.by_port(0, 5).unwrap().symbol(), Symbol::Silent);
-        assert_eq!(inbox.by_port(2, 3).unwrap().symbol(), Symbol::One);
-        // An out-of-range port falls back too.
-        assert_eq!(inbox.by_port(7, 1).unwrap().symbol(), Symbol::Zero);
-        // A label no entry carries reads nothing, at any position.
-        assert!(inbox.by_port(0, 9).is_none());
-        assert!(inbox.by_port(9, 9).is_none());
-        assert!(Inbox::new(Vec::new()).by_port(0, 1).is_none());
+    fn relabelled_view_reads_the_same_messages() {
+        let board = [Message::single(Symbol::One), Message::single(Symbol::Zero)];
+        let row = [(1, 1), (2, 0)];
+        let outer = Inbox::new(&row, &board);
+        let ids = [70];
+        let inner = outer.relabelled(&ids);
+        assert_eq!(inner.len(), outer.len());
+        for p in 0..2 {
+            assert_eq!(inner.by_port(p), outer.by_port(p));
+        }
+        // Port 1 has no new label and keeps its own.
+        assert_eq!([inner.label(0), inner.label(1)], [Some(70), Some(2)]);
     }
 
     #[test]

@@ -4,7 +4,9 @@ use crate::error::ModelError;
 use crate::instance::Instance;
 use crate::program::{Algorithm, Decision, Inbox, NodeProgram};
 use crate::symbol::Message;
-use crate::transport::{default_factory, RoundView, Transport, TransportError, TransportFactory};
+use crate::transport::{
+    default_factory, RoundView, Routes, Transport, TransportError, TransportFactory,
+};
 use bcc_metrics::MetricsBuf;
 use bcc_trace::{field, Observer, TraceBuf};
 use std::fmt;
@@ -17,7 +19,7 @@ pub struct Transcript {
     /// Messages broadcast by this vertex, one per executed round.
     pub sent: Vec<Message>,
     /// Messages received, `received[round]` = `(port label, message)`
-    /// pairs sorted by port label (port-index order for every
+    /// pairs in port order (sorted by port label on every
     /// constructible network).
     pub received: Vec<Vec<(u64, Message)>>,
 }
@@ -287,7 +289,7 @@ impl RunOutcome {
     /// The degraded outcome of a run whose transport failed: `n`
     /// undecided vertices and the typed error, never a panic. Used by
     /// [`SimConfig::run`] and the batched engine when delivery fails:
-    /// the transport reports an error, or its view of a round has the
+    /// the transport reports an error, or its board of a round has the
     /// wrong shape.
     pub fn transport_failed(n: usize, err: TransportError) -> Self {
         RunOutcome {
@@ -462,7 +464,7 @@ impl SimConfig {
 
     /// [`run`](Self::run) with borrowed round buffers. A sweep lends
     /// one set to every run, so after the first run no outbox and no
-    /// inbox vector is allocated again. The outcome does not depend on
+    /// board is allocated again. The outcome does not depend on
     /// what the buffers held before. The transport is still created,
     /// opened and torn down per run.
     pub fn run_with(
@@ -490,18 +492,18 @@ impl SimConfig {
 }
 
 /// The buffers a driver refills every round: the outbox it hands the
-/// transport and the view the transport delivers into. The scalar
-/// simulator and the lockstep kernel in `bcc-engine` both take them by
-/// `&mut`, so a sweep lends one set to every run or batch and, after
-/// the first, allocates no outbox and no inbox vector again. Every
+/// transport and the view the transport delivers the board into. The
+/// scalar simulator and the lockstep kernel in `bcc-engine` both take
+/// them by `&mut`, so a sweep lends one set to every run or batch and,
+/// after the first, allocates no outbox and no board again. Every
 /// round clears the outbox and the transport overwrites the view, so
 /// nothing a buffer held before reaches an outcome.
 #[derive(Debug, Default)]
 pub struct RoundBuffers {
-    /// The round's broadcasts, one per vertex (one per row of a
-    /// stacked batch plan).
+    /// The round's broadcasts, one per vertex (a batch's lanes side
+    /// by side, `n` rows each).
     pub outbox: Vec<Message>,
-    /// The round's delivered inboxes, refilled in place.
+    /// The round's delivered board, refilled in place.
     pub view: RoundView,
 }
 
@@ -509,14 +511,14 @@ pub struct RoundBuffers {
 /// programs, their transcripts, the run's [`RunStats`] and whether
 /// every program reports done. Both drivers advance runs through it —
 /// [`SimConfig::run`] one at a time, the lockstep kernel in
-/// `bcc-engine` one per lane — so spawning, the checks on a delivered
-/// view, transcript recording and outcome assembly exist once, and
-/// the two cannot disagree on any of them.
+/// `bcc-engine` one per lane — so spawning, reading a delivered board
+/// through the plan, transcript recording and outcome assembly exist
+/// once, and the two cannot disagree on any of them.
 ///
 /// A round is [`broadcast`](Self::broadcast) for every vertex,
 /// [`sent`](Self::sent) with the round's outbox, the transport's
 /// delivery of that outbox, then [`receive`](Self::receive) with the
-/// delivered inboxes. [`finish`](Self::finish) builds the outcome.
+/// delivered board. [`finish`](Self::finish) builds the outcome.
 pub struct RunState {
     programs: Vec<Box<dyn NodeProgram>>,
     transcripts: Vec<Transcript>,
@@ -626,59 +628,29 @@ impl RunState {
         round_bits
     }
 
-    /// Hands round `round`'s delivered inboxes to the programs:
-    /// `inboxes[v]` is vertex `v`'s, a whole [`RoundView`] for a scalar
-    /// run or one lane's slice of a stacked view. Every inbox is
-    /// canonicalized (sorted by port label), there must be one per
-    /// vertex with `n − 1` entries each, and they are recorded in the
-    /// transcripts when recording is on. Each entry vector is lent to
-    /// the program and put back, so the caller can reuse the view's
-    /// buffers next round.
-    ///
-    /// # Errors
-    ///
-    /// A [`TransportError::Protocol`] when there is the wrong number
-    /// of inboxes, or an inbox has the wrong number of entries.
+    /// Hands round `round`'s delivered board to the programs: `board`
+    /// is the run's `n` rows, a whole checked board for a scalar run
+    /// or one lane's slice of a batch's ([`RoundView::board_of`]), and
+    /// vertex `v` reads it through row `v` of `routes`, the plan of
+    /// the instance the run was spawned on, as an [`Inbox`]. The
+    /// inboxes are recorded in the transcripts when recording is on.
     #[inline]
-    pub fn receive(
-        &mut self,
-        round: usize,
-        inboxes: &mut [Vec<(u64, Message)>],
-    ) -> Result<(), TransportError> {
-        let n = self.programs.len();
-        let expected = n.saturating_sub(1);
-        let shape = |detail| TransportError::Protocol {
-            detail,
-            postmortem: None,
-        };
-        if inboxes.len() != n {
-            return Err(shape(format!(
-                "round view covers {} of {n} nodes",
-                inboxes.len()
-            )));
-        }
-        for (v, (slot, program)) in inboxes.iter_mut().zip(&mut self.programs).enumerate() {
-            if slot.len() != expected {
-                return Err(shape(format!(
-                    "node {v} received {} messages, expected {expected}",
-                    slot.len()
-                )));
-            }
-            RoundView::canonicalize_inbox(slot);
+    pub fn receive(&mut self, round: usize, routes: &Routes, board: &[Message]) {
+        for (v, program) in self.programs.iter_mut().enumerate() {
+            let inbox = Inbox::new(routes.ports(v), board);
             if self.record {
-                self.transcripts[v].received.push(slot.clone());
+                let received = inbox.iter().map(|(label, m)| (label, m.clone())).collect();
+                self.transcripts[v].received.push(received);
             }
-            let inbox = Inbox::new(std::mem::take(slot));
             program.receive(round, &inbox);
-            *slot = inbox.into_entries();
         }
+        let n = self.programs.len();
         self.stats.messages_delivered = self
             .stats
             .messages_delivered
-            .saturating_add(n.saturating_mul(expected));
+            .saturating_add(n.saturating_mul(n.saturating_sub(1)));
         self.stats.rounds = round.saturating_add(1);
         self.all_done = self.programs.iter().all(|p| p.is_done());
-        Ok(())
     }
 
     /// The system decision per Section 1.2 over the programs' current
@@ -729,9 +701,10 @@ impl RunState {
 /// The scalar execution path every entry point funnels into —
 /// [`SimConfig::run`] reaches it, and the lockstep kernel in
 /// `bcc-engine` pins itself against it. Each round exchanges the
-/// outbox through `transport`; everything observable (spans,
-/// events, `sim.*` metrics, transcripts) is recorded on the driver
-/// side, so conforming transports cannot perturb it.
+/// outbox through `transport` and reads the delivered board through
+/// the instance's plan; everything observable (spans, events, `sim.*`
+/// metrics, transcripts) is recorded on the driver side, so
+/// conforming transports cannot perturb it.
 fn try_run_impl(
     cfg: &SimConfig,
     transport: &mut dyn Transport,
@@ -747,7 +720,7 @@ fn try_run_impl(
     transport.open(instance.routes())?;
     let mut run = RunState::spawn(cfg, instance, algorithm, coin_seed);
     recorder.run_start(n, cfg.bandwidth, cfg.max_rounds, coin_seed);
-    // One outbox and one view, lent by the caller and refilled every
+    // One outbox and one board, lent by the caller and refilled every
     // round.
     let RoundBuffers { outbox, view } = buffers;
 
@@ -764,10 +737,13 @@ fn try_run_impl(
         }
         let delivered = transport
             .exchange_into(round, outbox, view)
-            .and_then(|()| run.receive(round, view.inboxes_mut()));
-        if let Err(err) = delivered {
-            recorder.abort(Some(round), &err);
-            return Err(err);
+            .and_then(|()| view.board_of(n));
+        match delivered {
+            Ok(board) => run.receive(round, instance.routes(), board),
+            Err(err) => {
+                recorder.abort(Some(round), &err);
+                return Err(err);
+            }
         }
         recorder.round_end(round, round_bits);
     }

@@ -216,7 +216,7 @@ impl NodeProgram for IdBroadcastNode {
     fn receive(&mut self, _round: usize, inbox: &Inbox) {
         // A corrupt payload (early silence) reads as a short one, so
         // this vertex stays Undecided rather than crashing the run.
-        self.stream.receive(inbox, &self.port_labels);
+        self.stream.receive(inbox);
     }
 
     fn decide(&self) -> Decision {
@@ -269,14 +269,7 @@ mod tests {
         for round in 0..width {
             let msgs: Vec<Message> = programs.iter_mut().map(|p| p.broadcast(round)).collect();
             for (v, program) in programs.iter_mut().enumerate() {
-                let entries: Vec<(u64, Message)> = (0..7)
-                    .map(|p| {
-                        let peer = i.network().peer_of(v, p);
-                        (i.network().port_label(v, p), msgs[peer].clone())
-                    })
-                    .collect();
-                let inbox = Inbox::new(entries);
-                program.receive(round, &inbox);
+                program.receive(round, &Inbox::new(i.routes().ports(v), &msgs));
             }
         }
         for (v, program) in programs.iter().enumerate() {

@@ -4,27 +4,31 @@
 //! The paper's model is communication-first — every bound is stated
 //! in bits broadcast per round on the clique — so delivery is an
 //! explicit, swappable API rather than a loop buried in the
-//! simulator. A [`Transport`] receives the full per-round outbox
-//! (one [`Message`] per vertex, already bandwidth-normalized) and
-//! returns a [`RoundView`]: for every vertex, its `(port label,
-//! message)` pairs. The driver — scalar simulator or the batched
-//! engine — owns *all* accounting (trace spans, `sim.*` metrics,
-//! transcripts); a transport only moves symbols. That split is what
-//! makes a multi-process socket run byte-identical to the in-process
-//! oracle: observability never crosses the wire, so there is nothing
-//! wall-clock-shaped to diverge (DESIGN.md §14).
+//! simulator. In `BCC(b)` a round is `n` broadcasts, and every vertex
+//! hears all of them: only the port wiring differs. So a
+//! [`Transport`] receives the full per-round outbox (one [`Message`]
+//! per vertex, already bandwidth-normalized) and returns a
+//! [`RoundView`] holding the *board*, one message per sender row. The
+//! driver — scalar simulator or the batched engine — hands each vertex
+//! an [`Inbox`](crate::Inbox) that reads the board through the
+//! vertex's own [`Routes`] row, and owns *all* accounting (trace
+//! spans, `sim.*` metrics, transcripts); a transport only moves
+//! symbols. That split is what makes a multi-process socket run
+//! byte-identical to the in-process oracle: observability never
+//! crosses the wire, so there is nothing wall-clock-shaped to diverge
+//! (DESIGN.md §14).
 //!
 //! Determinism contract, in order of obligation:
 //!
-//! 1. `exchange` is a pure function of `(routes, outbox)` — same
-//!    inputs, same `RoundView`, across processes and runs — and
-//!    `exchange_into` fully overwrites the view it is lent with that
-//!    same result.
-//! 2. Message *multiset* per vertex is fixed by the routes; delivery
-//!    *order* inside a vertex's inbox is the transport's own. The
-//!    driver canonicalizes with [`RoundView::canonicalize_inbox`]
-//!    (stable sort by port label) before programs see an `Inbox`, so a
-//!    transport that permutes entries is still conforming.
+//! 1. `exchange` is a pure function of the outbox — same inputs, same
+//!    board, across processes and runs — and `exchange_into` fully
+//!    overwrites the view it is lent with that same result. A
+//!    conforming board *is* the outbox, row for row.
+//! 2. Port order holds by construction: an inbox's port `p` reads
+//!    `board[peer]` for the `(label, peer)` at position `p` of the
+//!    vertex's routes row, so no transport can reorder a vertex's
+//!    messages. The driver checks the board's length once
+//!    ([`RoundView::board_of`]) before any program reads it.
 //! 3. Failure is a typed [`TransportError`], never a panic: a dead
 //!    worker surfaces as [`TransportError::WorkerDead`] and the run
 //!    degrades, carrying the error in
@@ -102,21 +106,16 @@ impl std::error::Error for TransportError {}
 
 /// The delivery plan of one instance: for every vertex `v` and port
 /// `p`, the label the vertex sees on that port and the peer whose
-/// broadcast arrives there. A `Routes` is the *only* topology a
-/// transport receives — workers never reconstruct a [`Network`], so
-/// the wire format is a plain table and network construction stays
-/// private to this crate.
-///
-/// One plan can also carry several instances at once:
-/// [`stacked`](Self::stacked) lays same-size plans side by side as
-/// one disjoint union of cliques, which is how the batched engine
-/// delivers a whole batch through one transport.
+/// broadcast arrives there. Drivers read a round's board through it
+/// (row `v` is vertex `v`'s [`Inbox`](crate::Inbox)); a transport is
+/// shown it at [`open`](Transport::open) but delivers without it, so
+/// workers never reconstruct a [`Network`] and network construction
+/// stays private to this crate.
 ///
 /// The table is stored row-compressed and shared: one flat slice of
 /// `(port_label, peer)` pairs and one slice of row offsets, both
-/// behind an `Arc`. Building a plan, with [`of`](Self::of) or
-/// [`stacked`](Self::stacked), allocates twice, and cloning one (every
-/// [`LocalTransport::open`] does) allocates nothing. Rows may differ in
+/// behind an `Arc`. Building a plan with [`of`](Self::of) allocates
+/// twice, and cloning one allocates nothing. Rows may differ in
 /// length, so any raw table [`from_ports`](Self::from_ports) accepts
 /// stays representable.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,56 +155,9 @@ impl Routes {
         }
     }
 
-    /// Several same-size plans side by side: plan `l`'s row `v` is row
-    /// `l·n + v` of the result, and its peers are offset by `l·n`, so
-    /// no message crosses from one plan to another. The rows are
-    /// copied; the plans themselves are usually each instance's cached
-    /// [`Instance::routes`](crate::Instance::routes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plans differ in vertex count.
-    pub fn stacked(plans: &[&Routes]) -> Routes {
-        let n = plans.first().map_or(0, |plan| plan.num_nodes());
-        assert!(
-            plans.iter().all(|plan| plan.num_nodes() == n),
-            "stacked plans must share one vertex count"
-        );
-        let total: usize = plans.iter().map(|plan| plan.entries.len()).sum();
-        let rows = plans.len() * n;
-        // Exact-length iterators again, one allocation per slice; the
-        // cursors walk each plan in turn.
-        let (mut lane, mut next) = (0, 0);
-        let entries = (0..total)
-            .map(|_| {
-                while next == plans[lane].entries.len() {
-                    (lane, next) = (lane + 1, 0);
-                }
-                let (label, peer) = plans[lane].entries[next];
-                next += 1;
-                (label, lane * n + peer)
-            })
-            .collect();
-        // Row `l·n + v` starts where plan `l`'s row `v` does, shifted by
-        // the entries of the plans before it.
-        let (mut lane, mut v, mut base) = (0, 0, 0);
-        let offsets = (0..rows)
-            .map(|_| {
-                let start = base + plans[lane].offsets[v];
-                v += 1;
-                if v == n {
-                    (lane, v, base) = (lane + 1, 0, base + plans[lane].entries.len());
-                }
-                start
-            })
-            .chain(std::iter::once(total))
-            .collect();
-        Routes { entries, offsets }
-    }
-
     /// Builds a plan from a raw port table (`ports[v][p] =
     /// (port_label, peer)`); peers must index into `0..ports.len()`.
-    // bcc-lint: allow(U1): the only way for codec and transport tests to build plans no network yields (ragged rows, extreme labels)
+    // bcc-lint: allow(U1): builds plans no network yields (the two-party simulation's index-labelled clique, ragged rows and extreme labels in tests)
     pub fn from_ports(ports: Vec<Vec<(u64, usize)>>) -> Routes {
         let offsets = std::iter::once(0)
             .chain(ports.iter().scan(0, |end, row| {
@@ -234,83 +186,79 @@ impl Routes {
     }
 }
 
-/// One round's delivery result: for every vertex, its `(port label,
-/// message)` pairs. Produced by [`Transport::exchange`] or refilled in
-/// place by [`Transport::exchange_into`]; the driver canonicalizes
-/// each inbox before building an `Inbox`. The view of a
-/// [stacked](Routes::stacked) plan is stacked the same way: lane `l`'s
-/// inboxes are `l·n..(l + 1)·n`.
+/// One round's delivery: the board, one [`Message`] per sender row,
+/// in row order. Produced by [`Transport::exchange`] or refilled in
+/// place by [`Transport::exchange_into`]. A conforming board is the
+/// outbox itself; a batch's outbox holds its lanes' rows side by
+/// side, lane `l`'s vertices at rows `l·n..(l + 1)·n`, and so does
+/// its board.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundView {
-    inboxes: Vec<Vec<(u64, Message)>>,
+    board: Vec<Message>,
 }
 
 impl RoundView {
-    /// Wraps per-vertex inbox entries (vertex order).
-    pub fn new(inboxes: Vec<Vec<(u64, Message)>>) -> RoundView {
-        RoundView { inboxes }
+    /// Wraps a board (row order).
+    pub fn new(board: Vec<Message>) -> RoundView {
+        RoundView { board }
     }
 
-    /// Number of vertices covered.
-    pub fn num_nodes(&self) -> usize {
-        self.inboxes.len()
+    /// The delivered messages, one per row.
+    pub fn board(&self) -> &[Message] {
+        &self.board
     }
 
-    /// The entries of vertex `v`; empty when out of range.
-    pub fn inbox(&self, v: usize) -> &[(u64, Message)] {
-        self.inboxes.get(v).map_or(&[], Vec::as_slice)
+    /// Empties the board, keeping its capacity, and returns it for a
+    /// transport to refill.
+    pub fn refill(&mut self) -> &mut Vec<Message> {
+        self.board.clear();
+        &mut self.board
     }
 
-    /// The per-vertex entry vectors, for a driver that lends each one
-    /// out and puts it back.
-    pub fn inboxes_mut(&mut self) -> &mut [Vec<(u64, Message)>] {
-        &mut self.inboxes
-    }
-
-    /// Empties the view down to `n` empty inboxes, keeping what the
-    /// entry vectors have allocated, and returns them for refilling.
-    pub fn reset(&mut self, n: usize) -> &mut [Vec<(u64, Message)>] {
-        self.inboxes.resize_with(n, Vec::new);
-        for inbox in &mut self.inboxes {
-            inbox.clear();
+    /// The board, checked to hold exactly `rows` messages: the one
+    /// shape check both drivers make before any program reads a round.
+    ///
+    /// # Errors
+    ///
+    /// A [`TransportError::Protocol`] naming both lengths when the
+    /// board is shorter or longer.
+    pub fn board_of(&self, rows: usize) -> Result<&[Message], TransportError> {
+        if self.board.len() == rows {
+            return Ok(&self.board);
         }
-        &mut self.inboxes
-    }
-
-    /// Stable-sorts one inbox's entries by port label. For every
-    /// constructible [`Network`] this equals port-index order (KT-1
-    /// ports are sorted by increasing peer ID; KT-0 labels are `p+1`),
-    /// so canonicalization is a behavioral no-op for conforming
-    /// transports — and the normative step that makes a permuting
-    /// transport conforming too. An inbox already in order is left
-    /// untouched, so the common case neither moves nor allocates.
-    pub fn canonicalize_inbox(inbox: &mut [(u64, Message)]) {
-        if !inbox.is_sorted_by_key(|&(label, _)| label) {
-            inbox.sort_by_key(|&(label, _)| label);
-        }
+        Err(TransportError::Protocol {
+            detail: format!("round view covers {} of {rows} nodes", self.board.len()),
+            postmortem: None,
+        })
     }
 }
 
 /// A round-delivery backend. Drivers call [`open`](Self::open) once
-/// per run (or once per batch, with a [stacked](Routes::stacked) plan)
-/// with its [`Routes`], then deliver each round with
-/// [`exchange_into`](Self::exchange_into), then call
+/// per run (or once per batch) with a [`Routes`], then deliver each
+/// round with [`exchange_into`](Self::exchange_into), then call
 /// [`barrier`](Self::barrier) after the last round and
 /// [`teardown`](Self::teardown) when the transport is dropped from
 /// service. [`exchange`](Self::exchange) is the same delivery into a
 /// fresh view. See the module docs for the determinism contract.
 pub trait Transport {
-    /// Binds the transport to one delivery plan. Called exactly once,
-    /// before the first round is delivered.
+    /// Opens one session, called exactly once, before the first round
+    /// is delivered. `routes` is the wiring of the session's instance;
+    /// a batch passes its first lane's, and every lane has the same
+    /// vertex count, `routes.num_nodes()`. Delivery does not depend on
+    /// it: every vertex hears every broadcast, and the driver reads
+    /// each vertex's ports from its own instance. So a transport may
+    /// ignore the plan, or keep its vertex count as the size of the
+    /// session's instances; an outbox holds any whole number of them,
+    /// one per lane.
     fn open(&mut self, routes: &Routes) -> Result<(), TransportError>;
 
-    /// Delivers round `round`: `outbox[v]` is vertex `v`'s broadcast,
-    /// already normalized to the configured bandwidth. Returns every
-    /// vertex's `(port label, message)` entries.
+    /// Delivers round `round`: `outbox[r]` is row `r`'s broadcast,
+    /// already normalized to the configured bandwidth. Returns the
+    /// board, one message per row.
     fn exchange(&mut self, round: usize, outbox: &[Message]) -> Result<RoundView, TransportError>;
 
     /// Delivers round `round` into `view`, which the caller lends so
-    /// it can reuse one view's buffers across rounds. On success a
+    /// it can reuse one board's buffer across rounds. On success a
     /// conforming implementation has fully overwritten `view`: it
     /// holds exactly what [`exchange`](Self::exchange) would have
     /// returned, and nothing of what it held before. On error the
@@ -379,25 +327,25 @@ pub trait TransportFactory: Send + Sync {
     }
 }
 
-/// The in-process oracle: delivers straight out of the outbox slice
-/// by the routes table. This is the extracted form of the historical
-/// simulator loop and the reference every other backend is pinned
-/// against — byte-identical traces, metrics, and outcomes.
+/// The in-process oracle: the board is the outbox, copied row for
+/// row. This is the extracted form of the historical simulator loop
+/// and the reference every other backend is pinned against —
+/// byte-identical traces, metrics, and outcomes.
 #[derive(Debug, Clone, Default)]
 pub struct LocalTransport {
-    routes: Option<Routes>,
+    opened: bool,
 }
 
 impl LocalTransport {
     /// A transport awaiting `open`.
     pub fn new() -> LocalTransport {
-        LocalTransport { routes: None }
+        LocalTransport { opened: false }
     }
 }
 
 impl Transport for LocalTransport {
-    fn open(&mut self, routes: &Routes) -> Result<(), TransportError> {
-        self.routes = Some(routes.clone());
+    fn open(&mut self, _routes: &Routes) -> Result<(), TransportError> {
+        self.opened = true;
         Ok(())
     }
 
@@ -413,28 +361,13 @@ impl Transport for LocalTransport {
         outbox: &[Message],
         view: &mut RoundView,
     ) -> Result<(), TransportError> {
-        let routes = self
-            .routes
-            .as_ref()
-            .ok_or_else(|| TransportError::Protocol {
-                detail: "exchange before open".to_string(),
-                postmortem: None,
-            })?;
-        let n = routes.num_nodes();
-        if outbox.len() != n {
+        if !self.opened {
             return Err(TransportError::Protocol {
-                detail: format!("outbox has {} entries for {n} nodes", outbox.len()),
+                detail: "exchange before open".to_string(),
                 postmortem: None,
             });
         }
-        for (v, inbox) in view.reset(n).iter_mut().enumerate() {
-            inbox.extend(
-                routes
-                    .ports(v)
-                    .iter()
-                    .map(|&(label, peer)| (label, outbox[peer].clone())),
-            );
-        }
+        view.refill().extend_from_slice(outbox);
         Ok(())
     }
 }
@@ -539,7 +472,7 @@ mod tests {
     }
 
     #[test]
-    fn local_transport_delivers_by_routes() {
+    fn local_transport_delivers_the_outbox_as_the_board() {
         let i = Instance::new_kt1(generators::cycle(4)).unwrap();
         let routes = Routes::of(i.network());
         assert_eq!(routes.num_nodes(), 4);
@@ -547,18 +480,27 @@ mod tests {
         t.open(&routes).unwrap();
         let outbox: Vec<Message> = (0..4).map(|v| msg((v % 2) as u8)).collect();
         let view = t.exchange(0, &outbox).unwrap();
-        assert_eq!(view.num_nodes(), 4);
-        for v in 0..4 {
-            let entries = view.inbox(v);
-            assert_eq!(entries.len(), 3);
-            for (i, &(label, ref m)) in entries.iter().enumerate() {
-                let (want_label, peer) = routes.ports(v)[i];
-                assert_eq!(label, want_label);
-                assert_eq!(*m, outbox[peer]);
-            }
-        }
+        assert_eq!(view.board(), outbox.as_slice());
+        // A batch's outbox is any number of instances' rows.
+        let batch: Vec<Message> = outbox.iter().chain(&outbox).cloned().collect();
+        assert_eq!(t.exchange(1, &batch).unwrap().board(), batch.as_slice());
         t.barrier().unwrap();
         t.teardown();
+    }
+
+    #[test]
+    fn board_of_checks_the_length_once() {
+        let view = RoundView::new(vec![msg(0), msg(1), msg(1)]);
+        assert_eq!(view.board_of(3).unwrap(), view.board());
+        for (rows, want) in [
+            (4, "round view covers 3 of 4 nodes"),
+            (2, "round view covers 3 of 2 nodes"),
+        ] {
+            match view.board_of(rows) {
+                Err(TransportError::Protocol { detail, .. }) => assert_eq!(detail, want),
+                other => panic!("expected a protocol error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -584,60 +526,9 @@ mod tests {
         let outbox: Vec<Message> = (0..5).map(|v| msg((v % 2) as u8)).collect();
         let want = t.exchange(0, &outbox).unwrap();
         // A stale view of the wrong shape is fully overwritten.
-        let mut view = RoundView::new(vec![vec![(9, msg(1))]; 7]);
+        let mut view = RoundView::new(vec![msg(1); 7]);
         t.exchange_into(1, &outbox, &mut view).unwrap();
         assert_eq!(view, want);
-    }
-
-    #[test]
-    fn stacked_rows_are_each_lanes_rows_offset_by_lane() {
-        let lanes = [
-            Instance::new_kt0(generators::cycle(5), 1).unwrap(),
-            Instance::new_kt1(generators::path(5)).unwrap(),
-            Instance::new_kt0(generators::cycle(5), 8).unwrap(),
-        ];
-        let plans: Vec<&Routes> = lanes.iter().map(Instance::routes).collect();
-        let stacked = Routes::stacked(&plans);
-        let n = 5;
-        assert_eq!(stacked.num_nodes(), lanes.len() * n);
-        for (l, inst) in lanes.iter().enumerate() {
-            let own = Routes::of(inst.network());
-            for v in 0..n {
-                let offset: Vec<(u64, usize)> = own
-                    .ports(v)
-                    .iter()
-                    .map(|&(label, peer)| (label, l * n + peer))
-                    .collect();
-                assert_eq!(
-                    stacked.ports(l * n + v),
-                    offset.as_slice(),
-                    "lane {l} row {v}"
-                );
-            }
-        }
-        // One network stacked alone is its own plan, and the empty
-        // stack is the empty plan.
-        assert_eq!(Routes::stacked(&plans[..1]), Routes::of(lanes[0].network()));
-        assert_eq!(Routes::stacked(&[]), Routes::from_ports(vec![]));
-    }
-
-    #[test]
-    fn stacked_copies_ragged_rows() {
-        let a = Routes::from_ports(vec![vec![(1, 1)], vec![], vec![(2, 0), (3, 1)]]);
-        let b = Routes::from_ports(vec![vec![], vec![(4, 2), (5, 0)], vec![(6, 1)]]);
-        let stacked = Routes::stacked(&[&a, &b, &a]);
-        let want = Routes::from_ports(vec![
-            vec![(1, 1)],
-            vec![],
-            vec![(2, 0), (3, 1)],
-            vec![],
-            vec![(4, 5), (5, 3)],
-            vec![(6, 4)],
-            vec![(1, 7)],
-            vec![],
-            vec![(2, 6), (3, 7)],
-        ]);
-        assert_eq!(stacked, want);
     }
 
     #[test]
@@ -646,49 +537,6 @@ mod tests {
         let err = t.exchange(0, &[]).unwrap_err();
         assert!(matches!(err, TransportError::Protocol { .. }));
         assert!(err.to_string().contains("protocol"));
-    }
-
-    #[test]
-    fn wrong_outbox_shape_is_typed_error() {
-        let i = Instance::new_kt1(generators::cycle(3)).unwrap();
-        let mut t = LocalTransport::new();
-        t.open(&Routes::of(i.network())).unwrap();
-        let err = t.exchange(0, &[Message::silent(1)]).unwrap_err();
-        assert!(matches!(err, TransportError::Protocol { .. }));
-    }
-
-    #[test]
-    fn canonicalized_sorts_each_inbox_by_label() {
-        let view = RoundView::new(vec![
-            vec![(3, msg(1)), (1, msg(0)), (2, msg(1))],
-            vec![(5, msg(0)), (4, msg(0))],
-        ]);
-        let labels = |v: usize| {
-            let mut inbox = view.inbox(v).to_vec();
-            RoundView::canonicalize_inbox(&mut inbox);
-            inbox.iter().map(|e| e.0).collect::<Vec<_>>()
-        };
-        assert_eq!(labels(0), vec![1, 2, 3]);
-        assert_eq!(labels(1), vec![4, 5]);
-    }
-
-    #[test]
-    fn canonicalization_is_noop_on_constructible_networks() {
-        for inst in [
-            Instance::new_kt1(generators::cycle(6)).unwrap(),
-            Instance::new_kt0(generators::two_cycles(3, 3), 7).unwrap(),
-        ] {
-            let routes = Routes::of(inst.network());
-            let mut t = LocalTransport::new();
-            t.open(&routes).unwrap();
-            let outbox: Vec<Message> = (0..routes.num_nodes()).map(|_| msg(1)).collect();
-            let view = t.exchange(0, &outbox).unwrap();
-            for v in 0..routes.num_nodes() {
-                let mut canon = view.inbox(v).to_vec();
-                RoundView::canonicalize_inbox(&mut canon);
-                assert_eq!(canon, view.inbox(v));
-            }
-        }
     }
 
     #[test]

@@ -9,75 +9,6 @@ fn arb_cycle_graph() -> impl Strategy<Value = Graph> {
     (3usize..12).prop_map(generators::cycle)
 }
 
-mod permuted {
-    //! A conforming-but-adversarial transport: delivers the right
-    //! message multiset to every node, in an order scrambled by a
-    //! seeded xorshift. The driver's canonicalization must make runs
-    //! over it indistinguishable from the `LocalTransport` oracle.
-
-    use bcc_model::transport::{
-        LocalTransport, RoundView, Routes, Transport, TransportError, TransportFactory,
-    };
-    use bcc_model::Message;
-
-    pub struct PermutingTransport {
-        inner: LocalTransport,
-        state: u64,
-    }
-
-    impl PermutingTransport {
-        fn next(&mut self) -> u64 {
-            // xorshift64: deterministic, seedable, dependency-free.
-            let mut x = self.state;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.state = x;
-            x
-        }
-    }
-
-    impl Transport for PermutingTransport {
-        fn open(&mut self, routes: &Routes) -> Result<(), TransportError> {
-            self.inner.open(routes)
-        }
-
-        fn exchange(
-            &mut self,
-            round: usize,
-            outbox: &[Message],
-        ) -> Result<RoundView, TransportError> {
-            let mut view = self.inner.exchange(round, outbox)?;
-            for inbox in view.inboxes_mut() {
-                // Fisher–Yates with the xorshift stream.
-                for i in (1..inbox.len()).rev() {
-                    let j = (self.next() % (i as u64 + 1)) as usize;
-                    inbox.swap(i, j);
-                }
-            }
-            Ok(view)
-        }
-    }
-
-    pub struct PermutingFactory {
-        pub seed: u64,
-    }
-
-    impl TransportFactory for PermutingFactory {
-        fn create(&self) -> Box<dyn Transport> {
-            Box::new(PermutingTransport {
-                inner: LocalTransport::new(),
-                // xorshift needs a nonzero state.
-                state: self.seed | 1,
-            })
-        }
-
-        fn label(&self) -> String {
-            "permuting".to_string()
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -172,37 +103,6 @@ proptest! {
         let out = SimConfig::bcc1(100).run(&inst, &IdBroadcast::new(), 0);
         prop_assert!(out.completed());
         prop_assert_eq!(out.stats().rounds, bcc_model::codec::bits_needed(n));
-    }
-
-    /// Inbox-ordering guarantee (DESIGN.md §14): a transport that
-    /// delivers each node's messages in a permuted order still yields
-    /// the canonical port-ordered `Inbox` after the driver
-    /// canonicalizes — outcome, stats, transcripts, and views all pin
-    /// to the `LocalTransport` oracle. (`SocketTransport` is pinned
-    /// against the same oracle in `crates/transport`.)
-    #[test]
-    fn permuted_delivery_yields_canonical_inboxes(
-        g in arb_cycle_graph(),
-        wiring in any::<u64>(),
-        perm_seed in any::<u64>(),
-        coin in any::<u64>(),
-    ) {
-        let inst = Instance::new_kt0(g, wiring).unwrap();
-        let oracle = SimConfig::bcc1(4).run(&inst, &EchoBit, coin);
-        let permuted = SimConfig::bcc1(4)
-            .transport(std::sync::Arc::new(permuted::PermutingFactory { seed: perm_seed }))
-            .run(&inst, &EchoBit, coin);
-        prop_assert_eq!(oracle.decisions(), permuted.decisions());
-        prop_assert_eq!(oracle.stats(), permuted.stats());
-        prop_assert!(runs_indistinguishable(&oracle, &permuted));
-        for v in 0..inst.num_vertices() {
-            prop_assert_eq!(oracle.transcript(v), permuted.transcript(v));
-            // The driver's canonicalization is the only sort a view's
-            // received half gets, so it must already be by port label.
-            for inbox in &permuted.view(v).transcript.received {
-                prop_assert!(inbox.windows(2).all(|w| w[0].0 <= w[1].0));
-            }
-        }
     }
 
     /// Codec roundtrip for arbitrary values and widths.

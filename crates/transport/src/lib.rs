@@ -4,8 +4,9 @@
 //! round's message delivery through the
 //! [`Transport`] trait. This crate provides the multi-process
 //! backend: [`SocketFactory`] spawns worker subprocesses that each
-//! own a contiguous range of nodes and serve deliveries over
-//! loopback TCP, speaking the JSONL protocol in [`wire`].
+//! own a contiguous range of the round's board rows and return their
+//! segment over loopback TCP, speaking the JSONL protocol in
+//! [`wire`].
 //!
 //! ## Determinism contract
 //!
@@ -14,11 +15,11 @@
 //! the same seed — same reports, same merged traces, same metrics
 //! dumps. That holds by construction:
 //!
-//! 1. workers only route messages; all accounting (bit counts, span
+//! 1. workers only move messages; all accounting (bit counts, span
 //!    trees, counters) stays in the driver process,
-//! 2. replies are merged in rank order and node ranges are
-//!    contiguous ascending, so the merged [`RoundView`] is in node
-//!    order regardless of scheduling, and
+//! 2. replies are gathered in rank order and row ranges are
+//!    contiguous ascending, so the gathered [`RoundView`] board is in
+//!    row order regardless of scheduling, and
 //! 3. nothing derived from a clock or a PID ever crosses the wire.
 //!
 //! ## Worker processes
@@ -41,8 +42,8 @@
 //! ## Transport telemetry
 //!
 //! The coordinator counts each rank's traffic (rounds, frames,
-//! symbols per session) from the views it restores; workers count and
-//! ship nothing. The factory accumulates the counts per rank and
+//! symbols per session) from the views it reads; workers count and
+//! ship nothing, and keep no sessions. The factory accumulates the counts per rank and
 //! replays them — rank-ordered, canonically sorted — into the run's
 //! shared `Collector`/`MetricsHub` when the driver calls
 //! [`TransportFactory::flush_telemetry`], yielding the deterministic

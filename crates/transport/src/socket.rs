@@ -1,12 +1,13 @@
 //! The coordinator side of the multi-process backend: spawns worker
-//! subprocesses, hands each a contiguous node range, and delivers each
-//! round as one JSONL `round` line out and one `view` line back per
-//! worker over loopback TCP.
+//! subprocesses and delivers each round as a scatter and a gather of
+//! the board over loopback TCP: one JSONL `round` line out to each
+//! worker, carrying the broadcasts of the contiguous range of sender
+//! rows it owns, and one `view` line back with that segment.
 //!
 //! Determinism obligations (DESIGN.md §14) are met by construction:
-//! the coordinator sends the round to every worker and then reads the
-//! replies **in rank order**, so the merged [`RoundView`] is the
-//! rank-0 slice followed by rank-1's, etc. — exactly node order,
+//! the coordinator sends every worker its segment and then reads the
+//! replies **in rank order**, so the gathered [`RoundView`] board is
+//! the rank-0 segment followed by rank-1's, etc. — exactly row order,
 //! independent of which worker answered first. No wall-clock value
 //! ever crosses the wire; all accounting stays in the driver.
 //!
@@ -16,10 +17,11 @@
 //! a link is the lock holder's, and a reply naming any other session
 //! or round is a protocol failure.
 //!
-//! That includes the transport's own accounting (DESIGN.md §15):
-//! each open session holds one `SessionSpan` per rank, and every
-//! view [`wire::split_view`] accepts adds its round, frames and
-//! symbols to its rank's span. A closed session's spans go to the
+//! That includes the transport's own accounting (DESIGN.md §15): a
+//! session exists only here, workers keep none. Each open session
+//! holds one `SessionSpan` per rank, and every view the coordinator
+//! accepts adds its round, frames (messages) and symbols to its
+//! rank's span. A closed session's spans go to the
 //! factory's `TelemetryStore`, and one `flush_telemetry` call per
 //! run set derives counters and synthesizes trace events from them —
 //! rank order, spans canonically sorted — into the shared
@@ -93,7 +95,7 @@ pub fn worker_unit(rank: usize) -> String {
     format!("transport/worker:{rank}")
 }
 
-/// Computes rank `r`'s node range `lo..hi` out of `n` nodes split
+/// Computes rank `r`'s row range `lo..hi` out of `n` board rows split
 /// over `w` workers: contiguous, ascending, covering `0..n` exactly
 /// (empty ranges when `w > n`).
 pub fn node_range(n: usize, w: usize, r: usize) -> (usize, usize) {
@@ -111,41 +113,11 @@ struct WireMeta {
 }
 
 impl WireMeta {
-    fn of_command(cmd: &Command) -> WireMeta {
-        match cmd {
-            Command::Open { session, .. } => WireMeta {
-                kind: "open",
-                session: *session,
-                round: 0,
-            },
-            Command::Round { session, round, .. } => WireMeta {
-                kind: "round",
-                session: *session,
-                round: *round as u64,
-            },
-            Command::Close { session } => WireMeta {
-                kind: "close",
-                session: *session,
-                round: 0,
-            },
-            Command::Shutdown => WireMeta {
-                kind: "shutdown",
-                session: 0,
-                round: 0,
-            },
-        }
-    }
-
     fn of_reply(reply: &Reply) -> WireMeta {
         match reply {
             Reply::Hello { .. } => WireMeta {
                 kind: "hello",
                 session: 0,
-                round: 0,
-            },
-            Reply::Ok { session } => WireMeta {
-                kind: "ok",
-                session: *session,
                 round: 0,
             },
             Reply::View { session, round, .. } => WireMeta {
@@ -168,23 +140,21 @@ impl WireMeta {
 }
 
 /// One session's traffic through one rank, counted by the coordinator
-/// from the views it restores: a pure function of the routes and the
-/// outboxes. It renders as a `session` span (`n`/`nodes` on the start,
-/// `rounds` on the end) holding `frames` and `symbols` counter events.
-/// Ordered field-by-field so a rank's sessions sort canonically,
-/// independent of close order; it carries no session id, since ids
-/// depend on how runs interleave.
+/// from the views it reads: a pure function of the outboxes. It
+/// renders as a `session` span (`n` on the start, `rounds` on the end)
+/// holding `frames` and `symbols` counter events. Ordered
+/// field-by-field so a rank's sessions sort canonically, independent
+/// of close order; it carries no session id, since ids depend on how
+/// runs interleave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 struct SessionSpan {
-    /// Total vertex count of the instance.
+    /// Vertex count of the session's instances (its plan's).
     n: u64,
-    /// Nodes the rank owns (`hi - lo`).
-    nodes: u64,
     /// Views read from the rank.
     rounds: u64,
-    /// Inbox entries restored from those views.
+    /// Board messages read from those views.
     frames: u64,
-    /// Symbols inside those entries.
+    /// Symbols inside those messages.
     symbols: u64,
 }
 
@@ -334,7 +304,7 @@ impl TelemetryStore {
             let mut trace = collector.buf(unit);
             trace.span_start(&wrapper, Vec::new());
             for s in spans {
-                trace.span_start("session", vec![field("n", s.n), field("nodes", s.nodes)]);
+                trace.span_start("session", vec![field("n", s.n)]);
                 trace.counter("frames", s.frames);
                 trace.counter("symbols", s.symbols);
                 trace.span_end("session", vec![field("rounds", s.rounds)]);
@@ -345,11 +315,10 @@ impl TelemetryStore {
     }
 }
 
-/// Renders a command as one wire line with its newline, ready for a
-/// single write: a line and its newline written separately leave as
-/// two segments on a no-delay socket.
-fn framed(cmd: &Command) -> String {
-    let mut line = wire::render_command(cmd);
+/// Appends the newline to a rendered wire line, so line and newline
+/// go out in a single write: written separately they leave as two
+/// segments on a no-delay socket.
+fn framed(mut line: String) -> String {
     line.push('\n');
     line
 }
@@ -428,7 +397,7 @@ struct GroupInner {
     children: Vec<Child>,
     next_session: u64,
     /// Sessions opened and not yet closed, each with one span per
-    /// rank.
+    /// rank. Workers hold no sessions; these are the only record.
     open_sessions: BTreeMap<u64, Vec<SessionSpan>>,
     /// Per-rank liveness as far as the coordinator knows.
     alive: Vec<bool>,
@@ -535,26 +504,16 @@ impl GroupInner {
         }
     }
 
-    fn send_line(
-        &mut self,
-        rank: usize,
-        line: &str,
-        meta: &WireMeta,
-    ) -> Result<(), TransportError> {
-        self.send_raw(rank, line, meta)
-            .map_err(|e| self.fail(e.at(rank)))
-    }
-
     fn read_reply(&mut self, rank: usize) -> Result<Reply, TransportError> {
         self.read_raw(rank).map_err(|e| self.fail(e.at(rank)))
     }
 
     /// Fails the group on a reply that is not the one expected: an
     /// `error` carries its own detail, anything else is named.
-    fn reject(&mut self, rank: usize, reply: Reply, to: &str) -> TransportError {
+    fn reject(&mut self, rank: usize, reply: Reply) -> TransportError {
         let detail = match reply {
             Reply::Error { detail } => detail,
-            other => format!("unexpected reply to {to} from worker {rank}: {other:?}"),
+            other => format!("unexpected reply to round from worker {rank}: {other:?}"),
         };
         self.fail(TransportError::Protocol {
             detail,
@@ -567,7 +526,7 @@ impl Drop for GroupInner {
     fn drop(&mut self) {
         // Best-effort graceful shutdown: ask every worker to exit,
         // wait briefly for its `bye`, then reap unconditionally.
-        let line = framed(&Command::Shutdown);
+        let line = framed(wire::render_command(&Command::Shutdown));
         for link in &mut self.links {
             let _ = link
                 .writer
@@ -808,113 +767,93 @@ impl WorkerGroup {
         }
     }
 
-    fn open_session(&self, routes: &Routes) -> Result<u64, TransportError> {
+    /// Opens a session of instances with `n` vertices. Workers keep
+    /// no sessions, so nothing goes on the wire: the session is an id
+    /// and one span per rank.
+    fn open_session(&self, n: usize) -> Result<u64, TransportError> {
         let mut inner = self.locked();
         Self::check_live(&inner)?;
         let session = inner.next_session;
         inner.next_session += 1;
-        let n = routes.num_nodes();
-        let mut spans = Vec::with_capacity(self.workers);
-        for rank in 0..self.workers {
-            let (lo, hi) = node_range(n, self.workers, rank);
-            spans.push(SessionSpan {
-                n: n as u64,
-                nodes: (hi - lo) as u64,
-                ..SessionSpan::default()
-            });
-            let cmd = Command::Open {
-                session,
-                n,
-                lo,
-                hi,
-                routes: (lo..hi).map(|v| routes.ports(v).to_vec()).collect(),
-            };
-            let line = framed(&cmd);
-            inner.send_line(rank, &line, &WireMeta::of_command(&cmd))?;
-        }
-        for rank in 0..self.workers {
-            match inner.read_reply(rank)? {
-                Reply::Ok { session: s } if s == session => {}
-                other => return Err(inner.reject(rank, other, "open")),
-            }
-        }
-        inner.open_sessions.insert(session, spans);
+        let span = SessionSpan {
+            n: n as u64,
+            ..SessionSpan::default()
+        };
+        inner
+            .open_sessions
+            .insert(session, vec![span; self.workers]);
         Ok(session)
     }
 
-    /// Delivers one round under the group lock: the `round` line to
-    /// every rank, then every rank's view, read in rank order and
-    /// restored into `view`. A write that fails is not reported by
-    /// itself: a broken link fails its read, and reads go in rank
-    /// order, so the rank a failure names never depends on which
-    /// write noticed first. Each `view` carries only symbols; the
-    /// entries' labels come back from `routes`, the plan this session
-    /// was opened with. Each accepted view is counted on its rank's
-    /// span at once, so a later rank's failure leaves the earlier
-    /// ranks' views counted.
+    /// Delivers one round under the group lock: each rank's `round`
+    /// line, carrying the broadcasts of the rows it owns, then every
+    /// rank's view, read in rank order and gathered into `view`'s
+    /// board. A write that fails is not reported by itself: a broken
+    /// link fails its read, and reads go in rank order, so the rank a
+    /// failure names never depends on which write noticed first. Every
+    /// rank gets a line each round, even an empty segment, so a
+    /// worker's served-round count is the session's round count. Each
+    /// accepted view is counted on its rank's span at once, so a later
+    /// rank's failure leaves the earlier ranks' views counted.
     fn exchange_round(
         &self,
         session: u64,
-        routes: &Routes,
         round: usize,
         outbox: &[Message],
         view: &mut RoundView,
     ) -> Result<(), TransportError> {
         let mut inner = self.locked();
         Self::check_live(&inner)?;
-        let cmd = Command::Round {
+        let rows = outbox.len();
+        let meta = WireMeta {
+            kind: "round",
             session,
-            round,
-            outbox: outbox.to_vec(),
+            round: round as u64,
         };
-        let line = framed(&cmd);
-        let meta = WireMeta::of_command(&cmd);
         for rank in 0..self.workers {
+            let (lo, hi) = node_range(rows, self.workers, rank);
+            let line = framed(wire::render_round(session, round, &outbox[lo..hi]));
             let _ = inner.send_raw(rank, &line, &meta);
         }
-        // Rank-order reads make the merge deterministic: slices are
-        // contiguous ascending node ranges, so filling them in rank
-        // order is node order.
-        let n = routes.num_nodes();
-        let slots = view.reset(n);
+        // Rank-order reads make the gather deterministic: segments are
+        // contiguous ascending row ranges, so appending them in rank
+        // order is row order.
+        let board = view.refill();
         for rank in 0..self.workers {
-            let part = match inner.read_reply(rank)? {
+            let segment = match inner.read_reply(rank)? {
                 Reply::View {
                     session: s,
                     round: r,
-                    inboxes,
-                } if s == session && r == round => inboxes,
-                other => return Err(inner.reject(rank, other, "round")),
+                    board,
+                } if s == session && r == round => board,
+                other => return Err(inner.reject(rank, other)),
             };
-            let (lo, hi) = node_range(n, self.workers, rank);
-            let slice = &mut slots[lo..hi];
-            if let Err(detail) = wire::split_view(routes, lo..hi, outbox, &part, slice) {
+            let (lo, hi) = node_range(rows, self.workers, rank);
+            if segment.len() != hi - lo {
                 return Err(inner.fail(TransportError::Protocol {
-                    detail: format!("bad view from worker {rank}: {detail}"),
+                    detail: format!(
+                        "bad view from worker {rank}: {} messages for rows {lo}..{hi}",
+                        segment.len()
+                    ),
                     postmortem: None,
                 }));
             }
             let spans = inner.open_sessions.get_mut(&session);
             if let Some(span) = spans.and_then(|spans| spans.get_mut(rank)) {
                 span.rounds = span.rounds.saturating_add(1);
-                span.frames += slice.iter().map(Vec::len).sum::<usize>() as u64;
-                span.symbols += part.iter().map(String::len).sum::<usize>() as u64;
+                span.frames += segment.len() as u64;
+                span.symbols += segment.iter().map(Message::len).sum::<usize>() as u64;
             }
+            board.extend(segment);
         }
         Ok(())
     }
 
-    /// Ends a session: a one-way `close` to every rank, then the
-    /// session's spans go to the store.
+    /// Ends a session: its spans go to the store. Nothing goes on
+    /// the wire.
     fn close_session(&self, session: u64) -> Result<(), TransportError> {
         let mut inner = self.locked();
         Self::check_live(&inner)?;
-        let cmd = Command::Close { session };
-        let line = framed(&cmd);
-        let meta = WireMeta::of_command(&cmd);
-        for rank in 0..self.workers {
-            inner.send_line(rank, &line, &meta)?;
-        }
         if let Some(spans) = inner.open_sessions.remove(&session) {
             inner.telemetry.record_closed(&spans, &inner.alive);
         }
@@ -941,19 +880,11 @@ impl Transport for FailedTransport {
     }
 }
 
-/// One run's view of the shared [`WorkerGroup`]: a session that is
-/// opened with the run's routes and closed at the barrier.
+/// One run's (or one batch's) session on the shared [`WorkerGroup`]:
+/// opened with the plan's vertex count and closed at the barrier.
 pub struct SocketTransport {
     group: Arc<WorkerGroup>,
-    session: Option<Session>,
-}
-
-/// An open session of a [`SocketTransport`].
-struct Session {
-    id: u64,
-    /// The plan the session was opened with. `view` replies carry
-    /// symbols only, and every exchange labels them from it.
-    routes: Routes,
+    session: Option<u64>,
 }
 
 fn misuse(detail: String) -> TransportError {
@@ -968,11 +899,7 @@ impl Transport for SocketTransport {
         if self.session.is_some() {
             return Err(misuse("transport opened twice".to_string()));
         }
-        let id = self.group.open_session(routes)?;
-        self.session = Some(Session {
-            id,
-            routes: routes.clone(),
-        });
+        self.session = Some(self.group.open_session(routes.num_nodes())?);
         Ok(())
     }
 
@@ -990,29 +917,27 @@ impl Transport for SocketTransport {
     ) -> Result<(), TransportError> {
         let session = self
             .session
-            .as_ref()
             .ok_or_else(|| misuse("exchange before open".to_string()))?;
-        self.group
-            .exchange_round(session.id, &session.routes, round, outbox, view)
+        self.group.exchange_round(session, round, outbox, view)
     }
 
     fn barrier(&mut self) -> Result<(), TransportError> {
         match self.session.take() {
-            Some(session) => self.group.close_session(session.id),
+            Some(session) => self.group.close_session(session),
             None => Ok(()),
         }
     }
 
     fn teardown(&mut self) {
         if let Some(session) = self.session.take() {
-            let _ = self.group.close_session(session.id);
+            let _ = self.group.close_session(session);
         }
     }
 }
 
 impl Drop for SocketTransport {
     /// A run that unwinds without reaching `teardown` still closes its
-    /// session, so the workers drop it and its spans are recorded.
+    /// session, so its spans are recorded.
     fn drop(&mut self) {
         self.teardown();
     }
@@ -1197,7 +1122,6 @@ mod tests {
         use bcc_trace::TraceLevel;
         let span = |rounds: u64, frames: u64| SessionSpan {
             n: 4,
-            nodes: 2,
             rounds,
             frames,
             symbols: frames,
@@ -1293,7 +1217,6 @@ mod tests {
         let store = TelemetryStore::new();
         let span = SessionSpan {
             n: 4,
-            nodes: 2,
             rounds: 1,
             frames: 2,
             symbols: 2,

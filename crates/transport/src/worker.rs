@@ -1,25 +1,21 @@
 //! The worker side of the multi-process backend: a blocking JSONL
 //! read loop over one TCP connection to the coordinator.
 //!
-//! A worker is pure routing — it holds each open session's node range
-//! and routes, and answers every `round` command with one symbol
-//! string per owned node: the messages of the node's peers, taken
-//! from the full outbox it was sent and concatenated in port order.
-//! It never looks at a clock, never touches the simulation state, and
-//! counts nothing: the coordinator tallies each rank's traffic from
-//! the views it reads (DESIGN.md §15). A `close` drops the session
-//! and is not answered. Every other command is answered once, in the
-//! order the commands arrived. A session may stack many independent
-//! runs into one plan (the batched engine's lanes); to the worker it
-//! is just a plan with more rows.
+//! A worker is one rank of the board's scatter and gather: it answers
+//! every `round` command with a `view` carrying the segment of the
+//! board it was sent, the broadcasts of the sender rows it owns that
+//! round. It keeps no routes and no per-session state, never looks at
+//! a clock, never touches the simulation state, and counts nothing:
+//! the coordinator tallies each rank's traffic from the views it reads
+//! (DESIGN.md §15). Every command is answered once, in the order the
+//! commands arrived. A batch's rows are its lanes' vertices side by
+//! side; to the worker they are just rows.
 //!
 //! EOF on the command stream is a clean shutdown (the coordinator
 //! dropped the group); every malformed or unserviceable command is
 //! answered with a wire-level `error` reply rather than a crash.
 
 use crate::wire::{self, Command, Reply};
-use bcc_model::Message;
-use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
@@ -32,12 +28,6 @@ use std::net::TcpStream;
 /// fault injection surfaces as a spawn error instead of injecting
 /// nothing.
 pub const EXIT_AFTER_ENV: &str = "BCC_TRANSPORT_WORKER_EXIT_AFTER";
-
-struct Session {
-    n: usize,
-    /// `routes[i]` = `(port_label, peer)` pairs of node `lo + i`.
-    routes: Vec<Vec<(u64, usize)>>,
-}
 
 /// Entry point for the worker process: `args` are the argv elements
 /// after the worker flag, i.e. `[port, rank]`. Returns the process
@@ -100,8 +90,6 @@ fn serve(port: u16, rank: usize) -> Result<(), String> {
     let mut reader = BufReader::new(stream);
     send(&mut writer, &Reply::Hello { rank })?;
 
-    let mut sessions: BTreeMap<u64, Session> = BTreeMap::new();
-
     loop {
         let mut line = String::new();
         let bytes = reader
@@ -112,19 +100,6 @@ fn serve(port: u16, rank: usize) -> Result<(), String> {
             return Ok(());
         }
         let reply = match wire::parse_command(line.trim_end()) {
-            Ok(Command::Open {
-                session,
-                n,
-                lo,
-                hi,
-                routes,
-            }) => match validate_open(n, lo, hi, &routes) {
-                Ok(()) => {
-                    sessions.insert(session, Session { n, routes });
-                    Reply::Ok { session }
-                }
-                Err(detail) => Reply::Error { detail },
-            },
             Ok(Command::Round {
                 session,
                 round,
@@ -137,15 +112,13 @@ fn serve(port: u16, rank: usize) -> Result<(), String> {
                     }
                     *left -= 1;
                 }
-                match handle_round(&sessions, session, round, &outbox) {
-                    Ok(reply) => reply,
-                    Err(detail) => Reply::Error { detail },
+                // The rank's segment of the board is the broadcasts
+                // it was sent.
+                Reply::View {
+                    session,
+                    round,
+                    board: outbox,
                 }
-            }
-            Ok(Command::Close { session }) => {
-                // One-way: a `close` gets no reply.
-                sessions.remove(&session);
-                continue;
             }
             Ok(Command::Shutdown) => {
                 // Best-effort goodbye: the coordinator may already
@@ -170,70 +143,6 @@ fn send(writer: &mut TcpStream, reply: &Reply) -> Result<(), String> {
         .map_err(|e| format!("write failed: {e}"))
 }
 
-/// Shape checks at open time, so round handling can trust the routes.
-fn validate_open(
-    n: usize,
-    lo: usize,
-    hi: usize,
-    routes: &[Vec<(u64, usize)>],
-) -> Result<(), String> {
-    if lo > hi || hi > n {
-        return Err(format!("bad node range {lo}..{hi} for n={n}"));
-    }
-    if routes.len() != hi - lo {
-        return Err(format!(
-            "got {} route rows for node range {lo}..{hi}",
-            routes.len()
-        ));
-    }
-    for ports in routes {
-        for &(_, peer) in ports {
-            if peer >= n {
-                return Err(format!("route peer {peer} out of range for n={n}"));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn handle_round(
-    sessions: &BTreeMap<u64, Session>,
-    session: u64,
-    round: usize,
-    outbox: &[Message],
-) -> Result<Reply, String> {
-    let s = sessions
-        .get(&session)
-        .ok_or_else(|| format!("round for unknown session {session}"))?;
-    if outbox.len() != s.n {
-        return Err(format!(
-            "outbox has {} entries for an instance with {} nodes",
-            outbox.len(),
-            s.n
-        ));
-    }
-    // Peers were range-checked at open and the outbox length just
-    // now, so indexing cannot fail. Only symbols are shipped: the
-    // coordinator restores labels from the routes it sent.
-    let width = outbox.first().map_or(0, Message::len);
-    let inboxes: Vec<String> = s
-        .routes
-        .iter()
-        .map(|ports| {
-            let mut text = String::with_capacity(ports.len() * width);
-            for &(_, peer) in ports {
-                wire::push_message(&mut text, &outbox[peer]);
-            }
-            text
-        })
-        .collect();
-    Ok(Reply::View {
-        session,
-        round,
-        inboxes,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,29 +159,5 @@ mod tests {
                 assert!(exit_after_for(bad, rank).is_err(), "{bad:?} on rank {rank}");
             }
         }
-    }
-
-    #[test]
-    fn view_line_of_a_half_slice_stays_compact() {
-        // A 24-vertex 1-bit round on two workers: rank 0 owns nodes
-        // 0..12, each hearing 23 peers on KT-0 ports labelled p + 1.
-        // Shipping a `[label,"m"]` pair per entry made this line
-        // 2448 B; one symbol string per node keeps it under 400 B.
-        let n = 24;
-        let routes: Vec<Vec<(u64, usize)>> = (0..12)
-            .map(|v| {
-                (0..n)
-                    .filter(|&peer| peer != v)
-                    .enumerate()
-                    .map(|(p, peer)| (p as u64 + 1, peer))
-                    .collect()
-            })
-            .collect();
-        let mut sessions = BTreeMap::new();
-        sessions.insert(1000, Session { n, routes });
-        let outbox: Vec<Message> = (0..n as u64).map(|v| Message::from_bits(v, 1)).collect();
-        let reply = handle_round(&sessions, 1000, 10, &outbox).unwrap();
-        let line = wire::render_reply(&reply);
-        assert!(line.len() <= 400, "{} B view line: {line}", line.len());
     }
 }

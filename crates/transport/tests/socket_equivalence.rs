@@ -2,12 +2,12 @@
 //! the same instance, algorithm, and coin, a run over worker
 //! subprocesses must be indistinguishable from a `LocalTransport`
 //! run — same decisions, same stats, same per-vertex transcripts.
-//! Workers ship symbols only and the coordinator restores labels and
-//! message boundaries from the routes, so the runs below cover what
-//! that restoration must get right: multi-symbol and silent messages,
-//! KT-1 labels past 2^53, and batched lanes retiring at different
-//! rounds, alone and with several threads' batches sharing one worker
-//! group, each round one locked round trip.
+//! Workers return their rows' segment of the board and the
+//! coordinator gathers the segments in rank order, so the runs below
+//! cover what that gather must get right: multi-symbol and silent
+//! messages, KT-1 labels past 2^53, and batched lanes retiring at
+//! different rounds, alone and with several threads' batches sharing
+//! one worker group, each round one locked round trip.
 
 use bcc_engine::BatchRun;
 use bcc_graphs::{generators, Graph};
@@ -105,7 +105,7 @@ impl NodeProgram for CountdownNode {
 
     fn receive(&mut self, round: usize, inbox: &Inbox) {
         self.round = round + 1;
-        for (label, m) in inbox.entries() {
+        for (label, m) in inbox.iter() {
             let ones = m.symbols().filter(|&s| s == Symbol::One).count() as u64;
             self.heard = self.heard.wrapping_add(label.wrapping_mul(ones));
         }

@@ -113,26 +113,16 @@ fn verify(
         .collect();
     let mut consistent = vec![true; n];
     for round in 0..t {
+        // The round's board: every vertex's claimed broadcast.
+        let board: Vec<Message> = labels
+            .iter()
+            .map(|l| l.get(round).cloned().unwrap_or_else(|| Message::silent(1)))
+            .collect();
         for (v, program) in programs.iter_mut().enumerate() {
-            let sent = program.broadcast(round).normalized(1);
-            let claimed = labels[v]
-                .get(round)
-                .cloned()
-                .unwrap_or_else(|| Message::silent(1));
-            if sent != claimed {
+            if program.broadcast(round).normalized(1) != board[v] {
                 consistent[v] = false;
             }
-            let entries: Vec<(u64, Message)> = (0..n - 1)
-                .map(|p| {
-                    let peer = instance.network().peer_of(v, p);
-                    let msg = labels[peer]
-                        .get(round)
-                        .cloned()
-                        .unwrap_or_else(|| Message::silent(1));
-                    (instance.network().port_label(v, p), msg)
-                })
-                .collect();
-            program.receive(round, &Inbox::new(entries));
+            program.receive(round, &Inbox::new(instance.routes().ports(v), &board));
         }
     }
     (0..n).all(|v| consistent[v] && programs[v].decide() == Decision::Yes)
