@@ -1,12 +1,13 @@
 //! Deterministic Borůvka-style connectivity over broadcast:
 //! `O(log² n)` rounds in `BCC(1)`, `O(log n)` rounds in `BCC(log n)`.
 
-use crate::problem::{components, yes_if, Problem};
+use crate::problem::{components, rank_of, yes_if, Problem};
 use bcc_graphs::UnionFind;
 use bcc_model::codec::{bits_needed, BitStream};
 use bcc_model::{
     Algorithm, Decision, Inbox, InitialKnowledge, KnowledgeMode, Message, NodeProgram,
 };
+use std::sync::Arc;
 
 /// Deterministic KT-1 connectivity/components via Borůvka phases,
 /// bandwidth-aware.
@@ -58,7 +59,7 @@ impl Algorithm for BoruvkaMinLabel {
             KnowledgeMode::Kt1,
             "BoruvkaMinLabel requires KT-1; wrap in Kt0Upgrade for KT-0"
         );
-        let max_id = init.all_ids.as_deref().and_then(<[u64]>::last);
+        let max_id = init.all_ids.and_then(|ids| ids.last());
         let max_id = max_id.copied().unwrap_or(init.id) as usize;
         let id_width = bits_needed(max_id + 1).max(bits_needed(init.n.max(2)));
         let mut node = BoruvkaNode {
@@ -69,7 +70,10 @@ impl Algorithm for BoruvkaMinLabel {
             stage: Stage::Labels,
             stream: BitStream::new(),
             labels: vec![init.id; init.n],
-            init,
+            id: init.id,
+            port_labels: Arc::clone(init.port_labels),
+            input_port_labels: Arc::clone(init.input_port_labels),
+            all_ids: init.all_ids.cloned(),
             done: false,
         };
         node.start_labels();
@@ -88,7 +92,12 @@ enum Stage {
 
 struct BoruvkaNode {
     problem: Problem,
-    init: InitialKnowledge,
+    id: u64,
+    port_labels: Arc<[u64]>,
+    /// Our neighbors' IDs, sorted.
+    input_port_labels: Arc<[u64]>,
+    /// All IDs, sorted (KT-1).
+    all_ids: Option<Arc<[u64]>>,
     /// Symbols per round.
     rate: usize,
     id_width: usize,
@@ -101,6 +110,10 @@ struct BoruvkaNode {
 }
 
 impl BoruvkaNode {
+    fn ids(&self) -> &[u64] {
+        self.all_ids.as_deref().unwrap_or_default()
+    }
+
     fn start_labels(&mut self) {
         self.stage = Stage::Labels;
         self.stream.begin(self.rate, self.id_width);
@@ -111,8 +124,8 @@ impl BoruvkaNode {
     /// neighbors, once their labels are known, and whether there is
     /// one (otherwise our own label stands in).
     fn proposal(&self) -> (u64, bool) {
-        let best = (self.init.input_port_labels.iter())
-            .filter_map(|&nid| Some(self.labels[self.init.rank_of(nid)?]))
+        let best = (self.input_port_labels.iter())
+            .filter_map(|&nid| Some(self.labels[rank_of(self.ids(), nid)?]))
             .filter(|&l| l != self.label)
             .min();
         match best {
@@ -125,16 +138,16 @@ impl BoruvkaNode {
     /// proposal stage. A label that did not arrive (a corrupt
     /// transcript) stops this vertex here, undecided.
     fn finish_labels(&mut self) {
-        for (port, &peer) in self.init.port_labels.iter().enumerate() {
+        for (port, &peer) in self.port_labels.iter().enumerate() {
             let (Some(rank), Some(label)) = (
-                self.init.rank_of(peer),
+                rank_of(self.ids(), peer),
                 self.stream.field(port, 0, self.id_width),
             ) else {
                 return;
             };
             self.labels[rank] = label;
         }
-        if let Some(me) = self.init.rank_of(self.init.id) {
+        if let Some(me) = rank_of(self.ids(), self.id) {
             self.labels[me] = self.label;
         }
         self.stage = Stage::Proposals;
@@ -154,9 +167,9 @@ impl BoruvkaNode {
             pairs.push((self.label, own));
         }
         let w = self.id_width;
-        for (port, &peer) in self.init.port_labels.iter().enumerate() {
+        for (port, &peer) in self.port_labels.iter().enumerate() {
             let (Some(rank), Some(to), Some(flag)) = (
-                self.init.rank_of(peer),
+                rank_of(self.ids(), peer),
                 self.stream.field(port, 0, w),
                 self.stream.field(port, w, 1),
             ) else {
@@ -170,14 +183,14 @@ impl BoruvkaNode {
             self.done = true;
             return;
         }
-        let rank = |id: u64| self.init.rank_of(id);
+        let ids = self.ids();
+        let rank = |id: u64| rank_of(ids, id);
         let mut uf = UnionFind::new(self.labels.len());
         for (a, b) in pairs {
             if let (Some(a), Some(b)) = (rank(a), rank(b)) {
                 uf.union(a, b);
             }
         }
-        let ids = self.init.all_ids.as_deref().unwrap_or_default();
         if let Some(me) = rank(self.label) {
             let my_root = uf.find(me);
             // The group always contains us, so the fallback never fires.

@@ -1,11 +1,12 @@
 //! The trivial baseline: broadcast the whole adjacency row.
 
-use crate::problem::{full_knowledge_answer, Problem};
+use crate::problem::{full_knowledge_answer, rank_of, Problem};
 use bcc_graphs::UnionFind;
 use bcc_model::codec::BitStream;
 use bcc_model::{
     Algorithm, Decision, Inbox, InitialKnowledge, KnowledgeMode, Message, NodeProgram,
 };
+use std::sync::Arc;
 
 /// KT-1 baseline (deterministic, exactly `n` rounds in `BCC(1)`):
 /// in round `j`, every vertex broadcasts the bit "is the vertex with
@@ -41,12 +42,16 @@ impl Algorithm for FullGraphBroadcast {
         // `j`-th smallest ID is our input-graph neighbor.
         let mut stream = BitStream::new();
         stream.begin(1, init.n);
-        for id in init.all_ids.as_deref().unwrap_or_default() {
+        for id in init.all_ids.map(|ids| &ids[..]).unwrap_or_default() {
             stream.push(u64::from(init.input_port_labels.contains(id)), 1);
         }
         Box::new(FullBroadcastNode {
             problem: self.problem,
-            init,
+            id: init.id,
+            n: init.n,
+            port_labels: Arc::clone(init.port_labels),
+            input_port_labels: Arc::clone(init.input_port_labels),
+            all_ids: init.all_ids.cloned(),
             stream,
             answer: None,
         })
@@ -55,7 +60,13 @@ impl Algorithm for FullGraphBroadcast {
 
 struct FullBroadcastNode {
     problem: Problem,
-    init: InitialKnowledge,
+    id: u64,
+    n: usize,
+    port_labels: Arc<[u64]>,
+    /// Our neighbors' IDs, sorted.
+    input_port_labels: Arc<[u64]>,
+    /// All IDs, sorted (KT-1).
+    all_ids: Option<Arc<[u64]>>,
     /// Our row out, every sender's row in.
     stream: BitStream,
     /// The decision and component label, once every row is in.
@@ -69,16 +80,16 @@ impl FullBroadcastNode {
     /// undecided. Both endpoints report an edge, and joining it twice
     /// changes nothing.
     fn decode(&self) -> Option<(Decision, Option<u64>)> {
-        let init = &self.init;
-        let mut edges = UnionFind::new(init.n);
-        for (port, &sender) in init.port_labels.iter().enumerate() {
-            let u = init.rank_of(sender)?;
+        let ids = self.all_ids.as_deref().unwrap_or_default();
+        let mut edges = UnionFind::new(self.n);
+        for (port, &sender) in self.port_labels.iter().enumerate() {
+            let u = rank_of(ids, sender)?;
             let row = self.stream.payload(port)?;
-            for j in (0..init.n).filter(|&j| row[j / 64] >> (j % 64) & 1 == 1) {
+            for j in (0..self.n).filter(|&j| row[j / 64] >> (j % 64) & 1 == 1) {
                 edges.union(u, j);
             }
         }
-        full_knowledge_answer(self.problem, edges, init)
+        full_knowledge_answer(self.problem, edges, self.id, &self.input_port_labels, ids)
     }
 }
 

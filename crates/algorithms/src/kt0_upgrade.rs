@@ -4,6 +4,7 @@ use bcc_model::codec::{bits_needed, BitStream};
 use bcc_model::{
     Algorithm, Decision, Inbox, InitialKnowledge, KnowledgeMode, Message, NodeProgram,
 };
+use std::sync::Arc;
 
 /// Wraps any KT-1 algorithm so it runs on KT-0 instances: a prologue of
 /// `⌈log₂ n⌉` rounds in which every vertex broadcasts its ID bit-serially
@@ -50,7 +51,15 @@ struct UpgradeNode<A> {
     width: usize,
     /// The prologue: our ID out, every port's ID in.
     stream: BitStream,
-    outer: InitialKnowledge,
+    /// The outer knowledge the inner program's is built from: our ID,
+    /// `n`, the bandwidth and the public coin, and our KT-0 port
+    /// labels and sorted input-port labels.
+    id: u64,
+    n: usize,
+    bandwidth: usize,
+    coin_seed: u64,
+    port_labels: Arc<[u64]>,
+    input_port_labels: Arc<[u64]>,
     factory: A,
     /// The ID learned behind each port, in port order: the inner
     /// program's port labels.
@@ -73,7 +82,12 @@ impl<A: Algorithm> UpgradeNode<A> {
         UpgradeNode {
             width,
             stream,
-            outer: init,
+            id: init.id,
+            n: init.n,
+            bandwidth: init.bandwidth,
+            coin_seed: init.coin_seed,
+            port_labels: Arc::clone(init.port_labels),
+            input_port_labels: Arc::clone(init.input_port_labels),
             factory,
             port_ids: Vec::new(),
             inner: None,
@@ -84,7 +98,7 @@ impl<A: Algorithm> UpgradeNode<A> {
     /// whose ID did not arrive leaves it unspawned, so this vertex
     /// stays undecided.
     fn finish_prologue(&mut self) {
-        let ports = self.outer.port_labels.len();
+        let ports = self.port_labels.len();
         let Some(port_ids) = (0..ports)
             .map(|port| self.stream.field(port, 0, self.width))
             .collect::<Option<Vec<u64>>>()
@@ -93,25 +107,29 @@ impl<A: Algorithm> UpgradeNode<A> {
         };
         self.port_ids = port_ids;
         let mut all_ids = self.port_ids.clone();
-        all_ids.push(self.outer.id);
+        all_ids.push(self.id);
         all_ids.sort_unstable();
-        let input = &self.outer.input_port_labels;
-        let mut input_ids: Vec<u64> = (self.outer.port_labels.iter().zip(&self.port_ids))
+        let input = &self.input_port_labels;
+        let mut input_ids: Vec<u64> = (self.port_labels.iter().zip(&self.port_ids))
             .filter(|(l, _)| input.binary_search(l).is_ok())
             .map(|(_, &id)| id)
             .collect();
         input_ids.sort_unstable();
-        let inner_ik = InitialKnowledge {
-            id: self.outer.id,
-            n: self.outer.n,
-            bandwidth: self.outer.bandwidth,
+        // The inner knowledge's lists are ours; we lend them to its
+        // spawn, which clones what it keeps.
+        let port_labels: Arc<[u64]> = self.port_ids.as_slice().into();
+        let input_port_labels: Arc<[u64]> = input_ids.into();
+        let all_ids: Arc<[u64]> = all_ids.into();
+        self.inner = Some(self.factory.spawn(InitialKnowledge {
+            id: self.id,
+            n: self.n,
+            bandwidth: self.bandwidth,
             mode: KnowledgeMode::Kt1,
-            port_labels: self.port_ids.as_slice().into(),
-            input_port_labels: input_ids.into(),
-            all_ids: Some(all_ids.into()),
-            coin_seed: self.outer.coin_seed,
-        };
-        self.inner = Some(self.factory.spawn(inner_ik));
+            port_labels: &port_labels,
+            input_port_labels: &input_port_labels,
+            all_ids: Some(&all_ids),
+            coin_seed: self.coin_seed,
+        }));
     }
 }
 
@@ -154,7 +172,7 @@ impl<A: Algorithm + Clone> NodeProgram for UpgradeNode<A> {
 
     fn reset(&mut self, init: &InitialKnowledge) -> bool {
         let stream = std::mem::take(&mut self.stream);
-        *self = UpgradeNode::new(self.factory.clone(), init.clone(), stream);
+        *self = UpgradeNode::new(self.factory.clone(), *init, stream);
         true
     }
 }

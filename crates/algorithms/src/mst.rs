@@ -18,13 +18,14 @@
 //! `O(log² n)` rounds in `BCC(1)` — polylog, against the trivial
 //! `Θ(n)` baseline, and `O(log n)` rounds in `BCC(log n)`.
 
-use crate::problem::{components, yes_if};
+use crate::problem::{components, rank_of, yes_if};
 use bcc_graphs::weighted::hashed_weight;
 use bcc_graphs::UnionFind;
 use bcc_model::codec::{bits_needed, BitStream};
 use bcc_model::{
     Algorithm, Decision, Inbox, InitialKnowledge, KnowledgeMode, Message, NodeProgram,
 };
+use std::sync::Arc;
 
 /// Bits used to serialize an edge weight.
 const WEIGHT_BITS: usize = 40;
@@ -77,7 +78,8 @@ impl Algorithm for BoruvkaMst {
             forest: Vec::new(),
             proposal: None,
             stream: BitStream::new(),
-            init,
+            port_labels: Arc::clone(init.port_labels),
+            all_ids: init.all_ids.cloned(),
             done: false,
         };
         node.start_phase();
@@ -87,7 +89,9 @@ impl Algorithm for BoruvkaMst {
 
 struct MstNode {
     weight_seed: u64,
-    init: InitialKnowledge,
+    port_labels: Arc<[u64]>,
+    /// All IDs, sorted (KT-1).
+    all_ids: Option<Arc<[u64]>>,
     n: usize,
     me: usize,
     neighbors: Vec<usize>,
@@ -107,7 +111,7 @@ struct MstNode {
 
 impl MstNode {
     fn ids(&self) -> &[u64] {
-        self.init.all_ids.as_deref().unwrap_or_default()
+        self.all_ids.as_deref().unwrap_or_default()
     }
 
     /// Our minimum-weight incident edge leaving the current component.
@@ -135,8 +139,8 @@ impl MstNode {
     fn proposals(&self) -> Vec<(usize, Option<(u64, usize)>)> {
         let mut proposals = Vec::with_capacity(self.n);
         proposals.push((self.me, self.proposal));
-        for (port, &peer) in self.init.port_labels.iter().enumerate() {
-            let Some(sender) = self.init.rank_of(peer) else {
+        for (port, &peer) in self.port_labels.iter().enumerate() {
+            let Some(sender) = rank_of(self.ids(), peer) else {
                 continue;
             };
             let field = |offset, width| self.stream.field(port, offset, width);

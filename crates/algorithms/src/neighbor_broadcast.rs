@@ -1,12 +1,13 @@
 //! The tightness witness: `O((d_max + 1)·log n)` deterministic KT-1
 //! connectivity.
 
-use crate::problem::{full_knowledge_answer, Problem};
+use crate::problem::{full_knowledge_answer, rank_of, Problem};
 use bcc_graphs::UnionFind;
 use bcc_model::codec::{bits_needed, BitStream};
 use bcc_model::{
     Algorithm, Decision, Inbox, InitialKnowledge, KnowledgeMode, Message, NodeProgram,
 };
+use std::sync::Arc;
 
 /// Deterministic KT-1 algorithm: phase 1 broadcasts every vertex's
 /// degree (`⌈log₂ n⌉` rounds); phase 2 broadcasts every vertex's
@@ -47,7 +48,11 @@ impl Algorithm for NeighborIdBroadcast {
         stream.push(init.input_degree() as u64, width);
         Box::new(NeighborNode {
             problem: self.problem,
-            init,
+            id: init.id,
+            n: init.n,
+            port_labels: Arc::clone(init.port_labels),
+            input_port_labels: Arc::clone(init.input_port_labels),
+            all_ids: init.all_ids.cloned(),
             width,
             stream,
             degrees: None,
@@ -58,7 +63,13 @@ impl Algorithm for NeighborIdBroadcast {
 
 struct NeighborNode {
     problem: Problem,
-    init: InitialKnowledge,
+    id: u64,
+    n: usize,
+    port_labels: Arc<[u64]>,
+    /// Our neighbors' IDs, sorted: our own list.
+    input_port_labels: Arc<[u64]>,
+    /// All IDs, sorted (KT-1).
+    all_ids: Option<Arc<[u64]>>,
     width: usize,
     /// Phase 1 exchanges degrees, phase 2 neighbor-ID lists.
     stream: BitStream,
@@ -75,7 +86,7 @@ impl NeighborNode {
     /// arrive (a corrupt transcript) leaves this vertex in phase 1,
     /// silent and undecided.
     fn start_lists(&mut self) {
-        let ports = self.init.port_labels.len();
+        let ports = self.port_labels.len();
         let mut degrees = Vec::with_capacity(ports);
         for port in 0..ports {
             let Some(d) = self.stream.field(port, 0, self.width) else {
@@ -84,9 +95,9 @@ impl NeighborNode {
             degrees.push(d as usize);
         }
         let peer_max = degrees.iter().copied().max();
-        let d_max = peer_max.unwrap_or(0).max(self.init.input_degree());
+        let d_max = peer_max.unwrap_or(0).max(self.input_port_labels.len());
         self.stream.begin(1, d_max * self.width);
-        for &id in self.init.input_port_labels.iter() {
+        for &id in self.input_port_labels.iter() {
             self.stream.push(id, self.width);
         }
         self.degrees = Some(degrees);
@@ -99,16 +110,16 @@ impl NeighborNode {
     /// it twice changes nothing.
     fn decode(&self) -> Option<(Decision, Option<u64>)> {
         let degrees = self.degrees.as_ref()?;
-        let init = &self.init;
-        let mut edges = UnionFind::new(init.n);
-        for (port, (&sender, &d)) in init.port_labels.iter().zip(degrees).enumerate() {
-            let su = init.rank_of(sender)?;
+        let ids = self.all_ids.as_deref().unwrap_or_default();
+        let mut edges = UnionFind::new(self.n);
+        for (port, (&sender, &d)) in self.port_labels.iter().zip(degrees).enumerate() {
+            let su = rank_of(ids, sender)?;
             for slot in 0..d {
                 let id = self.stream.field(port, slot * self.width, self.width)?;
-                edges.union(su, init.rank_of(id)?);
+                edges.union(su, rank_of(ids, id)?);
             }
         }
-        full_knowledge_answer(self.problem, edges, init)
+        full_knowledge_answer(self.problem, edges, self.id, &self.input_port_labels, ids)
     }
 }
 
@@ -211,9 +222,12 @@ mod tests {
             "announcing"
         }
 
-        fn spawn(&self, mut init: InitialKnowledge) -> Box<dyn NodeProgram> {
-            init.input_port_labels = self.lists[init.id as usize].clone().into();
-            NeighborIdBroadcast::new(self.problem).spawn(init)
+        fn spawn(&self, init: InitialKnowledge) -> Box<dyn NodeProgram> {
+            let list: Arc<[u64]> = self.lists[init.id as usize].as_slice().into();
+            NeighborIdBroadcast::new(self.problem).spawn(InitialKnowledge {
+                input_port_labels: &list,
+                ..init
+            })
         }
     }
 

@@ -2,7 +2,7 @@
 //! algorithms that learn the whole input graph.
 
 use bcc_graphs::UnionFind;
-use bcc_model::{Decision, InitialKnowledge};
+use bcc_model::Decision;
 
 /// The problems studied by the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,23 +67,36 @@ pub(crate) fn components<L: Ord + Copy>(
     (distinct.len(), mine)
 }
 
-/// The answer of the vertex `init` describes once it knows the whole
-/// input graph: `edges` joins the endpoints (by rank) of every edge
-/// it heard of, and its own input edges are joined here. Returns its
-/// decision on `problem` and its component label, the minimum ID in
-/// its component; `None` if a neighbor ID is unknown or the IDs are
-/// not known (KT-0), which leaves the vertex undecided.
+/// The vertex index of `id`: its rank in the sorted KT-1 ID list
+/// `all_ids`, by binary search (what [`InitialKnowledge::rank_of`]
+/// reads, for a program that keeps the list instead of the
+/// knowledge). `None` for an ID no vertex has.
+///
+/// [`InitialKnowledge::rank_of`]: bcc_model::InitialKnowledge::rank_of
+pub(crate) fn rank_of(all_ids: &[u64], id: u64) -> Option<usize> {
+    all_ids.binary_search(&id).ok()
+}
+
+/// The answer of vertex `id` once it knows the whole input graph:
+/// `edges` joins the endpoints (by rank in `all_ids`) of every edge
+/// it heard of, and its own input edges, to `neighbor_ids`, are
+/// joined here. Returns its decision on `problem` and its component
+/// label, the minimum ID in its component; `None` if an ID is not in
+/// `all_ids` (in KT-0, where the IDs are unknown, the list is empty),
+/// which leaves the vertex undecided.
 pub(crate) fn full_knowledge_answer(
     problem: Problem,
     mut edges: UnionFind,
-    init: &InitialKnowledge,
+    id: u64,
+    neighbor_ids: &[u64],
+    all_ids: &[u64],
 ) -> Option<(Decision, Option<u64>)> {
-    let me = init.rank_of(init.id)?;
-    for &nid in init.input_port_labels.iter() {
-        edges.union(me, init.rank_of(nid)?);
+    let me = rank_of(all_ids, id)?;
+    for &nid in neighbor_ids {
+        edges.union(me, rank_of(all_ids, nid)?);
     }
     let roots: Vec<usize> = (0..edges.len()).map(|v| edges.find(v)).collect();
-    let (count, label) = components(&roots, init.all_ids.as_deref()?, me);
+    let (count, label) = components(&roots, all_ids, me);
     // On a fully known graph all four problems reduce to
     // connectivity: one cycle is a connected 2-regular graph, two or
     // more disjoint cycles are disconnected, and a promise violation
@@ -138,14 +151,29 @@ mod tests {
                 for &(a, b) in &edges {
                     heard.union(rank(a), rank(b));
                 }
+                let all_ids = init.all_ids.unwrap();
                 for problem in problems {
-                    let answer = full_knowledge_answer(problem, heard.clone(), &init);
+                    let answer = full_knowledge_answer(
+                        problem,
+                        heard.clone(),
+                        init.id,
+                        init.input_port_labels,
+                        all_ids,
+                    );
                     assert_eq!(answer, Some((decision, Some(label))), "{problem} v{v}");
                 }
             }
             // Without the IDs (KT-0) nothing can be answered.
-            let kt0 = Instance::new_kt0(g, 0).unwrap().initial_knowledge(0, 1, 0);
-            let answer = full_knowledge_answer(Problem::Connectivity, UnionFind::new(5), &kt0);
+            let kt0_instance = Instance::new_kt0(g, 0).unwrap();
+            let kt0 = kt0_instance.initial_knowledge(0, 1, 0);
+            assert_eq!(kt0.all_ids, None);
+            let answer = full_knowledge_answer(
+                Problem::Connectivity,
+                UnionFind::new(5),
+                kt0.id,
+                kt0.input_port_labels,
+                &[],
+            );
             assert_eq!(answer, None);
         }
     }

@@ -19,12 +19,13 @@ mod l0;
 
 pub use l0::{Decode, L0Sketch};
 
-use crate::problem::{components, yes_if, Problem};
+use crate::problem::{components, rank_of, yes_if, Problem};
 use bcc_graphs::UnionFind;
 use bcc_model::codec::BitStream;
 use bcc_model::{
     Algorithm, Decision, Inbox, InitialKnowledge, KnowledgeMode, Message, NodeProgram,
 };
+use std::sync::Arc;
 
 /// The edge-slot index of the pair `i < j` among the `C(n,2)`
 /// lexicographically ordered pairs.
@@ -103,7 +104,9 @@ impl Algorithm for SketchConnectivity {
             phase: 0,
             max_phases,
             stream: BitStream::new(),
-            init,
+            coin_seed: init.coin_seed,
+            port_labels: Arc::clone(init.port_labels),
+            all_ids: init.all_ids.cloned(),
             done: false,
             decision: Decision::Undecided,
         };
@@ -114,7 +117,10 @@ impl Algorithm for SketchConnectivity {
 
 struct SketchNode {
     problem: Problem,
-    init: InitialKnowledge,
+    coin_seed: u64,
+    port_labels: Arc<[u64]>,
+    /// All IDs, sorted (KT-1).
+    all_ids: Option<Arc<[u64]>>,
     n: usize,
     me: usize,
     /// Symbols per round.
@@ -137,14 +143,13 @@ impl SketchNode {
     }
 
     fn phase_seed(&self) -> u64 {
-        self.init
-            .coin_seed
+        self.coin_seed
             .wrapping_mul(0x2545f4914f6cdd1d)
             .wrapping_add(self.phase as u64)
     }
 
     fn ids(&self) -> &[u64] {
-        self.init.all_ids.as_deref().unwrap_or_default()
+        self.all_ids.as_deref().unwrap_or_default()
     }
 
     fn my_sketch(&self) -> L0Sketch {
@@ -173,8 +178,8 @@ impl SketchNode {
         let m = self.m();
         let mut sketches: Vec<Option<L0Sketch>> = vec![None; self.n];
         sketches[self.me] = Some(self.my_sketch());
-        for (port, &peer) in self.init.port_labels.iter().enumerate() {
-            let (Some(pos), Some(words)) = (self.init.rank_of(peer), self.stream.payload(port))
+        for (port, &peer) in self.port_labels.iter().enumerate() {
+            let (Some(pos), Some(words)) = (rank_of(self.ids(), peer), self.stream.payload(port))
             else {
                 continue;
             };

@@ -13,8 +13,9 @@ use bcc_algorithms::{
 };
 use bcc_graphs::{generators, Graph};
 use bcc_model::testing::IdBroadcast;
-use bcc_model::{Algorithm, Decision, Inbox, Instance, Message, NodeProgram};
+use bcc_model::{Algorithm, Decision, Inbox, InitialKnowledge, Instance, Message, NodeProgram};
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// How each vertex's ports are laid out.
 #[derive(Debug, Clone, Copy)]
@@ -67,9 +68,11 @@ fn run(
         .iter()
         .enumerate()
         .map(|(v, row)| {
-            let mut init = instance.initial_knowledge(v, bandwidth, 7);
-            init.port_labels = row.iter().map(|&(label, _)| label).collect();
-            algorithm.spawn(init)
+            let labels: Arc<[u64]> = row.iter().map(|&(label, _)| label).collect();
+            algorithm.spawn(InitialKnowledge {
+                port_labels: &labels,
+                ..instance.initial_knowledge(v, bandwidth, 7)
+            })
         })
         .collect();
     let mut transcript = Vec::new();

@@ -17,6 +17,7 @@ use bcc_model::{
     Algorithm, Decision, Inbox, InitialKnowledge, KnowledgeMode, Message, NodeProgram,
 };
 use bcc_partitions::SetPartition;
+use std::sync::Arc;
 
 /// The outcome of a two-party simulation.
 #[derive(Debug, Clone)]
@@ -45,14 +46,14 @@ impl SimulationReport {
     }
 }
 
-/// Builds the initial knowledge of vertex `v` from the edges a party
-/// knows (its own plus the shared matching).
-fn knowledge_for(
+/// The port labels and sorted input-port labels of vertex `v`, from
+/// the edges a party knows (its own plus the shared matching): in
+/// KT-1, vertex `v` hears vertex `w` on the port labelled `w`.
+fn labels_for(
     v: usize,
     num_vertices: usize,
     known_edges: &[(usize, usize)],
-    coin_seed: u64,
-) -> InitialKnowledge {
+) -> (Arc<[u64]>, Arc<[u64]>) {
     let mut neighbor_ids: Vec<u64> = known_edges
         .iter()
         .filter_map(|&(a, b)| {
@@ -67,19 +68,10 @@ fn knowledge_for(
         .collect();
     neighbor_ids.sort_unstable();
     neighbor_ids.dedup();
-    let port_labels: Vec<u64> = (0..num_vertices as u64)
+    let port_labels = (0..num_vertices as u64)
         .filter(|&w| w != v as u64)
         .collect();
-    InitialKnowledge {
-        id: v as u64,
-        n: num_vertices,
-        bandwidth: 1,
-        mode: KnowledgeMode::Kt1,
-        port_labels: port_labels.into(),
-        input_port_labels: neighbor_ids.into(),
-        all_ids: Some((0..num_vertices as u64).collect()),
-        coin_seed,
-    }
+    (port_labels, neighbor_ids.into())
 }
 
 /// Simulates `algorithm` on `G(P_A, P_B)` via the two-party protocol.
@@ -114,6 +106,9 @@ pub fn simulate_two_party(
     let mut bob_known = shared_edges(gadget, n);
     bob_known.extend(bob_edges(gadget, pb));
 
+    // Each party builds its hosted vertices' knowledge and lends it
+    // to the spawn; both know all IDs.
+    let all_ids: Arc<[u64]> = (0..num_vertices as u64).collect();
     let mut programs: Vec<Box<dyn NodeProgram>> = (0..num_vertices)
         .map(|v| {
             let known = if alice_range.contains(&v) {
@@ -121,11 +116,21 @@ pub fn simulate_two_party(
             } else {
                 &bob_known
             };
-            algorithm.spawn(knowledge_for(v, num_vertices, known, coin_seed))
+            let (port_labels, input_port_labels) = labels_for(v, num_vertices, known);
+            algorithm.spawn(InitialKnowledge {
+                id: v as u64,
+                n: num_vertices,
+                bandwidth: 1,
+                mode: KnowledgeMode::Kt1,
+                port_labels: &port_labels,
+                input_port_labels: &input_port_labels,
+                all_ids: Some(&all_ids),
+                coin_seed,
+            })
         })
         .collect();
     // Vertex `v` hears vertex `w` on the port labelled `w`: the KT-1
-    // wiring of `knowledge_for`, read through one plan every round.
+    // wiring of `labels_for`, read through one plan every round.
     let routes = Routes::from_ports(
         (0..num_vertices)
             .map(|v| {

@@ -12,13 +12,13 @@
 //! tests running in parallel in this binary cannot disturb each
 //! other's counts.
 
-use bcc_algorithms::{HashVoteDecider, NeighborIdBroadcast, Problem};
+use bcc_algorithms::{HashVoteDecider, Kt0Upgrade, NeighborIdBroadcast, Problem, Truncated};
 use bcc_comm::driver::DriverOpts;
 use bcc_comm::reduction::Gadget;
 use bcc_core::hard::{distributional_error, WeightedInstance};
 use bcc_engine::{simulate_two_party_batched, BatchRun, Lane, MAX_LANES};
 use bcc_graphs::generators;
-use bcc_model::{Decision, Instance, Message, RoundBuffers, SimConfig, Symbol};
+use bcc_model::{Algorithm, Decision, Instance, Message, RoundBuffers, SimConfig, Symbol};
 use bcc_partitions::SetPartition;
 use bcc_trace::Observer;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -226,7 +226,8 @@ fn scalar_sweep_lends_its_buffers_to_every_run() {
 /// Allocations of a warm chunk of a pooled
 /// `BatchRun::distributional_error` sweep, whatever its lane count:
 /// the transport. Its lanes are respawned from the sweep's pool and
-/// read the shared board, so a lane allocates nothing.
+/// read the shared board, so a lane allocates nothing: its programs'
+/// resets borrow their knowledge and reuse their buffers.
 const SWEEP_CHUNK: u64 = 1;
 
 #[test]
@@ -243,16 +244,27 @@ fn pooled_sweep_chunk_allocates_a_pinned_count() {
     let two: Vec<WeightedInstance> = dist.iter().chain(&dist).cloned().collect();
     let one_more: Vec<WeightedInstance> = dist.iter().chain(&dist[..1]).cloned().collect();
     let batch = BatchRun::new(SimConfig::bcc1(2).transcripts(false));
-    let algorithm = HashVoteDecider::new(2);
-    // Warm-up: every instance derives its start table and plan here.
-    for sweep in [&dist, &two, &one_more] {
-        batch.distributional_error(sweep, &algorithm, 5);
+    // The cheapest roster program, and the heaviest: the KT-0 upgrade
+    // of E2's roster, whose ID prologue outlasts the two rounds.
+    let hash_vote = HashVoteDecider::new(2);
+    let upgrade = Truncated::new(
+        Kt0Upgrade::new(NeighborIdBroadcast::new(Problem::TwoCycle)),
+        2,
+    );
+    let algorithms: [&dyn Algorithm; 2] = [&hash_vote, &upgrade];
+    for algorithm in algorithms {
+        // Warm-up: every instance derives its start table and plan
+        // here.
+        for sweep in [&dist, &two, &one_more] {
+            batch.distributional_error(sweep, algorithm, 5);
+        }
+        let (_, first) = allocations(|| batch.distributional_error(&dist, algorithm, 5));
+        let (_, full) = allocations(|| batch.distributional_error(&two, algorithm, 5));
+        let (_, single) = allocations(|| batch.distributional_error(&one_more, algorithm, 5));
+        let name = algorithm.name();
+        assert_eq!(full - first, SWEEP_CHUNK, "a warm 64-lane {name} chunk");
+        assert_eq!(single - first, SWEEP_CHUNK, "a warm 1-lane {name} chunk");
     }
-    let (_, first) = allocations(|| batch.distributional_error(&dist, &algorithm, 5));
-    let (_, full) = allocations(|| batch.distributional_error(&two, &algorithm, 5));
-    let (_, single) = allocations(|| batch.distributional_error(&one_more, &algorithm, 5));
-    assert_eq!(full - first, SWEEP_CHUNK, "a warm 64-lane chunk");
-    assert_eq!(single - first, SWEEP_CHUNK, "a warm 1-lane chunk");
 }
 
 /// Allocations of one warm two-party operation: 8 pairs of perfect

@@ -234,8 +234,9 @@ impl Instance {
     /// The initial knowledge of vertex `v` per Section 1.2: its ID,
     /// `n`, its port labels, which ports carry input edges, (KT-1) all
     /// IDs, and the shared random string (public-coin seed). The label
-    /// and ID slices come from the instance's start table, so on a
-    /// warm instance this allocates nothing.
+    /// and ID lists are borrowed from the instance's start table, so
+    /// on a warm instance this allocates nothing and touches no
+    /// reference count.
     ///
     /// # Panics
     ///
@@ -245,16 +246,16 @@ impl Instance {
         v: usize,
         bandwidth: usize,
         coin_seed: u64,
-    ) -> InitialKnowledge {
+    ) -> InitialKnowledge<'_> {
         let start = self.start();
         InitialKnowledge {
             id: self.network.id(v),
             n: self.num_vertices(),
             bandwidth,
             mode: self.mode(),
-            port_labels: Arc::clone(&start.port_labels[v]),
-            input_port_labels: Arc::clone(&start.input_port_labels[v]),
-            all_ids: start.all_ids.clone(),
+            port_labels: &start.port_labels[v],
+            input_port_labels: &start.input_port_labels[v],
+            all_ids: start.all_ids.as_ref(),
             coin_seed,
         }
     }
@@ -275,9 +276,9 @@ mod tests {
         assert_eq!(ik.coin_seed, 99);
         assert_eq!(ik.mode, KnowledgeMode::Kt1);
         // Vertex 0's cycle neighbors are 1 and 4; labels are their ids.
-        assert_eq!(*ik.input_port_labels, [1, 4]);
-        assert_eq!(ik.all_ids.as_deref(), Some(&[0, 1, 2, 3, 4][..]));
-        assert_eq!(*ik.port_labels, [1, 2, 3, 4]);
+        assert_eq!(**ik.input_port_labels, [1, 4]);
+        assert_eq!(ik.all_ids.map(|ids| &ids[..]), Some(&[0, 1, 2, 3, 4][..]));
+        assert_eq!(**ik.port_labels, [1, 2, 3, 4]);
     }
 
     #[test]
@@ -286,7 +287,7 @@ mod tests {
         let ik = i.initial_knowledge(2, 1, 0);
         assert_eq!(ik.mode, KnowledgeMode::Kt0);
         assert!(ik.all_ids.is_none());
-        assert_eq!(*ik.port_labels, [1, 2, 3, 4]);
+        assert_eq!(**ik.port_labels, [1, 2, 3, 4]);
         assert_eq!(ik.input_port_labels.len(), 2);
         // Input port labels are port numbers, not ids.
         for &l in ik.input_port_labels.iter() {
@@ -381,6 +382,6 @@ mod tests {
         let i = Instance::new_kt0(generators::cycle(5), 3).unwrap();
         let a = i.initial_knowledge(0, 1, 0);
         let b = i.initial_knowledge(4, 1, 9);
-        assert!(Arc::ptr_eq(&a.port_labels, &b.port_labels));
+        assert!(Arc::ptr_eq(a.port_labels, b.port_labels));
     }
 }

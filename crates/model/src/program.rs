@@ -37,15 +37,18 @@ impl Decision {
 /// `n`, the bandwidth, its port labels, which ports carry input-graph
 /// edges, all IDs (KT-1 only), and the shared random string.
 ///
-/// The label and ID lists are shared slices: an [`Instance`] derives
-/// them once and hands every run the same `Arc`s, so building a
-/// vertex's knowledge costs reference-count bumps, not copies. A
-/// program that wants its own `Vec` calls `.to_vec()`; a hand-built
-/// knowledge converts its vectors with `.into()`.
+/// The knowledge is a `Copy` borrow of its instance's start table: the
+/// label and ID lists are references to the `Arc`s an [`Instance`]
+/// derives once, so building a vertex's knowledge touches no reference
+/// count and allocates nothing, and reads auto-deref to `&[u64]`. A
+/// program that keeps a list past the call clones only that `Arc`
+/// (`Arc::clone(init.port_labels)`); one that wants its own `Vec`
+/// calls `.to_vec()`. Code that builds knowledge by hand owns the
+/// `Arc`s and lends them.
 ///
 /// [`Instance`]: crate::Instance
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InitialKnowledge {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InitialKnowledge<'a> {
     /// This vertex's unique ID.
     pub id: u64,
     /// Number of vertices in the network.
@@ -56,17 +59,17 @@ pub struct InitialKnowledge {
     pub mode: KnowledgeMode,
     /// The labels of the `n−1` ports, in port-index order. In KT-0
     /// these are `1..n−1`; in KT-1 they are the peer IDs.
-    pub port_labels: Arc<[u64]>,
+    pub port_labels: &'a Arc<[u64]>,
     /// Labels of the ports that carry input-graph edges, sorted.
-    pub input_port_labels: Arc<[u64]>,
+    pub input_port_labels: &'a Arc<[u64]>,
     /// All vertex IDs (sorted), available only in KT-1.
-    pub all_ids: Option<Arc<[u64]>>,
+    pub all_ids: Option<&'a Arc<[u64]>>,
     /// Seed of the shared (public-coin) random string; identical at
     /// every vertex, per the paper's public-coin convention.
     pub coin_seed: u64,
 }
 
-impl InitialKnowledge {
+impl<'a> InitialKnowledge<'a> {
     /// The degree of this vertex in the input graph.
     pub fn input_degree(&self) -> usize {
         self.input_port_labels.len()
@@ -75,9 +78,9 @@ impl InitialKnowledge {
     /// In KT-1, the IDs of the input-graph neighbors (equal to the
     /// input port labels). Returns `None` in KT-0, where neighbor IDs
     /// are unknown.
-    pub fn neighbor_ids(&self) -> Option<&[u64]> {
+    pub fn neighbor_ids(&self) -> Option<&'a [u64]> {
         match self.mode {
-            KnowledgeMode::Kt1 => Some(&self.input_port_labels),
+            KnowledgeMode::Kt1 => Some(self.input_port_labels),
             KnowledgeMode::Kt0 => None,
         }
     }
@@ -86,7 +89,7 @@ impl InitialKnowledge {
     /// found by binary search in the sorted `all_ids`. `None` in KT-0
     /// and for an ID no vertex has.
     pub fn rank_of(&self, id: u64) -> Option<usize> {
-        self.all_ids.as_deref()?.binary_search(&id).ok()
+        self.all_ids?.binary_search(&id).ok()
     }
 }
 
@@ -207,8 +210,10 @@ pub trait NodeProgram {
     /// returns for `init`. Returns `false` when it cannot, and the
     /// caller then spawns a fresh program in its place; that is the
     /// default. A sweep over many instances resets a warm lane's
-    /// programs instead of allocating new ones.
-    fn reset(&mut self, init: &InitialKnowledge) -> bool {
+    /// programs instead of allocating new ones. The knowledge is lent
+    /// for the call only: a program keeps what it reads as scalars,
+    /// or clones the one `Arc` it needs.
+    fn reset(&mut self, init: &InitialKnowledge<'_>) -> bool {
         let _ = init;
         false
     }
@@ -220,8 +225,11 @@ pub trait Algorithm {
     /// A short human-readable name for reports.
     fn name(&self) -> &str;
 
-    /// Spawns the program for one vertex.
-    fn spawn(&self, init: InitialKnowledge) -> Box<dyn NodeProgram>;
+    /// Spawns the program for one vertex. The knowledge is taken by
+    /// value but borrows the instance's start table, so the program
+    /// cannot keep it: it copies the scalars it needs and clones only
+    /// the `Arc`s it reads after the call.
+    fn spawn(&self, init: InitialKnowledge<'_>) -> Box<dyn NodeProgram>;
 }
 
 #[cfg(test)]
@@ -271,14 +279,19 @@ mod tests {
 
     #[test]
     fn initial_knowledge_helpers() {
+        let (ports, input, ids) = (
+            Arc::from([1, 2, 3, 4]),
+            Arc::from([2, 4]),
+            Arc::from([1, 2, 3, 4, 7]),
+        );
         let ik = InitialKnowledge {
             id: 7,
             n: 5,
             bandwidth: 1,
             mode: KnowledgeMode::Kt1,
-            port_labels: vec![1, 2, 3, 4].into(),
-            input_port_labels: vec![2, 4].into(),
-            all_ids: Some(vec![1, 2, 3, 4, 7].into()),
+            port_labels: &ports,
+            input_port_labels: &input,
+            all_ids: Some(&ids),
             coin_seed: 0,
         };
         assert_eq!(ik.input_degree(), 2);
@@ -294,14 +307,19 @@ mod tests {
 
     #[test]
     fn rank_of_is_the_position_among_all_ids() {
+        let (ports, input, ids) = (
+            Arc::from([3, 17, 99]),
+            Arc::from([17]),
+            Arc::from([3, 17, 40, 99]),
+        );
         let ik = InitialKnowledge {
             id: 40,
             n: 4,
             bandwidth: 1,
             mode: KnowledgeMode::Kt1,
-            port_labels: vec![3, 17, 99].into(),
-            input_port_labels: vec![17].into(),
-            all_ids: Some(vec![3, 17, 40, 99].into()),
+            port_labels: &ports,
+            input_port_labels: &input,
+            all_ids: Some(&ids),
             coin_seed: 0,
         };
         assert_eq!(

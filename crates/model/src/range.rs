@@ -67,8 +67,9 @@ pub trait RangeAlgorithm {
     /// Short name for reports.
     fn name(&self) -> &str;
 
-    /// Spawns one program.
-    fn spawn(&self, init: InitialKnowledge) -> Box<dyn RangeNodeProgram>;
+    /// Spawns one program, on knowledge borrowed from the instance's
+    /// start table (see [`Algorithm::spawn`](crate::Algorithm::spawn)).
+    fn spawn(&self, init: InitialKnowledge<'_>) -> Box<dyn RangeNodeProgram>;
 }
 
 /// The outcome of a range-model run.

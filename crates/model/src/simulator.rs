@@ -535,8 +535,9 @@ pub struct RunState {
 impl RunState {
     /// Spawns one program per vertex of `instance`, with the
     /// bandwidth and transcript recording of `cfg`. Each program's
-    /// knowledge comes from the instance's shared start table; with
-    /// recording off no transcripts are allocated.
+    /// knowledge is lent from the instance's shared start table, so
+    /// no reference count is touched on the way; with recording off
+    /// no transcripts are allocated.
     pub fn spawn(
         cfg: &SimConfig,
         instance: &Instance,

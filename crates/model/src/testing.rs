@@ -194,7 +194,7 @@ impl IdBroadcastNode {
         stream.begin(1, width);
         stream.push(init.id, width);
         IdBroadcastNode {
-            port_labels: init.port_labels,
+            port_labels: Arc::clone(init.port_labels),
             width,
             stream,
         }
