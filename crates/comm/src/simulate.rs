@@ -38,11 +38,7 @@ pub struct SimulationReport {
 impl SimulationReport {
     /// The system decision (YES iff all vertices vote YES).
     pub fn system_decision(&self) -> Decision {
-        if self.decisions.iter().all(|&d| d == Decision::Yes) {
-            Decision::Yes
-        } else {
-            Decision::No
-        }
+        Decision::system(self.decisions.iter().copied())
     }
 }
 

@@ -1,9 +1,11 @@
-//! Hand-rolled JSON serialization for job records, reduced reports,
-//! and run metrics — the JSONL sink behind `--json`.
+//! Hand-rolled JSON serialization for job records and reduced reports
+//! — the JSONL sink behind `--json`, whose final `metrics` record
+//! [`MetricsSnapshot::to_jsonl`](bcc_runner::MetricsSnapshot::to_jsonl)
+//! renders.
 
 use crate::job::{JobOutput, Report, Value};
 use bcc_metrics::json::escape;
-use bcc_runner::{JobResult, JobStatus, MetricsSnapshot};
+use bcc_runner::{JobResult, JobStatus};
 
 fn float_json(x: f64) -> String {
     if x.is_finite() {
@@ -106,13 +108,6 @@ pub fn report_record(report: &Report) -> String {
     ])
 }
 
-/// The final JSONL record of a run (`"type":"metrics"`) — the
-/// snapshot renders itself so the runner CLI-less callers and the
-/// experiment binary emit the exact same bytes.
-pub fn metrics_record(m: &MetricsSnapshot) -> String {
-    m.to_jsonl()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,18 +153,5 @@ mod tests {
         assert!(rec.contains("\"status\":\"completed\""));
         assert!(rec.contains("\"attempts\":1,"));
         assert!(rec.contains("\"error\":null"));
-    }
-
-    #[test]
-    fn metrics_record_shape() {
-        let m = bcc_runner::Metrics::new();
-        m.inc_scheduled();
-        m.inc_completed();
-        m.latency.record(std::time::Duration::from_micros(100));
-        let rec = metrics_record(&m.snapshot());
-        assert!(rec.contains("\"type\":\"metrics\""));
-        assert!(rec.contains("\"scheduled\":1"));
-        assert!(rec.contains("\"retried\":0,"));
-        assert!(rec.contains("\"count\":1"));
     }
 }

@@ -105,8 +105,8 @@ pub fn experiment(id: &str) -> Result<&'static Experiment, UnknownExperiment> {
 }
 
 /// The result of a run: per-experiment reports in request order, the
-/// raw per-job results (submission order), and the pool's metrics
-/// snapshot.
+/// raw per-job results (submission order), and their scheduler
+/// profile.
 #[derive(Debug)]
 pub struct SuiteRun {
     /// One reduced (possibly degraded) report per requested
@@ -114,7 +114,10 @@ pub struct SuiteRun {
     pub reports: Vec<Report>,
     /// Every job's structured result, in submission order.
     pub job_results: Vec<bcc_runner::JobResult<JobOutput>>,
-    /// Scheduler counters and latency histogram of the pool.
+    /// Scheduler counts and latency histogram of this run's jobs,
+    /// folded from [`job_results`](Self::job_results) by
+    /// [`MetricsSnapshot::of`](bcc_runner::MetricsSnapshot::of) — this
+    /// request's jobs only, even on a pool other requests share.
     pub metrics: bcc_runner::MetricsSnapshot,
     /// Artifact-cache lookups (hits + misses) made inside the
     /// completed jobs' work. Counted per job, so it is a pure function
@@ -404,8 +407,8 @@ impl RunRequest {
             .collect();
         SuiteRun {
             reports,
+            metrics: bcc_runner::MetricsSnapshot::of(&job_results),
             job_results,
-            metrics: pool.metrics().snapshot(),
             cache_lookups,
             trace: Collector::disabled().finish(),
             workload: MetricsDump::empty(MetricsLevel::Off),

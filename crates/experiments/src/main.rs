@@ -272,7 +272,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, ExitCode> {
             for report in &suite.reports {
                 writeln!(w, "{}", json::report_record(report))?;
             }
-            writeln!(w, "{}", json::metrics_record(&suite.metrics))?;
+            writeln!(w, "{}", suite.metrics.to_jsonl())?;
             let records = suite.job_results.len() + suite.reports.len() + 1;
             Ok(format!("{records} JSONL records"))
         })?;

@@ -1,10 +1,6 @@
-//! The shared fixed-bucket log₂ histogram: a concurrent atomic
-//! recorder (used by the runner's wall-clock profiling) and a plain
-//! snapshot (used both as the runner's point-in-time copy and as the
-//! in-buffer histogram of the deterministic metrics pipeline).
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+//! The shared fixed-bucket log₂ histogram: the runner's wall-clock
+//! latency profile and the in-buffer histogram of the deterministic
+//! metrics pipeline.
 
 /// Number of power-of-two buckets; bucket `i` covers `[2^i, 2^{i+1})`
 /// (bucket 0 additionally includes 0). At microsecond resolution the
@@ -21,71 +17,13 @@ fn bucket_index(value: u64) -> usize {
     }
 }
 
-/// A concurrent fixed-bucket log₂ histogram.
-///
-/// All operations are lock-free single atomics; `observe` never loses
-/// or double-counts a sample regardless of contention (each sample is
-/// exactly one `fetch_add` on exactly one bucket plus the aggregates).
-/// The unit of a sample is whatever the owner records — the runner
-/// feeds microseconds, the metrics buffers feed logical quantities.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; NUM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    pub fn observe(&self, value: u64) {
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Records one latency sample at microsecond resolution.
-    pub fn record(&self, latency: Duration) {
-        self.observe(latency.as_micros().min(u64::MAX as u128) as u64);
-    }
-
-    /// A point-in-time copy (exact once recording has quiesced).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = [0u64; NUM_BUCKETS];
-        for (out, b) in buckets.iter_mut().zip(&self.buckets) {
-            *out = b.load(Ordering::Relaxed);
-        }
-        HistogramSnapshot {
-            buckets,
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// An immutable (or single-owner) histogram: the snapshot of a
-/// [`Histogram`], and also the in-buffer histogram of the metrics
-/// pipeline — `observe` on a `&mut self` is a plain array increment,
-/// and `merge_from` is commutative and associative, so merging any
-/// permutation of buffers yields identical bytes.
+/// A single-owner fixed-bucket log₂ histogram: the runner's latency
+/// profile, and also the in-buffer histogram of the metrics pipeline —
+/// `observe` on a `&mut self` is a plain array increment, and
+/// `merge_from` is commutative and associative, so merging any
+/// permutation of buffers yields identical bytes. The unit of a sample
+/// is whatever the owner records — the runner feeds microseconds, the
+/// metrics buffers feed logical quantities.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket sample counts.
@@ -115,7 +53,7 @@ impl HistogramSnapshot {
         Self::default()
     }
 
-    /// Records one sample (single-owner path; no atomics).
+    /// Records one sample.
     pub fn observe(&mut self, value: u64) {
         let b = bucket_index(value);
         self.buckets[b] = self.buckets[b].saturating_add(1);
@@ -216,23 +154,11 @@ mod tests {
     }
 
     #[test]
-    fn atomic_and_plain_paths_agree() {
-        let atomic = Histogram::new();
-        let mut plain = HistogramSnapshot::empty();
-        for v in [0u64, 1, 5, 5, 1000, 1 << 40] {
-            atomic.observe(v);
-            plain.observe(v);
-        }
-        assert_eq!(atomic.snapshot(), plain);
-    }
-
-    #[test]
     fn record_and_quantiles() {
-        let h = Histogram::new();
+        let mut s = HistogramSnapshot::empty();
         for us in [1u64, 2, 4, 8, 1000, 100_000] {
-            h.record(Duration::from_micros(us));
+            s.observe(us);
         }
-        let s = h.snapshot();
         assert_eq!(s.count, 6);
         assert_eq!(s.sum, 101_015);
         assert_eq!(s.max, 100_000);

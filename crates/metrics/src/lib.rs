@@ -25,10 +25,9 @@
 //!   [`MetricsDump::parse_jsonl`]) and a compact text summary
 //!   ([`MetricsDump::summary`]), are the only code that turns metrics
 //!   into artifact bytes.
-//! - [`Histogram`] / [`HistogramSnapshot`]: the shared fixed-bucket
-//!   log₂ histogram. The atomic recorder serves the runner's
-//!   wall-clock profiling; the snapshot doubles as the in-buffer
-//!   histogram here.
+//! - [`HistogramSnapshot`]: the shared fixed-bucket log₂ histogram —
+//!   the in-buffer histogram here, and the latency profile the runner
+//!   folds from its job results.
 //! - [`json`]: a minimal JSON parser for reading dumps and the
 //!   committed `BENCH.json` ratios back (used by `bcc-report`).
 //!
@@ -68,6 +67,6 @@ pub mod json;
 mod level;
 
 pub use buf::{GaugeStat, MetricsBuf};
-pub use hist::{Histogram, HistogramSnapshot, NUM_BUCKETS};
+pub use hist::{HistogramSnapshot, NUM_BUCKETS};
 pub use hub::{MetricsDump, MetricsHub};
 pub use level::MetricsLevel;

@@ -24,7 +24,7 @@ pub enum Decision {
 impl Decision {
     /// The system decision per Section 1.2 over every vertex's
     /// decision: YES iff all of them are YES, otherwise NO.
-    pub(crate) fn system(mut decisions: impl Iterator<Item = Decision>) -> Decision {
+    pub fn system(mut decisions: impl Iterator<Item = Decision>) -> Decision {
         if decisions.all(|d| d == Decision::Yes) {
             Decision::Yes
         } else {

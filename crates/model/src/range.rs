@@ -88,11 +88,7 @@ pub struct RangeRunOutcome {
 impl RangeRunOutcome {
     /// The system decision (YES iff all vertices vote YES).
     pub fn system_decision(&self) -> Decision {
-        if self.decisions.iter().all(|&d| d == Decision::Yes) {
-            Decision::Yes
-        } else {
-            Decision::No
-        }
+        Decision::system(self.decisions.iter().copied())
     }
 }
 

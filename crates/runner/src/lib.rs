@@ -8,5 +8,5 @@ pub mod metrics;
 pub mod pool;
 
 pub use job::{CancellationToken, Job, JobCtx, JobError, JobResult, JobSpec, JobStatus};
-pub use metrics::{Metrics, MetricsSnapshot};
+pub use metrics::MetricsSnapshot;
 pub use pool::Pool;

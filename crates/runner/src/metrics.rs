@@ -1,5 +1,5 @@
-//! Run profiling: atomic scheduler counters and the wall-clock
-//! latency histogram, safe to record into from any number of workers.
+//! Run profiling: the scheduler profile of one `execute` call, folded
+//! from the results it returned.
 //!
 //! This is the runner's *profiling* side — scheduling outcomes and
 //! wall-clock latencies, which depend on the machine and the thread
@@ -7,88 +7,61 @@
 //! cache lookups) live in `bcc-metrics` and flow through
 //! [`MetricsHub`](bcc_metrics::MetricsHub) instead; the two must not
 //! mix, because a deterministic dump may not contain anything a clock
-//! or a scheduler decided. The histogram implementation itself is
-//! shared: [`Histogram`]/[`HistogramSnapshot`] are `bcc-metrics`
-//! types.
+//! or a scheduler decided. The histogram itself is shared:
+//! [`HistogramSnapshot`] is a `bcc-metrics` type.
 
-use bcc_metrics::{Histogram, HistogramSnapshot};
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::job::{JobError, JobResult, JobStatus};
+use bcc_metrics::HistogramSnapshot;
 
-/// Counters for everything the pool does, plus the latency histogram.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    scheduled: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    timed_out: AtomicU64,
-    cancelled: AtomicU64,
-    panicked: AtomicU64,
-    /// Per-job wall-clock latency (one sample per finished job).
-    pub latency: Histogram,
-}
-
-macro_rules! counter {
-    ($($inc:ident / $get:ident -> $field:ident),* $(,)?) => {$(
-        #[doc = concat!("Increments the `", stringify!($field), "` counter.")]
-        pub fn $inc(&self) {
-            self.$field.fetch_add(1, Ordering::Relaxed);
-        }
-        #[doc = concat!("Current `", stringify!($field), "` count.")]
-        pub fn $get(&self) -> u64 {
-            self.$field.load(Ordering::Relaxed)
-        }
-    )*};
-}
-
-impl Metrics {
-    /// Fresh, all-zero metrics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    counter! {
-        inc_scheduled / scheduled -> scheduled,
-        inc_completed / completed -> completed,
-        inc_failed / failed -> failed,
-        inc_timed_out / timed_out -> timed_out,
-        inc_cancelled / cancelled -> cancelled,
-        inc_panicked / panicked -> panicked,
-    }
-
-    /// A point-in-time copy of every counter and the histogram.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            scheduled: self.scheduled(),
-            completed: self.completed(),
-            failed: self.failed(),
-            timed_out: self.timed_out(),
-            cancelled: self.cancelled(),
-            panicked: self.panicked(),
-            latency: self.latency.snapshot(),
-        }
-    }
-}
-
-/// Immutable copy of [`Metrics`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Scheduler counts and the latency histogram of a batch of results.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Jobs handed to the pool.
     pub scheduled: u64,
     /// Jobs that produced an output in time.
     pub completed: u64,
-    /// Jobs whose final attempt errored or panicked.
+    /// Jobs whose attempt errored or panicked, or whose result was lost.
     pub failed: u64,
     /// Jobs that exceeded their wall-clock deadline.
     pub timed_out: u64,
     /// Jobs skipped because the run was cancelled first.
     pub cancelled: u64,
-    /// Attempts that panicked (isolated by `catch_unwind`).
+    /// Results that read `Failed(Panicked(_))`.
     pub panicked: u64,
-    /// Latency histogram snapshot (microsecond samples).
+    /// Latency of every job that ran (microsecond samples).
     pub latency: HistogramSnapshot,
 }
 
 impl MetricsSnapshot {
+    /// The profile of `results`: one count per status, `panicked` for
+    /// the results that read `Failed(Panicked(_))`, and the latency of
+    /// every job that ran (`attempts == 1`). A cancelled or lost job
+    /// reads 0 attempts, and its zero latency is not a sample.
+    pub fn of<T>(results: &[JobResult<T>]) -> MetricsSnapshot {
+        let mut m = MetricsSnapshot {
+            scheduled: results.len() as u64,
+            ..MetricsSnapshot::default()
+        };
+        for r in results {
+            match &r.status {
+                JobStatus::Completed(_) => m.completed += 1,
+                JobStatus::Failed(err) => {
+                    m.failed += 1;
+                    if matches!(err, JobError::Panicked(_)) {
+                        m.panicked += 1;
+                    }
+                }
+                JobStatus::TimedOut => m.timed_out += 1,
+                JobStatus::Cancelled => m.cancelled += 1,
+            }
+            if r.attempts == 1 {
+                m.latency
+                    .observe(r.latency.as_micros().min(u64::MAX as u128) as u64);
+            }
+        }
+        m
+    }
+
     /// Human-readable end-of-run summary.
     pub fn summary_table(&self) -> String {
         let l = &self.latency;
@@ -155,13 +128,19 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    fn completed(us: u64) -> JobResult<()> {
+        JobResult {
+            id: "j".into(),
+            seed: 0,
+            status: JobStatus::Completed(()),
+            attempts: 1,
+            latency: Duration::from_micros(us),
+        }
+    }
+
     #[test]
     fn jsonl_record_shape() {
-        let m = Metrics::new();
-        m.inc_scheduled();
-        m.inc_completed();
-        m.latency.record(Duration::from_micros(100));
-        let rec = m.snapshot().to_jsonl();
+        let rec = MetricsSnapshot::of(&[completed(100)]).to_jsonl();
         assert!(rec.starts_with("{\"type\":\"metrics\""));
         assert!(rec.ends_with("}}"));
         assert!(rec.contains("\"scheduled\":1"));
@@ -176,7 +155,7 @@ mod tests {
     fn empty_latency_jsonl_is_all_zero() {
         // Satellite pin: the empty histogram renders zeros (not NaN,
         // not nulls) through the shared schema.
-        let rec = Metrics::new().snapshot().to_jsonl();
+        let rec = MetricsSnapshot::of::<()>(&[]).to_jsonl();
         assert!(rec.contains(
             "\"latency\":{\"count\":0,\"mean_us\":0.0,\"p50_le_us\":0,\
              \"p90_le_us\":0,\"p99_le_us\":0,\"max_us\":0}"
@@ -185,11 +164,7 @@ mod tests {
 
     #[test]
     fn summary_table_renders() {
-        let m = Metrics::new();
-        m.inc_scheduled();
-        m.inc_completed();
-        m.latency.record(Duration::from_millis(3));
-        let t = m.snapshot().summary_table();
+        let t = MetricsSnapshot::of(&[completed(3000)]).summary_table();
         assert!(t.contains("scheduled"));
         assert!(t.contains("completed"));
         assert!(t.contains("\nattempts  retried        0  panicked       0  stolen    0\n"));

@@ -7,17 +7,15 @@
 //! would.
 
 use crate::job::{CancellationToken, Job, JobCtx, JobError, JobResult, JobStatus};
-use crate::metrics::Metrics;
 use bcc_metrics::{MetricsBuf, MetricsHub};
 use bcc_trace::{field, Collector, Observer, TraceBuf};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A fixed-width worker pool executing [`Job`]s.
 pub struct Pool {
     threads: usize,
-    metrics: Arc<Metrics>,
 }
 
 impl Pool {
@@ -25,13 +23,7 @@ impl Pool {
     pub fn new(threads: usize) -> Self {
         Pool {
             threads: threads.max(1),
-            metrics: Arc::new(Metrics::new()),
         }
-    }
-
-    /// The pool's metrics (shared across `execute` calls).
-    pub fn metrics(&self) -> Arc<Metrics> {
-        Arc::clone(&self.metrics)
     }
 
     /// Executes all jobs and returns their results **in submission
@@ -62,7 +54,8 @@ impl Pool {
     /// reading. The collector and hub merge by `(unit, seq)` and
     /// commutatively, so traces and dumps are byte-identical across
     /// `--jobs 1` and `--jobs 8` runs of the same suite. Wall-clock
-    /// profiling stays on the pool's own [`Metrics`].
+    /// profiling is a fold over the returned results:
+    /// [`MetricsSnapshot::of`](crate::MetricsSnapshot::of).
     pub fn execute<T: Send>(
         &self,
         jobs: Vec<Job<T>>,
@@ -70,16 +63,12 @@ impl Pool {
         collector: &Collector,
         hub: &MetricsHub,
     ) -> Vec<JobResult<T>> {
-        let metrics = &self.metrics;
         // Spec echoes, kept outside the queue so a slot no worker
         // fills degrades into a Failed result.
         let specs: Vec<(String, u64)> = jobs
             .iter()
             .map(|j| (j.spec.id.clone(), j.spec.seed))
             .collect();
-        for _ in &specs {
-            metrics.inc_scheduled();
-        }
         let workers = self.threads.min(specs.len());
         let queue = Mutex::new(jobs.into_iter().enumerate());
         let work = || {
@@ -93,10 +82,9 @@ impl Pool {
                 };
                 let handled = catch_unwind(AssertUnwindSafe(|| {
                     if token.is_cancelled() {
-                        metrics.inc_cancelled();
                         cancelled_result(&job)
                     } else {
-                        run_observed_job(&job, token, metrics, collector, hub)
+                        run_observed_job(&job, token, collector, hub)
                     }
                 }));
                 if let Ok(result) = handled {
@@ -123,9 +111,7 @@ impl Pool {
         results
             .into_iter()
             .zip(specs)
-            .map(|(r, (id, seed))| {
-                r.unwrap_or_else(|| lost_result(id, seed, metrics, collector, hub))
-            })
+            .map(|(r, (id, seed))| r.unwrap_or_else(|| lost_result(id, seed, collector, hub)))
             .collect()
     }
 }
@@ -134,15 +120,8 @@ impl Pool {
 /// work closure — reported as failed rather than failing the whole run.
 /// The buffers its handling had opened unwound with it, so the job's
 /// `job` span and `runner.*` counters are recorded afresh here: the
-/// trace and dump count the job as failed, as [`Metrics`] does.
-fn lost_result<T>(
-    id: String,
-    seed: u64,
-    metrics: &Metrics,
-    collector: &Collector,
-    hub: &MetricsHub,
-) -> JobResult<T> {
-    metrics.inc_failed();
+/// trace and dump count the job as failed, as its result does.
+fn lost_result<T>(id: String, seed: u64, collector: &Collector, hub: &MetricsHub) -> JobResult<T> {
     let result = JobResult {
         id,
         seed,
@@ -173,7 +152,6 @@ fn cancelled_result<T>(job: &Job<T>) -> JobResult<T> {
 fn run_observed_job<T>(
     job: &Job<T>,
     run_token: &CancellationToken,
-    metrics: &Metrics,
     collector: &Collector,
     hub: &MetricsHub,
 ) -> JobResult<T> {
@@ -181,7 +159,7 @@ fn run_observed_job<T>(
     // With tracing and metrics both off this is `Observer::off()`:
     // no lock and no shared allocation per job.
     let observer = Observer::new(buf, hub.buf(job.spec.id.clone()));
-    let result = run_job(job, run_token, metrics, &observer);
+    let result = run_job(job, run_token, &observer);
     let (buf, mbuf) = observer.take();
     close_job(buf, mbuf, &result, collector, hub);
     result
@@ -223,13 +201,8 @@ fn close_job<T>(
 }
 
 /// Runs one job to its terminal state on the current thread: one
-/// attempt, deadline accounting, panic isolation, metrics booking.
-fn run_job<T>(
-    job: &Job<T>,
-    run_token: &CancellationToken,
-    metrics: &Metrics,
-    observer: &Observer,
-) -> JobResult<T> {
+/// attempt, deadline accounting, panic isolation.
+fn run_job<T>(job: &Job<T>, run_token: &CancellationToken, observer: &Observer) -> JobResult<T> {
     let started = Instant::now();
     let deadline = job.spec.timeout.map(|t| started + t);
     let ctx = JobCtx {
@@ -239,9 +212,6 @@ fn run_job<T>(
         observer: observer.clone(),
     };
     let outcome = catch_unwind(AssertUnwindSafe(|| (job.work)(&ctx)));
-    if outcome.is_err() {
-        metrics.inc_panicked();
-    }
     let status = if deadline.is_some_and(|d| Instant::now() >= d) {
         JobStatus::TimedOut
     } else {
@@ -251,20 +221,12 @@ fn run_job<T>(
             Err(payload) => JobStatus::Failed(JobError::Panicked(panic_message(payload.as_ref()))),
         }
     };
-    let latency = started.elapsed();
-    metrics.latency.record(latency);
-    match &status {
-        JobStatus::Completed(_) => metrics.inc_completed(),
-        JobStatus::Failed(_) => metrics.inc_failed(),
-        JobStatus::TimedOut => metrics.inc_timed_out(),
-        JobStatus::Cancelled => metrics.inc_cancelled(),
-    }
     JobResult {
         id: job.spec.id.clone(),
         seed: job.spec.seed,
         status,
         attempts: 1,
-        latency,
+        latency: started.elapsed(),
     }
 }
 

@@ -1,63 +1,79 @@
-//! Property tests for the metrics layer: concurrent recording must
-//! never lose or double-count a sample.
+//! Property tests for the scheduler profile: the fold over a batch of
+//! results counts every result once and times exactly the jobs that ran.
 
-use bcc_runner::Metrics;
+use bcc_metrics::HistogramSnapshot;
+use bcc_runner::{JobError, JobResult, JobStatus, MetricsSnapshot};
 use proptest::prelude::*;
-use std::sync::Arc;
 use std::time::Duration;
 
+/// A result of kind `kind`: 0 completed, 1 failed, 2 panicked,
+/// 3 timed out (these four ran once), 4 cancelled, 5 lost (never ran).
+fn result(kind: u8, us: u64) -> JobResult<u64> {
+    let (status, attempts) = match kind {
+        0 => (JobStatus::Completed(us), 1),
+        1 => (JobStatus::Failed(JobError::Fatal("err".into())), 1),
+        2 => (JobStatus::Failed(JobError::Panicked("boom".into())), 1),
+        3 => (JobStatus::TimedOut, 1),
+        4 => (JobStatus::Cancelled, 0),
+        _ => (JobStatus::Failed(JobError::Fatal("lost".into())), 0),
+    };
+    JobResult {
+        id: format!("k{kind}"),
+        seed: 0,
+        status,
+        attempts,
+        latency: if attempts == 1 {
+            Duration::from_micros(us)
+        } else {
+            Duration::ZERO
+        },
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..Default::default() })]
+    #![proptest_config(ProptestConfig { cases: 64, ..Default::default() })]
 
     #[test]
-    fn histogram_and_counters_are_exact_under_concurrency(
-        latencies in proptest::collection::vec(0u64..10_000_000u64, 1..200),
-        threads in 1usize..6,
+    fn the_fold_counts_every_result_and_times_every_job_that_ran(
+        mix in proptest::collection::vec((0u8..6, 0u64..10_000_000u64), 0..200),
     ) {
-        let metrics = Arc::new(Metrics::new());
-        let chunk = latencies.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for part in latencies.chunks(chunk) {
-                let metrics = Arc::clone(&metrics);
-                scope.spawn(move || {
-                    for &us in part {
-                        metrics.latency.record(Duration::from_micros(us));
-                        metrics.inc_completed();
-                        metrics.inc_scheduled();
-                    }
-                });
-            }
-        });
-        let snap = metrics.snapshot();
-        let n = latencies.len() as u64;
-        // No sample lost, none double-counted: the total count, the
-        // per-bucket sum, and every counter agree exactly.
-        prop_assert_eq!(snap.latency.count, n);
-        prop_assert_eq!(snap.latency.buckets.iter().sum::<u64>(), n);
-        prop_assert_eq!(snap.latency.sum, latencies.iter().sum::<u64>());
-        prop_assert_eq!(snap.latency.max, *latencies.iter().max().unwrap());
-        prop_assert_eq!(snap.completed, n);
-        prop_assert_eq!(snap.scheduled, n);
-        prop_assert_eq!(snap.failed, 0);
+        let results: Vec<_> = mix.iter().map(|&(k, us)| result(k, us)).collect();
+        let m = MetricsSnapshot::of(&results);
+        let kinds = |ks: &[u8]| mix.iter().filter(|(k, _)| ks.contains(k)).count() as u64;
+        prop_assert_eq!(m.scheduled, mix.len() as u64);
+        prop_assert_eq!(
+            m.completed + m.failed + m.timed_out + m.cancelled,
+            m.scheduled
+        );
+        prop_assert_eq!(m.completed, kinds(&[0]));
+        prop_assert_eq!(m.failed, kinds(&[1, 2, 5]));
+        prop_assert_eq!(m.panicked, kinds(&[2]));
+        prop_assert_eq!(m.timed_out, kinds(&[3]));
+        prop_assert_eq!(m.cancelled, kinds(&[4]));
+        // Exactly the jobs that ran are samples; sum and max are exact.
+        let ran: Vec<u64> = mix.iter().filter(|(k, _)| *k < 4).map(|&(_, us)| us).collect();
+        prop_assert_eq!(m.latency.count, ran.len() as u64);
+        prop_assert_eq!(m.latency.buckets.iter().sum::<u64>(), m.latency.count);
+        prop_assert_eq!(m.latency.sum, ran.iter().sum::<u64>());
+        prop_assert_eq!(m.latency.max, ran.iter().copied().max().unwrap_or(0));
     }
 
     #[test]
     fn quantile_bounds_bracket_every_sample(
         latencies in proptest::collection::vec(0u64..1_000_000u64, 1..100),
     ) {
-        let metrics = Metrics::new();
+        let mut h = HistogramSnapshot::empty();
         for &us in &latencies {
-            metrics.latency.record(Duration::from_micros(us));
+            h.observe(us);
         }
-        let snap = metrics.snapshot();
-        let p100 = snap.latency.quantile_upper(1.0);
+        let p100 = h.quantile_upper(1.0);
         // The p100 upper bound must dominate every recorded sample.
         for &us in &latencies {
             prop_assert!(p100 >= us, "p100 bound {} below sample {}", p100, us);
         }
         // Quantile upper bounds are monotone in q.
-        let p50 = snap.latency.quantile_upper(0.5);
-        let p90 = snap.latency.quantile_upper(0.9);
+        let p50 = h.quantile_upper(0.5);
+        let p90 = h.quantile_upper(0.9);
         prop_assert!(p50 <= p90 && p90 <= p100);
     }
 }

@@ -1,9 +1,11 @@
 //! End-to-end behavior of the one-queue pool: submission order,
 //! panic isolation (inside the job and around it), deadlines,
-//! cancellation, metrics accounting.
+//! cancellation, and the scheduler profile folded from the results.
 
 use bcc_metrics::{MetricsHub, MetricsLevel};
-use bcc_runner::{CancellationToken, Job, JobError, JobResult, JobSpec, JobStatus, Pool};
+use bcc_runner::{
+    CancellationToken, Job, JobError, JobResult, JobSpec, JobStatus, MetricsSnapshot, Pool,
+};
 use bcc_trace::{Collector, EventKind, FieldValue, TraceLevel};
 use std::time::Duration;
 
@@ -32,7 +34,7 @@ fn results_come_back_in_submission_order() {
         assert_eq!(r.status, JobStatus::Completed(i as u64 * 10));
         assert_eq!(r.attempts, 1);
     }
-    let m = pool.metrics().snapshot();
+    let m = MetricsSnapshot::of(&results);
     assert_eq!(m.scheduled, 50);
     assert_eq!(m.completed, 50);
     assert_eq!(m.failed + m.timed_out + m.cancelled, 0);
@@ -78,7 +80,7 @@ fn panics_are_isolated_to_their_job() {
         .filter(|r| matches!(r.status, JobStatus::Completed(_)))
         .count();
     assert_eq!(completed, 10, "every other job still completed");
-    let m = pool.metrics().snapshot();
+    let m = MetricsSnapshot::of(&results);
     assert_eq!(m.panicked, 1);
     assert_eq!(m.failed, 1);
     assert_eq!(m.completed, 10);
@@ -96,7 +98,7 @@ fn fatal_errors_are_not_retried() {
         results[0].status,
         JobStatus::Failed(JobError::Fatal(_))
     ));
-    assert_eq!(pool.metrics().snapshot().failed, 1);
+    assert_eq!(MetricsSnapshot::of(&results).failed, 1);
 }
 
 #[test]
@@ -116,9 +118,27 @@ fn overdue_jobs_are_reported_timed_out() {
     let results = execute(&pool, vec![slow, fast]);
     assert_eq!(results[0].status, JobStatus::TimedOut);
     assert_eq!(results[1].status, JobStatus::Completed(2));
-    let m = pool.metrics().snapshot();
+    let m = MetricsSnapshot::of(&results);
     assert_eq!(m.timed_out, 1);
     assert_eq!(m.completed, 1);
+}
+
+#[test]
+fn a_panic_past_the_deadline_reads_timed_out() {
+    let pool = Pool::new(1);
+    let late = Job::new(
+        JobSpec::new("late-panic", 0).with_timeout(Duration::from_millis(5)),
+        |_ctx| -> Result<u64, JobError> {
+            std::thread::sleep(Duration::from_millis(40));
+            panic!("panicked after its deadline");
+        },
+    );
+    let results = execute(&pool, vec![late]);
+    assert_eq!(results[0].status, JobStatus::TimedOut);
+    assert_eq!(results[0].attempts, 1);
+    let m = MetricsSnapshot::of(&results);
+    assert_eq!((m.timed_out, m.panicked, m.failed), (1, 0, 0));
+    assert_eq!(m.latency.count, 1);
 }
 
 #[test]
@@ -157,7 +177,7 @@ fn cancelled_token_skips_unstarted_jobs() {
         &MetricsHub::disabled(),
     );
     assert!(results.iter().all(|r| r.status == JobStatus::Cancelled));
-    let m = pool.metrics().snapshot();
+    let m = MetricsSnapshot::of(&results);
     assert_eq!(m.cancelled, 6);
     assert_eq!(m.completed, 0);
 }
@@ -167,7 +187,7 @@ fn empty_job_list_is_fine() {
     let pool = Pool::new(4);
     let results: Vec<JobResult<u64>> = execute(&pool, Vec::new());
     assert!(results.is_empty());
-    assert_eq!(pool.metrics().snapshot().scheduled, 0);
+    assert_eq!(MetricsSnapshot::of(&results).scheduled, 0);
 }
 
 #[test]
@@ -189,7 +209,7 @@ fn imbalanced_loads_all_complete() {
     assert!(results
         .iter()
         .all(|r| matches!(r.status, JobStatus::Completed(_))));
-    let m = pool.metrics().snapshot();
+    let m = MetricsSnapshot::of(&results);
     assert_eq!(m.completed, 32);
 }
 
@@ -236,9 +256,11 @@ fn a_panic_outside_the_job_body_fails_only_that_job() {
             .map(|i| (format!("ok{i}"), Some(i * 10)))
             .collect();
         assert_eq!(others, expected, "threads={threads}");
-        let m = pool.metrics().snapshot();
+        let m = MetricsSnapshot::of(&results);
         assert_eq!(m.scheduled, m.completed + m.failed, "threads={threads}");
         assert_eq!((m.completed, m.failed), (10, 1), "threads={threads}");
+        // Its closure panicked, but its result reads `Failed(Fatal)`.
+        assert_eq!(m.panicked, 0, "threads={threads}");
         // The lost job still leaves a balanced `job` span and its
         // counters in the deterministic artifacts.
         let trace = collector.finish();

@@ -18,7 +18,7 @@ use crate::admission::{Admission, CancelOutcome, Popped, Ticket};
 use crate::proto::{Reject, ResultMsg, ResultStatus, StatsMsg, SubmitReq};
 use bcc_experiments::{cache, RunRequest};
 use bcc_metrics::{MetricsHub, MetricsLevel};
-use bcc_runner::{CancellationToken, JobStatus, Pool};
+use bcc_runner::{CancellationToken, Pool};
 use bcc_trace::{field, Collector, TraceLevel};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -483,24 +483,14 @@ impl Server {
 
         let msg = match outcome {
             Ok(run) => {
-                let scheduled = run.job_results.len();
-                let completed = run
-                    .job_results
-                    .iter()
-                    .filter(|r| r.status.output().is_some())
-                    .count();
-                let cancelled = run
-                    .job_results
-                    .iter()
-                    .filter(|r| matches!(r.status, JobStatus::Cancelled))
-                    .count();
+                let m = &run.metrics;
                 let report = &run.reports[0];
                 tbuf.span_end(
                     "serve.request",
                     vec![
-                        field("scheduled", scheduled),
-                        field("completed", completed),
-                        field("cancelled", cancelled),
+                        field("scheduled", m.scheduled),
+                        field("completed", m.completed),
+                        field("cancelled", m.cancelled),
                         field("passed", report.passed),
                     ],
                 );
@@ -509,9 +499,9 @@ impl Server {
                     experiment: ticket.submit.experiment.clone(),
                     status: ResultStatus::Done,
                     passed: Some(report.passed),
-                    scheduled: scheduled as u64,
-                    completed: completed as u64,
-                    cancelled: cancelled as u64,
+                    scheduled: m.scheduled,
+                    completed: m.completed,
+                    cancelled: m.cancelled,
                     cache_lookups: run.cache_lookups,
                     report_json: Some(report.to_json()),
                 }
